@@ -1,8 +1,8 @@
 """Bloom filter membership set with a configurable false-positive rate.
 
 Used to hold the canonical encodings of edge-membership tags so servers
-can test candidate tags in memory.  Double hashing (two SHA-256 derived
-values) generates the k probe positions.
+can test candidate tags in memory.  Each item probes k distinct bits,
+drawn uniformly without replacement from a SHAKE-256 digest of the item.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import struct
 import numpy as np
 
 __all__ = ["BloomFilter"]
+
+_VERSION = 2  # version 1 filters used double hashing and probed other positions
 
 
 class BloomFilter:
@@ -28,11 +30,15 @@ class BloomFilter:
         self.count = 0
 
     def _positions(self, item: bytes):
-        digest = hashlib.sha256(item).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:16], "big") | 1
-        for i in range(self.n_hashes):
-            yield (h1 + i * h2) % self.n_bits
+        """k distinct bit positions, drawn without replacement by a partial
+        Fisher-Yates shuffle over one SHAKE-256 digest of the item."""
+        m, k = self.n_bits, self.n_hashes
+        words = struct.unpack(f">{k}Q", hashlib.shake_256(item).digest(8 * k))
+        moved: dict[int, int] = {}  # sparse shuffle: index -> position there
+        for i, w in enumerate(words):
+            j = i + w % (m - i)
+            yield moved.get(j, j)
+            moved[j] = moved.get(i, i)
 
     def add(self, item: bytes) -> None:
         for pos in self._positions(item):
@@ -44,15 +50,22 @@ class BloomFilter:
 
     def to_bytes(self) -> bytes:
         header = struct.pack(
-            ">4sHdQQI", b"PGBF", 1, self.fpr, self.count, self.n_bits, self.n_hashes
+            ">4sHdQQI", b"PGBF", _VERSION, self.fpr, self.count, self.n_bits, self.n_hashes
         )
         return header + self.bits.tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BloomFilter":
         magic, version, fpr, count, n_bits, n_hashes = struct.unpack(">4sHdQQI", data[:34])
-        if magic != b"PGBF" or version != 1:
+        if magic != b"PGBF":
             raise ValueError("not a bloom filter blob")
+        if version != _VERSION:
+            raise ValueError(
+                f"bloom filter blob version {version}, need {_VERSION}: "
+                "its probe positions differ; rebuild the EDB"
+            )
+        if not 1 <= n_hashes <= n_bits:
+            raise ValueError("bloom filter blob needs 1 <= n_hashes <= n_bits")
         obj = cls.__new__(cls)
         obj.fpr = fpr
         obj.count = count

@@ -9,7 +9,8 @@ under the garbling scheme; only AND gates cost garbled-table rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,25 +33,27 @@ MAX_SORT_K = 1024
 XOR, AND, INV = 0, 1, 2
 
 
-@dataclass
+@dataclass(eq=False)
 class Circuit:
     n_wires: int
-    gates: list  # (op, a, b, out); b == -1 for INV
+    gates: np.ndarray  # read-only int32 rows (op, a, b, out); b == -1 for INV
     inputs: dict  # bundle name -> list of wire ids
     outputs: list  # output wire ids in decode order
 
     @property
     def and_count(self) -> int:
-        return sum(1 for g in self.gates if g[0] == AND)
+        return int(np.count_nonzero(self.gates[:, 0] == AND))
 
-    def input_order(self) -> list[str]:
-        return list(self.inputs)
+    def iter_gates(self):
+        """Yield (op, a, b, out) in gate order, a block of rows at a time."""
+        for start in range(0, len(self.gates), 4096):
+            yield from self.gates[start : start + 4096].tolist()
 
 
 class CircuitBuilder:
     def __init__(self):
         self._n = 0
-        self.gates: list = []
+        self._gates = array("i")  # flat (op, a, b, out) quadruples
         self.inputs: dict[str, list[int]] = {}
         self.outputs: list[int] = []
 
@@ -68,17 +71,17 @@ class CircuitBuilder:
 
     def xor(self, a: int, b: int) -> int:
         out = self._wire()
-        self.gates.append((XOR, a, b, out))
+        self._gates.extend((XOR, a, b, out))
         return out
 
     def and_(self, a: int, b: int) -> int:
         out = self._wire()
-        self.gates.append((AND, a, b, out))
+        self._gates.extend((AND, a, b, out))
         return out
 
     def inv(self, a: int) -> int:
         out = self._wire()
-        self.gates.append((INV, a, -1, out))
+        self._gates.extend((INV, a, -1, out))
         return out
 
     def add_mod(self, a_bits: list[int], b_bits: list[int]) -> list[int]:
@@ -123,11 +126,28 @@ class CircuitBuilder:
             lo.append(self.xor(b, d))
         return hi, lo
 
+    def bitonic_sort(self, elems: list[tuple[list[int], list[int]]]):
+        """Descending bitonic sorting network over (score bits, payload
+        bits) elements; each payload moves with its score. Returns the
+        elements in network output order."""
+        elems = list(elems)
+        for i, l, descending_here in bitonic_schedule(len(elems)):
+            si, pi = elems[i]
+            sl, pl = elems[l]
+            # the larger score moves to i where the flag says descending
+            swap = self.less_than(si, sl) if descending_here else self.less_than(sl, si)
+            new_i, new_l = self.cond_swap(swap, si + pi, sl + pl)
+            elems[i] = (new_i[: len(si)], new_i[len(si) :])
+            elems[l] = (new_l[: len(sl)], new_l[len(sl) :])
+        return elems
+
     def mark_outputs(self, wires: list[int]) -> None:
         self.outputs.extend(wires)
 
     def build(self) -> Circuit:
-        return Circuit(self._n, self.gates, self.inputs, self.outputs)
+        gates = np.array(self._gates, dtype=np.int32).reshape(-1, 4)
+        gates.setflags(write=False)
+        return Circuit(self._n, gates, self.inputs, self.outputs)
 
 
 def bitonic_schedule(n: int) -> list[tuple[int, int, bool]]:
@@ -165,7 +185,6 @@ class SortCircuit:
     k: int  # requested (real) length
     n: int  # padded power-of-two length
     payload_width: int
-    field_names: tuple = ("garbler_shares", "evaluator_shares", "payloads", "mask")
 
     @property
     def and_count(self) -> int:
@@ -206,19 +225,7 @@ def build_sort_circuit(k: int, payload_width: int, max_k: int = MAX_SORT_K) -> S
         payload = payloads[e * payload_width : (e + 1) * payload_width]
         elems.append((score, payload))
 
-    for i, l, descending_here in bitonic_schedule(n):
-        si, pi = elems[i]
-        sl, pl = elems[l]
-        if descending_here:
-            swap = b.less_than(si, sl)  # larger score moves to position i
-        else:
-            swap = b.less_than(sl, si)
-        data_i, data_l = si + pi, sl + pl
-        new_i, new_l = b.cond_swap(swap, data_i, data_l)
-        elems[i] = (new_i[:SCORE_BITS], new_i[SCORE_BITS:])
-        elems[l] = (new_l[:SCORE_BITS], new_l[SCORE_BITS:])
-
-    for score, payload in elems:
+    for score, payload in b.bitonic_sort(elems):
         masked = [b.xor(s, m) for s, m in zip(score, mask)]
         b.mark_outputs(masked + payload)
     return SortCircuit(b.build(), k, n, payload_width)
@@ -246,7 +253,7 @@ def simulate(circuit: Circuit, inputs: dict[str, np.ndarray]) -> np.ndarray:
             raise ValueError(f"bundle {name!r} expects {len(wire_ids)} bits")
         for j, w in enumerate(wire_ids):
             wires[w] = arr[:, j]
-    for op, a, bb, out in circuit.gates:
+    for op, a, bb, out in circuit.iter_gates():
         if op == XOR:
             wires[out] = wires[a] ^ wires[bb]
         elif op == AND:

@@ -26,7 +26,6 @@ from .circuits import (
     SCORE_BITS,
     CircuitBuilder,
     SortCircuit,
-    bitonic_schedule,
     bits_to_int,
     build_sort_circuit,
     int_to_bits,
@@ -77,14 +76,7 @@ def build_merge_circuit(k: int, payload_width: int, max_k: int = 1024) -> SortCi
             for i in range(SCORE_BITS)
         ]
         elems.append((score, payloads[e * payload_width : (e + 1) * payload_width]))
-    for i, l, descending_here in bitonic_schedule(n):
-        si, pi = elems[i]
-        sl, pl = elems[l]
-        swap = b.less_than(si, sl) if descending_here else b.less_than(sl, si)
-        new_i, new_l = b.cond_swap(swap, si + pi, sl + pl)
-        elems[i] = (new_i[:SCORE_BITS], new_i[SCORE_BITS:])
-        elems[l] = (new_l[:SCORE_BITS], new_l[SCORE_BITS:])
-    for _, payload in elems:
+    for _, payload in b.bitonic_sort(elems):
         b.mark_outputs(payload)
     return SortCircuit(b.build(), k, n, payload_width)
 

@@ -120,6 +120,20 @@ class TestBloom:
         clone = BloomFilter.from_bytes(bf.to_bytes())
         assert b"hello" in clone and b"world" not in clone
 
+    def test_positions_distinct_with_composite_size(self):
+        bf = BloomFilter(100, 1e-2)
+        m, k = bf.n_bits, bf.n_hashes
+        assert any(m % p == 0 for p in range(2, int(m**0.5) + 1))
+        for i in range(10_000):
+            positions = list(bf._positions(struct.pack(">Q", i)))
+            assert len(set(positions)) == k and all(0 <= p < m for p in positions)
+
+    def test_version_1_blob_rejected(self):
+        blob = bytearray(BloomFilter(10, 1e-2).to_bytes())
+        blob[4:6] = struct.pack(">H", 1)
+        with pytest.raises(ValueError, match="rebuild the EDB"):
+            BloomFilter.from_bytes(bytes(blob))
+
 
 class TestBuildEdb:
     @pytest.fixture

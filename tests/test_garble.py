@@ -1,3 +1,7 @@
+import hashlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,8 +18,10 @@ from privgraph.garble import (
     decode,
     evaluate,
     garble,
+    level_schedule,
     select_labels,
 )
+from privgraph.sorting import _sort_circuit, build_merge_circuit
 
 
 def garbled_run(circuit, inputs):
@@ -82,6 +88,26 @@ class TestAgainstSimulator:
         got = garbled_run(sc.circuit, inputs)
         assert np.array_equal(got.astype(bool), plain)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_circuits(self, seed):
+        # irregular liveness: unused wires, inputs as outputs, repeated
+        # outputs, gates reading one wire twice
+        rng = np.random.default_rng(seed)
+        b = CircuitBuilder()
+        wires = b.input_bundle("x", 6) + b.input_bundle("y", 3)
+        for _ in range(300):
+            op = rng.integers(0, 3)
+            i, j = (int(w) for w in rng.choice(wires[-40:], size=2))
+            wires.append(b.xor(i, j) if op == 0 else b.and_(i, j) if op == 1 else b.inv(i))
+        b.mark_outputs([int(w) for w in rng.choice(wires, size=25)] + [wires[0], wires[-1]])
+        c = b.build()
+        inputs = {
+            name: rng.integers(0, 2, size=(7, len(w)), dtype=np.uint8)
+            for name, w in c.inputs.items()
+        }
+        plain = simulate(c, {k: v.astype(bool) for k, v in inputs.items()})
+        assert np.array_equal(garbled_run(c, inputs).astype(bool), plain)
+
     def test_fresh_garbling_decodes_identically(self):
         b = CircuitBuilder()
         y = b.input_bundle("x", 4)
@@ -116,6 +142,12 @@ class TestBlob:
     def test_bad_magic(self):
         with pytest.raises(GarbleError):
             GarbledCircuit.from_bytes(b"XXXX" + bytes(8))
+
+    def test_length_mismatch_rejected(self):
+        blob = garble(build_sort_circuit(2, 2).circuit)[0].to_bytes()
+        for bad in (blob[:-1], blob + b"\0", blob[:8]):
+            with pytest.raises(GarbleError):
+                GarbledCircuit.from_bytes(bad)
 
     def test_corrupted_table_changes_output(self):
         b = CircuitBuilder()
@@ -156,3 +188,116 @@ class TestStructure:
         one = select_labels(label_map["x"], delta, np.array([[1]], dtype=np.uint8))[0, 0]
         assert np.array_equal(zero ^ one, delta)
         assert delta[15] & 1 == 1
+
+
+def shake_token(seed: bytes, size: int):
+    """token(n) returns the next n bytes of one SHAKE-256 stream of `size`
+    bytes; token.used() tells how many were taken."""
+    stream = hashlib.shake_256(seed).digest(size)
+    pos = 0
+
+    def token(n):
+        nonlocal pos
+        assert pos + n <= size, "garble drew more random bytes than expected"
+        pos += n
+        return stream[pos - n : pos]
+
+    token.used = lambda: pos
+    return token
+
+
+class TestWireFormat:
+    # SHA-256 of (tables, dec, label map, delta) as garbled by the gate-order
+    # engine that preceded the level schedule, from the same SHAKE-256 stream
+    PINNED = {
+        ("sort", 1): "dbe0ffcb5d742f0d4c40caa7a37158240f26ccbb9d902d337103656654efce1e",
+        ("sort", 3): "fe31a60067ade290bfbd2cb716e8c4abb1df21943ca4e3bcc21a969d9e9e5fe5",
+        ("sort", 8): "b729f0daafa2409f5ad38c65cea1831f075935e52fd3f3adf7ae893027f72527",
+        ("merge", 5): "c981245ee0423757fbb93dc31add76a928a14364ca96438832e6f67d43d9bc2a",
+    }
+
+    @staticmethod
+    def _circuit(kind, k):
+        if kind == "sort":
+            return build_sort_circuit(k, max(k.bit_length(), 1)).circuit
+        return build_merge_circuit(k, 4).circuit
+
+    @pytest.mark.parametrize("kind,k", sorted(PINNED))
+    def test_garbling_is_byte_identical(self, kind, k):
+        circuit = self._circuit(kind, k)
+        n_inputs = sum(len(w) for w in circuit.inputs.values())
+        size = 16 * (1 + n_inputs + circuit.and_count)
+        token = shake_token(b"wire-format-%s-%d" % (kind.encode(), k), size)
+        gc, label_map, delta = garble(circuit, token)
+        assert token.used() == size
+        h = hashlib.sha256()
+        h.update(gc.tables.tobytes())
+        h.update(gc.dec.tobytes())
+        for name, labels in label_map.items():
+            h.update(name.encode())
+            h.update(labels.tobytes())
+        h.update(delta.tobytes())
+        assert h.hexdigest() == self.PINNED[(kind, k)]
+        n_out = len(circuit.outputs)
+        assert len(gc.to_bytes()) == 12 + 64 * gc.and_count + -(-n_out // 8)
+
+
+class TestSchedule:
+    def test_read_only_and_slots_bounded_by_live_wires(self):
+        circuit = build_sort_circuit(16, 5).circuit
+        sched = level_schedule(circuit)
+        assert level_schedule(circuit) is sched
+        assert sched.n_and == circuit.and_count
+        assert sched.n_slots < circuit.n_wires // 10
+        with pytest.raises(ValueError):
+            sched.out[0] = 0
+        with pytest.raises(ValueError):
+            circuit.gates[0, 0] = 0
+
+    def test_table_count_mismatch_rejected(self):
+        sc = build_sort_circuit(2, 2)
+        gc, label_map, delta = garble(sc.circuit)
+        labels = {name: zero[None] for name, zero in label_map.items()}
+        with pytest.raises(GarbleError):
+            evaluate(sc.circuit, GarbledCircuit(gc.tables[:-1], gc.dec), labels)
+
+
+class TestConcurrency:
+    @pytest.mark.parametrize(
+        "cached",
+        [lambda: _sort_circuit(6, 3, 1024), lambda: build_merge_circuit(5, 4)],
+        ids=["sort", "merge"],
+    )
+    def test_two_threads_share_one_cached_circuit(self, cached):
+        circuit = cached().circuit
+        assert cached().circuit is circuit
+        start = threading.Barrier(2)
+        errors = []
+
+        def rounds(seed):
+            try:
+                rng = np.random.default_rng(seed)
+                start.wait(timeout=60)
+                for _ in range(8):
+                    inputs = {
+                        name: rng.integers(0, 2, size=(3, len(w)), dtype=np.uint8)
+                        for name, w in circuit.inputs.items()
+                    }
+                    got = garbled_run(circuit, inputs)
+                    plain = simulate(circuit, {n: b.astype(bool) for n, b in inputs.items()})
+                    assert np.array_equal(got.astype(bool), plain)
+            except Exception as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads finely
+        try:
+            threads = [threading.Thread(target=rounds, args=(s,)) for s in (1, 2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
