@@ -19,6 +19,7 @@ from .bloom import BloomFilter
 from .crypto import (
     CIPHERTEXT_BYTES,
     ELEMENT_BYTES,
+    SHARE_MODULUS,
     GroupContext,
     MasterKeyBundle,
     blinding_value,
@@ -28,7 +29,7 @@ from .crypto import (
     term_key,
     xtag_compute,
 )
-from .graph import PostingList
+from .graph import PostingList, ranked
 
 __all__ = [
     "PartitionConfig",
@@ -46,7 +47,6 @@ __all__ = [
     "make_rng",
 ]
 
-SHARE_MODULUS = 1 << 31
 TUPLE_BYTES = 4 + CIPHERTEXT_BYTES + ELEMENT_BYTES  # share | e_id | y
 
 
@@ -234,12 +234,6 @@ def share_sortkeys(sort_keys: list[int], rng) -> list[tuple[int, int]]:
     return out
 
 
-def _ordered_entries(plist: PostingList):
-    # stored in descending sort-key order (ascending id on ties) so that
-    # un-sorted term queries still return a meaningfully ordered list
-    return sorted(plist.entries, key=lambda e: (-e[0], e[1]))
-
-
 def build_tset_pair(
     sub_index: dict[str, PostingList],
     keys: MasterKeyBundle,
@@ -256,7 +250,9 @@ def build_tset_pair(
         plist = sub_index[term]
         stag = stag_derive(keys, term)
         k_t = term_key(keys, term)
-        entries = _ordered_entries(plist)
+        # stored ranked, so un-sorted term queries still return a
+        # meaningfully ordered list
+        entries = ranked(plist.entries)
         shares = share_sortkeys([sk for sk, _ in entries], rng)
         tuples0, tuples1 = [], []
         for c, ((sort_key, eid), (share0, share1)) in enumerate(zip(entries, shares), start=1):

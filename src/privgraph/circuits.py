@@ -16,11 +16,13 @@ import numpy as np
 
 __all__ = [
     "SCORE_BITS",
+    "MAX_SORT_K",
     "Circuit",
     "CircuitBuilder",
     "SortCircuit",
     "bitonic_schedule",
     "comparator_count",
+    "padded_size",
     "build_sort_circuit",
     "simulate",
     "int_to_bits",
@@ -201,15 +203,21 @@ class SortCircuit:
         return scores, payloads
 
 
-def build_sort_circuit(k: int, payload_width: int, max_k: int = MAX_SORT_K) -> SortCircuit:
+def padded_size(k: int, max_k: int = MAX_SORT_K) -> int:
+    """The sorting network's width for k inputs: the next power of two.
+    Rejects k outside 1..max_k."""
     if k < 1:
         raise ValueError("sort length must be >= 1")
     if k > max_k:
         raise ValueError(
-            f"sort length {k} exceeds the configured max {max_k}; truncate the "
+            f"sort length {k} exceeds the max {max_k}; truncate the "
             "inputs before sorting"
         )
-    n = 1 << (k - 1).bit_length() if k > 1 else 1
+    return 1 << (k - 1).bit_length()
+
+
+def build_sort_circuit(k: int, payload_width: int, max_k: int = MAX_SORT_K) -> SortCircuit:
+    n = padded_size(k, max_k)
     b = CircuitBuilder()
     g_shares = b.input_bundle("garbler_shares", n * SCORE_BITS)
     e_shares = b.input_bundle("evaluator_shares", n * SCORE_BITS)

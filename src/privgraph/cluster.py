@@ -7,8 +7,8 @@ from __future__ import annotations
 from .builder import EncryptedDatabase
 from .crypto import MasterKeyBundle
 from .planner import FrontEnd
-from .server import IndexServer, LoopbackTopology, server_name
-from .transport import Transcript
+from .server import IndexServer, server_name
+from .transport import LoopbackFabric, Transcript
 
 __all__ = ["LocalCluster"]
 
@@ -23,10 +23,9 @@ class LocalCluster:
         run_mode: str = "dealer",
         dealer_seed: int = 0,
         transcript: Transcript | None = None,
-        max_sort_k: int = 1024,
         timeout: float = 60.0,
     ):
-        self.topology = LoopbackTopology()
+        self.topology = LoopbackFabric()
         self.transcript = transcript
         self.n_shards = edb.shards_per_cluster
         self.servers: dict[str, IndexServer] = {}
@@ -41,7 +40,6 @@ class LocalCluster:
                     run_mode=run_mode,
                     dealer_seed=dealer_seed,
                     transcript=transcript,
-                    max_sort_k=max_sort_k,
                     timeout=timeout,
                 )
                 self.servers[server.name] = server

@@ -19,6 +19,7 @@ from cryptography.hazmat.primitives.cmac import CMAC
 from cryptography.hazmat.primitives.ciphers import algorithms
 
 __all__ = [
+    "SHARE_MODULUS",
     "GroupContext",
     "MasterKeyBundle",
     "DecryptError",
@@ -46,6 +47,8 @@ _G = 4
 
 ELEMENT_BYTES = 32
 KEY_BYTES = 16
+# sort keys and every secret-shared value live in Z_{2^31}
+SHARE_MODULUS = 1 << 31
 
 
 class TermError(ValueError):

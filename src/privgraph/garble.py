@@ -31,6 +31,7 @@ import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .circuits import AND, INV, XOR, Circuit
+from .transport import TransportError
 
 assert (XOR, AND, INV) == (0, 1, 2)  # the schedule's group order within a level
 
@@ -53,8 +54,9 @@ _RED2 = np.array([0, 0x87], dtype=np.uint64)
 _RED4 = np.array([0, 0x87, 0x10E, 0x189], dtype=np.uint64)
 
 
-class GarbleError(Exception):
-    pass
+class GarbleError(TransportError):
+    """A garbled circuit or label set that does not fit its circuit; most
+    often a malformed CIRCUIT_BLOB from the peer."""
 
 
 def _encryptor():
@@ -206,8 +208,10 @@ class GarbledCircuit:
             data[off : off + n_ands * 64], dtype=np.uint8
         ).reshape(n_ands, 4, 16)
         off += n_ands * 64
-        dec = np.unpackbits(np.frombuffer(data[off:], dtype=np.uint8))[:n_out]
-        return cls(tables.copy(), dec.copy())
+        bits = np.unpackbits(np.frombuffer(data[off:], dtype=np.uint8))
+        if bits[n_out:].any():
+            raise GarbleError("garbled-circuit blob has set padding bits")
+        return cls(tables.copy(), bits[:n_out].copy())
 
 
 def _random_labels(token, n: int) -> np.ndarray:

@@ -26,6 +26,7 @@ __all__ = [
     "random_graph",
     "select_s_term",
     "split_conjunctive",
+    "ranked",
     "PlaintextEngine",
 ]
 
@@ -187,8 +188,9 @@ def split_conjunctive(expr: SExpr, lengths: dict[str, int] | None):
     return s_term, x_terms, formula, negate
 
 
-def _ranked(entries):
-    """Descending sort_key, ascending id on ties: the canonical ranking."""
+def ranked(entries):
+    """Descending sort_key, ascending id on ties: the canonical ranking,
+    and the order in which the EDB stores each posting list."""
     return sorted(entries, key=lambda e: (-e[0], e[1]))
 
 
@@ -263,7 +265,7 @@ class PlaintextEngine:
             return self.apply_query(expr, sort=sort, top_k=top_k)
         entries = self.evaluate(expr)
         if sort:
-            entries = _ranked(entries)
+            entries = ranked(entries)
         if top_k is not None:
             entries = entries[:top_k]
         return entries

@@ -15,16 +15,27 @@ quantity in a transcript is derivable from the profile.
 
 from __future__ import annotations
 
+import functools
 import math
-import struct
 from dataclasses import dataclass, field
 
-from .crypto import hash_to_shard
-from .graph import PlaintextEngine, PostingList
+from .crypto import GroupContext, hash_to_shard
+from .garble import GarbledCircuit
+from .graph import PlaintextEngine, PostingList, ranked
 from .oxt import Subquery, compile_query
-from .server import decode_global_result, decode_query_init, decode_result
+from .server import (
+    _decode_contrib,
+    _decode_masks,
+    decode_global_result,
+    decode_query_init,
+    decode_result,
+    decode_tuple_count,
+    decode_xtoken_batch,
+)
 from .sexpr import SExpr, parse_sexpr
-from .transport import MSG, MSG_NAMES, Transcript
+from .shares import decode_mul_exchange, decode_triple_gen_init
+from .sorting import decode_sort_init
+from .transport import MSG, MSG_NAMES, Transcript, TransportError
 
 __all__ = [
     "QueryRecord",
@@ -73,11 +84,6 @@ def _shard_of(eid: int, n_shards: int, shard_hash: str) -> int:
     return hash_to_shard(eid, n_shards, shard_hash)
 
 
-def _stored_order(entries):
-    # matches the EDB build: descending sort key, ascending id
-    return sorted(entries, key=lambda e: (-e[0], e[1]))
-
-
 def compute_leakage(
     index: dict[str, PostingList],
     queries: list[QueryRecord],
@@ -120,7 +126,7 @@ def compute_leakage(
             )
             sub_counts = [0] * n_shards
             per_sub_shard = [[] for _ in range(n_shards)]
-            for sk, eid in _stored_order(survivors):
+            for sk, eid in ranked(survivors):  # the EDB's stored order
                 j = _shard_of(eid, n_shards, shard_hash)
                 sub_counts[j] += 1
                 per_sub_shard[j].append(sk)
@@ -152,78 +158,35 @@ def compute_leakage(
 # ---------------------------------------------------------------------------
 # Transcript audit: the allowed-observable alphabet
 
-# leakage class of each frame type in an honest transcript
+def _whole_labels(payload: bytes) -> None:
+    if len(payload) % 16:
+        raise TransportError("payload is not whole 16-byte wire labels")
+
+
+# frame type -> (leakage class in an honest transcript, structural check).
+# The check is the decoder of the module that speaks the frame; the OT and
+# label frames carry no header and keep context-free size rules (or none).
 _ALPHABET = {
-    "QUERY_INIT": "stag + formula shape + x-term count (XP)",
-    "TUPLE_COUNT": "tuple counts (SP)",
-    "XTOKEN_BATCH": "xtokens",
-    "RESULT": "encrypted tuples + survivor counts",
-    "GLOBAL_RESULT": "ranks",
-    "SORT_INIT": "sort session size",
-    "CIRCUIT_BLOB": "circuit blob",
-    "GARBLER_LABELS": "wire labels",
-    "MASK_LABELS": "wire labels",
-    "OT_SETUP": "oblivious-transfer setup",
-    "OT_EXTEND": "oblivious-transfer extension",
-    "OT_PAYLOAD": "wire labels",
-    "SORT_RESULT": "masked scores",
-    "CONTRIB": "masked scores + ranks",
-    "MASKS": "masks",
-    "TRIPLE_GEN_INIT": "triple shape",
-    "COT_BATCH": "correlated-OT corrections",
-    "MUL_EXCHANGE": "blinded shares",
-    "ERROR": "error notice",
+    "QUERY_INIT": ("stag + formula shape + x-term count (XP)", decode_query_init),
+    "TUPLE_COUNT": ("tuple counts (SP)", decode_tuple_count),
+    "XTOKEN_BATCH": (
+        "xtokens", functools.partial(decode_xtoken_batch, ctx=GroupContext())
+    ),
+    "RESULT": ("encrypted tuples + survivor counts", decode_result),
+    "GLOBAL_RESULT": ("ranks", decode_global_result),
+    "SORT_INIT": ("sort session size", decode_sort_init),
+    "CIRCUIT_BLOB": ("circuit blob", GarbledCircuit.from_bytes),
+    "GARBLER_LABELS": ("wire labels", _whole_labels),
+    "MASK_LABELS": ("wire labels", _whole_labels),
+    "OT_SETUP": ("oblivious-transfer setup", None),
+    "OT_EXTEND": ("oblivious-transfer extension", None),
+    "OT_PAYLOAD": ("wire labels", None),
+    "CONTRIB": ("masked scores + ranks", _decode_contrib),
+    "MASKS": ("masks", _decode_masks),
+    "TRIPLE_GEN_INIT": ("triple shape", decode_triple_gen_init),
+    "MUL_EXCHANGE": ("blinded shares", decode_mul_exchange),
+    "ERROR": ("error notice", None),
 }
-
-CIPHERTEXT_BYTES = 36
-LABEL_BYTES = 16
-
-
-def _check_structure(frame) -> str | None:
-    """Structural validation per frame type; returns a violation or None."""
-    name = MSG_NAMES.get(frame.type)
-    p = frame.payload
-    try:
-        if name == "QUERY_INIT":
-            from .server import encode_query_init
-
-            if encode_query_init(decode_query_init(p)) != p:
-                return "QUERY_INIT payload has undeclared extra bytes"
-        elif name == "TUPLE_COUNT":
-            if len(p) != 4:
-                return "TUPLE_COUNT payload is not a single count"
-        elif name == "XTOKEN_BATCH":
-            count, width = struct.unpack(">IH", p[:6])
-            if len(p) != 6 + count * width * 32:
-                return "XTOKEN_BATCH size disagrees with its header"
-        elif name == "RESULT":
-            decode_result(p)
-        elif name == "GLOBAL_RESULT":
-            (count,) = struct.unpack(">I", p[:4])
-            if len(p) != 4 + 6 * count:
-                return "GLOBAL_RESULT size disagrees with its header"
-        elif name == "SORT_INIT":
-            if len(p) not in (0, 10) and len(p) < 12:
-                return "SORT_INIT header malformed"
-        elif name in ("GARBLER_LABELS", "MASK_LABELS", "OT_PAYLOAD"):
-            if len(p) % LABEL_BYTES and name != "OT_PAYLOAD":
-                return f"{name} is not whole wire labels"
-        elif name == "MASKS":
-            if len(p) != 11:
-                return "MASKS payload malformed"
-        elif name == "CONTRIB":
-            shard, status, count = struct.unpack(">HBI", p[:7])
-            if len(p) != 7 + 8 * count:
-                return "CONTRIB size disagrees with its header"
-        elif name == "MUL_EXCHANGE":
-            if len(p) % 8:
-                return "MUL_EXCHANGE is not two equal share vectors"
-        elif name == "TRIPLE_GEN_INIT":
-            if len(p) != 16:
-                return "TRIPLE_GEN_INIT header malformed"
-    except Exception:
-        return f"{name or hex(frame.type)} payload failed structural parse"
-    return None
 
 
 @dataclass
@@ -250,11 +213,13 @@ def audit_transcript(transcript: Transcript, forbidden: tuple = ()) -> AuditRepo
                 f"{party}: frame type 0x{frame.type:04x} outside the allowed alphabet"
             )
             continue
-        cls = _ALPHABET[name]
+        cls, check = _ALPHABET[name]
         report.class_counts[cls] = report.class_counts.get(cls, 0) + 1
-        problem = _check_structure(frame)
-        if problem is not None:
-            report.violations.append(f"{party}: {problem}")
+        if check is not None:
+            try:
+                check(frame.payload)
+            except TransportError as exc:
+                report.violations.append(f"{party}: {name} payload malformed: {exc}")
         for pattern in forbidden:
             if pattern and pattern in frame.payload:
                 report.violations.append(
@@ -341,7 +306,7 @@ def check_transcript_consistency(
         for party, frame in frames:
             if frame.type == MSG["TUPLE_COUNT"]:
                 counts_by_shard.setdefault(party, []).append(
-                    struct.unpack(">I", frame.payload)[0]
+                    decode_tuple_count(frame.payload)
                 )
             elif frame.type == MSG["RESULT"]:
                 results_by_shard[party] = decode_result(frame.payload)

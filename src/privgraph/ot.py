@@ -17,12 +17,11 @@ import struct
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .crypto import GroupContext
+from .crypto import SHARE_MODULUS, GroupContext
 from .transport import MSG, Channel, Frame
 
 __all__ = ["OTSender", "OTReceiver", "OTError", "SHARE_MODULUS"]
 
-SHARE_MODULUS = 1 << 31
 KAPPA = 128  # base-OT count / extension matrix width
 
 

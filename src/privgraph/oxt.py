@@ -12,19 +12,10 @@ disjoint difference/term subqueries.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from .builder import EncryptedTuple, TSetShard, XSetFilter
-from .crypto import (
-    DecryptError,
-    GroupContext,
-    MasterKeyBundle,
-    stag_derive,
-    term_key,
-    xtoken_compute,
-    decrypt_id,
-)
+from .crypto import GroupContext, MasterKeyBundle, stag_derive, xtoken_compute
 from .graph import split_conjunctive
 from .sexpr import BoolFormula, SExpr
 
@@ -34,9 +25,7 @@ __all__ = [
     "compile_query",
     "or_rewrite",
     "xtoken_rows",
-    "index_access",
     "boolean_query",
-    "decrypt_results",
     "stag_for",
 ]
 
@@ -113,12 +102,6 @@ def xtoken_rows(
     ]
 
 
-def index_access(tset: TSetShard, stag: bytes) -> list[EncryptedTuple]:
-    """Fetch the full stored tuple list for a search tag; absent terms
-    yield an empty result."""
-    return tset.retrieve(stag)
-
-
 def boolean_query(
     tset: TSetShard,
     xset: XSetFilter,
@@ -134,7 +117,7 @@ def boolean_query(
     the x-terms' selectivity. Returns surviving (tuple index, tuple)
     pairs in stored order.
     """
-    tuples = index_access(tset, stag)
+    tuples = tset.retrieve(stag)  # absent terms yield no tuples
     if len(rows) != len(tuples):
         raise ValueError(
             f"xtoken stream has {len(rows)} rows for {len(tuples)} tuples"
@@ -148,24 +131,6 @@ def boolean_query(
         if keep:
             survivors.append((c, tup))
     return survivors
-
-
-def decrypt_results(
-    keys: MasterKeyBundle,
-    s_term: str,
-    tuples: list[EncryptedTuple],
-    shard: int | None = None,
-) -> list[int]:
-    """Recover plaintext ids in the given tuple order."""
-    k_t = term_key(keys, s_term)
-    out = []
-    for tup in tuples:
-        try:
-            out.append(decrypt_id(k_t, tup.e_id))
-        except DecryptError as exc:
-            where = f" from shard {shard}" if shard is not None else ""
-            raise IntegrityError(f"undecryptable result tuple{where}: {exc}") from exc
-    return out
 
 
 def stag_for(keys: MasterKeyBundle, subquery: Subquery) -> bytes:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import logging
 import secrets
-import struct
 from dataclasses import dataclass, field
 
 from .crypto import DecryptError, GroupContext, MasterKeyBundle, decrypt_id, term_key
@@ -27,6 +26,7 @@ from .server import (
     SubquerySpec,
     decode_global_result,
     decode_result,
+    decode_tuple_count,
     encode_query_init,
     encode_xtoken_batch,
     server_name,
@@ -221,7 +221,7 @@ class FrontEnd:
             counts = {}
             for key, ch in chans.items():
                 frame = self._recv(ch, "TUPLE_COUNT")
-                counts[key] = struct.unpack(">I", frame.payload)[0]
+                counts[key] = decode_tuple_count(frame.payload)
             for j in range(self.n_shards):
                 c1 = counts.get((1, j))
                 if c1 is not None and counts[(0, j)] != c1:

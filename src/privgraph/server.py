@@ -27,7 +27,7 @@ import threading
 import numpy as np
 
 from .builder import ShardData, load_edb
-from .crypto import ELEMENT_BYTES, GroupContext
+from .crypto import CIPHERTEXT_BYTES, ELEMENT_BYTES, GroupContext
 from .oxt import boolean_query
 from .ot import OTReceiver, OTSender
 from .scoring import eval_score, parse_score
@@ -44,7 +44,6 @@ from .transport import (
     Channel,
     ChannelClosed,
     Frame,
-    LoopbackFabric,
     TcpListener,
     Transcript,
     TransportError,
@@ -56,11 +55,12 @@ log = logging.getLogger(__name__)
 __all__ = [
     "ServerError",
     "server_name",
-    "LoopbackTopology",
     "TcpTopology",
     "IndexServer",
     "encode_query_init",
     "decode_query_init",
+    "encode_tuple_count",
+    "decode_tuple_count",
     "encode_xtoken_batch",
     "decode_xtoken_batch",
     "encode_result",
@@ -70,8 +70,6 @@ __all__ = [
     "QuerySpec",
     "SubquerySpec",
 ]
-
-CIPHERTEXT_BYTES = 36
 
 FLAG_SORT = 0x01
 FLAG_SCORE = 0x02
@@ -87,19 +85,6 @@ class ServerError(Exception):
 
 def server_name(cluster: int, shard: int) -> str:
     return f"is{cluster}{shard}"
-
-
-class LoopbackTopology:
-    """In-process network of named parties over a loopback fabric."""
-
-    def __init__(self):
-        self.fabric = LoopbackFabric()
-
-    def listen(self, name: str):
-        return self.fabric.listen(name)
-
-    def connect(self, name: str, timeout: float | None = 10.0) -> Channel:
-        return self.fabric.connect(name, timeout)
 
 
 class TcpTopology:
@@ -152,19 +137,55 @@ def encode_query_init(spec: QuerySpec) -> bytes:
 
 
 def decode_query_init(payload: bytes) -> QuerySpec:
-    flags, n_sub = struct.unpack(">BH", payload[:3])
+    """Strict: canonical flag and negate bytes, each formula over exactly
+    its subquery's x-terms, a UTF-8 score and no trailing bytes."""
+    end = len(payload)
+    if end < 5:
+        raise TransportError("QUERY_INIT shorter than its header")
+    flags, n_sub = struct.unpack_from(">BH", payload)
+    if flags & ~(FLAG_SORT | FLAG_SCORE):
+        raise TransportError(f"QUERY_INIT has unknown flags {flags:#04x}")
+    if 5 + 21 * n_sub > end:
+        raise TransportError(f"QUERY_INIT too short for {n_sub} subqueries")
     off = 3
     subs = []
     for _ in range(n_sub):
+        if off + 21 > end:
+            raise TransportError("QUERY_INIT subquery truncated")
         stag = payload[off : off + 16]
-        negate, n_xterms, flen = struct.unpack(">BHH", payload[off + 16 : off + 21])
+        negate, n_xterms, flen = struct.unpack_from(">BHH", payload, off + 16)
         off += 21
+        if negate > 1 or off + flen > end:
+            raise TransportError("QUERY_INIT subquery malformed")
         formula = BoolFormula.from_bytes(payload[off : off + flen])
         off += flen
+        if formula.n_vars != n_xterms:
+            raise TransportError(
+                f"QUERY_INIT formula over {formula.n_vars} variables for {n_xterms} x-terms"
+            )
         subs.append(SubquerySpec(stag, bool(negate), n_xterms, formula))
-    (slen,) = struct.unpack(">H", payload[off : off + 2])
-    score = payload[off + 2 : off + 2 + slen].decode() or None
-    return QuerySpec(subs, bool(flags & FLAG_SORT), score)
+    if off + 2 > end:
+        raise TransportError("QUERY_INIT score field truncated")
+    (slen,) = struct.unpack_from(">H", payload, off)
+    if off + 2 + slen != end:
+        raise TransportError("QUERY_INIT length disagrees with its score field")
+    try:
+        score = payload[off + 2 :].decode()
+    except UnicodeDecodeError:
+        raise TransportError("QUERY_INIT score is not UTF-8") from None
+    if bool(flags & FLAG_SCORE) != bool(score):
+        raise TransportError("QUERY_INIT score flag disagrees with its score")
+    return QuerySpec(subs, bool(flags & FLAG_SORT), score or None)
+
+
+def encode_tuple_count(count: int) -> bytes:
+    return struct.pack(">I", count)
+
+
+def decode_tuple_count(payload: bytes) -> int:
+    if len(payload) != 4:
+        raise TransportError("TUPLE_COUNT payload is not a single count")
+    return struct.unpack(">I", payload)[0]
 
 
 def encode_xtoken_batch(rows: list[list[int]], ctx: GroupContext) -> bytes:
@@ -177,18 +198,21 @@ def encode_xtoken_batch(rows: list[list[int]], ctx: GroupContext) -> bytes:
 
 
 def decode_xtoken_batch(payload: bytes, ctx: GroupContext) -> list[list[int]]:
-    count, width = struct.unpack(">IH", payload[:6])
-    rows = []
-    off = 6
-    for _ in range(count):
-        row = []
-        for _ in range(width):
-            row.append(ctx.decode(payload[off : off + ELEMENT_BYTES]))
-            off += ELEMENT_BYTES
-        rows.append(row)
-    if off != len(payload):
-        raise TransportError("xtoken batch has trailing bytes")
-    return rows
+    if len(payload) < 6:
+        raise TransportError("XTOKEN_BATCH shorter than its header")
+    count, width = struct.unpack_from(">IH", payload)
+    # an empty batch is (0, 0); otherwise both are positive, so the row
+    # count is bounded by the payload length
+    if len(payload) != 6 + count * width * ELEMENT_BYTES or bool(count) != bool(width):
+        raise TransportError("XTOKEN_BATCH size disagrees with its header")
+    try:
+        tokens = [
+            ctx.decode(payload[off : off + ELEMENT_BYTES])
+            for off in range(6, len(payload), ELEMENT_BYTES)
+        ]
+    except ValueError as exc:
+        raise TransportError(f"XTOKEN_BATCH: {exc}") from None
+    return [tokens[r * width : (r + 1) * width] for r in range(count)]
 
 
 def encode_result(counts: list[int], e_ids: list[bytes] | None) -> bytes:
@@ -200,23 +224,23 @@ def encode_result(counts: list[int], e_ids: list[bytes] | None) -> bytes:
 
 
 def decode_result(payload: bytes) -> tuple[list[int], list[bytes] | None]:
-    (n_sub,) = struct.unpack(">H", payload[:2])
-    off = 2
-    counts = [
-        struct.unpack(">I", payload[off + 4 * i : off + 4 * i + 4])[0]
-        for i in range(n_sub)
-    ]
-    off += 4 * n_sub
+    """Survivor counts per subquery, then either no ciphertexts (cluster 1)
+    or exactly one per survivor (cluster 0)."""
+    if len(payload) < 2:
+        raise TransportError("RESULT shorter than its header")
+    (n_sub,) = struct.unpack_from(">H", payload)
+    off = 2 + 4 * n_sub
+    if len(payload) < off:
+        raise TransportError("RESULT shorter than its counts")
+    counts = list(struct.unpack_from(f">{n_sub}I", payload, 2))
     rest = payload[off:]
-    total = sum(counts)
     if not rest:
         return counts, None
-    if len(rest) != total * CIPHERTEXT_BYTES:
-        raise TransportError("result frame size disagrees with its counts")
-    e_ids = [
-        rest[i * CIPHERTEXT_BYTES : (i + 1) * CIPHERTEXT_BYTES] for i in range(total)
+    if len(rest) != sum(counts) * CIPHERTEXT_BYTES:
+        raise TransportError("RESULT size disagrees with its counts")
+    return counts, [
+        rest[i : i + CIPHERTEXT_BYTES] for i in range(0, len(rest), CIPHERTEXT_BYTES)
     ]
-    return counts, e_ids
 
 
 def encode_global_result(order: list[tuple[int, int]]) -> bytes:
@@ -226,10 +250,14 @@ def encode_global_result(order: list[tuple[int, int]]) -> bytes:
 
 
 def decode_global_result(payload: bytes) -> list[tuple[int, int]]:
-    (count,) = struct.unpack(">I", payload[:4])
-    return [
-        struct.unpack(">HI", payload[4 + 6 * i : 10 + 6 * i]) for i in range(count)
-    ]
+    if len(payload) < 4 or len(payload) != 4 + 6 * struct.unpack_from(">I", payload)[0]:
+        raise TransportError("GLOBAL_RESULT size disagrees with its header")
+    return list(struct.iter_unpack(">HI", payload[4:]))
+
+
+def _check_status(frame: str, status: int) -> None:
+    if status not in (STATUS_OK, STATUS_FAILED):
+        raise TransportError(f"{frame} status byte {status}")
 
 
 def _encode_masks(shard: int, status: int, count: int, mask: int) -> bytes:
@@ -237,7 +265,11 @@ def _encode_masks(shard: int, status: int, count: int, mask: int) -> bytes:
 
 
 def _decode_masks(payload: bytes):
-    return struct.unpack(">HBII", payload)
+    if len(payload) != 11:
+        raise TransportError("MASKS payload is not 11 bytes")
+    shard, status, count, mask = struct.unpack(">HBII", payload)
+    _check_status("MASKS", status)
+    return shard, status, count, mask
 
 
 def _encode_contrib(shard: int, status: int, entries: list[tuple[int, int]]) -> bytes:
@@ -247,11 +279,11 @@ def _encode_contrib(shard: int, status: int, entries: list[tuple[int, int]]) -> 
 
 
 def _decode_contrib(payload: bytes):
-    shard, status, count = struct.unpack(">HBI", payload[:7])
-    entries = [
-        struct.unpack(">II", payload[7 + 8 * i : 15 + 8 * i]) for i in range(count)
-    ]
-    return shard, status, entries
+    if len(payload) < 7 or len(payload) != 7 + 8 * struct.unpack_from(">I", payload, 3)[0]:
+        raise TransportError("CONTRIB size disagrees with its header")
+    shard, status = struct.unpack_from(">HB", payload)
+    _check_status("CONTRIB", status)
+    return shard, status, list(struct.iter_unpack(">II", payload[7:]))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +307,6 @@ class IndexServer:
         run_mode: str = "dealer",
         dealer_seed: int = 0,
         transcript: Transcript | None = None,
-        max_sort_k: int = 1024,
         timeout: float = 60.0,
     ):
         if run_mode not in ("dealer", "secure"):
@@ -288,7 +319,6 @@ class IndexServer:
         self.run_mode = run_mode
         self.dealer_seed = dealer_seed
         self.transcript = transcript
-        self.max_sort_k = max_sort_k
         self.timeout = timeout
         self.name = server_name(cluster, shard)
         self.counterpart = server_name(1 - cluster, shard)
@@ -413,7 +443,7 @@ class IndexServer:
             counts = []
             for sub in spec.subqueries:
                 tuples = self.data.tset.retrieve(sub.stag)
-                chan.send(Frame(MSG["TUPLE_COUNT"], qid, struct.pack(">I", len(tuples))))
+                chan.send(Frame(MSG["TUPLE_COUNT"], qid, encode_tuple_count(len(tuples))))
                 if sub.n_xterms:
                     batch = chan.expect("XTOKEN_BATCH", self.timeout)
                     rows = decode_xtoken_batch(batch.payload, self.ctx)
@@ -455,64 +485,47 @@ class IndexServer:
             self._sort_phase_evaluator(qid, shares, k, score)
 
     def _sort_phase_garbler(self, chan, qid, shares, k, score):
-        if k == 0:
-            self._report("MASKS", _encode_masks(self.shard, STATUS_OK, 0, 0), qid)
-        else:
+        status, mask = STATUS_OK, 0
+        if k:
             try:
                 cchan = self.topology.connect(self.counterpart)
-            except TransportError:
-                log.warning(
-                    "%s: counterpart %s unreachable; degraded to set operations",
-                    self.name, self.counterpart,
-                )
-                self._report(
-                    "MASKS", _encode_masks(self.shard, STATUS_FAILED, 0, 0), qid
-                )
-                if self.is_coordinator:
-                    self._coordinate_masks(chan, qid)
-                return
-            cchan.transcript = self.transcript
-            cchan.party = self.name
-            try:
-                cchan.send(Frame(MSG["SORT_INIT"], qid, b""))  # session handshake
-                if score:
-                    shares = self._score(cchan, qid, shares, score, party=0)
-                mask = local_sort_garbler(
-                    cchan, qid, shares, self.ot_ctx, max_k=self.max_sort_k
-                )
-            finally:
-                cchan.close()
-            self._report("MASKS", _encode_masks(self.shard, STATUS_OK, k, mask), qid)
+                cchan.transcript = self.transcript
+                cchan.party = self.name
+                try:
+                    cchan.send(Frame(MSG["SORT_INIT"], qid, b""))  # session handshake
+                    if score:
+                        shares = self._score(cchan, qid, shares, score, party=0)
+                    mask = local_sort_garbler(cchan, qid, shares, self.ot_ctx)
+                finally:
+                    cchan.close()
+            except Exception:
+                # the coordinator learns of the failure at once instead of
+                # waiting out its timeout for this shard's mask
+                log.exception("%s: local sort of query %d failed", self.name, qid)
+                status, k = STATUS_FAILED, 0
+        self._report("MASKS", _encode_masks(self.shard, status, k, mask), qid)
         if self.is_coordinator:
             self._coordinate_masks(chan, qid)
 
     def _sort_phase_evaluator(self, qid, shares, k, score):
-        if k == 0:
-            self._report("CONTRIB", _encode_contrib(self.shard, STATUS_OK, []), qid)
-        else:
+        status, entries = STATUS_OK, []
+        if k:
             try:
-                _, cchan = self._await(("sort", qid), self.timeout)
-            except TransportError:
-                self._report(
-                    "CONTRIB", _encode_contrib(self.shard, STATUS_FAILED, []), qid
-                )
-                if self.is_coordinator:
-                    self._coordinate_contribs(qid)
-                return
-            finally:
-                self._drop(("sort", qid))
-            try:
-                if score:
-                    shares = self._score(cchan, qid, shares, score, party=1)
-                masked, order = local_sort_evaluator(
-                    cchan, qid, shares, self.ot_ctx, max_k=self.max_sort_k
-                )
-            finally:
-                cchan.close()
-            entries = list(zip(masked, order))
-            self._report(
-                "CONTRIB", _encode_contrib(self.shard, STATUS_OK, entries), qid
-            )
+                try:
+                    _, cchan = self._await(("sort", qid), self.timeout)
+                finally:
+                    self._drop(("sort", qid))
+                try:
+                    if score:
+                        shares = self._score(cchan, qid, shares, score, party=1)
+                    masked, order = local_sort_evaluator(cchan, qid, shares, self.ot_ctx)
+                finally:
+                    cchan.close()
+                entries = list(zip(masked, order))
+            except Exception:
+                log.exception("%s: local sort of query %d failed", self.name, qid)
+                status = STATUS_FAILED
+        self._report("CONTRIB", _encode_contrib(self.shard, status, entries), qid)
         if self.is_coordinator:
             self._coordinate_contribs(qid)
 
@@ -549,9 +562,7 @@ class IndexServer:
         finally:
             self._drop(("gsort", qid))
         try:
-            order = global_sort_evaluator(
-                gchan, qid, masks, self.ot_ctx, max_k=self.max_sort_k
-            )
+            order = global_sort_evaluator(gchan, qid, masks, self.ot_ctx)
         finally:
             gchan.close()
         chan.send(Frame(MSG["GLOBAL_RESULT"], qid, encode_global_result(order)))
@@ -579,9 +590,7 @@ class IndexServer:
         gchan.party = self.name
         try:
             gchan.send(Frame(MSG["SORT_INIT"], qid, b""))  # session handshake
-            global_sort_garbler(
-                gchan, qid, contributions, self.ot_ctx, max_k=self.max_sort_k
-            )
+            global_sort_garbler(gchan, qid, contributions, self.ot_ctx)
         finally:
             gchan.close()
 

@@ -16,6 +16,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .crypto import parse_term
+from .transport import TransportError
 
 __all__ = ["SExpr", "ParseError", "parse_sexpr", "BoolFormula"]
 
@@ -223,16 +224,30 @@ class BoolFormula:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BoolFormula":
-        count, n_vars = struct.unpack(">HH", data[:4])
-        program = []
-        off = 4
-        for _ in range(count):
-            opcode, operand = struct.unpack(">BH", data[off : off + 3])
-            if opcode not in (_OP_VAR, _OP_AND, _OP_OR, _OP_NOT):
-                raise ValueError(f"unknown boolean opcode {opcode:#x}")
-            program.append((opcode, operand))
-            off += 3
-        return cls(tuple(program), n_vars)
+        """Strict wire decoder: the program must fill the data exactly,
+        reference only v_0..v_{n_vars-1}, and leave one value on the stack."""
+        if len(data) < 4:
+            raise TransportError("boolean formula shorter than its header")
+        count, n_vars = struct.unpack_from(">HH", data)
+        if len(data) != 4 + 3 * count:
+            raise TransportError("boolean formula length disagrees with its count")
+        program = tuple(struct.iter_unpack(">BH", data[4:]))
+        depth = 0
+        for opcode, operand in program:
+            if opcode == _OP_VAR:
+                if operand >= n_vars:
+                    raise TransportError(f"formula references v{operand} of {n_vars}")
+                depth += 1
+                continue
+            if opcode not in (_OP_AND, _OP_OR, _OP_NOT) or operand:
+                raise TransportError(f"bad boolean opcode {opcode:#x}/{operand}")
+            needed = 1 if opcode == _OP_NOT else 2
+            if depth < needed:
+                raise TransportError("boolean program pops an empty stack")
+            depth -= needed - 1
+        if program and depth != 1:
+            raise TransportError("boolean program leaves no single result")
+        return cls(program, n_vars)
 
 
 def formula_from_sexpr(expr: SExpr, var_of_term: dict) -> BoolFormula:

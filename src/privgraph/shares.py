@@ -10,20 +10,23 @@ mode is "secure".
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .crypto import SHARE_MODULUS
 from .ot import OTReceiver, OTSender
-from .transport import MSG, Channel, Frame
+from .transport import MSG, Channel, Frame, TransportError
 
 __all__ = [
     "SHARE_MODULUS",
     "ConfigError",
-    "PoolEmpty",
     "ShareMatrix",
     "TripleShare",
-    "TriplePool",
+    "encode_triple_gen_init",
+    "decode_triple_gen_init",
+    "encode_mul_exchange",
+    "decode_mul_exchange",
     "shr",
     "rec",
     "add",
@@ -33,16 +36,16 @@ __all__ = [
     "triple_gen_cot",
 ]
 
-SHARE_MODULUS = 1 << 31
-SCALAR_TRIPLE_BYTES = 12  # three ring elements of 4 bytes each
+TRIPLE_MODE = "elementwise"  # the only triple mode: Z = X * Y elementwise
 
 
 class ConfigError(Exception):
     pass
 
 
-class PoolEmpty(Exception):
-    pass
+def _check_mode(mode: str) -> None:
+    if mode != TRIPLE_MODE:
+        raise ValueError(f"unknown triple mode {mode!r}; only {TRIPLE_MODE!r} is supported")
 
 
 def _as_ring(values) -> np.ndarray:
@@ -112,14 +115,13 @@ def sub(a: ShareMatrix, b: ShareMatrix) -> ShareMatrix:
 
 @dataclass
 class TripleShare:
-    """One party's half of a multiplication triple Z = X op Y mod 2^31,
-    where op is elementwise or matrix multiplication."""
+    """One party's half of an elementwise multiplication triple
+    Z = X * Y mod 2^31."""
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
     party: int
-    mode: str  # "elementwise" | "matmul"
     consumed: bool = False
 
     def consume(self) -> None:
@@ -127,21 +129,34 @@ class TripleShare:
             raise ValueError("multiplication triple already consumed")
         self.consumed = True
 
-    @property
-    def shape_key(self):
-        return (self.mode, self.x.shape, self.y.shape)
 
-    @property
-    def byte_size(self) -> int:
-        return 4 * (self.x.size + self.y.size + self.z.size)
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.mod(x * y, SHARE_MODULUS)
 
 
-def _combine(x: np.ndarray, y: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "elementwise":
-        return np.mod(x * y, SHARE_MODULUS)
-    if mode == "matmul":
-        return np.mod(x @ y, SHARE_MODULUS)
-    raise ValueError(f"unknown triple mode {mode!r}")
+def encode_triple_gen_init(mode: str) -> bytes:
+    return struct.pack(">16s", mode.encode())
+
+
+def decode_triple_gen_init(payload: bytes) -> str:
+    if payload != encode_triple_gen_init(TRIPLE_MODE):
+        raise TransportError("TRIPLE_GEN_INIT does not announce elementwise triples")
+    return TRIPLE_MODE
+
+
+def encode_mul_exchange(e: np.ndarray, f: np.ndarray) -> bytes:
+    return e.astype(">u4").tobytes() + f.astype(">u4").tobytes()
+
+
+def decode_mul_exchange(payload: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The peer's blinded E and F, flat; two equal vectors of ring elements."""
+    if len(payload) % 8:
+        raise TransportError("MUL_EXCHANGE is not two equal share vectors")
+    words = np.frombuffer(payload, dtype=">u4").astype(np.int64)
+    if (words >= SHARE_MODULUS).any():
+        raise TransportError("MUL_EXCHANGE word outside Z_{2^31}")
+    half = len(words) // 2
+    return words[:half], words[half:]
 
 
 def mul(
@@ -161,24 +176,13 @@ def mul(
     i = a.party
     e_mine = np.asarray(np.mod(a.values - triple.x, SHARE_MODULUS))
     f_mine = np.asarray(np.mod(b.values - triple.y, SHARE_MODULUS))
-    payload = e_mine.astype(">u4").tobytes() + f_mine.astype(">u4").tobytes()
-    channel.send(Frame(MSG["MUL_EXCHANGE"], session, payload))
-    reply = channel.expect("MUL_EXCHANGE")
-    e_len = 4 * e_mine.size
-    e_theirs = (
-        np.frombuffer(reply.payload[:e_len], dtype=">u4").astype(np.int64).reshape(a.shape)
-    )
-    f_theirs = (
-        np.frombuffer(reply.payload[e_len:], dtype=">u4").astype(np.int64).reshape(b.shape)
-    )
-    e = np.mod(e_mine + e_theirs, SHARE_MODULUS)
-    f = np.mod(f_mine + f_theirs, SHARE_MODULUS)
-    c = (
-        i * _combine(e, f, triple.mode)
-        + _combine(triple.x, f, triple.mode)
-        + _combine(e, triple.y, triple.mode)
-        + triple.z
-    )
+    channel.send(Frame(MSG["MUL_EXCHANGE"], session, encode_mul_exchange(e_mine, f_mine)))
+    e_theirs, f_theirs = decode_mul_exchange(channel.expect("MUL_EXCHANGE").payload)
+    if e_theirs.size != e_mine.size:
+        raise TransportError(f"MUL_EXCHANGE holds {e_theirs.size} values, expected {e_mine.size}")
+    e = np.mod(e_mine + e_theirs.reshape(a.shape), SHARE_MODULUS)
+    f = np.mod(f_mine + f_theirs.reshape(b.shape), SHARE_MODULUS)
+    c = i * _times(e, f) + _times(triple.x, f) + _times(e, triple.y) + triple.z
     return ShareMatrix(c, i)
 
 
@@ -188,42 +192,22 @@ def dealer_triple_gen(
     """Trusted-dealer triple generation for test and benchmark runs."""
     if run_mode == "secure":
         raise ConfigError("dealer triples are not available in secure mode")
+    _check_mode(mode)
     rng = np.random.default_rng(seed)
     x = rng.integers(0, SHARE_MODULUS, size=shape_x, dtype=np.int64)
     y = rng.integers(0, SHARE_MODULUS, size=shape_y, dtype=np.int64)
-    z = _combine(x, y, mode)
+    z = _times(x, y)
     x0 = rng.integers(0, SHARE_MODULUS, size=x.shape, dtype=np.int64)
     y0 = rng.integers(0, SHARE_MODULUS, size=y.shape, dtype=np.int64)
     z0 = rng.integers(0, SHARE_MODULUS, size=z.shape, dtype=np.int64)
-    t0 = TripleShare(x0, y0, z0, 0, mode)
+    t0 = TripleShare(x0, y0, z0, 0)
     t1 = TripleShare(
         np.mod(x - x0, SHARE_MODULUS),
         np.mod(y - y0, SHARE_MODULUS),
         np.mod(z - z0, SHARE_MODULUS),
         1,
-        mode,
     )
     return t0, t1
-
-
-def _product_terms(mode: str, shape_x, shape_y):
-    """Scalar product terms (x index, y index, z index) of X op Y."""
-    if mode == "elementwise":
-        n = int(np.prod(shape_x))
-        return [(e, e, e) for e in range(n)], shape_x
-    if mode == "matmul":
-        s, t = shape_x
-        t2, u = shape_y
-        if t != t2:
-            raise ValueError("matmul shape mismatch")
-        terms = [
-            (i * t + k, k * u + j, i * u + j)
-            for i in range(s)
-            for j in range(u)
-            for k in range(t)
-        ]
-        return terms, (s, u)
-    raise ValueError(f"unknown triple mode {mode!r}")
 
 
 def _cross_send(ot_sender: OTSender, scalars: list[int]) -> list[int]:
@@ -256,60 +240,30 @@ def triple_gen_cot(
     rng: np.random.Generator,
     session: int = 0,
 ) -> TripleShare:
-    """Generate one multiplication triple with the counterpart over OT.
+    """Generate one elementwise multiplication triple with the counterpart
+    over OT.
 
     Each party samples its X and Y share halves; the cross terms
-    X_0 op Y_1 and X_1 op Y_0 are built from 31 correlated OTs per scalar
-    product term, with the receiver's choice bits taken from its Y share.
+    X_0 * Y_1 and X_1 * Y_0 are built from 31 correlated OTs per element,
+    with the receiver's choice bits taken from its Y share.
     """
+    _check_mode(mode)
     x = rng.integers(0, SHARE_MODULUS, size=shape_x, dtype=np.int64)
     y = rng.integers(0, SHARE_MODULUS, size=shape_y, dtype=np.int64)
-    header = struct.pack(">16s", mode.encode())
-    channel.send(Frame(MSG["TRIPLE_GEN_INIT"], session, header))
-    peer_header = channel.expect("TRIPLE_GEN_INIT")
-    if peer_header.payload != header:
-        raise ValueError("triple mode disagreement with counterpart")
+    channel.send(Frame(MSG["TRIPLE_GEN_INIT"], session, encode_triple_gen_init(mode)))
+    decode_triple_gen_init(channel.expect("TRIPLE_GEN_INIT").payload)
 
-    terms, shape_z = _product_terms(mode, shape_x, shape_y)
-    x_flat = x.reshape(-1)
-    y_flat = y.reshape(-1)
-    x_scalars = [int(x_flat[ix]) for ix, _, _ in terms]
-    y_scalars = [int(y_flat[iy]) for _, iy, _ in terms]
-
-    # Cross term X_0 op Y_1: party 0 sends correlations, party 1 chooses.
+    x_scalars = [int(v) for v in x.reshape(-1)]
+    y_scalars = [int(v) for v in y.reshape(-1)]
+    # Cross term X_0 * Y_1: party 0 sends correlations, party 1 chooses.
     if party == 0:
         contrib_a = _cross_send(ot_sender, x_scalars)
         contrib_b = _cross_recv(ot_receiver, y_scalars)
     else:
         contrib_a = _cross_recv(ot_receiver, y_scalars)
-        # Cross term X_1 op Y_0: roles reversed.
+        # Cross term X_1 * Y_0: roles reversed.
         contrib_b = _cross_send(ot_sender, x_scalars)
 
-    z = _combine(x, y, mode).reshape(-1)
-    for t, (ca, cb) in enumerate(zip(contrib_a, contrib_b)):
-        z[terms[t][2]] = (z[terms[t][2]] + ca + cb) % SHARE_MODULUS
-    return TripleShare(x, y, np.mod(z.reshape(shape_z), SHARE_MODULUS), party, mode)
-
-
-@dataclass
-class TriplePool:
-    """Precomputed triples keyed by (mode, x shape, y shape); each triple
-    is handed out exactly once. An optional provider refills on demand."""
-
-    provider: object = None
-    _stock: dict = field(default_factory=dict)
-
-    def put(self, triple: TripleShare) -> None:
-        self._stock.setdefault(triple.shape_key, []).append(triple)
-
-    def size(self, mode: str, shape_x, shape_y) -> int:
-        return len(self._stock.get((mode, tuple(shape_x), tuple(shape_y)), []))
-
-    def take(self, mode: str, shape_x, shape_y) -> TripleShare:
-        key = (mode, tuple(shape_x), tuple(shape_y))
-        stock = self._stock.get(key)
-        if stock:
-            return stock.pop()
-        if self.provider is not None:
-            return self.provider(mode, shape_x, shape_y)
-        raise PoolEmpty(f"no triple of shape {key} available")
+    cross = np.array(contrib_a, dtype=np.int64) + np.array(contrib_b, dtype=np.int64)
+    z = np.mod(_times(x, y) + cross.reshape(x.shape), SHARE_MODULUS)
+    return TripleShare(x, y, z, party)

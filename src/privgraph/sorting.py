@@ -23,20 +23,27 @@ import struct
 import numpy as np
 
 from .circuits import (
+    MAX_SORT_K,
     SCORE_BITS,
     CircuitBuilder,
     SortCircuit,
     bits_to_int,
     build_sort_circuit,
     int_to_bits,
+    padded_size,
 )
-from .crypto import GroupContext
+from .crypto import SHARE_MODULUS, GroupContext
 from .garble import GarbledCircuit, decode, evaluate, garble, select_labels
 from .ot import OTReceiver, OTSender
-from .transport import MSG, Channel, Frame
+from .transport import MSG, Channel, Frame, TransportError
 
 __all__ = [
     "SortError",
+    "encode_local_sort_init",
+    "decode_local_sort_init",
+    "encode_global_sort_init",
+    "decode_global_sort_init",
+    "decode_sort_init",
     "build_merge_circuit",
     "local_sort_garbler",
     "local_sort_evaluator",
@@ -44,27 +51,85 @@ __all__ = [
     "global_sort_evaluator",
 ]
 
-SHARE_MODULUS = 1 << 31
-
-
 class SortError(Exception):
     pass
 
 
-@functools.lru_cache(maxsize=32)
-def _sort_circuit(k: int, payload_width: int, max_k: int) -> SortCircuit:
-    return build_sort_circuit(k, payload_width, max_k)
+# SORT_INIT comes in three forms: an empty payload opens a counterpart
+# session, then the garbler announces a local or a global header.
+_LOCAL_INIT = struct.Struct(">IIH")  # k, network width n, payload width
+_GLOBAL_INIT = struct.Struct(">IIHH")  # t, n, payload width, index bits; t u16 shards
+_MAX_INDEX_BITS = (MAX_SORT_K - 1).bit_length()
+
+
+def _local_payload_width(k: int) -> int:
+    return max(k.bit_length(), 1)
+
+
+def _check_network(k: int, n: int) -> None:
+    if not 1 <= k <= MAX_SORT_K or padded_size(k) != n:
+        raise TransportError(f"SORT_INIT announces {k} entries in a network of {n}")
+
+
+def encode_local_sort_init(k: int, n: int, payload_width: int) -> bytes:
+    return _LOCAL_INIT.pack(k, n, payload_width)
+
+
+def decode_local_sort_init(payload: bytes) -> tuple[int, int, int]:
+    if len(payload) != _LOCAL_INIT.size:
+        raise TransportError(f"local SORT_INIT of {len(payload)} bytes")
+    k, n, payload_width = _LOCAL_INIT.unpack(payload)
+    _check_network(k, n)
+    if payload_width != _local_payload_width(k):
+        raise TransportError(f"local SORT_INIT payload width {payload_width} for k={k}")
+    return k, n, payload_width
+
+
+def encode_global_sort_init(
+    t: int, n: int, payload_width: int, idx_bits: int, shards: list[int]
+) -> bytes:
+    return _GLOBAL_INIT.pack(t, n, payload_width, idx_bits) + struct.pack(
+        f">{len(shards)}H", *shards
+    )
+
+
+def decode_global_sort_init(payload: bytes):
+    """(t, n, payload width, index bits, shard of each entry)."""
+    if len(payload) < _GLOBAL_INIT.size:
+        raise TransportError("global SORT_INIT shorter than its header")
+    t, n, payload_width, idx_bits = _GLOBAL_INIT.unpack_from(payload)
+    if len(payload) != _GLOBAL_INIT.size + 2 * t:
+        raise TransportError(f"global SORT_INIT of {len(payload)} bytes for {t} entries")
+    _check_network(t, n)
+    # a payload is ((shard << idx_bits) | index) + 1 with a u16 shard
+    if not (1 <= idx_bits <= _MAX_INDEX_BITS and 1 <= payload_width <= idx_bits + 17):
+        raise TransportError(
+            f"global SORT_INIT widths {payload_width}/{idx_bits} out of range"
+        )
+    shards = list(struct.unpack_from(f">{t}H", payload, _GLOBAL_INIT.size))
+    return t, n, payload_width, idx_bits, shards
+
+
+def decode_sort_init(payload: bytes):
+    """Any SORT_INIT: None for the session opener, else the decoded local
+    (3 fields) or global (5 fields) header."""
+    if not payload:
+        return None
+    if len(payload) == _LOCAL_INIT.size:
+        return decode_local_sort_init(payload)
+    return decode_global_sort_init(payload)
 
 
 @functools.lru_cache(maxsize=32)
-def build_merge_circuit(k: int, payload_width: int, max_k: int = 1024) -> SortCircuit:
+def _sort_circuit(k: int, payload_width: int) -> SortCircuit:
+    return build_sort_circuit(k, payload_width)
+
+
+@functools.lru_cache(maxsize=32)
+def build_merge_circuit(k: int, payload_width: int) -> SortCircuit:
     """Global-sort circuit: per element, unmask score = masked XOR mask
     (free), bitonic descending sort, output payload bits only."""
-    if k < 1:
-        raise ValueError("sort length must be >= 1")
-    if k > max_k:
-        raise ValueError(f"sort length {k} exceeds the configured max {max_k}")
-    n = 1 << (k - 1).bit_length() if k > 1 else 1
+    n = padded_size(k)
     b = CircuitBuilder()
     masked = b.input_bundle("masked_scores", n * SCORE_BITS)
     masks = b.input_bundle("masks", n * SCORE_BITS)
@@ -89,11 +154,9 @@ def _share_bits(shares: list[int], n: int) -> list[int]:
     return bits
 
 
-def _labels_frame(arr: np.ndarray) -> bytes:
-    return arr.tobytes()
-
-
 def _labels_from(payload: bytes, n_bits: int) -> np.ndarray:
+    if len(payload) != 16 * n_bits:
+        raise TransportError(f"expected {n_bits} wire labels, got {len(payload)} bytes")
     return np.frombuffer(payload, dtype=np.uint8).reshape(1, n_bits, 16)
 
 
@@ -103,17 +166,16 @@ def local_sort_garbler(
     shares: list[int],
     ctx: GroupContext,
     rng=None,
-    max_k: int = 1024,
 ) -> int:
     """Garbler (cluster 0) side of a local sort. Returns the mask R."""
     token = rng if rng is not None else secrets.token_bytes
     k = len(shares)
     if k < 1:
         raise SortError("nothing to sort")
-    payload_width = max(k.bit_length(), 1)
-    sc = _sort_circuit(k, payload_width, max_k)
+    payload_width = _local_payload_width(k)
+    sc = _sort_circuit(k, payload_width)
     channel.send(
-        Frame(MSG["SORT_INIT"], session, struct.pack(">IIH", k, sc.n, payload_width))
+        Frame(MSG["SORT_INIT"], session, encode_local_sort_init(k, sc.n, payload_width))
     )
     gc, label_map, delta = garble(sc.circuit, token)
     channel.send(Frame(MSG["CIRCUIT_BLOB"], session, gc.to_bytes()))
@@ -128,12 +190,12 @@ def local_sort_garbler(
         Frame(
             MSG["GARBLER_LABELS"],
             session,
-            _labels_frame(g_labels) + _labels_frame(p_labels),
+            g_labels.tobytes() + p_labels.tobytes(),
         )
     )
     mask = int.from_bytes(token(4), "big") % SHARE_MODULUS
     m_labels = select_labels(label_map["mask"], delta, int_to_bits(mask, SCORE_BITS))[0]
-    channel.send(Frame(MSG["MASK_LABELS"], session, _labels_frame(m_labels)))
+    channel.send(Frame(MSG["MASK_LABELS"], session, m_labels.tobytes()))
 
     zero = label_map["evaluator_shares"]
     one = zero ^ delta
@@ -148,15 +210,13 @@ def local_sort_evaluator(
     session: int,
     shares: list[int],
     ctx: GroupContext,
-    max_k: int = 1024,
 ) -> tuple[list[int], list[int]]:
     """Evaluator (cluster 1) side. Returns (masked scores, payload order),
     both descending by true score, sentinels dropped, payloads 0-based."""
-    init = channel.expect("SORT_INIT")
-    k, n, payload_width = struct.unpack(">IIH", init.payload)
+    k, n, payload_width = decode_local_sort_init(channel.expect("SORT_INIT").payload)
     if k != len(shares):
         raise SortError(f"garbler announced k={k}, have {len(shares)} shares")
-    sc = _sort_circuit(k, payload_width, max_k)
+    sc = _sort_circuit(k, payload_width)
     gc = GarbledCircuit.from_bytes(channel.expect("CIRCUIT_BLOB").payload)
 
     glabels = channel.expect("GARBLER_LABELS").payload
@@ -203,7 +263,6 @@ def global_sort_garbler(
     contributions: list[tuple[int, list[int], list[int]]],
     ctx: GroupContext,
     rng=None,
-    max_k: int = 1024,
 ) -> None:
     """Garbler (cluster-1 coordinator) side of the global sort over the
     shards' masked vectors. Sends everything; returns nothing."""
@@ -222,10 +281,9 @@ def global_sort_garbler(
     payload_width = max(
         _encode_payload(max_shard, max_index, idx_bits).bit_length(), 1
     )
-    sc = build_merge_circuit(t, payload_width, max_k)
-    shard_of_elem = [shard for shard, _, _ in entries]
-    header = struct.pack(">IIHH", t, sc.n, payload_width, idx_bits) + b"".join(
-        struct.pack(">H", s) for s in shard_of_elem
+    sc = build_merge_circuit(t, payload_width)
+    header = encode_global_sort_init(
+        t, sc.n, payload_width, idx_bits, [shard for shard, _, _ in entries]
     )
     channel.send(Frame(MSG["SORT_INIT"], session, header))
     gc, label_map, delta = garble(sc.circuit, token)
@@ -246,7 +304,7 @@ def global_sort_garbler(
         Frame(
             MSG["GARBLER_LABELS"],
             session,
-            _labels_frame(m_labels) + _labels_frame(p_labels),
+            m_labels.tobytes() + p_labels.tobytes(),
         )
     )
     zero = label_map["masks"]
@@ -261,16 +319,15 @@ def global_sort_evaluator(
     session: int,
     masks: dict[int, int],
     ctx: GroupContext,
-    max_k: int = 1024,
 ) -> list[tuple[int, int]]:
     """Evaluator (cluster-0 coordinator) side. Feeds per-shard masks in by
     OT and returns the global descending order as (shard, local index)."""
-    init = channel.expect("SORT_INIT")
-    t, n, payload_width, idx_bits = struct.unpack(">IIHH", init.payload[:12])
-    shard_of_elem = [
-        struct.unpack(">H", init.payload[12 + 2 * e : 14 + 2 * e])[0] for e in range(t)
-    ]
-    sc = build_merge_circuit(t, payload_width, max_k)
+    t, n, payload_width, idx_bits, shard_of_elem = decode_global_sort_init(
+        channel.expect("SORT_INIT").payload
+    )
+    if not set(shard_of_elem) <= masks.keys():
+        raise SortError("merge header names a shard that sent no mask")
+    sc = build_merge_circuit(t, payload_width)
     gc = GarbledCircuit.from_bytes(channel.expect("CIRCUIT_BLOB").payload)
     glabels = channel.expect("GARBLER_LABELS").payload
     m_n = n * SCORE_BITS

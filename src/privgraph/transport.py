@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 HEADER_LEN = 14  # length(4) + type(2) + session(8)
+# The largest legitimate frame is the merge CIRCUIT_BLOB at circuits.MAX_SORT_K:
+# 28,160 comparators of at most 31 + 31 + 27 AND gates, 64 bytes each, ~160 MB.
+MAX_FRAME_BYTES = 1 << 28
+RECV_CHUNK = 1 << 20
 
 # Message-type registry shared by every module.
 MSG = {
@@ -54,11 +58,9 @@ MSG = {
     "OT_EXTEND": 0x0014,
     "OT_PAYLOAD": 0x0015,
     "MASK_LABELS": 0x0016,
-    "SORT_RESULT": 0x0017,
     "CONTRIB": 0x0020,
     "MASKS": 0x0021,
     "TRIPLE_GEN_INIT": 0x0030,
-    "COT_BATCH": 0x0031,
     "MUL_EXCHANGE": 0x0032,
     "ERROR": 0x00FF,
 }
@@ -310,22 +312,26 @@ class TcpChannel(Channel):
         (length,) = struct.unpack(">I", header)
         if length < HEADER_LEN:
             raise TransportError("frame too short")
+        if length > MAX_FRAME_BYTES:
+            raise TransportError(
+                f"peer announced a {length}-byte frame; the limit is {MAX_FRAME_BYTES}"
+            )
         return header + self._recv_exact(length - 4)
 
     def _recv_exact(self, n: int) -> bytes:
-        chunks = []
-        while n:
+        # grows with the bytes that actually arrive, never with the announcement
+        buf = bytearray()
+        while len(buf) < n:
             try:
-                chunk = self._sock.recv(n)
+                chunk = self._sock.recv(min(n - len(buf), RECV_CHUNK))
             except socket.timeout:
                 raise TransportError(f"recv timeout on channel {self.name}")
             except OSError as exc:
                 raise ChannelClosed(str(exc)) from exc
             if not chunk:
                 raise ChannelClosed(f"channel {self.name} closed by peer")
-            chunks.append(chunk)
-            n -= len(chunk)
-        return b"".join(chunks)
+            buf += chunk
+        return bytes(buf)
 
     def close(self) -> None:
         try:

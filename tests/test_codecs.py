@@ -1,0 +1,235 @@
+"""Wire-frame decoders: every structural check of the transcript audit is
+the decoder of the module that speaks the frame, and every decoder is
+strict. On malformed input a decoder raises TransportError; anything it
+accepts re-encodes to the very same bytes."""
+
+import numpy as np
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from privgraph.crypto import GroupContext
+from privgraph.garble import GarbledCircuit
+from privgraph.leakage import _ALPHABET
+from privgraph.server import (
+    QuerySpec,
+    SubquerySpec,
+    _decode_contrib,
+    _decode_masks,
+    _encode_contrib,
+    _encode_masks,
+    decode_global_result,
+    decode_query_init,
+    encode_global_result,
+    encode_query_init,
+    encode_result,
+    encode_tuple_count,
+    encode_xtoken_batch,
+)
+from privgraph.sexpr import BoolFormula
+from privgraph.shares import encode_mul_exchange, encode_triple_gen_init
+from privgraph.sorting import encode_global_sort_init, encode_local_sort_init
+from privgraph.transport import MSG, TransportError
+
+CTX = GroupContext()
+
+
+def _encode_sort_init(value):
+    if value is None:
+        return b""
+    if len(value) == 3:
+        return encode_local_sort_init(*value)
+    return encode_global_sort_init(*value)
+
+
+# the owner's encoder for the value each table decoder returns
+ENCODERS = {
+    "QUERY_INIT": encode_query_init,
+    "TUPLE_COUNT": encode_tuple_count,
+    "XTOKEN_BATCH": lambda rows: encode_xtoken_batch(rows, CTX),
+    "RESULT": lambda v: encode_result(*v),
+    "GLOBAL_RESULT": encode_global_result,
+    "SORT_INIT": _encode_sort_init,
+    "CIRCUIT_BLOB": lambda gc: gc.to_bytes(),
+    "CONTRIB": lambda v: _encode_contrib(*v),
+    "MASKS": lambda v: _encode_masks(*v),
+    "TRIPLE_GEN_INIT": encode_triple_gen_init,
+    "MUL_EXCHANGE": lambda v: encode_mul_exchange(*v),
+}
+
+FORMULA = BoolFormula.variable(0).and_(BoolFormula.variable(1).not_())
+
+# honest payloads of each frame, the seeds of the mutation fuzzing
+VALID = {
+    "QUERY_INIT": [
+        encode_query_init(
+            QuerySpec(
+                [
+                    SubquerySpec(b"\x01" * 16, True, 2, FORMULA),
+                    SubquerySpec(b"\x02" * 16, False, 0, BoolFormula.true()),
+                ],
+                sort=True,
+                score="(mul key key)",
+            )
+        ),
+    ],
+    "TUPLE_COUNT": [encode_tuple_count(17)],
+    "XTOKEN_BATCH": [
+        encode_xtoken_batch([[CTX.g_exp(1), CTX.g_exp(2)], [CTX.g_exp(3), 5]], CTX),
+        encode_xtoken_batch([], CTX),
+    ],
+    "RESULT": [
+        encode_result([2, 1], [bytes([i]) * 36 for i in range(3)]),
+        encode_result([2, 1], None),
+    ],
+    "GLOBAL_RESULT": [encode_global_result([(0, 1), (1, 0)])],
+    "SORT_INIT": [
+        b"",
+        encode_local_sort_init(3, 4, 2),
+        encode_global_sort_init(3, 4, 3, 2, [0, 1, 1]),
+    ],
+    "CIRCUIT_BLOB": [
+        GarbledCircuit(
+            np.arange(2 * 64, dtype=np.uint8).reshape(2, 4, 16),
+            np.array([1, 0, 1], dtype=np.uint8),
+        ).to_bytes()
+    ],
+    "GARBLER_LABELS": [bytes(range(32))],
+    "MASK_LABELS": [bytes(16)],
+    "CONTRIB": [_encode_contrib(1, 0, [(5, 0), (7, 1)])],
+    "MASKS": [_encode_masks(1, 0, 2, 99)],
+    "TRIPLE_GEN_INIT": [encode_triple_gen_init("elementwise")],
+    "MUL_EXCHANGE": [encode_mul_exchange(np.array([1, 2]), np.array([3, 4]))],
+}
+
+CHECKED = sorted(name for name, (_, check) in _ALPHABET.items() if check is not None)
+
+
+def test_one_table_entry_per_message_type():
+    assert set(_ALPHABET) == set(MSG)
+    assert set(CHECKED) == set(VALID)
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_honest_payloads_decode_and_re_encode(name):
+    _, check = _ALPHABET[name]
+    for payload in VALID[name]:
+        value = check(payload)
+        if name in ENCODERS:
+            assert ENCODERS[name](value) == payload
+
+
+@st.composite
+def _payloads(draw, name):
+    """Random bytes, or an honest payload with bytes flipped, cut, added
+    or inserted."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=80))
+    data = bytearray(draw(st.sampled_from(VALID[name])))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("flip", "cut", "append", "insert")))
+        at = draw(st.integers(0, len(data)))
+        if op == "flip" and data:
+            data[at % len(data)] ^= draw(st.integers(1, 255))
+        elif op == "cut":
+            del data[at:]
+        elif op == "append":
+            data += draw(st.binary(min_size=1, max_size=8))
+        else:
+            data[at:at] = draw(st.binary(min_size=1, max_size=4))
+    return bytes(data)
+
+
+@pytest.mark.parametrize("name", CHECKED)
+@seed(20260518)
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_decoders_strict_under_fuzzing(name, data):
+    _, check = _ALPHABET[name]
+    payload = data.draw(_payloads(name))
+    try:
+        value = check(payload)
+    except TransportError:
+        return
+    if name in ENCODERS:
+        assert ENCODERS[name](value) == payload
+    else:  # the label frames' size rule
+        assert len(payload) % 16 == 0
+
+
+def _query_init(formula_bytes: bytes, n_xterms: int = 1, negate: int = 0) -> bytes:
+    return (
+        b"\x00\x00\x01"
+        + b"\x07" * 16
+        + bytes([negate])
+        + n_xterms.to_bytes(2, "big")
+        + len(formula_bytes).to_bytes(2, "big")
+        + formula_bytes
+        + b"\x00\x00"
+    )
+
+
+class TestStrictness:
+    def test_global_result_trailing_bytes(self):
+        with pytest.raises(TransportError):
+            decode_global_result(b"\0\0\0\0junk")
+
+    def test_contrib_trailing_bytes(self):
+        with pytest.raises(TransportError):
+            _decode_contrib(_encode_contrib(0, 0, [(1, 2)]) + b"x")
+
+    def test_query_init_trailing_bytes(self):
+        with pytest.raises(TransportError):
+            decode_query_init(_query_init(BoolFormula.variable(0).to_bytes()) + b"x")
+
+    def test_lone_and_rejected_at_decode(self):
+        lone_and = BoolFormula(((0x02, 0),), 1).to_bytes()
+        with pytest.raises(TransportError, match="empty stack"):
+            decode_query_init(_query_init(lone_and))
+
+    def test_two_results_rejected(self):
+        two = BoolFormula(((0x01, 0), (0x01, 0)), 1).to_bytes()
+        with pytest.raises(TransportError, match="single result"):
+            BoolFormula.from_bytes(two)
+
+    def test_variable_outside_formula_rejected(self):
+        with pytest.raises(TransportError, match="v3"):
+            BoolFormula.from_bytes(BoolFormula(((0x01, 3),), 2).to_bytes())
+
+    def test_n_vars_must_match_n_xterms(self):
+        ok = _query_init(BoolFormula.variable(0).to_bytes(), n_xterms=1)
+        assert decode_query_init(ok).subqueries[0].n_xterms == 1
+        with pytest.raises(TransportError, match="x-terms"):
+            decode_query_init(_query_init(BoolFormula.variable(0).to_bytes(), n_xterms=2))
+
+    def test_non_canonical_negate_byte(self):
+        with pytest.raises(TransportError):
+            decode_query_init(_query_init(BoolFormula.variable(0).to_bytes(), negate=2))
+
+    def test_unknown_flags(self):
+        payload = bytearray(_query_init(BoolFormula.variable(0).to_bytes()))
+        payload[0] = 0x80
+        with pytest.raises(TransportError, match="flags"):
+            decode_query_init(bytes(payload))
+
+    def test_score_must_be_utf8_and_flagged(self):
+        body = _query_init(BoolFormula.variable(0).to_bytes())[:-2]
+        with pytest.raises(TransportError, match="UTF-8"):
+            decode_query_init(b"\x02" + body[1:] + b"\x00\x02\xff\xfe")
+        with pytest.raises(TransportError, match="flag"):
+            decode_query_init(body + b"\x00\x01k")
+
+    def test_status_byte(self):
+        with pytest.raises(TransportError, match="status"):
+            _decode_masks(_encode_masks(0, 2, 0, 0))
+        with pytest.raises(TransportError, match="status"):
+            _decode_contrib(_encode_contrib(0, 7, []))
+
+    def test_declared_count_checked_before_allocation(self):
+        huge = b"\xff\xff\xff\xff" + b"\x00" * 6
+        with pytest.raises(TransportError):
+            decode_global_result(huge)
+        with pytest.raises(TransportError):
+            _ALPHABET["XTOKEN_BATCH"][1](b"\xff\xff\xff\xff\xff\xff")
+        with pytest.raises(TransportError):
+            _ALPHABET["CIRCUIT_BLOB"][1](b"PGGC\xff\xff\xff\xff\x00\x00\x00\x00")

@@ -265,7 +265,7 @@ class TestSchedule:
 class TestConcurrency:
     @pytest.mark.parametrize(
         "cached",
-        [lambda: _sort_circuit(6, 3, 1024), lambda: build_merge_circuit(5, 4)],
+        [lambda: _sort_circuit(6, 3), lambda: build_merge_circuit(5, 4)],
         ids=["sort", "merge"],
     )
     def test_two_threads_share_one_cached_circuit(self, cached):

@@ -3,6 +3,7 @@ import pytest
 from privgraph import crypto, oxt
 from privgraph.builder import PartitionConfig, build_edb
 from privgraph.graph import PlaintextEngine, build_inverted_index, random_graph
+from privgraph.planner import FrontEnd
 from privgraph.sexpr import parse_sexpr
 
 
@@ -27,14 +28,15 @@ def make_setup(keys, ctx, n_nodes=30, n_edges=200, shards=1, seed=0):
 def run_subquery(sub, keys, ctx, edb, cluster=0):
     """Evaluate one subquery over every shard; decrypted id set."""
     stag = oxt.stag_for(keys, sub)
+    fe = FrontEnd(keys, None, len(edb.clusters[cluster]))
     ids = []
     for j, shard in enumerate(edb.clusters[cluster]):
-        tuples = oxt.index_access(shard.tset, stag)
+        tuples = shard.tset.retrieve(stag)
         rows = oxt.xtoken_rows(keys, ctx, sub.s_term, len(tuples), sub.x_terms)
         survivors = oxt.boolean_query(
             shard.tset, shard.xset, ctx, stag, rows, sub.formula, sub.negate
         )
-        ids.extend(oxt.decrypt_results(keys, sub.s_term, [t for _, t in survivors], j))
+        ids.extend(fe._decrypt(sub.s_term, t.e_id, j) for _, t in survivors)
     return set(ids)
 
 
@@ -172,7 +174,7 @@ class TestDecrypt:
         index, edb = make_setup(keys, ctx)
         term = max(index, key=lambda t: len(index[t]))
         stag = crypto.stag_derive(keys, term)
-        tuples = oxt.index_access(edb.clusters[0][0].tset, stag)
+        tuples = edb.clusters[0][0].tset.retrieve(stag)
         from privgraph.builder import EncryptedTuple
 
         bad = EncryptedTuple(
@@ -181,7 +183,4 @@ class TestDecrypt:
             tuples[0].y,
         )
         with pytest.raises(oxt.IntegrityError, match="shard 0"):
-            oxt.decrypt_results(keys, term, [bad], shard=0)
-
-    def test_empty(self, keys):
-        assert oxt.decrypt_results(keys, "friend:1", []) == []
+            FrontEnd(keys, None, 1)._decrypt(term, bad.e_id, 0)

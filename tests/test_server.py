@@ -1,8 +1,11 @@
 """End-to-end encrypted query pipeline over the in-process cluster."""
 
+import time
+
 import pytest
 
 from privgraph import crypto
+from privgraph import server as server_mod
 from privgraph.builder import PartitionConfig, build_edb
 from privgraph.cluster import LocalCluster
 from privgraph.graph import PlaintextEngine, build_inverted_index, random_graph
@@ -230,6 +233,37 @@ class TestDegraded:
         # ranking needs both clusters
         with pytest.raises(QueryError, match="degraded"):
             fe.query(f"(term {term})", sort=True)
+
+
+class TestFailFast:
+    @pytest.mark.parametrize(
+        "role,party",
+        [("local_sort_garbler", "is01"), ("local_sort_evaluator", "is11")],
+    )
+    def test_failed_local_sort_reported_at_once(self, setup, monkeypatch, role, party):
+        index, engine, _, _ = setup
+        edb = build_edb(
+            index, KEYS, crypto.GroupContext(), PartitionConfig(shards_per_cluster=2, seed=21)
+        )
+        real = getattr(server_mod, role)
+
+        def failing(channel, *args):
+            if channel.party == party:
+                raise RuntimeError("injected local-sort failure")
+            return real(channel, *args)
+
+        monkeypatch.setattr(server_mod, role, failing)
+        term = top_terms(index, 1)[0]
+        with LocalCluster(edb) as cluster:  # the default 60 s server timeout
+            fe = cluster.front_end(KEYS, lengths=engine.lengths)
+            assert all(edb.clusters[0][j].tset.retrieve(crypto.stag_derive(KEYS, term))
+                       for j in (0, 1))
+            t0 = time.perf_counter()
+            with pytest.raises(QueryError, match="shard 1 degraded"):
+                fe.query(f"(term {term})", sort=True)
+            assert time.perf_counter() - t0 < 5
+            # the servers are still usable afterwards
+            assert set(fe.query(f"(term {term})")) == index[term].ids()
 
 
 class TestSecureMode:

@@ -8,9 +8,6 @@ from privgraph.ot import OTReceiver, OTSender
 from privgraph.shares import (
     SHARE_MODULUS,
     ConfigError,
-    PoolEmpty,
-    ShareMatrix,
-    TriplePool,
     add,
     dealer_triple_gen,
     mul,
@@ -37,6 +34,7 @@ def run_two_party(fn0, fn1):
             out[party] = fn(chan)
         except Exception as exc:
             errors.append(exc)
+            chan.close()  # as IndexServer does: the peer fails at once
 
     threads = [
         threading.Thread(target=run, args=(0, fn0, chan0)),
@@ -133,18 +131,6 @@ class TestBeaverMul:
         result, _ = self._mul_both(np.zeros(8), rng.integers(0, 100, 8), t0, t1, rng)
         assert np.array_equal(result, np.zeros(8))
 
-    def test_matmul(self, rng):
-        a = rng.integers(0, 1000, size=(3, 4), dtype=np.int64)
-        b = rng.integers(0, 1000, size=(4, 2), dtype=np.int64)
-        t0, t1 = dealer_triple_gen((3, 4), (4, 2), "matmul", seed=4)
-        a0, a1 = shr(a, rng)
-        b0, b1 = shr(b, rng)
-        r0, r1, _ = run_two_party(
-            lambda ch: mul(a0, b0, t0, ch),
-            lambda ch: mul(a1, b1, t1, ch),
-        )
-        assert np.array_equal(rec(r0, r1), np.mod(a @ b, SHARE_MODULUS))
-
     def test_triple_single_use(self, rng):
         t0, t1 = dealer_triple_gen((2,), (2,), "elementwise", seed=5)
         self._mul_both(np.ones(2), np.ones(2), t0, t1, rng)
@@ -161,11 +147,15 @@ class TestBeaverMul:
 
 class TestDealerTriples:
     def test_validity(self):
-        t0, t1 = dealer_triple_gen((4, 4), (4, 4), "matmul", seed=7)
+        t0, t1 = dealer_triple_gen((4, 4), (4, 4), "elementwise", seed=7)
         x = np.mod(t0.x + t1.x, SHARE_MODULUS)
         y = np.mod(t0.y + t1.y, SHARE_MODULUS)
         z = np.mod(t0.z + t1.z, SHARE_MODULUS)
-        assert np.array_equal(z, np.mod(x @ y, SHARE_MODULUS))
+        assert np.array_equal(z, np.mod(x * y, SHARE_MODULUS))
+
+    def test_only_elementwise(self):
+        with pytest.raises(ValueError, match="triple mode"):
+            dealer_triple_gen((2, 2), (2, 2), "matmul", seed=7)
 
     def test_determinism(self):
         a = dealer_triple_gen((5,), (5,), "elementwise", seed=8)
@@ -178,7 +168,7 @@ class TestDealerTriples:
 
     def test_scalar_triple_size(self):
         t0, _ = dealer_triple_gen((), (), "elementwise", seed=10)
-        assert t0.byte_size == 12
+        assert t0.x.shape == t0.y.shape == t0.z.shape == ()
 
 
 class TestCotTriples:
@@ -212,11 +202,12 @@ class TestCotTriples:
         assert np.array_equal(z, np.mod(x * y, SHARE_MODULUS))
 
     def test_matrix_triple(self):
-        t0, t1 = self._gen("matmul", (4, 4), (4, 4), seed=21)
+        t0, t1 = self._gen("elementwise", (4, 4), (4, 4), seed=21)
         x = np.mod(t0.x + t1.x, SHARE_MODULUS)
         y = np.mod(t0.y + t1.y, SHARE_MODULUS)
         z = np.mod(t0.z + t1.z, SHARE_MODULUS)
-        assert np.array_equal(z, np.mod(x @ y, SHARE_MODULUS))
+        assert z.shape == (4, 4)
+        assert np.array_equal(z, np.mod(x * y, SHARE_MODULUS))
 
     def test_usable_in_mul(self):
         t0, t1 = self._gen("elementwise", (6,), (6,), seed=22)
@@ -230,30 +221,3 @@ class TestCotTriples:
             lambda ch: mul(a1, b1, t1, ch),
         )
         assert np.array_equal(rec(r0, r1), np.mod(a * b, SHARE_MODULUS))
-
-
-class TestTriplePool:
-    def test_take_returns_stocked(self):
-        pool = TriplePool()
-        t0, _ = dealer_triple_gen((2,), (2,), "elementwise", seed=30)
-        pool.put(t0)
-        assert pool.take("elementwise", (2,), (2,)) is t0
-        with pytest.raises(PoolEmpty):
-            pool.take("elementwise", (2,), (2,))
-
-    def test_provider_fallback(self):
-        calls = []
-
-        def provider(mode, sx, sy):
-            calls.append((mode, sx, sy))
-            return dealer_triple_gen(sx, sy, mode, seed=31)[0]
-
-        pool = TriplePool(provider=provider)
-        pool.take("elementwise", (3,), (3,))
-        assert calls == [("elementwise", (3,), (3,))]
-
-    def test_size(self):
-        pool = TriplePool()
-        t0, t1 = dealer_triple_gen((2,), (2,), "elementwise", seed=32)
-        pool.put(t0)
-        assert pool.size("elementwise", (2,), (2,)) == 1

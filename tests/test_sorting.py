@@ -27,6 +27,7 @@ def run_session(garbler_fn, evaluator_fn):
             out[role] = fn(chan)
         except Exception as exc:
             errors.append(exc)
+            chan.close()  # as IndexServer does: the peer fails at once
 
     threads = [
         threading.Thread(target=run, args=("g", garbler_fn, chan_g)),

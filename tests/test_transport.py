@@ -1,14 +1,21 @@
+import socket
+import struct
 import threading
 
 import pytest
 
+from privgraph.circuits import MAX_SORT_K, SCORE_BITS, comparator_count, padded_size
 from privgraph.transport import (
+    HEADER_LEN,
+    MAX_FRAME_BYTES,
     MSG,
+    RECV_CHUNK,
     Channel,
     ChannelClosed,
     Frame,
     LoopbackFabric,
     SequenceError,
+    TcpChannel,
     TcpListener,
     Transcript,
     TransportError,
@@ -150,3 +157,43 @@ class TestTcp:
     def test_refused(self):
         with pytest.raises(TransportError):
             tcp_connect("127.0.0.1", 1, timeout=0.2)
+
+    def test_oversized_announcement_rejected(self):
+        a, b = socket.socketpair()
+        chan = TcpChannel(a, "pair")
+        try:
+            b.sendall(struct.pack(">I", 0xFFFFFFF0) + bytes(64))
+            with pytest.raises(TransportError, match="limit"):
+                chan.recv(timeout=5)
+        finally:
+            chan.close()
+            b.close()
+
+    def test_frame_larger_than_one_read(self):
+        a, b = socket.socketpair()
+        sender, receiver = TcpChannel(a, "a"), TcpChannel(b, "b")
+        frame = Frame(MSG["CIRCUIT_BLOB"], 4, bytes(range(256)) * (3 * RECV_CHUNK // 256 + 1))
+        thread = threading.Thread(target=sender.send, args=(frame,))
+        thread.start()
+        try:
+            assert receiver.recv(timeout=10) == frame
+        finally:
+            thread.join(timeout=10)
+            sender.close()
+            receiver.close()
+
+    def test_largest_circuit_blob_fits_under_cap(self):
+        # closed-form AND counts (see test_comparator_law_in_and_count):
+        # local sort = adders n*(31-1) + comparators*(31 + 31 + payload),
+        # merge = comparators*(31 + 31 + payload); 64 table bytes per AND
+        n = padded_size(MAX_SORT_K)
+        local_pw = MAX_SORT_K.bit_length()
+        # merge payload ((shard << idx_bits) | index) + 1 with a u16 shard
+        merge_pw = 16 + (MAX_SORT_K - 1).bit_length() + 1
+        local = n * (SCORE_BITS - 1) + comparator_count(n) * (2 * SCORE_BITS + local_pw)
+        merge = comparator_count(n) * (2 * SCORE_BITS + merge_pw)
+        frames = [
+            HEADER_LEN + 12 + 64 * local + -(-n * (SCORE_BITS + local_pw) // 8),
+            HEADER_LEN + 12 + 64 * merge + -(-n * merge_pw // 8),
+        ]
+        assert max(frames) <= MAX_FRAME_BYTES < 2 * max(frames)
