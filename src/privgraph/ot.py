@@ -17,16 +17,31 @@ import struct
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .crypto import SHARE_MODULUS, GroupContext
-from .transport import MSG, Channel, Frame
+from .crypto import ELEMENT_BYTES, SHARE_MODULUS, GroupContext
+from .transport import MSG, Channel, Frame, TransportError
 
 __all__ = ["OTSender", "OTReceiver", "OTError", "SHARE_MODULUS"]
 
 KAPPA = 128  # base-OT count / extension matrix width
 
 
-class OTError(Exception):
+class OTError(TransportError):
     pass
+
+
+def _expect(channel: Channel, msg_name: str, size: int) -> bytes:
+    """The next frame's payload, which must be msg_name of exactly size bytes."""
+    payload = channel.expect(msg_name).payload
+    if len(payload) != size:
+        raise OTError(f"{msg_name} of {len(payload)} bytes, expected {size}")
+    return payload
+
+
+def _decode_point(ctx: GroupContext, data: bytes) -> int:
+    try:
+        return ctx.decode(data)
+    except ValueError as exc:
+        raise OTError(f"OT_SETUP: {exc}") from None
 
 
 def _expand(seed: bytes, n: int) -> bytes:
@@ -53,11 +68,11 @@ def _base_send(ctx: GroupContext, channel: Channel, session: int, pairs):
     a = 1 + secrets.randbelow(ctx.q - 1)
     big_a = ctx.g_exp(a)
     channel.send(Frame(MSG["OT_SETUP"], session, ctx.encode(big_a)))
-    reply = channel.expect("OT_SETUP")
+    reply = _expect(channel, "OT_SETUP", len(pairs) * ELEMENT_BYTES)
     inv_a_of_big_a = ctx.exp(ctx.inverse(big_a), a)  # A^{-a}
     cts = []
     for i, (m0, m1) in enumerate(pairs):
-        b_point = ctx.decode(reply.payload[i * 32 : (i + 1) * 32])
+        b_point = _decode_point(ctx, reply[i * ELEMENT_BYTES : (i + 1) * ELEMENT_BYTES])
         k0 = ctx.exp(b_point, a)
         k1 = ctx.mul(k0, inv_a_of_big_a)  # (B/A)^a
         pad0 = _hash_point(ctx, i, k0)
@@ -69,8 +84,7 @@ def _base_send(ctx: GroupContext, channel: Channel, session: int, pairs):
 
 def _base_recv(ctx: GroupContext, channel: Channel, session: int, bits) -> list[bytes]:
     """Base-OT receiver: obtains the message selected by each bit."""
-    setup = channel.expect("OT_SETUP")
-    big_a = ctx.decode(setup.payload)
+    big_a = _decode_point(ctx, _expect(channel, "OT_SETUP", ELEMENT_BYTES))
     ks, points = [], []
     for bit in bits:
         k = 1 + secrets.randbelow(ctx.q - 1)
@@ -80,7 +94,7 @@ def _base_recv(ctx: GroupContext, channel: Channel, session: int, bits) -> list[
         ks.append(k)
         points.append(ctx.encode(point))
     channel.send(Frame(MSG["OT_SETUP"], session, b"".join(points)))
-    cts = channel.expect("OT_SETUP").payload
+    cts = _expect(channel, "OT_SETUP", 2 * 16 * len(bits))
     out = []
     for i, (bit, k) in enumerate(zip(bits, ks)):
         pad = _hash_point(ctx, i, ctx.exp(big_a, k))
@@ -109,9 +123,7 @@ class OTSender:
         if self._seeds is None:
             raise OTError("setup not run")
         mb = (m + 7) // 8
-        u = self.channel.expect("OT_EXTEND").payload
-        if len(u) != KAPPA * mb:
-            raise OTError("extension matrix size mismatch")
+        u = _expect(self.channel, "OT_EXTEND", KAPPA * mb)
         u_mat = np.frombuffer(u, dtype=np.uint8).reshape(KAPPA, mb)
         q_mat = np.empty((KAPPA, mb), dtype=np.uint8)
         for j in range(KAPPA):
@@ -181,7 +193,7 @@ class OTReceiver:
 
     def recv_messages(self, bits: list[int]) -> list[bytes]:
         pads = self.pads(bits)
-        cts = self.channel.expect("OT_PAYLOAD").payload
+        cts = _expect(self.channel, "OT_PAYLOAD", 2 * 16 * len(bits))
         out = []
         for i, (bit, pad) in enumerate(zip(bits, pads)):
             ct = cts[(2 * i + bit) * 16 : (2 * i + bit + 1) * 16]
@@ -190,7 +202,7 @@ class OTReceiver:
 
     def recv_correlated(self, bits: list[int]) -> list[int]:
         pads = self.pads(bits)
-        corr = self.channel.expect("OT_PAYLOAD").payload
+        corr = _expect(self.channel, "OT_PAYLOAD", 4 * len(bits))
         out = []
         for i, (bit, pad) in enumerate(zip(bits, pads)):
             w = int.from_bytes(pad, "big") % SHARE_MODULUS

@@ -468,11 +468,16 @@ class IndexServer:
         finally:
             chan.close()
 
-    def _report(self, frame_type: str, payload: bytes, session: int) -> None:
-        """One-shot frame to this cluster's coordinator."""
-        chan = self.topology.connect(self.coordinator)
+    def _connect(self, name: str) -> Channel:
+        """A channel to another server, recorded as this party's."""
+        chan = self.topology.connect(name)
         chan.transcript = self.transcript
         chan.party = self.name
+        return chan
+
+    def _report(self, frame_type: str, payload: bytes, session: int) -> None:
+        """One-shot frame to this cluster's coordinator."""
+        chan = self._connect(self.coordinator)
         chan.send(Frame(MSG[frame_type], session, payload))
         chan.close()
 
@@ -488,9 +493,7 @@ class IndexServer:
         status, mask = STATUS_OK, 0
         if k:
             try:
-                cchan = self.topology.connect(self.counterpart)
-                cchan.transcript = self.transcript
-                cchan.party = self.name
+                cchan = self._connect(self.counterpart)
                 try:
                     cchan.send(Frame(MSG["SORT_INIT"], qid, b""))  # session handshake
                     if score:
@@ -533,7 +536,10 @@ class IndexServer:
 
     def _coordinate_masks(self, chan: Channel, qid: int) -> None:
         """Cluster-0 coordinator: gather every shard's mask, evaluate the
-        global merge fed by the cluster-1 coordinator, answer the front-end."""
+        global merge fed by the cluster-1 coordinator, answer the front-end.
+        The cluster-1 coordinator opens the merge session of every sorted
+        query, so it is always consumed here; when the answer is already
+        known (a failed shard, or nothing to sort) it is sent first."""
         masks = {}
         total = 0
         failed = None
@@ -547,50 +553,56 @@ class IndexServer:
         finally:
             self._drop(("masks", qid))
         if failed is not None:
-            chan.send(
-                Frame(
-                    MSG["ERROR"], qid,
-                    f"shard {failed} degraded: sorted queries unavailable".encode(),
-                )
-            )
-            return
-        if total == 0:
+            message = f"shard {failed} degraded: sorted queries unavailable"
+            chan.send(Frame(MSG["ERROR"], qid, message.encode()))
+        elif total == 0:
             chan.send(Frame(MSG["GLOBAL_RESULT"], qid, encode_global_result([])))
-            return
+        answered = failed is not None or total == 0
         try:
             _, gchan = self._await(("gsort", qid), self.timeout)
+        except TransportError:
+            if not answered:
+                raise
+            log.warning("%s: no merge session for query %d", self.name, qid)
+            return
         finally:
             self._drop(("gsort", qid))
         try:
-            order = global_sort_evaluator(gchan, qid, masks, self.ot_ctx)
+            if not answered:
+                try:
+                    order = global_sort_evaluator(gchan, qid, masks, self.ot_ctx)
+                except ChannelClosed:
+                    raise ServerError(
+                        "the cluster-1 coordinator closed the merge: "
+                        "sorted queries unavailable"
+                    ) from None
+                chan.send(Frame(MSG["GLOBAL_RESULT"], qid, encode_global_result(order)))
         finally:
             gchan.close()
-        chan.send(Frame(MSG["GLOBAL_RESULT"], qid, encode_global_result(order)))
 
     def _coordinate_contribs(self, qid: int) -> None:
         """Cluster-1 coordinator: gather masked vectors and garble the
-        global merge for the cluster-0 coordinator."""
+        global merge for the cluster-0 coordinator. The merge session is
+        opened even when a shard failed or nothing is to be merged, and
+        then closed at once, so the cluster-0 coordinator never waits out
+        its timeout for it."""
         contributions = []
-        failed = None
+        failed = False
         try:
             for _ in range(self.n_shards):
                 shard, status, entries = self._await(("contrib", qid), self.timeout)
-                if status != STATUS_OK:
-                    failed = shard
+                failed |= status != STATUS_OK
                 if entries:
                     masked = [m for m, _ in entries]
                     payloads = [p for _, p in entries]
                     contributions.append((shard, masked, payloads))
         finally:
             self._drop(("contrib", qid))
-        if failed is not None or not contributions:
-            return  # the cluster-0 coordinator answers (error or empty)
-        gchan = self.topology.connect(server_name(0, 0))
-        gchan.transcript = self.transcript
-        gchan.party = self.name
+        gchan = self._connect(server_name(0, 0))
         try:
             gchan.send(Frame(MSG["SORT_INIT"], qid, b""))  # session handshake
-            global_sort_garbler(gchan, qid, contributions, self.ot_ctx)
+            if contributions and not failed:
+                global_sort_garbler(gchan, qid, contributions, self.ot_ctx)
         finally:
             gchan.close()
 

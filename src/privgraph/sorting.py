@@ -11,6 +11,10 @@ garbles over all shards' masked vectors; the cluster-0 coordinator feeds
 the masks in by OT, evaluates, and decodes the global payload order
 without ever seeing a score.
 
+Both sorts run one session, written once as _garble_session and
+_evaluate_session; a sort supplies only its circuit, header, input bits
+and the layout of its label frames (_LOCAL_FRAMES, _MERGE_FRAMES).
+
 Payload values are 1-based on the wire; 0 marks padding sentinels.
 """
 
@@ -146,18 +150,63 @@ def build_merge_circuit(k: int, payload_width: int) -> SortCircuit:
     return SortCircuit(b.build(), k, n, payload_width)
 
 
-def _share_bits(shares: list[int], n: int) -> list[int]:
+# The garbler's label frames of each sort, in sending order, each the
+# concatenation of the named input bundles. The one circuit input no frame
+# names is the evaluator's own, chosen by OT.
+_LOCAL_FRAMES = (
+    ("GARBLER_LABELS", ("garbler_shares", "payloads")),
+    ("MASK_LABELS", ("mask",)),
+)
+_MERGE_FRAMES = (("GARBLER_LABELS", ("masked_scores", "payloads")),)
+
+
+def _bits(values, width: int, n: int) -> list[int]:
+    """Each value as width little-endian bits, zero-padded to n values."""
     bits = []
-    for e in range(n):
-        value = shares[e] if e < len(shares) else 0
-        bits.extend(int_to_bits(value, SCORE_BITS))
-    return bits
+    for value in values:
+        bits.extend(int_to_bits(value, width))
+    return bits + [0] * ((n - len(values)) * width)
 
 
-def _labels_from(payload: bytes, n_bits: int) -> np.ndarray:
-    if len(payload) != 16 * n_bits:
-        raise TransportError(f"expected {n_bits} wire labels, got {len(payload)} bytes")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(1, n_bits, 16)
+def _garble_session(channel, session, sc, header, frames, bits, ctx) -> None:
+    """Garbler half of a sort: the SORT_INIT header, the circuit, the
+    garbler's labels for bits (bundle -> values) in frames, then the
+    evaluator's bundle by OT."""
+    channel.send(Frame(MSG["SORT_INIT"], session, header))
+    gc, label_map, delta = garble(sc.circuit)
+    channel.send(Frame(MSG["CIRCUIT_BLOB"], session, gc.to_bytes()))
+    for frame, bundles in frames:
+        labels = [select_labels(label_map[b], delta, bits[b]).tobytes() for b in bundles]
+        channel.send(Frame(MSG[frame], session, b"".join(labels)))
+    (own,) = label_map.keys() - bits.keys()  # the evaluator's bundle
+    zero = label_map[own]
+    sender = OTSender(ctx, channel, session)
+    sender.setup()
+    sender.send_messages([bytes(z) for z in zero], [bytes(o) for o in zero ^ delta])
+
+
+def _evaluate_session(channel, session, sc, frames, own_bits, ctx) -> np.ndarray:
+    """Evaluator half of a sort, after its SORT_INIT: reads the circuit and
+    the label frames, takes the labels of own_bits by OT, evaluates and
+    returns the decoded output bits."""
+    gc = GarbledCircuit.from_bytes(channel.expect("CIRCUIT_BLOB").payload)
+    inputs = sc.circuit.inputs
+    labels = {}
+    for frame, bundles in frames:
+        payload = channel.expect(frame).payload
+        sizes = [len(inputs[b]) for b in bundles]
+        if len(payload) != 16 * sum(sizes):
+            raise TransportError(
+                f"{frame}: expected {sum(sizes)} labels, got {len(payload)} bytes"
+            )
+        rows = np.frombuffer(payload, dtype=np.uint8).reshape(1, -1, 16)
+        labels.update(zip(bundles, np.split(rows, np.cumsum(sizes)[:-1], axis=1)))
+    receiver = OTReceiver(ctx, channel, session)
+    receiver.setup()
+    (own,) = inputs.keys() - labels.keys()
+    received = b"".join(receiver.recv_messages(own_bits))
+    labels[own] = np.frombuffer(received, dtype=np.uint8).reshape(1, -1, 16)
+    return decode(gc, evaluate(sc.circuit, gc, labels))[0]
 
 
 def local_sort_garbler(
@@ -165,43 +214,21 @@ def local_sort_garbler(
     session: int,
     shares: list[int],
     ctx: GroupContext,
-    rng=None,
 ) -> int:
     """Garbler (cluster 0) side of a local sort. Returns the mask R."""
-    token = rng if rng is not None else secrets.token_bytes
     k = len(shares)
     if k < 1:
         raise SortError("nothing to sort")
     payload_width = _local_payload_width(k)
     sc = _sort_circuit(k, payload_width)
-    channel.send(
-        Frame(MSG["SORT_INIT"], session, encode_local_sort_init(k, sc.n, payload_width))
-    )
-    gc, label_map, delta = garble(sc.circuit, token)
-    channel.send(Frame(MSG["CIRCUIT_BLOB"], session, gc.to_bytes()))
-
-    g_bits = _share_bits(shares, sc.n)
-    p_bits = []
-    for e in range(sc.n):
-        p_bits.extend(int_to_bits(e + 1 if e < k else 0, payload_width))
-    g_labels = select_labels(label_map["garbler_shares"], delta, g_bits)[0]
-    p_labels = select_labels(label_map["payloads"], delta, p_bits)[0]
-    channel.send(
-        Frame(
-            MSG["GARBLER_LABELS"],
-            session,
-            g_labels.tobytes() + p_labels.tobytes(),
-        )
-    )
-    mask = int.from_bytes(token(4), "big") % SHARE_MODULUS
-    m_labels = select_labels(label_map["mask"], delta, int_to_bits(mask, SCORE_BITS))[0]
-    channel.send(Frame(MSG["MASK_LABELS"], session, m_labels.tobytes()))
-
-    zero = label_map["evaluator_shares"]
-    one = zero ^ delta
-    sender = OTSender(ctx, channel, session)
-    sender.setup()
-    sender.send_messages([bytes(z) for z in zero], [bytes(o) for o in one])
+    mask = secrets.randbelow(SHARE_MODULUS)
+    bits = {
+        "garbler_shares": _bits(shares, SCORE_BITS, sc.n),
+        "payloads": _bits(range(1, k + 1), payload_width, sc.n),
+        "mask": _bits([mask], SCORE_BITS, 1),
+    }
+    header = encode_local_sort_init(k, sc.n, payload_width)
+    _garble_session(channel, session, sc, header, _LOCAL_FRAMES, bits, ctx)
     return mask
 
 
@@ -217,40 +244,10 @@ def local_sort_evaluator(
     if k != len(shares):
         raise SortError(f"garbler announced k={k}, have {len(shares)} shares")
     sc = _sort_circuit(k, payload_width)
-    gc = GarbledCircuit.from_bytes(channel.expect("CIRCUIT_BLOB").payload)
-
-    glabels = channel.expect("GARBLER_LABELS").payload
-    g_n = n * SCORE_BITS
-    p_n = n * payload_width
-    garbler_labels = _labels_from(glabels[: g_n * 16], g_n)
-    payload_labels = _labels_from(glabels[g_n * 16 :], p_n)
-    mask_labels = _labels_from(channel.expect("MASK_LABELS").payload, SCORE_BITS)
-
-    e_bits = _share_bits(shares, n)
-    receiver = OTReceiver(ctx, channel, session)
-    receiver.setup()
-    own = receiver.recv_messages(e_bits)
-    own_labels = np.frombuffer(b"".join(own), dtype=np.uint8).reshape(1, g_n, 16)
-
-    out_labels = evaluate(
-        sc.circuit,
-        gc,
-        {
-            "garbler_shares": garbler_labels,
-            "evaluator_shares": own_labels,
-            "payloads": payload_labels,
-            "mask": mask_labels,
-        },
-    )
-    bits = decode(gc, out_labels)[0]
-    masked, payloads = sc.decode_outputs(bits)
-    out_scores, out_payloads = [], []
-    for score, payload in zip(masked, payloads):
-        if payload == 0:
-            continue
-        out_scores.append(score)
-        out_payloads.append(payload - 1)
-    return out_scores, out_payloads
+    own_bits = _bits(shares, SCORE_BITS, n)
+    bits = _evaluate_session(channel, session, sc, _LOCAL_FRAMES, own_bits, ctx)
+    kept = [(s, p - 1) for s, p in zip(*sc.decode_outputs(bits)) if p]
+    return [s for s, _ in kept], [p for _, p in kept]
 
 
 def _encode_payload(shard: int, index: int, idx_bits: int) -> int:
@@ -262,56 +259,31 @@ def global_sort_garbler(
     session: int,
     contributions: list[tuple[int, list[int], list[int]]],
     ctx: GroupContext,
-    rng=None,
 ) -> None:
     """Garbler (cluster-1 coordinator) side of the global sort over the
     shards' masked vectors. Sends everything; returns nothing."""
-    token = rng if rng is not None else secrets.token_bytes
-    entries = []  # (shard, masked score, local payload index)
-    max_shard = max_index = 0
-    for shard, masked, payloads in contributions:
-        for score, idx in zip(masked, payloads):
-            entries.append((shard, score, idx))
-            max_shard = max(max_shard, shard)
-            max_index = max(max_index, idx)
+    entries = [  # (shard, masked score, local payload index)
+        (shard, score, idx)
+        for shard, masked, payloads in contributions
+        for score, idx in zip(masked, payloads)
+    ]
     t = len(entries)
     if t < 1:
         raise SortError("no entries to merge")
+    max_shard = max(shard for shard, _, _ in entries)
+    max_index = max(idx for _, _, idx in entries)
     idx_bits = max(max_index.bit_length(), 1)
-    payload_width = max(
-        _encode_payload(max_shard, max_index, idx_bits).bit_length(), 1
-    )
+    payload_width = _encode_payload(max_shard, max_index, idx_bits).bit_length()
     sc = build_merge_circuit(t, payload_width)
+    payloads = [_encode_payload(shard, idx, idx_bits) for shard, _, idx in entries]
+    bits = {
+        "masked_scores": _bits([score for _, score, _ in entries], SCORE_BITS, sc.n),
+        "payloads": _bits(payloads, payload_width, sc.n),
+    }
     header = encode_global_sort_init(
         t, sc.n, payload_width, idx_bits, [shard for shard, _, _ in entries]
     )
-    channel.send(Frame(MSG["SORT_INIT"], session, header))
-    gc, label_map, delta = garble(sc.circuit, token)
-    channel.send(Frame(MSG["CIRCUIT_BLOB"], session, gc.to_bytes()))
-
-    m_bits, p_bits = [], []
-    for e in range(sc.n):
-        if e < t:
-            shard, score, idx = entries[e]
-            m_bits.extend(int_to_bits(score, SCORE_BITS))
-            p_bits.extend(int_to_bits(_encode_payload(shard, idx, idx_bits), payload_width))
-        else:
-            m_bits.extend([0] * SCORE_BITS)
-            p_bits.extend([0] * payload_width)
-    m_labels = select_labels(label_map["masked_scores"], delta, m_bits)[0]
-    p_labels = select_labels(label_map["payloads"], delta, p_bits)[0]
-    channel.send(
-        Frame(
-            MSG["GARBLER_LABELS"],
-            session,
-            m_labels.tobytes() + p_labels.tobytes(),
-        )
-    )
-    zero = label_map["masks"]
-    one = zero ^ delta
-    sender = OTSender(ctx, channel, session)
-    sender.setup()
-    sender.send_messages([bytes(z) for z in zero], [bytes(o) for o in one])
+    _garble_session(channel, session, sc, header, _MERGE_FRAMES, bits, ctx)
 
 
 def global_sort_evaluator(
@@ -328,37 +300,12 @@ def global_sort_evaluator(
     if not set(shard_of_elem) <= masks.keys():
         raise SortError("merge header names a shard that sent no mask")
     sc = build_merge_circuit(t, payload_width)
-    gc = GarbledCircuit.from_bytes(channel.expect("CIRCUIT_BLOB").payload)
-    glabels = channel.expect("GARBLER_LABELS").payload
-    m_n = n * SCORE_BITS
-    p_n = n * payload_width
-    masked_labels = _labels_from(glabels[: m_n * 16], m_n)
-    payload_labels = _labels_from(glabels[m_n * 16 :], p_n)
-
-    mask_bits = []
-    for e in range(n):
-        value = masks[shard_of_elem[e]] if e < t else 0
-        mask_bits.extend(int_to_bits(value, SCORE_BITS))
-    receiver = OTReceiver(ctx, channel, session)
-    receiver.setup()
-    own = receiver.recv_messages(mask_bits)
-    mask_labels = np.frombuffer(b"".join(own), dtype=np.uint8).reshape(1, m_n, 16)
-
-    out_labels = evaluate(
-        sc.circuit,
-        gc,
-        {
-            "masked_scores": masked_labels,
-            "masks": mask_labels,
-            "payloads": payload_labels,
-        },
-    )
-    bits = decode(gc, out_labels)[0]
+    own_bits = _bits([masks[shard] for shard in shard_of_elem], SCORE_BITS, n)
+    bits = _evaluate_session(channel, session, sc, _MERGE_FRAMES, own_bits, ctx)
     order = []
-    for e in range(sc.n):
+    for e in range(n):
         value = bits_to_int(bits[e * payload_width : (e + 1) * payload_width])
-        if value == 0:
-            continue
-        value -= 1
-        order.append((value >> idx_bits, value & ((1 << idx_bits) - 1)))
+        if value:
+            value -= 1
+            order.append((value >> idx_bits, value & ((1 << idx_bits) - 1)))
     return order

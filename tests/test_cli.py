@@ -151,39 +151,6 @@ class TestAudit:
         assert main(["audit", "--transcript", str(bad)]) == 2
 
 
-class TestBench:
-    def test_set_queries_small(self, capsys):
-        rc = main([
-            "bench", "--suite", "set-queries",
-            "--selectivity", "10", "--max-selectivity", "8",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "work independence" in out and "True" in out
-
-    def test_arithmetic_small(self, capsys):
-        assert main(["bench", "--suite", "arithmetic", "--size", "1000"]) == 0
-        assert "mul" in capsys.readouterr().out
-
-    def test_sort_small(self, tmp_path, capsys):
-        metrics = tmp_path / "m.json"
-        rc = main([
-            "bench", "--suite", "sort", "--max-k", "8",
-            "--metrics", str(metrics),
-        ])
-        assert rc == 0
-        rows = json.loads(metrics.read_text())["sort"]["rows"]
-        assert [r["k"] for r in rows] == [2, 4, 8]
-
-    def test_throughput_small(self, capsys):
-        rc = main([
-            "bench", "--suite", "throughput",
-            "--queries", "6", "--nodes", "60", "--edge-count", "300",
-        ])
-        assert rc == 0
-        assert "ratio" in capsys.readouterr().out
-
-
 def free_ports(n):
     socks = []
     for _ in range(n):

@@ -4,13 +4,32 @@ import threading
 import pytest
 
 from privgraph.crypto import GroupContext
-from privgraph.ot import SHARE_MODULUS, OTReceiver, OTSender
-from privgraph.transport import loopback_pair
+from privgraph.ot import SHARE_MODULUS, OTError, OTReceiver, OTSender
+from privgraph.transport import Frame, TransportError, loopback_pair
 
 
-def run_pair(sender_fn, receiver_fn):
-    """Drive both OT endpoints on loopback channels, re-raising errors."""
+def tamper(chan, msg_name, nth, edit):
+    """Rewrite the payload of the nth msg_name frame this endpoint sends."""
+    real_send, seen = chan.send, []
+
+    def send(frame):
+        if frame.name == msg_name:
+            if len(seen) == nth:
+                frame = Frame(frame.type, frame.session, edit(frame.payload))
+            seen.append(frame)
+        real_send(frame)
+
+    chan.send = send
+
+
+def run_pair(sender_fn, receiver_fn, tampered=None):
+    """Drive both OT endpoints on loopback channels, re-raising the first
+    error. tampered = (side, frame name, nth, edit) rewrites one frame sent
+    by "sender" or "receiver"."""
     chan_a, chan_b = loopback_pair("ot")
+    if tampered is not None:
+        side, *how = tampered
+        tamper(chan_a if side == "sender" else chan_b, *how)
     ctx_a, ctx_b = GroupContext(), GroupContext()
     sender = OTSender(ctx_a, chan_a)
     receiver = OTReceiver(ctx_b, chan_b)
@@ -23,6 +42,7 @@ def run_pair(sender_fn, receiver_fn):
             out["sender"] = sender_fn(sender)
         except Exception as exc:  # propagated after join
             errors.append(exc)
+            chan_a.close()  # the peer fails at once instead of timing out
 
     def run_receiver():
         try:
@@ -30,6 +50,7 @@ def run_pair(sender_fn, receiver_fn):
             out["receiver"] = receiver_fn(receiver)
         except Exception as exc:
             errors.append(exc)
+            chan_b.close()
 
     threads = [threading.Thread(target=run_sender), threading.Thread(target=run_receiver)]
     for t in threads:
@@ -114,7 +135,53 @@ class TestErrors:
     def test_pads_before_setup(self):
         chan_a, _ = loopback_pair("ot")
         sender = OTSender(GroupContext(), chan_a)
-        from privgraph.ot import OTError
-
         with pytest.raises(OTError):
             sender.pads(4)
+
+    def test_ot_error_is_transport_error(self):
+        assert issubclass(OTError, TransportError)
+
+
+def _messages(s):
+    return s.send_messages([b"A" * 16] * 4, [b"B" * 16] * 4)
+
+
+def _correlated(s):
+    return s.send_correlated([7] * 4)
+
+
+class TestTruncatedFrames:
+    """Every OT frame is checked for its exact length before it is sliced;
+    a short one fails the party that reads it with OTError."""
+
+    @pytest.mark.parametrize(
+        "tampered,sender_fn,receiver_fn",
+        [
+            # the base-OT sender's point A: 32 bytes
+            (("receiver", "OT_SETUP", 0, lambda p: p[:-1]), _messages,
+             lambda r: r.recv_messages([1] * 4)),
+            # A that is no group element
+            (("receiver", "OT_SETUP", 0, lambda p: bytes(len(p))), _messages,
+             lambda r: r.recv_messages([1] * 4)),
+            # the base-OT receiver's reply: 128 points of 32 bytes
+            (("sender", "OT_SETUP", 0, lambda p: p[:-32]), _messages,
+             lambda r: r.recv_messages([1] * 4)),
+            # the base-OT ciphertexts: 256 of 16 bytes
+            (("receiver", "OT_SETUP", 1, lambda p: p[:-16]), _messages,
+             lambda r: r.recv_messages([1] * 4)),
+            # the extension matrix: 128 rows of ceil(m / 8) bytes
+            (("receiver", "OT_EXTEND", 0, lambda p: p[:-1]), _messages,
+             lambda r: r.recv_messages([1] * 4)),
+            # message payload: 32 bytes per transfer
+            (("sender", "OT_PAYLOAD", 0, lambda p: p[:40]), _messages,
+             lambda r: r.recv_messages([1] * 4)),
+            # correlated payload: 4 bytes per transfer
+            (("sender", "OT_PAYLOAD", 0, lambda p: p[:-1]), _correlated,
+             lambda r: r.recv_correlated([1] * 4)),
+        ],
+        ids=["setup-point", "setup-not-element", "setup-reply", "setup-ciphertexts",
+             "extend", "payload-messages", "payload-correlated"],
+    )
+    def test_short_frame_rejected(self, tampered, sender_fn, receiver_fn):
+        with pytest.raises(OTError):
+            run_pair(sender_fn, receiver_fn, tampered)

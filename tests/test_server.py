@@ -1,6 +1,8 @@
 """End-to-end encrypted query pipeline over the in-process cluster."""
 
+import importlib.util
 import time
+from pathlib import Path
 
 import pytest
 
@@ -235,12 +237,33 @@ class TestDegraded:
             fe.query(f"(term {term})", sort=True)
 
 
+def wait_sessions_drained(cluster, names=("is00", "is10"), within=5.0):
+    """The coordinators' session queues empty out once their threads end."""
+    deadline = time.monotonic() + within
+    while time.monotonic() < deadline:
+        if not any(cluster.servers[n]._sessions for n in names):
+            return
+        time.sleep(0.01)
+    assert {n: list(cluster.servers[n]._sessions) for n in names} == {n: [] for n in names}
+
+
 class TestFailFast:
     @pytest.mark.parametrize(
-        "role,party",
-        [("local_sort_garbler", "is01"), ("local_sort_evaluator", "is11")],
+        "role,party,after_call,match",
+        [
+            pytest.param("local_sort_garbler", "is01", False, "shard 1 degraded",
+                         id="local_sort_garbler-is01"),
+            pytest.param("local_sort_evaluator", "is11", False, "shard 1 degraded",
+                         id="local_sort_evaluator-is11"),
+            # is01 has reported its mask as sent, so only cluster 1 knows of
+            # the failure: its coordinator closes the merge session at once
+            pytest.param("local_sort_evaluator", "is11", True, "closed the merge",
+                         id="local_sort_evaluator-is11-after-sorting"),
+        ],
     )
-    def test_failed_local_sort_reported_at_once(self, setup, monkeypatch, role, party):
+    def test_failed_local_sort_reported_at_once(
+        self, setup, monkeypatch, role, party, after_call, match
+    ):
         index, engine, _, _ = setup
         edb = build_edb(
             index, KEYS, crypto.GroupContext(), PartitionConfig(shards_per_cluster=2, seed=21)
@@ -248,9 +271,11 @@ class TestFailFast:
         real = getattr(server_mod, role)
 
         def failing(channel, *args):
-            if channel.party == party:
-                raise RuntimeError("injected local-sort failure")
-            return real(channel, *args)
+            if channel.party != party:
+                return real(channel, *args)
+            if after_call:
+                real(channel, *args)
+            raise RuntimeError("injected local-sort failure")
 
         monkeypatch.setattr(server_mod, role, failing)
         term = top_terms(index, 1)[0]
@@ -259,11 +284,12 @@ class TestFailFast:
             assert all(edb.clusters[0][j].tset.retrieve(crypto.stag_derive(KEYS, term))
                        for j in (0, 1))
             t0 = time.perf_counter()
-            with pytest.raises(QueryError, match="shard 1 degraded"):
+            with pytest.raises(QueryError, match=match):
                 fe.query(f"(term {term})", sort=True)
             assert time.perf_counter() - t0 < 5
             # the servers are still usable afterwards
             assert set(fe.query(f"(term {term})")) == index[term].ids()
+            wait_sessions_drained(cluster)
 
 
 class TestSecureMode:
@@ -332,3 +358,28 @@ class TestHygiene:
             fe = cluster.front_end(KEYS, lengths=engine.lengths)
             with pytest.raises(IntegrityError):
                 fe.query(f"(term {term})")
+
+
+class TestBenchmarkHooks:
+    def test_tracer_finds_every_hook(self, setup):
+        """perfbench/tracing.py wraps program functions by name from
+        outside; each one it looks for must still exist, and the sort
+        layer's circuit lookups and garbling must still run inside the
+        four sort functions, where its per-layer metrics attribute them."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        index, _, cluster, fe = setup
+        tracer = tracing.Tracer(cluster)
+        tracer.install()
+        try:
+            assert tracer.missing == []
+            t = top_terms(index, 3)
+            fe.query(f"(or {t[0]} {t[1]} {t[2]})", sort=True)
+        finally:
+            tracer.uninstall()
+        sorts = {f"sorting.{side}_sort_{role}" for side in ("local", "global")
+                 for role in ("garbler", "evaluator")}
+        inner = [sp for sp in tracer.spans if sp.layer in ("circuits", "garble")]
+        assert {sp.parent.name for sp in inner} == sorts

@@ -14,11 +14,13 @@ from privgraph.sorting import (
     local_sort_evaluator,
     local_sort_garbler,
 )
-from privgraph.transport import loopback_pair
+from privgraph.transport import Transcript, loopback_pair
 
 
-def run_session(garbler_fn, evaluator_fn):
+def run_session(garbler_fn, evaluator_fn, transcript=None):
     chan_g, chan_e = loopback_pair("sort")
+    for chan, party in ((chan_g, "g"), (chan_e, "e")):
+        chan.transcript, chan.party = transcript, party
     out = {}
     errors = []
 
@@ -161,6 +163,62 @@ class TestGlobalSort:
     def test_empty_contributions_rejected(self):
         with pytest.raises(SortError):
             global_sort_garbler(loopback_pair("x")[0], 1, [], GroupContext())
+
+
+# (frame, payload bytes) each party sends in a k = 5, 3 and 1 local sort and
+# in the 3-shard merge of their results, recorded with the earlier
+# implementation that wrote each of the four sort halves out in full
+_EVALUATOR_OT = [("OT_SETUP", 32), ("OT_SETUP", 4096)]
+PINNED_FRAMES = [
+    (  # local, k = 5
+        [("SORT_INIT", 10), ("CIRCUIT_BLOB", 115246), ("GARBLER_LABELS", 4352),
+         ("MASK_LABELS", 496), ("OT_SETUP", 4096), ("OT_PAYLOAD", 7936)],
+        _EVALUATOR_OT + [("OT_EXTEND", 3968)],
+    ),
+    (  # local, k = 3
+        [("SORT_INIT", 10), ("CIRCUIT_BLOB", 32285), ("GARBLER_LABELS", 2112),
+         ("MASK_LABELS", 496), ("OT_SETUP", 4096), ("OT_PAYLOAD", 3968)],
+        _EVALUATOR_OT + [("OT_EXTEND", 2048)],
+    ),
+    (  # local, k = 1
+        [("SORT_INIT", 10), ("CIRCUIT_BLOB", 1936), ("GARBLER_LABELS", 512),
+         ("MASK_LABELS", 496), ("OT_SETUP", 4096), ("OT_PAYLOAD", 992)],
+        _EVALUATOR_OT + [("OT_EXTEND", 512)],
+    ),
+    (  # merge of 9 entries from 3 shards
+        [("SORT_INIT", 30), ("CIRCUIT_BLOB", 343062), ("GARBLER_LABELS", 9216),
+         ("OT_SETUP", 4096), ("OT_PAYLOAD", 15872)],
+        _EVALUATOR_OT + [("OT_EXTEND", 7936)],
+    ),
+]
+
+
+class TestWireSequence:
+    def test_frames_pinned(self):
+        rng = np.random.default_rng(12)
+        transcripts = [Transcript() for _ in PINNED_FRAMES]
+        masks, contributions = {}, []
+        for shard, k in enumerate((5, 3, 1)):
+            g, e = split_shares([int(x) for x in rng.integers(1, 1000, size=k)], rng)
+            mask, (masked, order), _ = run_session(
+                lambda ch, g=g, j=shard: local_sort_garbler(ch, j, g, GroupContext()),
+                lambda ch, e=e, j=shard: local_sort_evaluator(ch, j, e, GroupContext()),
+                transcripts[shard],
+            )
+            masks[shard] = mask
+            contributions.append((shard, masked, order))
+        run_session(
+            lambda ch: global_sort_garbler(ch, 9, contributions, GroupContext()),
+            lambda ch: global_sort_evaluator(ch, 9, masks, GroupContext()),
+            transcripts[3],
+        )
+        for transcript, pinned in zip(transcripts, PINNED_FRAMES):
+            sent = [
+                [(f.name, len(f.payload)) for p, d, f in transcript.entries
+                 if d == "send" and p == party]
+                for party in ("g", "e")
+            ]
+            assert tuple(sent) == pinned
 
 
 class TestMergeCircuit:
