@@ -44,9 +44,9 @@ def _decode_point(ctx: GroupContext, data: bytes) -> int:
         raise OTError(f"OT_SETUP: {exc}") from None
 
 
-def _expand(seed: bytes, n: int) -> bytes:
-    """Pseudorandom expansion of a 16-byte seed via AES-CTR."""
-    enc = Cipher(algorithms.AES(seed), modes.CTR(bytes(16))).encryptor()
+def _expand(seed: bytes, n: int, block: int) -> bytes:
+    """n bytes of a 16-byte seed's AES-CTR stream, from the given block on."""
+    enc = Cipher(algorithms.AES(seed), modes.CTR(block.to_bytes(16, "big"))).encryptor()
     return enc.update(bytes(n))
 
 
@@ -54,13 +54,32 @@ def _hash_point(ctx: GroupContext, index: int, point: int) -> bytes:
     return hashlib.sha256(struct.pack(">I", index) + ctx.encode(point)).digest()[:16]
 
 
-def _hash_rows(rows: np.ndarray) -> list[bytes]:
-    """Hash each 16-byte row with its index into a pad."""
+def _hash_rows(rows: np.ndarray, first: int) -> list[bytes]:
+    """Hash each 16-byte row with its running index, from first on, into a pad."""
     out = []
     raw = rows.tobytes()
     for i in range(len(rows)):
-        out.append(hashlib.sha256(struct.pack(">Q", i) + raw[i * 16 : i * 16 + 16]).digest()[:16])
+        index = struct.pack(">Q", first + i)
+        out.append(hashlib.sha256(index + raw[i * 16 : i * 16 + 16]).digest()[:16])
     return out
+
+
+class _Stream:
+    """Where the next extension starts. Every extension on one set-up
+    expands the seeds from the next unused AES-CTR block and hashes its
+    rows with the next unused indices, so no two extensions share PRG
+    output; both parties advance it identically."""
+
+    def __init__(self):
+        self.block = 0
+        self.row = 0
+
+    def advance(self, m: int) -> tuple[int, int]:
+        """The (block, row) of an m-transfer extension, reserved."""
+        start = self.block, self.row
+        self.block += -(-m // 128)  # ceil(m/8) bytes per seed, 16 per block
+        self.row += m
+        return start
 
 
 def _base_send(ctx: GroupContext, channel: Channel, session: int, pairs):
@@ -112,6 +131,7 @@ class OTSender:
         self.session = session
         self._s_bits: list[int] | None = None
         self._seeds: list[bytes] | None = None
+        self._stream = _Stream()
 
     def setup(self) -> None:
         self._s_bits = [secrets.randbelow(2) for _ in range(KAPPA)]
@@ -124,14 +144,15 @@ class OTSender:
             raise OTError("setup not run")
         mb = (m + 7) // 8
         u = _expect(self.channel, "OT_EXTEND", KAPPA * mb)
+        block, row = self._stream.advance(m)
         u_mat = np.frombuffer(u, dtype=np.uint8).reshape(KAPPA, mb)
         q_mat = np.empty((KAPPA, mb), dtype=np.uint8)
         for j in range(KAPPA):
-            col = np.frombuffer(_expand(self._seeds[j], mb), dtype=np.uint8)
+            col = np.frombuffer(_expand(self._seeds[j], mb, block), dtype=np.uint8)
             q_mat[j] = col ^ u_mat[j] if self._s_bits[j] else col
         rows = np.packbits(np.unpackbits(q_mat, axis=1).T[:m], axis=1)  # (m, 16)
-        pads0 = _hash_rows(rows)
-        pads1 = _hash_rows(rows ^ self._s_bytes)
+        pads0 = _hash_rows(rows, row)
+        pads1 = _hash_rows(rows ^ self._s_bytes, row)
         return pads0, pads1
 
     def send_messages(self, msgs0: list[bytes], msgs1: list[bytes]) -> None:
@@ -167,6 +188,7 @@ class OTReceiver:
         self.channel = channel
         self.session = session
         self._seed_pairs: list[tuple[bytes, bytes]] | None = None
+        self._stream = _Stream()
 
     def setup(self) -> None:
         self._seed_pairs = [
@@ -181,15 +203,16 @@ class OTReceiver:
         mb = (m + 7) // 8
         r_bytes = np.packbits(np.array(bits, dtype=np.uint8))
         r_bytes = np.pad(r_bytes, (0, mb - len(r_bytes)))
+        block, row = self._stream.advance(m)
         t_mat = np.empty((KAPPA, mb), dtype=np.uint8)
         u_rows = []
         for j, (k0, k1) in enumerate(self._seed_pairs):
-            t_mat[j] = np.frombuffer(_expand(k0, mb), dtype=np.uint8)
-            g1 = np.frombuffer(_expand(k1, mb), dtype=np.uint8)
+            t_mat[j] = np.frombuffer(_expand(k0, mb, block), dtype=np.uint8)
+            g1 = np.frombuffer(_expand(k1, mb, block), dtype=np.uint8)
             u_rows.append((t_mat[j] ^ g1 ^ r_bytes).tobytes())
         self.channel.send(Frame(MSG["OT_EXTEND"], self.session, b"".join(u_rows)))
         rows = np.packbits(np.unpackbits(t_mat, axis=1).T[:m], axis=1)
-        return _hash_rows(rows)
+        return _hash_rows(rows, row)
 
     def recv_messages(self, bits: list[int]) -> list[bytes]:
         pads = self.pads(bits)

@@ -14,7 +14,6 @@ resulting disjunction as the outer round.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import secrets
 from dataclasses import dataclass, field
@@ -108,7 +107,6 @@ class FrontEnd:
         self.timeout = timeout
         self.transcript = transcript
         self.ctx = GroupContext()
-        self._qid = itertools.count(secrets.randbits(24) << 32)
 
     def query(
         self,
@@ -145,7 +143,7 @@ class FrontEnd:
             return []
         if score and not sort:
             raise QueryError("scoring requires a sorted query")
-        qid = next(self._qid)
+        qid = secrets.randbits(64)  # server session maps key on it
         chans = self._connect(sort)
         try:
             spec = QuerySpec(
@@ -184,26 +182,31 @@ class FrontEnd:
     def _connect(self, sort: bool) -> dict:
         chans = {}
         missing = []
-        for cluster in (0, 1):
-            for j in range(self.n_shards):
-                name = server_name(cluster, j)
-                try:
-                    ch = self.topology.connect(name)
-                except TransportError:
-                    if cluster == 1:
-                        missing.append(name)
-                        continue
-                    raise QueryError(f"index server {name} unreachable")
-                ch.transcript = self.transcript
-                ch.party = "frontend"
-                chans[(cluster, j)] = ch
-        if missing:
-            log.warning("degraded: %s unreachable", ", ".join(missing))
-            if sort:
-                raise QueryError(
-                    f"degraded: {', '.join(missing)} unreachable; "
-                    "sorted queries need both clusters"
-                )
+        try:
+            for cluster in (0, 1):
+                for j in range(self.n_shards):
+                    name = server_name(cluster, j)
+                    try:
+                        ch = self.topology.connect(name)
+                    except TransportError:
+                        if cluster == 1:
+                            missing.append(name)
+                            continue
+                        raise QueryError(f"index server {name} unreachable")
+                    ch.transcript = self.transcript
+                    ch.party = "frontend"
+                    chans[(cluster, j)] = ch
+            if missing:
+                log.warning("degraded: %s unreachable", ", ".join(missing))
+                if sort:
+                    raise QueryError(
+                        f"degraded: {', '.join(missing)} unreachable; "
+                        "sorted queries need both clusters"
+                    )
+        except QueryError:
+            for ch in chans.values():  # the servers' sessions end at once
+                ch.close()
+            raise
         return chans
 
     def _recv(self, chan, expected: str) -> Frame:

@@ -23,6 +23,7 @@ import logging
 import queue
 import struct
 import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -77,6 +78,9 @@ FLAG_SCORE = 0x02
 # MASKS/CONTRIB status codes
 STATUS_OK = 0
 STATUS_FAILED = 1
+
+# ended sessions remembered so that a late frame for one is discarded
+DROPPED_KEPT = 4096
 
 
 class ServerError(Exception):
@@ -286,6 +290,12 @@ def _decode_contrib(payload: bytes):
     return shard, status, list(struct.iter_unpack(">II", payload[7:]))
 
 
+def _discard(item) -> None:
+    """Release an item no session will consume: a session channel is closed."""
+    if isinstance(item, Channel):
+        item.close()
+
+
 # ---------------------------------------------------------------------------
 # The server
 
@@ -329,6 +339,7 @@ class IndexServer:
         self.ctx = GroupContext()
         self.ot_ctx = GroupContext()
         self._sessions: dict = {}
+        self._dropped: OrderedDict = OrderedDict()  # recently ended sessions
         self._lock = threading.Lock()
         self._listener = None
         self._running = False
@@ -399,7 +410,7 @@ class IndexServer:
                 self._handle_query(chan, first)
             elif first.type == MSG["SORT_INIT"]:
                 kind = "gsort" if self.cluster == 0 else "sort"
-                self._deliver((kind, first.session), (first, chan))
+                self._deliver((kind, first.session), chan)
             elif first.type == MSG["MASKS"]:
                 self._deliver(("masks", first.session), _decode_masks(first.payload))
                 chan.close()
@@ -414,49 +425,48 @@ class IndexServer:
             chan.close()
 
     def _queue(self, key) -> queue.Queue:
-        with self._lock:
-            q = self._sessions.get(key)
-            if q is None:
-                q = self._sessions[key] = queue.Queue()
-            return q
+        """The session's queue, made on first use; the caller holds the lock."""
+        q = self._sessions.get(key)
+        if q is None:
+            q = self._sessions[key] = queue.Queue()
+        return q
 
     def _deliver(self, key, item) -> None:
-        self._queue(key).put(item)
+        with self._lock:
+            if key not in self._dropped:
+                self._queue(key).put(item)
+                return
+        _discard(item)  # a late arrival for a session already over
 
     def _await(self, key, timeout: float):
-        try:
-            return self._queue(key).get(timeout=timeout)
-        except queue.Empty:
-            raise TransportError(f"{self.name}: timed out waiting for {key[0]}")
+        with self._lock:
+            q = None if key in self._dropped else self._queue(key)
+        if q is not None:
+            try:
+                return q.get(timeout=timeout)
+            except queue.Empty:
+                pass
+        raise TransportError(f"{self.name}: timed out waiting for {key[0]}")
 
     def _drop(self, key) -> None:
+        """End a session: what it has not consumed is discarded, and what
+        arrives for it later is discarded on arrival."""
         with self._lock:
-            self._sessions.pop(key, None)
+            q = self._sessions.pop(key, None)
+            self._dropped[key] = None
+            while len(self._dropped) > DROPPED_KEPT:
+                self._dropped.popitem(last=False)
+        while q is not None and not q.empty():
+            _discard(q.get_nowait())
 
     # -- query sessions
 
     def _handle_query(self, chan: Channel, init: Frame) -> None:
         qid = init.session
+        spec = survivors = None
         try:
             spec = decode_query_init(init.payload)
-            survivors = []
-            counts = []
-            for sub in spec.subqueries:
-                tuples = self.data.tset.retrieve(sub.stag)
-                chan.send(Frame(MSG["TUPLE_COUNT"], qid, encode_tuple_count(len(tuples))))
-                if sub.n_xterms:
-                    batch = chan.expect("XTOKEN_BATCH", self.timeout)
-                    rows = decode_xtoken_batch(batch.payload, self.ctx)
-                    kept = boolean_query(
-                        self.data.tset, self.data.xset, self.ctx,
-                        sub.stag, rows, sub.formula, sub.negate,
-                    )
-                else:
-                    kept = list(enumerate(tuples))
-                counts.append(len(kept))
-                survivors.extend(t for _, t in kept)
-            e_ids = [t.e_id for t in survivors] if self.cluster == 0 else None
-            chan.send(Frame(MSG["RESULT"], qid, encode_result(counts, e_ids)))
+            survivors = self._select(chan, qid, spec)
             if spec.sort:
                 self._sort_phase(chan, qid, survivors, spec.score)
         except Exception as exc:
@@ -465,8 +475,34 @@ class IndexServer:
                 chan.send(Frame(MSG["ERROR"], qid, str(exc).encode()))
             except TransportError:
                 pass
+            if spec is not None and spec.sort and survivors is None:
+                # the peers of a sorted query this server failed are
+                # released at once instead of waiting out their timeouts
+                self._sort_phase(chan, qid, None, spec.score)
         finally:
             chan.close()
+
+    def _select(self, chan: Channel, qid: int, spec: QuerySpec) -> list:
+        """The survivors of every subquery, reported to the front-end."""
+        survivors = []
+        counts = []
+        for sub in spec.subqueries:
+            tuples = self.data.tset.retrieve(sub.stag)
+            chan.send(Frame(MSG["TUPLE_COUNT"], qid, encode_tuple_count(len(tuples))))
+            if sub.n_xterms:
+                batch = chan.expect("XTOKEN_BATCH", self.timeout)
+                rows = decode_xtoken_batch(batch.payload, self.ctx)
+                kept = boolean_query(
+                    self.data.tset, self.data.xset, self.ctx,
+                    sub.stag, rows, sub.formula, sub.negate,
+                )
+            else:
+                kept = list(enumerate(tuples))
+            counts.append(len(kept))
+            survivors.extend(t for _, t in kept)
+        e_ids = [t.e_id for t in survivors] if self.cluster == 0 else None
+        chan.send(Frame(MSG["RESULT"], qid, encode_result(counts, e_ids)))
+        return survivors
 
     def _connect(self, name: str) -> Channel:
         """A channel to another server, recorded as this party's."""
@@ -478,27 +514,36 @@ class IndexServer:
     def _report(self, frame_type: str, payload: bytes, session: int) -> None:
         """One-shot frame to this cluster's coordinator."""
         chan = self._connect(self.coordinator)
-        chan.send(Frame(MSG[frame_type], session, payload))
-        chan.close()
+        try:
+            chan.send(Frame(MSG[frame_type], session, payload))
+        finally:
+            chan.close()
 
     def _sort_phase(self, chan: Channel, qid: int, survivors, score: str | None) -> None:
-        shares = [t.sortkey_share for t in survivors]
-        k = len(shares)
+        """The local sort with the counterpart, the report to the
+        coordinator and, on shard 0, the coordinator's duties. survivors is
+        None when this server failed the query: the counterpart session is
+        then released and the coordinator told at once."""
+        shares = None if survivors is None else [t.sortkey_share for t in survivors]
         if self.cluster == 0:
-            self._sort_phase_garbler(chan, qid, shares, k, score)
+            self._sort_phase_garbler(chan, qid, shares, score)
         else:
-            self._sort_phase_evaluator(qid, shares, k, score)
+            self._sort_phase_evaluator(qid, shares, score)
 
-    def _sort_phase_garbler(self, chan, qid, shares, k, score):
-        status, mask = STATUS_OK, 0
-        if k:
+    def _sort_phase_garbler(self, chan, qid, shares, score):
+        status, k, mask = STATUS_OK, 0, 0
+        if shares != []:
             try:
                 cchan = self._connect(self.counterpart)
                 try:
                     cchan.send(Frame(MSG["SORT_INIT"], qid, b""))  # session handshake
-                    if score:
-                        shares = self._score(cchan, qid, shares, score, party=0)
-                    mask = local_sort_garbler(cchan, qid, shares, self.ot_ctx)
+                    if shares is None:
+                        status = STATUS_FAILED  # closing the session releases the peer
+                    else:
+                        if score:
+                            shares = self._score(cchan, qid, shares, score, party=0)
+                        mask = local_sort_garbler(cchan, qid, shares, self.ot_ctx)
+                        k = len(shares)
                 finally:
                     cchan.close()
             except Exception:
@@ -510,14 +555,13 @@ class IndexServer:
         if self.is_coordinator:
             self._coordinate_masks(chan, qid)
 
-    def _sort_phase_evaluator(self, qid, shares, k, score):
+    def _sort_phase_evaluator(self, qid, shares, score):
         status, entries = STATUS_OK, []
-        if k:
-            try:
-                try:
-                    _, cchan = self._await(("sort", qid), self.timeout)
-                finally:
-                    self._drop(("sort", qid))
+        try:
+            if shares is None:
+                status = STATUS_FAILED
+            elif shares:
+                cchan = self._await(("sort", qid), self.timeout)
                 try:
                     if score:
                         shares = self._score(cchan, qid, shares, score, party=1)
@@ -525,9 +569,12 @@ class IndexServer:
                 finally:
                     cchan.close()
                 entries = list(zip(masked, order))
-            except Exception:
-                log.exception("%s: local sort of query %d failed", self.name, qid)
-                status = STATUS_FAILED
+        except Exception:
+            log.exception("%s: local sort of query %d failed", self.name, qid)
+            status = STATUS_FAILED
+        finally:
+            # a garbler's session that is still to come is closed on arrival
+            self._drop(("sort", qid))
         self._report("CONTRIB", _encode_contrib(self.shard, status, entries), qid)
         if self.is_coordinator:
             self._coordinate_contribs(qid)
@@ -550,16 +597,22 @@ class IndexServer:
                     failed = shard
                 masks[shard] = mask
                 total += count
+        except TransportError:
+            self._drop(("gsort", qid))  # the merge session is closed on arrival
+            raise
         finally:
             self._drop(("masks", qid))
-        if failed is not None:
-            message = f"shard {failed} degraded: sorted queries unavailable"
-            chan.send(Frame(MSG["ERROR"], qid, message.encode()))
-        elif total == 0:
-            chan.send(Frame(MSG["GLOBAL_RESULT"], qid, encode_global_result([])))
         answered = failed is not None or total == 0
         try:
-            _, gchan = self._await(("gsort", qid), self.timeout)
+            if failed is not None:
+                message = f"shard {failed} degraded: sorted queries unavailable"
+                chan.send(Frame(MSG["ERROR"], qid, message.encode()))
+            elif total == 0:
+                chan.send(Frame(MSG["GLOBAL_RESULT"], qid, encode_global_result([])))
+        except TransportError:
+            log.warning("%s: the front-end left query %d", self.name, qid)
+        try:
+            gchan = self._await(("gsort", qid), self.timeout)
         except TransportError:
             if not answered:
                 raise
@@ -583,9 +636,9 @@ class IndexServer:
     def _coordinate_contribs(self, qid: int) -> None:
         """Cluster-1 coordinator: gather masked vectors and garble the
         global merge for the cluster-0 coordinator. The merge session is
-        opened even when a shard failed or nothing is to be merged, and
-        then closed at once, so the cluster-0 coordinator never waits out
-        its timeout for it."""
+        opened even when a shard failed, a contribution never came or
+        nothing is to be merged, and then closed at once, so the cluster-0
+        coordinator never waits out its timeout for it."""
         contributions = []
         failed = False
         try:
@@ -596,6 +649,9 @@ class IndexServer:
                     masked = [m for m, _ in entries]
                     payloads = [p for _, p in entries]
                     contributions.append((shard, masked, payloads))
+        except TransportError:
+            log.warning("%s: a contribution to query %d never came", self.name, qid)
+            failed = True
         finally:
             self._drop(("contrib", qid))
         gchan = self._connect(server_name(0, 0))

@@ -1,16 +1,18 @@
 """Framed binary messaging between the front-end, index servers,
 counterparts, and coordinators.
 
-Frame layout (normative, bit-exact in both loopback and TCP modes):
+Frame layout (normative, bit-exact on every channel):
 
     length   u32 big-endian   (= 14 + payload size)
     type     u16 big-endian   (registry below)
     session  u64 big-endian
     payload  bytes
 
-An in-process loopback fabric backs single-machine runs and tests; a TCP
-mode serves multi-process deployments. Channels expose byte counters for
-communication-overhead reporting and optional transcript recording.
+One Channel class frames every stream: a TCP connection between
+processes, or one end of an in-process socket pair, which the loopback
+fabric hands out for single-machine runs and tests. Channels expose byte
+counters for communication-overhead reporting and optional transcript
+recording.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "MSG_NAMES",
     "Channel",
     "ChannelClosed",
-    "SequenceError",
     "TransportError",
     "Transcript",
     "save_transcript",
@@ -42,7 +43,7 @@ HEADER_LEN = 14  # length(4) + type(2) + session(8)
 # The largest legitimate frame is the merge CIRCUIT_BLOB at circuits.MAX_SORT_K:
 # 28,160 comparators of at most 31 + 31 + 27 AND gates, 64 bytes each, ~160 MB.
 MAX_FRAME_BYTES = 1 << 28
-RECV_CHUNK = 1 << 20
+RECV_CHUNK = 1 << 16
 
 # Message-type registry shared by every module.
 MSG = {
@@ -72,10 +73,6 @@ class TransportError(Exception):
 
 
 class ChannelClosed(TransportError):
-    pass
-
-
-class SequenceError(TransportError):
     pass
 
 
@@ -135,6 +132,8 @@ def save_transcript(transcript: Transcript, path) -> None:
 
 
 def load_transcript(path) -> Transcript:
+    """Strict: a truncated entry, a direction byte other than 0/1 or a
+    party name that is not UTF-8 raises TransportError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(_TRANSCRIPT_MAGIC):
@@ -142,11 +141,17 @@ def load_transcript(path) -> Transcript:
     transcript = Transcript()
     off = len(_TRANSCRIPT_MAGIC)
     while off < len(data):
-        name_len, is_recv = struct.unpack(">BB", data[off : off + 2])
-        off += 2
-        party = data[off : off + name_len].decode()
-        off += name_len
-        (frame_len,) = struct.unpack(">I", data[off : off + 4])
+        if off + 2 > len(data) or off + 6 + data[off] > len(data):
+            raise TransportError(f"{path}: truncated entry at byte {off}")
+        name_len, is_recv = data[off], data[off + 1]
+        if is_recv > 1:
+            raise TransportError(f"{path}: direction byte {is_recv} at byte {off}")
+        try:
+            party = data[off + 2 : off + 2 + name_len].decode()
+        except UnicodeDecodeError:
+            raise TransportError(f"{path}: party name at byte {off} is not UTF-8") from None
+        off += 2 + name_len
+        (frame_len,) = struct.unpack_from(">I", data, off)
         frame = Frame.decode(data[off : off + frame_len])
         off += frame_len
         transcript.entries.append((party, "recv" if is_recv else "send", frame))
@@ -154,26 +159,51 @@ def load_transcript(path) -> Transcript:
 
 
 class Channel:
-    """Ordered reliable frame channel. Subclasses supply raw byte I/O."""
+    """Ordered reliable frame channel over a connected stream socket: a TCP
+    connection, or one end of an in-process socket pair. Frames announced
+    above MAX_FRAME_BYTES are refused, a closed peer raises ChannelClosed on
+    send and on receive, and no send or receive waits longer than its
+    timeout. After a send or receive fails, the stream is out of step: the
+    channel is only good for close()."""
 
-    def __init__(self, name: str = ""):
+    def __init__(self, sock: socket.socket, name: str = ""):
+        self._sock = sock
+        self._buf, self._pos = b"", 0  # bytes received, not yet returned from _pos on
         self.name = name
         self.bytes_sent = 0
         self.bytes_received = 0
         self.transcript: Transcript | None = None
         self.party: str = ""
 
-    def send(self, frame: Frame) -> None:
+    def send(self, frame: Frame, timeout: float | None = 30.0) -> None:
         data = frame.encode()
-        self._send_bytes(data)
+        try:
+            self._sock.settimeout(timeout)
+            self._sock.sendall(data)
+        except socket.timeout:
+            raise TransportError(f"send timeout on channel {self.name}") from None
+        except OSError as exc:
+            raise ChannelClosed(f"channel {self.name}: {exc}") from None
         self.bytes_sent += len(data)
         if self.transcript is not None:
             self.transcript.record(self.party, "send", frame)
 
     def recv(self, timeout: float | None = 30.0) -> Frame:
-        data = self._recv_bytes(timeout)
-        frame = Frame.decode(data)
-        self.bytes_received += len(data)
+        try:
+            self._sock.settimeout(timeout)
+        except OSError as exc:
+            raise ChannelClosed(f"channel {self.name}: {exc}") from None
+        length, ftype, session = struct.unpack(">IHQ", self._read(HEADER_LEN))
+        if length < HEADER_LEN:
+            raise TransportError("frame too short")
+        if length > MAX_FRAME_BYTES:
+            raise TransportError(
+                f"peer announced a {length}-byte frame; the limit is {MAX_FRAME_BYTES}"
+            )
+        if ftype not in MSG_NAMES:
+            raise TransportError(f"unknown message type 0x{ftype:04x}")
+        frame = Frame(ftype, session, self._read(length - HEADER_LEN))
+        self.bytes_received += length
         if self.transcript is not None:
             self.transcript.record(self.party, "recv", frame)
         return frame
@@ -184,62 +214,40 @@ class Channel:
             raise TransportError(f"expected {msg_name}, got {frame.name}")
         return frame
 
-    def close(self) -> None:
-        pass
-
-    def _send_bytes(self, data: bytes) -> None:
-        raise NotImplementedError
-
-    def _recv_bytes(self, timeout) -> bytes:
-        raise NotImplementedError
-
-
-_CLOSE = object()
-
-
-class LoopbackChannel(Channel):
-    """One endpoint of an in-process channel pair. Frames carry a per-channel
-    sequence number outside the normative frame bytes so reordering injected
-    by tests is detected."""
-
-    def __init__(self, name: str = ""):
-        super().__init__(name)
-        self.inbox: queue.Queue = queue.Queue()
-        self.peer: "LoopbackChannel | None" = None
-        self._send_seq = 0
-        self._recv_seq = 0
-        self._closed = False
-
-    def _send_bytes(self, data: bytes) -> None:
-        if self.peer is None or self._closed:
-            raise ChannelClosed(f"channel {self.name} is closed")
-        self.peer.inbox.put((self._send_seq, data))
-        self._send_seq += 1
-
-    def _recv_bytes(self, timeout) -> bytes:
-        try:
-            item = self.inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise TransportError(f"recv timeout on channel {self.name}")
-        if item is _CLOSE:
-            raise ChannelClosed(f"channel {self.name} closed by peer")
-        seq, data = item
-        if seq != self._recv_seq:
-            raise SequenceError(f"expected frame #{self._recv_seq}, got #{seq}")
-        self._recv_seq += 1
-        return data
+    def _read(self, n: int) -> bytes:
+        """The next n bytes of the stream. Each socket read asks for
+        RECV_CHUNK bytes, so a frame that has already arrived whole costs one
+        read, and the buffer grows with the bytes that actually arrive, never
+        with a peer's announcement."""
+        buf, pos = self._buf, self._pos
+        if len(buf) - pos < n:
+            parts = [buf[pos:]] if pos < len(buf) else []
+            have = len(buf) - pos
+            while have < n:
+                try:
+                    chunk = self._sock.recv(RECV_CHUNK)
+                except socket.timeout:
+                    raise TransportError(f"recv timeout on channel {self.name}") from None
+                except OSError as exc:
+                    raise ChannelClosed(f"channel {self.name}: {exc}") from None
+                if not chunk:
+                    raise ChannelClosed(f"channel {self.name} closed by peer")
+                parts.append(chunk)
+                have += len(chunk)
+            buf, pos = b"".join(parts), 0
+        end = pos + n
+        # a consumed buffer is let go at once, not kept until the next read
+        self._buf, self._pos = (buf, end) if end < len(buf) else (b"", 0)
+        return buf[pos:end]
 
     def close(self) -> None:
-        self._closed = True
-        if self.peer is not None:
-            self.peer.inbox.put(_CLOSE)
+        self._sock.close()
 
 
-def loopback_pair(name: str = "") -> tuple[LoopbackChannel, LoopbackChannel]:
-    a = LoopbackChannel(f"{name}:a")
-    b = LoopbackChannel(f"{name}:b")
-    a.peer, b.peer = b, a
-    return a, b
+def loopback_pair(name: str = "") -> tuple[Channel, Channel]:
+    """The two ends of an in-process socket pair."""
+    a, b = socket.socketpair()
+    return Channel(a, f"{name}:a"), Channel(b, f"{name}:b")
 
 
 class LoopbackFabric:
@@ -254,22 +262,25 @@ class LoopbackFabric:
         with self._lock:
             if addr in self._listeners:
                 raise TransportError(f"address already bound: {addr}")
-            q: queue.Queue = queue.Queue()
-            self._listeners[addr] = q
+            q = self._listeners[addr] = queue.Queue()
         return LoopbackListener(addr, q, self)
 
-    def connect(self, addr: str, timeout: float | None = 10.0) -> LoopbackChannel:
+    def connect(self, addr: str, timeout: float | None = 10.0) -> Channel:
+        # under the lock, so that no connection is queued after the
+        # listener's close marker
         with self._lock:
             q = self._listeners.get(addr)
-        if q is None:
-            raise TransportError(f"connection refused: {addr}")
-        client, server = loopback_pair(addr)
-        q.put(server)
+            if q is None:
+                raise TransportError(f"connection refused: {addr}")
+            client, server = loopback_pair(addr)
+            q.put(server)
         return client
 
     def _unbind(self, addr: str) -> None:
         with self._lock:
-            self._listeners.pop(addr, None)
+            q = self._listeners.pop(addr, None)
+            if q is not None:
+                q.put(None)
 
 
 class LoopbackListener:
@@ -277,67 +288,18 @@ class LoopbackListener:
         self.addr = addr
         self._queue = q
         self._fabric = fabric
-        self._closed = False
 
-    def accept(self, timeout: float | None = 30.0) -> LoopbackChannel:
+    def accept(self, timeout: float | None = 30.0) -> Channel:
         try:
             chan = self._queue.get(timeout=timeout)
         except queue.Empty:
             raise TransportError(f"accept timeout on {self.addr}")
-        if chan is _CLOSE:
+        if chan is None:
             raise ChannelClosed(f"listener {self.addr} closed")
         return chan
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._fabric._unbind(self.addr)
-            self._queue.put(_CLOSE)
-
-
-class TcpChannel(Channel):
-    def __init__(self, sock: socket.socket, name: str = ""):
-        super().__init__(name)
-        self._sock = sock
-
-    def _send_bytes(self, data: bytes) -> None:
-        try:
-            self._sock.sendall(data)
-        except OSError as exc:
-            raise ChannelClosed(str(exc)) from exc
-
-    def _recv_bytes(self, timeout) -> bytes:
-        self._sock.settimeout(timeout)
-        header = self._recv_exact(4)
-        (length,) = struct.unpack(">I", header)
-        if length < HEADER_LEN:
-            raise TransportError("frame too short")
-        if length > MAX_FRAME_BYTES:
-            raise TransportError(
-                f"peer announced a {length}-byte frame; the limit is {MAX_FRAME_BYTES}"
-            )
-        return header + self._recv_exact(length - 4)
-
-    def _recv_exact(self, n: int) -> bytes:
-        # grows with the bytes that actually arrive, never with the announcement
-        buf = bytearray()
-        while len(buf) < n:
-            try:
-                chunk = self._sock.recv(min(n - len(buf), RECV_CHUNK))
-            except socket.timeout:
-                raise TransportError(f"recv timeout on channel {self.name}")
-            except OSError as exc:
-                raise ChannelClosed(str(exc)) from exc
-            if not chunk:
-                raise ChannelClosed(f"channel {self.name} closed by peer")
-            buf += chunk
-        return bytes(buf)
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self._fabric._unbind(self.addr)
 
 
 class TcpListener:
@@ -348,22 +310,21 @@ class TcpListener:
         self._sock.listen()
         self.addr = self._sock.getsockname()
 
-    def accept(self, timeout: float | None = 30.0) -> TcpChannel:
+    def accept(self, timeout: float | None = 30.0) -> Channel:
         self._sock.settimeout(timeout)
         try:
             conn, peer = self._sock.accept()
         except socket.timeout:
             raise TransportError(f"accept timeout on {self.addr}")
-        return TcpChannel(conn, f"{peer[0]}:{peer[1]}")
+        return Channel(conn, f"{peer[0]}:{peer[1]}")
 
     def close(self) -> None:
         self._sock.close()
 
 
-def tcp_connect(host: str, port: int, timeout: float = 10.0) -> TcpChannel:
+def tcp_connect(host: str, port: int, timeout: float = 10.0) -> Channel:
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:
         raise TransportError(f"connection refused: {host}:{port}") from exc
-    sock.settimeout(None)
-    return TcpChannel(sock, f"{host}:{port}")
+    return Channel(sock, f"{host}:{port}")

@@ -150,6 +150,17 @@ class TestAudit:
         bad.write_bytes(b"hello")
         assert main(["audit", "--transcript", str(bad)]) == 2
 
+    @pytest.mark.parametrize("cut", [7, 18])
+    def test_truncated_transcript(self, tmp_path, cut):
+        from privgraph.transport import MSG, Frame, Transcript, save_transcript
+
+        t = Transcript()
+        t.record("is00", "send", Frame(MSG["TUPLE_COUNT"], 1, b"\x00\x00\x00\x05"))
+        path = tmp_path / "cut.bin"
+        save_transcript(t, path)
+        path.write_bytes(path.read_bytes()[:cut])
+        assert main(["audit", "--transcript", str(path)]) == 2
+
 
 def free_ports(n):
     socks = []

@@ -1,6 +1,7 @@
 import secrets
 import threading
 
+import numpy as np
 import pytest
 
 from privgraph.crypto import GroupContext
@@ -57,6 +58,8 @@ def run_pair(sender_fn, receiver_fn, tampered=None):
         t.start()
     for t in threads:
         t.join(timeout=60)
+    chan_a.close()
+    chan_b.close()
     if errors:
         raise errors[0]
     return out["sender"], out["receiver"]
@@ -129,6 +132,40 @@ class TestCorrelatedOT:
         (va, vb), (wa, wb) = run_pair(sender_fn, receiver_fn)
         assert all((w - v) % SHARE_MODULUS == 10 for v, w in zip(va, wa))
         assert all((w - v) % SHARE_MODULUS == 20 for v, w in zip(vb, wb))
+
+    def test_extensions_draw_fresh_prg_output(self):
+        # each OT_EXTEND row is G(k0) ^ G(k1) ^ r for one seed pair: were the
+        # PRG output reused, two extensions would XOR to r_a ^ r_b in every row
+        m = 64
+        bits_a = [secrets.randbelow(2) for _ in range(m)]
+        bits_b = [secrets.randbelow(2) for _ in range(m)]
+        extends = []
+
+        def receiver_fn(r):
+            real_send = r.channel.send
+
+            def send(frame):
+                if frame.name == "OT_EXTEND":
+                    extends.append(frame.payload)
+                real_send(frame)
+
+            r.channel.send = send
+            return r.recv_correlated(bits_a), r.recv_correlated(bits_b)
+
+        (va, vb), (wa, wb) = run_pair(
+            lambda s: (s.send_correlated([10] * m), s.send_correlated([20] * m)),
+            receiver_fn,
+        )
+        assert all(w == (v + b * 10) % SHARE_MODULUS for v, w, b in zip(va, wa, bits_a))
+        assert all(w == (v + b * 20) % SHARE_MODULUS for v, w, b in zip(vb, wb, bits_b))
+        r_xor = bytes(np.packbits(np.array(bits_a, dtype=np.uint8) ^ np.array(bits_b, dtype=np.uint8)))
+        mb = m // 8
+        rows = [
+            bytes(x ^ y for x, y in zip(extends[0][j * mb : (j + 1) * mb],
+                                        extends[1][j * mb : (j + 1) * mb]))
+            for j in range(128)
+        ]
+        assert not any(row == r_xor for row in rows)
 
 
 class TestErrors:

@@ -1,6 +1,10 @@
 """End-to-end encrypted query pipeline over the in-process cluster."""
 
 import importlib.util
+import os
+import secrets
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -8,8 +12,9 @@ import pytest
 
 from privgraph import crypto
 from privgraph import server as server_mod
-from privgraph.builder import PartitionConfig, build_edb
+from privgraph.builder import PartitionConfig, build_edb, hash_to_shard
 from privgraph.cluster import LocalCluster
+from privgraph.crypto import SHARE_MODULUS
 from privgraph.graph import PlaintextEngine, build_inverted_index, random_graph
 from privgraph.oxt import IntegrityError
 from privgraph.planner import QueryError
@@ -24,7 +29,7 @@ from privgraph.server import (
     encode_result,
 )
 from privgraph.sexpr import BoolFormula, parse_sexpr
-from privgraph.transport import Transcript
+from privgraph.transport import ChannelClosed, Transcript, loopback_pair
 
 
 KEYS = crypto.MasterKeyBundle(*(bytes([i + 3]) * 16 for i in range(5)))
@@ -237,14 +242,70 @@ class TestDegraded:
             fe.query(f"(term {term})", sort=True)
 
 
-def wait_sessions_drained(cluster, names=("is00", "is10"), within=5.0):
-    """The coordinators' session queues empty out once their threads end."""
+def threads_in_channel_calls(cluster) -> list[str]:
+    """The cluster's threads now blocked in a channel send or receive."""
+    servers = {id(s) for s in cluster.servers.values()}
+    frames = sys._current_frames()
+    busy = []
+    for thread in threading.enumerate():
+        frame = frames.get(thread.ident)
+        stack = []
+        while frame is not None:
+            stack.append(frame)
+            frame = frame.f_back
+        ours = any(id(f.f_locals.get("self")) in servers for f in stack)
+        if ours and any(
+            f.f_code.co_filename.endswith("transport.py") and f.f_code.co_name in ("send", "recv")
+            for f in stack
+        ):
+            busy.append(thread.name)
+    return busy
+
+
+def wait_sessions_drained(cluster, within=5.0):
+    """Every server's session queues empty out, and no server thread is left
+    in a channel call, once the query's threads end."""
     deadline = time.monotonic() + within
     while time.monotonic() < deadline:
-        if not any(cluster.servers[n]._sessions for n in names):
+        sessions = {n: list(s._sessions) for n, s in cluster.servers.items() if s._sessions}
+        busy = threads_in_channel_calls(cluster)
+        if not sessions and not busy:
             return
         time.sleep(0.01)
-    assert {n: list(cluster.servers[n]._sessions) for n in names} == {n: [] for n in names}
+    assert (sessions, busy) == ({}, [])
+
+
+def open_fds() -> int | None:
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
+def fail_boolean_query(monkeypatch):
+    """Make boolean_query raise on the servers whose TSet is in the returned list."""
+    real = server_mod.boolean_query
+    failing_tsets = []
+
+    def boolean_query(tset, *args):
+        if any(tset is t for t in failing_tsets):
+            raise RuntimeError("injected query failure")
+        return real(tset, *args)
+
+    monkeypatch.setattr(server_mod, "boolean_query", boolean_query)
+    return failing_tsets
+
+
+def conjunction_on_both_shards(index):
+    """An (and a b) with results on both shards of a 2-shard EDB, so that
+    both counterpart pairs run a local sort."""
+    terms = top_terms(index, 10)
+    for a in terms:
+        for b in terms:
+            both = index[a].ids() & index[b].ids()
+            if a < b and {hash_to_shard(eid, 2, "sha256") for eid in both} == {0, 1}:
+                return f"(and {a} {b})"
+    raise AssertionError("no conjunction with results on both shards")
 
 
 class TestFailFast:
@@ -259,6 +320,9 @@ class TestFailFast:
             # the failure: its coordinator closes the merge session at once
             pytest.param("local_sort_evaluator", "is11", True, "closed the merge",
                          id="local_sort_evaluator-is11-after-sorting"),
+            # the cluster-1 coordinator fails its own sort phase
+            pytest.param("local_sort_evaluator", "is10", False, "shard 0 degraded",
+                         id="local_sort_evaluator-is10"),
         ],
     )
     def test_failed_local_sort_reported_at_once(
@@ -291,6 +355,65 @@ class TestFailFast:
             assert set(fe.query(f"(term {term})")) == index[term].ids()
             wait_sessions_drained(cluster)
 
+    def test_late_session_closed_on_arrival(self, setup):
+        _, _, cluster, _ = setup
+        server = cluster.server(1, 0)
+        key = ("sort", secrets.randbits(64))
+        early_peer, early = loopback_pair("early")
+        server._deliver(key, early)  # delivered, then never consumed
+        server._drop(key)
+        late_peer, late = loopback_pair("late")
+        server._deliver(key, late)
+        assert key not in server._sessions
+        for peer in (early_peer, late_peer):
+            with pytest.raises(ChannelClosed):
+                peer.recv(timeout=1)
+
+    @pytest.mark.parametrize("party", ["is11", "is10", "is01", "is00"])
+    def test_failed_query_releases_every_session(self, setup, monkeypatch, party):
+        # the server fails before its RESULT, so its sort phase never starts
+        index, engine, _, _ = setup
+        edb = build_edb(
+            index, KEYS, crypto.GroupContext(), PartitionConfig(shards_per_cluster=2, seed=21)
+        )
+        failing_tsets = fail_boolean_query(monkeypatch)
+        text = conjunction_on_both_shards(index)
+        with LocalCluster(edb) as cluster:  # the default 60 s server timeout
+            fe = cluster.front_end(KEYS, lengths=engine.lengths)
+            failing_tsets.append(cluster.servers[party].data.tset)
+            t0 = time.perf_counter()
+            with pytest.raises(QueryError):
+                fe.query(text, sort=True)
+            assert time.perf_counter() - t0 < 5
+            wait_sessions_drained(cluster)
+
+    def test_no_descriptor_outlives_its_query(self, setup, monkeypatch):
+        index, engine, _, _ = setup
+        if open_fds() is None:
+            pytest.skip("no /proc/self/fd")
+        edb = build_edb(
+            index, KEYS, crypto.GroupContext(), PartitionConfig(shards_per_cluster=2, seed=21)
+        )
+        failing_tsets = fail_boolean_query(monkeypatch)
+        text = conjunction_on_both_shards(index)
+        parties = ["is00", "is01", "is10", "is11"]
+        with LocalCluster(edb, timeout=10.0) as cluster:
+            fe = cluster.front_end(KEYS, lengths=engine.lengths)
+            before = open_fds()
+            for i in range(20):
+                failing_tsets[:] = [cluster.servers[parties[i // 5]].data.tset] if i % 5 == 4 else []
+                try:
+                    fe.query(text, sort=True)
+                except QueryError:
+                    assert i % 5 == 4
+                else:
+                    assert i % 5 != 4
+            wait_sessions_drained(cluster)
+            deadline = time.monotonic() + 5
+            while open_fds() != before and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert open_fds() == before
+
 
 class TestSecureMode:
     def test_scored_query_with_cot_triples(self, setup):
@@ -308,6 +431,23 @@ class TestSecureMode:
                     index[term].entries, key=lambda e: (-(e[0] ** 2), e[1])
                 )
             ]
+            assert_ranked(got, oracle)
+
+    def test_two_multiplications_on_one_triple_source(self, setup):
+        # both triples come from one OT pair, so its second extension must
+        # continue the seed streams where the first one stopped
+        index, engine, _, _ = setup
+        edb = build_edb(
+            index, KEYS, crypto.GroupContext(), PartitionConfig(shards_per_cluster=1, seed=21)
+        )
+        with LocalCluster(edb, run_mode="secure", timeout=60.0) as cluster:
+            fe = cluster.front_end(KEYS, lengths=engine.lengths, timeout=120.0)
+            term = min(top_terms(index, 8), key=lambda t: len(index[t]))
+            got = fe.query(f"(term {term})", sort=True, score="(mul (mul key key) key)")
+            oracle = sorted(
+                ((sk**3 % SHARE_MODULUS, eid) for sk, eid in index[term].entries),
+                key=lambda e: (-e[0], e[1]),
+            )
             assert_ranked(got, oracle)
 
 
@@ -338,6 +478,19 @@ class TestHygiene:
         before = server.store_fingerprint()
         fe.query(f"(term {top_terms(index, 1)[0]})", sort=True)
         assert server.store_fingerprint() == before
+
+    def test_query_ids_are_full_width(self, setup):
+        # server session maps key on query ids, so they must not share a
+        # prefix across front-ends
+        index, engine, cluster, _ = setup
+        transcript = Transcript()
+        term = top_terms(index, 1)[0]
+        for _ in range(64):
+            fe = cluster.front_end(KEYS, lengths=engine.lengths, transcript=transcript)
+            fe.query(f"(term {term})")
+        ids = {f.session for _, _, f in transcript.entries if f.name == "QUERY_INIT"}
+        assert len(ids) == 64
+        assert max(ids) >= 1 << 56
 
     def test_tampered_result_raises(self, setup):
         index, engine, _, _ = setup

@@ -39,6 +39,8 @@ def run_session(garbler_fn, evaluator_fn, transcript=None):
         t.start()
     for t in threads:
         t.join(timeout=300)
+    for chan in (chan_g, chan_e):
+        chan.close()  # the byte counters stay readable
     if errors:
         raise errors[0]
     return out["g"], out["e"], chan_g
@@ -105,8 +107,13 @@ class TestLocalSort:
             )
 
     def test_empty_rejected(self):
-        with pytest.raises(SortError):
-            local_sort_garbler(loopback_pair("x")[0], 1, [], GroupContext())
+        a, b = loopback_pair("x")
+        try:
+            with pytest.raises(SortError):
+                local_sort_garbler(a, 1, [], GroupContext())
+        finally:
+            a.close()
+            b.close()
 
 
 class TestGlobalSort:
@@ -161,8 +168,13 @@ class TestGlobalSort:
         assert top == flat[:10]
 
     def test_empty_contributions_rejected(self):
-        with pytest.raises(SortError):
-            global_sort_garbler(loopback_pair("x")[0], 1, [], GroupContext())
+        a, b = loopback_pair("x")
+        try:
+            with pytest.raises(SortError):
+                global_sort_garbler(a, 1, [], GroupContext())
+        finally:
+            a.close()
+            b.close()
 
 
 # (frame, payload bytes) each party sends in a k = 5, 3 and 1 local sort and

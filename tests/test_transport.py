@@ -1,6 +1,7 @@
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -14,14 +15,22 @@ from privgraph.transport import (
     ChannelClosed,
     Frame,
     LoopbackFabric,
-    SequenceError,
-    TcpChannel,
     TcpListener,
     Transcript,
     TransportError,
+    load_transcript,
     loopback_pair,
+    save_transcript,
     tcp_connect,
 )
+
+
+@pytest.fixture
+def pair():
+    a, b = loopback_pair("t")
+    yield a, b
+    a.close()
+    b.close()
 
 
 class TestFrame:
@@ -48,51 +57,69 @@ class TestFrame:
 
 
 class TestLoopback:
-    def test_echo_1mb(self):
-        a, b = loopback_pair("t")
+    def test_echo_1mb(self, pair):
+        a, b = pair
         blob = bytes(range(256)) * 4096
-        a.send(Frame(MSG["CIRCUIT_BLOB"], 7, blob))
-        got = b.recv()
+        # larger than the socket buffer: the send completes as the peer reads
+        thread = threading.Thread(target=a.send, args=(Frame(MSG["CIRCUIT_BLOB"], 7, blob),))
+        thread.start()
+        try:
+            got = b.recv(timeout=10)
+        finally:
+            thread.join(timeout=10)
+        assert not thread.is_alive()
         assert got.payload == blob and got.session == 7
 
-    def test_fifo_order(self):
-        a, b = loopback_pair("t")
+    def test_fifo_order(self, pair):
+        a, b = pair
         for i in range(50):
             a.send(Frame(MSG["RESULT"], i))
         assert [b.recv().session for i in range(50)] == list(range(50))
 
-    def test_byte_counters(self):
-        a, b = loopback_pair("t")
+    def test_byte_counters(self, pair):
+        a, b = pair
         a.send(Frame(MSG["RESULT"], 0, b"12345"))
         b.recv()
         assert a.bytes_sent == 19
         assert b.bytes_received == 19
 
-    def test_out_of_order_detected(self):
-        a, b = loopback_pair("t")
-        a.send(Frame(MSG["RESULT"], 0))
-        a.send(Frame(MSG["RESULT"], 1))
-        # swap the queued items to simulate reordering
-        first = b.inbox.get()
-        second = b.inbox.get()
-        b.inbox.put(second)
-        b.inbox.put(first)
-        with pytest.raises(SequenceError):
-            b.recv()
-
-    def test_recv_timeout(self):
-        a, b = loopback_pair("t")
+    def test_recv_timeout(self, pair):
+        a, b = pair
         with pytest.raises(TransportError, match="timeout"):
             b.recv(timeout=0.05)
 
-    def test_close_unblocks_peer(self):
-        a, b = loopback_pair("t")
+    def test_close_unblocks_peer(self, pair):
+        a, b = pair
         a.close()
         with pytest.raises(ChannelClosed):
             b.recv()
 
-    def test_expect_wrong_type(self):
-        a, b = loopback_pair("t")
+    def test_send_to_closed_peer(self, pair):
+        a, b = pair
+        b.close()
+        with pytest.raises(ChannelClosed):
+            a.send(Frame(MSG["CIRCUIT_BLOB"], 0, bytes(1000)))
+        assert a.bytes_sent == 0
+
+    def test_send_to_peer_that_never_reads(self, pair):
+        a, b = pair
+        t0 = time.monotonic()
+        with pytest.raises(TransportError, match="send timeout"):
+            for _ in range(64):  # far beyond any socket buffer
+                a.send(Frame(MSG["CIRCUIT_BLOB"], 0, bytes(1 << 16)), timeout=0.2)
+        assert time.monotonic() - t0 < 5
+
+    def test_frames_buffered_together(self, pair):
+        # several frames that arrive in one read are returned one by one
+        a, b = pair
+        sent = [Frame(MSG["RESULT"], i, bytes(i)) for i in range(20)]
+        for frame in sent:
+            a.send(frame)
+        assert [b.recv(timeout=5) for _ in sent] == sent
+        assert b.bytes_received == sum(len(f.encode()) for f in sent)
+
+    def test_expect_wrong_type(self, pair):
+        a, b = pair
         a.send(Frame(MSG["RESULT"], 0))
         with pytest.raises(TransportError, match="expected"):
             b.expect("SORT_INIT")
@@ -108,6 +135,8 @@ class TestFabric:
         assert server.recv().payload == b"q"
         server.send(Frame(MSG["RESULT"], 1, b"r"))
         assert client.recv().payload == b"r"
+        client.close()
+        server.close()
 
     def test_connection_refused(self):
         with pytest.raises(TransportError, match="refused"):
@@ -119,8 +148,17 @@ class TestFabric:
         with pytest.raises(TransportError):
             fabric.listen("a")
 
-    def test_transcript_recording(self):
-        a, b = loopback_pair("t")
+    def test_listener_close_refuses(self):
+        fabric = LoopbackFabric()
+        listener = fabric.listen("is00")
+        listener.close()
+        with pytest.raises(ChannelClosed):
+            listener.accept(timeout=1)
+        with pytest.raises(TransportError, match="refused"):
+            fabric.connect("is00")
+
+    def test_transcript_recording(self, pair):
+        a, b = pair
         t = Transcript()
         a.transcript = t
         a.party = "sf"
@@ -160,7 +198,7 @@ class TestTcp:
 
     def test_oversized_announcement_rejected(self):
         a, b = socket.socketpair()
-        chan = TcpChannel(a, "pair")
+        chan = Channel(a, "pair")
         try:
             b.sendall(struct.pack(">I", 0xFFFFFFF0) + bytes(64))
             with pytest.raises(TransportError, match="limit"):
@@ -171,7 +209,7 @@ class TestTcp:
 
     def test_frame_larger_than_one_read(self):
         a, b = socket.socketpair()
-        sender, receiver = TcpChannel(a, "a"), TcpChannel(b, "b")
+        sender, receiver = Channel(a, "a"), Channel(b, "b")
         frame = Frame(MSG["CIRCUIT_BLOB"], 4, bytes(range(256)) * (3 * RECV_CHUNK // 256 + 1))
         thread = threading.Thread(target=sender.send, args=(frame,))
         thread.start()
@@ -197,3 +235,36 @@ class TestTcp:
             HEADER_LEN + 12 + 64 * merge + -(-n * merge_pw // 8),
         ]
         assert max(frames) <= MAX_FRAME_BYTES < 2 * max(frames)
+
+
+class TestTranscriptFile:
+    def write(self, tmp_path):
+        t = Transcript()
+        t.record("is00", "send", Frame(MSG["TUPLE_COUNT"], 1, b"\x00\x00\x00\x05"))
+        t.record("frontend", "recv", Frame(MSG["RESULT"], 1, b"\x00\x00"))
+        path = tmp_path / "t.bin"
+        save_transcript(t, path)
+        return t, path
+
+    def test_round_trip(self, tmp_path):
+        t, path = self.write(tmp_path)
+        assert load_transcript(path).entries == t.entries
+
+    def test_truncated_rejected(self, tmp_path):
+        t, path = self.write(tmp_path)
+        data = path.read_bytes()
+        first_entry_end = len(data) - (2 + len("frontend") + len(t.entries[1][2].encode()))
+        for cut in range(7, len(data)):
+            if cut == first_entry_end:
+                continue  # a whole one-entry transcript
+            path.write_bytes(data[:cut])
+            with pytest.raises(TransportError):
+                load_transcript(path)
+
+    def test_bad_party_name_rejected(self, tmp_path):
+        _, path = self.write(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[8] = 0xFF  # first byte of "is00"
+        path.write_bytes(bytes(data))
+        with pytest.raises(TransportError, match="UTF-8"):
+            load_transcript(path)
