@@ -3,7 +3,7 @@ transcript leakage audit.
 
 Commands:
     setup  — ingest an edge list, build keystore + encrypted databases
-    serve  — run one index server over TCP
+    serve  — run one index server over TCP, in secure run mode
     query  — run a query (--local single-process mode or against peers)
     audit  — classify a recorded transcript against the leakage alphabet
 
@@ -21,6 +21,8 @@ import logging
 import sys
 import time
 from pathlib import Path
+
+from .transport import SERVER_TIMEOUT
 
 log = logging.getLogger(__name__)
 
@@ -100,17 +102,19 @@ def _load_peers(path) -> dict:
 
 
 def cmd_serve(args) -> int:
-    from .server import IndexServer, ServerError, TcpTopology
+    """Servers of a deployment always generate triples by correlated OT:
+    a dealer's seed is known to every server, so either could rebuild them."""
+    from .server import IndexServer, ServerError
+    from .transport import Topology
 
     try:
-        topology = TcpTopology(_load_peers(args.peers))
         server = IndexServer.from_edb_dir(
-            args.edb, args.cluster, args.shard, topology,
-            run_mode=args.run_mode, timeout=args.timeout,
+            args.edb, args.cluster, args.shard, Topology(_load_peers(args.peers)),
+            run_mode="secure", timeout=args.timeout,
         )
+        server.start()
     except (OSError, ValueError, ServerError, KeyError) as exc:
         return _die(f"startup refused: {exc}")
-    server.start()
     print(f"serving {server.name} (cluster {args.cluster}, shard {args.shard}); "
           f"Ctrl-C to stop")
     try:
@@ -127,9 +131,8 @@ def cmd_query(args) -> int:
     from .crypto import GroupContext, load_keystore
     from .oxt import IntegrityError
     from .planner import FrontEnd, QueryError
-    from .server import TcpTopology
     from .sexpr import ParseError, parse_sexpr
-    from .transport import Transcript, save_transcript
+    from .transport import Topology, Transcript, save_transcript
 
     try:
         expr = parse_sexpr(args.query)
@@ -163,7 +166,7 @@ def cmd_query(args) -> int:
             peers = _load_peers(args.peers)
             n_shards = sum(1 for name in peers if name.startswith("is0"))
             fe = FrontEnd(
-                keys, TcpTopology(peers), n_shards,
+                keys, Topology(peers), n_shards,
                 lengths=lengths, timeout=args.timeout * 2, transcript=transcript,
             )
             ids = fe.query(expr, sort=args.sort, top_k=args.top_k, score=args.score)
@@ -238,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shard", type=int, required=True)
     p.add_argument("--peers", required=True,
                    help="JSON file mapping party names to host:port")
-    p.add_argument("--run-mode", choices=("dealer", "secure"), default="dealer")
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=float, default=SERVER_TIMEOUT)
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("query", help="run a query")
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--score", help="scoring formula, e.g. '(mul key key)'")
     p.add_argument("--record", help="write the session transcript here")
     p.add_argument("--run-mode", choices=("dealer", "secure"), default="dealer")
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=float, default=SERVER_TIMEOUT)
     p.set_defaults(fn=cmd_query)
 
     p = sub.add_parser("audit", help="audit a recorded transcript")

@@ -198,9 +198,9 @@ class PlaintextEngine:
     """Direct set-algebra evaluation of query operators over the plaintext
     index.  This is the oracle for every encrypted-path test."""
 
-    def __init__(self, index: dict[str, PostingList], use_stats: bool = True):
+    def __init__(self, index: dict[str, PostingList]):
         self.index = index
-        self.lengths = {t: len(p) for t, p in index.items()} if use_stats else None
+        self.lengths = {t: len(p) for t, p in index.items()}
 
     def posting(self, term: str):
         plist = self.index.get(term)

@@ -42,13 +42,12 @@ from .sorting import (
 )
 from .transport import (
     MSG,
+    SERVER_TIMEOUT,
     Channel,
     ChannelClosed,
     Frame,
-    TcpListener,
     Transcript,
     TransportError,
-    tcp_connect,
 )
 
 log = logging.getLogger(__name__)
@@ -56,7 +55,6 @@ log = logging.getLogger(__name__)
 __all__ = [
     "ServerError",
     "server_name",
-    "TcpTopology",
     "IndexServer",
     "encode_query_init",
     "decode_query_init",
@@ -82,6 +80,10 @@ STATUS_FAILED = 1
 # ended sessions remembered so that a late frame for one is discarded
 DROPPED_KEPT = 4096
 
+# the seed of dealer-mode triples; every server knows it, which is why
+# dealer mode is for single-process runs only
+DEALER_SEED = 0
+
 
 class ServerError(Exception):
     pass
@@ -89,21 +91,6 @@ class ServerError(Exception):
 
 def server_name(cluster: int, shard: int) -> str:
     return f"is{cluster}{shard}"
-
-
-class TcpTopology:
-    """Maps party names to TCP endpoints for multi-process deployments."""
-
-    def __init__(self, addresses: dict[str, tuple[str, int]]):
-        self.addresses = dict(addresses)
-
-    def listen(self, name: str):
-        host, port = self.addresses[name]
-        return TcpListener(host, port)
-
-    def connect(self, name: str, timeout: float | None = 10.0) -> Channel:
-        host, port = self.addresses[name]
-        return tcp_connect(host, port, timeout if timeout is not None else 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +302,8 @@ class IndexServer:
         topology,
         *,
         run_mode: str = "dealer",
-        dealer_seed: int = 0,
         transcript: Transcript | None = None,
-        timeout: float = 60.0,
+        timeout: float = SERVER_TIMEOUT,
     ):
         if run_mode not in ("dealer", "secure"):
             raise ServerError(f"unknown run mode {run_mode!r}")
@@ -327,7 +313,6 @@ class IndexServer:
         self.data = data
         self.topology = topology
         self.run_mode = run_mode
-        self.dealer_seed = dealer_seed
         self.transcript = transcript
         self.timeout = timeout
         self.name = server_name(cluster, shard)
@@ -389,10 +374,13 @@ class IndexServer:
     # -- connection routing
 
     def _accept_loop(self) -> None:
-        while self._running:
+        while True:
             try:
                 chan = self._listener.accept(timeout=None)
-            except (ChannelClosed, TransportError, OSError):
+            except TransportError:
+                break
+            if not self._running:  # accepted as the server stopped
+                chan.close()
                 break
             chan.transcript = self.transcript
             chan.party = self.name
@@ -677,7 +665,7 @@ class IndexServer:
 
         def dealer(shape):
             seed_bytes = hashlib.sha256(
-                struct.pack(">QQQI", self.dealer_seed, qid, counter["n"], self.shard)
+                struct.pack(">QQQI", DEALER_SEED, qid, counter["n"], self.shard)
             ).digest()
             counter["n"] += 1
             seed = int.from_bytes(seed_bytes[:8], "big")

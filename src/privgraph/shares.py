@@ -71,14 +71,6 @@ class ShareMatrix:
     def shape(self):
         return self.values.shape
 
-    def pack(self) -> bytes:
-        return self.values.astype(">u4").tobytes()
-
-    @classmethod
-    def unpack(cls, data: bytes, shape, party: int) -> "ShareMatrix":
-        arr = np.frombuffer(data, dtype=">u4").astype(np.int64).reshape(shape)
-        return cls(arr, party)
-
 
 def shr(values, rng: np.random.Generator) -> tuple[ShareMatrix, ShareMatrix]:
     """Split a value/matrix into two additive shares; share 0 is uniform."""

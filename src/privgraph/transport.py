@@ -8,16 +8,15 @@ Frame layout (normative, bit-exact on every channel):
     session  u64 big-endian
     payload  bytes
 
-One Channel class frames every stream: a TCP connection between
-processes, or one end of an in-process socket pair, which the loopback
-fabric hands out for single-machine runs and tests. Channels expose byte
-counters for communication-overhead reporting and optional transcript
-recording.
+One Channel class frames every stream, and one Listener and one Topology
+set every connection up: TCP between processes, AF_UNIX sockets when all
+parties share one process. Unit tests also use bare socket pairs. Channels
+expose byte counters for communication-overhead reporting and optional
+transcript recording.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
 import threading
@@ -34,9 +33,8 @@ __all__ = [
     "save_transcript",
     "load_transcript",
     "loopback_pair",
-    "LoopbackFabric",
-    "TcpListener",
-    "tcp_connect",
+    "Listener",
+    "Topology",
 ]
 
 HEADER_LEN = 14  # length(4) + type(2) + session(8)
@@ -44,6 +42,9 @@ HEADER_LEN = 14  # length(4) + type(2) + session(8)
 # 28,160 comparators of at most 31 + 31 + 27 AND gates, 64 bytes each, ~160 MB.
 MAX_FRAME_BYTES = 1 << 28
 RECV_CHUNK = 1 << 16
+CONNECT_TIMEOUT = 10.0
+# how long a server waits on a peer or a session before giving it up
+SERVER_TIMEOUT = 60.0
 
 # Message-type registry shared by every module.
 MSG = {
@@ -160,7 +161,7 @@ def load_transcript(path) -> Transcript:
 
 class Channel:
     """Ordered reliable frame channel over a connected stream socket: a TCP
-    connection, or one end of an in-process socket pair. Frames announced
+    or AF_UNIX connection, or one end of a socket pair. Frames announced
     above MAX_FRAME_BYTES are refused, a closed peer raises ChannelClosed on
     send and on receive, and no send or receive waits longer than its
     timeout. After a send or receive fails, the stream is out of step: the
@@ -244,87 +245,74 @@ class Channel:
         self._sock.close()
 
 
+def _family(addr) -> int:
+    """A str address is an AF_UNIX path, a (host, port) pair a TCP endpoint."""
+    return socket.AF_UNIX if isinstance(addr, str) else socket.AF_INET
+
+
 def loopback_pair(name: str = "") -> tuple[Channel, Channel]:
     """The two ends of an in-process socket pair."""
     a, b = socket.socketpair()
     return Channel(a, f"{name}:a"), Channel(b, f"{name}:b")
 
 
-class LoopbackFabric:
-    """Address-keyed registry of in-process listeners, standing in for a
-    network when all parties share one process."""
+class Listener:
+    """A listening stream socket at a TCP (host, port) address or an AF_UNIX
+    path. close() shuts the socket down before closing it, which wakes an
+    accept blocked in another thread; every later connect is refused."""
 
-    def __init__(self):
-        self._listeners: dict[str, queue.Queue] = {}
-        self._lock = threading.Lock()
-
-    def listen(self, addr: str) -> "LoopbackListener":
-        with self._lock:
-            if addr in self._listeners:
-                raise TransportError(f"address already bound: {addr}")
-            q = self._listeners[addr] = queue.Queue()
-        return LoopbackListener(addr, q, self)
-
-    def connect(self, addr: str, timeout: float | None = 10.0) -> Channel:
-        # under the lock, so that no connection is queued after the
-        # listener's close marker
-        with self._lock:
-            q = self._listeners.get(addr)
-            if q is None:
-                raise TransportError(f"connection refused: {addr}")
-            client, server = loopback_pair(addr)
-            q.put(server)
-        return client
-
-    def _unbind(self, addr: str) -> None:
-        with self._lock:
-            q = self._listeners.pop(addr, None)
-            if q is not None:
-                q.put(None)
-
-
-class LoopbackListener:
-    def __init__(self, addr: str, q: queue.Queue, fabric: LoopbackFabric):
-        self.addr = addr
-        self._queue = q
-        self._fabric = fabric
+    def __init__(self, addr):
+        self._sock = socket.socket(_family(addr), socket.SOCK_STREAM)
+        try:
+            if self._sock.family == socket.AF_INET:
+                self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._sock.bind(addr)
+            self._sock.listen()
+        except OSError:
+            self._sock.close()
+            raise
+        self.addr = self._sock.getsockname()  # the bound port of a port-0 address
 
     def accept(self, timeout: float | None = 30.0) -> Channel:
         try:
-            chan = self._queue.get(timeout=timeout)
-        except queue.Empty:
-            raise TransportError(f"accept timeout on {self.addr}")
-        if chan is None:
-            raise ChannelClosed(f"listener {self.addr} closed")
-        return chan
-
-    def close(self) -> None:
-        self._fabric._unbind(self.addr)
-
-
-class TcpListener:
-    def __init__(self, host: str, port: int):
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen()
-        self.addr = self._sock.getsockname()
-
-    def accept(self, timeout: float | None = 30.0) -> Channel:
-        self._sock.settimeout(timeout)
-        try:
-            conn, peer = self._sock.accept()
+            self._sock.settimeout(timeout)
+            conn, _ = self._sock.accept()
         except socket.timeout:
-            raise TransportError(f"accept timeout on {self.addr}")
-        return Channel(conn, f"{peer[0]}:{peer[1]}")
+            raise TransportError(f"accept timeout on {self.addr}") from None
+        except OSError:
+            raise ChannelClosed(f"listener {self.addr} closed") from None
+        return Channel(conn, str(self.addr))
 
     def close(self) -> None:
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already closed
         self._sock.close()
 
 
-def tcp_connect(host: str, port: int, timeout: float = 10.0) -> Channel:
-    try:
-        sock = socket.create_connection((host, port), timeout=timeout)
-    except OSError as exc:
-        raise TransportError(f"connection refused: {host}:{port}") from exc
-    return Channel(sock, f"{host}:{port}")
+class Topology:
+    """Maps party names to socket addresses: a (host, port) pair is a TCP
+    endpoint, a str is an AF_UNIX path. Multi-process deployments use TCP;
+    single-process runs use paths in a private directory."""
+
+    def __init__(self, addresses: dict):
+        self.addresses = dict(addresses)
+
+    def listen(self, name: str) -> Listener:
+        listener = Listener(self.addresses[name])
+        self.addresses[name] = listener.addr
+        return listener
+
+    def connect(self, name: str, timeout: float = CONNECT_TIMEOUT) -> Channel:
+        addr = self.addresses.get(name)
+        if addr is None:
+            raise TransportError(f"connection refused: no address for {name}")
+        sock = socket.socket(_family(addr), socket.SOCK_STREAM)
+        try:
+            sock.settimeout(timeout)
+            sock.connect(addr)
+        except OSError as exc:
+            sock.close()
+            raise TransportError(f"connection refused: {name} at {addr}") from exc
+        return Channel(sock, name)

@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 import socket
-import time
 from pathlib import Path
 
 import pytest
@@ -162,29 +161,17 @@ class TestAudit:
         assert main(["audit", "--transcript", str(path)]) == 2
 
 
-def free_ports(n):
-    socks = []
-    for _ in range(n):
-        s = socket.socket()
-        s.bind(("127.0.0.1", 0))
-        socks.append(s)
-    ports = [s.getsockname()[1] for s in socks]
-    for s in socks:
-        s.close()
-    return ports
-
-
 class TestTcpMode:
     def test_tcp_matches_local(self, workspace, edge_file):
         """Multi-endpoint TCP deployment returns the same results as
         --local for the same queries."""
         from privgraph.crypto import load_keystore
         from privgraph.planner import FrontEnd
-        from privgraph.server import IndexServer, TcpTopology
+        from privgraph.server import IndexServer
+        from privgraph.transport import Topology
 
-        ports = free_ports(4)
-        names = ["is00", "is01", "is10", "is11"]
-        topo = TcpTopology({n: ("127.0.0.1", p) for n, p in zip(names, ports)})
+        # port 0: each server's listen() writes its bound port back
+        topo = Topology({n: ("127.0.0.1", 0) for n in ["is00", "is01", "is10", "is11"]})
         servers = [
             IndexServer.from_edb_dir(
                 workspace / "edb", cluster, shard, topo, timeout=20.0
@@ -214,4 +201,59 @@ class TestTcpMode:
         finally:
             for s in servers:
                 s.stop()
-            time.sleep(0.1)
+
+
+@pytest.fixture
+def interrupted_serve(monkeypatch):
+    """serve's wait loop ends at its first sleep, as on Ctrl-C."""
+    from privgraph import cli
+
+    def interrupt(seconds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.time, "sleep", interrupt)
+
+
+class TestServe:
+    def test_dealer_run_mode_refused(self, workspace, tmp_path):
+        peers = tmp_path / "peers.json"
+        peers.write_text(json.dumps({"is00": "127.0.0.1:0"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--edb", str(workspace / "edb"), "--cluster", "0",
+                  "--shard", "0", "--peers", str(peers), "--run-mode", "dealer"])
+        assert exc.value.code == 2
+
+    def test_serves_in_secure_mode(
+        self, workspace, tmp_path, monkeypatch, interrupted_serve
+    ):
+        from privgraph.server import IndexServer
+
+        peers = tmp_path / "peers.json"
+        peers.write_text(json.dumps({"is00": "127.0.0.1:0"}))
+        started = []
+        start = IndexServer.start
+
+        def record_start(server):
+            started.append(server)
+            start(server)
+
+        monkeypatch.setattr(IndexServer, "start", record_start)
+        assert main(["serve", "--edb", str(workspace / "edb"), "--cluster", "0",
+                     "--shard", "0", "--peers", str(peers)]) == 0
+        (server,) = started
+        assert server.run_mode == "secure"
+        assert not server._running
+
+    def test_unusable_address_refused(self, workspace, tmp_path, interrupted_serve):
+        taken = socket.socket()
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        try:
+            host, port = taken.getsockname()
+            for peers in ({"is01": "127.0.0.1:0"}, {"is00": f"{host}:{port}"}):
+                path = tmp_path / "peers.json"
+                path.write_text(json.dumps(peers))
+                assert main(["serve", "--edb", str(workspace / "edb"), "--cluster", "0",
+                             "--shard", "0", "--peers", str(path)]) == 1
+        finally:
+            taken.close()

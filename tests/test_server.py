@@ -19,6 +19,7 @@ from privgraph.graph import PlaintextEngine, build_inverted_index, random_graph
 from privgraph.oxt import IntegrityError
 from privgraph.planner import QueryError
 from privgraph.server import (
+    IndexServer,
     QuerySpec,
     SubquerySpec,
     decode_global_result,
@@ -29,7 +30,13 @@ from privgraph.server import (
     encode_result,
 )
 from privgraph.sexpr import BoolFormula, parse_sexpr
-from privgraph.transport import ChannelClosed, Transcript, loopback_pair
+from privgraph.transport import (
+    ChannelClosed,
+    Topology,
+    Transcript,
+    TransportError,
+    loopback_pair,
+)
 
 
 KEYS = crypto.MasterKeyBundle(*(bytes([i + 3]) * 16 for i in range(5)))
@@ -240,6 +247,52 @@ class TestDegraded:
         # ranking needs both clusters
         with pytest.raises(QueryError, match="degraded"):
             fe.query(f"(term {term})", sort=True)
+
+
+class TestStop:
+    @pytest.mark.parametrize("form", ["tcp", "unix"])
+    def test_stopped_server_refuses_at_once(self, setup, tmp_path, form):
+        _, _, cluster, _ = setup
+        addr = ("127.0.0.1", 0) if form == "tcp" else str(tmp_path / "is00")
+        topology = Topology({"is00": addr})
+        server = IndexServer(0, 0, 1, cluster.server(0, 0).data, topology)
+        server.start()
+        (accept_thread,) = server._threads
+        topology.connect("is00").close()  # reachable while it runs
+        server.stop()
+        accept_thread.join(timeout=1)
+        assert not accept_thread.is_alive()
+        with pytest.raises(TransportError, match="refused"):
+            topology.connect("is00", timeout=1)
+
+    def test_connection_accepted_as_server_stops_is_closed(self, setup, monkeypatch):
+        _, _, cluster, _ = setup
+        client, late = loopback_pair("late")
+
+        class Listener:  # hands out one connection the stop raced with
+            def accept(self, timeout=None):
+                return late
+
+        server = IndexServer(0, 0, 1, cluster.server(0, 0).data, topology=None)
+        server._listener = Listener()
+        dispatched = []
+        monkeypatch.setattr(server, "_dispatch", dispatched.append)
+        server._accept_loop()  # not running: the loop closes it and ends
+        assert dispatched == []
+        with pytest.raises(ChannelClosed):
+            client.recv(timeout=1)
+        client.close()
+
+    def test_local_cluster_leaves_no_socket_behind(self, setup):
+        index, *_ = setup
+        edb = build_edb(
+            index, KEYS, crypto.GroupContext(), PartitionConfig(shards_per_cluster=1, seed=21)
+        )
+        cluster = LocalCluster(edb)
+        socket_dir = Path(cluster.socket_dir)
+        assert sorted(p.name for p in socket_dir.iterdir()) == ["is00", "is10"]
+        cluster.stop()
+        assert not socket_dir.exists()
 
 
 def threads_in_channel_calls(cluster) -> list[str]:

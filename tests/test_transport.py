@@ -1,3 +1,4 @@
+import errno
 import socket
 import struct
 import threading
@@ -14,15 +15,25 @@ from privgraph.transport import (
     Channel,
     ChannelClosed,
     Frame,
-    LoopbackFabric,
-    TcpListener,
+    Topology,
     Transcript,
     TransportError,
     load_transcript,
     loopback_pair,
     save_transcript,
-    tcp_connect,
 )
+
+
+def address_forms(tmp_path):
+    """The two forms of a party address: a TCP port-0 endpoint, whose bound
+    port listen() writes back, and an AF_UNIX path."""
+    return [("127.0.0.1", 0), str(tmp_path / "party.sock")]
+
+
+@pytest.fixture(params=["tcp", "unix"])
+def address(request, tmp_path):
+    tcp, unix = address_forms(tmp_path)
+    return tcp if request.param == "tcp" else unix
 
 
 @pytest.fixture
@@ -126,36 +137,68 @@ class TestLoopback:
 
 
 class TestFabric:
-    def test_connect_accept(self):
-        fabric = LoopbackFabric()
-        listener = fabric.listen("is00")
-        client = fabric.connect("is00")
-        server = listener.accept(timeout=1)
-        client.send(Frame(MSG["QUERY_INIT"], 1, b"q"))
-        assert server.recv().payload == b"q"
-        server.send(Frame(MSG["RESULT"], 1, b"r"))
-        assert client.recv().payload == b"r"
-        client.close()
-        server.close()
+    """Topology set-up, refusal and close over both address forms."""
 
-    def test_connection_refused(self):
+    def test_connect_accept(self, tmp_path):
+        for addr in address_forms(tmp_path):
+            topology = Topology({"is00": addr})
+            listener = topology.listen("is00")
+            client = topology.connect("is00")
+            server = listener.accept(timeout=1)
+            client.send(Frame(MSG["QUERY_INIT"], 1, b"q"))
+            assert server.recv().payload == b"q"
+            server.send(Frame(MSG["RESULT"], 1, b"r"))
+            assert client.recv().payload == b"r"
+            client.close()
+            server.close()
+            listener.close()
+
+    def test_connection_refused(self, tmp_path):
         with pytest.raises(TransportError, match="refused"):
-            LoopbackFabric().connect("nobody")
+            Topology({}).connect("nobody")
+        with pytest.raises(TransportError, match="refused"):
+            Topology({"nobody": str(tmp_path / "nobody.sock")}).connect("nobody")
 
-    def test_double_bind_rejected(self):
-        fabric = LoopbackFabric()
-        fabric.listen("a")
-        with pytest.raises(TransportError):
-            fabric.listen("a")
+    def test_double_bind_rejected(self, tmp_path):
+        for addr in address_forms(tmp_path):
+            topology = Topology({"a": addr})
+            listener = topology.listen("a")
+            try:
+                with pytest.raises(OSError) as exc:
+                    topology.listen("a")
+                assert exc.value.errno == errno.EADDRINUSE
+            finally:
+                listener.close()
 
-    def test_listener_close_refuses(self):
-        fabric = LoopbackFabric()
-        listener = fabric.listen("is00")
+    def test_listener_close_refuses(self, tmp_path):
+        for addr in address_forms(tmp_path):
+            topology = Topology({"is00": addr})
+            listener = topology.listen("is00")
+            listener.close()
+            with pytest.raises(ChannelClosed):
+                listener.accept(timeout=1)
+            with pytest.raises(TransportError, match="refused"):
+                topology.connect("is00", timeout=1)
+
+    def test_close_wakes_blocked_accept(self, address):
+        topology = Topology({"is00": address})
+        listener = topology.listen("is00")
+        raised = []
+
+        def accept():
+            try:
+                listener.accept(timeout=None)
+            except ChannelClosed as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=accept)
+        thread.start()
+        time.sleep(0.05)  # let the accept block
         listener.close()
-        with pytest.raises(ChannelClosed):
-            listener.accept(timeout=1)
+        thread.join(timeout=1)
+        assert not thread.is_alive() and len(raised) == 1
         with pytest.raises(TransportError, match="refused"):
-            fabric.connect("is00")
+            topology.connect("is00", timeout=1)
 
     def test_transcript_recording(self, pair):
         a, b = pair
@@ -169,8 +212,9 @@ class TestFabric:
 
 class TestTcp:
     def test_round_trip(self):
-        listener = TcpListener("127.0.0.1", 0)
-        host, port = listener.addr
+        topology = Topology({"is00": ("127.0.0.1", 0)})
+        listener = topology.listen("is00")
+        assert topology.addresses["is00"][1] != 0  # the bound port
         results = {}
 
         def serve():
@@ -181,7 +225,7 @@ class TestTcp:
 
         thread = threading.Thread(target=serve)
         thread.start()
-        client = tcp_connect(host, port)
+        client = topology.connect("is00")
         client.send(Frame(MSG["QUERY_INIT"], 9, b"ping"))
         reply = client.recv(timeout=5)
         thread.join(timeout=5)
@@ -193,8 +237,8 @@ class TestTcp:
         assert reply.encode() == Frame(MSG["RESULT"], 9, b"pong").encode()
 
     def test_refused(self):
-        with pytest.raises(TransportError):
-            tcp_connect("127.0.0.1", 1, timeout=0.2)
+        with pytest.raises(TransportError, match="refused"):
+            Topology({"x": ("127.0.0.1", 1)}).connect("x", timeout=0.2)
 
     def test_oversized_announcement_rejected(self):
         a, b = socket.socketpair()
