@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=int)
     p.add_argument("--score", help="scoring formula, e.g. '(mul key key)'")
     p.add_argument("--record", help="write the session transcript here")
-    p.add_argument("--run-mode", choices=("dealer", "secure"), default="dealer")
+    p.add_argument("--run-mode", choices=("dealer", "secure"), default="secure")
     p.add_argument("--timeout", type=float, default=SERVER_TIMEOUT)
     p.set_defaults(fn=cmd_query)
 

@@ -25,7 +25,7 @@ class LocalCluster:
         self,
         edb: EncryptedDatabase,
         *,
-        run_mode: str = "dealer",
+        run_mode: str = "secure",
         transcript: Transcript | None = None,
         timeout: float = SERVER_TIMEOUT,
     ):

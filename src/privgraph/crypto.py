@@ -40,7 +40,10 @@ __all__ = [
 ]
 
 # 256-bit safe prime p = 2q + 1; g = 4 generates the order-q subgroup of
-# quadratic residues, which is a DDH-hard group at this size.
+# quadratic residues. The group is NOT DDH-hard at this size: discrete
+# logarithms modulo a 256-bit prime are within reach of the number field
+# sieve. Moving xtags, xtokens and the base OT to an elliptic-curve group
+# such as P-256 is ROADMAP item 3.
 _P = 0xE7E29E4580E8D316E042F3B524116998E03E693F404BAC69C94EAC22D7E7842B
 _Q = 0x73F14F22C074698B702179DA9208B4CC701F349FA025D634E4A756116BF3C215
 _G = 4

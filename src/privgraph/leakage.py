@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from .crypto import GroupContext, hash_to_shard
 from .garble import GarbledCircuit
 from .graph import PlaintextEngine, PostingList, ranked
+from .ot import decode_ot_extend
 from .oxt import Subquery, compile_query
 from .server import (
     _decode_contrib,
@@ -164,8 +165,9 @@ def _whole_labels(payload: bytes) -> None:
 
 
 # frame type -> (leakage class in an honest transcript, structural check).
-# The check is the decoder of the module that speaks the frame; the OT and
-# label frames carry no header and keep context-free size rules (or none).
+# The check is the decoder of the module that speaks the frame; the label
+# frames and the other OT frames carry no header and keep context-free size
+# rules (or none).
 _ALPHABET = {
     "QUERY_INIT": ("stag + formula shape + x-term count (XP)", decode_query_init),
     "TUPLE_COUNT": ("tuple counts (SP)", decode_tuple_count),
@@ -179,7 +181,7 @@ _ALPHABET = {
     "GARBLER_LABELS": ("wire labels", _whole_labels),
     "MASK_LABELS": ("wire labels", _whole_labels),
     "OT_SETUP": ("oblivious-transfer setup", None),
-    "OT_EXTEND": ("oblivious-transfer extension", None),
+    "OT_EXTEND": ("oblivious-transfer extension", decode_ot_extend),
     "OT_PAYLOAD": ("wire labels", None),
     "CONTRIB": ("masked scores + ranks", _decode_contrib),
     "MASKS": ("masks", _decode_masks),

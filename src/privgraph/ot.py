@@ -6,27 +6,87 @@ The extension sender (who holds message pairs) plays base-OT receiver with
 its 128 secret selection bits; the extension receiver plays base-OT sender
 with 128 seed pairs. Per extension index i the parties derive 16-byte pads
 pad0/pad1 (sender) and pad_{b_i} (receiver).
+
+The base OT runs once per party pair and extension role, not once per
+session (Beaver, "Precomputing Oblivious Transfer", CRYPTO 1995; Ishai,
+Kilian, Nissim and Petrank, "Extending Oblivious Transfers Efficiently",
+CRYPTO 2003). An OTPair is what one party keeps for one counterpart. The
+extension receiver speaks first in every OT phase: OT_SETUP when the pair
+has no state, which sets one up, then one OT_EXTEND per extension. Each
+OT_EXTEND names its state (a hash of the set-up's first frame) and a range
+of the seeds' AES-CTR blocks and of the row-hash indices that the receiver
+allocated under the pair's lock, so no two extensions on a state share PRG
+output or hash indices. The sender refuses an unknown state and a range that
+overlaps one already used. A receiver whose OT fails drops its state, and
+the pair's next session sets up a new one.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import secrets
 import struct
+import threading
+from collections import OrderedDict
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .crypto import ELEMENT_BYTES, SHARE_MODULUS, GroupContext
-from .transport import MSG, Channel, Frame, TransportError
+from .transport import MSG, SERVER_TIMEOUT, Channel, Frame, TransportError
 
-__all__ = ["OTSender", "OTReceiver", "OTError", "SHARE_MODULUS"]
+__all__ = [
+    "OTPair",
+    "OTSender",
+    "OTReceiver",
+    "OTError",
+    "SHARE_MODULUS",
+    "encode_ot_extend",
+    "decode_ot_extend",
+]
 
 KAPPA = 128  # base-OT count / extension matrix width
+
+# sender states kept per pair: the newest, and older ones that sessions
+# begun before their receiver dropped them may still extend
+STATES_KEPT = 4
+
+# OT_EXTEND header: state id, first AES-CTR block, first row index, transfers
+_EXTEND = struct.Struct(">8sQQI")
+_U64 = 1 << 64
 
 
 class OTError(TransportError):
     pass
+
+
+def _row_bytes(m: int) -> int:
+    """Bytes of each seed's stream (one bit per transfer) in an extension."""
+    return (m + 7) // 8
+
+
+def _blocks(m: int) -> int:
+    """AES-CTR blocks of each seed's stream in an m-transfer extension."""
+    return -(-m // 128)
+
+
+def encode_ot_extend(state_id: bytes, block: int, row: int, m: int, u: bytes) -> bytes:
+    return _EXTEND.pack(state_id, block, row, m) + u
+
+
+def decode_ot_extend(payload: bytes) -> tuple[bytes, int, int, int, bytes]:
+    """(state id, first block, first row, transfers m, the matrix u).
+    Strict: m >= 1, both ranges inside 64 bits, and exactly 128 rows of
+    ceil(m / 8) bytes after the header."""
+    if len(payload) < _EXTEND.size:
+        raise OTError("OT_EXTEND shorter than its header")
+    state_id, block, row, m = _EXTEND.unpack_from(payload)
+    if m < 1 or row + m > _U64 or block + _blocks(m) > _U64:
+        raise OTError(f"OT_EXTEND range of {m} transfers out of bounds")
+    if len(payload) != _EXTEND.size + KAPPA * _row_bytes(m):
+        raise OTError(f"OT_EXTEND of {len(payload)} bytes for {m} transfers")
+    return state_id, block, row, m, payload[_EXTEND.size :]
 
 
 def _expect(channel: Channel, msg_name: str, size: int) -> bytes:
@@ -44,49 +104,192 @@ def _decode_point(ctx: GroupContext, data: bytes) -> int:
         raise OTError(f"OT_SETUP: {exc}") from None
 
 
-def _expand(seed: bytes, n: int, block: int) -> bytes:
-    """n bytes of a 16-byte seed's AES-CTR stream, from the given block on."""
-    enc = Cipher(algorithms.AES(seed), modes.CTR(block.to_bytes(16, "big"))).encryptor()
-    return enc.update(bytes(n))
+def _state_id(first_setup: bytes) -> bytes:
+    """A state's id: the hash of its set-up's first OT_SETUP payload."""
+    return hashlib.sha256(first_setup).digest()[:8]
 
 
 def _hash_point(ctx: GroupContext, index: int, point: int) -> bytes:
     return hashlib.sha256(struct.pack(">I", index) + ctx.encode(point)).digest()[:16]
 
 
-def _hash_rows(rows: np.ndarray, first: int) -> list[bytes]:
-    """Hash each 16-byte row with its running index, from first on, into a pad."""
-    out = []
+def _hash_rows(rows: np.ndarray, first: int) -> np.ndarray:
+    """Hash each 16-byte row with its running index, from first on, into a
+    pad; the pads as an (m, 16) array."""
     raw = rows.tobytes()
-    for i in range(len(rows)):
-        index = struct.pack(">Q", first + i)
-        out.append(hashlib.sha256(index + raw[i * 16 : i * 16 + 16]).digest()[:16])
-    return out
+    pads = b"".join(
+        hashlib.sha256(struct.pack(">Q", first + i) + raw[i * 16 : i * 16 + 16]).digest()[:16]
+        for i in range(len(rows))
+    )
+    return np.frombuffer(pads, dtype=np.uint8).reshape(-1, 16)
 
 
-class _Stream:
-    """Where the next extension starts. Every extension on one set-up
-    expands the seeds from the next unused AES-CTR block and hashes its
-    rows with the next unused indices, so no two extensions share PRG
-    output; both parties advance it identically."""
+def _transpose(mat: np.ndarray, m: int) -> np.ndarray:
+    """The (128, ceil(m/8)) bit matrix as m rows of 16 bytes."""
+    return np.packbits(np.unpackbits(mat, axis=1).T[:m], axis=1)
 
-    def __init__(self):
+
+def _low31(pads: np.ndarray) -> np.ndarray:
+    """Each pad as an integer mod 2^31: the low 31 bits of its last 4
+    bytes, read big-endian."""
+    last = np.ascontiguousarray(pads[:, 12:16]).view(">u4").reshape(-1)
+    return last.astype(np.int64) & (SHARE_MODULUS - 1)
+
+
+class _Seeds:
+    """The AES key schedules of a state's seeds, built once: expand() reads
+    every seed's AES-CTR stream by encrypting the counter blocks under ECB,
+    the bytes a CTR cipher started at that block gives."""
+
+    def __init__(self, seeds):
+        self._encryptors = [
+            Cipher(algorithms.AES(seed), modes.ECB()).encryptor() for seed in seeds
+        ]
+        self._lock = threading.Lock()  # concurrent sessions share the encryptors
+
+    def expand(self, n: int, block: int) -> np.ndarray:
+        """(seeds, n) array: n bytes of each seed's stream from block on."""
+        counters = b"".join((block + i).to_bytes(16, "big") for i in range(-(-n // 16)))
+        with self._lock:
+            stream = b"".join(enc.update(counters) for enc in self._encryptors)
+        return np.frombuffer(stream, dtype=np.uint8).reshape(len(self._encryptors), -1)[:, :n]
+
+
+class _ReceiverState:
+    """The extension receiver's side of one set-up: both seeds of each
+    pair, and where the next extension's range starts."""
+
+    def __init__(self, state_id: bytes, seed_pairs):
+        self.id = state_id
+        self.seeds = _Seeds([k0 for k0, _ in seed_pairs] + [k1 for _, k1 in seed_pairs])
         self.block = 0
         self.row = 0
 
-    def advance(self, m: int) -> tuple[int, int]:
-        """The (block, row) of an m-transfer extension, reserved."""
+    def allocate(self, m: int) -> tuple[int, int]:
+        """The (block, row) of an m-transfer extension, reserved; the
+        caller holds the pair's lock."""
         start = self.block, self.row
-        self.block += -(-m // 128)  # ceil(m/8) bytes per seed, 16 per block
+        self.block += _blocks(m)
         self.row += m
         return start
 
 
-def _base_send(ctx: GroupContext, channel: Channel, session: int, pairs):
-    """Base-OT sender: transfers one 16-byte message pair per instance."""
+class _Claims:
+    """Disjoint [start, end) intervals already used, merged where they touch."""
+
+    def __init__(self):
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+
+    def check(self, start: int, end: int) -> int:
+        """Where [start, end) goes; OTError if it overlaps a claim."""
+        i = bisect.bisect_right(self._starts, start)
+        if (i and self._ends[i - 1] > start) or (
+            i < len(self._starts) and self._starts[i] < end
+        ):
+            raise OTError(f"OT_EXTEND range [{start}, {end}) was already used")
+        return i
+
+    def add(self, start: int, end: int) -> None:
+        i = self.check(start, end)
+        if i and self._ends[i - 1] == start:
+            i -= 1
+            start = self._starts.pop(i)
+            self._ends.pop(i)
+        if i < len(self._starts) and self._starts[i] == end:
+            self._starts.pop(i)
+            end = self._ends.pop(i)
+        self._starts.insert(i, start)
+        self._ends.insert(i, end)
+
+
+class _SenderState:
+    """The extension sender's side of one set-up: its secret bits, the
+    seeds they chose, and the block and row ranges already used."""
+
+    def __init__(self, s_bits: list[int], seeds: list[bytes]):
+        s_arr = np.array(s_bits, dtype=np.uint8)
+        self.s_mask = (s_arr * 0xFF)[:, None]  # rows of u that enter q
+        self.s_bytes = np.packbits(s_arr)
+        self.seeds = _Seeds(seeds)
+        self._blocks = _Claims()
+        self._rows = _Claims()
+
+    def claim(self, block: int, row: int, m: int) -> None:
+        """Mark an extension's ranges used; the caller holds the pair's lock."""
+        blocks = (block, block + _blocks(m))
+        rows = (row, row + m)
+        self._blocks.check(*blocks)  # both are checked before either is kept
+        self._rows.add(*rows)
+        self._blocks.add(*blocks)
+
+
+class OTPair:
+    """The OT state one party keeps with one counterpart, for both
+    extension roles. As receiver: at most one state, set up by the first
+    session that extends and dropped when an extension on it fails. As
+    sender: the states the counterpart set up, by id; a state whose set-up
+    is still running is None, and an extension naming it waits up to
+    timeout for it."""
+
+    def __init__(self, ctx: GroupContext, timeout: float = SERVER_TIMEOUT):
+        self.ctx = ctx
+        self.timeout = timeout
+        self._lock = threading.RLock()  # receiver: set-up and range allocation
+        self._state: _ReceiverState | None = None
+        self._cond = threading.Condition()  # sender: the states by id
+        self._states: OrderedDict[bytes, _SenderState | None] = OrderedDict()
+
+    def _drop(self, state: _ReceiverState | None) -> None:
+        """Forget the receiver state a failed extension ran on, unless a
+        newer one has replaced it."""
+        with self._lock:
+            if self._state is state:
+                self._state = None
+
+    def _begin(self, state_id: bytes) -> None:
+        with self._cond:
+            if state_id in self._states:
+                raise OTError("OT_SETUP repeats the set-up of a known state")
+            self._states[state_id] = None
+            while len(self._states) > STATES_KEPT:
+                self._states.popitem(last=False)
+
+    def _end(self, state_id: bytes, state: _SenderState | None) -> None:
+        """A set-up is over: state is its result, or None when it failed."""
+        with self._cond:
+            if state is None:
+                self._states.pop(state_id, None)
+            elif state_id in self._states:
+                self._states[state_id] = state
+            self._cond.notify_all()
+
+    def _claim(self, state_id: bytes, block: int, row: int, m: int) -> _SenderState:
+        """The sender state an extension names, with its ranges marked used."""
+        with self._cond:
+            # None only while the state's set-up runs; an unknown id ends the wait
+            settled = lambda: self._states.get(state_id, True) is not None  # noqa: E731
+            if not self._cond.wait_for(settled, self.timeout):
+                raise OTError("timed out waiting for the set-up of an OT state")
+            state = self._states.get(state_id)
+            if state is None:
+                raise OTError("OT_EXTEND names an unknown OT state")
+            state.claim(block, row, m)
+            return state
+
+
+def _as_pair(ot: OTPair | GroupContext) -> OTPair:
+    """A party's pair state, or a new one over a bare group context."""
+    return ot if isinstance(ot, OTPair) else OTPair(ot)
+
+
+def _base_send(ctx: GroupContext, channel: Channel, session: int, pairs) -> bytes:
+    """Base-OT sender: transfers one 16-byte message pair per instance.
+    Returns its first OT_SETUP payload."""
     a = 1 + secrets.randbelow(ctx.q - 1)
     big_a = ctx.g_exp(a)
-    channel.send(Frame(MSG["OT_SETUP"], session, ctx.encode(big_a)))
+    first = ctx.encode(big_a)
+    channel.send(Frame(MSG["OT_SETUP"], session, first))
     reply = _expect(channel, "OT_SETUP", len(pairs) * ELEMENT_BYTES)
     inv_a_of_big_a = ctx.exp(ctx.inverse(big_a), a)  # A^{-a}
     cts = []
@@ -99,11 +302,13 @@ def _base_send(ctx: GroupContext, channel: Channel, session: int, pairs):
         cts.append(bytes(x ^ y for x, y in zip(m0, pad0)))
         cts.append(bytes(x ^ y for x, y in zip(m1, pad1)))
     channel.send(Frame(MSG["OT_SETUP"], session, b"".join(cts)))
+    return first
 
 
-def _base_recv(ctx: GroupContext, channel: Channel, session: int, bits) -> list[bytes]:
-    """Base-OT receiver: obtains the message selected by each bit."""
-    big_a = _decode_point(ctx, _expect(channel, "OT_SETUP", ELEMENT_BYTES))
+def _base_recv(ctx: GroupContext, channel: Channel, session: int, bits, first: bytes):
+    """Base-OT receiver, on the sender's first OT_SETUP payload: obtains
+    the message selected by each bit."""
+    big_a = _decode_point(ctx, first)
     ks, points = [], []
     for bit in bits:
         k = 1 + secrets.randbelow(ctx.q - 1)
@@ -122,115 +327,133 @@ def _base_recv(ctx: GroupContext, channel: Channel, session: int, bits) -> list[
     return out
 
 
-class OTSender:
-    """Extension sender: after setup, derives pad pairs for each transfer."""
+def _rows16(msgs: list[bytes]) -> np.ndarray:
+    return np.frombuffer(b"".join(msgs), dtype=np.uint8).reshape(-1, 16)
 
-    def __init__(self, ctx: GroupContext, channel: Channel, session: int = 0):
-        self.ctx = ctx
+
+class OTSender:
+    """Extension sender of one session: derives pad pairs for each
+    transfer, on a state that the counterpart set up in this session or an
+    earlier one. ot is the pair's state, or a group context for a pair of
+    its own."""
+
+    def __init__(self, ot: OTPair | GroupContext, channel: Channel, session: int = 0):
+        self.pair = _as_pair(ot)
         self.channel = channel
         self.session = session
-        self._s_bits: list[int] | None = None
-        self._seeds: list[bytes] | None = None
-        self._stream = _Stream()
 
-    def setup(self) -> None:
-        self._s_bits = [secrets.randbelow(2) for _ in range(KAPPA)]
-        self._seeds = _base_recv(self.ctx, self.channel, self.session, self._s_bits)
-        s_arr = np.array(self._s_bits, dtype=np.uint8)
-        self._s_bytes = np.frombuffer(np.packbits(s_arr).tobytes(), dtype=np.uint8)
+    def setup(self, first: bytes | None = None) -> None:
+        """The base OT, as its receiver: sets up the state named by the
+        counterpart's first OT_SETUP payload, read here unless given."""
+        if first is None:
+            first = self.channel.expect("OT_SETUP").payload
+        if len(first) != ELEMENT_BYTES:
+            raise OTError(f"OT_SETUP of {len(first)} bytes, expected {ELEMENT_BYTES}")
+        state_id = _state_id(first)
+        self.pair._begin(state_id)
+        state = None
+        try:
+            s_bits = [secrets.randbelow(2) for _ in range(KAPPA)]
+            seeds = _base_recv(self.pair.ctx, self.channel, self.session, s_bits, first)
+            state = _SenderState(s_bits, seeds)
+        finally:
+            self.pair._end(state_id, state)
 
-    def pads(self, m: int) -> tuple[list[bytes], list[bytes]]:
-        if self._seeds is None:
-            raise OTError("setup not run")
-        mb = (m + 7) // 8
-        u = _expect(self.channel, "OT_EXTEND", KAPPA * mb)
-        block, row = self._stream.advance(m)
-        u_mat = np.frombuffer(u, dtype=np.uint8).reshape(KAPPA, mb)
-        q_mat = np.empty((KAPPA, mb), dtype=np.uint8)
-        for j in range(KAPPA):
-            col = np.frombuffer(_expand(self._seeds[j], mb, block), dtype=np.uint8)
-            q_mat[j] = col ^ u_mat[j] if self._s_bits[j] else col
-        rows = np.packbits(np.unpackbits(q_mat, axis=1).T[:m], axis=1)  # (m, 16)
-        pads0 = _hash_rows(rows, row)
-        pads1 = _hash_rows(rows ^ self._s_bytes, row)
-        return pads0, pads1
+    def pads(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (m, 16) pad pairs of the next extension, after the set-up
+        when the counterpart opens with one."""
+        frame = self.channel.recv()
+        if frame.name == "OT_SETUP":
+            self.setup(frame.payload)
+            frame = self.channel.recv()
+        if frame.name != "OT_EXTEND":
+            raise OTError(f"expected OT_EXTEND, got {frame.name}")
+        state_id, block, row, count, u = decode_ot_extend(frame.payload)
+        if count != m:
+            raise OTError(f"OT_EXTEND of {count} transfers, expected {m}")
+        state = self.pair._claim(state_id, block, row, m)
+        u_mat = np.frombuffer(u, dtype=np.uint8).reshape(KAPPA, -1)
+        q_mat = state.seeds.expand(_row_bytes(m), block) ^ (u_mat & state.s_mask)
+        rows = _transpose(q_mat, m)
+        return _hash_rows(rows, row), _hash_rows(rows ^ state.s_bytes, row)
 
     def send_messages(self, msgs0: list[bytes], msgs1: list[bytes]) -> None:
         """Transfer arbitrary 16-byte message pairs (wire labels)."""
         pads0, pads1 = self.pads(len(msgs0))
-        parts = []
-        for m0, m1, p0, p1 in zip(msgs0, msgs1, pads0, pads1):
-            parts.append(bytes(x ^ y for x, y in zip(m0, p0)))
-            parts.append(bytes(x ^ y for x, y in zip(m1, p1)))
-        self.channel.send(Frame(MSG["OT_PAYLOAD"], self.session, b"".join(parts)))
+        out = np.empty((len(msgs0), 2, 16), dtype=np.uint8)
+        out[:, 0] = _rows16(msgs0) ^ pads0
+        out[:, 1] = _rows16(msgs1) ^ pads1
+        self.channel.send(Frame(MSG["OT_PAYLOAD"], self.session, out.tobytes()))
 
     def send_correlated(self, deltas: list[int]) -> list[int]:
         """Correlated OT over Z_{2^31}: receiver with bit b learns
         v + b*delta; sender returns the v values. One correction word per
         instance is sent."""
         pads0, pads1 = self.pads(len(deltas))
-        vs, corr = [], []
-        for delta, p0, p1 in zip(deltas, pads0, pads1):
-            v = int.from_bytes(p0, "big") % SHARE_MODULUS
-            w1 = int.from_bytes(p1, "big") % SHARE_MODULUS
-            corr.append(struct.pack(">I", (delta + v - w1) % SHARE_MODULUS))
-            vs.append(v)
-        self.channel.send(Frame(MSG["OT_PAYLOAD"], self.session, b"".join(corr)))
-        return vs
+        v = _low31(pads0)
+        corr = np.mod(np.array(deltas, dtype=np.int64) + v - _low31(pads1), SHARE_MODULUS)
+        self.channel.send(Frame(MSG["OT_PAYLOAD"], self.session, corr.astype(">u4").tobytes()))
+        return v.tolist()
 
 
 class OTReceiver:
-    """Extension receiver: after setup, obtains the pad selected by each
-    choice bit."""
+    """Extension receiver of one session: obtains the pad selected by each
+    choice bit, on the pair's state, which the first extension without one
+    sets up. ot is the pair's state, or a group context for a pair of its
+    own."""
 
-    def __init__(self, ctx: GroupContext, channel: Channel, session: int = 0):
-        self.ctx = ctx
+    def __init__(self, ot: OTPair | GroupContext, channel: Channel, session: int = 0):
+        self.pair = _as_pair(ot)
         self.channel = channel
         self.session = session
-        self._seed_pairs: list[tuple[bytes, bytes]] | None = None
-        self._stream = _Stream()
+        self._state: _ReceiverState | None = None  # of this session's last extension
 
     def setup(self) -> None:
-        self._seed_pairs = [
+        """The base OT, as its sender: a new state of 128 seed pairs for
+        the pair."""
+        seed_pairs = [
             (secrets.token_bytes(16), secrets.token_bytes(16)) for _ in range(KAPPA)
         ]
-        _base_send(self.ctx, self.channel, self.session, self._seed_pairs)
+        with self.pair._lock:
+            first = _base_send(self.pair.ctx, self.channel, self.session, seed_pairs)
+            self.pair._state = _ReceiverState(_state_id(first), seed_pairs)
 
-    def pads(self, bits: list[int]) -> list[bytes]:
-        if self._seed_pairs is None:
-            raise OTError("setup not run")
+    def pads(self, bits: list[int]) -> np.ndarray:
+        """The (m, 16) pads of the next extension, whose OT_EXTEND this sends."""
         m = len(bits)
-        mb = (m + 7) // 8
-        r_bytes = np.packbits(np.array(bits, dtype=np.uint8))
-        r_bytes = np.pad(r_bytes, (0, mb - len(r_bytes)))
-        block, row = self._stream.advance(m)
-        t_mat = np.empty((KAPPA, mb), dtype=np.uint8)
-        u_rows = []
-        for j, (k0, k1) in enumerate(self._seed_pairs):
-            t_mat[j] = np.frombuffer(_expand(k0, mb, block), dtype=np.uint8)
-            g1 = np.frombuffer(_expand(k1, mb, block), dtype=np.uint8)
-            u_rows.append((t_mat[j] ^ g1 ^ r_bytes).tobytes())
-        self.channel.send(Frame(MSG["OT_EXTEND"], self.session, b"".join(u_rows)))
-        rows = np.packbits(np.unpackbits(t_mat, axis=1).T[:m], axis=1)
-        return _hash_rows(rows, row)
+        if m < 1:
+            raise OTError("an extension needs at least one transfer")
+        with self.pair._lock:
+            if self.pair._state is None:
+                self.setup()
+            state = self._state = self.pair._state
+            block, row = state.allocate(m)
+        streams = state.seeds.expand(_row_bytes(m), block)
+        t_mat = streams[:KAPPA]
+        u = t_mat ^ streams[KAPPA:] ^ np.packbits(np.asarray(bits, dtype=np.uint8))
+        payload = encode_ot_extend(state.id, block, row, m, u.tobytes())
+        self.channel.send(Frame(MSG["OT_EXTEND"], self.session, payload))
+        return _hash_rows(_transpose(t_mat, m), row)
+
+    def _extend(self, bits: list[int], payload_bytes: int) -> tuple[np.ndarray, bytes]:
+        """One extension and the sender's OT_PAYLOAD. Any failure drops the
+        state it ran on, so the pair's next session sets up afresh."""
+        try:
+            pads = self.pads(bits)
+            return pads, _expect(self.channel, "OT_PAYLOAD", payload_bytes)
+        except Exception:
+            self.pair._drop(self._state)
+            raise
 
     def recv_messages(self, bits: list[int]) -> list[bytes]:
-        pads = self.pads(bits)
-        cts = _expect(self.channel, "OT_PAYLOAD", 2 * 16 * len(bits))
-        out = []
-        for i, (bit, pad) in enumerate(zip(bits, pads)):
-            ct = cts[(2 * i + bit) * 16 : (2 * i + bit + 1) * 16]
-            out.append(bytes(x ^ y for x, y in zip(ct, pad)))
-        return out
+        m = len(bits)
+        pads, cts = self._extend(bits, 2 * 16 * m)
+        pairs = np.frombuffer(cts, dtype=np.uint8).reshape(m, 2, 16)
+        chosen = pairs[np.arange(m), np.asarray(bits, dtype=np.intp)] ^ pads
+        return [row.tobytes() for row in chosen]
 
     def recv_correlated(self, bits: list[int]) -> list[int]:
-        pads = self.pads(bits)
-        corr = _expect(self.channel, "OT_PAYLOAD", 4 * len(bits))
-        out = []
-        for i, (bit, pad) in enumerate(zip(bits, pads)):
-            w = int.from_bytes(pad, "big") % SHARE_MODULUS
-            if bit:
-                (u,) = struct.unpack(">I", corr[i * 4 : (i + 1) * 4])
-                w = (w + u) % SHARE_MODULUS
-            out.append(w)
-        return out
+        pads, corr = self._extend(bits, 4 * len(bits))
+        u = np.frombuffer(corr, dtype=">u4").astype(np.int64)
+        w = _low31(pads) + u * np.asarray(bits, dtype=np.int64)
+        return np.mod(w, SHARE_MODULUS).tolist()

@@ -30,7 +30,7 @@ import numpy as np
 from .builder import ShardData, load_edb
 from .crypto import CIPHERTEXT_BYTES, ELEMENT_BYTES, GroupContext
 from .oxt import boolean_query
-from .ot import OTReceiver, OTSender
+from .ot import OTPair, OTReceiver, OTSender
 from .scoring import eval_score, parse_score
 from .sexpr import BoolFormula
 from .shares import dealer_triple_gen, triple_gen_cot
@@ -301,7 +301,7 @@ class IndexServer:
         data: ShardData,
         topology,
         *,
-        run_mode: str = "dealer",
+        run_mode: str = "secure",
         transcript: Transcript | None = None,
         timeout: float = SERVER_TIMEOUT,
     ):
@@ -323,6 +323,7 @@ class IndexServer:
         # OT machinery's own group operations
         self.ctx = GroupContext()
         self.ot_ctx = GroupContext()
+        self._ot_pairs: dict[str, OTPair] = {}  # by the other server's name
         self._sessions: dict = {}
         self._dropped: OrderedDict = OrderedDict()  # recently ended sessions
         self._lock = threading.Lock()
@@ -370,6 +371,15 @@ class IndexServer:
             cluster, shard, edb.shards_per_cluster, edb.clusters[cluster][shard],
             topology, **kwargs,
         )
+
+    def _ot_pair(self, peer: str) -> OTPair:
+        """The OT state kept with another server, made on first use; its
+        base OT runs in the first session that extends it."""
+        with self._lock:
+            pair = self._ot_pairs.get(peer)
+            if pair is None:
+                pair = self._ot_pairs[peer] = OTPair(self.ot_ctx, self.timeout)
+            return pair
 
     # -- connection routing
 
@@ -530,7 +540,9 @@ class IndexServer:
                     else:
                         if score:
                             shares = self._score(cchan, qid, shares, score, party=0)
-                        mask = local_sort_garbler(cchan, qid, shares, self.ot_ctx)
+                        mask = local_sort_garbler(
+                            cchan, qid, shares, self._ot_pair(self.counterpart)
+                        )
                         k = len(shares)
                 finally:
                     cchan.close()
@@ -553,7 +565,9 @@ class IndexServer:
                 try:
                     if score:
                         shares = self._score(cchan, qid, shares, score, party=1)
-                    masked, order = local_sort_evaluator(cchan, qid, shares, self.ot_ctx)
+                    masked, order = local_sort_evaluator(
+                        cchan, qid, shares, self._ot_pair(self.counterpart)
+                    )
                 finally:
                     cchan.close()
                 entries = list(zip(masked, order))
@@ -611,7 +625,9 @@ class IndexServer:
         try:
             if not answered:
                 try:
-                    order = global_sort_evaluator(gchan, qid, masks, self.ot_ctx)
+                    order = global_sort_evaluator(
+                        gchan, qid, masks, self._ot_pair(server_name(1, 0))
+                    )
                 except ChannelClosed:
                     raise ServerError(
                         "the cluster-1 coordinator closed the merge: "
@@ -646,7 +662,9 @@ class IndexServer:
         try:
             gchan.send(Frame(MSG["SORT_INIT"], qid, b""))  # session handshake
             if contributions and not failed:
-                global_sort_garbler(gchan, qid, contributions, self.ot_ctx)
+                global_sort_garbler(
+                    gchan, qid, contributions, self._ot_pair(server_name(0, 0))
+                )
         finally:
             gchan.close()
 
@@ -660,8 +678,15 @@ class IndexServer:
         return [int(v) for v in values]
 
     def _triple_source(self, channel, qid, party):
+        if self.run_mode == "secure":
+            # both extension roles on the counterpart pair's OT state
+            ot = self._ot_pair(self.counterpart)
+            sender, receiver = OTSender(ot, channel, qid), OTReceiver(ot, channel, qid)
+            return lambda shape: triple_gen_cot(
+                party, "elementwise", shape, shape, channel, sender, receiver,
+                np.random.default_rng(), qid,
+            )
         counter = {"n": 0}
-        state = {}
 
         def dealer(shape):
             seed_bytes = hashlib.sha256(
@@ -672,21 +697,4 @@ class IndexServer:
             pair = dealer_triple_gen(shape, shape, "elementwise", seed, self.run_mode)
             return pair[party]
 
-        def secure(shape):
-            if not state:
-                sender = OTSender(self.ot_ctx, channel, qid)
-                receiver = OTReceiver(self.ot_ctx, channel, qid)
-                if party == 0:
-                    sender.setup()
-                    receiver.setup()
-                else:
-                    receiver.setup()
-                    sender.setup()
-                state["sender"], state["receiver"] = sender, receiver
-            return triple_gen_cot(
-                party, "elementwise", shape, shape, channel,
-                state["sender"], state["receiver"],
-                np.random.default_rng(), qid,
-            )
-
-        return dealer if self.run_mode == "dealer" else secure
+        return dealer

@@ -13,7 +13,10 @@ without ever seeing a score.
 
 Both sorts run one session, written once as _garble_session and
 _evaluate_session; a sort supplies only its circuit, header, input bits
-and the layout of its label frames (_LOCAL_FRAMES, _MERGE_FRAMES).
+and the layout of its label frames (_LOCAL_FRAMES, _MERGE_FRAMES). The
+evaluator takes its own labels by OT, the garbler as extension sender: each
+sort function's ot is the pair's OTPair, whose base OT an earlier session
+may already have run, or a group context for a pair of its own.
 
 Payload values are 1-based on the wire; 0 marks padding sentinels.
 """
@@ -23,6 +26,7 @@ from __future__ import annotations
 import functools
 import secrets
 import struct
+import weakref
 
 import numpy as np
 
@@ -38,7 +42,7 @@ from .circuits import (
 )
 from .crypto import SHARE_MODULUS, GroupContext
 from .garble import GarbledCircuit, decode, evaluate, garble, select_labels
-from .ot import OTReceiver, OTSender
+from .ot import OTPair, OTReceiver, OTSender
 from .transport import MSG, Channel, Frame, TransportError
 
 __all__ = [
@@ -124,16 +128,34 @@ def decode_sort_init(payload: bytes):
     return decode_global_sort_init(payload)
 
 
+# Every k with one padded width n and payload width shares one circuit (and
+# so one garbling schedule); a shape's circuit lives while a cached
+# SortCircuit of some k holds it.
+_networks: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _network(build, n: int, payload_width: int):
+    """build(n, payload_width), once per shape while it is in use."""
+    key = (build, n, payload_width)
+    circuit = _networks.get(key)
+    if circuit is None:
+        circuit = _networks.setdefault(key, build(n, payload_width))
+    return circuit
+
+
+def _sort_network(n: int, payload_width: int):
+    return build_sort_circuit(n, payload_width).circuit
+
+
 @functools.lru_cache(maxsize=32)
 def _sort_circuit(k: int, payload_width: int) -> SortCircuit:
-    return build_sort_circuit(k, payload_width)
+    n = padded_size(k)
+    return SortCircuit(_network(_sort_network, n, payload_width), k, n, payload_width)
 
 
-@functools.lru_cache(maxsize=32)
-def build_merge_circuit(k: int, payload_width: int) -> SortCircuit:
+def _merge_network(n: int, payload_width: int):
     """Global-sort circuit: per element, unmask score = masked XOR mask
     (free), bitonic descending sort, output payload bits only."""
-    n = padded_size(k)
     b = CircuitBuilder()
     masked = b.input_bundle("masked_scores", n * SCORE_BITS)
     masks = b.input_bundle("masks", n * SCORE_BITS)
@@ -147,7 +169,14 @@ def build_merge_circuit(k: int, payload_width: int) -> SortCircuit:
         elems.append((score, payloads[e * payload_width : (e + 1) * payload_width]))
     for _, payload in b.bitonic_sort(elems):
         b.mark_outputs(payload)
-    return SortCircuit(b.build(), k, n, payload_width)
+    return b.build()
+
+
+@functools.lru_cache(maxsize=32)
+def build_merge_circuit(k: int, payload_width: int) -> SortCircuit:
+    """The global-sort circuit for k entries."""
+    n = padded_size(k)
+    return SortCircuit(_network(_merge_network, n, payload_width), k, n, payload_width)
 
 
 # The garbler's label frames of each sort, in sending order, each the
@@ -168,10 +197,10 @@ def _bits(values, width: int, n: int) -> list[int]:
     return bits + [0] * ((n - len(values)) * width)
 
 
-def _garble_session(channel, session, sc, header, frames, bits, ctx) -> None:
+def _garble_session(channel, session, sc, header, frames, bits, ot) -> None:
     """Garbler half of a sort: the SORT_INIT header, the circuit, the
     garbler's labels for bits (bundle -> values) in frames, then the
-    evaluator's bundle by OT."""
+    evaluator's bundle by OT, as extension sender on ot."""
     channel.send(Frame(MSG["SORT_INIT"], session, header))
     gc, label_map, delta = garble(sc.circuit)
     channel.send(Frame(MSG["CIRCUIT_BLOB"], session, gc.to_bytes()))
@@ -180,15 +209,14 @@ def _garble_session(channel, session, sc, header, frames, bits, ctx) -> None:
         channel.send(Frame(MSG[frame], session, b"".join(labels)))
     (own,) = label_map.keys() - bits.keys()  # the evaluator's bundle
     zero = label_map[own]
-    sender = OTSender(ctx, channel, session)
-    sender.setup()
+    sender = OTSender(ot, channel, session)
     sender.send_messages([bytes(z) for z in zero], [bytes(o) for o in zero ^ delta])
 
 
-def _evaluate_session(channel, session, sc, frames, own_bits, ctx) -> np.ndarray:
+def _evaluate_session(channel, session, sc, frames, own_bits, ot) -> np.ndarray:
     """Evaluator half of a sort, after its SORT_INIT: reads the circuit and
-    the label frames, takes the labels of own_bits by OT, evaluates and
-    returns the decoded output bits."""
+    the label frames, takes the labels of own_bits by OT as extension
+    receiver on ot, evaluates and returns the decoded output bits."""
     gc = GarbledCircuit.from_bytes(channel.expect("CIRCUIT_BLOB").payload)
     inputs = sc.circuit.inputs
     labels = {}
@@ -201,10 +229,8 @@ def _evaluate_session(channel, session, sc, frames, own_bits, ctx) -> np.ndarray
             )
         rows = np.frombuffer(payload, dtype=np.uint8).reshape(1, -1, 16)
         labels.update(zip(bundles, np.split(rows, np.cumsum(sizes)[:-1], axis=1)))
-    receiver = OTReceiver(ctx, channel, session)
-    receiver.setup()
     (own,) = inputs.keys() - labels.keys()
-    received = b"".join(receiver.recv_messages(own_bits))
+    received = b"".join(OTReceiver(ot, channel, session).recv_messages(own_bits))
     labels[own] = np.frombuffer(received, dtype=np.uint8).reshape(1, -1, 16)
     return decode(gc, evaluate(sc.circuit, gc, labels))[0]
 
@@ -213,7 +239,7 @@ def local_sort_garbler(
     channel: Channel,
     session: int,
     shares: list[int],
-    ctx: GroupContext,
+    ot: OTPair | GroupContext,
 ) -> int:
     """Garbler (cluster 0) side of a local sort. Returns the mask R."""
     k = len(shares)
@@ -228,7 +254,7 @@ def local_sort_garbler(
         "mask": _bits([mask], SCORE_BITS, 1),
     }
     header = encode_local_sort_init(k, sc.n, payload_width)
-    _garble_session(channel, session, sc, header, _LOCAL_FRAMES, bits, ctx)
+    _garble_session(channel, session, sc, header, _LOCAL_FRAMES, bits, ot)
     return mask
 
 
@@ -236,7 +262,7 @@ def local_sort_evaluator(
     channel: Channel,
     session: int,
     shares: list[int],
-    ctx: GroupContext,
+    ot: OTPair | GroupContext,
 ) -> tuple[list[int], list[int]]:
     """Evaluator (cluster 1) side. Returns (masked scores, payload order),
     both descending by true score, sentinels dropped, payloads 0-based."""
@@ -245,7 +271,7 @@ def local_sort_evaluator(
         raise SortError(f"garbler announced k={k}, have {len(shares)} shares")
     sc = _sort_circuit(k, payload_width)
     own_bits = _bits(shares, SCORE_BITS, n)
-    bits = _evaluate_session(channel, session, sc, _LOCAL_FRAMES, own_bits, ctx)
+    bits = _evaluate_session(channel, session, sc, _LOCAL_FRAMES, own_bits, ot)
     kept = [(s, p - 1) for s, p in zip(*sc.decode_outputs(bits)) if p]
     return [s for s, _ in kept], [p for _, p in kept]
 
@@ -258,7 +284,7 @@ def global_sort_garbler(
     channel: Channel,
     session: int,
     contributions: list[tuple[int, list[int], list[int]]],
-    ctx: GroupContext,
+    ot: OTPair | GroupContext,
 ) -> None:
     """Garbler (cluster-1 coordinator) side of the global sort over the
     shards' masked vectors. Sends everything; returns nothing."""
@@ -283,14 +309,14 @@ def global_sort_garbler(
     header = encode_global_sort_init(
         t, sc.n, payload_width, idx_bits, [shard for shard, _, _ in entries]
     )
-    _garble_session(channel, session, sc, header, _MERGE_FRAMES, bits, ctx)
+    _garble_session(channel, session, sc, header, _MERGE_FRAMES, bits, ot)
 
 
 def global_sort_evaluator(
     channel: Channel,
     session: int,
     masks: dict[int, int],
-    ctx: GroupContext,
+    ot: OTPair | GroupContext,
 ) -> list[tuple[int, int]]:
     """Evaluator (cluster-0 coordinator) side. Feeds per-shard masks in by
     OT and returns the global descending order as (shard, local index)."""
@@ -301,7 +327,7 @@ def global_sort_evaluator(
         raise SortError("merge header names a shard that sent no mask")
     sc = build_merge_circuit(t, payload_width)
     own_bits = _bits([masks[shard] for shard in shard_of_elem], SCORE_BITS, n)
-    bits = _evaluate_session(channel, session, sc, _MERGE_FRAMES, own_bits, ctx)
+    bits = _evaluate_session(channel, session, sc, _MERGE_FRAMES, own_bits, ot)
     order = []
     for e in range(n):
         value = bits_to_int(bits[e * payload_width : (e + 1) * payload_width])

@@ -178,6 +178,10 @@ class Channel:
 
     def send(self, frame: Frame, timeout: float | None = 30.0) -> None:
         data = frame.encode()
+        # recorded before the peer can read it, so that a transcript read
+        # once the peer has answered holds every frame of the exchange
+        if self.transcript is not None:
+            self.transcript.record(self.party, "send", frame)
         try:
             self._sock.settimeout(timeout)
             self._sock.sendall(data)
@@ -186,8 +190,6 @@ class Channel:
         except OSError as exc:
             raise ChannelClosed(f"channel {self.name}: {exc}") from None
         self.bytes_sent += len(data)
-        if self.transcript is not None:
-            self.transcript.record(self.party, "send", frame)
 
     def recv(self, timeout: float | None = 30.0) -> Frame:
         try:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from privgraph.crypto import GroupContext
 from privgraph.garble import GarbledCircuit
 from privgraph.leakage import _ALPHABET
+from privgraph.ot import encode_ot_extend
 from privgraph.server import (
     QuerySpec,
     SubquerySpec,
@@ -55,6 +56,7 @@ ENCODERS = {
     "MASKS": lambda v: _encode_masks(*v),
     "TRIPLE_GEN_INIT": encode_triple_gen_init,
     "MUL_EXCHANGE": lambda v: encode_mul_exchange(*v),
+    "OT_EXTEND": lambda v: encode_ot_extend(*v),
 }
 
 FORMULA = BoolFormula.variable(0).and_(BoolFormula.variable(1).not_())
@@ -100,6 +102,10 @@ VALID = {
     "MASKS": [_encode_masks(1, 0, 2, 99)],
     "TRIPLE_GEN_INIT": [encode_triple_gen_init("elementwise")],
     "MUL_EXCHANGE": [encode_mul_exchange(np.array([1, 2]), np.array([3, 4]))],
+    "OT_EXTEND": [
+        encode_ot_extend(b"\x05" * 8, 3, 300, 9, bytes(range(256))),
+        encode_ot_extend(b"\xff" * 8, (1 << 64) - 1, (1 << 64) - 1, 1, bytes(128)),
+    ],
 }
 
 CHECKED = sorted(name for name, (_, check) in _ALPHABET.items() if check is not None)
@@ -233,3 +239,18 @@ class TestStrictness:
             _ALPHABET["XTOKEN_BATCH"][1](b"\xff\xff\xff\xff\xff\xff")
         with pytest.raises(TransportError):
             _ALPHABET["CIRCUIT_BLOB"][1](b"PGGC\xff\xff\xff\xff\x00\x00\x00\x00")
+
+    def test_ot_extend_lengths_and_ranges(self):
+        check = _ALPHABET["OT_EXTEND"][1]
+        ok = encode_ot_extend(b"\x01" * 8, 0, 0, 9, bytes(256))
+        check(ok)
+        for bad in (
+            ok[:-1],  # a short matrix
+            ok + bytes(128),  # a trailing row of bytes
+            encode_ot_extend(b"\x01" * 8, 0, 0, 8, bytes(256)),  # 9..16 transfers need 2 bytes a row
+            encode_ot_extend(b"\x01" * 8, 0, 0, 0, b""),  # no transfers
+            encode_ot_extend(b"\x01" * 8, 0, (1 << 64) - 8, 9, bytes(256)),  # rows past 2^64
+            encode_ot_extend(b"\x01" * 8, (1 << 64) - 1, 0, 129, bytes(128 * 17)),  # blocks past 2^64
+        ):
+            with pytest.raises(TransportError):
+                check(bad)

@@ -1,12 +1,23 @@
 import secrets
+import sys
 import threading
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+from privgraph import ot as ot_mod
 from privgraph.crypto import GroupContext
-from privgraph.ot import SHARE_MODULUS, OTError, OTReceiver, OTSender
-from privgraph.transport import Frame, TransportError, loopback_pair
+from privgraph.ot import (
+    SHARE_MODULUS,
+    OTError,
+    OTPair,
+    OTReceiver,
+    OTSender,
+    decode_ot_extend,
+    encode_ot_extend,
+)
+from privgraph.transport import MSG, Frame, Transcript, TransportError, loopback_pair
 
 
 def tamper(chan, msg_name, nth, edit):
@@ -23,23 +34,29 @@ def tamper(chan, msg_name, nth, edit):
     chan.send = send
 
 
-def run_pair(sender_fn, receiver_fn, tampered=None):
+def run_pair(sender_fn, receiver_fn, tampered=None, pairs=None, transcript=None):
     """Drive both OT endpoints on loopback channels, re-raising the first
     error. tampered = (side, frame name, nth, edit) rewrites one frame sent
-    by "sender" or "receiver"."""
+    by "sender" or "receiver". pairs = (sender's OTPair, receiver's OTPair)
+    runs one session of those pairs, which sets up only when the receiver's
+    pair has no state; without them each side has a pair of its own and
+    calls setup() first. transcript records the frames each side sends."""
     chan_a, chan_b = loopback_pair("ot")
+    for chan, party in ((chan_a, "sender"), (chan_b, "receiver")):
+        chan.transcript, chan.party = transcript, party
     if tampered is not None:
         side, *how = tampered
         tamper(chan_a if side == "sender" else chan_b, *how)
-    ctx_a, ctx_b = GroupContext(), GroupContext()
-    sender = OTSender(ctx_a, chan_a)
-    receiver = OTReceiver(ctx_b, chan_b)
+    sender_ot, receiver_ot = pairs or (GroupContext(), GroupContext())
+    sender = OTSender(sender_ot, chan_a)
+    receiver = OTReceiver(receiver_ot, chan_b)
     out = {}
     errors = []
 
     def run_sender():
         try:
-            sender.setup()
+            if pairs is None:
+                sender.setup()
             out["sender"] = sender_fn(sender)
         except Exception as exc:  # propagated after join
             errors.append(exc)
@@ -47,7 +64,8 @@ def run_pair(sender_fn, receiver_fn, tampered=None):
 
     def run_receiver():
         try:
-            receiver.setup()
+            if pairs is None:
+                receiver.setup()
             out["receiver"] = receiver_fn(receiver)
         except Exception as exc:
             errors.append(exc)
@@ -58,6 +76,7 @@ def run_pair(sender_fn, receiver_fn, tampered=None):
         t.start()
     for t in threads:
         t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
     chan_a.close()
     chan_b.close()
     if errors:
@@ -146,7 +165,7 @@ class TestCorrelatedOT:
 
             def send(frame):
                 if frame.name == "OT_EXTEND":
-                    extends.append(frame.payload)
+                    extends.append(decode_ot_extend(frame.payload)[4])
                 real_send(frame)
 
             r.channel.send = send
@@ -170,10 +189,16 @@ class TestCorrelatedOT:
 
 class TestErrors:
     def test_pads_before_setup(self):
-        chan_a, _ = loopback_pair("ot")
+        # an extension on a state that was never set up is refused
+        chan_a, chan_b = loopback_pair("ot")
         sender = OTSender(GroupContext(), chan_a)
-        with pytest.raises(OTError):
-            sender.pads(4)
+        chan_b.send(Frame(MSG["OT_EXTEND"], 0, encode_ot_extend(b"\0" * 8, 0, 0, 4, bytes(128))))
+        try:
+            with pytest.raises(OTError, match="unknown"):
+                sender.pads(4)
+        finally:
+            chan_a.close()
+            chan_b.close()
 
     def test_ot_error_is_transport_error(self):
         assert issubclass(OTError, TransportError)
@@ -222,3 +247,211 @@ class TestTruncatedFrames:
     def test_short_frame_rejected(self, tampered, sender_fn, receiver_fn):
         with pytest.raises(OTError):
             run_pair(sender_fn, receiver_fn, tampered)
+
+
+def _sent(transcript, party, name):
+    return [f for p, d, f in transcript.entries if p == party and d == "send" and f.name == name]
+
+
+def _labels(n, seed):
+    rng = np.random.default_rng(seed)
+    msgs0 = [rng.bytes(16) for _ in range(n)]
+    msgs1 = [rng.bytes(16) for _ in range(n)]
+    bits = [int(b) for b in rng.integers(0, 2, size=n)]
+    return msgs0, msgs1, bits
+
+
+def _messages_session(pairs, n, seed, transcript=None, tampered=None):
+    """One message-OT session on pairs; asserts each transfer is right."""
+    msgs0, msgs1, bits = _labels(n, seed)
+    _, got = run_pair(
+        lambda s: s.send_messages(msgs0, msgs1),
+        lambda r: r.recv_messages(bits),
+        tampered=tampered, pairs=pairs, transcript=transcript,
+    )
+    assert got == [m1 if b else m0 for m0, m1, b in zip(msgs0, msgs1, bits)]
+
+
+def _rewrite_range(block, row):
+    def edit(payload):
+        state_id, _, _, m, u = decode_ot_extend(payload)
+        return encode_ot_extend(state_id, block, row, m, u)
+
+    return edit
+
+
+class TestPairState:
+    """One base OT per pair: later sessions only extend it, each on a
+    fresh range that the sender checks."""
+
+    def _pairs(self):
+        return OTPair(GroupContext(), timeout=10.0), OTPair(GroupContext(), timeout=10.0)
+
+    def test_later_sessions_only_extend(self):
+        pairs = self._pairs()
+        transcript = Transcript()
+        _messages_session(pairs, 40, 1, transcript)
+        exps = [pair.ctx.exp_count for pair in pairs]
+        for i, n in enumerate((300, 13, 1)):
+            _messages_session(pairs, n, 2 + i, transcript)
+        assert [pair.ctx.exp_count for pair in pairs] == exps
+        assert len(_sent(transcript, "receiver", "OT_SETUP")) == 2  # A, then the ciphertexts
+        headers = [decode_ot_extend(f.payload) for f in _sent(transcript, "receiver", "OT_EXTEND")]
+        assert len({h[0] for h in headers}) == 1
+        assert [(h[1], h[2]) for h in headers] == [(0, 0), (1, 40), (4, 340), (5, 353)]
+
+    def test_concurrent_sessions_get_disjoint_ranges(self):
+        pairs = self._pairs()
+        transcript = Transcript()
+        errors = []
+
+        def session(i):
+            try:
+                _messages_session(pairs, 20 + 37 * i, 100 + i, transcript)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=session, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(_sent(transcript, "receiver", "OT_SETUP")) == 2  # one set-up in all
+        headers = [decode_ot_extend(f.payload) for f in _sent(transcript, "receiver", "OT_EXTEND")]
+        assert len(headers) == 8 and len({h[0] for h in headers}) == 1
+        for lo, width in ((1, lambda m: -(-m // 128)), (2, lambda m: m)):
+            spans = sorted((h[lo], h[lo] + width(h[3])) for h in headers)
+            assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+
+    @pytest.mark.parametrize(
+        "block,row",
+        [(0, 0), (1, 39), (0, 40)],
+        ids=["replayed", "rows-overlap", "blocks-overlap"],
+    )
+    def test_used_range_rejected_and_state_rebuilt(self, block, row):
+        pairs = self._pairs()
+        _messages_session(pairs, 40, 1)
+        with pytest.raises(OTError, match="already used"):
+            _messages_session(pairs, 40, 2, tampered=("receiver", "OT_EXTEND", 0,
+                                                       _rewrite_range(block, row)))
+        assert pairs[1]._state is None  # the failed receiver dropped its state
+        transcript = Transcript()
+        _messages_session(pairs, 40, 3, transcript)
+        assert len(_sent(transcript, "receiver", "OT_SETUP")) == 2
+
+    def test_unknown_state_fails_once_then_rebuilds(self):
+        # a restarted sender has lost every state its counterpart set up
+        _, receiver_pair = pairs = self._pairs()
+        _messages_session(pairs, 16, 1)
+        restarted = (OTPair(GroupContext(), timeout=10.0), receiver_pair)
+        with pytest.raises(OTError, match="unknown"):
+            _messages_session(restarted, 16, 2)
+        assert receiver_pair._state is None
+        transcript = Transcript()
+        _messages_session(restarted, 16, 3, transcript)
+        assert len(_sent(transcript, "receiver", "OT_SETUP")) == 2
+        _messages_session(restarted, 16, 4)
+
+    def test_waits_for_a_set_up_in_flight(self):
+        sender_pair = OTPair(GroupContext(), timeout=10.0)
+        state_id = b"\x01" * 8
+        sender_pair._begin(state_id)
+        state = ot_mod._SenderState([0] * 128, [bytes(16)] * 128)
+        threading.Timer(0.2, sender_pair._end, args=(state_id, state)).start()
+        assert sender_pair._claim(state_id, 0, 0, 8) is state
+        with pytest.raises(OTError, match="already used"):
+            sender_pair._claim(state_id, 0, 7, 8)
+
+    def test_set_up_in_flight_that_fails(self):
+        sender_pair = OTPair(GroupContext(), timeout=10.0)
+        sender_pair._begin(b"\x02" * 8)
+        threading.Timer(0.2, sender_pair._end, args=(b"\x02" * 8, None)).start()
+        with pytest.raises(OTError, match="unknown"):
+            sender_pair._claim(b"\x02" * 8, 0, 0, 8)
+
+
+def _ctr_stream(seed, n, block):
+    """Reference: n bytes of a seed's AES-CTR stream from the given block on."""
+    enc = Cipher(algorithms.AES(seed), modes.CTR(block.to_bytes(16, "big"))).encryptor()
+    return enc.update(bytes(n))
+
+
+class TestVectorised:
+    """The cached key schedules and the numpy loops give the bytes and
+    values of the per-element formulas they replaced."""
+
+    def test_cached_schedules_equal_ctr_stream(self):
+        rng = np.random.default_rng(7)
+        seeds = [rng.bytes(16) for _ in range(5)]
+        cached = ot_mod._Seeds(seeds)
+        for _ in range(40):
+            n = int(rng.integers(1, 700))
+            block = int(rng.integers(0, 1 << 63)) * int(rng.integers(0, 3))
+            got = cached.expand(n, block)
+            assert got.shape == (5, n)
+            for seed, row in zip(seeds, got):
+                assert row.tobytes() == _ctr_stream(seed, n, block)
+        near_wrap = (1 << 64) - 2  # the counter carries out of its low 64 bits
+        assert cached.expand(64, near_wrap)[0].tobytes() == _ctr_stream(seeds[0], 64, near_wrap)
+
+    def test_correlated_and_message_formulas(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        m = 257
+        pads0, pads1, pads = (rng.integers(0, 256, size=(m, 16), dtype=np.uint8) for _ in range(3))
+        deltas = [int(d) for d in rng.integers(0, SHARE_MODULUS, size=m)]
+        bits = [int(b) for b in rng.integers(0, 2, size=m)]
+        msgs0, msgs1, _ = _labels(m, 9)
+
+        class Sink:
+            def __init__(self):
+                self.payloads = []
+
+            def send(self, frame):
+                self.payloads.append(frame.payload)
+
+        sender = OTSender(GroupContext(), Sink())
+        monkeypatch.setattr(sender, "pads", lambda n: (pads0, pads1))
+        vs = sender.send_correlated(deltas)
+        sender.send_messages(msgs0, msgs1)
+        corr, labels = sender.channel.payloads
+
+        # the loops these replaced
+        p0 = [p.tobytes() for p in pads0]
+        p1 = [p.tobytes() for p in pads1]
+        want_vs, want_corr = [], []
+        for delta, a, b in zip(deltas, p0, p1):
+            v = int.from_bytes(a, "big") % SHARE_MODULUS
+            w1 = int.from_bytes(b, "big") % SHARE_MODULUS
+            want_corr.append(((delta + v - w1) % SHARE_MODULUS).to_bytes(4, "big"))
+            want_vs.append(v)
+        assert vs == want_vs and corr == b"".join(want_corr)
+        want_labels = b"".join(
+            bytes(x ^ y for x, y in zip(m0, a)) + bytes(x ^ y for x, y in zip(m1, b))
+            for m0, m1, a, b in zip(msgs0, msgs1, p0, p1)
+        )
+        assert labels == want_labels
+
+        receiver = OTReceiver(GroupContext(), None)
+        monkeypatch.setattr(receiver, "_extend", lambda b, size: (pads, corr))
+        got = receiver.recv_correlated(bits)
+        want = []
+        for i, (bit, pad) in enumerate(zip(bits, pads)):
+            w = int.from_bytes(pad.tobytes(), "big") % SHARE_MODULUS
+            if bit:
+                w = (w + int.from_bytes(corr[4 * i : 4 * i + 4], "big")) % SHARE_MODULUS
+            want.append(w)
+        assert got == want
+        monkeypatch.setattr(receiver, "_extend", lambda b, size: (pads, labels))
+        got = receiver.recv_messages(bits)
+        assert got == [
+            bytes(x ^ y for x, y in zip(labels[(2 * i + bit) * 16 : (2 * i + bit + 1) * 16],
+                                        pad.tobytes()))
+            for i, (bit, pad) in enumerate(zip(bits, pads))
+        ]

@@ -504,6 +504,83 @@ class TestSecureMode:
             assert_ranked(got, oracle)
 
 
+    def _scored_oracle(self, engine, text):
+        return sorted(
+            ((sk * sk % SHARE_MODULUS, eid)
+             for sk, eid in engine.query(parse_sexpr(text), sort=True)),
+            key=lambda e: -e[0],
+        )
+
+    def test_steady_state_runs_no_base_ot(self, setup):
+        # the first sorted and scored query sets up every pair's OT state;
+        # later ones only extend it
+        index, engine, _, _ = setup
+        edb = build_edb(
+            index, KEYS, crypto.GroupContext(), PartitionConfig(shards_per_cluster=2, seed=21)
+        )
+        t = top_terms(index, 3)
+        text = f"(or {t[0]} {t[1]} {t[2]})"
+        transcript = Transcript()
+        with LocalCluster(edb, transcript=transcript, timeout=60.0) as cluster:
+            assert {s.run_mode for s in cluster.servers.values()} == {"secure"}
+            fe = cluster.front_end(KEYS, lengths=engine.lengths, timeout=120.0)
+
+            def run_query():
+                with transcript.lock:
+                    transcript.entries.clear()
+                got = fe.query(text, sort=True, score="(mul key key)")
+                assert_ranked(got, self._scored_oracle(engine, text))
+                return {f.name for _, d, f in transcript.entries if d == "send"}
+
+            assert {"OT_SETUP", "OT_EXTEND"} <= run_query()
+            exps = {name: s.ot_ctx.exp_count for name, s in cluster.servers.items()}
+            assert all(exps.values())
+            for _ in range(2):
+                sent = run_query()
+                assert "OT_EXTEND" in sent and "OT_SETUP" not in sent
+                assert {n: s.ot_ctx.exp_count for n, s in cluster.servers.items()} == exps
+
+    def test_concurrent_front_ends(self, setup):
+        index, engine, _, _ = setup
+        edb = build_edb(
+            index, KEYS, crypto.GroupContext(), PartitionConfig(shards_per_cluster=2, seed=21)
+        )
+        t = top_terms(index, 4)
+        queries = [
+            (f"(or {t[0]} {t[1]})", None),
+            (f"(term {t[2]})", "(mul key key)"),
+            (f"(or {t[1]} {t[3]})", "(mul key key)"),
+            (f"(term {t[0]})", None),
+        ]
+        errors = []
+        with LocalCluster(edb, timeout=60.0) as cluster:
+
+            def client(order):
+                fe = cluster.front_end(KEYS, lengths=engine.lengths, timeout=120.0)
+                try:
+                    for text, score in order:
+                        got = fe.query(text, sort=True, score=score)
+                        if score:
+                            want = self._scored_oracle(engine, text)
+                        else:
+                            want = engine.query(parse_sexpr(text), sort=True)
+                        assert_ranked(got, want)
+                        assert len(got) == len(want)
+                except Exception as exc:  # re-raised in the test thread
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=client, args=(order,))
+                for order in (queries, queries[::-1])
+            ]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=240)
+            assert not any(th.is_alive() for th in threads)
+        assert errors == []
+
+
 class TestPartitionInvariance:
     def test_results_match_across_shardings(self, setup):
         index, engine, *_ = setup

@@ -8,6 +8,7 @@ from privgraph.crypto import GroupContext
 from privgraph.sorting import (
     SHARE_MODULUS,
     SortError,
+    _sort_circuit,
     build_merge_circuit,
     global_sort_evaluator,
     global_sort_garbler,
@@ -179,28 +180,30 @@ class TestGlobalSort:
 
 # (frame, payload bytes) each party sends in a k = 5, 3 and 1 local sort and
 # in the 3-shard merge of their results, recorded with the earlier
-# implementation that wrote each of the four sort halves out in full
+# implementation that wrote each of the four sort halves out in full. Each
+# session here is a pair's first, so it sets up; OT_EXTEND carries the
+# 28-byte header that names its state and range.
 _EVALUATOR_OT = [("OT_SETUP", 32), ("OT_SETUP", 4096)]
 PINNED_FRAMES = [
     (  # local, k = 5
         [("SORT_INIT", 10), ("CIRCUIT_BLOB", 115246), ("GARBLER_LABELS", 4352),
          ("MASK_LABELS", 496), ("OT_SETUP", 4096), ("OT_PAYLOAD", 7936)],
-        _EVALUATOR_OT + [("OT_EXTEND", 3968)],
+        _EVALUATOR_OT + [("OT_EXTEND", 28 + 3968)],
     ),
     (  # local, k = 3
         [("SORT_INIT", 10), ("CIRCUIT_BLOB", 32285), ("GARBLER_LABELS", 2112),
          ("MASK_LABELS", 496), ("OT_SETUP", 4096), ("OT_PAYLOAD", 3968)],
-        _EVALUATOR_OT + [("OT_EXTEND", 2048)],
+        _EVALUATOR_OT + [("OT_EXTEND", 28 + 2048)],
     ),
     (  # local, k = 1
         [("SORT_INIT", 10), ("CIRCUIT_BLOB", 1936), ("GARBLER_LABELS", 512),
          ("MASK_LABELS", 496), ("OT_SETUP", 4096), ("OT_PAYLOAD", 992)],
-        _EVALUATOR_OT + [("OT_EXTEND", 512)],
+        _EVALUATOR_OT + [("OT_EXTEND", 28 + 512)],
     ),
     (  # merge of 9 entries from 3 shards
         [("SORT_INIT", 30), ("CIRCUIT_BLOB", 343062), ("GARBLER_LABELS", 9216),
          ("OT_SETUP", 4096), ("OT_PAYLOAD", 15872)],
-        _EVALUATOR_OT + [("OT_EXTEND", 7936)],
+        _EVALUATOR_OT + [("OT_EXTEND", 28 + 7936)],
     ),
 ]
 
@@ -231,6 +234,16 @@ class TestWireSequence:
                 for party in ("g", "e")
             ]
             assert tuple(sent) == pinned
+
+
+class TestCircuitCache:
+    def test_one_circuit_per_shape(self):
+        # k = 5, 6 and 7 share the padded width 8 and so one circuit
+        assert _sort_circuit(5, 3).circuit is _sort_circuit(7, 3).circuit
+        assert (_sort_circuit(5, 3).k, _sort_circuit(7, 3).k) == (5, 7)
+        assert _sort_circuit(5, 3).circuit is not _sort_circuit(5, 4).circuit
+        assert build_merge_circuit(5, 6).circuit is build_merge_circuit(6, 6).circuit
+        assert build_merge_circuit(8, 6).circuit is not _sort_circuit(8, 6).circuit
 
 
 class TestMergeCircuit:
