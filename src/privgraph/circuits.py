@@ -203,21 +203,21 @@ class SortCircuit:
         return scores, payloads
 
 
-def padded_size(k: int, max_k: int = MAX_SORT_K) -> int:
+def padded_size(k: int) -> int:
     """The sorting network's width for k inputs: the next power of two.
-    Rejects k outside 1..max_k."""
+    Rejects k outside 1..MAX_SORT_K."""
     if k < 1:
         raise ValueError("sort length must be >= 1")
-    if k > max_k:
+    if k > MAX_SORT_K:
         raise ValueError(
-            f"sort length {k} exceeds the max {max_k}; truncate the "
+            f"sort length {k} exceeds the max {MAX_SORT_K}; truncate the "
             "inputs before sorting"
         )
     return 1 << (k - 1).bit_length()
 
 
-def build_sort_circuit(k: int, payload_width: int, max_k: int = MAX_SORT_K) -> SortCircuit:
-    n = padded_size(k, max_k)
+def build_sort_circuit(k: int, payload_width: int) -> SortCircuit:
+    n = padded_size(k)
     b = CircuitBuilder()
     g_shares = b.input_bundle("garbler_shares", n * SCORE_BITS)
     e_shares = b.input_bundle("evaluator_shares", n * SCORE_BITS)

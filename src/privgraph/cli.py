@@ -152,10 +152,7 @@ def cmd_query(args) -> int:
     try:
         if args.local:
             edb = load_edb(args.edb, GroupContext())
-            with LocalCluster(
-                edb, run_mode=args.run_mode, transcript=transcript,
-                timeout=args.timeout,
-            ) as cluster:
+            with LocalCluster(edb, transcript=transcript, timeout=args.timeout) as cluster:
                 fe = cluster.front_end(
                     keys, lengths=lengths, timeout=args.timeout * 2
                 )
@@ -256,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=int)
     p.add_argument("--score", help="scoring formula, e.g. '(mul key key)'")
     p.add_argument("--record", help="write the session transcript here")
-    p.add_argument("--run-mode", choices=("dealer", "secure"), default="secure")
     p.add_argument("--timeout", type=float, default=SERVER_TIMEOUT)
     p.set_defaults(fn=cmd_query)
 

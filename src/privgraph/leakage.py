@@ -34,7 +34,7 @@ from .server import (
     decode_xtoken_batch,
 )
 from .sexpr import SExpr, parse_sexpr
-from .shares import decode_mul_exchange, decode_triple_gen_init
+from .shares import decode_mul_exchange
 from .sorting import decode_sort_init
 from .transport import MSG, MSG_NAMES, Transcript, TransportError
 
@@ -185,7 +185,6 @@ _ALPHABET = {
     "OT_PAYLOAD": ("wire labels", None),
     "CONTRIB": ("masked scores + ranks", _decode_contrib),
     "MASKS": ("masks", _decode_masks),
-    "TRIPLE_GEN_INIT": ("triple shape", decode_triple_gen_init),
     "MUL_EXCHANGE": ("blinded shares", decode_mul_exchange),
     "ERROR": ("error notice", None),
 }

@@ -10,15 +10,17 @@ pad0/pad1 (sender) and pad_{b_i} (receiver).
 The base OT runs once per party pair and extension role, not once per
 session (Beaver, "Precomputing Oblivious Transfer", CRYPTO 1995; Ishai,
 Kilian, Nissim and Petrank, "Extending Oblivious Transfers Efficiently",
-CRYPTO 2003). An OTPair is what one party keeps for one counterpart. The
-extension receiver speaks first in every OT phase: OT_SETUP when the pair
-has no state, which sets one up, then one OT_EXTEND per extension. Each
+CRYPTO 2003). An OTPair is what one party keeps for one counterpart, and
+every OTSender and OTReceiver runs on one. The extension receiver speaks
+first in every OT phase: OT_SETUP when the pair has no state, which sets one
+up inside that first extension, then one OT_EXTEND per extension. Each
 OT_EXTEND names its state (a hash of the set-up's first frame) and a range
-of the seeds' AES-CTR blocks and of the row-hash indices that the receiver
-allocated under the pair's lock, so no two extensions on a state share PRG
-output or hash indices. The sender refuses an unknown state and a range that
-overlaps one already used. A receiver whose OT fails drops its state, and
-the pair's next session sets up a new one.
+of the seeds' AES-CTR blocks that the receiver allocated under the pair's
+lock; transfer j of an extension that starts at block b is hashed under the
+index 128 * b + j, so no two extensions on a state share PRG output or hash
+indices. The sender refuses an unknown state and a range that overlaps one
+already used. A receiver whose OT fails drops its state, and the pair's next
+session sets up a new one.
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ KAPPA = 128  # base-OT count / extension matrix width
 # begun before their receiver dropped them may still extend
 STATES_KEPT = 4
 
-# OT_EXTEND header: state id, first AES-CTR block, first row index, transfers
-_EXTEND = struct.Struct(">8sQQI")
-_U64 = 1 << 64
+# OT_EXTEND header: state id, first AES-CTR block, transfers
+_EXTEND = struct.Struct(">8sQI")
+# block b's rows hash under the indices 128 * b + j, which must fit 64 bits
+_MAX_BLOCK = 1 << 57
 
 
 class OTError(TransportError):
@@ -71,22 +74,22 @@ def _blocks(m: int) -> int:
     return -(-m // 128)
 
 
-def encode_ot_extend(state_id: bytes, block: int, row: int, m: int, u: bytes) -> bytes:
-    return _EXTEND.pack(state_id, block, row, m) + u
+def encode_ot_extend(state_id: bytes, block: int, m: int, u: bytes) -> bytes:
+    return _EXTEND.pack(state_id, block, m) + u
 
 
-def decode_ot_extend(payload: bytes) -> tuple[bytes, int, int, int, bytes]:
-    """(state id, first block, first row, transfers m, the matrix u).
-    Strict: m >= 1, both ranges inside 64 bits, and exactly 128 rows of
-    ceil(m / 8) bytes after the header."""
+def decode_ot_extend(payload: bytes) -> tuple[bytes, int, int, bytes]:
+    """(state id, first block, transfers m, the matrix u). Strict: m >= 1,
+    the block range below 2^57, and exactly 128 rows of ceil(m / 8) bytes
+    after the header."""
     if len(payload) < _EXTEND.size:
         raise OTError("OT_EXTEND shorter than its header")
-    state_id, block, row, m = _EXTEND.unpack_from(payload)
-    if m < 1 or row + m > _U64 or block + _blocks(m) > _U64:
+    state_id, block, m = _EXTEND.unpack_from(payload)
+    if m < 1 or block + _blocks(m) > _MAX_BLOCK:
         raise OTError(f"OT_EXTEND range of {m} transfers out of bounds")
     if len(payload) != _EXTEND.size + KAPPA * _row_bytes(m):
         raise OTError(f"OT_EXTEND of {len(payload)} bytes for {m} transfers")
-    return state_id, block, row, m, payload[_EXTEND.size :]
+    return state_id, block, m, payload[_EXTEND.size :]
 
 
 def _expect(channel: Channel, msg_name: str, size: int) -> bytes:
@@ -113,9 +116,10 @@ def _hash_point(ctx: GroupContext, index: int, point: int) -> bytes:
     return hashlib.sha256(struct.pack(">I", index) + ctx.encode(point)).digest()[:16]
 
 
-def _hash_rows(rows: np.ndarray, first: int) -> np.ndarray:
-    """Hash each 16-byte row with its running index, from first on, into a
-    pad; the pads as an (m, 16) array."""
+def _hash_rows(rows: np.ndarray, block: int) -> np.ndarray:
+    """Hash each 16-byte row j of an extension that starts at block with
+    the index 128 * block + j into a pad; the pads as an (m, 16) array."""
+    first = KAPPA * block
     raw = rows.tobytes()
     pads = b"".join(
         hashlib.sha256(struct.pack(">Q", first + i) + raw[i * 16 : i * 16 + 16]).digest()[:16]
@@ -157,20 +161,18 @@ class _Seeds:
 
 class _ReceiverState:
     """The extension receiver's side of one set-up: both seeds of each
-    pair, and where the next extension's range starts."""
+    pair, and the block where the next extension's range starts."""
 
     def __init__(self, state_id: bytes, seed_pairs):
         self.id = state_id
         self.seeds = _Seeds([k0 for k0, _ in seed_pairs] + [k1 for _, k1 in seed_pairs])
         self.block = 0
-        self.row = 0
 
-    def allocate(self, m: int) -> tuple[int, int]:
-        """The (block, row) of an m-transfer extension, reserved; the
-        caller holds the pair's lock."""
-        start = self.block, self.row
+    def allocate(self, m: int) -> int:
+        """The first block of an m-transfer extension, reserved; the caller
+        holds the pair's lock."""
+        start = self.block
         self.block += _blocks(m)
-        self.row += m
         return start
 
 
@@ -181,17 +183,13 @@ class _Claims:
         self._starts: list[int] = []
         self._ends: list[int] = []
 
-    def check(self, start: int, end: int) -> int:
-        """Where [start, end) goes; OTError if it overlaps a claim."""
+    def add(self, start: int, end: int) -> None:
+        """Claim [start, end); OTError if it overlaps a claim."""
         i = bisect.bisect_right(self._starts, start)
         if (i and self._ends[i - 1] > start) or (
             i < len(self._starts) and self._starts[i] < end
         ):
             raise OTError(f"OT_EXTEND range [{start}, {end}) was already used")
-        return i
-
-    def add(self, start: int, end: int) -> None:
-        i = self.check(start, end)
         if i and self._ends[i - 1] == start:
             i -= 1
             start = self._starts.pop(i)
@@ -205,23 +203,14 @@ class _Claims:
 
 class _SenderState:
     """The extension sender's side of one set-up: its secret bits, the
-    seeds they chose, and the block and row ranges already used."""
+    seeds they chose, and the block ranges already used."""
 
     def __init__(self, s_bits: list[int], seeds: list[bytes]):
         s_arr = np.array(s_bits, dtype=np.uint8)
         self.s_mask = (s_arr * 0xFF)[:, None]  # rows of u that enter q
         self.s_bytes = np.packbits(s_arr)
         self.seeds = _Seeds(seeds)
-        self._blocks = _Claims()
-        self._rows = _Claims()
-
-    def claim(self, block: int, row: int, m: int) -> None:
-        """Mark an extension's ranges used; the caller holds the pair's lock."""
-        blocks = (block, block + _blocks(m))
-        rows = (row, row + m)
-        self._blocks.check(*blocks)  # both are checked before either is kept
-        self._rows.add(*rows)
-        self._blocks.add(*blocks)
+        self.used = _Claims()
 
 
 class OTPair:
@@ -264,8 +253,8 @@ class OTPair:
                 self._states[state_id] = state
             self._cond.notify_all()
 
-    def _claim(self, state_id: bytes, block: int, row: int, m: int) -> _SenderState:
-        """The sender state an extension names, with its ranges marked used."""
+    def _claim(self, state_id: bytes, block: int, m: int) -> _SenderState:
+        """The sender state an extension names, with its range marked used."""
         with self._cond:
             # None only while the state's set-up runs; an unknown id ends the wait
             settled = lambda: self._states.get(state_id, True) is not None  # noqa: E731
@@ -274,13 +263,8 @@ class OTPair:
             state = self._states.get(state_id)
             if state is None:
                 raise OTError("OT_EXTEND names an unknown OT state")
-            state.claim(block, row, m)
+            state.used.add(block, block + _blocks(m))
             return state
-
-
-def _as_pair(ot: OTPair | GroupContext) -> OTPair:
-    """A party's pair state, or a new one over a bare group context."""
-    return ot if isinstance(ot, OTPair) else OTPair(ot)
 
 
 def _base_send(ctx: GroupContext, channel: Channel, session: int, pairs) -> bytes:
@@ -333,20 +317,18 @@ def _rows16(msgs: list[bytes]) -> np.ndarray:
 
 class OTSender:
     """Extension sender of one session: derives pad pairs for each
-    transfer, on a state that the counterpart set up in this session or an
-    earlier one. ot is the pair's state, or a group context for a pair of
-    its own."""
+    transfer, on a state of the pair that the counterpart set up in this
+    session or an earlier one."""
 
-    def __init__(self, ot: OTPair | GroupContext, channel: Channel, session: int = 0):
-        self.pair = _as_pair(ot)
+    def __init__(self, pair: OTPair, channel: Channel, session: int = 0):
+        self.pair = pair
         self.channel = channel
         self.session = session
 
-    def setup(self, first: bytes | None = None) -> None:
+    def setup(self, first: bytes) -> None:
         """The base OT, as its receiver: sets up the state named by the
-        counterpart's first OT_SETUP payload, read here unless given."""
-        if first is None:
-            first = self.channel.expect("OT_SETUP").payload
+        counterpart's first OT_SETUP payload, with which an extension
+        opened."""
         if len(first) != ELEMENT_BYTES:
             raise OTError(f"OT_SETUP of {len(first)} bytes, expected {ELEMENT_BYTES}")
         state_id = _state_id(first)
@@ -368,14 +350,14 @@ class OTSender:
             frame = self.channel.recv()
         if frame.name != "OT_EXTEND":
             raise OTError(f"expected OT_EXTEND, got {frame.name}")
-        state_id, block, row, count, u = decode_ot_extend(frame.payload)
+        state_id, block, count, u = decode_ot_extend(frame.payload)
         if count != m:
             raise OTError(f"OT_EXTEND of {count} transfers, expected {m}")
-        state = self.pair._claim(state_id, block, row, m)
+        state = self.pair._claim(state_id, block, m)
         u_mat = np.frombuffer(u, dtype=np.uint8).reshape(KAPPA, -1)
         q_mat = state.seeds.expand(_row_bytes(m), block) ^ (u_mat & state.s_mask)
         rows = _transpose(q_mat, m)
-        return _hash_rows(rows, row), _hash_rows(rows ^ state.s_bytes, row)
+        return _hash_rows(rows, block), _hash_rows(rows ^ state.s_bytes, block)
 
     def send_messages(self, msgs0: list[bytes], msgs1: list[bytes]) -> None:
         """Transfer arbitrary 16-byte message pairs (wire labels)."""
@@ -399,11 +381,10 @@ class OTSender:
 class OTReceiver:
     """Extension receiver of one session: obtains the pad selected by each
     choice bit, on the pair's state, which the first extension without one
-    sets up. ot is the pair's state, or a group context for a pair of its
-    own."""
+    sets up."""
 
-    def __init__(self, ot: OTPair | GroupContext, channel: Channel, session: int = 0):
-        self.pair = _as_pair(ot)
+    def __init__(self, pair: OTPair, channel: Channel, session: int = 0):
+        self.pair = pair
         self.channel = channel
         self.session = session
         self._state: _ReceiverState | None = None  # of this session's last extension
@@ -427,13 +408,13 @@ class OTReceiver:
             if self.pair._state is None:
                 self.setup()
             state = self._state = self.pair._state
-            block, row = state.allocate(m)
+            block = state.allocate(m)
         streams = state.seeds.expand(_row_bytes(m), block)
         t_mat = streams[:KAPPA]
         u = t_mat ^ streams[KAPPA:] ^ np.packbits(np.asarray(bits, dtype=np.uint8))
-        payload = encode_ot_extend(state.id, block, row, m, u.tobytes())
+        payload = encode_ot_extend(state.id, block, m, u.tobytes())
         self.channel.send(Frame(MSG["OT_EXTEND"], self.session, payload))
-        return _hash_rows(_transpose(t_mat, m), row)
+        return _hash_rows(_transpose(t_mat, m), block)
 
     def _extend(self, bits: list[int], payload_bytes: int) -> tuple[np.ndarray, bytes]:
         """One extension and the sender's OT_PAYLOAD. Any failure drops the

@@ -682,10 +682,7 @@ class IndexServer:
             # both extension roles on the counterpart pair's OT state
             ot = self._ot_pair(self.counterpart)
             sender, receiver = OTSender(ot, channel, qid), OTReceiver(ot, channel, qid)
-            return lambda shape: triple_gen_cot(
-                party, "elementwise", shape, shape, channel, sender, receiver,
-                np.random.default_rng(), qid,
-            )
+            return lambda shape: triple_gen_cot(party, shape, sender, receiver)
         counter = {"n": 0}
 
         def dealer(shape):
@@ -694,7 +691,7 @@ class IndexServer:
             ).digest()
             counter["n"] += 1
             seed = int.from_bytes(seed_bytes[:8], "big")
-            pair = dealer_triple_gen(shape, shape, "elementwise", seed, self.run_mode)
+            pair = dealer_triple_gen(shape, seed)
             return pair[party]
 
         return dealer

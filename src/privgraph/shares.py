@@ -1,15 +1,16 @@
 """Two-party arithmetic over additively shared values in Z_{2^31}:
 sharing and reconstruction, non-interactive addition, one-round Beaver
-multiplication, and offline triple generation via correlated OT.
+multiplication, and offline elementwise triple generation via correlated
+OT, whose only frames are the OT extension's.
 
-A dealer mode generates triples locally from a seed so arithmetic tests
-and benchmarks can run without the OT stack; it is refused when the run
-mode is "secure".
+dealer_triple_gen makes triples locally from a seed, so arithmetic tests
+and the dealer run mode need no OT stack; every server knows such a seed,
+so it is no source of secure triples.
 """
 
 from __future__ import annotations
 
-import struct
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +21,8 @@ from .transport import MSG, Channel, Frame, TransportError
 
 __all__ = [
     "SHARE_MODULUS",
-    "ConfigError",
     "ShareMatrix",
     "TripleShare",
-    "encode_triple_gen_init",
-    "decode_triple_gen_init",
     "encode_mul_exchange",
     "decode_mul_exchange",
     "shr",
@@ -35,18 +33,6 @@ __all__ = [
     "dealer_triple_gen",
     "triple_gen_cot",
 ]
-
-TRIPLE_MODE = "elementwise"  # the only triple mode: Z = X * Y elementwise
-
-
-class ConfigError(Exception):
-    pass
-
-
-def _check_mode(mode: str) -> None:
-    if mode != TRIPLE_MODE:
-        raise ValueError(f"unknown triple mode {mode!r}; only {TRIPLE_MODE!r} is supported")
-
 
 def _as_ring(values) -> np.ndarray:
     # np.asarray twice: ufuncs collapse 0-d arrays to scalars, and scalar
@@ -126,16 +112,6 @@ def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.mod(x * y, SHARE_MODULUS)
 
 
-def encode_triple_gen_init(mode: str) -> bytes:
-    return struct.pack(">16s", mode.encode())
-
-
-def decode_triple_gen_init(payload: bytes) -> str:
-    if payload != encode_triple_gen_init(TRIPLE_MODE):
-        raise TransportError("TRIPLE_GEN_INIT does not announce elementwise triples")
-    return TRIPLE_MODE
-
-
 def encode_mul_exchange(e: np.ndarray, f: np.ndarray) -> bytes:
     return e.astype(">u4").tobytes() + f.astype(">u4").tobytes()
 
@@ -178,20 +154,16 @@ def mul(
     return ShareMatrix(c, i)
 
 
-def dealer_triple_gen(
-    shape_x, shape_y, mode: str, seed: int, run_mode: str = "dealer"
-) -> tuple[TripleShare, TripleShare]:
-    """Trusted-dealer triple generation for test and benchmark runs."""
-    if run_mode == "secure":
-        raise ConfigError("dealer triples are not available in secure mode")
-    _check_mode(mode)
+def dealer_triple_gen(shape, seed: int) -> tuple[TripleShare, TripleShare]:
+    """Trusted-dealer triple generation from a seed, for tests and the
+    dealer run mode."""
     rng = np.random.default_rng(seed)
-    x = rng.integers(0, SHARE_MODULUS, size=shape_x, dtype=np.int64)
-    y = rng.integers(0, SHARE_MODULUS, size=shape_y, dtype=np.int64)
+    x = rng.integers(0, SHARE_MODULUS, size=shape, dtype=np.int64)
+    y = rng.integers(0, SHARE_MODULUS, size=shape, dtype=np.int64)
     z = _times(x, y)
-    x0 = rng.integers(0, SHARE_MODULUS, size=x.shape, dtype=np.int64)
-    y0 = rng.integers(0, SHARE_MODULUS, size=y.shape, dtype=np.int64)
-    z0 = rng.integers(0, SHARE_MODULUS, size=z.shape, dtype=np.int64)
+    x0 = rng.integers(0, SHARE_MODULUS, size=shape, dtype=np.int64)
+    y0 = rng.integers(0, SHARE_MODULUS, size=shape, dtype=np.int64)
+    z0 = rng.integers(0, SHARE_MODULUS, size=shape, dtype=np.int64)
     t0 = TripleShare(x0, y0, z0, 0)
     t1 = TripleShare(
         np.mod(x - x0, SHARE_MODULUS),
@@ -221,30 +193,25 @@ def _cross_recv(ot_receiver: OTReceiver, scalars: list[int]) -> list[int]:
     ]
 
 
+def _uniform(shape) -> np.ndarray:
+    """Ring elements of the given shape from the OS CSPRNG."""
+    n = int(np.prod(shape))
+    words = np.frombuffer(secrets.token_bytes(4 * n), dtype=np.uint32)
+    return (words & (SHARE_MODULUS - 1)).astype(np.int64).reshape(shape)
+
+
 def triple_gen_cot(
-    party: int,
-    mode: str,
-    shape_x,
-    shape_y,
-    channel: Channel,
-    ot_sender: OTSender,
-    ot_receiver: OTReceiver,
-    rng: np.random.Generator,
-    session: int = 0,
+    party: int, shape, ot_sender: OTSender, ot_receiver: OTReceiver
 ) -> TripleShare:
-    """Generate one elementwise multiplication triple with the counterpart
-    over OT.
+    """Generate one elementwise multiplication triple of the given shape
+    with the counterpart over OT.
 
-    Each party samples its X and Y share halves; the cross terms
-    X_0 * Y_1 and X_1 * Y_0 are built from 31 correlated OTs per element,
-    with the receiver's choice bits taken from its Y share.
+    Each party samples its X and Y share halves from the CSPRNG; the cross
+    terms X_0 * Y_1 and X_1 * Y_0 are built from 31 correlated OTs per
+    element, with the receiver's choice bits taken from its Y share.
     """
-    _check_mode(mode)
-    x = rng.integers(0, SHARE_MODULUS, size=shape_x, dtype=np.int64)
-    y = rng.integers(0, SHARE_MODULUS, size=shape_y, dtype=np.int64)
-    channel.send(Frame(MSG["TRIPLE_GEN_INIT"], session, encode_triple_gen_init(mode)))
-    decode_triple_gen_init(channel.expect("TRIPLE_GEN_INIT").payload)
-
+    x = _uniform(shape)
+    y = _uniform(shape)
     x_scalars = [int(v) for v in x.reshape(-1)]
     y_scalars = [int(v) for v in y.reshape(-1)]
     # Cross term X_0 * Y_1: party 0 sends correlations, party 1 chooses.
@@ -257,5 +224,5 @@ def triple_gen_cot(
         contrib_b = _cross_send(ot_sender, x_scalars)
 
     cross = np.array(contrib_a, dtype=np.int64) + np.array(contrib_b, dtype=np.int64)
-    z = np.mod(_times(x, y) + cross.reshape(x.shape), SHARE_MODULUS)
+    z = np.mod(_times(x, y) + cross.reshape(shape), SHARE_MODULUS)
     return TripleShare(x, y, z, party)

@@ -16,7 +16,7 @@ _evaluate_session; a sort supplies only its circuit, header, input bits
 and the layout of its label frames (_LOCAL_FRAMES, _MERGE_FRAMES). The
 evaluator takes its own labels by OT, the garbler as extension sender: each
 sort function's ot is the pair's OTPair, whose base OT an earlier session
-may already have run, or a group context for a pair of its own.
+may already have run.
 
 Payload values are 1-based on the wire; 0 marks padding sentinels.
 """
@@ -40,7 +40,7 @@ from .circuits import (
     int_to_bits,
     padded_size,
 )
-from .crypto import SHARE_MODULUS, GroupContext
+from .crypto import SHARE_MODULUS
 from .garble import GarbledCircuit, decode, evaluate, garble, select_labels
 from .ot import OTPair, OTReceiver, OTSender
 from .transport import MSG, Channel, Frame, TransportError
@@ -239,7 +239,7 @@ def local_sort_garbler(
     channel: Channel,
     session: int,
     shares: list[int],
-    ot: OTPair | GroupContext,
+    ot: OTPair,
 ) -> int:
     """Garbler (cluster 0) side of a local sort. Returns the mask R."""
     k = len(shares)
@@ -262,7 +262,7 @@ def local_sort_evaluator(
     channel: Channel,
     session: int,
     shares: list[int],
-    ot: OTPair | GroupContext,
+    ot: OTPair,
 ) -> tuple[list[int], list[int]]:
     """Evaluator (cluster 1) side. Returns (masked scores, payload order),
     both descending by true score, sentinels dropped, payloads 0-based."""
@@ -284,7 +284,7 @@ def global_sort_garbler(
     channel: Channel,
     session: int,
     contributions: list[tuple[int, list[int], list[int]]],
-    ot: OTPair | GroupContext,
+    ot: OTPair,
 ) -> None:
     """Garbler (cluster-1 coordinator) side of the global sort over the
     shards' masked vectors. Sends everything; returns nothing."""
@@ -316,7 +316,7 @@ def global_sort_evaluator(
     channel: Channel,
     session: int,
     masks: dict[int, int],
-    ot: OTPair | GroupContext,
+    ot: OTPair,
 ) -> list[tuple[int, int]]:
     """Evaluator (cluster-0 coordinator) side. Feeds per-shard masks in by
     OT and returns the global descending order as (shard, local index)."""

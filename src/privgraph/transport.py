@@ -62,7 +62,6 @@ MSG = {
     "MASK_LABELS": 0x0016,
     "CONTRIB": 0x0020,
     "MASKS": 0x0021,
-    "TRIPLE_GEN_INIT": 0x0030,
     "MUL_EXCHANGE": 0x0032,
     "ERROR": 0x00FF,
 }

@@ -43,7 +43,7 @@ from privgraph.leakage import (
     check_transcript_consistency,
     compute_leakage,
 )
-from privgraph.ot import OTReceiver, OTSender
+from privgraph.ot import OTPair, OTReceiver, OTSender
 from privgraph.oxt import IntegrityError, compile_query
 from privgraph.sexpr import parse_sexpr
 from privgraph.shares import (
@@ -360,7 +360,7 @@ def test_ac05_secure_arithmetic():
     t_add = time.perf_counter() - t_add
     assert np.array_equal(got_add, np.mod(xs + ys, SHARE_MODULUS))
 
-    d0, d1 = dealer_triple_gen((n,), (n,), "elementwise", seed=550)
+    d0, d1 = dealer_triple_gen((n,), seed=550)
     t_mul = time.perf_counter()
     r0, r1, _ = run_two_party(
         lambda ch: mul(x0, y0, d0, ch),
@@ -374,20 +374,8 @@ def test_ac05_secure_arithmetic():
 
     def party(p):
         def run(chan):
-            ctx = GroupContext()
-            sender = OTSender(ctx, chan)
-            receiver = OTReceiver(ctx, chan)
-            if p == 0:
-                sender.setup()
-                receiver.setup()
-            else:
-                receiver.setup()
-                sender.setup()
-            prng = np.random.default_rng(551 + p)
-            return triple_gen_cot(
-                p, "elementwise", (n_triples,), (n_triples,), chan,
-                sender, receiver, prng,
-            )
+            pair = OTPair(GroupContext())
+            return triple_gen_cot(p, (n_triples,), OTSender(pair, chan), OTReceiver(pair, chan))
 
         return run
 
@@ -467,15 +455,15 @@ def test_ac06d_cost_report():
     scores = [int(v) for v in rng.integers(0, SHARE_MODULUS, size=k)]
     g = [int(v) for v in rng.integers(0, SHARE_MODULUS, size=k)]
     e = [(s - gs) % SHARE_MODULUS for s, gs in zip(scores, g)]
-    ctx_g, ctx_e = GroupContext(), GroupContext()
+    pair_g, pair_e = OTPair(GroupContext()), OTPair(GroupContext())
     mask, (masked, order), chan = run_two_party(
-        lambda ch: local_sort_garbler(ch, 1, g, ctx_g),
-        lambda ch: local_sort_evaluator(ch, 1, e, ctx_e),
+        lambda ch: local_sort_garbler(ch, 1, g, pair_g),
+        lambda ch: local_sort_evaluator(ch, 1, e, pair_e),
         name="sort128",
     )
     assert [m ^ mask for m in masked] == sorted(scores, reverse=True)
     session_bytes = chan.bytes_sent + chan.bytes_received
-    ands = build_sort_circuit(k, max(k.bit_length(), 1), 1024).and_count
+    ands = build_sort_circuit(k, max(k.bit_length(), 1)).and_count
     return (
         f"k=128 sort: {ands} AND gates, {session_bytes / 1e6:.2f} MB per session "
         "(published references: 446336 gates, 9.80 MB; no pass/fail threshold)"

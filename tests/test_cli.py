@@ -117,6 +117,12 @@ class TestQuery:
             str(workspace / "keystore.bin"), "--local",
         ]) == 2
 
+    def test_dealer_run_mode_refused(self, workspace):
+        # a dealer's seed is known to every server: queries run secure only
+        with pytest.raises(SystemExit) as exc:
+            self._query(workspace, "(term friend:1)", "--run-mode", "dealer")
+        assert exc.value.code == 2
+
 
 class TestAudit:
     def test_clean_run(self, workspace, tmp_path, capsys):

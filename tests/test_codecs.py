@@ -28,7 +28,7 @@ from privgraph.server import (
     encode_xtoken_batch,
 )
 from privgraph.sexpr import BoolFormula
-from privgraph.shares import encode_mul_exchange, encode_triple_gen_init
+from privgraph.shares import encode_mul_exchange
 from privgraph.sorting import encode_global_sort_init, encode_local_sort_init
 from privgraph.transport import MSG, TransportError
 
@@ -54,7 +54,6 @@ ENCODERS = {
     "CIRCUIT_BLOB": lambda gc: gc.to_bytes(),
     "CONTRIB": lambda v: _encode_contrib(*v),
     "MASKS": lambda v: _encode_masks(*v),
-    "TRIPLE_GEN_INIT": encode_triple_gen_init,
     "MUL_EXCHANGE": lambda v: encode_mul_exchange(*v),
     "OT_EXTEND": lambda v: encode_ot_extend(*v),
 }
@@ -100,11 +99,10 @@ VALID = {
     "MASK_LABELS": [bytes(16)],
     "CONTRIB": [_encode_contrib(1, 0, [(5, 0), (7, 1)])],
     "MASKS": [_encode_masks(1, 0, 2, 99)],
-    "TRIPLE_GEN_INIT": [encode_triple_gen_init("elementwise")],
     "MUL_EXCHANGE": [encode_mul_exchange(np.array([1, 2]), np.array([3, 4]))],
     "OT_EXTEND": [
-        encode_ot_extend(b"\x05" * 8, 3, 300, 9, bytes(range(256))),
-        encode_ot_extend(b"\xff" * 8, (1 << 64) - 1, (1 << 64) - 1, 1, bytes(128)),
+        encode_ot_extend(b"\x05" * 8, 3, 9, bytes(range(256))),
+        encode_ot_extend(b"\xff" * 8, (1 << 57) - 1, 1, bytes(128)),
     ],
 }
 
@@ -242,15 +240,16 @@ class TestStrictness:
 
     def test_ot_extend_lengths_and_ranges(self):
         check = _ALPHABET["OT_EXTEND"][1]
-        ok = encode_ot_extend(b"\x01" * 8, 0, 0, 9, bytes(256))
+        ok = encode_ot_extend(b"\x01" * 8, 0, 9, bytes(256))
         check(ok)
         for bad in (
             ok[:-1],  # a short matrix
             ok + bytes(128),  # a trailing row of bytes
-            encode_ot_extend(b"\x01" * 8, 0, 0, 8, bytes(256)),  # 9..16 transfers need 2 bytes a row
-            encode_ot_extend(b"\x01" * 8, 0, 0, 0, b""),  # no transfers
-            encode_ot_extend(b"\x01" * 8, 0, (1 << 64) - 8, 9, bytes(256)),  # rows past 2^64
-            encode_ot_extend(b"\x01" * 8, (1 << 64) - 1, 0, 129, bytes(128 * 17)),  # blocks past 2^64
+            encode_ot_extend(b"\x01" * 8, 0, 8, bytes(256)),  # 9..16 transfers need 2 bytes a row
+            encode_ot_extend(b"\x01" * 8, 0, 0, b""),  # no transfers
+            encode_ot_extend(b"\x01" * 8, 1 << 57, 1, bytes(128)),  # a block at 2^57
+            # blocks past 2^57, whose row indices 128 * b + j would pass 2^64
+            encode_ot_extend(b"\x01" * 8, (1 << 57) - 1, 129, bytes(128 * 17)),
         ):
             with pytest.raises(TransportError):
                 check(bad)

@@ -39,24 +39,22 @@ def run_pair(sender_fn, receiver_fn, tampered=None, pairs=None, transcript=None)
     error. tampered = (side, frame name, nth, edit) rewrites one frame sent
     by "sender" or "receiver". pairs = (sender's OTPair, receiver's OTPair)
     runs one session of those pairs, which sets up only when the receiver's
-    pair has no state; without them each side has a pair of its own and
-    calls setup() first. transcript records the frames each side sends."""
+    pair has no state; without them each side has a new pair, so the first
+    extension sets up. transcript records the frames each side sends."""
     chan_a, chan_b = loopback_pair("ot")
     for chan, party in ((chan_a, "sender"), (chan_b, "receiver")):
         chan.transcript, chan.party = transcript, party
     if tampered is not None:
         side, *how = tampered
         tamper(chan_a if side == "sender" else chan_b, *how)
-    sender_ot, receiver_ot = pairs or (GroupContext(), GroupContext())
-    sender = OTSender(sender_ot, chan_a)
-    receiver = OTReceiver(receiver_ot, chan_b)
+    sender_pair, receiver_pair = pairs or (OTPair(GroupContext()), OTPair(GroupContext()))
+    sender = OTSender(sender_pair, chan_a)
+    receiver = OTReceiver(receiver_pair, chan_b)
     out = {}
     errors = []
 
     def run_sender():
         try:
-            if pairs is None:
-                sender.setup()
             out["sender"] = sender_fn(sender)
         except Exception as exc:  # propagated after join
             errors.append(exc)
@@ -64,8 +62,6 @@ def run_pair(sender_fn, receiver_fn, tampered=None, pairs=None, transcript=None)
 
     def run_receiver():
         try:
-            if pairs is None:
-                receiver.setup()
             out["receiver"] = receiver_fn(receiver)
         except Exception as exc:
             errors.append(exc)
@@ -165,7 +161,7 @@ class TestCorrelatedOT:
 
             def send(frame):
                 if frame.name == "OT_EXTEND":
-                    extends.append(decode_ot_extend(frame.payload)[4])
+                    extends.append(decode_ot_extend(frame.payload)[3])
                 real_send(frame)
 
             r.channel.send = send
@@ -191,8 +187,8 @@ class TestErrors:
     def test_pads_before_setup(self):
         # an extension on a state that was never set up is refused
         chan_a, chan_b = loopback_pair("ot")
-        sender = OTSender(GroupContext(), chan_a)
-        chan_b.send(Frame(MSG["OT_EXTEND"], 0, encode_ot_extend(b"\0" * 8, 0, 0, 4, bytes(128))))
+        sender = OTSender(OTPair(GroupContext()), chan_a)
+        chan_b.send(Frame(MSG["OT_EXTEND"], 0, encode_ot_extend(b"\0" * 8, 0, 4, bytes(128))))
         try:
             with pytest.raises(OTError, match="unknown"):
                 sender.pads(4)
@@ -272,10 +268,10 @@ def _messages_session(pairs, n, seed, transcript=None, tampered=None):
     assert got == [m1 if b else m0 for m0, m1, b in zip(msgs0, msgs1, bits)]
 
 
-def _rewrite_range(block, row):
+def _rewrite_block(block):
     def edit(payload):
-        state_id, _, _, m, u = decode_ot_extend(payload)
-        return encode_ot_extend(state_id, block, row, m, u)
+        state_id, _, m, u = decode_ot_extend(payload)
+        return encode_ot_extend(state_id, block, m, u)
 
     return edit
 
@@ -298,7 +294,7 @@ class TestPairState:
         assert len(_sent(transcript, "receiver", "OT_SETUP")) == 2  # A, then the ciphertexts
         headers = [decode_ot_extend(f.payload) for f in _sent(transcript, "receiver", "OT_EXTEND")]
         assert len({h[0] for h in headers}) == 1
-        assert [(h[1], h[2]) for h in headers] == [(0, 0), (1, 40), (4, 340), (5, 353)]
+        assert [h[1] for h in headers] == [0, 1, 4, 5]
 
     def test_concurrent_sessions_get_disjoint_ranges(self):
         pairs = self._pairs()
@@ -326,21 +322,16 @@ class TestPairState:
         assert len(_sent(transcript, "receiver", "OT_SETUP")) == 2  # one set-up in all
         headers = [decode_ot_extend(f.payload) for f in _sent(transcript, "receiver", "OT_EXTEND")]
         assert len(headers) == 8 and len({h[0] for h in headers}) == 1
-        for lo, width in ((1, lambda m: -(-m // 128)), (2, lambda m: m)):
-            spans = sorted((h[lo], h[lo] + width(h[3])) for h in headers)
-            assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+        spans = sorted((h[1], h[1] + -(-h[2] // 128)) for h in headers)
+        assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
 
-    @pytest.mark.parametrize(
-        "block,row",
-        [(0, 0), (1, 39), (0, 40)],
-        ids=["replayed", "rows-overlap", "blocks-overlap"],
-    )
-    def test_used_range_rejected_and_state_rebuilt(self, block, row):
+    @pytest.mark.parametrize("block", [0, 1], ids=["replayed", "blocks-overlap"])
+    def test_used_range_rejected_and_state_rebuilt(self, block):
         pairs = self._pairs()
-        _messages_session(pairs, 40, 1)
+        _messages_session(pairs, 200, 1)  # blocks 0 and 1
         with pytest.raises(OTError, match="already used"):
-            _messages_session(pairs, 40, 2, tampered=("receiver", "OT_EXTEND", 0,
-                                                       _rewrite_range(block, row)))
+            _messages_session(pairs, 200, 2, tampered=("receiver", "OT_EXTEND", 0,
+                                                        _rewrite_block(block)))
         assert pairs[1]._state is None  # the failed receiver dropped its state
         transcript = Transcript()
         _messages_session(pairs, 40, 3, transcript)
@@ -365,16 +356,16 @@ class TestPairState:
         sender_pair._begin(state_id)
         state = ot_mod._SenderState([0] * 128, [bytes(16)] * 128)
         threading.Timer(0.2, sender_pair._end, args=(state_id, state)).start()
-        assert sender_pair._claim(state_id, 0, 0, 8) is state
+        assert sender_pair._claim(state_id, 0, 8) is state
         with pytest.raises(OTError, match="already used"):
-            sender_pair._claim(state_id, 0, 7, 8)
+            sender_pair._claim(state_id, 0, 8)
 
     def test_set_up_in_flight_that_fails(self):
         sender_pair = OTPair(GroupContext(), timeout=10.0)
         sender_pair._begin(b"\x02" * 8)
         threading.Timer(0.2, sender_pair._end, args=(b"\x02" * 8, None)).start()
         with pytest.raises(OTError, match="unknown"):
-            sender_pair._claim(b"\x02" * 8, 0, 0, 8)
+            sender_pair._claim(b"\x02" * 8, 0, 8)
 
 
 def _ctr_stream(seed, n, block):
@@ -416,7 +407,7 @@ class TestVectorised:
             def send(self, frame):
                 self.payloads.append(frame.payload)
 
-        sender = OTSender(GroupContext(), Sink())
+        sender = OTSender(OTPair(GroupContext()), Sink())
         monkeypatch.setattr(sender, "pads", lambda n: (pads0, pads1))
         vs = sender.send_correlated(deltas)
         sender.send_messages(msgs0, msgs1)
@@ -438,7 +429,7 @@ class TestVectorised:
         )
         assert labels == want_labels
 
-        receiver = OTReceiver(GroupContext(), None)
+        receiver = OTReceiver(OTPair(GroupContext()), None)
         monkeypatch.setattr(receiver, "_extend", lambda b, size: (pads, corr))
         got = receiver.recv_correlated(bits)
         want = []

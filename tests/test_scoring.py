@@ -46,7 +46,7 @@ def run_formula(text, plain_vars, seed=0):
 
     def party(i, chan):
         def take_triple(shape):
-            t = dealer_triple_gen(shape, shape, "elementwise", 1000 + counters[i])[i]
+            t = dealer_triple_gen(shape, 1000 + counters[i])[i]
             counters[i] += 1
             return t
 

@@ -8,6 +8,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from privgraph import crypto
@@ -539,6 +540,52 @@ class TestSecureMode:
                 sent = run_query()
                 assert "OT_EXTEND" in sent and "OT_SETUP" not in sent
                 assert {n: s.ot_ctx.exp_count for n, s in cluster.servers.items()} == exps
+
+    def test_scoring_sends_only_ot_and_mul_frames(self, setup):
+        # in steady state each multiplication costs the counterpart pair one
+        # correlated-OT extension each way and one Beaver exchange each way
+        index, engine, _, _ = setup
+        edb = build_edb(
+            index, KEYS, crypto.GroupContext(), PartitionConfig(shards_per_cluster=2, seed=21)
+        )
+        t = top_terms(index, 3)
+        text = f"(or {t[0]} {t[1]} {t[2]})"
+        query_and_sort = {"TUPLE_COUNT", "RESULT", "SORT_INIT", "CIRCUIT_BLOB",
+                          "GARBLER_LABELS", "MASK_LABELS", "MASKS", "CONTRIB"}
+        transcript = Transcript()
+        with LocalCluster(edb, transcript=transcript, timeout=60.0) as cluster:
+            fe = cluster.front_end(KEYS, lengths=engine.lengths, timeout=120.0)
+            fe.query(text, sort=True, score="(mul key key)")  # sets up every pair
+            for score, muls in (("(mul key key)", 1), ("(mul (mul key key) key)", 2)):
+                with transcript.lock:
+                    transcript.entries.clear()
+                assert fe.query(text, sort=True, score=score)
+                sent = {
+                    party: [f.name for p, d, f in transcript.entries
+                            if p == party and d == "send" and f.name not in query_and_sort]
+                    for party in ("is01", "is11")  # shard 1 does no coordinating
+                }
+                # each list ends with the local sort's one label transfer
+                assert sent["is01"] == ["OT_PAYLOAD", "OT_EXTEND", "MUL_EXCHANGE"] * muls + [
+                    "OT_PAYLOAD"]
+                assert sent["is11"] == ["OT_EXTEND", "OT_PAYLOAD", "MUL_EXCHANGE"] * muls + [
+                    "OT_EXTEND"]
+
+    def test_shares_come_from_the_csprng(self, setup, monkeypatch):
+        index, engine, _, _ = setup
+        edb = build_edb(
+            index, KEYS, crypto.GroupContext(), PartitionConfig(shards_per_cluster=1, seed=21)
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy's generator is no CSPRNG")
+
+        text = f"(term {top_terms(index, 1)[0]})"
+        with LocalCluster(edb, timeout=60.0) as cluster:
+            fe = cluster.front_end(KEYS, lengths=engine.lengths, timeout=120.0)
+            monkeypatch.setattr(np.random, "default_rng", refuse)
+            got = fe.query(text, sort=True, score="(mul key key)")
+        assert_ranked(got, self._scored_oracle(engine, text))
 
     def test_concurrent_front_ends(self, setup):
         index, engine, _, _ = setup

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from privgraph.crypto import GroupContext
-from privgraph.ot import OTReceiver, OTSender
+from privgraph.ot import OTPair, OTReceiver, OTSender
 from privgraph.shares import (
     SHARE_MODULUS,
-    ConfigError,
     add,
     dealer_triple_gen,
     mul,
@@ -105,7 +104,7 @@ class TestShareAlgebra:
 
 
 class TestBeaverMul:
-    def _mul_both(self, a, b, t0, t1, rng, mode="elementwise"):
+    def _mul_both(self, a, b, t0, t1, rng):
         a0, a1 = shr(a, rng)
         b0, b1 = shr(b, rng)
         r0, r1, chan = run_two_party(
@@ -115,33 +114,33 @@ class TestBeaverMul:
         return rec(r0, r1), chan
 
     def test_scalar_product(self, rng):
-        t0, t1 = dealer_triple_gen((), (), "elementwise", seed=1)
+        t0, t1 = dealer_triple_gen((), seed=1)
         result, _ = self._mul_both(3, 4, t0, t1, rng)
         assert result == 12
 
     def test_vector_product_oracle(self, rng):
         xs = rng.integers(0, SHARE_MODULUS, size=10_000, dtype=np.int64)
         ys = rng.integers(0, SHARE_MODULUS, size=10_000, dtype=np.int64)
-        t0, t1 = dealer_triple_gen((10_000,), (10_000,), "elementwise", seed=2)
+        t0, t1 = dealer_triple_gen((10_000,), seed=2)
         result, chan = self._mul_both(xs, ys, t0, t1, rng)
         assert np.array_equal(result, np.mod(xs * ys, SHARE_MODULUS))
         # exactly one round: one frame each way of |E|+|F| words
         assert chan.bytes_sent == 14 + 2 * 4 * 10_000
 
     def test_zero_matrix(self, rng):
-        t0, t1 = dealer_triple_gen((8,), (8,), "elementwise", seed=3)
+        t0, t1 = dealer_triple_gen((8,), seed=3)
         result, _ = self._mul_both(np.zeros(8), rng.integers(0, 100, 8), t0, t1, rng)
         assert np.array_equal(result, np.zeros(8))
 
     def test_triple_single_use(self, rng):
-        t0, t1 = dealer_triple_gen((2,), (2,), "elementwise", seed=5)
+        t0, t1 = dealer_triple_gen((2,), seed=5)
         self._mul_both(np.ones(2), np.ones(2), t0, t1, rng)
         t0.consumed, t1.consumed = False, True
         with pytest.raises(ValueError, match="consumed"):
             self._mul_both(np.ones(2), np.ones(2), t0, t1, rng)
 
     def test_shape_mismatch(self, rng):
-        t0, t1 = dealer_triple_gen((3,), (3,), "elementwise", seed=6)
+        t0, t1 = dealer_triple_gen((3,), seed=6)
         a0, a1 = shr(np.zeros(4), rng)
         with pytest.raises(ValueError, match="shape"):
             mul(a0, a0, t0, None)
@@ -149,47 +148,28 @@ class TestBeaverMul:
 
 class TestDealerTriples:
     def test_validity(self):
-        t0, t1 = dealer_triple_gen((4, 4), (4, 4), "elementwise", seed=7)
+        t0, t1 = dealer_triple_gen((4, 4), seed=7)
         x = np.mod(t0.x + t1.x, SHARE_MODULUS)
         y = np.mod(t0.y + t1.y, SHARE_MODULUS)
         z = np.mod(t0.z + t1.z, SHARE_MODULUS)
         assert np.array_equal(z, np.mod(x * y, SHARE_MODULUS))
 
-    def test_only_elementwise(self):
-        with pytest.raises(ValueError, match="triple mode"):
-            dealer_triple_gen((2, 2), (2, 2), "matmul", seed=7)
-
     def test_determinism(self):
-        a = dealer_triple_gen((5,), (5,), "elementwise", seed=8)
-        b = dealer_triple_gen((5,), (5,), "elementwise", seed=8)
+        a = dealer_triple_gen((5,), seed=8)
+        b = dealer_triple_gen((5,), seed=8)
         assert np.array_equal(a[0].x, b[0].x) and np.array_equal(a[1].z, b[1].z)
 
-    def test_refused_in_secure_mode(self):
-        with pytest.raises(ConfigError):
-            dealer_triple_gen((1,), (1,), "elementwise", seed=9, run_mode="secure")
-
     def test_scalar_triple_size(self):
-        t0, _ = dealer_triple_gen((), (), "elementwise", seed=10)
+        t0, _ = dealer_triple_gen((), seed=10)
         assert t0.x.shape == t0.y.shape == t0.z.shape == ()
 
 
 class TestCotTriples:
-    def _gen(self, mode, shape_x, shape_y, seed):
+    def _gen(self, shape):
         def party(p):
             def run(chan):
-                ctx = GroupContext()
-                sender = OTSender(ctx, chan)
-                receiver = OTReceiver(ctx, chan)
-                if p == 0:
-                    sender.setup()
-                    receiver.setup()
-                else:
-                    receiver.setup()
-                    sender.setup()
-                rng = np.random.default_rng(seed + p)
-                return triple_gen_cot(
-                    p, mode, shape_x, shape_y, chan, sender, receiver, rng
-                )
+                pair = OTPair(GroupContext())
+                return triple_gen_cot(p, shape, OTSender(pair, chan), OTReceiver(pair, chan))
 
             return run
 
@@ -197,14 +177,14 @@ class TestCotTriples:
         return t0, t1
 
     def test_scalar_vector_batch(self):
-        t0, t1 = self._gen("elementwise", (100,), (100,), seed=20)
+        t0, t1 = self._gen((100,))
         x = np.mod(t0.x + t1.x, SHARE_MODULUS)
         y = np.mod(t0.y + t1.y, SHARE_MODULUS)
         z = np.mod(t0.z + t1.z, SHARE_MODULUS)
         assert np.array_equal(z, np.mod(x * y, SHARE_MODULUS))
 
     def test_matrix_triple(self):
-        t0, t1 = self._gen("elementwise", (4, 4), (4, 4), seed=21)
+        t0, t1 = self._gen((4, 4))
         x = np.mod(t0.x + t1.x, SHARE_MODULUS)
         y = np.mod(t0.y + t1.y, SHARE_MODULUS)
         z = np.mod(t0.z + t1.z, SHARE_MODULUS)
@@ -212,7 +192,7 @@ class TestCotTriples:
         assert np.array_equal(z, np.mod(x * y, SHARE_MODULUS))
 
     def test_usable_in_mul(self):
-        t0, t1 = self._gen("elementwise", (6,), (6,), seed=22)
+        t0, t1 = self._gen((6,))
         rng = np.random.default_rng(23)
         a = rng.integers(0, SHARE_MODULUS, 6, dtype=np.int64)
         b = rng.integers(0, SHARE_MODULUS, 6, dtype=np.int64)

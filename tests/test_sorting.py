@@ -5,6 +5,7 @@ import pytest
 
 from privgraph.circuits import comparator_count
 from privgraph.crypto import GroupContext
+from privgraph.ot import OTPair
 from privgraph.sorting import (
     SHARE_MODULUS,
     SortError,
@@ -61,10 +62,10 @@ class TestLocalSort:
         return mask, masked, order
 
     def _run(self, g, e):
-        ctx_g, ctx_e = GroupContext(), GroupContext()
+        pair_g, pair_e = OTPair(GroupContext()), OTPair(GroupContext())
         mask, result, chan = run_session(
-            lambda ch: local_sort_garbler(ch, 1, g, ctx_g),
-            lambda ch: local_sort_evaluator(ch, 1, e, ctx_e),
+            lambda ch: local_sort_garbler(ch, 1, g, pair_g),
+            lambda ch: local_sort_evaluator(ch, 1, e, pair_e),
         )
         return mask, result, chan
 
@@ -103,15 +104,15 @@ class TestLocalSort:
         g, e = split_shares([1, 2, 3], rng)
         with pytest.raises(SortError):
             run_session(
-                lambda ch: local_sort_garbler(ch, 1, g, GroupContext()),
-                lambda ch: local_sort_evaluator(ch, 1, e[:2], GroupContext()),
+                lambda ch: local_sort_garbler(ch, 1, g, OTPair(GroupContext())),
+                lambda ch: local_sort_evaluator(ch, 1, e[:2], OTPair(GroupContext())),
             )
 
     def test_empty_rejected(self):
         a, b = loopback_pair("x")
         try:
             with pytest.raises(SortError):
-                local_sort_garbler(a, 1, [], GroupContext())
+                local_sort_garbler(a, 1, [], OTPair(GroupContext()))
         finally:
             a.close()
             b.close()
@@ -129,14 +130,14 @@ class TestGlobalSort:
                 continue
             g, e = split_shares(scores, rng)
             mask, (masked, order), _ = run_session(
-                lambda ch, g=g: local_sort_garbler(ch, j, g, GroupContext()),
-                lambda ch, e=e: local_sort_evaluator(ch, j, e, GroupContext()),
+                lambda ch, g=g: local_sort_garbler(ch, j, g, OTPair(GroupContext())),
+                lambda ch, e=e: local_sort_evaluator(ch, j, e, OTPair(GroupContext())),
             )
             masks[j] = mask
             contributions.append((j, masked, order))
         _, order, _ = run_session(
-            lambda ch: global_sort_garbler(ch, 99, contributions, GroupContext()),
-            lambda ch: global_sort_evaluator(ch, 99, masks, GroupContext()),
+            lambda ch: global_sort_garbler(ch, 99, contributions, OTPair(GroupContext())),
+            lambda ch: global_sort_evaluator(ch, 99, masks, OTPair(GroupContext())),
         )
         return order
 
@@ -172,7 +173,7 @@ class TestGlobalSort:
         a, b = loopback_pair("x")
         try:
             with pytest.raises(SortError):
-                global_sort_garbler(a, 1, [], GroupContext())
+                global_sort_garbler(a, 1, [], OTPair(GroupContext()))
         finally:
             a.close()
             b.close()
@@ -182,28 +183,28 @@ class TestGlobalSort:
 # in the 3-shard merge of their results, recorded with the earlier
 # implementation that wrote each of the four sort halves out in full. Each
 # session here is a pair's first, so it sets up; OT_EXTEND carries the
-# 28-byte header that names its state and range.
+# 20-byte header that names its state and block range.
 _EVALUATOR_OT = [("OT_SETUP", 32), ("OT_SETUP", 4096)]
 PINNED_FRAMES = [
     (  # local, k = 5
         [("SORT_INIT", 10), ("CIRCUIT_BLOB", 115246), ("GARBLER_LABELS", 4352),
          ("MASK_LABELS", 496), ("OT_SETUP", 4096), ("OT_PAYLOAD", 7936)],
-        _EVALUATOR_OT + [("OT_EXTEND", 28 + 3968)],
+        _EVALUATOR_OT + [("OT_EXTEND", 20 + 3968)],
     ),
     (  # local, k = 3
         [("SORT_INIT", 10), ("CIRCUIT_BLOB", 32285), ("GARBLER_LABELS", 2112),
          ("MASK_LABELS", 496), ("OT_SETUP", 4096), ("OT_PAYLOAD", 3968)],
-        _EVALUATOR_OT + [("OT_EXTEND", 28 + 2048)],
+        _EVALUATOR_OT + [("OT_EXTEND", 20 + 2048)],
     ),
     (  # local, k = 1
         [("SORT_INIT", 10), ("CIRCUIT_BLOB", 1936), ("GARBLER_LABELS", 512),
          ("MASK_LABELS", 496), ("OT_SETUP", 4096), ("OT_PAYLOAD", 992)],
-        _EVALUATOR_OT + [("OT_EXTEND", 28 + 512)],
+        _EVALUATOR_OT + [("OT_EXTEND", 20 + 512)],
     ),
     (  # merge of 9 entries from 3 shards
         [("SORT_INIT", 30), ("CIRCUIT_BLOB", 343062), ("GARBLER_LABELS", 9216),
          ("OT_SETUP", 4096), ("OT_PAYLOAD", 15872)],
-        _EVALUATOR_OT + [("OT_EXTEND", 28 + 7936)],
+        _EVALUATOR_OT + [("OT_EXTEND", 20 + 7936)],
     ),
 ]
 
@@ -216,15 +217,15 @@ class TestWireSequence:
         for shard, k in enumerate((5, 3, 1)):
             g, e = split_shares([int(x) for x in rng.integers(1, 1000, size=k)], rng)
             mask, (masked, order), _ = run_session(
-                lambda ch, g=g, j=shard: local_sort_garbler(ch, j, g, GroupContext()),
-                lambda ch, e=e, j=shard: local_sort_evaluator(ch, j, e, GroupContext()),
+                lambda ch, g=g, j=shard: local_sort_garbler(ch, j, g, OTPair(GroupContext())),
+                lambda ch, e=e, j=shard: local_sort_evaluator(ch, j, e, OTPair(GroupContext())),
                 transcripts[shard],
             )
             masks[shard] = mask
             contributions.append((shard, masked, order))
         run_session(
-            lambda ch: global_sort_garbler(ch, 9, contributions, GroupContext()),
-            lambda ch: global_sort_evaluator(ch, 9, masks, GroupContext()),
+            lambda ch: global_sort_garbler(ch, 9, contributions, OTPair(GroupContext())),
+            lambda ch: global_sort_evaluator(ch, 9, masks, OTPair(GroupContext())),
             transcripts[3],
         )
         for transcript, pinned in zip(transcripts, PINNED_FRAMES):
