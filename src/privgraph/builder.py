@@ -349,7 +349,7 @@ def emit_edb(edb: EncryptedDatabase, out_dir) -> None:
                 raise OSError(f"failed writing EDB shard {d}: {exc}") from exc
 
 
-def load_edb(edb_dir, ctx: GroupContext, verify: bool = True) -> EncryptedDatabase:
+def load_edb(edb_dir, ctx: GroupContext) -> EncryptedDatabase:
     edb_dir = Path(edb_dir)
     clusters = [[], []]
     config = None
@@ -360,11 +360,10 @@ def load_edb(edb_dir, ctx: GroupContext, verify: bool = True) -> EncryptedDataba
             manifest = json.loads((d / "manifest.json").read_text())
             tset_bytes = (d / "tset.bin").read_bytes()
             xset_bytes = (d / "xset.bin").read_bytes()
-            if verify:
-                if hashlib.sha256(tset_bytes).hexdigest() != manifest["tset_sha256"]:
-                    raise ValueError(f"checksum mismatch for {d / 'tset.bin'}")
-                if hashlib.sha256(xset_bytes).hexdigest() != manifest["xset_sha256"]:
-                    raise ValueError(f"checksum mismatch for {d / 'xset.bin'}")
+            if hashlib.sha256(tset_bytes).hexdigest() != manifest["tset_sha256"]:
+                raise ValueError(f"checksum mismatch for {d / 'tset.bin'}")
+            if hashlib.sha256(xset_bytes).hexdigest() != manifest["xset_sha256"]:
+                raise ValueError(f"checksum mismatch for {d / 'xset.bin'}")
             clusters[i].append(
                 ShardData(
                     TSetShard.from_bytes(tset_bytes),

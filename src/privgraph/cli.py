@@ -191,7 +191,10 @@ def cmd_audit(args) -> int:
         return _die(str(exc), 2)
     forbidden = ()
     if args.keystore:
-        keys = load_keystore(args.keystore)
+        try:
+            keys = load_keystore(args.keystore)
+        except (OSError, ValueError) as exc:
+            return _die(str(exc), 2)
         forbidden = (keys.k_stag, keys.k_x, keys.k_i, keys.k_z, keys.k_enc)
     report = audit_transcript(transcript, forbidden=forbidden)
     print(f"frames audited: {sum(report.class_counts.values())}")

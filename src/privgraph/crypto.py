@@ -43,7 +43,7 @@ __all__ = [
 # quadratic residues. The group is NOT DDH-hard at this size: discrete
 # logarithms modulo a 256-bit prime are within reach of the number field
 # sieve. Moving xtags, xtokens and the base OT to an elliptic-curve group
-# such as P-256 is ROADMAP item 3.
+# such as P-256 is ROADMAP item 4.
 _P = 0xE7E29E4580E8D316E042F3B524116998E03E693F404BAC69C94EAC22D7E7842B
 _Q = 0x73F14F22C074698B702179DA9208B4CC701F349FA025D634E4A756116BF3C215
 _G = 4
@@ -248,31 +248,32 @@ def hash_to_shard(entity_id: int, shard_count: int, hash_name: str = "sha256") -
 
 _KEYSTORE_MAGIC = b"PGKS"
 _KEYSTORE_VERSION = 1
+# magic, version, then five keys, each after its u16 length
+_KEYSTORE = struct.Struct(">4sH" + f"H{KEY_BYTES}s" * 5)
 
 
 def save_keystore(keys: MasterKeyBundle, path) -> None:
     """Binary keystore: magic, version, five length-prefixed keys."""
-    parts = [_KEYSTORE_MAGIC, struct.pack(">H", _KEYSTORE_VERSION)]
+    fields = []
     for k in (keys.k_stag, keys.k_x, keys.k_i, keys.k_z, keys.k_enc):
-        parts.append(struct.pack(">H", len(k)))
-        parts.append(k)
+        fields += [len(k), k]
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(_KEYSTORE.pack(_KEYSTORE_MAGIC, _KEYSTORE_VERSION, *fields))
 
 
 def load_keystore(path) -> MasterKeyBundle:
+    """Strict: a file other than save_keystore's layout with KEY_BYTES-byte
+    keys (truncated, with trailing bytes, a key of another length) raises
+    ValueError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != _KEYSTORE_MAGIC:
         raise ValueError("not a keystore file")
-    version = struct.unpack(">H", data[4:6])[0]
+    if len(data) != _KEYSTORE.size:
+        raise ValueError(f"keystore of {len(data)} bytes, expected {_KEYSTORE.size}")
+    _, version, *fields = _KEYSTORE.unpack(data)
     if version != _KEYSTORE_VERSION:
         raise ValueError(f"unsupported keystore version {version}")
-    off = 6
-    keys = []
-    for _ in range(5):
-        (length,) = struct.unpack(">H", data[off : off + 2])
-        off += 2
-        keys.append(data[off : off + length])
-        off += length
-    return MasterKeyBundle(*keys)
+    if fields[0::2] != [KEY_BYTES] * 5:
+        raise ValueError(f"keystore keys must be {KEY_BYTES} bytes")
+    return MasterKeyBundle(*fields[1::2])

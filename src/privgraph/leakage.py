@@ -176,10 +176,9 @@ _ALPHABET = {
     ),
     "RESULT": ("encrypted tuples + survivor counts", decode_result),
     "GLOBAL_RESULT": ("ranks", decode_global_result),
-    "SORT_INIT": ("sort session size", decode_sort_init),
+    "SORT_INIT": ("per-shard result counts", decode_sort_init),
     "CIRCUIT_BLOB": ("circuit blob", GarbledCircuit.from_bytes),
     "GARBLER_LABELS": ("wire labels", _whole_labels),
-    "MASK_LABELS": ("wire labels", _whole_labels),
     "OT_SETUP": ("oblivious-transfer setup", None),
     "OT_EXTEND": ("oblivious-transfer extension", decode_ot_extend),
     "OT_PAYLOAD": ("wire labels", None),

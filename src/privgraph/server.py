@@ -364,7 +364,7 @@ class IndexServer:
         """Load this server's shard with checksum verification; a tampered
         store refuses to start."""
         ctx = GroupContext()
-        edb = load_edb(edb_dir, ctx, verify=True)
+        edb = load_edb(edb_dir, ctx)
         if shard >= edb.shards_per_cluster:
             raise ServerError(f"no shard {shard} in {edb_dir}")
         return cls(
@@ -589,21 +589,22 @@ class IndexServer:
         The cluster-1 coordinator opens the merge session of every sorted
         query, so it is always consumed here; when the answer is already
         known (a failed shard, or nothing to sort) it is sent first."""
-        masks = {}
-        total = 0
+        counts, masks = [0] * self.n_shards, [0] * self.n_shards
         failed = None
         try:
             for _ in range(self.n_shards):
                 shard, status, count, mask = self._await(("masks", qid), self.timeout)
+                if shard >= self.n_shards:
+                    raise ServerError(f"MASKS from shard {shard} of {self.n_shards}")
                 if status != STATUS_OK:
                     failed = shard
-                masks[shard] = mask
-                total += count
-        except TransportError:
+                counts[shard], masks[shard] = count, mask
+        except (TransportError, ServerError):
             self._drop(("gsort", qid))  # the merge session is closed on arrival
             raise
         finally:
             self._drop(("masks", qid))
+        total = sum(counts)
         answered = failed is not None or total == 0
         try:
             if failed is not None:
@@ -626,7 +627,7 @@ class IndexServer:
             if not answered:
                 try:
                     order = global_sort_evaluator(
-                        gchan, qid, masks, self._ot_pair(server_name(1, 0))
+                        gchan, qid, counts, masks, self._ot_pair(server_name(1, 0))
                     )
                 except ChannelClosed:
                     raise ServerError(
@@ -638,21 +639,20 @@ class IndexServer:
             gchan.close()
 
     def _coordinate_contribs(self, qid: int) -> None:
-        """Cluster-1 coordinator: gather masked vectors and garble the
-        global merge for the cluster-0 coordinator. The merge session is
-        opened even when a shard failed, a contribution never came or
-        nothing is to be merged, and then closed at once, so the cluster-0
-        coordinator never waits out its timeout for it."""
+        """Cluster-1 coordinator: gather every shard's masked vector, empty
+        ones included, and garble the global merge for the cluster-0
+        coordinator. The merge session is opened even when a shard failed,
+        a contribution never came or nothing is to be merged, and then
+        closed at once, so the cluster-0 coordinator never waits out its
+        timeout for it."""
         contributions = []
         failed = False
         try:
             for _ in range(self.n_shards):
                 shard, status, entries = self._await(("contrib", qid), self.timeout)
                 failed |= status != STATUS_OK
-                if entries:
-                    masked = [m for m, _ in entries]
-                    payloads = [p for _, p in entries]
-                    contributions.append((shard, masked, payloads))
+                masked = [m for m, _ in entries]
+                contributions.append((shard, masked, [p for _, p in entries]))
         except TransportError:
             log.warning("%s: a contribution to query %d never came", self.name, qid)
             failed = True
@@ -661,7 +661,7 @@ class IndexServer:
         gchan = self._connect(server_name(0, 0))
         try:
             gchan.send(Frame(MSG["SORT_INIT"], qid, b""))  # session handshake
-            if contributions and not failed:
+            if not failed and any(masked for _, masked, _ in contributions):
                 global_sort_garbler(
                     gchan, qid, contributions, self._ot_pair(server_name(0, 0))
                 )

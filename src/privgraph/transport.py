@@ -38,8 +38,10 @@ __all__ = [
 ]
 
 HEADER_LEN = 14  # length(4) + type(2) + session(8)
-# The largest legitimate frame is the merge CIRCUIT_BLOB at circuits.MAX_SORT_K:
-# 28,160 comparators of at most 31 + 31 + 27 AND gates, 64 bytes each, ~160 MB.
+# The largest legitimate frames are the CIRCUIT_BLOBs at circuits.MAX_SORT_K,
+# whose payloads are at most 11 bits: 28,160 comparators of 31 + 31 + 11 AND
+# gates, 64 bytes each, ~132 MB for the merge and ~134 MB for the local sort
+# (its 1,024 adders add 30 ANDs each). The cap leaves room for them to grow.
 MAX_FRAME_BYTES = 1 << 28
 RECV_CHUNK = 1 << 16
 CONNECT_TIMEOUT = 10.0
@@ -59,7 +61,6 @@ MSG = {
     "OT_SETUP": 0x0013,
     "OT_EXTEND": 0x0014,
     "OT_PAYLOAD": 0x0015,
-    "MASK_LABELS": 0x0016,
     "CONTRIB": 0x0020,
     "MASKS": 0x0021,
     "MUL_EXCHANGE": 0x0032,

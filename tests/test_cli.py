@@ -117,6 +117,15 @@ class TestQuery:
             str(workspace / "keystore.bin"), "--local",
         ]) == 2
 
+    def test_truncated_keystore(self, workspace, tmp_path, capsys):
+        keys = tmp_path / "keys.bin"
+        keys.write_bytes(b"PGKS\x00")
+        assert main([
+            "query", "(term friend:1)", "--edb", str(workspace / "edb"),
+            "--keystore", str(keys), "--local",
+        ]) == 1
+        assert "keystore" in capsys.readouterr().err
+
     def test_dealer_run_mode_refused(self, workspace):
         # a dealer's seed is known to every server: queries run secure only
         with pytest.raises(SystemExit) as exc:
@@ -149,6 +158,20 @@ class TestAudit:
         save_transcript(t, path)
         assert main(["audit", "--transcript", str(path)]) == 1
         assert "VIOLATIONS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("keystore", [None, b"PGKS\x00"], ids=["missing", "truncated"])
+    def test_bad_keystore(self, tmp_path, capsys, keystore):
+        from privgraph.transport import MSG, Frame, Transcript, save_transcript
+
+        t = Transcript()
+        t.record("is00", "send", Frame(MSG["TUPLE_COUNT"], 1, b"\x00\x00\x00\x05"))
+        save_transcript(t, tmp_path / "t.bin")
+        keys = tmp_path / "keys.bin"
+        if keystore is not None:
+            keys.write_bytes(keystore)
+        rc = main(["audit", "--transcript", str(tmp_path / "t.bin"), "--keystore", str(keys)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_not_a_transcript(self, tmp_path):
         bad = tmp_path / "bad.bin"

@@ -29,18 +29,10 @@ from privgraph.server import (
 )
 from privgraph.sexpr import BoolFormula
 from privgraph.shares import encode_mul_exchange
-from privgraph.sorting import encode_global_sort_init, encode_local_sort_init
+from privgraph.sorting import encode_sort_init
 from privgraph.transport import MSG, TransportError
 
 CTX = GroupContext()
-
-
-def _encode_sort_init(value):
-    if value is None:
-        return b""
-    if len(value) == 3:
-        return encode_local_sort_init(*value)
-    return encode_global_sort_init(*value)
 
 
 # the owner's encoder for the value each table decoder returns
@@ -50,7 +42,7 @@ ENCODERS = {
     "XTOKEN_BATCH": lambda rows: encode_xtoken_batch(rows, CTX),
     "RESULT": lambda v: encode_result(*v),
     "GLOBAL_RESULT": encode_global_result,
-    "SORT_INIT": _encode_sort_init,
+    "SORT_INIT": lambda counts: b"" if counts is None else encode_sort_init(counts),
     "CIRCUIT_BLOB": lambda gc: gc.to_bytes(),
     "CONTRIB": lambda v: _encode_contrib(*v),
     "MASKS": lambda v: _encode_masks(*v),
@@ -86,8 +78,8 @@ VALID = {
     "GLOBAL_RESULT": [encode_global_result([(0, 1), (1, 0)])],
     "SORT_INIT": [
         b"",
-        encode_local_sort_init(3, 4, 2),
-        encode_global_sort_init(3, 4, 3, 2, [0, 1, 1]),
+        encode_sort_init([3]),
+        encode_sort_init([2, 0, 5]),
     ],
     "CIRCUIT_BLOB": [
         GarbledCircuit(
@@ -96,7 +88,6 @@ VALID = {
         ).to_bytes()
     ],
     "GARBLER_LABELS": [bytes(range(32))],
-    "MASK_LABELS": [bytes(16)],
     "CONTRIB": [_encode_contrib(1, 0, [(5, 0), (7, 1)])],
     "MASKS": [_encode_masks(1, 0, 2, 99)],
     "MUL_EXCHANGE": [encode_mul_exchange(np.array([1, 2]), np.array([3, 4]))],

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from privgraph import crypto
@@ -147,6 +149,12 @@ class TestShardHash:
             assert abs(c / 100_000 - 1 / 3) < 0.05
 
 
+def _keystore_file(*keys, version=1):
+    return b"PGKS" + struct.pack(">H", version) + b"".join(
+        struct.pack(">H", len(k)) + k for k in keys
+    )
+
+
 class TestKeystore:
     def test_round_trip(self, keys, tmp_path):
         path = tmp_path / "keys.bin"
@@ -156,6 +164,29 @@ class TestKeystore:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "keys.bin"
         path.write_bytes(b"XXXX" + b"\x00" * 32)
+        with pytest.raises(ValueError):
+            crypto.load_keystore(path)
+
+    def test_layout(self, tmp_path):
+        path = tmp_path / "keys.bin"
+        path.write_bytes(_keystore_file(*(bytes([i]) * 16 for i in range(5))))
+        assert crypto.load_keystore(path).k_enc == b"\x04" * 16
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"PGKS\x00",  # cut inside the version
+            _keystore_file(*[b"k" * 16] * 5)[:-1],  # the last key a byte short
+            _keystore_file(*[b"k" * 16] * 5) + b"\x00",  # a trailing byte
+            _keystore_file(b"k" * 15, *[b"k" * 16] * 4),  # a short key
+            _keystore_file(b"k" * 15, b"k" * 17, *[b"k" * 16] * 3),  # keys of the wrong length
+            _keystore_file(*[b"k" * 16] * 5, version=2),
+        ],
+        ids=["truncated", "short-file", "trailing", "short-key", "wrong-lengths", "version"],
+    )
+    def test_malformed_rejected(self, tmp_path, data):
+        path = tmp_path / "keys.bin"
+        path.write_bytes(data)
         with pytest.raises(ValueError):
             crypto.load_keystore(path)
 

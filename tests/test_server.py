@@ -22,6 +22,7 @@ from privgraph.planner import QueryError
 from privgraph.server import (
     IndexServer,
     QuerySpec,
+    ServerError,
     SubquerySpec,
     decode_global_result,
     decode_query_init,
@@ -423,6 +424,20 @@ class TestFailFast:
             with pytest.raises(ChannelClosed):
                 peer.recv(timeout=1)
 
+    def test_masks_from_unknown_shard_refused(self, setup):
+        _, _, cluster, _ = setup
+        server = IndexServer(0, 0, 1, cluster.server(0, 0).data, topology=None)
+        qid = secrets.randbits(64)
+        server._deliver(("masks", qid), (3, server_mod.STATUS_OK, 1, 0))
+        chan, peer = loopback_pair("fe")
+        try:
+            with pytest.raises(ServerError, match="shard 3"):
+                server._coordinate_masks(chan, qid)
+            assert ("gsort", qid) in server._dropped  # the merge is closed on arrival
+        finally:
+            chan.close()
+            peer.close()
+
     @pytest.mark.parametrize("party", ["is11", "is10", "is01", "is00"])
     def test_failed_query_releases_every_session(self, setup, monkeypatch, party):
         # the server fails before its RESULT, so its sort phase never starts
@@ -551,7 +566,7 @@ class TestSecureMode:
         t = top_terms(index, 3)
         text = f"(or {t[0]} {t[1]} {t[2]})"
         query_and_sort = {"TUPLE_COUNT", "RESULT", "SORT_INIT", "CIRCUIT_BLOB",
-                          "GARBLER_LABELS", "MASK_LABELS", "MASKS", "CONTRIB"}
+                          "GARBLER_LABELS", "MASKS", "CONTRIB"}
         transcript = Transcript()
         with LocalCluster(edb, transcript=transcript, timeout=60.0) as cluster:
             fe = cluster.front_end(KEYS, lengths=engine.lengths, timeout=120.0)

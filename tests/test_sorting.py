@@ -119,25 +119,29 @@ class TestLocalSort:
 
 
 class TestGlobalSort:
-    def _merge(self, vectors, seed=0):
-        """vectors: list of per-shard true score lists. Runs local sorts
-        then the coordinator merge; returns global (shard, index) order."""
+    def _merge(self, vectors, seed=0, shard_order=None):
+        """vectors: list of per-shard true score lists, empty ones included.
+        Runs the local sorts, then the coordinator merge over every shard's
+        contribution, handed over in shard_order (shard order by default);
+        returns global (shard, index) order."""
         rng = np.random.default_rng(seed)
-        contributions = []
-        masks = {}
+        contributions, counts, masks = [], [], []
         for j, scores in enumerate(vectors):
-            if not scores:
-                continue
-            g, e = split_shares(scores, rng)
-            mask, (masked, order), _ = run_session(
-                lambda ch, g=g: local_sort_garbler(ch, j, g, OTPair(GroupContext())),
-                lambda ch, e=e: local_sort_evaluator(ch, j, e, OTPair(GroupContext())),
-            )
-            masks[j] = mask
+            mask, masked, order = 0, [], []  # an empty shard's MASKS/CONTRIB
+            if scores:
+                g, e = split_shares(scores, rng)
+                mask, (masked, order), _ = run_session(
+                    lambda ch, g=g: local_sort_garbler(ch, j, g, OTPair(GroupContext())),
+                    lambda ch, e=e: local_sort_evaluator(ch, j, e, OTPair(GroupContext())),
+                )
+            counts.append(len(scores))
+            masks.append(mask)
             contributions.append((j, masked, order))
+        if shard_order is not None:
+            contributions = [contributions[j] for j in shard_order]
         _, order, _ = run_session(
             lambda ch: global_sort_garbler(ch, 99, contributions, OTPair(GroupContext())),
-            lambda ch: global_sort_evaluator(ch, 99, masks, OTPair(GroupContext())),
+            lambda ch: global_sort_evaluator(ch, 99, counts, masks, OTPair(GroupContext())),
         )
         return order
 
@@ -169,6 +173,15 @@ class TestGlobalSort:
         flat = sorted((s for v in vectors for s in v), reverse=True)
         assert top == flat[:10]
 
+    def test_empty_middle_shard(self):
+        order = self._merge([[4, 9], [], [7, 1, 8]])
+        assert order == [(0, 1), (2, 2), (2, 0), (0, 0), (2, 1)]
+
+    def test_contributions_out_of_shard_order(self):
+        vectors = [[12, 3], [8, 30, 5], [1], [20, 9]]
+        order = self._merge(vectors, shard_order=(2, 0, 3, 1))
+        assert [vectors[j][i] for j, i in order] == [30, 20, 12, 9, 8, 5, 3, 1]
+
     def test_empty_contributions_rejected(self):
         a, b = loopback_pair("x")
         try:
@@ -178,31 +191,61 @@ class TestGlobalSort:
             a.close()
             b.close()
 
+    @pytest.mark.parametrize(
+        "contributions",
+        [
+            [(0, [5, 6], [0, 0]), (1, [7], [0])],  # a repeated index
+            [(0, [5, 6], [0, 2]), (1, [7], [0])],  # an index past k - 1
+            [(0, [5, 6], [1, 0]), (0, [7], [0])],  # a shard named twice
+            [(0, [5, 6], [1, 0]), (2, [7], [0])],  # shard 1 missing
+        ],
+        ids=["repeated-index", "index-past-k", "shard-twice", "shard-missing"],
+    )
+    def test_malformed_contributions_rejected(self, contributions):
+        # with dense payloads a stray index would alias another shard's entry
+        a, b = loopback_pair("x")
+        try:
+            with pytest.raises(SortError):
+                global_sort_garbler(a, 1, contributions, OTPair(GroupContext()))
+            assert a.bytes_sent == 0  # refused before the session opens
+        finally:
+            a.close()
+            b.close()
+
+    def test_header_counts_must_match_masks(self):
+        contributions = [(0, [5, 6], [1, 0]), (1, [7], [0])]
+        with pytest.raises(SortError, match="counts"):
+            run_session(
+                lambda ch: global_sort_garbler(ch, 1, contributions, OTPair(GroupContext())),
+                lambda ch: global_sort_evaluator(ch, 1, [1, 2], [0, 0], OTPair(GroupContext())),
+            )
+
 
 # (frame, payload bytes) each party sends in a k = 5, 3 and 1 local sort and
-# in the 3-shard merge of their results, recorded with the earlier
-# implementation that wrote each of the four sort halves out in full. Each
+# in the 3-shard merge of their results. SORT_INIT holds one u32 count per
+# shard, the garbler's labels travel in one GARBLER_LABELS frame, and the
+# merge's payloads are numbered densely over its 9 entries (4 bits). Each
 # session here is a pair's first, so it sets up; OT_EXTEND carries the
 # 20-byte header that names its state and block range.
 _EVALUATOR_OT = [("OT_SETUP", 32), ("OT_SETUP", 4096)]
 PINNED_FRAMES = [
     (  # local, k = 5
-        [("SORT_INIT", 10), ("CIRCUIT_BLOB", 115246), ("GARBLER_LABELS", 4352),
-         ("MASK_LABELS", 496), ("OT_SETUP", 4096), ("OT_PAYLOAD", 7936)],
+        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 115246), ("GARBLER_LABELS", 4352 + 496),
+         ("OT_SETUP", 4096), ("OT_PAYLOAD", 7936)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 3968)],
     ),
     (  # local, k = 3
-        [("SORT_INIT", 10), ("CIRCUIT_BLOB", 32285), ("GARBLER_LABELS", 2112),
-         ("MASK_LABELS", 496), ("OT_SETUP", 4096), ("OT_PAYLOAD", 3968)],
+        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 32285), ("GARBLER_LABELS", 2112 + 496),
+         ("OT_SETUP", 4096), ("OT_PAYLOAD", 3968)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 2048)],
     ),
     (  # local, k = 1
-        [("SORT_INIT", 10), ("CIRCUIT_BLOB", 1936), ("GARBLER_LABELS", 512),
-         ("MASK_LABELS", 496), ("OT_SETUP", 4096), ("OT_PAYLOAD", 992)],
+        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 1936), ("GARBLER_LABELS", 512 + 496),
+         ("OT_SETUP", 4096), ("OT_PAYLOAD", 992)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 512)],
     ),
     (  # merge of 9 entries from 3 shards
-        [("SORT_INIT", 30), ("CIRCUIT_BLOB", 343062), ("GARBLER_LABELS", 9216),
+        [("SORT_INIT", 12), ("CIRCUIT_BLOB", 337940), ("GARBLER_LABELS", 8960),
          ("OT_SETUP", 4096), ("OT_PAYLOAD", 15872)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 7936)],
     ),
@@ -213,19 +256,19 @@ class TestWireSequence:
     def test_frames_pinned(self):
         rng = np.random.default_rng(12)
         transcripts = [Transcript() for _ in PINNED_FRAMES]
-        masks, contributions = {}, []
-        for shard, k in enumerate((5, 3, 1)):
+        counts, masks, contributions = [5, 3, 1], [], []
+        for shard, k in enumerate(counts):
             g, e = split_shares([int(x) for x in rng.integers(1, 1000, size=k)], rng)
             mask, (masked, order), _ = run_session(
                 lambda ch, g=g, j=shard: local_sort_garbler(ch, j, g, OTPair(GroupContext())),
                 lambda ch, e=e, j=shard: local_sort_evaluator(ch, j, e, OTPair(GroupContext())),
                 transcripts[shard],
             )
-            masks[shard] = mask
+            masks.append(mask)
             contributions.append((shard, masked, order))
         run_session(
             lambda ch: global_sort_garbler(ch, 9, contributions, OTPair(GroupContext())),
-            lambda ch: global_sort_evaluator(ch, 9, masks, OTPair(GroupContext())),
+            lambda ch: global_sort_evaluator(ch, 9, counts, masks, OTPair(GroupContext())),
             transcripts[3],
         )
         for transcript, pinned in zip(transcripts, PINNED_FRAMES):
