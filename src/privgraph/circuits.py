@@ -1,7 +1,9 @@
 """Boolean circuits for the sorting protocols: a gate-level builder, the
 31-bit modular adder used for additive-to-Yao conversion, the unsigned
-comparator, the data-oblivious bitonic sorting network, and a vectorised
-plaintext simulator that serves as the oracle for garbled evaluation.
+comparator, the data-oblivious bitonic network (the full sorter, or only
+its final merge stage, Batcher's bitonic merge, for inputs that are
+already bitonic), and a vectorised plaintext simulator that serves as the
+oracle for garbled evaluation.
 
 Gate list is topologically ordered by construction. XOR and INV are free
 under the garbling scheme; only AND gates cost garbled-table rows.
@@ -128,12 +130,14 @@ class CircuitBuilder:
             lo.append(self.xor(b, d))
         return hi, lo
 
-    def bitonic_sort(self, elems: list[tuple[list[int], list[int]]]):
+    def bitonic_sort(self, elems: list[tuple[list[int], list[int]]], merge: bool = False):
         """Descending bitonic sorting network over (score bits, payload
-        bits) elements; each payload moves with its score. Returns the
-        elements in network output order."""
+        bits) elements; each payload moves with its score. With merge, the
+        elements must already form a bitonic sequence (say one descending
+        run, then an ascending one), and only the final merge stage is
+        built. Returns the elements in network output order."""
         elems = list(elems)
-        for i, l, descending_here in bitonic_schedule(len(elems)):
+        for i, l, descending_here in bitonic_schedule(len(elems), merge):
             si, pi = elems[i]
             sl, pl = elems[l]
             # the larger score moves to i where the flag says descending
@@ -152,13 +156,15 @@ class CircuitBuilder:
         return Circuit(self._n, gates, self.inputs, self.outputs)
 
 
-def bitonic_schedule(n: int) -> list[tuple[int, int, bool]]:
+def bitonic_schedule(n: int, merge: bool = False) -> list[tuple[int, int, bool]]:
     """Comparator schedule (i, l, descending_at_i) of the bitonic sorter
-    for n = 2^m elements. Depends only on n, never on data."""
+    for n = 2^m elements, or with merge of its last stage only: the m
+    half-cleaner layers of n/2 comparators that sort a bitonic sequence.
+    Depends only on n, never on data."""
     if n & (n - 1) or n < 1:
         raise ValueError("bitonic network needs a power-of-two size")
     schedule = []
-    k = 2
+    k = n if merge else 2
     while k <= n:
         j = k // 2
         while j > 0:
@@ -179,13 +185,14 @@ def comparator_count(n: int) -> int:
 
 @dataclass
 class SortCircuit:
-    """A sort network circuit over padded length n: per-element score
-    reconstruction from two additive-share bundles, bitonic descending
-    sort carrying payload bits, and a final XOR mask on every score."""
+    """A sort's circuit with the sizes it was looked up for. For the local
+    sort (build_sort_circuit): per-element score reconstruction from two
+    additive-share bundles, bitonic descending sort carrying payload bits,
+    and a final XOR mask on every score."""
 
     circuit: Circuit
     k: int  # requested (real) length
-    n: int  # padded power-of-two length
+    n: int  # input slots: the padded power-of-two length of a local sort
     payload_width: int
 
     @property

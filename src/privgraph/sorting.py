@@ -9,7 +9,17 @@ only, the garbler keeps R.
 Global sort (coordinators, roles switched): the cluster-1 coordinator
 garbles over all shards' masked vectors; the cluster-0 coordinator feeds
 the masks in by OT, evaluates, and decodes the global payload order
-without ever seeing a score.
+without ever seeing a score. It merges rather than sorts: each shard's
+CONTRIB already arrives in descending order, so two runs laid out as one
+descending, then padding, then the other reversed form a bitonic sequence,
+which Batcher's bitonic merge sorts in log2 n layers of n/2 comparators
+instead of a full sort's log2 n (log2 n + 1) / 2. More runs merge pairwise
+in a tree (_merge_tree) that keeps only the real entries between levels.
+That truncation is sound because a validity bit, 1 for an entry and 0 for
+padding, is the merge key's lowest bit: padding sorts strictly after
+every real entry, a real score of 0 included. The network's shape is a
+function of the per-shard counts only, which SORT_INIT already publishes,
+so the merge leaks nothing a full sort did not.
 
 Both sorts run one session, written once as _garble_session and
 _evaluate_session. Its SORT_INIT carries only the sort's per-shard counts,
@@ -84,18 +94,19 @@ def decode_sort_init(payload: bytes) -> list[int] | None:
     return counts
 
 
-# Every k with one padded width n and payload width shares one circuit (and
-# so one garbling schedule); a shape's circuit lives while a cached
-# SortCircuit of some k holds it.
+# Every sort of one shape and payload width shares one circuit (and so one
+# garbling schedule): a local sort's shape is its padded width n, a merge's
+# that of its tree, one per padded width for any two runs. A shape's circuit
+# lives while a cached SortCircuit holds it.
 _networks: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _network(build, n: int, payload_width: int):
-    """build(n, payload_width), once per shape while it is in use."""
-    key = (build, n, payload_width)
+def _network(build, shape, payload_width: int):
+    """build(shape, payload_width), once per shape while it is in use."""
+    key = (build, shape, payload_width)
     circuit = _networks.get(key)
     if circuit is None:
-        circuit = _networks.setdefault(key, build(n, payload_width))
+        circuit = _networks.setdefault(key, build(shape, payload_width))
     return circuit
 
 
@@ -104,55 +115,116 @@ def _sort_network(n: int, payload_width: int):
 
 
 @functools.lru_cache(maxsize=32)
-def _sort_circuit(k: int, payload_width: int) -> SortCircuit:
+def _sort_circuit(counts: tuple[int], payload_width: int) -> SortCircuit:
+    (k,) = counts
     n = padded_size(k)
     return SortCircuit(_network(_sort_network, n, payload_width), k, n, payload_width)
 
 
-def _merge_network(n: int, payload_width: int):
-    """Global-sort circuit: per element, unmask score = masked XOR mask
-    (free), bitonic descending sort, output payload bits only."""
+def _merge_tree(runs: list[list]):
+    """The merge tree over runs, each a list of entries in descending
+    order, halved down to single runs. Returns (shape, slots, merged):
+    slots are the input slots the tree reads, each an entry or None for a
+    sentinel, and merged holds its entries in any order.
+
+    A node merges runs of a and b entries in the padded width m =
+    padded_size(a + b), laid out as the left run, m - a - b sentinels,
+    then the right run reversed: descending then ascending, a bitonic
+    sequence for any split, which one merge stage sorts. Its shape is (m,
+    left, right). A child that is a single run is None there, its entries
+    being among the node's own slots, so a two-run merge's circuit depends
+    on m alone; a subtree is (its shape, a), and its first a outputs enter
+    the node. A node's own slots follow its subtrees'."""
+    if len(runs) == 1:
+        return None, [], runs[0]
+    h = (len(runs) + 1) // 2
+    left, left_slots, a = _merge_tree(runs[:h])
+    right, right_slots, b = _merge_tree(runs[h:])
+    m = padded_size(len(a) + len(b))
+    own = (a if left is None else []) + [None] * (m - len(a) - len(b))
+    own += b[::-1] if right is None else []
+    shape = (m, left and (left, len(a)), right and (right, len(b)))
+    return shape, left_slots + right_slots + own, a + b
+
+
+def _merge_plan(runs: list[list]):
+    """(shape, slots) of the merge tree over runs. A single run is not
+    merged: its shape is its count and its entries are the slots."""
+    shape, slots, merged = _merge_tree(runs)
+    return (shape, slots) if shape else (len(merged), merged)
+
+
+def _merge_network(plan, payload_width: int):
+    """Global-sort circuit of a merge tree, plan being (its shape, its n
+    input slots). Per slot, unmask score = masked XOR mask (free), and put
+    the validity bit below it as the key's lowest bit, so that a sentinel
+    (all zero) sorts strictly after every real entry, a score-0 one too.
+    Each node is one bitonic merge stage and passes on only its real
+    entries. Outputs the payload bits of the root's slots (of the single
+    run's, unmerged)."""
+    shape, n = plan
     b = CircuitBuilder()
     masked = b.input_bundle("masked_scores", n * SCORE_BITS)
     masks = b.input_bundle("masks", n * SCORE_BITS)
+    valid = b.input_bundle("valid", n)
     payloads = b.input_bundle("payloads", n * payload_width)
-    elems = []
-    for e in range(n):
-        score = [
-            b.xor(masked[e * SCORE_BITS + i], masks[e * SCORE_BITS + i])
-            for i in range(SCORE_BITS)
-        ]
-        elems.append((score, payloads[e * payload_width : (e + 1) * payload_width]))
-    for _, payload in b.bitonic_sort(elems):
+    slots = iter([
+        (
+            [valid[e]] + [
+                b.xor(masked[e * SCORE_BITS + i], masks[e * SCORE_BITS + i])
+                for i in range(SCORE_BITS)
+            ],
+            payloads[e * payload_width : (e + 1) * payload_width],
+        )
+        for e in range(n)
+    ])
+
+    def merged(node):
+        m, left, right = node
+        lo = merged(left[0])[: left[1]] if left else []
+        hi = merged(right[0])[: right[1]] if right else []
+        own = [next(slots) for _ in range(m - len(lo) - len(hi))]
+        return b.bitonic_sort(lo + own + hi[::-1], merge=True)
+
+    root = list(slots) if isinstance(shape, int) else merged(shape)
+    for _, payload in root:
         b.mark_outputs(payload)
     return b.build()
 
 
 @functools.lru_cache(maxsize=32)
-def build_merge_circuit(k: int, payload_width: int) -> SortCircuit:
-    """The global-sort circuit for k entries."""
-    n = padded_size(k)
-    return SortCircuit(_network(_merge_network, n, payload_width), k, n, payload_width)
+def build_merge_circuit(counts: tuple[int, ...], payload_width: int) -> SortCircuit:
+    """The global-sort circuit merging runs of these counts, the non-empty
+    shards' in shard order. Two-run merges of one padded width share one
+    circuit."""
+    k = sum(counts)
+    padded_size(k)  # rejects k outside 1..MAX_SORT_K
+    shape, slots = _merge_plan([[None] * count for count in counts])
+    circuit = _network(_merge_network, (shape, len(slots)), payload_width)
+    return SortCircuit(circuit, k, len(slots), payload_width)
 
 
 # The garbler's input bundles of each sort, in the order its one
 # GARBLER_LABELS frame concatenates their labels. The one circuit input not
 # named is the evaluator's own, chosen by OT.
 _LOCAL_LABELS = ("garbler_shares", "payloads", "mask")
-_MERGE_LABELS = ("masked_scores", "payloads")
+_MERGE_LABELS = ("masked_scores", "valid", "payloads")
 
 
 def _layout(build, counts: list[int]):
-    """The circuit and entries of a sort over per-shard counts, worked out
-    alike by both halves. The circuit's inputs are shard-major, each
-    shard's in its rank (CONTRIB) order, and entries[v - 1] is the (shard,
-    local index) that carries payload v = offset[shard] + index + 1: the
-    payloads run densely over 1..t in t.bit_length() bits."""
+    """The circuit, entries and slots of a sort over per-shard counts,
+    worked out alike by both halves. entries[v - 1] is the (shard, local
+    index) that carries payload v = offset[shard] + index + 1, shard-major,
+    so the payloads run densely over 1..t in t.bit_length() bits. slots[i]
+    is the (shard, rank) whose CONTRIB entry feeds the merge's input slot
+    i, or None for a sentinel (_merge_tree); a local sort's one run fills
+    its slots in rank order."""
     entries = [(shard, idx) for shard, count in enumerate(counts) for idx in range(count)]
     if not entries:
         raise SortError("nothing to sort")
+    runs = [[(shard, r) for r in range(count)] for shard, count in enumerate(counts) if count]
     t = len(entries)
-    return build(t, t.bit_length()), entries
+    return build(tuple(map(len, runs)), t.bit_length()), entries, _merge_plan(runs)[1]
 
 
 def _bits(values, width: int, n: int) -> list[int]:
@@ -208,7 +280,7 @@ def local_sort_garbler(
     ot: OTPair,
 ) -> int:
     """Garbler (cluster 0) side of a local sort. Returns the mask R."""
-    sc, _ = _layout(_sort_circuit, [len(shares)])
+    sc, _, _ = _layout(_sort_circuit, [len(shares)])
     mask = secrets.randbelow(SHARE_MODULUS)
     bits = {
         "garbler_shares": _bits(shares, SCORE_BITS, sc.n),
@@ -227,7 +299,7 @@ def local_sort_evaluator(
 ) -> tuple[list[int], list[int]]:
     """Evaluator (cluster 1) side. Returns (masked scores, payload order),
     both descending by true score, sentinels dropped, payloads 0-based."""
-    sc, _ = _layout(_sort_circuit, [len(shares)])
+    sc, _, _ = _layout(_sort_circuit, [len(shares)])
     own_bits = _bits(shares, SCORE_BITS, sc.n)
     bits = _evaluate_session(channel, session, [sc.k], sc, _LOCAL_LABELS, own_bits, ot)
     kept = [(s, p - 1) for s, p in zip(*sc.decode_outputs(bits)) if p]
@@ -248,16 +320,18 @@ def global_sort_garbler(
     if [shard for shard, _, _ in contributions] != list(range(len(contributions))):
         raise SortError("the contributions do not name each shard once")
     counts = [len(masked) for _, masked, _ in contributions]
-    sc, entries = _layout(build_merge_circuit, counts)
+    sc, entries, slots = _layout(build_merge_circuit, counts)
     payload_of = {entry: value for value, entry in enumerate(entries, 1)}
-    masked, payloads = [], []
+    fed = {None: (0, 0)}  # (masked score, payload) of each slot's content
     for shard, scores, indices in contributions:
         if sorted(indices) != list(range(len(scores))):
             raise SortError(f"shard {shard}'s indices are not a permutation")
-        masked.extend(scores)
-        payloads.extend(payload_of[shard, idx] for idx in indices)
+        for rank, (score, idx) in enumerate(zip(scores, indices)):
+            fed[shard, rank] = score, payload_of[shard, idx]
+    masked, payloads = zip(*(fed[slot] for slot in slots))
     bits = {
         "masked_scores": _bits(masked, SCORE_BITS, sc.n),
+        "valid": [int(slot is not None) for slot in slots],
         "payloads": _bits(payloads, sc.payload_width, sc.n),
     }
     _garble_session(channel, session, counts, sc, _MERGE_LABELS, bits, ot)
@@ -274,9 +348,11 @@ def global_sort_evaluator(
     shard's result count and mask, by shard, as its MASKS brought them.
     Feeds the masks in by OT and returns the global descending order as
     (shard, local index)."""
-    sc, entries = _layout(build_merge_circuit, counts)
-    own_bits = _bits([masks[shard] for shard, _ in entries], SCORE_BITS, sc.n)
-    bits = _evaluate_session(channel, session, counts, sc, _MERGE_LABELS, own_bits, ot)
+    sc, entries, slots = _layout(build_merge_circuit, counts)
+    own = [0 if slot is None else masks[slot[0]] for slot in slots]
+    bits = _evaluate_session(
+        channel, session, counts, sc, _MERGE_LABELS, _bits(own, SCORE_BITS, sc.n), ot
+    )
     width = sc.payload_width
-    values = (bits_to_int(bits[e * width : (e + 1) * width]) for e in range(sc.n))
+    values = (bits_to_int(bits[e : e + width]) for e in range(0, len(bits), width))
     return [entries[value - 1] for value in values if value]

@@ -190,16 +190,18 @@ class TestSortCircuit:
 
 
 class TestBitonicBuilder:
-    # SHA-256 of the gate rows, input wires, output wires and wire count as
-    # built when the sort and merge builders each had their own bitonic loop
+    # SHA-256 of the gate rows, input wires, output wires and wire count:
+    # sorts as built when the sort and merge builders each had their own
+    # bitonic loop, merges (k entries in two runs of k - k // 2 and k // 2)
+    # as built since the merge is a bitonic merge of the runs
     PINNED = {
         ("sort", 1): "fd20eeb6a117d01696ccad27803540d60a4885cef8a525699c03213a49042a5b",
         ("sort", 3): "b0ebabb1dc82bfee3be8ff8808e735e439c0f56f789f328f93ad302c0dfcb8af",
         ("sort", 8): "7ea1e1d7429049c7629790bbb9855e0bc9f7b27793393655185e33b0873a318f",
         ("sort", 13): "b90429e306c37be148665e2ec8f28522a7613efafe251bf4fccfee2bbda8ac01",
-        ("merge", 2): "6e3fcf7fa220b58492aa903e8d7ea9155f5212ce98691460027d249a35e194bb",
-        ("merge", 5): "928d6d1bf10077650a919ac415052d316d51592a22cb6fdb1e5a1e931e1336fd",
-        ("merge", 12): "365b3dc460788c6d47f541ad93936e231478d4ed1e0f7d9335319c09c5c89473",
+        ("merge", 2): "b60897d6f3103f8283293078ca879f3b5c51f137d98869e05218114d3ee853b7",
+        ("merge", 5): "2ba345c5340491c67fd63e9a1e341ffa8f14c0ca96d12db7f0200afcb275e277",
+        ("merge", 12): "ccd38fefbfba431aedbba9d2bc54a5936db23c82999476e550b5d1c5a40a5fe5",
     }
 
     @pytest.mark.parametrize("kind,k", sorted(PINNED))
@@ -209,7 +211,7 @@ class TestBitonicBuilder:
         if kind == "sort":
             circuit = build_sort_circuit(k, max(k.bit_length(), 1)).circuit
         else:
-            circuit = build_merge_circuit(k, 5).circuit
+            circuit = build_merge_circuit((k - k // 2, k // 2), 5).circuit
         h = hashlib.sha256()
         h.update(np.asarray(circuit.gates, dtype="<i4").tobytes())
         for name, wires in circuit.inputs.items():

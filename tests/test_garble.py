@@ -207,20 +207,22 @@ def shake_token(seed: bytes, size: int):
 
 
 class TestWireFormat:
-    # SHA-256 of (tables, dec, label map, delta) as garbled by the gate-order
-    # engine that preceded the level schedule, from the same SHAKE-256 stream
+    # SHA-256 of (tables, dec, label map, delta) from the same SHAKE-256
+    # stream: sorts as garbled by the gate-order engine that preceded the
+    # level schedule, the merge (two runs of 3 and 2) since it is a bitonic
+    # merge of the runs
     PINNED = {
         ("sort", 1): "dbe0ffcb5d742f0d4c40caa7a37158240f26ccbb9d902d337103656654efce1e",
         ("sort", 3): "fe31a60067ade290bfbd2cb716e8c4abb1df21943ca4e3bcc21a969d9e9e5fe5",
         ("sort", 8): "b729f0daafa2409f5ad38c65cea1831f075935e52fd3f3adf7ae893027f72527",
-        ("merge", 5): "c981245ee0423757fbb93dc31add76a928a14364ca96438832e6f67d43d9bc2a",
+        ("merge", 5): "044378d0ab75d3d4d5a7c6b2104fc713cc8a507515a8a417304159bd771f7b7c",
     }
 
     @staticmethod
     def _circuit(kind, k):
         if kind == "sort":
             return build_sort_circuit(k, max(k.bit_length(), 1)).circuit
-        return build_merge_circuit(k, 4).circuit
+        return build_merge_circuit((k - k // 2, k // 2), 4).circuit
 
     @pytest.mark.parametrize("kind,k", sorted(PINNED))
     def test_garbling_is_byte_identical(self, kind, k):
@@ -265,7 +267,7 @@ class TestSchedule:
 class TestConcurrency:
     @pytest.mark.parametrize(
         "cached",
-        [lambda: _sort_circuit(6, 3), lambda: build_merge_circuit(5, 4)],
+        [lambda: _sort_circuit((6,), 3), lambda: build_merge_circuit((3, 2), 4)],
         ids=["sort", "merge"],
     )
     def test_two_threads_share_one_cached_circuit(self, cached):

@@ -2,8 +2,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from privgraph.circuits import comparator_count
+from privgraph.circuits import SCORE_BITS, comparator_count
 from privgraph.crypto import GroupContext
 from privgraph.ot import OTPair
 from privgraph.sorting import (
@@ -224,7 +226,10 @@ class TestGlobalSort:
 # (frame, payload bytes) each party sends in a k = 5, 3 and 1 local sort and
 # in the 3-shard merge of their results. SORT_INIT holds one u32 count per
 # shard, the garbler's labels travel in one GARBLER_LABELS frame, and the
-# merge's payloads are numbered densely over its 9 entries (4 bits). Each
+# merge's payloads are numbered densely over its 9 entries (4 bits). The
+# merge tree reads 16 input slots: the (5, 3) node's 8, then the root's 7
+# sentinels and 1 entry; it runs 12 + 32 comparators of 32 + 32 + 4 ANDs,
+# and its labels are 31 masked-score, 1 validity and 4 payload bits a slot. Each
 # session here is a pair's first, so it sets up; OT_EXTEND carries the
 # 20-byte header that names its state and block range.
 _EVALUATOR_OT = [("OT_SETUP", 32), ("OT_SETUP", 4096)]
@@ -245,7 +250,7 @@ PINNED_FRAMES = [
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 512)],
     ),
     (  # merge of 9 entries from 3 shards
-        [("SORT_INIT", 12), ("CIRCUIT_BLOB", 337940), ("GARBLER_LABELS", 8960),
+        [("SORT_INIT", 12), ("CIRCUIT_BLOB", 191508), ("GARBLER_LABELS", 7936 + 256 + 1024),
          ("OT_SETUP", 4096), ("OT_PAYLOAD", 15872)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 7936)],
     ),
@@ -283,19 +288,91 @@ class TestWireSequence:
 class TestCircuitCache:
     def test_one_circuit_per_shape(self):
         # k = 5, 6 and 7 share the padded width 8 and so one circuit
-        assert _sort_circuit(5, 3).circuit is _sort_circuit(7, 3).circuit
-        assert (_sort_circuit(5, 3).k, _sort_circuit(7, 3).k) == (5, 7)
-        assert _sort_circuit(5, 3).circuit is not _sort_circuit(5, 4).circuit
-        assert build_merge_circuit(5, 6).circuit is build_merge_circuit(6, 6).circuit
-        assert build_merge_circuit(8, 6).circuit is not _sort_circuit(8, 6).circuit
+        assert _sort_circuit((5,), 3).circuit is _sort_circuit((7,), 3).circuit
+        assert (_sort_circuit((5,), 3).k, _sort_circuit((7,), 3).k) == (5, 7)
+        assert _sort_circuit((5,), 3).circuit is not _sort_circuit((5,), 4).circuit
+        # a two-run merge has one circuit per padded width, whatever the split
+        assert build_merge_circuit((3, 3), 6).circuit is build_merge_circuit((6, 2), 6).circuit
+        assert (build_merge_circuit((3, 3), 6).k, build_merge_circuit((6, 2), 6).k) == (6, 8)
+        assert build_merge_circuit((4, 4), 6).circuit is not _sort_circuit((8,), 6).circuit
+
+
+def merge_ands(m: int, payload_width: int) -> int:
+    """ANDs of one bitonic merge stage of width m: (m/2)·log2 m comparators
+    of a 32-bit key (score and validity bit) compare and swap, plus the
+    payload swap."""
+    return m // 2 * (m.bit_length() - 1) * (2 * (SCORE_BITS + 1) + payload_width)
 
 
 class TestMergeCircuit:
     def test_comparator_count_in_ands(self):
         pw = 6
-        sc = build_merge_circuit(8, pw)
-        assert sc.and_count == comparator_count(8) * (31 + 31 + pw)
+        for n in (8, 16, 32):
+            sc = build_merge_circuit((n - 3, 3), pw)
+            assert sc.n == n
+            assert sc.and_count == merge_ands(n, pw), n
+
+    def test_tree_comparators_in_ands(self):
+        # (5, 3) merge in width 8, then its 8 entries and shard 2's one in 16
+        pw = 4
+        sc = build_merge_circuit((5, 3, 1), pw)
+        assert sc.and_count == merge_ands(8, pw) + merge_ands(16, pw)
+        assert merge_ands(8, pw) + merge_ands(16, pw) < comparator_count(16) * (
+            2 * (SCORE_BITS + 1) + pw
+        )
+        assert build_merge_circuit((7,), pw).and_count == 0  # one run: nothing to merge
 
     def test_oversize_rejected(self):
         with pytest.raises(ValueError):
-            build_merge_circuit(5000, 8)
+            build_merge_circuit((5000,), 8)
+
+
+# a score drawn from the edges of the 31-bit range, or anywhere in it
+_SCORES = st.one_of(
+    st.sampled_from([0, 1, SHARE_MODULUS - 1]), st.integers(0, SHARE_MODULUS - 1)
+)
+
+
+class TestMergeOracle:
+    """The garbled merge against a plaintext oracle: each shard's CONTRIB
+    made directly (masked scores in rank order with their local indices),
+    the decoded order checked against the descending sort of every score."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        """One OT pair per side for every merge here: the base OT runs once."""
+        return OTPair(GroupContext()), OTPair(GroupContext())
+
+    def _merge(self, pairs, vectors, rng):
+        contributions, masks = [], []
+        for shard, scores in enumerate(vectors):
+            mask = int(rng.integers(0, SHARE_MODULUS))
+            order = sorted(range(len(scores)), key=lambda i: -scores[i])
+            contributions.append((shard, [scores[i] ^ mask for i in order], order))
+            masks.append(mask)
+        counts = [len(scores) for scores in vectors]
+        pair_g, pair_e = pairs
+        _, order, _ = run_session(
+            lambda ch: global_sort_garbler(ch, 7, contributions, pair_g),
+            lambda ch: global_sort_evaluator(ch, 7, counts, masks, pair_e),
+        )
+        assert sorted(order) == [(j, i) for j, v in enumerate(vectors) for i in range(len(v))]
+        flat = sorted((s for v in vectors for s in v), reverse=True)
+        assert [vectors[j][i] for j, i in order] == flat
+
+    @seed(20261018)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        vectors=st.lists(st.lists(_SCORES, max_size=9), min_size=1, max_size=4).filter(
+            lambda vs: any(vs)
+        ),
+        salt=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracle(self, pairs, vectors, salt):
+        self._merge(pairs, vectors, np.random.default_rng(salt))
+
+    def test_score_zero_entries_survive_the_tree(self, pairs):
+        # the (2, 3) node pads to 8 with 3 sentinels that tie with the real
+        # zeros on score; only the validity bit keeps every zero among the
+        # node's 5 entries that the root merges on
+        self._merge(pairs, [[5, 0], [0, 0, 0], [7, 0, 0]], np.random.default_rng(13))

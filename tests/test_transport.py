@@ -7,6 +7,7 @@ import time
 import pytest
 
 from privgraph.circuits import MAX_SORT_K, SCORE_BITS, comparator_count, padded_size
+from privgraph.sorting import _merge_plan
 from privgraph.transport import (
     HEADER_LEN,
     MAX_FRAME_BYTES,
@@ -22,6 +23,15 @@ from privgraph.transport import (
     loopback_pair,
     save_transcript,
 )
+
+
+def tree_comparators(shape) -> int:
+    """Comparators of a merge tree: (m/2)·log2 m per node of width m."""
+    if isinstance(shape, int):
+        return 0
+    m, *children = shape
+    subtrees = (tree_comparators(sub) for sub, _ in filter(None, children))
+    return m // 2 * (m.bit_length() - 1) + sum(subtrees)
 
 
 def address_forms(tmp_path):
@@ -267,15 +277,21 @@ class TestTcp:
     def test_largest_circuit_blob_fits_under_cap(self):
         # closed-form AND counts (see test_comparator_law_in_and_count):
         # local sort = adders n*(31-1) + comparators*(31 + 31 + payload),
-        # merge = comparators*(31 + 31 + payload); 64 table bytes per AND
-        # both sorts number their payloads densely over 1..k
+        # merge = merge comparators*(32 + 32 + payload), the key being the
+        # score and a validity bit; 64 table bytes per AND; both sorts
+        # number their payloads densely over 1..k
         n = padded_size(MAX_SORT_K)
         pw = MAX_SORT_K.bit_length()
         local = n * (SCORE_BITS - 1) + comparator_count(n) * (2 * SCORE_BITS + pw)
-        merge = comparator_count(n) * (2 * SCORE_BITS + pw)
-        frames = [
-            HEADER_LEN + 12 + 64 * local + -(-n * (SCORE_BITS + pw) // 8),
-            HEADER_LEN + 12 + 64 * merge + -(-n * pw // 8),
+        # a two-run merge is one merge stage; a tree of many short runs pads
+        # at every level: 341 runs of 3 and one of 1 are the costliest
+        # layout a search over equal-length and random runs found
+        shape, _ = _merge_plan([[None] * 3] * 341 + [[None]])
+        merges = [n // 2 * (n.bit_length() - 1), tree_comparators(shape)]
+        frames = [HEADER_LEN + 12 + 64 * local + -(-n * (SCORE_BITS + pw) // 8)]
+        frames += [
+            HEADER_LEN + 12 + 64 * c * (2 * (SCORE_BITS + 1) + pw) + -(-n * pw // 8)
+            for c in merges
         ]
         # a power-of-two cap with room for the circuits to grow
         assert max(frames) <= MAX_FRAME_BYTES < 4 * max(frames)
