@@ -188,7 +188,7 @@ class SortCircuit:
     """A sort's circuit with the sizes it was looked up for. For the local
     sort (build_sort_circuit): per-element score reconstruction from two
     additive-share bundles, bitonic descending sort carrying payload bits,
-    and a final XOR mask on every score."""
+    keyed on (score, validity bit) so the k real entries are outputs 0..k-1."""
 
     circuit: Circuit
     k: int  # requested (real) length
@@ -228,9 +228,8 @@ def build_sort_circuit(k: int, payload_width: int) -> SortCircuit:
     b = CircuitBuilder()
     g_shares = b.input_bundle("garbler_shares", n * SCORE_BITS)
     e_shares = b.input_bundle("evaluator_shares", n * SCORE_BITS)
+    valid = b.input_bundle("valid", n)
     payloads = b.input_bundle("payloads", n * payload_width)
-    mask = b.input_bundle("mask", SCORE_BITS)
-
     elems = []
     for e in range(n):
         score = b.add_mod(
@@ -238,11 +237,9 @@ def build_sort_circuit(k: int, payload_width: int) -> SortCircuit:
             e_shares[e * SCORE_BITS : (e + 1) * SCORE_BITS],
         )
         payload = payloads[e * payload_width : (e + 1) * payload_width]
-        elems.append((score, payload))
-
-    for score, payload in b.bitonic_sort(elems):
-        masked = [b.xor(s, m) for s, m in zip(score, mask)]
-        b.mark_outputs(masked + payload)
+        elems.append(([valid[e]] + score, payload))
+    for key, payload in b.bitonic_sort(elems):
+        b.mark_outputs(key[1:] + payload)
     return SortCircuit(b.build(), k, n, payload_width)
 
 

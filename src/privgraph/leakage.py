@@ -8,9 +8,15 @@ intersections for equal x-term sets (IP), and the result ranks of sorted
 queries. The profile is a pure function of the plaintext database and
 the query list; it never touches keys.
 
+Of a sorted query's scores, cluster 1 learns the ranks within each shard
+only: each output position of a local sort is masked with its own fresh
+mask, so the masked scores in CONTRIB tell nothing of the true scores or
+their differences. Cluster 0 learns the masks and the global order.
+
 The audit classifies every recorded frame into the allowed alphabet and
 flags anything else; the consistency check verifies that each observable
-quantity in a transcript is derivable from the profile.
+quantity in a transcript is derivable from the profile, and that no two
+consecutive masked scores of a CONTRIB XOR to their true scores' XOR.
 """
 
 from __future__ import annotations
@@ -263,6 +269,22 @@ def _sessions_in_order(entries):
     return [(sid, sessions[sid]) for sid in order]
 
 
+def _contrib_leak(survivor_scores: list, shard: int, entries: list) -> str | None:
+    """What a shard's CONTRIB (masked score, local index) entries reveal
+    beyond the ranks, or None. Masks drawn fresh per position make two
+    masked scores XOR to their true scores' XOR with probability 2^-31; one
+    mask shared by the shard makes every pair do so."""
+    if shard >= len(survivor_scores) or any(
+        i >= len(survivor_scores[shard]) for _, i in entries
+    ):
+        return "names an entry outside the survivors"
+    true = survivor_scores[shard]
+    for (ma, ia), (mb, ib) in zip(entries, entries[1:]):
+        if ma ^ mb == true[ia] ^ true[ib]:
+            return f"masked scores of entries {ia} and {ib} reveal their true XOR"
+    return None
+
+
 def check_transcript_consistency(
     profile: LeakageProfile, transcript: Transcript
 ) -> Verdict:
@@ -302,7 +324,7 @@ def check_transcript_consistency(
 
         counts_by_shard: dict[str, list[int]] = {}
         results_by_shard: dict[str, tuple] = {}
-        global_orders = []
+        global_orders, contribs = [], []
         for party, frame in frames:
             if frame.type == MSG["TUPLE_COUNT"]:
                 counts_by_shard.setdefault(party, []).append(
@@ -312,6 +334,8 @@ def check_transcript_consistency(
                 results_by_shard[party] = decode_result(frame.payload)
             elif frame.type == MSG["GLOBAL_RESULT"]:
                 global_orders.append(decode_global_result(frame.payload))
+            elif frame.type == MSG["CONTRIB"]:
+                contribs.append(_decode_contrib(frame.payload))
 
         for party, counts in counts_by_shard.items():
             shard = int(party[3:])
@@ -355,6 +379,10 @@ def check_transcript_consistency(
                     verdict.violations.append(
                         f"query {qi}: ranking order disagrees with the leakage ranks"
                     )
+            for shard, _, entries in contribs:
+                leak = _contrib_leak(profile.survivor_scores[qi], shard, entries)
+                if leak:
+                    verdict.violations.append(f"query {qi} shard {shard}: CONTRIB {leak}")
         verdict.notes.append(
             f"query {qi}: {len(frames)} frames consistent with profile"
             if not verdict.violations

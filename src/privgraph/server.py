@@ -28,7 +28,8 @@ from collections import OrderedDict
 import numpy as np
 
 from .builder import ShardData, load_edb
-from .crypto import CIPHERTEXT_BYTES, ELEMENT_BYTES, GroupContext
+from .circuits import MAX_SORT_K
+from .crypto import CIPHERTEXT_BYTES, ELEMENT_BYTES, SHARE_MODULUS, GroupContext
 from .oxt import boolean_query
 from .ot import OTPair, OTReceiver, OTSender
 from .scoring import eval_score, parse_score
@@ -246,21 +247,38 @@ def decode_global_result(payload: bytes) -> list[tuple[int, int]]:
     return list(struct.iter_unpack(">HI", payload[4:]))
 
 
-def _check_status(frame: str, status: int) -> None:
+# A shard's report to its coordinator, its entries in rank order: MASKS is
+# shard u16, status u8, then one u32 mask per entry; CONTRIB is shard,
+# status, a u32 count, then (masked score, local index) u32 pairs.
+def _check_report(frame: str, status: int, count: int) -> None:
+    """A MASKS or CONTRIB header: a known status and at most MAX_SORT_K
+    entries, checked before the entries are unpacked."""
     if status not in (STATUS_OK, STATUS_FAILED):
         raise TransportError(f"{frame} status byte {status}")
+    if count > MAX_SORT_K:
+        raise TransportError(f"{frame} of {count} entries, over {MAX_SORT_K}")
 
 
-def _encode_masks(shard: int, status: int, count: int, mask: int) -> bytes:
-    return struct.pack(">HBII", shard, status, count, mask)
+def _check_scores(frame: str, scores) -> None:
+    """Masks and masked scores lie in Z_{2^31}: the merge reads 31 bits of
+    each, so a wider word would be merged as another score."""
+    if any(score >= SHARE_MODULUS for score in scores):
+        raise TransportError(f"{frame} score outside Z_{{2^31}}")
+
+
+def _encode_masks(shard: int, status: int, masks: list[int]) -> bytes:
+    return struct.pack(f">HB{len(masks)}I", shard, status, *masks)
 
 
 def _decode_masks(payload: bytes):
-    if len(payload) != 11:
-        raise TransportError("MASKS payload is not 11 bytes")
-    shard, status, count, mask = struct.unpack(">HBII", payload)
-    _check_status("MASKS", status)
-    return shard, status, count, mask
+    if len(payload) < 3 or (len(payload) - 3) % 4:
+        raise TransportError(f"MASKS of {len(payload)} bytes is not whole masks")
+    shard, status = struct.unpack_from(">HB", payload)
+    count = (len(payload) - 3) // 4
+    _check_report("MASKS", status, count)
+    masks = list(struct.unpack_from(f">{count}I", payload, 3))
+    _check_scores("MASKS", masks)
+    return shard, status, masks
 
 
 def _encode_contrib(shard: int, status: int, entries: list[tuple[int, int]]) -> bytes:
@@ -273,8 +291,10 @@ def _decode_contrib(payload: bytes):
     if len(payload) < 7 or len(payload) != 7 + 8 * struct.unpack_from(">I", payload, 3)[0]:
         raise TransportError("CONTRIB size disagrees with its header")
     shard, status = struct.unpack_from(">HB", payload)
-    _check_status("CONTRIB", status)
-    return shard, status, list(struct.iter_unpack(">II", payload[7:]))
+    _check_report("CONTRIB", status, (len(payload) - 7) // 8)
+    entries = list(struct.iter_unpack(">II", payload[7:]))
+    _check_scores("CONTRIB", (masked for masked, _ in entries))
+    return shard, status, entries
 
 
 def _discard(item) -> None:
@@ -529,7 +549,7 @@ class IndexServer:
             self._sort_phase_evaluator(qid, shares, score)
 
     def _sort_phase_garbler(self, chan, qid, shares, score):
-        status, k, mask = STATUS_OK, 0, 0
+        status, masks = STATUS_OK, []
         if shares != []:
             try:
                 cchan = self._connect(self.counterpart)
@@ -540,18 +560,17 @@ class IndexServer:
                     else:
                         if score:
                             shares = self._score(cchan, qid, shares, score, party=0)
-                        mask = local_sort_garbler(
+                        masks = local_sort_garbler(
                             cchan, qid, shares, self._ot_pair(self.counterpart)
                         )
-                        k = len(shares)
                 finally:
                     cchan.close()
             except Exception:
                 # the coordinator learns of the failure at once instead of
-                # waiting out its timeout for this shard's mask
+                # waiting out its timeout for this shard's masks
                 log.exception("%s: local sort of query %d failed", self.name, qid)
-                status, k = STATUS_FAILED, 0
-        self._report("MASKS", _encode_masks(self.shard, status, k, mask), qid)
+                status, masks = STATUS_FAILED, []
+        self._report("MASKS", _encode_masks(self.shard, status, masks), qid)
         if self.is_coordinator:
             self._coordinate_masks(chan, qid)
 
@@ -584,27 +603,27 @@ class IndexServer:
     # -- coordinator duties
 
     def _coordinate_masks(self, chan: Channel, qid: int) -> None:
-        """Cluster-0 coordinator: gather every shard's mask, evaluate the
+        """Cluster-0 coordinator: gather every shard's masks, evaluate the
         global merge fed by the cluster-1 coordinator, answer the front-end.
         The cluster-1 coordinator opens the merge session of every sorted
         query, so it is always consumed here; when the answer is already
         known (a failed shard, or nothing to sort) it is sent first."""
-        counts, masks = [0] * self.n_shards, [0] * self.n_shards
+        masks = [[] for _ in range(self.n_shards)]
         failed = None
         try:
             for _ in range(self.n_shards):
-                shard, status, count, mask = self._await(("masks", qid), self.timeout)
+                shard, status, shard_masks = self._await(("masks", qid), self.timeout)
                 if shard >= self.n_shards:
                     raise ServerError(f"MASKS from shard {shard} of {self.n_shards}")
                 if status != STATUS_OK:
                     failed = shard
-                counts[shard], masks[shard] = count, mask
+                masks[shard] = shard_masks
         except (TransportError, ServerError):
             self._drop(("gsort", qid))  # the merge session is closed on arrival
             raise
         finally:
             self._drop(("masks", qid))
-        total = sum(counts)
+        total = sum(map(len, masks))
         answered = failed is not None or total == 0
         try:
             if failed is not None:
@@ -627,7 +646,7 @@ class IndexServer:
             if not answered:
                 try:
                     order = global_sort_evaluator(
-                        gchan, qid, counts, masks, self._ot_pair(server_name(1, 0))
+                        gchan, qid, masks, self._ot_pair(server_name(1, 0))
                     )
                 except ChannelClosed:
                     raise ServerError(

@@ -2,9 +2,9 @@
 
 Local sort (per shard): the cluster-0 server garbles, the cluster-1
 server evaluates. The circuit reconstructs each score from the two
-additive shares, sorts descending, and XORs a session mask R into every
-output score; the evaluator learns the payload order and masked scores
-only, the garbler keeps R.
+additive shares and sorts descending. The garbler masks output e's score
+with a fresh R_e by flipping its decode bits: the evaluator learns the
+ranks within its shard and s_e XOR R_e only, the garbler keeps the R_e.
 
 Global sort (coordinators, roles switched): the cluster-1 coordinator
 garbles over all shards' masked vectors; the cluster-0 coordinator feeds
@@ -15,9 +15,10 @@ descending, then padding, then the other reversed form a bitonic sequence,
 which Batcher's bitonic merge sorts in log2 n layers of n/2 comparators
 instead of a full sort's log2 n (log2 n + 1) / 2. More runs merge pairwise
 in a tree (_merge_tree) that keeps only the real entries between levels.
-That truncation is sound because a validity bit, 1 for an entry and 0 for
-padding, is the merge key's lowest bit: padding sorts strictly after
-every real entry, a real score of 0 included. The network's shape is a
+Both sorts key on the score with a validity bit below it, 1 for an entry
+and 0 for padding, so padding sorts strictly after every real entry, a
+real score of 0 included: a local sort's entries are its first k outputs
+and each tree node may keep only its own. The network's shape is a
 function of the per-shard counts only, which SORT_INIT already publishes,
 so the merge leaks nothing a full sort did not.
 
@@ -156,12 +157,10 @@ def _merge_plan(runs: list[list]):
 
 def _merge_network(plan, payload_width: int):
     """Global-sort circuit of a merge tree, plan being (its shape, its n
-    input slots). Per slot, unmask score = masked XOR mask (free), and put
-    the validity bit below it as the key's lowest bit, so that a sentinel
-    (all zero) sorts strictly after every real entry, a score-0 one too.
-    Each node is one bitonic merge stage and passes on only its real
-    entries. Outputs the payload bits of the root's slots (of the single
-    run's, unmerged)."""
+    input slots). Per slot, unmask score = masked XOR mask (free) and key
+    it with the validity bit below. Each node is one bitonic merge stage
+    and passes on only its real entries. Outputs the payload bits of the
+    root's slots (of the single run's, unmerged)."""
     shape, n = plan
     b = CircuitBuilder()
     masked = b.input_bundle("masked_scores", n * SCORE_BITS)
@@ -207,7 +206,7 @@ def build_merge_circuit(counts: tuple[int, ...], payload_width: int) -> SortCirc
 # The garbler's input bundles of each sort, in the order its one
 # GARBLER_LABELS frame concatenates their labels. The one circuit input not
 # named is the evaluator's own, chosen by OT.
-_LOCAL_LABELS = ("garbler_shares", "payloads", "mask")
+_LOCAL_LABELS = ("garbler_shares", "valid", "payloads")
 _MERGE_LABELS = ("masked_scores", "valid", "payloads")
 
 
@@ -235,12 +234,13 @@ def _bits(values, width: int, n: int) -> list[int]:
     return bits + [0] * ((n - len(values)) * width)
 
 
-def _garble_session(channel, session, counts, sc, bundles, bits, ot) -> None:
-    """Garbler half of a sort: the SORT_INIT counts, the circuit, the
-    labels of the garbler's bits (bundle -> bits) in the order of bundles,
-    then the evaluator's bundle by OT, as extension sender on ot."""
+def _garble_session(channel, session, counts, sc, bundles, bits, ot, flips=0) -> None:
+    """Garbler half of a sort: the SORT_INIT counts, the circuit with flips
+    XORed into its decode bits, the labels of the garbler's bits (bundle ->
+    bits) in bundles' order, the evaluator's bundle by OT as sender on ot."""
     channel.send(Frame(MSG["SORT_INIT"], session, encode_sort_init(counts)))
     gc, label_map, delta = garble(sc.circuit)
+    gc.dec ^= np.asarray(flips, dtype=np.uint8)
     channel.send(Frame(MSG["CIRCUIT_BLOB"], session, gc.to_bytes()))
     labels = [select_labels(label_map[b], delta, bits[b]).tobytes() for b in bundles]
     channel.send(Frame(MSG["GARBLER_LABELS"], session, b"".join(labels)))
@@ -278,17 +278,20 @@ def local_sort_garbler(
     session: int,
     shares: list[int],
     ot: OTPair,
-) -> int:
-    """Garbler (cluster 0) side of a local sort. Returns the mask R."""
+) -> list[int]:
+    """Garbler (cluster 0) side of a local sort. Returns the fresh masks
+    R_e of its output positions e < k."""
     sc, _, _ = _layout(_sort_circuit, [len(shares)])
-    mask = secrets.randbelow(SHARE_MODULUS)
+    masks = [secrets.randbelow(SHARE_MODULUS) for _ in range(sc.k)]
     bits = {
         "garbler_shares": _bits(shares, SCORE_BITS, sc.n),
+        "valid": _bits([1] * sc.k, 1, sc.n),
         "payloads": _bits(range(1, sc.k + 1), sc.payload_width, sc.n),
-        "mask": _bits([mask], SCORE_BITS, 1),
     }
-    _garble_session(channel, session, [sc.k], sc, _LOCAL_LABELS, bits, ot)
-    return mask
+    # output e is its score's bits, then its payload's: mask the former
+    flips = _bits(masks, SCORE_BITS + sc.payload_width, sc.n)
+    _garble_session(channel, session, [sc.k], sc, _LOCAL_LABELS, bits, ot, flips)
+    return masks
 
 
 def local_sort_evaluator(
@@ -297,13 +300,13 @@ def local_sort_evaluator(
     shares: list[int],
     ot: OTPair,
 ) -> tuple[list[int], list[int]]:
-    """Evaluator (cluster 1) side. Returns (masked scores, payload order),
-    both descending by true score, sentinels dropped, payloads 0-based."""
+    """Evaluator (cluster 1) side. Returns (masked scores, payload order)
+    of its k entries, descending by true score, payloads 0-based."""
     sc, _, _ = _layout(_sort_circuit, [len(shares)])
     own_bits = _bits(shares, SCORE_BITS, sc.n)
     bits = _evaluate_session(channel, session, [sc.k], sc, _LOCAL_LABELS, own_bits, ot)
-    kept = [(s, p - 1) for s, p in zip(*sc.decode_outputs(bits)) if p]
-    return [s for s, _ in kept], [p for _, p in kept]
+    masked, payloads = sc.decode_outputs(bits)
+    return masked[: sc.k], [p - 1 for p in payloads[: sc.k]]
 
 
 def global_sort_garbler(
@@ -340,16 +343,16 @@ def global_sort_garbler(
 def global_sort_evaluator(
     channel: Channel,
     session: int,
-    counts: list[int],
-    masks: list[int],
+    masks: list[list[int]],
     ot: OTPair,
 ) -> list[tuple[int, int]]:
-    """Evaluator (cluster-0 coordinator) side: counts and masks hold each
-    shard's result count and mask, by shard, as its MASKS brought them.
-    Feeds the masks in by OT and returns the global descending order as
-    (shard, local index)."""
+    """Evaluator (cluster-0 coordinator) side: masks holds each shard's
+    masks in rank order, by shard, as its MASKS brought them; their counts
+    are the shards' result counts. Feeds the masks in by OT and returns
+    the global descending order as (shard, local index)."""
+    counts = [len(shard_masks) for shard_masks in masks]
     sc, entries, slots = _layout(build_merge_circuit, counts)
-    own = [0 if slot is None else masks[slot[0]] for slot in slots]
+    own = [0 if slot is None else masks[slot[0]][slot[1]] for slot in slots]
     bits = _evaluate_session(
         channel, session, counts, sc, _MERGE_LABELS, _bits(own, SCORE_BITS, sc.n), ot
     )

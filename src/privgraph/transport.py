@@ -39,9 +39,10 @@ __all__ = [
 
 HEADER_LEN = 14  # length(4) + type(2) + session(8)
 # The largest legitimate frames are the CIRCUIT_BLOBs at circuits.MAX_SORT_K,
-# whose payloads are at most 11 bits; an AND gate takes 64 bytes. The local
-# sort's 28,160 comparators of 31 + 31 + 11 ANDs and 1,024 adders of 30 take
-# ~134 MB. A two-run merge's 5,120 comparators of 32 + 32 + 11 take ~25 MB; a
+# whose payloads are at most 11 bits; an AND gate takes 64 bytes. Both sorts
+# key on a 31-bit score and a validity bit. The local sort's 28,160
+# comparators of 32 + 32 + 11 ANDs and 1,024 adders of 30 take ~137 MB. A
+# two-run merge's 5,120 comparators of 32 + 32 + 11 take ~25 MB; a
 # merge tree pads at every level, and over 341 runs of 3 and one of 1 its
 # 43,256 comparators take ~208 MB. The cap leaves room for them to grow.
 MAX_FRAME_BYTES = 1 << 28

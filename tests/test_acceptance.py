@@ -456,12 +456,12 @@ def test_ac06d_cost_report():
     g = [int(v) for v in rng.integers(0, SHARE_MODULUS, size=k)]
     e = [(s - gs) % SHARE_MODULUS for s, gs in zip(scores, g)]
     pair_g, pair_e = OTPair(GroupContext()), OTPair(GroupContext())
-    mask, (masked, order), chan = run_two_party(
+    masks, (masked, order), chan = run_two_party(
         lambda ch: local_sort_garbler(ch, 1, g, pair_g),
         lambda ch: local_sort_evaluator(ch, 1, e, pair_e),
         name="sort128",
     )
-    assert [m ^ mask for m in masked] == sorted(scores, reverse=True)
+    assert [m ^ r for m, r in zip(masked, masks)] == sorted(scores, reverse=True)
     session_bytes = chan.bytes_sent + chan.bytes_received
     ands = build_sort_circuit(k, max(k.bit_length(), 1)).and_count
     return (

@@ -126,7 +126,7 @@ class TestSchedule:
 
 
 class TestSortCircuit:
-    def _run(self, scores, payloads, mask, k=None, pw=8, seed=3):
+    def _run(self, scores, payloads, k=None, pw=8, seed=3):
         k = k if k is not None else len(scores)
         sc = build_sort_circuit(k, pw)
         rng = np.random.default_rng(seed)
@@ -142,63 +142,65 @@ class TestSortCircuit:
         inputs = {
             "garbler_shares": np.array([g], dtype=bool),
             "evaluator_shares": np.array([e], dtype=bool),
+            "valid": np.array([[1] * len(scores) + [0] * (sc.n - len(scores))], dtype=bool),
             "payloads": np.array([p], dtype=bool),
-            "mask": np.array([int_to_bits(mask, SCORE_BITS)], dtype=bool),
         }
         out = simulate(sc.circuit, inputs)[0]
         return sc.decode_outputs(out)
 
     def test_sorts_descending(self):
-        masked, payloads = self._run([5, 9, 2], [1, 2, 3], mask=0)
-        assert masked[:3] == [9, 5, 2]
+        scores, payloads = self._run([5, 9, 2], [1, 2, 3])
+        assert scores[:3] == [9, 5, 2]
         assert payloads[:3] == [2, 1, 3]
-        assert masked[3] == 0  # sentinel pad
+        assert (scores[3], payloads[3]) == (0, 0)  # sentinel pad
 
-    def test_mask_applied(self):
-        mask = 0x12345678 & ((1 << 31) - 1)
-        masked, _ = self._run([5, 9, 2], [1, 2, 3], mask=mask)
-        assert [m ^ mask for m in masked[:3]] == [9, 5, 2]
+    def test_score_zero_sorts_ahead_of_sentinels(self):
+        # a real 0 ties with the sentinels on score; the validity bit below
+        # it keeps the real entries in the first k outputs
+        scores, payloads = self._run([0, 0, 3], [1, 2, 3])
+        assert scores == [3, 0, 0, 0]
+        assert payloads[0] == 3 and sorted(payloads[1:3]) == [1, 2]
+        assert payloads[3] == 0
 
     def test_single_element(self):
-        masked, payloads = self._run([7], [1], mask=3)
-        assert masked == [7 ^ 3] and payloads == [1]
+        scores, payloads = self._run([7], [1])
+        assert scores == [7] and payloads == [1]
 
     def test_ties_keep_multiset(self):
-        masked, _ = self._run([7, 7, 7, 7], [1, 2, 3, 4], mask=0)
-        assert sorted(masked) == [7, 7, 7, 7]
+        scores, _ = self._run([7, 7, 7, 7], [1, 2, 3, 4])
+        assert sorted(scores) == [7, 7, 7, 7]
 
     def test_random_vs_python_sort(self):
         rng = np.random.default_rng(11)
         scores = [int(x) for x in rng.integers(1, 1000, size=13)]
-        masked, payloads = self._run(scores, list(range(1, 14)), mask=0)
-        real = masked[:13] if 0 not in masked[:13] else None
-        # pads (score 0) sort to the tail; the first 13 are the real entries
-        assert masked[:13] == sorted(scores, reverse=True)
-        got = [scores[p - 1] for p in payloads[:13]]
-        assert got == sorted(scores, reverse=True)
+        got, payloads = self._run(scores, list(range(1, 14)))
+        # pads sort to the tail; the first 13 are the real entries
+        assert got[:13] == sorted(scores, reverse=True)
+        assert [scores[p - 1] for p in payloads[:13]] == sorted(scores, reverse=True)
 
     def test_max_k_enforced(self):
         with pytest.raises(ValueError, match="truncate"):
             build_sort_circuit(2048, 8)
 
     def test_comparator_law_in_and_count(self):
-        # total ANDs = adders n*(31-1) + comparators * (31 + 31 + payload)
+        # total ANDs = adders n*(31-1) + comparators * (32 + 32 + payload),
+        # the key being the score and the validity bit below it
         pw = 8
         sc = build_sort_circuit(8, pw)
-        expected = 8 * 30 + comparator_count(8) * (31 + 31 + pw)
+        expected = 8 * 30 + comparator_count(8) * (32 + 32 + pw)
         assert sc.and_count == expected
 
 
 class TestBitonicBuilder:
     # SHA-256 of the gate rows, input wires, output wires and wire count:
-    # sorts as built when the sort and merge builders each had their own
-    # bitonic loop, merges (k entries in two runs of k - k // 2 and k // 2)
+    # sorts as built since they key on (score, validity bit) with no mask
+    # input, merges (k entries in two runs of k - k // 2 and k // 2)
     # as built since the merge is a bitonic merge of the runs
     PINNED = {
-        ("sort", 1): "fd20eeb6a117d01696ccad27803540d60a4885cef8a525699c03213a49042a5b",
-        ("sort", 3): "b0ebabb1dc82bfee3be8ff8808e735e439c0f56f789f328f93ad302c0dfcb8af",
-        ("sort", 8): "7ea1e1d7429049c7629790bbb9855e0bc9f7b27793393655185e33b0873a318f",
-        ("sort", 13): "b90429e306c37be148665e2ec8f28522a7613efafe251bf4fccfee2bbda8ac01",
+        ("sort", 1): "c233d5c2bc09e83cc6fe74f22172f95a46def5450e1f3aaea03d10065db15f2b",
+        ("sort", 3): "51d41e695f7c683fa13f1a5116046ea177f3e624595bc7b93b7bacb8a48b9858",
+        ("sort", 8): "18e53b77581c5f5f55be3ae3f40c40a2257c65da55d404497f0bc90f63ecb584",
+        ("sort", 13): "ca26dfc319c5170328da74f76d1cd5b9860f70f14cd0bf567cbcca86289619df",
         ("merge", 2): "b60897d6f3103f8283293078ca879f3b5c51f137d98869e05218114d3ee853b7",
         ("merge", 5): "2ba345c5340491c67fd63e9a1e341ffa8f14c0ca96d12db7f0200afcb275e277",
         ("merge", 12): "ccd38fefbfba431aedbba9d2bc54a5936db23c82999476e550b5d1c5a40a5fe5",

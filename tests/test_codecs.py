@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from privgraph.circuits import MAX_SORT_K
 from privgraph.crypto import GroupContext
 from privgraph.garble import GarbledCircuit
 from privgraph.leakage import _ALPHABET
@@ -89,7 +90,7 @@ VALID = {
     ],
     "GARBLER_LABELS": [bytes(range(32))],
     "CONTRIB": [_encode_contrib(1, 0, [(5, 0), (7, 1)])],
-    "MASKS": [_encode_masks(1, 0, 2, 99)],
+    "MASKS": [_encode_masks(1, 0, [99, (1 << 31) - 1]), _encode_masks(0, 1, [])],
     "MUL_EXCHANGE": [encode_mul_exchange(np.array([1, 2]), np.array([3, 4]))],
     "OT_EXTEND": [
         encode_ot_extend(b"\x05" * 8, 3, 9, bytes(range(256))),
@@ -216,9 +217,24 @@ class TestStrictness:
 
     def test_status_byte(self):
         with pytest.raises(TransportError, match="status"):
-            _decode_masks(_encode_masks(0, 2, 0, 0))
+            _decode_masks(_encode_masks(0, 2, []))
         with pytest.raises(TransportError, match="status"):
             _decode_contrib(_encode_contrib(0, 7, []))
+
+    def test_scores_outside_the_ring_rejected(self):
+        # the merge reads 31 bits of each: a 32-bit word would be merged as
+        # another score
+        with pytest.raises(TransportError, match="2\\^31"):
+            _decode_masks(_encode_masks(0, 0, [5, 1 << 31]))
+        with pytest.raises(TransportError, match="2\\^31"):
+            _decode_contrib(_encode_contrib(0, 0, [(5, 0), (1 << 31, 1)]))
+
+    def test_more_than_max_sort_k_entries_rejected(self):
+        with pytest.raises(TransportError, match="entries"):
+            _decode_masks(_encode_masks(0, 0, [0] * (MAX_SORT_K + 1)))
+        with pytest.raises(TransportError, match="entries"):
+            _decode_contrib(_encode_contrib(0, 0, [(0, i) for i in range(MAX_SORT_K + 1)]))
+        assert len(_decode_masks(_encode_masks(0, 0, [0] * MAX_SORT_K))[2]) == MAX_SORT_K
 
     def test_declared_count_checked_before_allocation(self):
         huge = b"\xff\xff\xff\xff" + b"\x00" * 6

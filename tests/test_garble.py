@@ -208,13 +208,12 @@ def shake_token(seed: bytes, size: int):
 
 class TestWireFormat:
     # SHA-256 of (tables, dec, label map, delta) from the same SHAKE-256
-    # stream: sorts as garbled by the gate-order engine that preceded the
-    # level schedule, the merge (two runs of 3 and 2) since it is a bitonic
-    # merge of the runs
+    # stream: sorts since they key on (score, validity) with no mask input,
+    # the merge (two runs of 3 and 2) since it is a bitonic merge of the runs
     PINNED = {
-        ("sort", 1): "dbe0ffcb5d742f0d4c40caa7a37158240f26ccbb9d902d337103656654efce1e",
-        ("sort", 3): "fe31a60067ade290bfbd2cb716e8c4abb1df21943ca4e3bcc21a969d9e9e5fe5",
-        ("sort", 8): "b729f0daafa2409f5ad38c65cea1831f075935e52fd3f3adf7ae893027f72527",
+        ("sort", 1): "018fe636fb4e843eebbfe7d5b8f3278a977e31bdbbbe8b4080cf99d01bedfdf7",
+        ("sort", 3): "85c814a01438a917dc39e1e0732daa7c7e7c0182bb7e34b63be9154742a4e5b2",
+        ("sort", 8): "eeebfdee82624cb56d0ab79bbc5fbd84f7db654edbaaec9f837b3932c961a643",
         ("merge", 5): "044378d0ab75d3d4d5a7c6b2104fc713cc8a507515a8a417304159bd771f7b7c",
     }
 

@@ -11,6 +11,7 @@ from privgraph.leakage import (
     check_transcript_consistency,
     compute_leakage,
 )
+from privgraph.server import _decode_contrib, _encode_contrib
 from privgraph.transport import MSG, Frame, Transcript
 
 KEYS = crypto.MasterKeyBundle(*(bytes([i + 9]) * 16 for i in range(5)))
@@ -179,3 +180,20 @@ class TestAudit:
                 wrong.ranks[3] = wrong.ranks[3] + [1]
         verdict = check_transcript_consistency(wrong, transcript)
         assert not verdict.consistent
+
+    def test_one_mask_per_shard_flagged(self, run):
+        # a CONTRIB whose scores share one mask reveals every XOR of two
+        # true scores; the honest one masks each position afresh
+        _, transcript, profile = run
+        entries, rewritten = [], 0
+        for party, direction, frame in transcript.entries:
+            if frame.type == MSG["CONTRIB"] and direction == "send":
+                shard, status, contrib = _decode_contrib(frame.payload)
+                true = profile.survivor_scores[3][shard]
+                one_mask = [(true[i] ^ 0x5A5A5A5, i) for _, i in contrib]
+                frame = Frame(frame.type, frame.session, _encode_contrib(shard, status, one_mask))
+                rewritten += len(contrib) > 1
+            entries.append((party, direction, frame))
+        assert rewritten
+        verdict = check_transcript_consistency(profile, Transcript(entries=entries))
+        assert any("CONTRIB" in v for v in verdict.violations), verdict.violations

@@ -428,7 +428,7 @@ class TestFailFast:
         _, _, cluster, _ = setup
         server = IndexServer(0, 0, 1, cluster.server(0, 0).data, topology=None)
         qid = secrets.randbits(64)
-        server._deliver(("masks", qid), (3, server_mod.STATUS_OK, 1, 0))
+        server._deliver(("masks", qid), (3, server_mod.STATUS_OK, [0]))
         chan, peer = loopback_pair("fe")
         try:
             with pytest.raises(ServerError, match="shard 3"):

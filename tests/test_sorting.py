@@ -1,3 +1,4 @@
+import itertools
 import threading
 
 import numpy as np
@@ -50,6 +51,11 @@ def run_session(garbler_fn, evaluator_fn, transcript=None):
     return out["g"], out["e"], chan_g
 
 
+def unmask(masked, masks):
+    """The true scores of a local sort's output positions."""
+    return [m ^ r for m, r in zip(masked, masks, strict=True)]
+
+
 def split_shares(scores, rng):
     g = [int(rng.integers(0, SHARE_MODULUS)) for _ in scores]
     e = [(s - gs) % SHARE_MODULUS for s, gs in zip(scores, g)]
@@ -60,38 +66,49 @@ class TestLocalSort:
     def _sort(self, scores, seed=0):
         rng = np.random.default_rng(seed)
         g, e = split_shares(scores, rng)
-        mask, (masked, order), _ = self._run(g, e)
-        return mask, masked, order
+        masks, (masked, order), _ = self._run(g, e)
+        return masks, masked, order
 
     def _run(self, g, e):
         pair_g, pair_e = OTPair(GroupContext()), OTPair(GroupContext())
-        mask, result, chan = run_session(
+        masks, result, chan = run_session(
             lambda ch: local_sort_garbler(ch, 1, g, pair_g),
             lambda ch: local_sort_evaluator(ch, 1, e, pair_e),
         )
-        return mask, result, chan
+        return masks, result, chan
 
     def test_example(self):
-        mask, masked, order = self._sort([5, 9, 2])
+        masks, masked, order = self._sort([5, 9, 2])
         assert order == [1, 0, 2]
-        assert [m ^ mask for m in masked] == [9, 5, 2]
+        assert unmask(masked, masks) == [9, 5, 2]
 
     def test_all_equal(self):
-        mask, masked, order = self._sort([7, 7, 7])
+        masks, masked, order = self._sort([7, 7, 7])
         assert sorted(order) == [0, 1, 2]
-        assert [m ^ mask for m in masked] == [7, 7, 7]
+        assert unmask(masked, masks) == [7, 7, 7]
 
     def test_single_element(self):
-        mask, masked, order = self._sort([42])
-        assert order == [0] and masked[0] ^ mask == 42
+        masks, masked, order = self._sort([42])
+        assert order == [0] and unmask(masked, masks) == [42]
 
     def test_random_vectors(self):
         rng = np.random.default_rng(4)
         for trial in range(3):
             scores = [int(x) for x in rng.integers(1, 100, size=int(rng.integers(2, 20)))]
-            mask, masked, order = self._sort(scores, seed=trial)
-            assert [m ^ mask for m in masked] == sorted(scores, reverse=True)
+            masks, masked, order = self._sort(scores, seed=trial)
+            assert unmask(masked, masks) == sorted(scores, reverse=True)
             assert [scores[i] for i in order] == sorted(scores, reverse=True)
+
+    def test_masked_scores_hide_score_differences(self):
+        # each output position has its own mask: equal true scores get
+        # different masked scores, and no two masked scores XOR to their
+        # true scores' XOR, so the evaluator learns only the ranks
+        scores = [34, 1000, 34, 77, 34, 123456, 5]
+        _, masked, order = self._sort(scores, seed=14)
+        true = [scores[i] for i in order]
+        assert len({m for m, s in zip(masked, true) if s == 34}) == 3
+        for a, b in itertools.combinations(range(len(scores)), 2):
+            assert masked[a] ^ masked[b] != true[a] ^ true[b], (true[a], true[b])
 
     def test_mask_hides_scores(self):
         # the evaluator's view differs across sessions with equal inputs
@@ -127,23 +144,22 @@ class TestGlobalSort:
         contribution, handed over in shard_order (shard order by default);
         returns global (shard, index) order."""
         rng = np.random.default_rng(seed)
-        contributions, counts, masks = [], [], []
+        contributions, masks = [], []
         for j, scores in enumerate(vectors):
-            mask, masked, order = 0, [], []  # an empty shard's MASKS/CONTRIB
+            shard_masks, masked, order = [], [], []  # an empty shard's MASKS/CONTRIB
             if scores:
                 g, e = split_shares(scores, rng)
-                mask, (masked, order), _ = run_session(
+                shard_masks, (masked, order), _ = run_session(
                     lambda ch, g=g: local_sort_garbler(ch, j, g, OTPair(GroupContext())),
                     lambda ch, e=e: local_sort_evaluator(ch, j, e, OTPair(GroupContext())),
                 )
-            counts.append(len(scores))
-            masks.append(mask)
+            masks.append(shard_masks)
             contributions.append((j, masked, order))
         if shard_order is not None:
             contributions = [contributions[j] for j in shard_order]
         _, order, _ = run_session(
             lambda ch: global_sort_garbler(ch, 99, contributions, OTPair(GroupContext())),
-            lambda ch: global_sort_evaluator(ch, 99, counts, masks, OTPair(GroupContext())),
+            lambda ch: global_sort_evaluator(ch, 99, masks, OTPair(GroupContext())),
         )
         return order
 
@@ -219,33 +235,36 @@ class TestGlobalSort:
         with pytest.raises(SortError, match="counts"):
             run_session(
                 lambda ch: global_sort_garbler(ch, 1, contributions, OTPair(GroupContext())),
-                lambda ch: global_sort_evaluator(ch, 1, [1, 2], [0, 0], OTPair(GroupContext())),
+                lambda ch: global_sort_evaluator(ch, 1, [[0], [0, 0]], OTPair(GroupContext())),
             )
 
 
 # (frame, payload bytes) each party sends in a k = 5, 3 and 1 local sort and
 # in the 3-shard merge of their results. SORT_INIT holds one u32 count per
-# shard, the garbler's labels travel in one GARBLER_LABELS frame, and the
-# merge's payloads are numbered densely over its 9 entries (4 bits). The
-# merge tree reads 16 input slots: the (5, 3) node's 8, then the root's 7
-# sentinels and 1 entry; it runs 12 + 32 comparators of 32 + 32 + 4 ANDs,
-# and its labels are 31 masked-score, 1 validity and 4 payload bits a slot. Each
+# shard and the garbler's labels travel in one GARBLER_LABELS frame. A local
+# sort of padded width n runs n adders of 30 ANDs and comparators of 32 + 32
+# + payload ANDs (the key is the score and a validity bit); its labels are
+# 31 share, 1 validity and payload bits a slot. The merge's payloads are
+# numbered densely over its 9 entries (4 bits). The merge tree reads 16
+# input slots: the (5, 3) node's 8, then the root's 7 sentinels and 1 entry;
+# it runs 12 + 32 comparators of 32 + 32 + 4 ANDs, and its labels are 31
+# masked-score, 1 validity and 4 payload bits a slot. Each
 # session here is a pair's first, so it sets up; OT_EXTEND carries the
 # 20-byte header that names its state and block range.
 _EVALUATOR_OT = [("OT_SETUP", 32), ("OT_SETUP", 4096)]
 PINNED_FRAMES = [
     (  # local, k = 5
-        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 115246), ("GARBLER_LABELS", 4352 + 496),
+        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 118318), ("GARBLER_LABELS", 3968 + 128 + 384),
          ("OT_SETUP", 4096), ("OT_PAYLOAD", 7936)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 3968)],
     ),
     (  # local, k = 3
-        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 32285), ("GARBLER_LABELS", 2112 + 496),
+        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 33053), ("GARBLER_LABELS", 1984 + 64 + 128),
          ("OT_SETUP", 4096), ("OT_PAYLOAD", 3968)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 2048)],
     ),
     (  # local, k = 1
-        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 1936), ("GARBLER_LABELS", 512 + 496),
+        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 1936), ("GARBLER_LABELS", 496 + 16 + 16),
          ("OT_SETUP", 4096), ("OT_PAYLOAD", 992)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 512)],
     ),
@@ -261,19 +280,19 @@ class TestWireSequence:
     def test_frames_pinned(self):
         rng = np.random.default_rng(12)
         transcripts = [Transcript() for _ in PINNED_FRAMES]
-        counts, masks, contributions = [5, 3, 1], [], []
-        for shard, k in enumerate(counts):
+        masks, contributions = [], []
+        for shard, k in enumerate([5, 3, 1]):
             g, e = split_shares([int(x) for x in rng.integers(1, 1000, size=k)], rng)
-            mask, (masked, order), _ = run_session(
+            shard_masks, (masked, order), _ = run_session(
                 lambda ch, g=g, j=shard: local_sort_garbler(ch, j, g, OTPair(GroupContext())),
                 lambda ch, e=e, j=shard: local_sort_evaluator(ch, j, e, OTPair(GroupContext())),
                 transcripts[shard],
             )
-            masks.append(mask)
+            masks.append(shard_masks)
             contributions.append((shard, masked, order))
         run_session(
             lambda ch: global_sort_garbler(ch, 9, contributions, OTPair(GroupContext())),
-            lambda ch: global_sort_evaluator(ch, 9, counts, masks, OTPair(GroupContext())),
+            lambda ch: global_sort_evaluator(ch, 9, masks, OTPair(GroupContext())),
             transcripts[3],
         )
         for transcript, pinned in zip(transcripts, PINNED_FRAMES):
@@ -335,8 +354,9 @@ _SCORES = st.one_of(
 
 class TestMergeOracle:
     """The garbled merge against a plaintext oracle: each shard's CONTRIB
-    made directly (masked scores in rank order with their local indices),
-    the decoded order checked against the descending sort of every score."""
+    made directly (scores in rank order, each masked with its position's
+    mask, with their local indices), the decoded order checked against the
+    descending sort of every score."""
 
     @pytest.fixture(scope="class")
     def pairs(self):
@@ -346,15 +366,15 @@ class TestMergeOracle:
     def _merge(self, pairs, vectors, rng):
         contributions, masks = [], []
         for shard, scores in enumerate(vectors):
-            mask = int(rng.integers(0, SHARE_MODULUS))
+            shard_masks = [int(m) for m in rng.integers(0, SHARE_MODULUS, size=len(scores))]
             order = sorted(range(len(scores)), key=lambda i: -scores[i])
-            contributions.append((shard, [scores[i] ^ mask for i in order], order))
-            masks.append(mask)
-        counts = [len(scores) for scores in vectors]
+            masked = [scores[i] ^ m for i, m in zip(order, shard_masks)]
+            contributions.append((shard, masked, order))
+            masks.append(shard_masks)
         pair_g, pair_e = pairs
         _, order, _ = run_session(
             lambda ch: global_sort_garbler(ch, 7, contributions, pair_g),
-            lambda ch: global_sort_evaluator(ch, 7, counts, masks, pair_e),
+            lambda ch: global_sort_evaluator(ch, 7, masks, pair_e),
         )
         assert sorted(order) == [(j, i) for j, v in enumerate(vectors) for i in range(len(v))]
         flat = sorted((s for v in vectors for s in v), reverse=True)
@@ -376,3 +396,30 @@ class TestMergeOracle:
         # zeros on score; only the validity bit keeps every zero among the
         # node's 5 entries that the root merges on
         self._merge(pairs, [[5, 0], [0, 0, 0], [7, 0, 0]], np.random.default_rng(13))
+
+
+class TestLocalSortOracle:
+    """The garbled local sort against a plaintext oracle, real scores of 0
+    and ties included: the evaluator's order descends by true score, and
+    unmasking each output position with the garbler's mask for it gives
+    the sorted scores."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        """One OT pair per side for every sort here: the base OT runs once."""
+        return OTPair(GroupContext()), OTPair(GroupContext())
+
+    @seed(20261019)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(scores=st.lists(_SCORES, min_size=1, max_size=17), salt=st.integers(0, 2**32 - 1))
+    def test_matches_oracle(self, pairs, scores, salt):
+        g, e = split_shares(scores, np.random.default_rng(salt))
+        pair_g, pair_e = pairs
+        masks, (masked, order), _ = run_session(
+            lambda ch: local_sort_garbler(ch, 3, g, pair_g),
+            lambda ch: local_sort_evaluator(ch, 3, e, pair_e),
+        )
+        want = sorted(scores, reverse=True)
+        assert sorted(order) == list(range(len(scores)))
+        assert [scores[i] for i in order] == want
+        assert unmask(masked, masks) == want

@@ -276,13 +276,14 @@ class TestTcp:
 
     def test_largest_circuit_blob_fits_under_cap(self):
         # closed-form AND counts (see test_comparator_law_in_and_count):
-        # local sort = adders n*(31-1) + comparators*(31 + 31 + payload),
-        # merge = merge comparators*(32 + 32 + payload), the key being the
+        # local sort = adders n*(31-1) + comparators*(32 + 32 + payload),
+        # merge = merge comparators*(32 + 32 + payload), both keys being the
         # score and a validity bit; 64 table bytes per AND; both sorts
         # number their payloads densely over 1..k
         n = padded_size(MAX_SORT_K)
         pw = MAX_SORT_K.bit_length()
-        local = n * (SCORE_BITS - 1) + comparator_count(n) * (2 * SCORE_BITS + pw)
+        key = SCORE_BITS + 1
+        local = n * (SCORE_BITS - 1) + comparator_count(n) * (2 * key + pw)
         # a two-run merge is one merge stage; a tree of many short runs pads
         # at every level: 341 runs of 3 and one of 1 are the costliest
         # layout a search over equal-length and random runs found
@@ -290,7 +291,7 @@ class TestTcp:
         merges = [n // 2 * (n.bit_length() - 1), tree_comparators(shape)]
         frames = [HEADER_LEN + 12 + 64 * local + -(-n * (SCORE_BITS + pw) // 8)]
         frames += [
-            HEADER_LEN + 12 + 64 * c * (2 * (SCORE_BITS + 1) + pw) + -(-n * pw // 8)
+            HEADER_LEN + 12 + 64 * c * (2 * key + pw) + -(-n * pw // 8)
             for c in merges
         ]
         # a power-of-two cap with room for the circuits to grow
