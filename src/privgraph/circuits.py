@@ -5,6 +5,14 @@ its final merge stage, Batcher's bitonic merge, for inputs that are
 already bitonic), and a vectorised plaintext simulator that serves as the
 oracle for garbled evaluation.
 
+A network of 2^m lines sorts any k <= 2^m elements: the other lines hold
+sentinels that sort below every element. Where a sentinel sits is a
+function of k alone, so a comparator it enters is a fixed wire crossing
+(the element to the max side) with no gates, and a sentinel is no input.
+A network is stamped from two small templates, the share adder and the
+comparator, a layer of copies at a time (CircuitBuilder.stamp), so
+building one costs numpy work per layer, not Python work per gate.
+
 Gate list is topologically ordered by construction. XOR and INV are free
 under the garbling scheme; only AND gates cost garbled-table rows.
 """
@@ -43,6 +51,7 @@ class Circuit:
     gates: np.ndarray  # read-only int32 rows (op, a, b, out); b == -1 for INV
     inputs: dict  # bundle name -> list of wire ids
     outputs: list  # output wire ids in decode order
+    levels: np.ndarray  # read-only level of each gate, above its inputs
 
     @property
     def and_count(self) -> int:
@@ -55,38 +64,62 @@ class Circuit:
 
 
 class CircuitBuilder:
+    """Builds a circuit gate by gate, or a block of copies of a small
+    template circuit at once (stamp). Each gate gets a level above its
+    inputs; garbling and evaluation run a level at a time, so gates that
+    share a level share their vectorised steps."""
+
     def __init__(self):
-        self._n = 0
         self._gates = array("i")  # flat (op, a, b, out) quadruples
+        self._level = array("i")  # each wire's level: 0 for an input
         self.inputs: dict[str, list[int]] = {}
         self.outputs: list[int] = []
-
-    def _wire(self) -> int:
-        w = self._n
-        self._n += 1
-        return w
 
     def input_bundle(self, name: str, n_bits: int) -> list[int]:
         if name in self.inputs:
             raise ValueError(f"duplicate input bundle {name!r}")
-        wires = [self._wire() for _ in range(n_bits)]
+        wires = list(range(len(self._level), len(self._level) + n_bits))
+        self._level.extend([0] * n_bits)
         self.inputs[name] = wires
         return wires
 
-    def xor(self, a: int, b: int) -> int:
-        out = self._wire()
-        self._gates.extend((XOR, a, b, out))
+    def _gate(self, op: int, a: int, b: int) -> int:
+        level = max(self._level[a], self._level[b] if b >= 0 else 0)
+        self._level.append(level + 1)
+        out = len(self._level) - 1
+        self._gates.extend((op, a, b, out))
         return out
+
+    def xor(self, a: int, b: int) -> int:
+        return self._gate(XOR, a, b)
 
     def and_(self, a: int, b: int) -> int:
-        out = self._wire()
-        self._gates.extend((AND, a, b, out))
-        return out
+        return self._gate(AND, a, b)
 
     def inv(self, a: int) -> int:
-        out = self._wire()
-        self._gates.extend((INV, a, -1, out))
-        return out
+        return self._gate(INV, a, -1)
+
+    def _levels_of(self, wires: np.ndarray) -> np.ndarray:
+        return np.frombuffer(self._level, dtype=np.int32)[wires]
+
+    def stamp(self, template: Circuit, wires) -> np.ndarray:
+        """One copy of template per row of wires, the row feeding its
+        inputs in order. A copy's gates keep their template levels, raised
+        above the copy's latest input, so copies whose inputs end at one
+        level share levels. Returns the copies' output wires, a row a
+        copy, in template order."""
+        wires = np.asarray(wires, dtype=np.int64)
+        if wires.ndim != 2 or wires.shape[1] != template.n_wires - len(template.gates):
+            raise ValueError("each row must feed every template input")
+        base = self._levels_of(wires).max(axis=1, initial=0)
+        own = len(self._level) + np.arange(len(wires) * len(template.gates))
+        wire_of = np.concatenate([wires, own.reshape(len(wires), -1)], axis=1)
+        op, a, b, out = template.gates.T.astype(np.int64)
+        b_of = np.where(b >= 0, wire_of[:, b], -1)  # -1 stays INV's no-input
+        rows = np.stack(np.broadcast_arrays(op, wire_of[:, a], b_of, wire_of[:, out]), axis=2)
+        self._gates.frombytes(rows.astype(np.int32).tobytes())
+        self._level.frombytes((base[:, None] + template.levels).astype(np.int32).tobytes())
+        return wire_of[:, template.outputs]
 
     def add_mod(self, a_bits: list[int], b_bits: list[int]) -> list[int]:
         """Ripple-carry addition, dropping the final carry (mod 2^width).
@@ -130,30 +163,77 @@ class CircuitBuilder:
             lo.append(self.xor(b, d))
         return hi, lo
 
-    def bitonic_sort(self, elems: list[tuple[list[int], list[int]]], merge: bool = False):
-        """Descending bitonic sorting network over (score bits, payload
-        bits) elements; each payload moves with its score. With merge, the
-        elements must already form a bitonic sequence (say one descending
-        run, then an ascending one), and only the final merge stage is
-        built. Returns the elements in network output order."""
+    def bitonic_sort(self, elems: list, merge: bool = False) -> list:
+        """Descending bitonic sorting network over elements, each a row of
+        wires: SCORE_BITS score bits, then payload bits that move with the
+        score. An element may be None, a sentinel below every score: a
+        comparator it enters sends the other element to its max side and
+        builds no gates. Each layer's comparators are stamped at once, a
+        comparator above the latest wire of its two elements, not gate by
+        gate: an element that skipped a comparator is waited for rather
+        than run ahead, so a pruned sort has no AND level that its full
+        network lacks. With merge, the elements must already form a
+        bitonic sequence (say one descending run, then an ascending one),
+        and only the final merge stage is built. Returns the real elements
+        in network output order, and raises unless every sentinel ends
+        after them."""
         elems = list(elems)
-        for i, l, descending_here in bitonic_schedule(len(elems), merge):
-            si, pi = elems[i]
-            sl, pl = elems[l]
-            # the larger score moves to i where the flag says descending
-            swap = self.less_than(si, sl) if descending_here else self.less_than(sl, si)
-            new_i, new_l = self.cond_swap(swap, si + pi, sl + pl)
-            elems[i] = (new_i[: len(si)], new_i[len(si) :])
-            elems[l] = (new_l[: len(sl)], new_l[len(sl) :])
-        return elems
+        schedule = bitonic_schedule(len(elems), merge)
+        step = max(len(elems) // 2, 1)  # comparators a layer
+        for layer in range(0, len(schedule), step):
+            pairs = []
+            for i, l, descending_here in schedule[layer : layer + step]:
+                hi, lo = (i, l) if descending_here else (l, i)  # the larger to hi
+                if elems[hi] is None:  # the sentinel crosses to the min side
+                    elems[hi], elems[lo] = elems[lo], None
+                elif elems[lo] is not None:
+                    pairs.append((hi, lo))
+            if pairs:
+                width = len(elems[pairs[0][0]])
+                ins = [np.concatenate([elems[hi], elems[lo]]) for hi, lo in pairs]
+                for (hi, lo), out in zip(pairs, self.stamp(_comparator(width), ins)):
+                    elems[hi], elems[lo] = out[:width], out[width:]
+        k = len(elems) - sum(e is None for e in elems)
+        if any(e is None for e in elems[:k]):
+            raise ValueError("a sentinel ends among the sorted elements")
+        return elems[:k]
 
     def mark_outputs(self, wires: list[int]) -> None:
         self.outputs.extend(wires)
 
     def build(self) -> Circuit:
         gates = np.array(self._gates, dtype=np.int32).reshape(-1, 4)
-        gates.setflags(write=False)
-        return Circuit(self._n, gates, self.inputs, self.outputs)
+        levels = self._levels_of(gates[:, 3]).astype(np.int64)
+        for arr in (gates, levels):
+            arr.setflags(write=False)
+        return Circuit(len(self._level), gates, self.inputs, self.outputs, levels)
+
+
+def _template(n_inputs: int, body) -> Circuit:
+    """A small circuit, body(builder, input wires) -> output wires, over
+    one bundle of n_inputs wires: a template for CircuitBuilder.stamp."""
+    b = CircuitBuilder()
+    b.mark_outputs(body(b, b.input_bundle("in", n_inputs)))
+    return b.build()
+
+
+# score reconstruction: the sum of a garbler and an evaluator share
+_ADDER = _template(2 * SCORE_BITS, lambda b, x: b.add_mod(x[:SCORE_BITS], x[SCORE_BITS:]))
+_comparators: dict[int, Circuit] = {}  # by element width; a racing miss stores an equal one
+
+
+def _comparator(width: int) -> Circuit:
+    """Two elements of width bits in, score first; the one with the larger
+    score out first. Ties keep their order."""
+    def body(b, x):
+        hi, lo = b.cond_swap(
+            b.less_than(x[:SCORE_BITS], x[width : width + SCORE_BITS]), x[:width], x[width:]
+        )
+        return hi + lo
+
+    if width not in _comparators:
+        _comparators[width] = _template(2 * width, body)
+    return _comparators[width]
 
 
 def bitonic_schedule(n: int, merge: bool = False) -> list[tuple[int, int, bool]]:
@@ -185,15 +265,22 @@ def comparator_count(n: int) -> int:
 
 @dataclass
 class SortCircuit:
-    """A sort's circuit with the sizes it was looked up for. For the local
+    """A sort's circuit with the count it was looked up for. For the local
     sort (build_sort_circuit): per-element score reconstruction from two
-    additive-share bundles, bitonic descending sort carrying payload bits,
-    keyed on (score, validity bit) so the k real entries are outputs 0..k-1."""
+    additive-share bundles, then a bitonic descending sort carrying payload
+    bits, the padding lines being sentinels; outputs are the k entries."""
 
     circuit: Circuit
-    k: int  # requested (real) length
-    n: int  # input slots: the padded power-of-two length of a local sort
-    payload_width: int
+    k: int  # real entries, each with a payload of k.bit_length() bits
+
+    @property
+    def n(self) -> int:
+        """The network's width: the padded power-of-two length."""
+        return padded_size(self.k)
+
+    @property
+    def payload_width(self) -> int:
+        return self.k.bit_length()
 
     @property
     def and_count(self) -> int:
@@ -203,7 +290,7 @@ class SortCircuit:
         """Split a decoded output bit row into (masked scores, payloads)."""
         width = SCORE_BITS + self.payload_width
         scores, payloads = [], []
-        for e in range(self.n):
+        for e in range(self.k):
             chunk = bits[e * width : (e + 1) * width]
             scores.append(bits_to_int(chunk[:SCORE_BITS]))
             payloads.append(bits_to_int(chunk[SCORE_BITS:]))
@@ -223,24 +310,17 @@ def padded_size(k: int) -> int:
     return 1 << (k - 1).bit_length()
 
 
-def build_sort_circuit(k: int, payload_width: int) -> SortCircuit:
-    n = padded_size(k)
+def build_sort_circuit(k: int) -> SortCircuit:
+    n, pw = padded_size(k), k.bit_length()
     b = CircuitBuilder()
-    g_shares = b.input_bundle("garbler_shares", n * SCORE_BITS)
-    e_shares = b.input_bundle("evaluator_shares", n * SCORE_BITS)
-    valid = b.input_bundle("valid", n)
-    payloads = b.input_bundle("payloads", n * payload_width)
-    elems = []
-    for e in range(n):
-        score = b.add_mod(
-            g_shares[e * SCORE_BITS : (e + 1) * SCORE_BITS],
-            e_shares[e * SCORE_BITS : (e + 1) * SCORE_BITS],
-        )
-        payload = payloads[e * payload_width : (e + 1) * payload_width]
-        elems.append(([valid[e]] + score, payload))
-    for key, payload in b.bitonic_sort(elems):
-        b.mark_outputs(key[1:] + payload)
-    return SortCircuit(b.build(), k, n, payload_width)
+    g_shares = np.reshape(b.input_bundle("garbler_shares", k * SCORE_BITS), (k, -1))
+    e_shares = np.reshape(b.input_bundle("evaluator_shares", k * SCORE_BITS), (k, -1))
+    payloads = np.reshape(b.input_bundle("payloads", k * pw), (k, -1))
+    scores = b.stamp(_ADDER, np.concatenate([g_shares, e_shares], axis=1))
+    elems = list(np.concatenate([scores, payloads], axis=1))
+    for elem in b.bitonic_sort(elems + [None] * (n - k)):
+        b.mark_outputs(elem.tolist())
+    return SortCircuit(b.build(), k)
 
 
 def int_to_bits(value: int, n_bits: int) -> list[int]:

@@ -8,8 +8,8 @@ costs a 4-row table. The row hash is a fixed-key AES construction
 H(Ka, Kb, gid) = E(t) ^ t with t = 2*Ka ^ 4*Kb ^ gid (doubling in
 GF(2^128), big-endian), where gid is the AND gate's index in gate order.
 
-Both parties work from a level schedule computed once per circuit: each
-gate's depth, and the gates sorted by (level, op) into flat read-only
+Both parties work from a level schedule computed once per circuit: the
+gates sorted by their levels (Circuit.levels) and ops into flat read-only
 arrays. The evaluator runs one XOR gather, one INV copy and one batched
 AES-ECB call per level. Its labels live in slots that are reused after
 each wire's last use, so its memory follows the live wires, not the
@@ -25,7 +25,6 @@ import secrets
 import struct
 import threading
 import weakref
-from array import array
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -85,7 +84,7 @@ class LevelSchedule:
 
     def __init__(self, circuit: Circuit):
         gates = circuit.gates
-        level = _gate_levels(circuit)
+        level = circuit.levels
         self.n_levels = int(level.max()) if len(level) else 0
         key = (level - 1) * 3 + gates[:, 0]  # op codes order a level's groups
         self.perm = np.argsort(key, kind="stable").astype(np.int32)
@@ -111,19 +110,6 @@ class LevelSchedule:
         bounds = self.bounds.tolist()
         for lv in range(self.n_levels):
             yield bounds[3 * lv : 3 * lv + 4]
-
-
-def _gate_levels(circuit: Circuit) -> np.ndarray:
-    """Depth of each gate: one more than its deepest input (inputs are 0)."""
-    depth = array("i", bytes(4 * circuit.n_wires))
-    levels = array("i")
-    for _, a, b, out in circuit.iter_gates():
-        d = depth[a]
-        if b >= 0 and depth[b] > d:
-            d = depth[b]
-        depth[out] = d + 1
-        levels.append(d + 1)
-    return np.array(levels, dtype=np.int64)
 
 
 def _assign_slots(circuit: Circuit, level, defined, bounds):

@@ -14,13 +14,14 @@ CONTRIB already arrives in descending order, so two runs laid out as one
 descending, then padding, then the other reversed form a bitonic sequence,
 which Batcher's bitonic merge sorts in log2 n layers of n/2 comparators
 instead of a full sort's log2 n (log2 n + 1) / 2. More runs merge pairwise
-in a tree (_merge_tree) that keeps only the real entries between levels.
-Both sorts key on the score with a validity bit below it, 1 for an entry
-and 0 for padding, so padding sorts strictly after every real entry, a
-real score of 0 included: a local sort's entries are its first k outputs
-and each tree node may keep only its own. The network's shape is a
-function of the per-shard counts only, which SORT_INIT already publishes,
-so the merge leaks nothing a full sort did not.
+in a tree, each node passing on its real entries. In both sorts the
+padding lines carry sentinels that sort below every score, a real score of
+0 included. Their places are public at every layer, so a comparator one
+enters is a fixed wire crossing with no gates (CircuitBuilder.bitonic_sort)
+and a sentinel is no circuit input: each sort's inputs are its entries
+only. The network's shape is a function of the per-shard counts only,
+which SORT_INIT already publishes, so the merge leaks nothing a full sort
+did not.
 
 Both sorts run one session, written once as _garble_session and
 _evaluate_session. Its SORT_INIT carries only the sort's per-shard counts,
@@ -30,8 +31,6 @@ one GARBLER_LABELS frame (_LOCAL_LABELS, _MERGE_LABELS); the evaluator
 takes its own labels by OT, the garbler as extension sender: each sort
 function's ot is the pair's OTPair, whose base OT an earlier session may
 already have run.
-
-Payload values are 1-based on the wire; 0 marks padding sentinels.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from __future__ import annotations
 import functools
 import secrets
 import struct
-import weakref
+import threading
 
 import numpy as np
 
@@ -95,143 +94,94 @@ def decode_sort_init(payload: bytes) -> list[int] | None:
     return counts
 
 
-# Every sort of one shape and payload width shares one circuit (and so one
-# garbling schedule): a local sort's shape is its padded width n, a merge's
-# that of its tree, one per padded width for any two runs. A shape's circuit
-# lives while a cached SortCircuit holds it.
-_networks: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+def _built_once(build):
+    """build, memoised over the last 32 shapes. Both halves of a sort look
+    its shape up at once, in one process; a lookup holds the lock while it
+    builds, so they get one circuit and so one level schedule
+    (garble.level_schedule). Shapes repeat as far as survivor counts do;
+    a build stamps templates a layer at a time, so a miss, build and
+    schedule, costs about one garbling and evaluation of its circuit."""
+    cached = functools.lru_cache(maxsize=32)(build)
+    lock = threading.Lock()
+
+    @functools.wraps(build)
+    def lookup(shape):
+        with lock:
+            return cached(shape)
+
+    lookup.cache_info = cached.cache_info
+    lookup.cache_clear = cached.cache_clear
+    return lookup
 
 
-def _network(build, shape, payload_width: int):
-    """build(shape, payload_width), once per shape while it is in use."""
-    key = (build, shape, payload_width)
-    circuit = _networks.get(key)
-    if circuit is None:
-        circuit = _networks.setdefault(key, build(shape, payload_width))
-    return circuit
-
-
-def _sort_network(n: int, payload_width: int):
-    return build_sort_circuit(n, payload_width).circuit
-
-
-@functools.lru_cache(maxsize=32)
-def _sort_circuit(counts: tuple[int], payload_width: int) -> SortCircuit:
+@_built_once
+def _sort_circuit(counts: tuple[int]) -> SortCircuit:
     (k,) = counts
-    n = padded_size(k)
-    return SortCircuit(_network(_sort_network, n, payload_width), k, n, payload_width)
+    return build_sort_circuit(k)
 
 
-def _merge_tree(runs: list[list]):
-    """The merge tree over runs, each a list of entries in descending
-    order, halved down to single runs. Returns (shape, slots, merged):
-    slots are the input slots the tree reads, each an entry or None for a
-    sentinel, and merged holds its entries in any order.
-
-    A node merges runs of a and b entries in the padded width m =
-    padded_size(a + b), laid out as the left run, m - a - b sentinels,
-    then the right run reversed: descending then ascending, a bitonic
-    sequence for any split, which one merge stage sorts. Its shape is (m,
-    left, right). A child that is a single run is None there, its entries
-    being among the node's own slots, so a two-run merge's circuit depends
-    on m alone; a subtree is (its shape, a), and its first a outputs enter
-    the node. A node's own slots follow its subtrees'."""
-    if len(runs) == 1:
-        return None, [], runs[0]
-    h = (len(runs) + 1) // 2
-    left, left_slots, a = _merge_tree(runs[:h])
-    right, right_slots, b = _merge_tree(runs[h:])
-    m = padded_size(len(a) + len(b))
-    own = (a if left is None else []) + [None] * (m - len(a) - len(b))
-    own += b[::-1] if right is None else []
-    shape = (m, left and (left, len(a)), right and (right, len(b)))
-    return shape, left_slots + right_slots + own, a + b
-
-
-def _merge_plan(runs: list[list]):
-    """(shape, slots) of the merge tree over runs. A single run is not
-    merged: its shape is its count and its entries are the slots."""
-    shape, slots, merged = _merge_tree(runs)
-    return (shape, slots) if shape else (len(merged), merged)
-
-
-def _merge_network(plan, payload_width: int):
-    """Global-sort circuit of a merge tree, plan being (its shape, its n
-    input slots). Per slot, unmask score = masked XOR mask (free) and key
-    it with the validity bit below. Each node is one bitonic merge stage
-    and passes on only its real entries. Outputs the payload bits of the
-    root's slots (of the single run's, unmerged)."""
-    shape, n = plan
+def _merge_network(counts: tuple[int, ...]) -> SortCircuit:
+    """Global-sort circuit merging runs of these counts. Its inputs are the
+    entries in shard-major rank order, as CONTRIB and MASKS deliver them.
+    Per entry, unmask score = masked XOR mask (free). Runs are halved down
+    to single runs; a node lays its runs of a and b entries out in width m
+    = padded_size(a + b) as the left run, m - a - b sentinels, then the
+    right run reversed, a bitonic sequence that one merge stage sorts.
+    Outputs the payload bits of the merged entries."""
+    t = sum(counts)
+    pw = t.bit_length()
     b = CircuitBuilder()
-    masked = b.input_bundle("masked_scores", n * SCORE_BITS)
-    masks = b.input_bundle("masks", n * SCORE_BITS)
-    valid = b.input_bundle("valid", n)
-    payloads = b.input_bundle("payloads", n * payload_width)
-    slots = iter([
-        (
-            [valid[e]] + [
-                b.xor(masked[e * SCORE_BITS + i], masks[e * SCORE_BITS + i])
-                for i in range(SCORE_BITS)
-            ],
-            payloads[e * payload_width : (e + 1) * payload_width],
-        )
-        for e in range(n)
-    ])
+    masked = b.input_bundle("masked_scores", t * SCORE_BITS)
+    masks = b.input_bundle("masks", t * SCORE_BITS)
+    payloads = np.reshape(b.input_bundle("payloads", t * pw), (t, -1))
+    scores = np.reshape([b.xor(x, r) for x, r in zip(masked, masks)], (t, -1))
+    entries = iter(np.concatenate([scores, payloads], axis=1))
 
-    def merged(node):
-        m, left, right = node
-        lo = merged(left[0])[: left[1]] if left else []
-        hi = merged(right[0])[: right[1]] if right else []
-        own = [next(slots) for _ in range(m - len(lo) - len(hi))]
-        return b.bitonic_sort(lo + own + hi[::-1], merge=True)
+    def merged(runs):
+        if len(runs) == 1:
+            return [next(entries) for _ in range(runs[0])]
+        h = (len(runs) + 1) // 2
+        lo, hi = merged(runs[:h]), merged(runs[h:])
+        pad = [None] * (padded_size(len(lo) + len(hi)) - len(lo) - len(hi))
+        return b.bitonic_sort(lo + pad + hi[::-1], merge=True)
 
-    root = list(slots) if isinstance(shape, int) else merged(shape)
-    for _, payload in root:
-        b.mark_outputs(payload)
-    return b.build()
+    for entry in merged(counts):
+        b.mark_outputs(entry[SCORE_BITS:].tolist())
+    return SortCircuit(b.build(), t)
 
 
-@functools.lru_cache(maxsize=32)
-def build_merge_circuit(counts: tuple[int, ...], payload_width: int) -> SortCircuit:
+@_built_once
+def build_merge_circuit(counts: tuple[int, ...]) -> SortCircuit:
     """The global-sort circuit merging runs of these counts, the non-empty
-    shards' in shard order. Two-run merges of one padded width share one
-    circuit."""
-    k = sum(counts)
-    padded_size(k)  # rejects k outside 1..MAX_SORT_K
-    shape, slots = _merge_plan([[None] * count for count in counts])
-    circuit = _network(_merge_network, (shape, len(slots)), payload_width)
-    return SortCircuit(circuit, k, len(slots), payload_width)
+    shards' in shard order."""
+    padded_size(sum(counts))  # rejects totals outside 1..MAX_SORT_K
+    return _merge_network(counts)
 
 
 # The garbler's input bundles of each sort, in the order its one
 # GARBLER_LABELS frame concatenates their labels. The one circuit input not
 # named is the evaluator's own, chosen by OT.
-_LOCAL_LABELS = ("garbler_shares", "valid", "payloads")
-_MERGE_LABELS = ("masked_scores", "valid", "payloads")
+_LOCAL_LABELS = ("garbler_shares", "payloads")
+_MERGE_LABELS = ("masked_scores", "payloads")
 
 
 def _layout(build, counts: list[int]):
-    """The circuit, entries and slots of a sort over per-shard counts,
-    worked out alike by both halves. entries[v - 1] is the (shard, local
-    index) that carries payload v = offset[shard] + index + 1, shard-major,
-    so the payloads run densely over 1..t in t.bit_length() bits. slots[i]
-    is the (shard, rank) whose CONTRIB entry feeds the merge's input slot
-    i, or None for a sentinel (_merge_tree); a local sort's one run fills
-    its slots in rank order."""
+    """The circuit and entries of a sort over per-shard counts, worked out
+    alike by both halves. entries[v] is the (shard, local index) that
+    carries payload v = offset[shard] + index, shard-major, so the payloads
+    run densely over 0..t-1 in t.bit_length() bits."""
     entries = [(shard, idx) for shard, count in enumerate(counts) for idx in range(count)]
     if not entries:
         raise SortError("nothing to sort")
-    runs = [[(shard, r) for r in range(count)] for shard, count in enumerate(counts) if count]
-    t = len(entries)
-    return build(tuple(map(len, runs)), t.bit_length()), entries, _merge_plan(runs)[1]
+    return build(tuple(count for count in counts if count)), entries
 
 
-def _bits(values, width: int, n: int) -> list[int]:
-    """Each value as width little-endian bits, zero-padded to n values."""
+def _bits(values, width: int) -> list[int]:
+    """Each value as width little-endian bits."""
     bits = []
     for value in values:
         bits.extend(int_to_bits(value, width))
-    return bits + [0] * ((n - len(values)) * width)
+    return bits
 
 
 def _garble_session(channel, session, counts, sc, bundles, bits, ot, flips=0) -> None:
@@ -281,15 +231,14 @@ def local_sort_garbler(
 ) -> list[int]:
     """Garbler (cluster 0) side of a local sort. Returns the fresh masks
     R_e of its output positions e < k."""
-    sc, _, _ = _layout(_sort_circuit, [len(shares)])
+    sc, _ = _layout(_sort_circuit, [len(shares)])
     masks = [secrets.randbelow(SHARE_MODULUS) for _ in range(sc.k)]
     bits = {
-        "garbler_shares": _bits(shares, SCORE_BITS, sc.n),
-        "valid": _bits([1] * sc.k, 1, sc.n),
-        "payloads": _bits(range(1, sc.k + 1), sc.payload_width, sc.n),
+        "garbler_shares": _bits(shares, SCORE_BITS),
+        "payloads": _bits(range(sc.k), sc.payload_width),
     }
     # output e is its score's bits, then its payload's: mask the former
-    flips = _bits(masks, SCORE_BITS + sc.payload_width, sc.n)
+    flips = _bits(masks, SCORE_BITS + sc.payload_width)
     _garble_session(channel, session, [sc.k], sc, _LOCAL_LABELS, bits, ot, flips)
     return masks
 
@@ -302,11 +251,10 @@ def local_sort_evaluator(
 ) -> tuple[list[int], list[int]]:
     """Evaluator (cluster 1) side. Returns (masked scores, payload order)
     of its k entries, descending by true score, payloads 0-based."""
-    sc, _, _ = _layout(_sort_circuit, [len(shares)])
-    own_bits = _bits(shares, SCORE_BITS, sc.n)
+    sc, _ = _layout(_sort_circuit, [len(shares)])
+    own_bits = _bits(shares, SCORE_BITS)
     bits = _evaluate_session(channel, session, [sc.k], sc, _LOCAL_LABELS, own_bits, ot)
-    masked, payloads = sc.decode_outputs(bits)
-    return masked[: sc.k], [p - 1 for p in payloads[: sc.k]]
+    return sc.decode_outputs(bits)
 
 
 def global_sort_garbler(
@@ -323,19 +271,16 @@ def global_sort_garbler(
     if [shard for shard, _, _ in contributions] != list(range(len(contributions))):
         raise SortError("the contributions do not name each shard once")
     counts = [len(masked) for _, masked, _ in contributions]
-    sc, entries, slots = _layout(build_merge_circuit, counts)
-    payload_of = {entry: value for value, entry in enumerate(entries, 1)}
-    fed = {None: (0, 0)}  # (masked score, payload) of each slot's content
+    sc, _ = _layout(build_merge_circuit, counts)
+    masked, payloads = [], []
     for shard, scores, indices in contributions:
         if sorted(indices) != list(range(len(scores))):
             raise SortError(f"shard {shard}'s indices are not a permutation")
-        for rank, (score, idx) in enumerate(zip(scores, indices)):
-            fed[shard, rank] = score, payload_of[shard, idx]
-    masked, payloads = zip(*(fed[slot] for slot in slots))
+        payloads += [len(masked) + idx for idx in indices]  # the shard's offset + idx
+        masked += scores
     bits = {
-        "masked_scores": _bits(masked, SCORE_BITS, sc.n),
-        "valid": [int(slot is not None) for slot in slots],
-        "payloads": _bits(payloads, sc.payload_width, sc.n),
+        "masked_scores": _bits(masked, SCORE_BITS),
+        "payloads": _bits(payloads, sc.payload_width),
     }
     _garble_session(channel, session, counts, sc, _MERGE_LABELS, bits, ot)
 
@@ -351,11 +296,8 @@ def global_sort_evaluator(
     are the shards' result counts. Feeds the masks in by OT and returns
     the global descending order as (shard, local index)."""
     counts = [len(shard_masks) for shard_masks in masks]
-    sc, entries, slots = _layout(build_merge_circuit, counts)
-    own = [0 if slot is None else masks[slot[0]][slot[1]] for slot in slots]
-    bits = _evaluate_session(
-        channel, session, counts, sc, _MERGE_LABELS, _bits(own, SCORE_BITS, sc.n), ot
-    )
+    sc, entries = _layout(build_merge_circuit, counts)
+    own = _bits([mask for shard_masks in masks for mask in shard_masks], SCORE_BITS)
+    bits = _evaluate_session(channel, session, counts, sc, _MERGE_LABELS, own, ot)
     width = sc.payload_width
-    values = (bits_to_int(bits[e : e + width]) for e in range(0, len(bits), width))
-    return [entries[value - 1] for value in values if value]
+    return [entries[bits_to_int(bits[e : e + width])] for e in range(0, len(bits), width)]

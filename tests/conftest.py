@@ -1,5 +1,10 @@
-"""Shared test hooks: collect acceptance-criterion verdict lines and print
-them once, uncaptured, in the terminal summary."""
+"""Shared test hooks and helpers: collect acceptance-criterion verdict
+lines and print them once, uncaptured, in the terminal summary; count the
+comparators a sorting network keeps once its sentinels are pruned."""
+
+import numpy as np
+
+from privgraph.circuits import bitonic_schedule, padded_size
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -13,3 +18,34 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.line(line)
+
+
+def track_sentinels(real, merge: bool):
+    """Walk bitonic_schedule over layouts, rows of booleans that are True
+    for an entry and False for a sentinel. A comparator keeps its gates
+    only when both inputs are entries; otherwise the entry moves to its
+    max side. Returns (comparators kept per row, final layouts)."""
+    real = np.array(real, dtype=bool)
+    kept = np.zeros(real.shape[:-1], dtype=int)
+    for i, l, descending in bitonic_schedule(real.shape[-1], merge):
+        hi, lo = (i, l) if descending else (l, i)
+        both = real[..., i] & real[..., l]
+        real[..., hi] |= real[..., lo]
+        real[..., lo] = both
+        kept += both
+    return kept, real
+
+
+def merge_tree_comparators(counts) -> int:
+    """Comparators kept by the merge tree over runs of these counts: runs
+    halved down to single runs, each node merging its two runs' entries
+    laid out as the left run, sentinels up to a power of two, then the
+    right run. Asserts that each node's sentinels end last."""
+    if len(counts) == 1:
+        return 0
+    h = (len(counts) + 1) // 2
+    a, b = sum(counts[:h]), sum(counts[h:])
+    m = padded_size(a + b)
+    kept, real = track_sentinels([True] * a + [False] * (m - a - b) + [True] * b, merge=True)
+    assert real.tolist() == [True] * (a + b) + [False] * (m - a - b)
+    return int(kept) + merge_tree_comparators(counts[:h]) + merge_tree_comparators(counts[h:])

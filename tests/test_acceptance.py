@@ -411,7 +411,7 @@ def test_ac06b_garbled_matches_simulation():
     rng = np.random.default_rng(66)
     batch = 100
     for k in SORT_SIZES:
-        sc = build_sort_circuit(k, max(k.bit_length(), 1))
+        sc = build_sort_circuit(k)
         circuit = sc.circuit
         gc, label_map, delta = garble(circuit)
         inputs = {
@@ -463,7 +463,7 @@ def test_ac06d_cost_report():
     )
     assert [m ^ r for m, r in zip(masked, masks)] == sorted(scores, reverse=True)
     session_bytes = chan.bytes_sent + chan.bytes_received
-    ands = build_sort_circuit(k, max(k.bit_length(), 1)).and_count
+    ands = build_sort_circuit(k).and_count
     return (
         f"k=128 sort: {ands} AND gates, {session_bytes / 1e6:.2f} MB per session "
         "(published references: 446336 gates, 9.80 MB; no pass/fail threshold)"

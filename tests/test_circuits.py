@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from privgraph.circuits import (
+    AND,
     SCORE_BITS,
     CircuitBuilder,
     bitonic_schedule,
@@ -39,6 +40,40 @@ class TestBuilder:
         b.xor(*x)
         b.and_(*x)
         assert b.build().and_count == 2
+
+
+class TestStamp:
+    def test_copies_match_a_gate_by_gate_build(self):
+        # three adders stamped at once are the gates, wires and levels of
+        # three built one gate at a time
+        template = CircuitBuilder()
+        template.mark_outputs(template.add_mod(*np.split(np.array(template.input_bundle("x", 8)), 2)))
+        stamped, scalar = CircuitBuilder(), CircuitBuilder()
+        rows = np.reshape(stamped.input_bundle("x", 24), (3, 8))
+        stamped.mark_outputs(stamped.stamp(template.build(), rows).ravel().tolist())
+        for row in np.reshape(scalar.input_bundle("x", 24), (3, 8)).tolist():
+            scalar.mark_outputs(scalar.add_mod(row[:4], row[4:]))
+        a, b = stamped.build(), scalar.build()
+        assert np.array_equal(a.gates, b.gates) and np.array_equal(a.levels, b.levels)
+        assert a.outputs == b.outputs and a.n_wires == b.n_wires
+
+    def test_each_copy_starts_above_its_latest_input(self):
+        # the template's first gate reads only input 0, yet in the copy
+        # whose input 1 comes from a gate it waits for that gate
+        template = CircuitBuilder()
+        x = template.input_bundle("x", 2)
+        template.mark_outputs([template.and_(template.inv(x[0]), x[1])])
+        b = CircuitBuilder()
+        x = b.input_bundle("x", 4)
+        b.stamp(template.build(), [[x[0], x[1]], [x[2], b.inv(x[3])]])
+        assert b.build().levels.tolist() == [1, 1, 2, 2, 3]
+
+    def test_rows_must_feed_every_input(self):
+        template = CircuitBuilder()
+        template.mark_outputs([template.and_(*template.input_bundle("x", 2))])
+        b = CircuitBuilder()
+        with pytest.raises(ValueError):
+            b.stamp(template.build(), [b.input_bundle("x", 3)])
 
 
 class TestAdder:
@@ -126,23 +161,21 @@ class TestSchedule:
 
 
 class TestSortCircuit:
-    def _run(self, scores, payloads, k=None, pw=8, seed=3):
-        k = k if k is not None else len(scores)
-        sc = build_sort_circuit(k, pw)
+    def _run(self, scores, payloads, seed=3):
+        sc = build_sort_circuit(len(scores))
         rng = np.random.default_rng(seed)
         g, e = [], []
-        for s in scores + [0] * (sc.n - len(scores)):
+        for s in scores:
             g_share = int(rng.integers(0, 1 << 31))
             e_share = (s - g_share) % (1 << 31)
             g.extend(int_to_bits(g_share, SCORE_BITS))
             e.extend(int_to_bits(e_share, SCORE_BITS))
         p = []
-        for v in payloads + [0] * (sc.n - len(payloads)):
-            p.extend(int_to_bits(v, pw))
+        for v in payloads:
+            p.extend(int_to_bits(v, sc.payload_width))
         inputs = {
             "garbler_shares": np.array([g], dtype=bool),
             "evaluator_shares": np.array([e], dtype=bool),
-            "valid": np.array([[1] * len(scores) + [0] * (sc.n - len(scores))], dtype=bool),
             "payloads": np.array([p], dtype=bool),
         }
         out = simulate(sc.circuit, inputs)[0]
@@ -150,17 +183,14 @@ class TestSortCircuit:
 
     def test_sorts_descending(self):
         scores, payloads = self._run([5, 9, 2], [1, 2, 3])
-        assert scores[:3] == [9, 5, 2]
-        assert payloads[:3] == [2, 1, 3]
-        assert (scores[3], payloads[3]) == (0, 0)  # sentinel pad
+        assert scores == [9, 5, 2]  # the sentinel pad is no output
+        assert payloads == [2, 1, 3]
 
     def test_score_zero_sorts_ahead_of_sentinels(self):
-        # a real 0 ties with the sentinels on score; the validity bit below
-        # it keeps the real entries in the first k outputs
+        # a real 0 sorts above the sentinel, so all k outputs are entries
         scores, payloads = self._run([0, 0, 3], [1, 2, 3])
-        assert scores == [3, 0, 0, 0]
-        assert payloads[0] == 3 and sorted(payloads[1:3]) == [1, 2]
-        assert payloads[3] == 0
+        assert scores == [3, 0, 0]
+        assert payloads[0] == 3 and sorted(payloads[1:]) == [1, 2]
 
     def test_single_element(self):
         scores, payloads = self._run([7], [1])
@@ -173,37 +203,60 @@ class TestSortCircuit:
     def test_random_vs_python_sort(self):
         rng = np.random.default_rng(11)
         scores = [int(x) for x in rng.integers(1, 1000, size=13)]
-        got, payloads = self._run(scores, list(range(1, 14)))
-        # pads sort to the tail; the first 13 are the real entries
-        assert got[:13] == sorted(scores, reverse=True)
-        assert [scores[p - 1] for p in payloads[:13]] == sorted(scores, reverse=True)
+        got, payloads = self._run(scores, list(range(13)))
+        assert got == sorted(scores, reverse=True)
+        assert [scores[p] for p in payloads] == sorted(scores, reverse=True)
 
     def test_max_k_enforced(self):
         with pytest.raises(ValueError, match="truncate"):
-            build_sort_circuit(2048, 8)
+            build_sort_circuit(2048)
 
     def test_comparator_law_in_and_count(self):
-        # total ANDs = adders n*(31-1) + comparators * (32 + 32 + payload),
-        # the key being the score and the validity bit below it
-        pw = 8
-        sc = build_sort_circuit(8, pw)
-        expected = 8 * 30 + comparator_count(8) * (32 + 32 + pw)
+        # total ANDs = adders n*(31-1) + comparators * (31 + 31 + payload)
+        # for a power of two, which has no sentinel to prune
+        sc = build_sort_circuit(8)
+        expected = 8 * 30 + comparator_count(8) * (31 + 31 + sc.payload_width)
         assert sc.and_count == expected
+
+
+class TestLevels:
+    # garbling and evaluation take one vectorised step per level and op, so
+    # a network with sentinels should need no more AND levels than the full
+    # network of its width
+    @staticmethod
+    def and_levels(circuit):
+        return len(set(circuit.levels[circuit.gates[:, 0] == AND].tolist()))
+
+    def test_sentinels_add_no_and_levels(self):
+        from privgraph.sorting import build_merge_circuit
+
+        full = self.and_levels(build_sort_circuit(8).circuit)
+        assert [self.and_levels(build_sort_circuit(k).circuit) for k in (5, 6, 7)] == [full] * 3
+        full = self.and_levels(build_merge_circuit((8, 8)).circuit)
+        assert self.and_levels(build_merge_circuit((3, 7)).circuit) == full
+
+    def test_each_gate_above_its_inputs(self):
+        c = build_sort_circuit(7).circuit
+        wire_level = np.zeros(c.n_wires, dtype=np.int64)  # inputs at 0
+        wire_level[c.gates[:, 3]] = c.levels
+        a, b = c.gates[:, 1], c.gates[:, 2]
+        assert (c.levels > wire_level[a]).all()
+        assert (c.levels[b >= 0] > wire_level[b[b >= 0]]).all()
 
 
 class TestBitonicBuilder:
     # SHA-256 of the gate rows, input wires, output wires and wire count:
-    # sorts as built since they key on (score, validity bit) with no mask
-    # input, merges (k entries in two runs of k - k // 2 and k // 2)
-    # as built since the merge is a bitonic merge of the runs
+    # sorts and merges (k entries in two runs of k - k // 2 and k // 2) as
+    # built since sentinels are wire crossings, not inputs, and an ascending
+    # comparator is the one template with its operands exchanged
     PINNED = {
-        ("sort", 1): "c233d5c2bc09e83cc6fe74f22172f95a46def5450e1f3aaea03d10065db15f2b",
-        ("sort", 3): "51d41e695f7c683fa13f1a5116046ea177f3e624595bc7b93b7bacb8a48b9858",
-        ("sort", 8): "18e53b77581c5f5f55be3ae3f40c40a2257c65da55d404497f0bc90f63ecb584",
-        ("sort", 13): "ca26dfc319c5170328da74f76d1cd5b9860f70f14cd0bf567cbcca86289619df",
-        ("merge", 2): "b60897d6f3103f8283293078ca879f3b5c51f137d98869e05218114d3ee853b7",
-        ("merge", 5): "2ba345c5340491c67fd63e9a1e341ffa8f14c0ca96d12db7f0200afcb275e277",
-        ("merge", 12): "ccd38fefbfba431aedbba9d2bc54a5936db23c82999476e550b5d1c5a40a5fe5",
+        ("sort", 1): "162bd8d6d8d91d3c7d2735333cd7de7466596bbc582d08526fa51b0475a0d8f4",
+        ("sort", 3): "4665f1cf01484e687751c67c9aef4d6456f67ccbc8edefa663597eb57b39a883",
+        ("sort", 8): "bd1aa9a994c29c2066b1ab3dda7a5cb757dce9add8ea17db3857e43949629c93",
+        ("sort", 13): "52f1e28bfab579ec96ce8b2af1ec714add829b011cfddb52d75eaca2c11e7877",
+        ("merge", 2): "e89d923f13fa03e0f58a109e7c8d7ff10507452184ec9a023ec253cb2eaedd09",
+        ("merge", 5): "aafa7d0bd044fef8ed0380369a07f9fb3aa324430a173e47e02fbaecaeb22193",
+        ("merge", 12): "9d38545b3264e880bfa12bcdb3c7913ac413798e15a17709cab4be013c06b1f8",
     }
 
     @pytest.mark.parametrize("kind,k", sorted(PINNED))
@@ -211,9 +264,9 @@ class TestBitonicBuilder:
         from privgraph.sorting import build_merge_circuit
 
         if kind == "sort":
-            circuit = build_sort_circuit(k, max(k.bit_length(), 1)).circuit
+            circuit = build_sort_circuit(k).circuit
         else:
-            circuit = build_merge_circuit((k - k // 2, k // 2), 5).circuit
+            circuit = build_merge_circuit((k - k // 2, k // 2)).circuit
         h = hashlib.sha256()
         h.update(np.asarray(circuit.gates, dtype="<i4").tobytes())
         for name, wires in circuit.inputs.items():

@@ -78,7 +78,7 @@ class TestAgainstSimulator:
         assert np.array_equal(got.astype(bool), plain)
 
     def test_sort_circuit_8(self):
-        sc = build_sort_circuit(8, 4)
+        sc = build_sort_circuit(8)
         rng = np.random.default_rng(6)
         inputs = {
             name: rng.integers(0, 2, size=(10, len(wires)), dtype=np.uint8)
@@ -121,7 +121,7 @@ class TestAgainstSimulator:
 
 class TestBlob:
     def test_round_trip(self):
-        sc = build_sort_circuit(4, 4)
+        sc = build_sort_circuit(4)
         gc, label_map, delta = garble(sc.circuit)
         clone = GarbledCircuit.from_bytes(gc.to_bytes())
         assert np.array_equal(clone.tables, gc.tables)
@@ -144,7 +144,7 @@ class TestBlob:
             GarbledCircuit.from_bytes(b"XXXX" + bytes(8))
 
     def test_length_mismatch_rejected(self):
-        blob = garble(build_sort_circuit(2, 2).circuit)[0].to_bytes()
+        blob = garble(build_sort_circuit(2).circuit)[0].to_bytes()
         for bad in (blob[:-1], blob + b"\0", blob[:8]):
             with pytest.raises(GarbleError):
                 GarbledCircuit.from_bytes(bad)
@@ -208,20 +208,20 @@ def shake_token(seed: bytes, size: int):
 
 class TestWireFormat:
     # SHA-256 of (tables, dec, label map, delta) from the same SHAKE-256
-    # stream: sorts since they key on (score, validity) with no mask input,
-    # the merge (two runs of 3 and 2) since it is a bitonic merge of the runs
+    # stream: sorts and the merge (two runs of 3 and 2) as built since
+    # sentinels are wire crossings, not inputs
     PINNED = {
-        ("sort", 1): "018fe636fb4e843eebbfe7d5b8f3278a977e31bdbbbe8b4080cf99d01bedfdf7",
-        ("sort", 3): "85c814a01438a917dc39e1e0732daa7c7e7c0182bb7e34b63be9154742a4e5b2",
-        ("sort", 8): "eeebfdee82624cb56d0ab79bbc5fbd84f7db654edbaaec9f837b3932c961a643",
-        ("merge", 5): "044378d0ab75d3d4d5a7c6b2104fc713cc8a507515a8a417304159bd771f7b7c",
+        ("sort", 1): "6c8fe500d108e9a3a87d9c0a22a880fdc24cdf5d622356ab0efb36f8eff2fd47",
+        ("sort", 3): "01df5425b24b4fba36c1eee1bb45463b229937932e54c67622dd1483c5d89ac7",
+        ("sort", 8): "28eef3b8649557d115e96389d9e018269f12ff1f0f90686000f013805ab2d7f6",
+        ("merge", 5): "eadaf0099e922fc5c888fefb69d29a39d5c2e55c6071ee56836f655bb5cd34e4",
     }
 
     @staticmethod
     def _circuit(kind, k):
         if kind == "sort":
-            return build_sort_circuit(k, max(k.bit_length(), 1)).circuit
-        return build_merge_circuit((k - k // 2, k // 2), 4).circuit
+            return build_sort_circuit(k).circuit
+        return build_merge_circuit((k - k // 2, k // 2)).circuit
 
     @pytest.mark.parametrize("kind,k", sorted(PINNED))
     def test_garbling_is_byte_identical(self, kind, k):
@@ -245,7 +245,7 @@ class TestWireFormat:
 
 class TestSchedule:
     def test_read_only_and_slots_bounded_by_live_wires(self):
-        circuit = build_sort_circuit(16, 5).circuit
+        circuit = build_sort_circuit(16).circuit
         sched = level_schedule(circuit)
         assert level_schedule(circuit) is sched
         assert sched.n_and == circuit.and_count
@@ -256,7 +256,7 @@ class TestSchedule:
             circuit.gates[0, 0] = 0
 
     def test_table_count_mismatch_rejected(self):
-        sc = build_sort_circuit(2, 2)
+        sc = build_sort_circuit(2)
         gc, label_map, delta = garble(sc.circuit)
         labels = {name: zero[None] for name, zero in label_map.items()}
         with pytest.raises(GarbleError):
@@ -266,7 +266,7 @@ class TestSchedule:
 class TestConcurrency:
     @pytest.mark.parametrize(
         "cached",
-        [lambda: _sort_circuit((6,), 3), lambda: build_merge_circuit((3, 2), 4)],
+        [lambda: _sort_circuit((6,)), lambda: build_merge_circuit((3, 2))],
         ids=["sort", "merge"],
     )
     def test_two_threads_share_one_cached_circuit(self, cached):

@@ -1,12 +1,16 @@
 import itertools
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from privgraph.circuits import SCORE_BITS, comparator_count
+import privgraph.sorting as sorting
+from conftest import merge_tree_comparators, track_sentinels
+from privgraph.circuits import MAX_SORT_K, SCORE_BITS, comparator_count, padded_size
 from privgraph.crypto import GroupContext
 from privgraph.ot import OTPair
 from privgraph.sorting import (
@@ -241,37 +245,37 @@ class TestGlobalSort:
 
 # (frame, payload bytes) each party sends in a k = 5, 3 and 1 local sort and
 # in the 3-shard merge of their results. SORT_INIT holds one u32 count per
-# shard and the garbler's labels travel in one GARBLER_LABELS frame. A local
-# sort of padded width n runs n adders of 30 ANDs and comparators of 32 + 32
-# + payload ANDs (the key is the score and a validity bit); its labels are
-# 31 share, 1 validity and payload bits a slot. The merge's payloads are
-# numbered densely over its 9 entries (4 bits). The merge tree reads 16
-# input slots: the (5, 3) node's 8, then the root's 7 sentinels and 1 entry;
-# it runs 12 + 32 comparators of 32 + 32 + 4 ANDs, and its labels are 31
-# masked-score, 1 validity and 4 payload bits a slot. Each
-# session here is a pair's first, so it sets up; OT_EXTEND carries the
-# 20-byte header that names its state and block range.
+# shard and the garbler's labels travel in one GARBLER_LABELS frame. Padding
+# is no input: a sort of t entries takes t·31 transfers, so OT_PAYLOAD =
+# 31 · 32 · t bytes. A local sort runs k adders of 30 ANDs and the
+# comparators no sentinel enters (k = 5: 11, k = 3: 3), each of 31 + 31 +
+# payload ANDs; its labels are 31 share and payload bits an entry. The
+# merge's payloads are numbered densely over its 9 entries (4 bits); its
+# tree keeps 12 + 13 comparators of 31 + 31 + 4 ANDs, and its labels are 31
+# masked-score and 4 payload bits an entry. Each session here is a pair's
+# first, so it sets up; OT_EXTEND carries the 20-byte header that names its
+# state and block range.
 _EVALUATOR_OT = [("OT_SETUP", 32), ("OT_SETUP", 4096)]
 PINNED_FRAMES = [
     (  # local, k = 5
-        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 118318), ("GARBLER_LABELS", 3968 + 128 + 384),
-         ("OT_SETUP", 4096), ("OT_PAYLOAD", 7936)],
-        _EVALUATOR_OT + [("OT_EXTEND", 20 + 3968)],
+        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 55394), ("GARBLER_LABELS", 2480 + 240),
+         ("OT_SETUP", 4096), ("OT_PAYLOAD", 4960)],
+        _EVALUATOR_OT + [("OT_EXTEND", 20 + 2560)],
     ),
     (  # local, k = 3
-        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 33053), ("GARBLER_LABELS", 1984 + 64 + 128),
-         ("OT_SETUP", 4096), ("OT_PAYLOAD", 3968)],
-        _EVALUATOR_OT + [("OT_EXTEND", 20 + 2048)],
+        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 18073), ("GARBLER_LABELS", 1488 + 96),
+         ("OT_SETUP", 4096), ("OT_PAYLOAD", 2976)],
+        _EVALUATOR_OT + [("OT_EXTEND", 20 + 1536)],
     ),
     (  # local, k = 1
-        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 1936), ("GARBLER_LABELS", 496 + 16 + 16),
+        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 1936), ("GARBLER_LABELS", 496 + 16),
          ("OT_SETUP", 4096), ("OT_PAYLOAD", 992)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 512)],
     ),
     (  # merge of 9 entries from 3 shards
-        [("SORT_INIT", 12), ("CIRCUIT_BLOB", 191508), ("GARBLER_LABELS", 7936 + 256 + 1024),
-         ("OT_SETUP", 4096), ("OT_PAYLOAD", 15872)],
-        _EVALUATOR_OT + [("OT_EXTEND", 20 + 7936)],
+        [("SORT_INIT", 12), ("CIRCUIT_BLOB", 105617), ("GARBLER_LABELS", 4464 + 576),
+         ("OT_SETUP", 4096), ("OT_PAYLOAD", 8928)],
+        _EVALUATOR_OT + [("OT_EXTEND", 20 + 4480)],
     ),
 ]
 
@@ -306,44 +310,106 @@ class TestWireSequence:
 
 class TestCircuitCache:
     def test_one_circuit_per_shape(self):
-        # k = 5, 6 and 7 share the padded width 8 and so one circuit
-        assert _sort_circuit((5,), 3).circuit is _sort_circuit((7,), 3).circuit
-        assert (_sort_circuit((5,), 3).k, _sort_circuit((7,), 3).k) == (5, 7)
-        assert _sort_circuit((5,), 3).circuit is not _sort_circuit((5,), 4).circuit
-        # a two-run merge has one circuit per padded width, whatever the split
-        assert build_merge_circuit((3, 3), 6).circuit is build_merge_circuit((6, 2), 6).circuit
-        assert (build_merge_circuit((3, 3), 6).k, build_merge_circuit((6, 2), 6).k) == (6, 8)
-        assert build_merge_circuit((4, 4), 6).circuit is not _sort_circuit((8,), 6).circuit
+        # a sort's shape is its count split: one circuit for each
+        assert _sort_circuit((5,)) is _sort_circuit((5,))
+        # k = 5 and 7 share the padded width 8, not the circuit: their
+        # sentinels sit on different lines
+        assert _sort_circuit((5,)).circuit is not _sort_circuit((7,)).circuit
+        assert (_sort_circuit((5,)).n, _sort_circuit((7,)).n) == (8, 8)
+        assert build_merge_circuit((3, 3)).circuit is not build_merge_circuit((4, 2)).circuit
+        assert build_merge_circuit((3, 3)).k == 6
+        assert build_merge_circuit((4, 4)).circuit is not _sort_circuit((8,)).circuit
+
+    @pytest.mark.parametrize(
+        "builder,lookup,counts",
+        [("build_sort_circuit", _sort_circuit, (29,)),
+         ("_merge_network", build_merge_circuit, (13, 11, 2))],
+        ids=["sort", "merge"],
+    )
+    def test_concurrent_misses_share_one_circuit(self, monkeypatch, builder, lookup, counts):
+        # the first lookup is held inside its build while seven more look
+        # the same fresh shape up: they must wait for the build, not repeat it
+        lookup.cache_clear()
+        building, builds = threading.Event(), []
+        build = getattr(sorting, builder)
+
+        def slow_build(shape):
+            builds.append(shape)
+            building.set()
+            time.sleep(0.5)
+            return build(shape)
+
+        monkeypatch.setattr(sorting, builder, slow_build)
+        got = []
+        threads = [threading.Thread(target=lambda: got.append(lookup(counts))) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads[0].start()
+            assert building.wait(timeout=60)
+            for t in threads[1:]:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(builds) == 1
+        assert len(got) == 8 and all(sc.circuit is got[0].circuit for sc in got)
 
 
 def merge_ands(m: int, payload_width: int) -> int:
-    """ANDs of one bitonic merge stage of width m: (m/2)·log2 m comparators
-    of a 32-bit key (score and validity bit) compare and swap, plus the
+    """ANDs of one bitonic merge stage of width m with no sentinels:
+    (m/2)·log2 m comparators of a 31-bit score compare and swap, plus the
     payload swap."""
-    return m // 2 * (m.bit_length() - 1) * (2 * (SCORE_BITS + 1) + payload_width)
+    return m // 2 * (m.bit_length() - 1) * (2 * SCORE_BITS + payload_width)
 
 
 class TestMergeCircuit:
     def test_comparator_count_in_ands(self):
-        pw = 6
         for n in (8, 16, 32):
-            sc = build_merge_circuit((n - 3, 3), pw)
+            sc = build_merge_circuit((n - 3, 3))
             assert sc.n == n
-            assert sc.and_count == merge_ands(n, pw), n
+            assert sc.and_count == merge_ands(n, n.bit_length()), n
 
     def test_tree_comparators_in_ands(self):
-        # (5, 3) merge in width 8, then its 8 entries and shard 2's one in 16
-        pw = 4
-        sc = build_merge_circuit((5, 3, 1), pw)
-        assert sc.and_count == merge_ands(8, pw) + merge_ands(16, pw)
-        assert merge_ands(8, pw) + merge_ands(16, pw) < comparator_count(16) * (
-            2 * (SCORE_BITS + 1) + pw
-        )
-        assert build_merge_circuit((7,), pw).and_count == 0  # one run: nothing to merge
+        # (5, 3) merge in width 8, then its 8 entries and shard 2's one in
+        # 16, where 7 sentinels prune the comparators they enter
+        sc = build_merge_circuit((5, 3, 1))
+        kept = merge_tree_comparators((5, 3, 1))
+        assert kept == 12 + 13
+        assert sc.and_count == kept * (2 * SCORE_BITS + 4)
+        assert build_merge_circuit((7,)).and_count == 0  # one run: nothing to merge
+
+    def test_tree_costs_no_more_than_a_full_sort(self):
+        counts = (3,) * 5 + (1,)
+        sc = build_merge_circuit(counts)
+        assert sc.and_count == 68 * (2 * SCORE_BITS + 5)
+        assert 68 <= comparator_count(16)
+        # the costliest layout a search over equal-length and random runs
+        # found for the tree with every node padded
+        worst = (3,) * 341 + (1,)
+        assert merge_tree_comparators(worst) == 26801 <= comparator_count(MAX_SORT_K)
 
     def test_oversize_rejected(self):
         with pytest.raises(ValueError):
-            build_merge_circuit((5000,), 8)
+            build_merge_circuit((5000,))
+
+
+class TestLocalSortNetwork:
+    def test_sentinels_end_last_for_every_k(self):
+        for n in sorted({padded_size(k) for k in range(1, MAX_SORT_K + 1)}):
+            ks = range(n // 2 + 1, n + 1)
+            kept, real = track_sentinels([[e < k for e in range(n)] for k in ks], merge=False)
+            assert real.tolist() == [[e < k for e in range(n)] for k in ks], n
+            assert kept[-1] == comparator_count(n)
+
+    @pytest.mark.parametrize("k", [3, 5, 12, 17])
+    def test_pruned_comparators_in_ands(self, k):
+        # adders k·(31 - 1), kept comparators of 31 + 31 + payload ANDs
+        kept, _ = track_sentinels([e < k for e in range(padded_size(k))], merge=False)
+        pw = k.bit_length()
+        assert _sort_circuit((k,)).and_count == k * (SCORE_BITS - 1) + kept * (2 * SCORE_BITS + pw)
 
 
 # a score drawn from the edges of the 31-bit range, or anywhere in it
@@ -392,9 +458,9 @@ class TestMergeOracle:
         self._merge(pairs, vectors, np.random.default_rng(salt))
 
     def test_score_zero_entries_survive_the_tree(self, pairs):
-        # the (2, 3) node pads to 8 with 3 sentinels that tie with the real
-        # zeros on score; only the validity bit keeps every zero among the
-        # node's 5 entries that the root merges on
+        # the (2, 3) node pads to 8 with 3 sentinels; they sort below the
+        # real zeros, so every zero is among the node's 5 entries that the
+        # root merges on
         self._merge(pairs, [[5, 0], [0, 0, 0], [7, 0, 0]], np.random.default_rng(13))
 
 

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from privgraph.circuits import MAX_SORT_K, SCORE_BITS, comparator_count, padded_size
-from privgraph.sorting import _merge_plan
+from conftest import merge_tree_comparators
+from privgraph.circuits import MAX_SORT_K, SCORE_BITS, comparator_count
 from privgraph.transport import (
     HEADER_LEN,
     MAX_FRAME_BYTES,
@@ -23,15 +23,6 @@ from privgraph.transport import (
     loopback_pair,
     save_transcript,
 )
-
-
-def tree_comparators(shape) -> int:
-    """Comparators of a merge tree: (m/2)·log2 m per node of width m."""
-    if isinstance(shape, int):
-        return 0
-    m, *children = shape
-    subtrees = (tree_comparators(sub) for sub, _ in filter(None, children))
-    return m // 2 * (m.bit_length() - 1) + sum(subtrees)
 
 
 def address_forms(tmp_path):
@@ -276,24 +267,20 @@ class TestTcp:
 
     def test_largest_circuit_blob_fits_under_cap(self):
         # closed-form AND counts (see test_comparator_law_in_and_count):
-        # local sort = adders n*(31-1) + comparators*(32 + 32 + payload),
-        # merge = merge comparators*(32 + 32 + payload), both keys being the
-        # score and a validity bit; 64 table bytes per AND; both sorts
-        # number their payloads densely over 1..k
-        n = padded_size(MAX_SORT_K)
-        pw = MAX_SORT_K.bit_length()
-        key = SCORE_BITS + 1
-        local = n * (SCORE_BITS - 1) + comparator_count(n) * (2 * key + pw)
-        # a two-run merge is one merge stage; a tree of many short runs pads
-        # at every level: 341 runs of 3 and one of 1 are the costliest
-        # layout a search over equal-length and random runs found
-        shape, _ = _merge_plan([[None] * 3] * 341 + [[None]])
-        merges = [n // 2 * (n.bit_length() - 1), tree_comparators(shape)]
-        frames = [HEADER_LEN + 12 + 64 * local + -(-n * (SCORE_BITS + pw) // 8)]
-        frames += [
-            HEADER_LEN + 12 + 64 * c * (2 * key + pw) + -(-n * pw // 8)
-            for c in merges
-        ]
+        # local sort = adders k*(31-1) + comparators*(31 + 31 + payload),
+        # merge = kept comparators*(31 + 31 + payload); 64 table bytes per
+        # AND; both sorts number their payloads densely over 0..k-1 in
+        # k.bit_length() bits. MAX_SORT_K is a power of two, so the local
+        # sort has no sentinel; the costliest merge trees a search over
+        # equal-length, random and hill-climbed runs found are 1,024 runs
+        # of 1, a full sort, and 341 runs of 3 and one of 1
+        k = MAX_SORT_K
+        pw = k.bit_length()
+        per_comparator = 2 * SCORE_BITS + pw
+        local = k * (SCORE_BITS - 1) + comparator_count(k) * per_comparator
+        merges = [merge_tree_comparators((1,) * k), merge_tree_comparators((3,) * 341 + (1,))]
+        frames = [HEADER_LEN + 12 + 64 * local + -(-k * (SCORE_BITS + pw) // 8)]
+        frames += [HEADER_LEN + 12 + 64 * c * per_comparator + -(-k * pw // 8) for c in merges]
         # a power-of-two cap with room for the circuits to grow
         assert max(frames) <= MAX_FRAME_BYTES < 4 * max(frames)
 
