@@ -14,11 +14,17 @@ comparator, a layer of copies at a time (CircuitBuilder.stamp), so
 building one costs numpy work per layer, not Python work per gate.
 
 Gate list is topologically ordered by construction. XOR and INV are free
-under the garbling scheme; only AND gates cost garbled-table rows.
+under the garbling scheme; each AND gate costs a 32-byte half-gates table,
+and garbling and evaluation take one vectorised step per level and op. A
+level runs its XORs, then its ANDs, then its INVs, so a gate may share a
+level with an input made in an earlier phase. Both carry chains, the
+adder's and the comparator's, are written so that each bit's AND inputs
+are one XOR away from the previous bit's AND: one level per bit.
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from dataclasses import dataclass
 
@@ -51,7 +57,7 @@ class Circuit:
     gates: np.ndarray  # read-only int32 rows (op, a, b, out); b == -1 for INV
     inputs: dict  # bundle name -> list of wire ids
     outputs: list  # output wire ids in decode order
-    levels: np.ndarray  # read-only level of each gate, above its inputs
+    levels: np.ndarray  # read-only int32 level of each gate (see CircuitBuilder)
 
     @property
     def and_count(self) -> int:
@@ -63,30 +69,39 @@ class Circuit:
             yield from self.gates[start : start + 4096].tolist()
 
 
+def _stage_after(op: int, stage: int) -> int:
+    """The first stage of op after stage: a gate's stage is 3 * (level - 1)
+    + op, so a level runs its XORs, then its ANDs, then its INVs, and a
+    gate shares a level with an input made in an earlier phase. Circuit
+    inputs are at stage -1, before level 1."""
+    return stage + 1 + (op - stage - 1) % 3
+
+
 class CircuitBuilder:
     """Builds a circuit gate by gate, or a block of copies of a small
-    template circuit at once (stamp). Each gate gets a level above its
-    inputs; garbling and evaluation run a level at a time, so gates that
-    share a level share their vectorised steps."""
+    template circuit at once (stamp). Each gate gets the first level at
+    which its op runs after its inputs (_stage_after); garbling and
+    evaluation run a level at a time, so gates that share a level share
+    their vectorised steps."""
 
     def __init__(self):
         self._gates = array("i")  # flat (op, a, b, out) quadruples
-        self._level = array("i")  # each wire's level: 0 for an input
+        self._stage = array("i")  # each wire's stage: -1 for an input
         self.inputs: dict[str, list[int]] = {}
         self.outputs: list[int] = []
 
     def input_bundle(self, name: str, n_bits: int) -> list[int]:
         if name in self.inputs:
             raise ValueError(f"duplicate input bundle {name!r}")
-        wires = list(range(len(self._level), len(self._level) + n_bits))
-        self._level.extend([0] * n_bits)
+        wires = list(range(len(self._stage), len(self._stage) + n_bits))
+        self._stage.extend([-1] * n_bits)
         self.inputs[name] = wires
         return wires
 
     def _gate(self, op: int, a: int, b: int) -> int:
-        level = max(self._level[a], self._level[b] if b >= 0 else 0)
-        self._level.append(level + 1)
-        out = len(self._level) - 1
+        stage = max(self._stage[a], self._stage[b] if b >= 0 else -1)
+        self._stage.append(_stage_after(op, stage))
+        out = len(self._stage) - 1
         self._gates.extend((op, a, b, out))
         return out
 
@@ -99,60 +114,63 @@ class CircuitBuilder:
     def inv(self, a: int) -> int:
         return self._gate(INV, a, -1)
 
-    def _levels_of(self, wires: np.ndarray) -> np.ndarray:
-        return np.frombuffer(self._level, dtype=np.int32)[wires]
+    def _stages_of(self, wires: np.ndarray) -> np.ndarray:
+        return np.frombuffer(self._stage, dtype=np.int32)[wires]
 
     def stamp(self, template: Circuit, wires) -> np.ndarray:
         """One copy of template per row of wires, the row feeding its
-        inputs in order. A copy's gates keep their template levels, raised
-        above the copy's latest input, so copies whose inputs end at one
-        level share levels. Returns the copies' output wires, a row a
-        copy, in template order."""
+        inputs in order. A copy's gates are placed as if every input came
+        at the stage of its latest one, so copies whose inputs end at one
+        stage share levels. Returns the copies' output wires, a row a copy,
+        in template order."""
         wires = np.asarray(wires, dtype=np.int64)
         if wires.ndim != 2 or wires.shape[1] != template.n_wires - len(template.gates):
             raise ValueError("each row must feed every template input")
-        base = self._levels_of(wires).max(axis=1, initial=0)
-        own = len(self._level) + np.arange(len(wires) * len(template.gates))
+        # the stages of a template whose inputs come at level l and phase p
+        # are those of inputs at level 0 and phase p, 3 * l later
+        level, phase = np.divmod(self._stages_of(wires).max(axis=1, initial=-1) + 3, 3)
+        stages = _template_stages(template)[phase] + 3 * level[:, None]
+        own = len(self._stage) + np.arange(len(wires) * len(template.gates))
         wire_of = np.concatenate([wires, own.reshape(len(wires), -1)], axis=1)
         op, a, b, out = template.gates.T.astype(np.int64)
         b_of = np.where(b >= 0, wire_of[:, b], -1)  # -1 stays INV's no-input
         rows = np.stack(np.broadcast_arrays(op, wire_of[:, a], b_of, wire_of[:, out]), axis=2)
         self._gates.frombytes(rows.astype(np.int32).tobytes())
-        self._level.frombytes((base[:, None] + template.levels).astype(np.int32).tobytes())
+        self._stage.frombytes(stages.astype(np.int32).tobytes())
         return wire_of[:, template.outputs]
 
     def add_mod(self, a_bits: list[int], b_bits: list[int]) -> list[int]:
         """Ripple-carry addition, dropping the final carry (mod 2^width).
-        Carry recurrence c' = c XOR ((a XOR c) AND (b XOR c)): one AND per
-        bit except the last."""
+        Carry recurrence c' = maj(a, b, c) = a XOR ((a XOR b) AND (a XOR c)),
+        from c = 0: one AND per bit except the last. With c = a' XOR d, d
+        the previous bit's AND and a' its a bit, the AND inputs are a XOR b
+        and (a XOR a') XOR d, one XOR from the previous AND."""
         if len(a_bits) != len(b_bits):
             raise ValueError("adder width mismatch")
-        width = len(a_bits)
         out = [self.xor(a_bits[0], b_bits[0])]
-        carry = self.and_(a_bits[0], b_bits[0])
-        for i in range(1, width):
-            out.append(self.xor(self.xor(a_bits[i], b_bits[i]), carry))
-            if i < width - 1:
-                carry = self.xor(
-                    carry,
-                    self.and_(
-                        self.xor(a_bits[i], carry), self.xor(b_bits[i], carry)
-                    ),
-                )
+        d = self.and_(out[0], a_bits[0])
+        for i in range(1, len(a_bits)):
+            a_x_b = self.xor(a_bits[i], b_bits[i])
+            out.append(self.xor(self.xor(a_x_b, a_bits[i - 1]), d))
+            if i < len(a_bits) - 1:
+                d = self.and_(a_x_b, self.xor(self.xor(a_bits[i], a_bits[i - 1]), d))
         return out
 
     def less_than(self, a_bits: list[int], b_bits: list[int]) -> int:
-        """Unsigned a < b: the complement of the carry out of a + ~b + 1.
-        One AND per bit."""
+        """Unsigned a < b, as c = [b > a] over ever more low bits: c' =
+        b XOR ((b XOR c) AND (a XOR c)) is b where the bits differ and c
+        where they agree. One AND per bit and no INV: with c = b' XOR d, d
+        the previous bit's AND and b' its b bit, the AND inputs are
+        (b XOR b') XOR d and (a XOR b') XOR d, one XOR from the previous
+        AND."""
         if len(a_bits) != len(b_bits):
             raise ValueError("comparator width mismatch")
-        # carry into bit 1 with c0 = 1: maj(a0, ~b0, 1) = a0 OR ~b0
-        carry = self.inv(self.and_(self.inv(a_bits[0]), b_bits[0]))
+        d = self.and_(b_bits[0], a_bits[0])  # c = 0 into bit 0
         for i in range(1, len(a_bits)):
-            # maj(a_i, ~b_i, c) = c XOR ((a_i XOR c) AND (~b_i XOR c))
-            nb_x_c = self.inv(self.xor(b_bits[i], carry))
-            carry = self.xor(carry, self.and_(self.xor(a_bits[i], carry), nb_x_c))
-        return self.inv(carry)
+            b_x_c = self.xor(self.xor(b_bits[i], b_bits[i - 1]), d)
+            a_x_c = self.xor(self.xor(a_bits[i], b_bits[i - 1]), d)
+            d = self.and_(b_x_c, a_x_c)
+        return self.xor(b_bits[-1], d)
 
     def cond_swap(self, s: int, a_bits: list[int], b_bits: list[int]):
         """If s then exchange the two bit vectors. One AND per bit."""
@@ -203,10 +221,10 @@ class CircuitBuilder:
 
     def build(self) -> Circuit:
         gates = np.array(self._gates, dtype=np.int32).reshape(-1, 4)
-        levels = self._levels_of(gates[:, 3]).astype(np.int64)
+        levels = self._stages_of(gates[:, 3]) // 3 + 1
         for arr in (gates, levels):
             arr.setflags(write=False)
-        return Circuit(len(self._level), gates, self.inputs, self.outputs, levels)
+        return Circuit(len(self._stage), gates, self.inputs, self.outputs, levels)
 
 
 def _template(n_inputs: int, body) -> Circuit:
@@ -215,6 +233,26 @@ def _template(n_inputs: int, body) -> Circuit:
     b = CircuitBuilder()
     b.mark_outputs(body(b, b.input_bundle("in", n_inputs)))
     return b.build()
+
+
+_phase_stages: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _template_stages(template: Circuit) -> np.ndarray:
+    """Row p: the stage of each template gate when every input comes at
+    level 0 and phase p, replayed gate by gate once per template (a racing
+    miss stores an equal array)."""
+    stages = _phase_stages.get(template)
+    if stages is None:
+        n_in = template.n_wires - len(template.gates)
+        stages = np.empty((3, len(template.gates)), dtype=np.int64)
+        for p in range(3):
+            stage = [p - 3] * template.n_wires
+            for op, a, b, out in template.iter_gates():
+                stage[out] = _stage_after(op, max(stage[a], stage[b] if b >= 0 else p - 3))
+            stages[p] = stage[n_in:]
+        _phase_stages[template] = stages
+    return stages
 
 
 # score reconstruction: the sum of a garbler and an evaluator share

@@ -1,9 +1,11 @@
 """Deterministic cryptographic primitives shared by the builder, the
 front-end, and the index servers: PRFs, group exponentiation, per-term
-keys, identifier encryption, and shard hashing.
+keys, identifier encryption, shard hashing, and the fixed-key AES hash
+that garbling and OT extension share.
 
 Everything here is a pure function of its inputs once the master keys are
-fixed, so it is safe to call concurrently from any number of sessions.
+fixed, so it is safe to call concurrently from any number of sessions; only
+a FixedKeyHash instance, which holds a cipher context, belongs to one thread.
 """
 
 from __future__ import annotations
@@ -13,15 +15,18 @@ import os
 import struct
 from dataclasses import dataclass
 
+import numpy as np
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.cmac import CMAC
-from cryptography.hazmat.primitives.ciphers import algorithms
 
 __all__ = [
     "SHARE_MODULUS",
     "GroupContext",
     "MasterKeyBundle",
+    "HALVES",
+    "FixedKeyHash",
     "DecryptError",
     "TermError",
     "prf128",
@@ -52,6 +57,43 @@ ELEMENT_BYTES = 32
 KEY_BYTES = 16
 # sort keys and every secret-shared value live in Z_{2^31}
 SHARE_MODULUS = 1 << 31
+
+
+# a 16-byte block (a wire label, an OT row) as its two little-endian u64
+# halves (l, r); signed, so that an arithmetic shift spreads a bit
+HALVES = np.dtype("<i8")
+
+
+class FixedKeyHash:
+    """H(x, i) = π(σ(x) ⊕ i) ⊕ σ(x), the tweakable circular
+    correlation-robust hash of Guo, Katz, Wang and Yu ("Efficient and
+    Secure Multiparty Computation from Fixed-Key Block Ciphers", S&P 2020).
+    π is AES-128 under a fixed public key, one key per use, and σ(l, r) =
+    (l ⊕ r, l) is a linear orthomorphism over the block's halves. One call
+    hashes any number of blocks with one AES-ECB call. An instance holds
+    one cipher context: make one per thread."""
+
+    def __init__(self, key: bytes):
+        self._enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+
+    @staticmethod
+    def tweaks(indices) -> np.ndarray:
+        """Integer tweaks of up to 64 bits (as int64 bit patterns) as the
+        128-bit blocks (i, 0) that __call__ takes."""
+        indices = np.asarray(indices)
+        blocks = np.zeros(indices.shape + (2,), dtype=indices.dtype)
+        blocks[..., 0] = indices
+        return blocks
+
+    def __call__(self, x: np.ndarray, tweaks: np.ndarray) -> np.ndarray:
+        """x: blocks as (..., 2) HALVES; tweaks: 128-bit blocks (made by
+        tweaks()) that broadcast against x. Returns H of every block under
+        its tweak, as (..., 2) HALVES."""
+        s = np.empty(x.shape, dtype=HALVES)
+        np.bitwise_xor(x[..., 0], x[..., 1], out=s[..., 0])
+        s[..., 1] = x[..., 0]
+        t = s ^ tweaks
+        return np.frombuffer(self._enc.update(t.view(np.uint8)), dtype=HALVES).reshape(x.shape) ^ s
 
 
 class TermError(ValueError):

@@ -18,9 +18,11 @@ OT_EXTEND names its state (a hash of the set-up's first frame) and a range
 of the seeds' AES-CTR blocks that the receiver allocated under the pair's
 lock; transfer j of an extension that starts at block b is hashed under the
 index 128 * b + j, so no two extensions on a state share PRG output or hash
-indices. The sender refuses an unknown state and a range that overlaps one
-already used. A receiver whose OT fails drops its state, and the pair's next
-session sets up a new one.
+indices. The row hash is crypto.FixedKeyHash under this module's key, the
+tweakable correlation-robust hash that garbling uses under its own: one AES
+call hashes an extension's rows. The sender refuses an unknown state and a
+range that overlaps one already used. A receiver whose OT fails drops its
+state, and the pair's next session sets up a new one.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from collections import OrderedDict
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .crypto import ELEMENT_BYTES, SHARE_MODULUS, GroupContext
+from .crypto import ELEMENT_BYTES, HALVES, SHARE_MODULUS, FixedKeyHash, GroupContext
 from .transport import MSG, SERVER_TIMEOUT, Channel, Frame, TransportError
 
 __all__ = [
@@ -49,6 +51,7 @@ __all__ = [
 ]
 
 KAPPA = 128  # base-OT count / extension matrix width
+_HASH_KEY = b"privgraph-ot-key"  # the fixed AES key of the row hash
 
 # sender states kept per pair: the newest, and older ones that sessions
 # begun before their receiver dropped them may still extend
@@ -119,13 +122,10 @@ def _hash_point(ctx: GroupContext, index: int, point: int) -> bytes:
 def _hash_rows(rows: np.ndarray, block: int) -> np.ndarray:
     """Hash each 16-byte row j of an extension that starts at block with
     the index 128 * block + j into a pad; the pads as an (m, 16) array."""
-    first = KAPPA * block
-    raw = rows.tobytes()
-    pads = b"".join(
-        hashlib.sha256(struct.pack(">Q", first + i) + raw[i * 16 : i * 16 + 16]).digest()[:16]
-        for i in range(len(rows))
-    )
-    return np.frombuffer(pads, dtype=np.uint8).reshape(-1, 16)
+    index = np.uint64(KAPPA * block) + np.arange(len(rows), dtype=np.uint64)
+    halves = np.ascontiguousarray(rows).view(HALVES)
+    tweaks = FixedKeyHash.tweaks(index.view(np.int64))
+    return FixedKeyHash(_HASH_KEY)(halves, tweaks).view(np.uint8)
 
 
 def _transpose(mat: np.ndarray, m: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Shared test hooks and helpers: collect acceptance-criterion verdict
 lines and print them once, uncaptured, in the terminal summary; count the
-comparators a sorting network keeps once its sentinels are pruned."""
+comparators a sorting network keeps once its sentinels are pruned; a
+scalar reference of the fixed-key hash that garbling and OT share."""
 
 import numpy as np
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from privgraph.circuits import bitonic_schedule, padded_size
 
@@ -49,3 +51,21 @@ def merge_tree_comparators(counts) -> int:
     kept, real = track_sentinels([True] * a + [False] * (m - a - b) + [True] * b, merge=True)
     assert real.tolist() == [True] * (a + b) + [False] * (m - a - b)
     return int(kept) + merge_tree_comparators(counts[:h]) + merge_tree_comparators(counts[h:])
+
+
+def xor(*blocks: bytes) -> bytes:
+    out = bytes(len(blocks[0]))
+    for block in blocks:
+        out = bytes(x ^ y for x, y in zip(out, block))
+    return out
+
+
+def scalar_hash(key: bytes, x: bytes, i: int) -> bytes:
+    """H(x, i) = π(σ(x) ⊕ i) ⊕ σ(x) for one 16-byte block, with one AES
+    block call: σ(l, r) = (l ⊕ r, l) over the little-endian u64 halves,
+    and i XORed into the low half."""
+    l, r = int.from_bytes(x[:8], "little"), int.from_bytes(x[8:], "little")
+    sigma = (l ^ r).to_bytes(8, "little") + l.to_bytes(8, "little")
+    tweaked = (l ^ r ^ i).to_bytes(8, "little") + l.to_bytes(8, "little")
+    pi = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(tweaked)
+    return xor(pi, sigma)

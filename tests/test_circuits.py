@@ -236,27 +236,44 @@ class TestLevels:
         assert self.and_levels(build_merge_circuit((3, 7)).circuit) == full
 
     def test_each_gate_above_its_inputs(self):
-        c = build_sort_circuit(7).circuit
-        wire_level = np.zeros(c.n_wires, dtype=np.int64)  # inputs at 0
-        wire_level[c.gates[:, 3]] = c.levels
-        a, b = c.gates[:, 1], c.gates[:, 2]
-        assert (c.levels > wire_level[a]).all()
-        assert (c.levels[b >= 0] > wire_level[b[b >= 0]]).all()
+        # a level runs its XORs, then its ANDs, then its INVs, so a gate
+        # must come after each input in (level, op) order; inputs come first
+        for c in (build_sort_circuit(7).circuit, build_sort_circuit(13).circuit):
+            wire_stage = np.full(c.n_wires, -1, dtype=np.int64)
+            stage = (c.levels.astype(np.int64) - 1) * 3 + c.gates[:, 0]
+            wire_stage[c.gates[:, 3]] = stage
+            a, b = c.gates[:, 1], c.gates[:, 2]
+            assert (stage > wire_stage[a]).all()
+            assert (stage[b >= 0] > wire_stage[b[b >= 0]]).all()
+            assert c.levels.dtype == np.int32 and c.levels.min() == 1
+
+    @pytest.mark.parametrize(
+        "kind,shape,levels,and_levels",
+        [("sort", 8, 229, 222), ("sort", 13, 361, 350), ("merge", (8, 8), 133, 128)],
+    )
+    def test_one_level_per_and_layer(self, kind, shape, levels, and_levels):
+        # each carry bit's AND inputs are one XOR from the previous AND, and
+        # that XOR shares the next AND's level, so almost every level has ANDs
+        from privgraph.sorting import build_merge_circuit
+
+        c = (build_sort_circuit(shape) if kind == "sort" else build_merge_circuit(shape)).circuit
+        assert (int(c.levels.max()), self.and_levels(c)) == (levels, and_levels)
 
 
 class TestBitonicBuilder:
     # SHA-256 of the gate rows, input wires, output wires and wire count:
     # sorts and merges (k entries in two runs of k - k // 2 and k // 2) as
     # built since sentinels are wire crossings, not inputs, and an ascending
-    # comparator is the one template with its operands exchanged
+    # comparator is the one template with its operands exchanged, with the
+    # INV-free carry chains of add_mod and less_than
     PINNED = {
-        ("sort", 1): "162bd8d6d8d91d3c7d2735333cd7de7466596bbc582d08526fa51b0475a0d8f4",
-        ("sort", 3): "4665f1cf01484e687751c67c9aef4d6456f67ccbc8edefa663597eb57b39a883",
-        ("sort", 8): "bd1aa9a994c29c2066b1ab3dda7a5cb757dce9add8ea17db3857e43949629c93",
-        ("sort", 13): "52f1e28bfab579ec96ce8b2af1ec714add829b011cfddb52d75eaca2c11e7877",
-        ("merge", 2): "e89d923f13fa03e0f58a109e7c8d7ff10507452184ec9a023ec253cb2eaedd09",
-        ("merge", 5): "aafa7d0bd044fef8ed0380369a07f9fb3aa324430a173e47e02fbaecaeb22193",
-        ("merge", 12): "9d38545b3264e880bfa12bcdb3c7913ac413798e15a17709cab4be013c06b1f8",
+        ("sort", 1): "6a711a61b6c3363032d25d6a13dfea2b835d3c51a101dbd73b7ec9b5eca6efb4",
+        ("sort", 3): "fe717da501760c42c8deaec979fca1578da5dd074ef9f52f44bd192030ce004e",
+        ("sort", 8): "69ed1cce714aab82cc565518093f4ca57c45c565a191dfad39e60cd20b7b22a5",
+        ("sort", 13): "bd79fbdf382374759e7de5db9ae524590419d319739bd1de0774fdec3e2d9d86",
+        ("merge", 2): "42ff1ce58a189fcf8d00e47751634d6d71731749a8e284fac8416ac968c2f0aa",
+        ("merge", 5): "32ca27151b541088649c7d7561b85744e0835c67a4d60064dd8fbc3c67eec439",
+        ("merge", 12): "8c81b0cb11cdf35385c3da0c3d97d429da8344f091136f3574c6d544f55f50c6",
     }
 
     @pytest.mark.parametrize("kind,k", sorted(PINNED))

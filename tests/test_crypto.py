@@ -1,7 +1,9 @@
 import struct
 
+import numpy as np
 import pytest
 
+from conftest import scalar_hash
 from privgraph import crypto
 from privgraph.builder import build_edb, PartitionConfig
 from privgraph.graph import build_inverted_index, random_graph
@@ -202,3 +204,33 @@ class TestGroupContext:
         ctx.g_exp(3)
         ctx.g_exp(4)
         assert ctx.exp_count == 2
+
+
+class TestFixedKeyHash:
+    """The batched hash against the scalar π(σ(x) ⊕ i) ⊕ σ(x), one AES
+    block call each, under the garbling and the OT key."""
+
+    @pytest.mark.parametrize("key", [b"privgraph-gc-key", b"privgraph-ot-key"])
+    def test_batched_equals_scalar(self, key):
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 256, size=(3, 40, 16), dtype=np.uint8)
+        tweaks = rng.integers(-(1 << 63), 1 << 63, size=40, dtype=np.int64)
+        blocks = crypto.FixedKeyHash.tweaks(tweaks)
+        got = crypto.FixedKeyHash(key)(rows.view(crypto.HALVES), blocks).view(np.uint8)
+        assert got.shape == rows.shape
+        for batch, row_batch in zip(got, rows):
+            for out, row, tweak in zip(batch, row_batch, tweaks.view(np.uint64).tolist()):
+                assert out.tobytes() == scalar_hash(key, row.tobytes(), tweak)
+
+    def test_equal_rows_at_different_indices_differ(self):
+        row = np.frombuffer(bytes(range(16)) * 4, dtype=crypto.HALVES).reshape(4, 2)
+        tweaks = crypto.FixedKeyHash.tweaks(np.arange(4))
+        pads = crypto.FixedKeyHash(b"privgraph-ot-key")(row, tweaks)
+        assert len({p.tobytes() for p in pads}) == 4
+
+    def test_keys_separate_the_uses(self):
+        row = np.zeros((1, 2), dtype=crypto.HALVES)
+        zero = crypto.FixedKeyHash.tweaks([0])
+        a = crypto.FixedKeyHash(b"privgraph-gc-key")(row, zero)
+        b = crypto.FixedKeyHash(b"privgraph-ot-key")(row, zero)
+        assert a.tobytes() != b.tobytes()

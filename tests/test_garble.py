@@ -22,6 +22,9 @@ from privgraph.garble import (
     select_labels,
 )
 from privgraph.sorting import _sort_circuit, build_merge_circuit
+from conftest import scalar_hash, xor
+
+GARBLE_KEY = b"privgraph-gc-key"
 
 
 def garbled_run(circuit, inputs):
@@ -150,18 +153,53 @@ class TestBlob:
                 GarbledCircuit.from_bytes(bad)
 
     def test_corrupted_table_changes_output(self):
+        # the evaluator reads T_G when its a label's permute bit is set and
+        # T_E when its b label's is: pick input bits that set both, and then
+        # corrupting either row alone changes the output label
         b = CircuitBuilder()
         x = b.input_bundle("x", 2)
         b.mark_outputs([b.and_(*x)])
         c = b.build()
         gc, label_map, delta = garble(c)
-        bits = np.array([[1, 1]], dtype=np.uint8)
-        labels = {"x": select_labels(label_map["x"], delta, bits)}
-        good = evaluate(c, gc, labels)
-        gc.tables = gc.tables.copy()
-        gc.tables[0] ^= 0xFF
-        bad = evaluate(c, gc, labels)
-        assert not np.array_equal(good, bad)
+        permute = label_map["x"][:, 15] & 1
+        reads_both = {"x": select_labels(label_map["x"], delta, permute ^ 1)}
+        reads_none = {"x": select_labels(label_map["x"], delta, permute)}
+        product = (permute[0] ^ 1) & (permute[1] ^ 1)
+        assert decode(gc, evaluate(c, gc, reads_both)).tolist() == [[product]]
+        good = [evaluate(c, gc, labels) for labels in (reads_both, reads_none)]
+        for half in (0, 1):  # T_G, T_E
+            bad = GarbledCircuit(gc.tables.copy(), gc.dec)
+            bad.tables[0, half] ^= 0xFF
+            assert not np.array_equal(evaluate(c, bad, reads_both), good[0])
+            assert np.array_equal(evaluate(c, bad, reads_none), good[1])
+
+    def test_tables_follow_the_half_gates_formulas(self):
+        # one AND gate's rows and output label against a scalar H built from
+        # one AES block call per hash, under the garbling key
+        b = CircuitBuilder()
+        x = b.input_bundle("x", 2)
+        b.mark_outputs([b.and_(*x)])
+        c = b.build()
+        gc, label_map, delta = garble(c)
+        zero_a, zero_b = (bytes(label) for label in label_map["x"])
+        d = bytes(delta)
+        pb = zero_b[15] & 1
+        h = lambda label, i: scalar_hash(GARBLE_KEY, label, i)  # noqa: E731
+        t_g = xor(h(zero_a, 0), h(xor(zero_a, d), 0), d if pb else bytes(16))
+        t_e = xor(h(zero_b, 1), h(xor(zero_b, d), 1), zero_a)
+        assert gc.tables[0].tobytes() == t_g + t_e
+        for bit_a in (0, 1):
+            for bit_b in (0, 1):
+                labels = {"x": select_labels(label_map["x"], delta, [bit_a, bit_b])}
+                out = evaluate(c, gc, labels)[0, 0].tobytes()
+                w_a = xor(zero_a, d) if bit_a else zero_a
+                w_b = xor(zero_b, d) if bit_b else zero_b
+                want = xor(
+                    h(w_a, 0), t_g if w_a[15] & 1 else bytes(16),
+                    h(w_b, 1), xor(t_e, w_a) if w_b[15] & 1 else bytes(16),
+                )
+                assert out == want
+                assert (out[15] & 1) ^ gc.dec[0] == bit_a & bit_b
 
 
 class TestStructure:
@@ -208,13 +246,13 @@ def shake_token(seed: bytes, size: int):
 
 class TestWireFormat:
     # SHA-256 of (tables, dec, label map, delta) from the same SHAKE-256
-    # stream: sorts and the merge (two runs of 3 and 2) as built since
-    # sentinels are wire crossings, not inputs
+    # stream: sorts and the merge (two runs of 3 and 2) under half-gates
+    # (two 16-byte rows an AND), with INV-free carry chains
     PINNED = {
-        ("sort", 1): "6c8fe500d108e9a3a87d9c0a22a880fdc24cdf5d622356ab0efb36f8eff2fd47",
-        ("sort", 3): "01df5425b24b4fba36c1eee1bb45463b229937932e54c67622dd1483c5d89ac7",
-        ("sort", 8): "28eef3b8649557d115e96389d9e018269f12ff1f0f90686000f013805ab2d7f6",
-        ("merge", 5): "eadaf0099e922fc5c888fefb69d29a39d5c2e55c6071ee56836f655bb5cd34e4",
+        ("sort", 1): "b1dcf24c84397da4ca62bba67e139114eb724b81a4a91134fc356bac5763da7a",
+        ("sort", 3): "0ba475735a398b988be342e376a9eca3831cdce5b75fec7811513530806351cb",
+        ("sort", 8): "38f18bf7c67a142e2753ffe4083bff92d14653a550eedf1fef51f93d0558c6b7",
+        ("merge", 5): "c01cdeb96ae3550cafd5a6adea06c60f74a703fef5a1a1ceb89a06b5017d2377",
     }
 
     @staticmethod
@@ -227,7 +265,7 @@ class TestWireFormat:
     def test_garbling_is_byte_identical(self, kind, k):
         circuit = self._circuit(kind, k)
         n_inputs = sum(len(w) for w in circuit.inputs.values())
-        size = 16 * (1 + n_inputs + circuit.and_count)
+        size = 16 * (1 + n_inputs)  # delta, then the input labels
         token = shake_token(b"wire-format-%s-%d" % (kind.encode(), k), size)
         gc, label_map, delta = garble(circuit, token)
         assert token.used() == size
@@ -240,7 +278,7 @@ class TestWireFormat:
         h.update(delta.tobytes())
         assert h.hexdigest() == self.PINNED[(kind, k)]
         n_out = len(circuit.outputs)
-        assert len(gc.to_bytes()) == 12 + 64 * gc.and_count + -(-n_out // 8)
+        assert len(gc.to_bytes()) == 12 + 32 * gc.and_count + -(-n_out // 8)
 
 
 class TestSchedule:

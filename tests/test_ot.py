@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+from conftest import scalar_hash
 from privgraph import ot as ot_mod
 from privgraph.crypto import GroupContext
 from privgraph.ot import (
@@ -391,6 +392,18 @@ class TestVectorised:
                 assert row.tobytes() == _ctr_stream(seed, n, block)
         near_wrap = (1 << 64) - 2  # the counter carries out of its low 64 bits
         assert cached.expand(64, near_wrap)[0].tobytes() == _ctr_stream(seeds[0], 64, near_wrap)
+
+    @pytest.mark.parametrize("block", [0, 5, ot_mod._MAX_BLOCK - 1])
+    def test_row_pads_equal_the_scalar_hash(self, block):
+        # row j of an extension from block b is hashed under 128 * b + j,
+        # also where that index passes 2^63
+        rows = np.random.default_rng(block % 97).integers(0, 256, size=(33, 16), dtype=np.uint8)
+        pads = ot_mod._hash_rows(rows, block)
+        for j, (pad, row) in enumerate(zip(pads, rows)):
+            want = scalar_hash(b"privgraph-ot-key", row.tobytes(), 128 * block + j)
+            assert pad.tobytes() == want
+        same = ot_mod._hash_rows(np.repeat(rows[:1], 33, axis=0), block)
+        assert len({pad.tobytes() for pad in same}) == 33
 
     def test_correlated_and_message_formulas(self, monkeypatch):
         rng = np.random.default_rng(8)

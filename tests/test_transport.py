@@ -268,8 +268,8 @@ class TestTcp:
     def test_largest_circuit_blob_fits_under_cap(self):
         # closed-form AND counts (see test_comparator_law_in_and_count):
         # local sort = adders k*(31-1) + comparators*(31 + 31 + payload),
-        # merge = kept comparators*(31 + 31 + payload); 64 table bytes per
-        # AND; both sorts number their payloads densely over 0..k-1 in
+        # merge = kept comparators*(31 + 31 + payload); 32 half-gates bytes
+        # per AND; both sorts number their payloads densely over 0..k-1 in
         # k.bit_length() bits. MAX_SORT_K is a power of two, so the local
         # sort has no sentinel; the costliest merge trees a search over
         # equal-length, random and hill-climbed runs found are 1,024 runs
@@ -279,10 +279,12 @@ class TestTcp:
         per_comparator = 2 * SCORE_BITS + pw
         local = k * (SCORE_BITS - 1) + comparator_count(k) * per_comparator
         merges = [merge_tree_comparators((1,) * k), merge_tree_comparators((3,) * 341 + (1,))]
-        frames = [HEADER_LEN + 12 + 64 * local + -(-k * (SCORE_BITS + pw) // 8)]
-        frames += [HEADER_LEN + 12 + 64 * c * per_comparator + -(-k * pw // 8) for c in merges]
-        # a power-of-two cap with room for the circuits to grow
-        assert max(frames) <= MAX_FRAME_BYTES < 4 * max(frames)
+        frames = [HEADER_LEN + 12 + 32 * local + -(-k * (SCORE_BITS + pw) // 8)]
+        frames += [HEADER_LEN + 12 + 32 * c * per_comparator + -(-k * pw // 8) for c in merges]
+        # a power-of-two cap with room for the circuits to grow: the cap
+        # stayed at 2^28 when half-gates halved the tables, so the room is
+        # one power of two more than the 4-row tables left
+        assert max(frames) <= MAX_FRAME_BYTES < 8 * max(frames)
 
 
 class TestTranscriptFile:
