@@ -9,17 +9,21 @@ A network of 2^m lines sorts any k <= 2^m elements: the other lines hold
 sentinels that sort below every element. Where a sentinel sits is a
 function of k alone, so a comparator it enters is a fixed wire crossing
 (the element to the max side) with no gates, and a sentinel is no input.
-A network is stamped from two small templates, the share adder and the
-comparator, a layer of copies at a time (CircuitBuilder.stamp), so
-building one costs numpy work per layer, not Python work per gate.
+A network is stamped from small templates, a layer of copies at a time
+(CircuitBuilder.stamp): the comparator, and for the local sort's first
+layer two share adders with their comparator, so building one costs numpy
+work per layer, not Python work per gate.
 
-Gate list is topologically ordered by construction. XOR and INV are free
-under the garbling scheme; each AND gate costs a 32-byte half-gates table,
-and garbling and evaluation take one vectorised step per level and op. A
-level runs its XORs, then its ANDs, then its INVs, so a gate may share a
-level with an input made in an earlier phase. Both carry chains, the
-adder's and the comparator's, are written so that each bit's AND inputs
-are one XOR away from the previous bit's AND: one level per bit.
+Gate list is topologically ordered by construction. XOR is free under
+the garbling scheme; each AND gate costs a 32-byte half-gates table, and
+garbling and evaluation take one vectorised step per level and op. A
+level runs its XORs, then its ANDs, so an AND may share a level with an
+input made by an XOR. Both carry chains, the adder's and the comparator's,
+are written so that each bit's AND inputs are one XOR away from the
+previous bit's AND: one level per bit. Within a template each gate takes
+its own level, so in the local sort's first layer the comparator's carry
+chain runs in lockstep with the adders', a few levels behind, instead of
+waiting for their last sum bit (28 levels fewer in every sort of k >= 2).
 """
 
 from __future__ import annotations
@@ -48,13 +52,13 @@ __all__ = [
 SCORE_BITS = 31
 MAX_SORT_K = 1024
 
-XOR, AND, INV = 0, 1, 2
+XOR, AND = 0, 1
 
 
 @dataclass(eq=False)
 class Circuit:
     n_wires: int
-    gates: np.ndarray  # read-only int32 rows (op, a, b, out); b == -1 for INV
+    gates: np.ndarray  # read-only int32 rows (op, a, b, out)
     inputs: dict  # bundle name -> list of wire ids
     outputs: list  # output wire ids in decode order
     levels: np.ndarray  # read-only int32 level of each gate (see CircuitBuilder)
@@ -70,11 +74,11 @@ class Circuit:
 
 
 def _stage_after(op: int, stage: int) -> int:
-    """The first stage of op after stage: a gate's stage is 3 * (level - 1)
-    + op, so a level runs its XORs, then its ANDs, then its INVs, and a
-    gate shares a level with an input made in an earlier phase. Circuit
-    inputs are at stage -1, before level 1."""
-    return stage + 1 + (op - stage - 1) % 3
+    """The first stage of op after stage: a gate's stage is 2 * (level - 1)
+    + op, so a level runs its XORs, then its ANDs, and an AND shares a
+    level with an XOR input. Circuit inputs are at stage -1, before level
+    1."""
+    return stage + 1 + (op - stage - 1) % 2
 
 
 class CircuitBuilder:
@@ -99,8 +103,7 @@ class CircuitBuilder:
         return wires
 
     def _gate(self, op: int, a: int, b: int) -> int:
-        stage = max(self._stage[a], self._stage[b] if b >= 0 else -1)
-        self._stage.append(_stage_after(op, stage))
+        self._stage.append(_stage_after(op, max(self._stage[a], self._stage[b])))
         out = len(self._stage) - 1
         self._gates.extend((op, a, b, out))
         return out
@@ -110,9 +113,6 @@ class CircuitBuilder:
 
     def and_(self, a: int, b: int) -> int:
         return self._gate(AND, a, b)
-
-    def inv(self, a: int) -> int:
-        return self._gate(INV, a, -1)
 
     def _stages_of(self, wires: np.ndarray) -> np.ndarray:
         return np.frombuffer(self._stage, dtype=np.int32)[wires]
@@ -127,14 +127,13 @@ class CircuitBuilder:
         if wires.ndim != 2 or wires.shape[1] != template.n_wires - len(template.gates):
             raise ValueError("each row must feed every template input")
         # the stages of a template whose inputs come at level l and phase p
-        # are those of inputs at level 0 and phase p, 3 * l later
-        level, phase = np.divmod(self._stages_of(wires).max(axis=1, initial=-1) + 3, 3)
-        stages = _template_stages(template)[phase] + 3 * level[:, None]
+        # are those of inputs at level 0 and phase p, 2 * l later
+        level, phase = np.divmod(self._stages_of(wires).max(axis=1, initial=-1) + 2, 2)
+        stages = _template_stages(template)[phase] + 2 * level[:, None]
         own = len(self._stage) + np.arange(len(wires) * len(template.gates))
         wire_of = np.concatenate([wires, own.reshape(len(wires), -1)], axis=1)
         op, a, b, out = template.gates.T.astype(np.int64)
-        b_of = np.where(b >= 0, wire_of[:, b], -1)  # -1 stays INV's no-input
-        rows = np.stack(np.broadcast_arrays(op, wire_of[:, a], b_of, wire_of[:, out]), axis=2)
+        rows = np.stack(np.broadcast_arrays(op, wire_of[:, a], wire_of[:, b], wire_of[:, out]), axis=2)
         self._gates.frombytes(rows.astype(np.int32).tobytes())
         self._stage.frombytes(stages.astype(np.int32).tobytes())
         return wire_of[:, template.outputs]
@@ -159,7 +158,7 @@ class CircuitBuilder:
     def less_than(self, a_bits: list[int], b_bits: list[int]) -> int:
         """Unsigned a < b, as c = [b > a] over ever more low bits: c' =
         b XOR ((b XOR c) AND (a XOR c)) is b where the bits differ and c
-        where they agree. One AND per bit and no INV: with c = b' XOR d, d
+        where they agree. One AND per bit: with c = b' XOR d, d
         the previous bit's AND and b' its b bit, the AND inputs are
         (b XOR b') XOR d and (a XOR b') XOR d, one XOR from the previous
         AND."""
@@ -181,7 +180,7 @@ class CircuitBuilder:
             lo.append(self.xor(b, d))
         return hi, lo
 
-    def bitonic_sort(self, elems: list, merge: bool = False) -> list:
+    def bitonic_sort(self, elems: list, merge: bool = False, first=None) -> list:
         """Descending bitonic sorting network over elements, each a row of
         wires: SCORE_BITS score bits, then payload bits that move with the
         score. An element may be None, a sentinel below every score: a
@@ -192,13 +191,19 @@ class CircuitBuilder:
         than run ahead, so a pruned sort has no AND level that its full
         network lacks. With merge, the elements must already form a
         bitonic sequence (say one descending run, then an ascending one),
-        and only the final merge stage is built. Returns the real elements
-        in network output order, and raises unless every sentinel ends
-        after them."""
+        and only the final merge stage is built. With first, a pair of
+        templates (make, make_and_compare), elems are rows of wires that
+        make turns into elements: the first layer stamps make_and_compare
+        over each comparator's two rows, so that the comparator runs in
+        lockstep with the making of its elements, and make alone over each
+        row that no comparator of the layer takes. Returns the real
+        elements in network output order, and raises unless every sentinel
+        ends after them."""
         elems = list(elems)
         schedule = bitonic_schedule(len(elems), merge)
         step = max(len(elems) // 2, 1)  # comparators a layer
-        for layer in range(0, len(schedule), step):
+        # a one-line network has no layer, yet still makes its element
+        for layer in range(0, len(schedule) or 1, step):
             pairs = []
             for i, l, descending_here in schedule[layer : layer + step]:
                 hi, lo = (i, l) if descending_here else (l, i)  # the larger to hi
@@ -206,22 +211,37 @@ class CircuitBuilder:
                     elems[hi], elems[lo] = elems[lo], None
                 elif elems[lo] is not None:
                     pairs.append((hi, lo))
-            if pairs:
-                width = len(elems[pairs[0][0]])
-                ins = [np.concatenate([elems[hi], elems[lo]]) for hi, lo in pairs]
-                for (hi, lo), out in zip(pairs, self.stamp(_comparator(width), ins)):
-                    elems[hi], elems[lo] = out[:width], out[width:]
+            if first is not None:
+                make, make_and_compare = first
+                paired = {line for pair in pairs for line in pair}
+                alone = [(line,) for line, row in enumerate(elems)
+                         if row is not None and line not in paired]
+                self._stamp_lines(elems, alone, make)
+                self._stamp_lines(elems, pairs, make_and_compare)
+                first = None
+            elif pairs:
+                self._stamp_lines(elems, pairs, _comparator(len(elems[pairs[0][0]])))
         k = len(elems) - sum(e is None for e in elems)
         if any(e is None for e in elems[:k]):
             raise ValueError("a sentinel ends among the sorted elements")
         return elems[:k]
+
+    def _stamp_lines(self, elems: list, groups: list, template: Circuit) -> None:
+        """One copy of template per group of lines, fed the wires of its
+        lines in order; its outputs, split evenly, become those lines."""
+        if groups:
+            rows = [np.concatenate([elems[line] for line in group]) for group in groups]
+            width = len(template.outputs) // len(groups[0])
+            for group, out in zip(groups, self.stamp(template, rows)):
+                for i, line in enumerate(group):
+                    elems[line] = out[i * width : (i + 1) * width]
 
     def mark_outputs(self, wires: list[int]) -> None:
         self.outputs.extend(wires)
 
     def build(self) -> Circuit:
         gates = np.array(self._gates, dtype=np.int32).reshape(-1, 4)
-        levels = self._stages_of(gates[:, 3]) // 3 + 1
+        levels = self._stages_of(gates[:, 3]) // 2 + 1
         for arr in (gates, levels):
             arr.setflags(write=False)
         return Circuit(len(self._stage), gates, self.inputs, self.outputs, levels)
@@ -245,33 +265,51 @@ def _template_stages(template: Circuit) -> np.ndarray:
     stages = _phase_stages.get(template)
     if stages is None:
         n_in = template.n_wires - len(template.gates)
-        stages = np.empty((3, len(template.gates)), dtype=np.int64)
-        for p in range(3):
-            stage = [p - 3] * template.n_wires
+        stages = np.empty((2, len(template.gates)), dtype=np.int64)
+        for p in range(2):
+            stage = [p - 2] * template.n_wires
             for op, a, b, out in template.iter_gates():
-                stage[out] = _stage_after(op, max(stage[a], stage[b] if b >= 0 else p - 3))
+                stage[out] = _stage_after(op, max(stage[a], stage[b]))
             stages[p] = stage[n_in:]
         _phase_stages[template] = stages
     return stages
 
 
-# score reconstruction: the sum of a garbler and an evaluator share
-_ADDER = _template(2 * SCORE_BITS, lambda b, x: b.add_mod(x[:SCORE_BITS], x[SCORE_BITS:]))
-_comparators: dict[int, Circuit] = {}  # by element width; a racing miss stores an equal one
+_templates: dict = {}  # by (kind, width); a racing miss stores an equal one
+
+
+def _exchange(b: CircuitBuilder, hi: list, lo: list) -> list:
+    """Two elements, score first; the one with the larger score out first.
+    Ties keep their order."""
+    hi, lo = b.cond_swap(b.less_than(hi[:SCORE_BITS], lo[:SCORE_BITS]), hi, lo)
+    return hi + lo
 
 
 def _comparator(width: int) -> Circuit:
-    """Two elements of width bits in, score first; the one with the larger
-    score out first. Ties keep their order."""
-    def body(b, x):
-        hi, lo = b.cond_swap(
-            b.less_than(x[:SCORE_BITS], x[width : width + SCORE_BITS]), x[:width], x[width:]
-        )
-        return hi + lo
+    """Two elements of width bits in, exchanged (_exchange)."""
+    key = ("comparator", width)
+    if key not in _templates:
+        _templates[key] = _template(2 * width, lambda b, x: _exchange(b, x[:width], x[width:]))
+    return _templates[key]
 
-    if width not in _comparators:
-        _comparators[width] = _template(2 * width, body)
-    return _comparators[width]
+
+def _entry(b: CircuitBuilder, row: list) -> list:
+    """A local-sort element from its row (garbler share, evaluator share,
+    payload): the score is the sum of the two shares."""
+    return b.add_mod(row[:SCORE_BITS], row[SCORE_BITS : 2 * SCORE_BITS]) + row[2 * SCORE_BITS :]
+
+
+def _entry_templates(payload_width: int) -> tuple[Circuit, Circuit]:
+    """The local sort's first-layer templates (CircuitBuilder.bitonic_sort):
+    one entry made from its row, and two made and exchanged at once."""
+    key = ("entries", payload_width)
+    if key not in _templates:
+        n = 2 * SCORE_BITS + payload_width
+        _templates[key] = (
+            _template(n, _entry),
+            _template(2 * n, lambda b, x: _exchange(b, _entry(b, x[:n]), _entry(b, x[n:]))),
+        )
+    return _templates[key]
 
 
 def bitonic_schedule(n: int, merge: bool = False) -> list[tuple[int, int, bool]]:
@@ -354,9 +392,8 @@ def build_sort_circuit(k: int) -> SortCircuit:
     g_shares = np.reshape(b.input_bundle("garbler_shares", k * SCORE_BITS), (k, -1))
     e_shares = np.reshape(b.input_bundle("evaluator_shares", k * SCORE_BITS), (k, -1))
     payloads = np.reshape(b.input_bundle("payloads", k * pw), (k, -1))
-    scores = b.stamp(_ADDER, np.concatenate([g_shares, e_shares], axis=1))
-    elems = list(np.concatenate([scores, payloads], axis=1))
-    for elem in b.bitonic_sort(elems + [None] * (n - k)):
+    rows = list(np.concatenate([g_shares, e_shares, payloads], axis=1))
+    for elem in b.bitonic_sort(rows + [None] * (n - k), first=_entry_templates(pw)):
         b.mark_outputs(elem.tolist())
     return SortCircuit(b.build(), k)
 
@@ -386,8 +423,6 @@ def simulate(circuit: Circuit, inputs: dict[str, np.ndarray]) -> np.ndarray:
     for op, a, bb, out in circuit.iter_gates():
         if op == XOR:
             wires[out] = wires[a] ^ wires[bb]
-        elif op == AND:
-            wires[out] = wires[a] & wires[bb]
         else:
-            wires[out] = ~wires[a]
+            wires[out] = wires[a] & wires[bb]
     return np.stack([wires[w] for w in circuit.outputs], axis=1)

@@ -85,15 +85,32 @@ class FixedKeyHash:
         blocks[..., 0] = indices
         return blocks
 
+    @staticmethod
+    def sigma(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = σ(x) for blocks x (..., 2) HALVES; out must not overlap x."""
+        np.bitwise_xor(x[..., 0], x[..., 1], out=out[..., 0])
+        out[..., 1] = x[..., 0]
+        return out
+
+    def pi(self, blocks: np.ndarray) -> np.ndarray:
+        """π of every block of the C-contiguous (..., 2) HALVES blocks, in
+        one AES-ECB call."""
+        out = self._enc.update(blocks.view(np.uint8))
+        return np.frombuffer(out, dtype=HALVES).reshape(blocks.shape)
+
+    def pi_into(self, blocks, out) -> None:
+        """π of every 16-byte block of the bytes-like blocks, in one AES-ECB
+        call, written to the front of the writable bytes-like out, which
+        must be 15 bytes longer than blocks: for callers that fold σ and
+        the tweak into their own algebra (garble.py)."""
+        self._enc.update_into(blocks, out)
+
     def __call__(self, x: np.ndarray, tweaks: np.ndarray) -> np.ndarray:
         """x: blocks as (..., 2) HALVES; tweaks: 128-bit blocks (made by
         tweaks()) that broadcast against x. Returns H of every block under
         its tweak, as (..., 2) HALVES."""
-        s = np.empty(x.shape, dtype=HALVES)
-        np.bitwise_xor(x[..., 0], x[..., 1], out=s[..., 0])
-        s[..., 1] = x[..., 0]
-        t = s ^ tweaks
-        return np.frombuffer(self._enc.update(t.view(np.uint8)), dtype=HALVES).reshape(x.shape) ^ s
+        s = self.sigma(x, np.empty(x.shape, dtype=HALVES))
+        return self.pi(s ^ tweaks) ^ s
 
 
 class TermError(ValueError):

@@ -311,10 +311,6 @@ def _base_recv(ctx: GroupContext, channel: Channel, session: int, bits, first: b
     return out
 
 
-def _rows16(msgs: list[bytes]) -> np.ndarray:
-    return np.frombuffer(b"".join(msgs), dtype=np.uint8).reshape(-1, 16)
-
-
 class OTSender:
     """Extension sender of one session: derives pad pairs for each
     transfer, on a state of the pair that the counterpart set up in this
@@ -359,12 +355,13 @@ class OTSender:
         rows = _transpose(q_mat, m)
         return _hash_rows(rows, block), _hash_rows(rows ^ state.s_bytes, block)
 
-    def send_messages(self, msgs0: list[bytes], msgs1: list[bytes]) -> None:
-        """Transfer arbitrary 16-byte message pairs (wire labels)."""
+    def send_messages(self, msgs0: np.ndarray, msgs1: np.ndarray) -> None:
+        """Transfer 16-byte message pairs (wire labels): row i of the (m,
+        16) uint8 arrays msgs0 and msgs1 is transfer i's pair."""
         pads0, pads1 = self.pads(len(msgs0))
         out = np.empty((len(msgs0), 2, 16), dtype=np.uint8)
-        out[:, 0] = _rows16(msgs0) ^ pads0
-        out[:, 1] = _rows16(msgs1) ^ pads1
+        np.bitwise_xor(msgs0, pads0, out=out[:, 0])
+        np.bitwise_xor(msgs1, pads1, out=out[:, 1])
         self.channel.send(Frame(MSG["OT_PAYLOAD"], self.session, out.tobytes()))
 
     def send_correlated(self, deltas: list[int]) -> list[int]:
@@ -426,12 +423,13 @@ class OTReceiver:
             self.pair._drop(self._state)
             raise
 
-    def recv_messages(self, bits: list[int]) -> list[bytes]:
+    def recv_messages(self, bits: list[int]) -> np.ndarray:
+        """The message each bit chooses, as the rows of an (m, 16) uint8
+        array."""
         m = len(bits)
         pads, cts = self._extend(bits, 2 * 16 * m)
         pairs = np.frombuffer(cts, dtype=np.uint8).reshape(m, 2, 16)
-        chosen = pairs[np.arange(m), np.asarray(bits, dtype=np.intp)] ^ pads
-        return [row.tobytes() for row in chosen]
+        return pairs[np.arange(m), np.asarray(bits, dtype=np.intp)] ^ pads
 
     def recv_correlated(self, bits: list[int]) -> list[int]:
         pads, corr = self._extend(bits, 4 * len(bits))

@@ -26,11 +26,13 @@ did not.
 Both sorts run one session, written once as _garble_session and
 _evaluate_session. Its SORT_INIT carries only the sort's per-shard counts,
 which both halves already hold, and each half works the sort's shape out
-of them by one rule, _layout. The garbler sends all its input bundles in
-one GARBLER_LABELS frame (_LOCAL_LABELS, _MERGE_LABELS); the evaluator
-takes its own labels by OT, the garbler as extension sender: each sort
-function's ot is the pair's OTPair, whose base OT an earlier session may
-already have run.
+of them by one rule, _layout. The garbler sends the labels of its input
+bundles in one GARBLER_LABELS frame (_LOCAL_LABELS, _MERGE_LABELS); the
+evaluator takes its own labels by OT, the garbler as extension sender:
+each sort function's ot is the pair's OTPair, whose base OT an earlier
+session may already have run. A bundle that no gate reads and no output
+names, such as the scores and masks of a single run's merge, sends no
+labels either way.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .circuits import (
     padded_size,
 )
 from .crypto import SHARE_MODULUS
-from .garble import GarbledCircuit, decode, evaluate, garble, select_labels
+from .garble import GarbledCircuit, decode, evaluate, garble, level_schedule, select_labels
 from .ot import OTPair, OTReceiver, OTSender
 from .transport import MSG, Channel, Frame, TransportError
 
@@ -127,13 +129,17 @@ def _merge_network(counts: tuple[int, ...]) -> SortCircuit:
     to single runs; a node lays its runs of a and b entries out in width m
     = padded_size(a + b) as the left run, m - a - b sentinels, then the
     right run reversed, a bitonic sequence that one merge stage sorts.
-    Outputs the payload bits of the merged entries."""
+    Outputs the payload bits of the merged entries. A single run is
+    already merged: its circuit reads no score and no mask."""
     t = sum(counts)
     pw = t.bit_length()
     b = CircuitBuilder()
     masked = b.input_bundle("masked_scores", t * SCORE_BITS)
     masks = b.input_bundle("masks", t * SCORE_BITS)
     payloads = np.reshape(b.input_bundle("payloads", t * pw), (t, -1))
+    if len(counts) == 1:
+        b.mark_outputs(payloads.ravel().tolist())
+        return SortCircuit(b.build(), t)
     scores = np.reshape([b.xor(x, r) for x, r in zip(masked, masks)], (t, -1))
     entries = iter(np.concatenate([scores, payloads], axis=1))
 
@@ -187,28 +193,34 @@ def _bits(values, width: int) -> list[int]:
 def _garble_session(channel, session, counts, sc, bundles, bits, ot, flips=0) -> None:
     """Garbler half of a sort: the SORT_INIT counts, the circuit with flips
     XORed into its decode bits, the labels of the garbler's bits (bundle ->
-    bits) in bundles' order, the evaluator's bundle by OT as sender on ot."""
+    bits) in bundles' order, the evaluator's bundle by OT as sender on ot;
+    each only if the circuit reads it."""
     channel.send(Frame(MSG["SORT_INIT"], session, encode_sort_init(counts)))
     gc, label_map, delta = garble(sc.circuit)
     gc.dec ^= np.asarray(flips, dtype=np.uint8)
     channel.send(Frame(MSG["CIRCUIT_BLOB"], session, gc.to_bytes()))
-    labels = [select_labels(label_map[b], delta, bits[b]).tobytes() for b in bundles]
+    sched = level_schedule(sc.circuit)
+    labels = [select_labels(label_map[b], delta, bits[b]).tobytes()
+              for b in bundles if sched.reads(b)]
     channel.send(Frame(MSG["GARBLER_LABELS"], session, b"".join(labels)))
     (own,) = label_map.keys() - bits.keys()  # the evaluator's bundle
-    zero = label_map[own]
-    sender = OTSender(ot, channel, session)
-    sender.send_messages([bytes(z) for z in zero], [bytes(o) for o in zero ^ delta])
+    if sched.reads(own):
+        zero = label_map[own]
+        OTSender(ot, channel, session).send_messages(zero, zero ^ delta)
 
 
 def _evaluate_session(channel, session, counts, sc, bundles, own_bits, ot) -> np.ndarray:
     """Evaluator half of a sort: checks the SORT_INIT counts against its
-    own, reads the circuit and the garbler's labels, takes the labels of
-    own_bits by OT as extension receiver on ot, evaluates and returns the
-    decoded output bits."""
+    own, reads the circuit and the garbler's labels of the bundles the
+    circuit reads, takes the labels of own_bits by OT as extension receiver
+    on ot if the circuit reads them, evaluates and returns the decoded
+    output bits."""
     if decode_sort_init(channel.expect("SORT_INIT").payload) != counts:
         raise SortError("the garbler's SORT_INIT counts differ from this party's")
     gc = GarbledCircuit.from_bytes(channel.expect("CIRCUIT_BLOB").payload)
-    inputs = sc.circuit.inputs
+    sched, inputs = level_schedule(sc.circuit), sc.circuit.inputs
+    (own,) = inputs.keys() - set(bundles)
+    bundles = [b for b in bundles if sched.reads(b)]
     sizes = [len(inputs[b]) for b in bundles]
     payload = channel.expect("GARBLER_LABELS").payload
     if len(payload) != 16 * sum(sizes):
@@ -217,9 +229,8 @@ def _evaluate_session(channel, session, counts, sc, bundles, own_bits, ot) -> np
         )
     rows = np.frombuffer(payload, dtype=np.uint8).reshape(1, -1, 16)
     labels = dict(zip(bundles, np.split(rows, np.cumsum(sizes)[:-1], axis=1)))
-    (own,) = inputs.keys() - labels.keys()
-    received = b"".join(OTReceiver(ot, channel, session).recv_messages(own_bits))
-    labels[own] = np.frombuffer(received, dtype=np.uint8).reshape(1, -1, 16)
+    if sched.reads(own):
+        labels[own] = OTReceiver(ot, channel, session).recv_messages(own_bits)[None]
     return decode(gc, evaluate(sc.circuit, gc, labels))[0]
 
 

@@ -22,16 +22,15 @@ def run_single(circuit, **inputs):
 
 
 class TestBuilder:
-    def test_xor_and_inv(self):
+    def test_xor_and(self):
         b = CircuitBuilder()
         x = b.input_bundle("x", 2)
-        b.mark_outputs([b.xor(*x), b.and_(*x), b.inv(x[0])])
+        b.mark_outputs([b.xor(*x), b.and_(*x)])
         c = b.build()
         for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
             out = run_single(c, x=bits)
             assert out[0] == bits[0] ^ bits[1]
             assert out[1] == (bits[0] & bits[1])
-            assert out[2] == (not bits[0])
 
     def test_and_count(self):
         b = CircuitBuilder()
@@ -62,11 +61,11 @@ class TestStamp:
         # whose input 1 comes from a gate it waits for that gate
         template = CircuitBuilder()
         x = template.input_bundle("x", 2)
-        template.mark_outputs([template.and_(template.inv(x[0]), x[1])])
+        template.mark_outputs([template.and_(template.xor(x[0], x[0]), x[1])])
         b = CircuitBuilder()
         x = b.input_bundle("x", 4)
-        b.stamp(template.build(), [[x[0], x[1]], [x[2], b.inv(x[3])]])
-        assert b.build().levels.tolist() == [1, 1, 2, 2, 3]
+        b.stamp(template.build(), [[x[0], x[1]], [x[2], b.and_(x[2], x[3])]])
+        assert b.build().levels.tolist() == [1, 1, 1, 2, 2]
 
     def test_rows_must_feed_every_input(self):
         template = CircuitBuilder()
@@ -236,28 +235,41 @@ class TestLevels:
         assert self.and_levels(build_merge_circuit((3, 7)).circuit) == full
 
     def test_each_gate_above_its_inputs(self):
-        # a level runs its XORs, then its ANDs, then its INVs, so a gate
-        # must come after each input in (level, op) order; inputs come first
+        # a level runs its XORs, then its ANDs, so a gate must come after
+        # each input in (level, op) order; inputs come first
         for c in (build_sort_circuit(7).circuit, build_sort_circuit(13).circuit):
             wire_stage = np.full(c.n_wires, -1, dtype=np.int64)
-            stage = (c.levels.astype(np.int64) - 1) * 3 + c.gates[:, 0]
+            stage = (c.levels.astype(np.int64) - 1) * 2 + c.gates[:, 0]
             wire_stage[c.gates[:, 3]] = stage
-            a, b = c.gates[:, 1], c.gates[:, 2]
-            assert (stage > wire_stage[a]).all()
-            assert (stage[b >= 0] > wire_stage[b[b >= 0]]).all()
+            assert (stage > wire_stage[c.gates[:, 1]]).all()
+            assert (stage > wire_stage[c.gates[:, 2]]).all()
             assert c.levels.dtype == np.int32 and c.levels.min() == 1
 
     @pytest.mark.parametrize(
         "kind,shape,levels,and_levels",
-        [("sort", 8, 229, 222), ("sort", 13, 361, 350), ("merge", (8, 8), 133, 128)],
+        [("sort", 8, 201, 195), ("sort", 13, 333, 323), ("merge", (8, 8), 133, 128),
+         ("sort", 2, 36, 35)],
     )
     def test_one_level_per_and_layer(self, kind, shape, levels, and_levels):
         # each carry bit's AND inputs are one XOR from the previous AND, and
-        # that XOR shares the next AND's level, so almost every level has ANDs
+        # that XOR shares the next AND's level, so almost every level has
+        # ANDs; a local sort's first comparators run in lockstep with its
+        # share adders, 28 levels fewer than after them (sort 2: 64 -> 36)
         from privgraph.sorting import build_merge_circuit
 
         c = (build_sort_circuit(shape) if kind == "sort" else build_merge_circuit(shape)).circuit
         assert (int(c.levels.max()), self.and_levels(c)) == (levels, and_levels)
+
+
+class TestAndCounts:
+    # build_sort_circuit(k).and_count for k = 1..20 before the first layer
+    # ran its comparators in lockstep with the share adders: that change
+    # moves gates between levels, never adds or removes one
+    PINNED = [30, 124, 282, 510, 865, 1155, 1380, 1824, 2712, 3072, 3366, 3924, 4152,
+              4644, 5070, 5840, 8081, 8513, 8878, 9578]
+
+    def test_sort_and_counts_unchanged(self):
+        assert [build_sort_circuit(k).and_count for k in range(1, 21)] == self.PINNED
 
 
 class TestBitonicBuilder:
@@ -265,12 +277,13 @@ class TestBitonicBuilder:
     # sorts and merges (k entries in two runs of k - k // 2 and k // 2) as
     # built since sentinels are wire crossings, not inputs, and an ascending
     # comparator is the one template with its operands exchanged, with the
-    # INV-free carry chains of add_mod and less_than
+    # INV-free carry chains of add_mod and less_than; a local sort's first
+    # layer stamps each pair's two adders and comparator as one template
     PINNED = {
         ("sort", 1): "6a711a61b6c3363032d25d6a13dfea2b835d3c51a101dbd73b7ec9b5eca6efb4",
-        ("sort", 3): "fe717da501760c42c8deaec979fca1578da5dd074ef9f52f44bd192030ce004e",
-        ("sort", 8): "69ed1cce714aab82cc565518093f4ca57c45c565a191dfad39e60cd20b7b22a5",
-        ("sort", 13): "bd79fbdf382374759e7de5db9ae524590419d319739bd1de0774fdec3e2d9d86",
+        ("sort", 3): "7c0553fa0fdd7784531795d7439dc9aae34ec9b411f5ccf51e6e07ba2fae9d96",
+        ("sort", 8): "d06915fec32b5f0c580417ec4f14b6c598540c7144edc3f276fbf08f9b1383b2",
+        ("sort", 13): "9d535447584b3d5ac79d86239750675ee495e628da16cf9d7dfe93675d7ae5fd",
         ("merge", 2): "42ff1ce58a189fcf8d00e47751634d6d71731749a8e284fac8416ac968c2f0aa",
         ("merge", 5): "32ca27151b541088649c7d7561b85744e0835c67a4d60064dd8fbc3c67eec439",
         ("merge", 12): "8c81b0cb11cdf35385c3da0c3d97d429da8344f091136f3574c6d544f55f50c6",

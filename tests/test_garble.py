@@ -57,14 +57,6 @@ class TestSingleGates:
         bits = np.array([[0, 1], [1, 1]], dtype=np.uint8)
         assert garbled_run(c, {"x": bits})[:, 0].tolist() == [1, 0]
 
-    def test_inv_free(self):
-        b = CircuitBuilder()
-        x = b.input_bundle("x", 1)
-        b.mark_outputs([b.inv(x[0])])
-        c = b.build()
-        bits = np.array([[0], [1]], dtype=np.uint8)
-        assert garbled_run(c, {"x": bits})[:, 0].tolist() == [1, 0]
-
 
 class TestAgainstSimulator:
     def test_adder_circuit(self):
@@ -99,9 +91,8 @@ class TestAgainstSimulator:
         b = CircuitBuilder()
         wires = b.input_bundle("x", 6) + b.input_bundle("y", 3)
         for _ in range(300):
-            op = rng.integers(0, 3)
             i, j = (int(w) for w in rng.choice(wires[-40:], size=2))
-            wires.append(b.xor(i, j) if op == 0 else b.and_(i, j) if op == 1 else b.inv(i))
+            wires.append(b.xor(i, j) if rng.integers(0, 2) else b.and_(i, j))
         b.mark_outputs([int(w) for w in rng.choice(wires, size=25)] + [wires[0], wires[-1]])
         c = b.build()
         inputs = {
@@ -220,7 +211,7 @@ class TestStructure:
     def test_labels_differ_by_delta(self):
         b = CircuitBuilder()
         x = b.input_bundle("x", 1)
-        b.mark_outputs([b.inv(x[0])])
+        b.mark_outputs(x)
         gc, label_map, delta = garble(b.build())
         zero = label_map["x"][0]
         one = select_labels(label_map["x"], delta, np.array([[1]], dtype=np.uint8))[0, 0]
@@ -247,11 +238,12 @@ def shake_token(seed: bytes, size: int):
 class TestWireFormat:
     # SHA-256 of (tables, dec, label map, delta) from the same SHAKE-256
     # stream: sorts and the merge (two runs of 3 and 2) under half-gates
-    # (two 16-byte rows an AND), with INV-free carry chains
+    # (two 16-byte rows an AND), with INV-free carry chains, in the gate
+    # order of a first layer stamped as adders and comparator at once
     PINNED = {
         ("sort", 1): "b1dcf24c84397da4ca62bba67e139114eb724b81a4a91134fc356bac5763da7a",
-        ("sort", 3): "0ba475735a398b988be342e376a9eca3831cdce5b75fec7811513530806351cb",
-        ("sort", 8): "38f18bf7c67a142e2753ffe4083bff92d14653a550eedf1fef51f93d0558c6b7",
+        ("sort", 3): "6214f474cc95c37cce030c8e7d070bed33eedbc95d2beec2869db909326402a9",
+        ("sort", 8): "72d64537dd1e80e9e3f23a560f9d2f2ca105f427f5e9843e8118124e4c9d4266",
         ("merge", 5): "c01cdeb96ae3550cafd5a6adea06c60f74a703fef5a1a1ceb89a06b5017d2377",
     }
 

@@ -84,34 +84,35 @@ def run_pair(sender_fn, receiver_fn, tampered=None, pairs=None, transcript=None)
 class TestMessageOT:
     def test_choice_selects_message(self):
         n = 300
-        msgs0 = [secrets.token_bytes(16) for _ in range(n)]
-        msgs1 = [secrets.token_bytes(16) for _ in range(n)]
+        msgs0 = _rows([secrets.token_bytes(16) for _ in range(n)])
+        msgs1 = _rows([secrets.token_bytes(16) for _ in range(n)])
         bits = [secrets.randbelow(2) for _ in range(n)]
         _, got = run_pair(
             lambda s: s.send_messages(msgs0, msgs1),
             lambda r: r.recv_messages(bits),
         )
+        assert got.shape == (n, 16)
         for b, g, m0, m1 in zip(bits, got, msgs0, msgs1):
-            assert g == (m1 if b else m0)
-            assert g != (m0 if b else m1)
+            assert np.array_equal(g, m1 if b else m0)
+            assert not np.array_equal(g, m0 if b else m1)
 
     def test_single_transfer(self):
         _, got = run_pair(
-            lambda s: s.send_messages([b"A" * 16], [b"B" * 16]),
+            lambda s: s.send_messages(_rows([b"A" * 16]), _rows([b"B" * 16])),
             lambda r: r.recv_messages([1]),
         )
-        assert got == [b"B" * 16]
+        assert got.tobytes() == b"B" * 16
 
     def test_non_multiple_of_eight(self):
         n = 13
-        msgs0 = [bytes([i]) * 16 for i in range(n)]
-        msgs1 = [bytes([100 + i]) * 16 for i in range(n)]
+        msgs0 = _rows([bytes([i]) * 16 for i in range(n)])
+        msgs1 = _rows([bytes([100 + i]) * 16 for i in range(n)])
         bits = [i % 2 for i in range(n)]
         _, got = run_pair(
             lambda s: s.send_messages(msgs0, msgs1),
             lambda r: r.recv_messages(bits),
         )
-        assert got == [msgs1[i] if i % 2 else msgs0[i] for i in range(n)]
+        assert np.array_equal(got, np.where(np.arange(n)[:, None] % 2, msgs1, msgs0))
 
 
 class TestCorrelatedOT:
@@ -201,8 +202,13 @@ class TestErrors:
         assert issubclass(OTError, TransportError)
 
 
+def _rows(msgs):
+    """16-byte messages as the rows of an (m, 16) uint8 array."""
+    return np.frombuffer(b"".join(msgs), dtype=np.uint8).reshape(-1, 16)
+
+
 def _messages(s):
-    return s.send_messages([b"A" * 16] * 4, [b"B" * 16] * 4)
+    return s.send_messages(_rows([b"A" * 16] * 4), _rows([b"B" * 16] * 4))
 
 
 def _correlated(s):
@@ -252,8 +258,8 @@ def _sent(transcript, party, name):
 
 def _labels(n, seed):
     rng = np.random.default_rng(seed)
-    msgs0 = [rng.bytes(16) for _ in range(n)]
-    msgs1 = [rng.bytes(16) for _ in range(n)]
+    msgs0 = _rows([rng.bytes(16) for _ in range(n)])
+    msgs1 = _rows([rng.bytes(16) for _ in range(n)])
     bits = [int(b) for b in rng.integers(0, 2, size=n)]
     return msgs0, msgs1, bits
 
@@ -266,7 +272,7 @@ def _messages_session(pairs, n, seed, transcript=None, tampered=None):
         lambda r: r.recv_messages(bits),
         tampered=tampered, pairs=pairs, transcript=transcript,
     )
-    assert got == [m1 if b else m0 for m0, m1, b in zip(msgs0, msgs1, bits)]
+    assert np.array_equal(got, np.where(np.array(bits)[:, None], msgs1, msgs0))
 
 
 def _rewrite_block(block):
@@ -453,7 +459,7 @@ class TestVectorised:
             want.append(w)
         assert got == want
         monkeypatch.setattr(receiver, "_extend", lambda b, size: (pads, labels))
-        got = receiver.recv_messages(bits)
+        got = [row.tobytes() for row in receiver.recv_messages(bits)]
         assert got == [
             bytes(x ^ y for x, y in zip(labels[(2 * i + bit) * 16 : (2 * i + bit + 1) * 16],
                                         pad.tobytes()))

@@ -310,6 +310,31 @@ class TestWireSequence:
             assert tuple(sent) == pinned
 
 
+    def test_single_run_merge_sends_no_score_or_mask_labels(self):
+        # a merge of one shard's run compares nothing, so its circuit reads
+        # no score and no mask: the garbler sends only payload labels, the
+        # evaluator takes no label by OT and sends no frame at all, and it
+        # still decodes the run's order
+        transcript = Transcript()
+        _, order, _ = run_session(
+            lambda ch: global_sort_garbler(ch, 9, [(0, [11, 5, 9], [2, 0, 1])],
+                                           OTPair(GroupContext())),
+            lambda ch: global_sort_evaluator(ch, 9, [[1, 2, 3]], OTPair(GroupContext())),
+            transcript,
+        )
+        assert order == [(0, 2), (0, 0), (0, 1)]
+        sent = [
+            [(f.name, len(f.payload)) for p, d, f in transcript.entries
+             if d == "send" and p == party]
+            for party in ("g", "e")
+        ]
+        # 3 entries with 2-bit payloads: no tables, 6 decode bits
+        assert sent == [
+            [("SORT_INIT", 4), ("CIRCUIT_BLOB", 12 + 1), ("GARBLER_LABELS", 16 * 3 * 2)],
+            [],
+        ]
+
+
 class TestCircuitCache:
     def test_one_circuit_per_shape(self):
         # a sort's shape is its count split: one circuit for each
