@@ -95,7 +95,7 @@ def make_rng(seed: int):
 class EncryptedTuple:
     sortkey_share: int  # Z_{2^31}, cluster-specific
     e_id: bytes
-    y: int  # blinding exponent in Z_q
+    y: int  # blinding scalar in Z_n*
 
     def pack(self) -> bytes:
         return (
@@ -187,14 +187,13 @@ class TSetShard:
 
 
 class XSetFilter:
-    """Bloom-filter membership set over canonical xtag encodings."""
+    """Bloom-filter membership set over xtags, 32-byte x-coordinates."""
 
-    def __init__(self, bloom: BloomFilter, ctx: GroupContext):
+    def __init__(self, bloom: BloomFilter):
         self.bloom = bloom
-        self.ctx = ctx
 
-    def contains(self, xtag: int) -> bool:
-        return self.ctx.encode(xtag) in self.bloom
+    def contains(self, xtag: bytes) -> bool:
+        return xtag in self.bloom
 
     @property
     def count(self):
@@ -204,8 +203,8 @@ class XSetFilter:
         return self.bloom.to_bytes()
 
     @classmethod
-    def from_bytes(cls, data: bytes, ctx: GroupContext) -> "XSetFilter":
-        return cls(BloomFilter.from_bytes(data), ctx)
+    def from_bytes(cls, data: bytes) -> "XSetFilter":
+        return cls(BloomFilter.from_bytes(data))
 
 
 def partition(index: dict[str, PostingList], config: PartitionConfig):
@@ -275,8 +274,8 @@ def build_xset(
     bloom = BloomFilter(n_items, config.bloom_fpr)
     for term in sorted(sub_index):
         for _, eid in sub_index[term].entries:
-            bloom.add(ctx.encode(xtag_compute(keys, ctx, term, eid)))
-    return XSetFilter(bloom, ctx)
+            bloom.add(xtag_compute(keys, ctx, term, eid))
+    return XSetFilter(bloom)
 
 
 @dataclass
@@ -349,7 +348,7 @@ def emit_edb(edb: EncryptedDatabase, out_dir) -> None:
                 raise OSError(f"failed writing EDB shard {d}: {exc}") from exc
 
 
-def load_edb(edb_dir, ctx: GroupContext) -> EncryptedDatabase:
+def load_edb(edb_dir) -> EncryptedDatabase:
     edb_dir = Path(edb_dir)
     clusters = [[], []]
     config = None
@@ -367,7 +366,7 @@ def load_edb(edb_dir, ctx: GroupContext) -> EncryptedDatabase:
             clusters[i].append(
                 ShardData(
                     TSetShard.from_bytes(tset_bytes),
-                    XSetFilter.from_bytes(xset_bytes, ctx),
+                    XSetFilter.from_bytes(xset_bytes),
                     manifest,
                 )
             )

@@ -128,7 +128,7 @@ def cmd_serve(args) -> int:
 def cmd_query(args) -> int:
     from .cluster import LocalCluster
     from .builder import load_edb
-    from .crypto import GroupContext, load_keystore
+    from .crypto import load_keystore
     from .oxt import IntegrityError
     from .planner import FrontEnd, QueryError
     from .sexpr import ParseError, parse_sexpr
@@ -151,7 +151,7 @@ def cmd_query(args) -> int:
     transcript = Transcript() if args.record else None
     try:
         if args.local:
-            edb = load_edb(args.edb, GroupContext())
+            edb = load_edb(args.edb)
             with LocalCluster(edb, transcript=transcript, timeout=args.timeout) as cluster:
                 fe = cluster.front_end(
                     keys, lengths=lengths, timeout=args.timeout * 2

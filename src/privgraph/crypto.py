@@ -1,7 +1,8 @@
 """Deterministic cryptographic primitives shared by the builder, the
-front-end, and the index servers: PRFs, group exponentiation, per-term
-keys, identifier encryption, shard hashing, and the fixed-key AES hash
-that garbling and OT extension share.
+front-end, and the index servers: PRFs, the group (P-256 through OpenSSL,
+with elements encoded as x-coordinates), per-term keys, identifier
+encryption, shard hashing, and the fixed-key AES hash that garbling and OT
+extension share.
 
 Everything here is a pure function of its inputs once the master keys are
 fixed, so it is safe to call concurrently from any number of sessions; only
@@ -17,13 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.cmac import CMAC
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 __all__ = [
     "SHARE_MODULUS",
     "GroupContext",
+    "element_bytes",
+    "decode_element",
     "MasterKeyBundle",
     "HALVES",
     "FixedKeyHash",
@@ -32,6 +37,8 @@ __all__ = [
     "prf128",
     "prf_exp",
     "stag_derive",
+    "xterm_exponent",
+    "counter_exponent",
     "xtag_compute",
     "xtoken_compute",
     "blinding_value",
@@ -44,15 +51,15 @@ __all__ = [
     "load_keystore",
 ]
 
-# 256-bit safe prime p = 2q + 1; g = 4 generates the order-q subgroup of
-# quadratic residues. The group is NOT DDH-hard at this size: discrete
-# logarithms modulo a 256-bit prime are within reach of the number field
-# sieve. Moving xtags, xtokens and the base OT to an elliptic-curve group
-# such as P-256 is ROADMAP item 4.
-_P = 0xE7E29E4580E8D316E042F3B524116998E03E693F404BAC69C94EAC22D7E7842B
-_Q = 0x73F14F22C074698B702179DA9208B4CC701F349FA025D634E4A756116BF3C215
-_G = 4
+# The one group, of the xtags, the xtokens and the base OT: the NIST curve
+# P-256 through OpenSSL, an elliptic-curve group of the kind the OXT paper
+# runs on (Cash et al., CRYPTO 2013). Its field prime and its prime order n:
+FIELD_PRIME = 2**256 - 2**224 + 2**192 + 2**96 - 1
+ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
+CURVE = ec.SECP256R1()
+_ECDH = ec.ECDH()
 
+# an element travels as its x-coordinate
 ELEMENT_BYTES = 32
 KEY_BYTES = 16
 # sort keys and every secret-shared value live in Z_{2^31}
@@ -137,46 +144,59 @@ def parse_term(term: str) -> tuple[str, int]:
     return edge_type, entity_id
 
 
-class GroupContext:
-    """A cyclic group of prime order q inside Z_p*.
+def element_bytes(point: ec.EllipticCurvePublicKey) -> bytes:
+    """A point's 32-byte x-coordinate: its encoding as a group element."""
+    return point.public_bytes(Encoding.X962, PublicFormat.CompressedPoint)[1:]
 
-    Elements are canonically encoded as fixed-length 32-byte big-endian
-    integers.  The instance counts exponentiations so that tests can
-    assert the work-independence law of boolean queries.
+
+def decode_element(data: bytes) -> ec.EllipticCurvePublicKey:
+    """The point of a 32-byte x-coordinate, lifted and validated by
+    OpenSSL: ValueError for a wrong length, an x >= p or an x off the
+    curve. Either lift serves, since x([e]P) = x([e](-P))."""
+    if len(data) != ELEMENT_BYTES:
+        raise ValueError(f"group element must be {ELEMENT_BYTES} bytes")
+    try:
+        return ec.EllipticCurvePublicKey.from_encoded_point(CURVE, b"\x02" + data)
+    except ValueError:
+        raise ValueError("encoding is not the x-coordinate of a P-256 point") from None
+
+
+class GroupContext:
+    """P-256, the prime-order group of n elements that xtags, xtokens and
+    the base OT live in. An element is the 32-byte x-coordinate of a
+    point; scalars are integers in 1..n-1.
+
+    The instance counts scalar multiplications, one per g_exp and one per
+    ECDH, so that tests can assert the work-independence law of boolean
+    queries. Making a key (key()) computes its public point too, which is
+    not counted.
     """
 
+    n = ORDER
+
     def __init__(self):
-        self.p = _P
-        self.q = _Q
-        self.g = _G
         self.exp_count = 0
 
-    def exp(self, base: int, e: int) -> int:
+    @staticmethod
+    def key(e: int) -> ec.EllipticCurvePrivateKey:
+        """The scalar e as an OpenSSL key, to multiply several points by."""
+        return ec.derive_private_key(e, CURVE)
+
+    def exp(self, base: ec.EllipticCurvePublicKey | None, e) -> bytes:
+        """x([e] base): one scalar multiplication. base is a point, or None
+        for the generator; e is a scalar or a key made by key()."""
         self.exp_count += 1
-        return pow(base, e, self.p)
+        if isinstance(e, int):
+            e = self.key(e)
+        if base is None:
+            return element_bytes(e.public_key())
+        return e.exchange(_ECDH, base)
 
-    def g_exp(self, e: int) -> int:
-        return self.exp(self.g, e)
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def inverse(self, elem: int) -> int:
-        return pow(elem, -1, self.p)
+    def g_exp(self, e: int) -> bytes:
+        return self.exp(None, e)
 
     def inv_exponent(self, e: int) -> int:
-        return pow(e, -1, self.q)
-
-    def encode(self, elem: int) -> bytes:
-        return elem.to_bytes(ELEMENT_BYTES, "big")
-
-    def decode(self, data: bytes) -> int:
-        if len(data) != ELEMENT_BYTES:
-            raise ValueError(f"group element must be {ELEMENT_BYTES} bytes")
-        elem = int.from_bytes(data, "big")
-        if not 1 <= elem < self.p:
-            raise ValueError("encoding is not a valid group element")
-        return elem
+        return pow(e, -1, self.n)
 
     def reset_counter(self) -> None:
         self.exp_count = 0
@@ -210,10 +230,10 @@ def prf128(key: bytes, data: bytes) -> bytes:
 
 
 def prf_exp(key: bytes, data: bytes) -> int:
-    """PRF into the nonzero exponent group Z_q* by rejection sampling.
+    """PRF into the nonzero scalars Z_n* by rejection sampling.
 
-    Two CMAC blocks give 256 candidate bits per draw; the loop terminates
-    after ~2 draws in expectation since q is a 255-bit prime.
+    Two CMAC blocks give one 256-bit candidate per draw; since n > 2^256 -
+    2^224, a draw is rejected with probability below 2^-32.
     """
     if not data:
         raise ValueError("prf_exp input must be nonempty")
@@ -222,8 +242,8 @@ def prf_exp(key: bytes, data: bytes) -> int:
         block = prf128(key, data + struct.pack(">I", ctr)) + prf128(
             key, data + struct.pack(">I", ctr + 1)
         )
-        candidate = int.from_bytes(block, "big") >> 1  # 255 bits
-        if 0 < candidate < _Q:
+        candidate = int.from_bytes(block, "big")
+        if 0 < candidate < ORDER:
             return candidate
         ctr += 2
 
@@ -234,34 +254,45 @@ def stag_derive(keys: MasterKeyBundle, term: str) -> bytes:
     return prf128(keys.k_stag, term.encode())
 
 
-def xtag_compute(keys: MasterKeyBundle, ctx: GroupContext, term: str, entity_id: int) -> int:
-    """g^(F(k_x, term) * F(k_i, id)), the edge-membership tag in the XSet."""
-    x_t = prf_exp(keys.k_x, term.encode())
-    x_id = prf_exp(keys.k_i, struct.pack(">Q", entity_id))
-    return ctx.g_exp(x_t * x_id % ctx.q)
+def xterm_exponent(keys: MasterKeyBundle, term: str) -> int:
+    """x_t = F(k_x, term), the term's factor of its xtags and xtokens."""
+    return prf_exp(keys.k_x, term.encode())
+
+
+def counter_exponent(keys: MasterKeyBundle, s_term: str, counter: int) -> int:
+    """z_c = F(k_z, s_term || c), the factor of the s-term's tuple c."""
+    if counter < 1:
+        raise ValueError("tuple counter starts at 1")
+    return prf_exp(keys.k_z, s_term.encode() + struct.pack(">Q", counter))
+
+
+def _id_exponent(keys: MasterKeyBundle, entity_id: int) -> int:
+    return prf_exp(keys.k_i, struct.pack(">Q", entity_id))
+
+
+def xtag_compute(keys: MasterKeyBundle, ctx: GroupContext, term: str, entity_id: int) -> bytes:
+    """x([F(k_x, term) * F(k_i, id)] G), the edge-membership tag in the XSet."""
+    return ctx.g_exp(xterm_exponent(keys, term) * _id_exponent(keys, entity_id) % ctx.n)
+
 
 def xtoken_compute(
     keys: MasterKeyBundle, ctx: GroupContext, s_term: str, counter: int, x_term: str
-) -> int:
-    """Per-tuple intersection token: g^(F(k_z, s_term||c) * F(k_x, x_term)).
+) -> bytes:
+    """Per-tuple intersection token: x([z_c * x_t] G).
 
-    Raised to the tuple's blinding value y_c by the server it yields the
-    candidate xtag for (x_term, id_c).
+    Multiplied by the tuple's blinding value y_c by the server it yields
+    the candidate xtag for (x_term, id_c).
     """
-    if counter < 1:
-        raise ValueError("tuple counter starts at 1")
-    z_c = prf_exp(keys.k_z, s_term.encode() + struct.pack(">Q", counter))
-    x_t = prf_exp(keys.k_x, x_term.encode())
-    return ctx.g_exp(z_c * x_t % ctx.q)
+    z_c = counter_exponent(keys, s_term, counter)
+    return ctx.g_exp(z_c * xterm_exponent(keys, x_term) % ctx.n)
 
 
 def blinding_value(
     keys: MasterKeyBundle, ctx: GroupContext, s_term: str, counter: int, entity_id: int
 ) -> int:
-    """The per-tuple blinding exponent y_c = F(k_i, id) * F(k_z, t||c)^-1 mod q."""
-    x_id = prf_exp(keys.k_i, struct.pack(">Q", entity_id))
-    z_c = prf_exp(keys.k_z, s_term.encode() + struct.pack(">Q", counter))
-    return x_id * ctx.inv_exponent(z_c) % ctx.q
+    """The per-tuple blinding scalar y_c = F(k_i, id) * z_c^-1 mod n."""
+    z_c = counter_exponent(keys, s_term, counter)
+    return _id_exponent(keys, entity_id) * ctx.inv_exponent(z_c) % ctx.n
 
 
 def term_key(keys: MasterKeyBundle, term: str) -> bytes:

@@ -21,11 +21,10 @@ consecutive masked scores of a CONTRIB XOR to their true scores' XOR.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
-from .crypto import GroupContext, hash_to_shard
+from .crypto import hash_to_shard
 from .garble import GarbledCircuit
 from .graph import PlaintextEngine, PostingList, ranked
 from .ot import decode_ot_extend
@@ -177,9 +176,7 @@ def _whole_labels(payload: bytes) -> None:
 _ALPHABET = {
     "QUERY_INIT": ("stag + formula shape + x-term count (XP)", decode_query_init),
     "TUPLE_COUNT": ("tuple counts (SP)", decode_tuple_count),
-    "XTOKEN_BATCH": (
-        "xtokens", functools.partial(decode_xtoken_batch, ctx=GroupContext())
-    ),
+    "XTOKEN_BATCH": ("xtokens", decode_xtoken_batch),
     "RESULT": ("encrypted tuples + survivor counts", decode_result),
     "GLOBAL_RESULT": ("ranks", decode_global_result),
     "SORT_INIT": ("per-shard result counts", decode_sort_init),

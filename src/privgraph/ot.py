@@ -1,6 +1,10 @@
-"""Oblivious transfer: a DDH-based semi-honest base OT plus an IKNP-style
-extension, with a correlated variant over Z_{2^31} used by offline triple
-generation and a message variant carrying 16-byte wire labels.
+"""Oblivious transfer: a semi-honest base OT on P-256 (Chou and Orlandi,
+"The Simplest Protocol for Oblivious Transfer", LATINCRYPT 2015) plus an
+IKNP-style extension, with a correlated variant over Z_{2^31} used by
+offline triple generation and a message variant carrying 16-byte wire
+labels. The base OT's points travel compressed and are validated by
+OpenSSL on receipt; point addition is affine arithmetic here, and every
+scalar multiplication an ECDH.
 
 The extension sender (who holds message pairs) plays base-OT receiver with
 its 128 secret selection bits; the extension receiver plays base-OT sender
@@ -35,9 +39,10 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
+from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .crypto import ELEMENT_BYTES, HALVES, SHARE_MODULUS, FixedKeyHash, GroupContext
+from .crypto import CURVE, FIELD_PRIME, HALVES, SHARE_MODULUS, FixedKeyHash, GroupContext
 from .transport import MSG, SERVER_TIMEOUT, Channel, Frame, TransportError
 
 __all__ = [
@@ -51,6 +56,7 @@ __all__ = [
 ]
 
 KAPPA = 128  # base-OT count / extension matrix width
+POINT_BYTES = 33  # a base-OT point, SEC 1 compressed
 _HASH_KEY = b"privgraph-ot-key"  # the fixed AES key of the row hash
 
 # sender states kept per pair: the newest, and older ones that sessions
@@ -103,11 +109,45 @@ def _expect(channel: Channel, msg_name: str, size: int) -> bytes:
     return payload
 
 
-def _decode_point(ctx: GroupContext, data: bytes) -> int:
+def _decode_point(data: bytes) -> ec.EllipticCurvePublicKey:
+    """A compressed point, validated by OpenSSL: OTError for one off the
+    curve (the point at infinity has no 33-byte encoding)."""
     try:
-        return ctx.decode(data)
-    except ValueError as exc:
-        raise OTError(f"OT_SETUP: {exc}") from None
+        return ec.EllipticCurvePublicKey.from_encoded_point(CURVE, data)
+    except ValueError:
+        raise OTError("OT_SETUP: not a compressed P-256 point") from None
+
+
+def _affine(point: ec.EllipticCurvePublicKey) -> tuple[int, int]:
+    nums = point.public_numbers()
+    return nums.x, nums.y
+
+
+def _encode(p: tuple[int, int]) -> bytes:
+    x, y = p
+    return bytes([2 | y & 1]) + x.to_bytes(32, "big")
+
+
+def _add(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int] | None:
+    """p + q in affine coordinates (y^2 = x^3 - 3x + b), None for the
+    point at infinity."""
+    (x1, y1), (x2, y2) = p, q
+    if x1 == x2:
+        if (y1 + y2) % FIELD_PRIME == 0:
+            return None
+        slope = 3 * (x1 * x1 - 1) * pow(2 * y1, -1, FIELD_PRIME)
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, FIELD_PRIME)
+    x3 = (slope * slope - x1 - x2) % FIELD_PRIME
+    return x3, (slope * (x1 - x3) - y1) % FIELD_PRIME
+
+
+def _sub(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int] | None:
+    return _add(p, (q[0], -q[1] % FIELD_PRIME))
+
+
+def _random_key(ctx: GroupContext) -> ec.EllipticCurvePrivateKey:
+    return ctx.key(1 + secrets.randbelow(ctx.n - 1))
 
 
 def _state_id(first_setup: bytes) -> bytes:
@@ -115,8 +155,10 @@ def _state_id(first_setup: bytes) -> bytes:
     return hashlib.sha256(first_setup).digest()[:8]
 
 
-def _hash_point(ctx: GroupContext, index: int, point: int) -> bytes:
-    return hashlib.sha256(struct.pack(">I", index) + ctx.encode(point)).digest()[:16]
+def _pad(index: int, big_a: bytes, big_b: bytes, shared: bytes) -> bytes:
+    """Base OT index's pad: a hash of the index, the encodings of A and B
+    and the x-coordinate of the shared point."""
+    return hashlib.sha256(struct.pack(">I", index) + big_a + big_b + shared).digest()[:16]
 
 
 def _hash_rows(rows: np.ndarray, block: int) -> np.ndarray:
@@ -269,20 +311,23 @@ class OTPair:
 
 def _base_send(ctx: GroupContext, channel: Channel, session: int, pairs) -> bytes:
     """Base-OT sender: transfers one 16-byte message pair per instance.
-    Returns its first OT_SETUP payload."""
-    a = 1 + secrets.randbelow(ctx.q - 1)
-    big_a = ctx.g_exp(a)
-    first = ctx.encode(big_a)
+    Sends A = [a]G; on each receiver point B its pads are hashes of
+    [a]B and [a](B - A). Returns its first OT_SETUP payload."""
+    a = _random_key(ctx)
+    big_a = _affine(a.public_key())
+    first = _encode(big_a)
     channel.send(Frame(MSG["OT_SETUP"], session, first))
-    reply = _expect(channel, "OT_SETUP", len(pairs) * ELEMENT_BYTES)
-    inv_a_of_big_a = ctx.exp(ctx.inverse(big_a), a)  # A^{-a}
+    reply = _expect(channel, "OT_SETUP", len(pairs) * POINT_BYTES)
     cts = []
     for i, (m0, m1) in enumerate(pairs):
-        b_point = _decode_point(ctx, reply[i * ELEMENT_BYTES : (i + 1) * ELEMENT_BYTES])
-        k0 = ctx.exp(b_point, a)
-        k1 = ctx.mul(k0, inv_a_of_big_a)  # (B/A)^a
-        pad0 = _hash_point(ctx, i, k0)
-        pad1 = _hash_point(ctx, i, k1)
+        b_bytes = reply[i * POINT_BYTES : (i + 1) * POINT_BYTES]
+        b_point = _decode_point(b_bytes)
+        diff = _sub(_affine(b_point), big_a)
+        if diff is None:
+            raise OTError("OT_SETUP: B - A is the point at infinity")
+        b_minus_a = ec.EllipticCurvePublicNumbers(*diff, CURVE).public_key()
+        pad0 = _pad(i, first, b_bytes, ctx.exp(b_point, a))
+        pad1 = _pad(i, first, b_bytes, ctx.exp(b_minus_a, a))
         cts.append(bytes(x ^ y for x, y in zip(m0, pad0)))
         cts.append(bytes(x ^ y for x, y in zip(m1, pad1)))
     channel.send(Frame(MSG["OT_SETUP"], session, b"".join(cts)))
@@ -290,22 +335,25 @@ def _base_send(ctx: GroupContext, channel: Channel, session: int, pairs) -> byte
 
 
 def _base_recv(ctx: GroupContext, channel: Channel, session: int, bits, first: bytes):
-    """Base-OT receiver, on the sender's first OT_SETUP payload: obtains
-    the message selected by each bit."""
-    big_a = _decode_point(ctx, first)
-    ks, points = [], []
+    """Base-OT receiver, on the sender's first OT_SETUP payload A: sends
+    B = [b]G for bit 0 and A + [b]G for bit 1, and obtains the message
+    selected by each bit through the hash of [b]A."""
+    big_a = _decode_point(first)
+    a_affine = _affine(big_a)
+    keys, points = [], []
     for bit in bits:
-        k = 1 + secrets.randbelow(ctx.q - 1)
-        point = ctx.g_exp(k)
+        b = _random_key(ctx)
+        point = _affine(b.public_key())
         if bit:
-            point = ctx.mul(point, big_a)
-        ks.append(k)
-        points.append(ctx.encode(point))
+            # the point at infinity only when b = -a, a chance of 1/n
+            point = _add(point, a_affine)
+        keys.append(b)
+        points.append(_encode(point))
     channel.send(Frame(MSG["OT_SETUP"], session, b"".join(points)))
     cts = _expect(channel, "OT_SETUP", 2 * 16 * len(bits))
     out = []
-    for i, (bit, k) in enumerate(zip(bits, ks)):
-        pad = _hash_point(ctx, i, ctx.exp(big_a, k))
+    for i, (bit, b, b_bytes) in enumerate(zip(bits, keys, points)):
+        pad = _pad(i, first, b_bytes, ctx.exp(big_a, b))
         ct = cts[(2 * i + bit) * 16 : (2 * i + bit + 1) * 16]
         out.append(bytes(x ^ y for x, y in zip(ct, pad)))
     return out
@@ -325,8 +373,8 @@ class OTSender:
         """The base OT, as its receiver: sets up the state named by the
         counterpart's first OT_SETUP payload, with which an extension
         opened."""
-        if len(first) != ELEMENT_BYTES:
-            raise OTError(f"OT_SETUP of {len(first)} bytes, expected {ELEMENT_BYTES}")
+        if len(first) != POINT_BYTES:
+            raise OTError(f"OT_SETUP of {len(first)} bytes, expected {POINT_BYTES}")
         state_id = _state_id(first)
         self.pair._begin(state_id)
         state = None

@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .builder import EncryptedTuple, TSetShard, XSetFilter
-from .crypto import GroupContext, MasterKeyBundle, stag_derive, xtoken_compute
+from .crypto import (
+    GroupContext,
+    MasterKeyBundle,
+    counter_exponent,
+    stag_derive,
+    xterm_exponent,
+)
 from .graph import split_conjunctive
 from .sexpr import BoolFormula, SExpr
 
@@ -94,12 +100,16 @@ def xtoken_rows(
     s_term: str,
     count: int,
     x_terms,
-) -> list[list[int]]:
-    """One xtoken row per tuple counter 1..count, one column per x-term."""
-    return [
-        [xtoken_compute(keys, ctx, s_term, c, xl) for xl in x_terms]
-        for c in range(1, count + 1)
-    ]
+) -> list[list[bytes]]:
+    """One xtoken row per tuple counter 1..count, one column per x-term:
+    crypto.xtoken_compute of each cell, with each x_t and each z_c drawn
+    once."""
+    x_ts = [xterm_exponent(keys, xl) for xl in x_terms]
+    rows = []
+    for c in range(1, count + 1):
+        z_c = counter_exponent(keys, s_term, c)
+        rows.append([ctx.g_exp(z_c * x_t % ctx.n) for x_t in x_ts])
+    return rows
 
 
 def boolean_query(
@@ -107,15 +117,17 @@ def boolean_query(
     xset: XSetFilter,
     ctx: GroupContext,
     stag: bytes,
-    rows: list[list[int]],
+    rows: list[list],
     formula: BoolFormula,
     negate: bool,
 ) -> list[tuple[int, EncryptedTuple]]:
-    """Filter the s-term tuples by the residual formula.
+    """Filter the s-term tuples by the residual formula; rows holds the
+    xtokens as points (server.decode_xtoken_batch).
 
-    Performs exactly len(tuples) * n_xterms exponentiations regardless of
-    the x-terms' selectivity. Returns surviving (tuple index, tuple)
-    pairs in stored order.
+    Performs exactly len(tuples) * n_xterms scalar multiplications (ECDH)
+    regardless of the x-terms' selectivity, each tuple's by its y as one
+    key made for this call. Returns surviving (tuple index, tuple) pairs in
+    stored order.
     """
     tuples = tset.retrieve(stag)  # absent terms yield no tuples
     if len(rows) != len(tuples):
@@ -124,7 +136,8 @@ def boolean_query(
         )
     survivors = []
     for c, (tup, row) in enumerate(zip(tuples, rows)):
-        values = [xset.contains(ctx.exp(token, tup.y)) for token in row]
+        y = ctx.key(tup.y)
+        values = [xset.contains(ctx.exp(token, y)) for token in row]
         keep = formula.evaluate(values)
         if negate:
             keep = not keep

@@ -234,7 +234,7 @@ class FrontEnd:
                     rows = xtoken_rows(
                         self.keys, self.ctx, sub.s_term, counts[(0, j)], sub.x_terms
                     )
-                    payload = encode_xtoken_batch(rows, self.ctx)
+                    payload = encode_xtoken_batch(rows)
                     for cluster in (0, 1):
                         ch = chans.get((cluster, j))
                         if ch is not None:

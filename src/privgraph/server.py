@@ -29,7 +29,13 @@ import numpy as np
 
 from .builder import ShardData, load_edb
 from .circuits import MAX_SORT_K
-from .crypto import CIPHERTEXT_BYTES, ELEMENT_BYTES, SHARE_MODULUS, GroupContext
+from .crypto import (
+    CIPHERTEXT_BYTES,
+    ELEMENT_BYTES,
+    SHARE_MODULUS,
+    GroupContext,
+    decode_element,
+)
 from .oxt import boolean_query
 from .ot import OTPair, OTReceiver, OTSender
 from .scoring import eval_score, parse_score
@@ -180,16 +186,14 @@ def decode_tuple_count(payload: bytes) -> int:
     return struct.unpack(">I", payload)[0]
 
 
-def encode_xtoken_batch(rows: list[list[int]], ctx: GroupContext) -> bytes:
+def encode_xtoken_batch(rows: list[list[bytes]]) -> bytes:
     width = len(rows[0]) if rows else 0
-    parts = [struct.pack(">IH", len(rows), width)]
-    for row in rows:
-        for token in row:
-            parts.append(ctx.encode(token))
-    return b"".join(parts)
+    return struct.pack(">IH", len(rows), width) + b"".join(b"".join(row) for row in rows)
 
 
-def decode_xtoken_batch(payload: bytes, ctx: GroupContext) -> list[list[int]]:
+def decode_xtoken_batch(payload: bytes) -> list[list]:
+    """The xtoken rows as points. Strict: each token must be the
+    x-coordinate of a point of P-256."""
     if len(payload) < 6:
         raise TransportError("XTOKEN_BATCH shorter than its header")
     count, width = struct.unpack_from(">IH", payload)
@@ -199,7 +203,7 @@ def decode_xtoken_batch(payload: bytes, ctx: GroupContext) -> list[list[int]]:
         raise TransportError("XTOKEN_BATCH size disagrees with its header")
     try:
         tokens = [
-            ctx.decode(payload[off : off + ELEMENT_BYTES])
+            decode_element(payload[off : off + ELEMENT_BYTES])
             for off in range(6, len(payload), ELEMENT_BYTES)
         ]
     except ValueError as exc:
@@ -339,8 +343,8 @@ class IndexServer:
         self.counterpart = server_name(1 - cluster, shard)
         self.coordinator = server_name(cluster, 0)
         self.is_coordinator = shard == 0
-        # query-work exponentiations are metered separately from the
-        # OT machinery's own group operations
+        # the query work's scalar multiplications are metered separately
+        # from the base OT's, in the same group
         self.ctx = GroupContext()
         self.ot_ctx = GroupContext()
         self._ot_pairs: dict[str, OTPair] = {}  # by the other server's name
@@ -383,8 +387,7 @@ class IndexServer:
     def from_edb_dir(cls, edb_dir, cluster: int, shard: int, topology, **kwargs):
         """Load this server's shard with checksum verification; a tampered
         store refuses to start."""
-        ctx = GroupContext()
-        edb = load_edb(edb_dir, ctx)
+        edb = load_edb(edb_dir)
         if shard >= edb.shards_per_cluster:
             raise ServerError(f"no shard {shard} in {edb_dir}")
         return cls(
@@ -509,7 +512,7 @@ class IndexServer:
             chan.send(Frame(MSG["TUPLE_COUNT"], qid, encode_tuple_count(len(tuples))))
             if sub.n_xterms:
                 batch = chan.expect("XTOKEN_BATCH", self.timeout)
-                rows = decode_xtoken_batch(batch.payload, self.ctx)
+                rows = decode_xtoken_batch(batch.payload)
                 kept = boolean_query(
                     self.data.tset, self.data.xset, self.ctx,
                     sub.stag, rows, sub.formula, sub.negate,

@@ -1,12 +1,14 @@
 """Shared test hooks and helpers: collect acceptance-criterion verdict
 lines and print them once, uncaptured, in the terminal summary; count the
 comparators a sorting network keeps once its sentinels are pruned; a
-scalar reference of the fixed-key hash that garbling and OT share."""
+scalar reference of the fixed-key hash that garbling and OT share; an
+x-coordinate that is no point of the group."""
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from privgraph.circuits import bitonic_schedule, padded_size
+from privgraph.crypto import decode_element
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -69,3 +71,14 @@ def scalar_hash(key: bytes, x: bytes, i: int) -> bytes:
     tweaked = (l ^ r ^ i).to_bytes(8, "little") + l.to_bytes(8, "little")
     pi = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(tweaked)
     return xor(pi, sigma)
+
+
+def off_curve_x() -> bytes:
+    """The smallest x-coordinate, as 32 bytes, of no P-256 point."""
+    for x in range(1, 100):
+        data = x.to_bytes(32, "big")
+        try:
+            decode_element(data)
+        except ValueError:
+            return data
+    raise AssertionError("every x below 100 is on the curve")

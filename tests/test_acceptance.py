@@ -112,6 +112,8 @@ def run_two_party(fn0, fn1, name="acc", join=300):
         t.start()
     for t in threads:
         t.join(timeout=join)
+    for chan in (chan0, chan1):
+        chan.close()  # the byte counters stay readable
     if errors:
         raise errors[0]
     return out[0], out[1], chan0

@@ -178,7 +178,7 @@ class TestBuildEdb:
                 for other in list(index)[:3]:
                     token = crypto.xtoken_compute(keys, ctx, term, c, other)
                     expected = crypto.xtag_compute(keys, ctx, other, eid)
-                    assert ctx.exp(token, tup.y) == expected
+                    assert ctx.exp(crypto.decode_element(token), tup.y) == expected
 
     def test_counterpart_bytes_identical_modulo_shares(self, edb_setup):
         _, _, edb, _ = edb_setup
@@ -206,7 +206,7 @@ class TestEmitEdb:
         config = PartitionConfig(shards_per_cluster=2, bloom_fpr=1e-3, seed=1)
         edb = build_edb(index, keys, ctx, config)
         emit_edb(edb, tmp_path / "edb")
-        loaded = load_edb(tmp_path / "edb", ctx)
+        loaded = load_edb(tmp_path / "edb")
         for i in (0, 1):
             for j in range(2):
                 assert (
@@ -244,7 +244,7 @@ class TestEmitEdb:
         data[-1] ^= 0xFF
         target.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="checksum"):
-            load_edb(tmp_path / "edb", ctx)
+            load_edb(tmp_path / "edb")
 
     def test_no_plaintext_ids_in_edb_bytes(self, keys, ctx, tmp_path):
         # magic 64-bit id patterns must not leak into emitted bytes

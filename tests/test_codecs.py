@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import off_curve_x
 from privgraph.circuits import MAX_SORT_K
-from privgraph.crypto import GroupContext
+from privgraph.crypto import FIELD_PRIME, GroupContext, element_bytes
 from privgraph.garble import GarbledCircuit
 from privgraph.leakage import _ALPHABET
 from privgraph.ot import encode_ot_extend
@@ -22,6 +23,7 @@ from privgraph.server import (
     _encode_masks,
     decode_global_result,
     decode_query_init,
+    decode_xtoken_batch,
     encode_global_result,
     encode_query_init,
     encode_result,
@@ -40,7 +42,9 @@ CTX = GroupContext()
 ENCODERS = {
     "QUERY_INIT": encode_query_init,
     "TUPLE_COUNT": encode_tuple_count,
-    "XTOKEN_BATCH": lambda rows: encode_xtoken_batch(rows, CTX),
+    "XTOKEN_BATCH": lambda rows: encode_xtoken_batch(
+        [[element_bytes(p) for p in row] for row in rows]
+    ),
     "RESULT": lambda v: encode_result(*v),
     "GLOBAL_RESULT": encode_global_result,
     "SORT_INIT": lambda counts: b"" if counts is None else encode_sort_init(counts),
@@ -69,8 +73,8 @@ VALID = {
     ],
     "TUPLE_COUNT": [encode_tuple_count(17)],
     "XTOKEN_BATCH": [
-        encode_xtoken_batch([[CTX.g_exp(1), CTX.g_exp(2)], [CTX.g_exp(3), 5]], CTX),
-        encode_xtoken_batch([], CTX),
+        encode_xtoken_batch([[CTX.g_exp(1), CTX.g_exp(2)], [CTX.g_exp(3), CTX.g_exp(5)]]),
+        encode_xtoken_batch([]),
     ],
     "RESULT": [
         encode_result([2, 1], [bytes([i]) * 36 for i in range(3)]),
@@ -244,6 +248,29 @@ class TestStrictness:
             _ALPHABET["XTOKEN_BATCH"][1](b"\xff\xff\xff\xff\xff\xff")
         with pytest.raises(TransportError):
             _ALPHABET["CIRCUIT_BLOB"][1](b"PGHG\xff\xff\xff\xff\x00\x00\x00\x00")
+
+    @pytest.mark.parametrize(
+        "decode", [decode_xtoken_batch, _ALPHABET["XTOKEN_BATCH"][1]], ids=["server", "audit"]
+    )
+    @pytest.mark.parametrize(
+        "token",
+        [off_curve_x(), FIELD_PRIME.to_bytes(32, "big"), b"\xff" * 32],
+        ids=["off-curve", "x=p", "x>p"],
+    )
+    def test_xtoken_not_a_point_rejected(self, decode, token):
+        with pytest.raises(TransportError, match="P-256"):
+            decode(encode_xtoken_batch([[CTX.g_exp(7), token]]))
+
+    @pytest.mark.parametrize(
+        "decode", [decode_xtoken_batch, _ALPHABET["XTOKEN_BATCH"][1]], ids=["server", "audit"]
+    )
+    def test_xtoken_of_wrong_length_rejected(self, decode):
+        for payload in (
+            encode_xtoken_batch([[CTX.g_exp(7)]])[:-1],  # a token of 31 bytes
+            encode_xtoken_batch([[CTX.g_exp(7)]]) + b"\x00",  # one of 33
+        ):
+            with pytest.raises(TransportError, match="size"):
+                decode(payload)
 
     def test_ot_extend_lengths_and_ranges(self):
         check = _ALPHABET["OT_EXTEND"][1]

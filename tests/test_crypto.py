@@ -2,8 +2,11 @@ import struct
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import scalar_hash
+from conftest import off_curve_x, scalar_hash
 from privgraph import crypto
 from privgraph.builder import build_edb, PartitionConfig
 from privgraph.graph import build_inverted_index, random_graph
@@ -32,15 +35,16 @@ class TestPrfExp:
         assert len(outs) == 200
 
     def test_golden_vector(self):
-        # frozen from the first implementation run
+        # frozen when scalars moved to P-256's order; the same two CMAC
+        # blocks as the 255-bit draw before it, without its shift
         assert crypto.prf_exp(TEST_KEY, b"friend:1") == int(
-            "5d8263ecfbb5f6681732f7e0914b2d814785d72fb4de41c5a6cb2b3b4635c3fa", 16
+            "bb04c7d9f76becd02e65efc122965b028f0bae5f69bc838b4d9656768c6b87f5", 16
         )
 
     def test_range(self):
         for i in range(50):
             e = crypto.prf_exp(TEST_KEY, f"x{i}".encode())
-            assert 0 < e < crypto.GroupContext().q
+            assert 0 < e < crypto.GroupContext().n
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -77,8 +81,25 @@ class TestXTagCrossCheck:
             t1 = f"{edge.edge_type}:{edge.src}"
             tl = f"{edge.edge_type}:{edge.dst}"
             y = crypto.blinding_value(keys, ctx, t1, c, edge.dst)
-            token = crypto.xtoken_compute(keys, ctx, t1, c, tl)
+            token = crypto.decode_element(crypto.xtoken_compute(keys, ctx, t1, c, tl))
             assert ctx.exp(token, y) == crypto.xtag_compute(keys, ctx, tl, edge.dst)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s_id=st.integers(0, 2**64 - 1),
+        x_id=st.integers(0, 2**64 - 1),
+        entity_id=st.integers(0, 2**64 - 1),
+        counter=st.integers(1, 2**32),
+    )
+    def test_oxt_identity(self, s_id, x_id, entity_id, counter):
+        # [y_c] xtoken(s, c, x) == xtag(x, id_c), for any terms, id and counter
+        keys = crypto.MasterKeyBundle(*(bytes([i]) * 16 for i in range(5)))
+        ctx = crypto.GroupContext()
+        s_term, x_term = f"friend:{s_id}", f"follow:{x_id}"
+        y = crypto.blinding_value(keys, ctx, s_term, counter, entity_id)
+        token = crypto.xtoken_compute(keys, ctx, s_term, counter, x_term)
+        tag = crypto.xtag_compute(keys, ctx, x_term, entity_id)
+        assert ctx.exp(crypto.decode_element(token), ctx.key(y)) == tag
 
     def test_xset_membership(self, keys, ctx):
         graph = random_graph(20, 60, seed=3)
@@ -193,17 +214,51 @@ class TestKeystore:
             crypto.load_keystore(path)
 
 
+SCALARS = st.integers(1, crypto.ORDER - 1)
+
+
 class TestGroupContext:
     def test_canonical_encoding(self, ctx):
         elem = ctx.g_exp(12345)
-        assert ctx.decode(ctx.encode(elem)) == elem
-        assert len(ctx.encode(elem)) == 32
+        assert len(elem) == 32
+        assert crypto.element_bytes(crypto.decode_element(elem)) == elem
 
     def test_exp_counter(self, ctx):
         ctx.reset_counter()
         ctx.g_exp(3)
         ctx.g_exp(4)
-        assert ctx.exp_count == 2
+        ctx.exp(crypto.decode_element(ctx.g_exp(5)), ctx.key(6))
+        assert ctx.exp_count == 4  # three fixed-base, one ECDH; key() is free
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            off_curve_x(),
+            (crypto.FIELD_PRIME).to_bytes(32, "big"),  # x = p
+            b"\xff" * 32,  # x > p
+            bytes(31),
+            bytes(33),
+        ],
+        ids=["off-curve", "x=p", "x>p", "short", "long"],
+    )
+    def test_decode_rejects(self, data):
+        with pytest.raises(ValueError):
+            crypto.decode_element(data)
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=SCALARS, b=SCALARS)
+    def test_exp_of_g_exp(self, a, b):
+        ctx = crypto.GroupContext()
+        assert ctx.exp(crypto.decode_element(ctx.g_exp(a)), b) == ctx.g_exp(a * b % ctx.n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=SCALARS, b=SCALARS)
+    def test_both_lifts_agree(self, a, b):
+        ctx = crypto.GroupContext()
+        x = ctx.g_exp(a)
+        lifts = [ec.EllipticCurvePublicKey.from_encoded_point(crypto.CURVE, p + x)
+                 for p in (b"\x02", b"\x03")]
+        assert ctx.exp(lifts[0], b) == ctx.exp(lifts[1], b)
 
 
 class TestFixedKeyHash:

@@ -5,10 +5,12 @@ import threading
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import scalar_hash
+from conftest import off_curve_x, scalar_hash
 from privgraph import ot as ot_mod
-from privgraph.crypto import GroupContext
+from privgraph.crypto import ORDER, GroupContext
 from privgraph.ot import (
     SHARE_MODULUS,
     OTError,
@@ -222,14 +224,14 @@ class TestTruncatedFrames:
     @pytest.mark.parametrize(
         "tampered,sender_fn,receiver_fn",
         [
-            # the base-OT sender's point A: 32 bytes
+            # the base-OT sender's point A: 33 bytes
             (("receiver", "OT_SETUP", 0, lambda p: p[:-1]), _messages,
              lambda r: r.recv_messages([1] * 4)),
-            # A that is no group element
+            # A that is no point encoding
             (("receiver", "OT_SETUP", 0, lambda p: bytes(len(p))), _messages,
              lambda r: r.recv_messages([1] * 4)),
-            # the base-OT receiver's reply: 128 points of 32 bytes
-            (("sender", "OT_SETUP", 0, lambda p: p[:-32]), _messages,
+            # the base-OT receiver's reply: 128 points of 33 bytes
+            (("sender", "OT_SETUP", 0, lambda p: p[:-33]), _messages,
              lambda r: r.recv_messages([1] * 4)),
             # the base-OT ciphertexts: 256 of 16 bytes
             (("receiver", "OT_SETUP", 1, lambda p: p[:-16]), _messages,
@@ -250,6 +252,49 @@ class TestTruncatedFrames:
     def test_short_frame_rejected(self, tampered, sender_fn, receiver_fn):
         with pytest.raises(OTError):
             run_pair(sender_fn, receiver_fn, tampered)
+
+
+def _g(e: int):
+    """[e]G in affine coordinates through OpenSSL, None for e = 0 mod n."""
+    e %= ORDER
+    return ot_mod._affine(GroupContext.key(e).public_key()) if e else None
+
+
+class TestBaseOTPoints:
+    """The base OT's points: every one received is validated by OpenSSL,
+    and the affine arithmetic agrees with it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.integers(1, ORDER - 1), b=st.integers(1, ORDER - 1))
+    @example(a=5, b=5)  # a doubling, and a difference at infinity
+    @example(a=1, b=ORDER - 1)  # a sum at infinity
+    def test_add_and_sub_agree_with_openssl(self, a, b):
+        assert ot_mod._add(_g(a), _g(b)) == _g(a + b)
+        assert ot_mod._sub(_g(a), _g(b)) == _g(a - b)
+
+    @pytest.mark.parametrize(
+        "tampered",
+        [
+            ("receiver", "OT_SETUP", 0, lambda p: b"\x02" + off_curve_x()),  # A
+            ("sender", "OT_SETUP", 0, lambda p: b"\x03" + off_curve_x() + p[33:]),  # a B
+        ],
+        ids=["A", "B"],
+    )
+    def test_off_curve_point_rejected(self, tampered):
+        with pytest.raises(OTError, match="P-256"):
+            run_pair(_messages, lambda r: r.recv_messages([1] * 4), tampered)
+
+    def test_b_equal_to_a_rejected(self):
+        # B - A would be the point at infinity
+        transcript = Transcript()
+
+        def b_is_a(payload):
+            big_a = _sent(transcript, "receiver", "OT_SETUP")[0].payload
+            return payload[:33] + big_a + payload[66:]
+
+        with pytest.raises(OTError, match="infinity"):
+            run_pair(_messages, lambda r: r.recv_messages([1] * 4),
+                     ("sender", "OT_SETUP", 0, b_is_a), transcript=transcript)
 
 
 def _sent(transcript, party, name):

@@ -25,6 +25,11 @@ def make_setup(keys, ctx, n_nodes=30, n_edges=200, shards=1, seed=0):
     return index, edb
 
 
+def points(rows):
+    """Front-end xtoken rows as the points a server decodes them to."""
+    return [[crypto.decode_element(token) for token in row] for row in rows]
+
+
 def run_subquery(sub, keys, ctx, edb, cluster=0):
     """Evaluate one subquery over every shard; decrypted id set."""
     stag = oxt.stag_for(keys, sub)
@@ -32,7 +37,7 @@ def run_subquery(sub, keys, ctx, edb, cluster=0):
     ids = []
     for j, shard in enumerate(edb.clusters[cluster]):
         tuples = shard.tset.retrieve(stag)
-        rows = oxt.xtoken_rows(keys, ctx, sub.s_term, len(tuples), sub.x_terms)
+        rows = points(oxt.xtoken_rows(keys, ctx, sub.s_term, len(tuples), sub.x_terms))
         survivors = oxt.boolean_query(
             shard.tset, shard.xset, ctx, stag, rows, sub.formula, sub.negate
         )
@@ -130,13 +135,28 @@ class TestWorkIndependence:
             sub = oxt.compile_query(parse_sexpr(text), {s_term: 0})[0]
             assert sub.s_term == s_term
             stag = oxt.stag_for(keys, sub)
-            rows = oxt.xtoken_rows(keys, ctx, s_term, count, sub.x_terms)
+            rows = points(oxt.xtoken_rows(keys, ctx, s_term, count, sub.x_terms))
             shard = edb.clusters[0][0]
             ctx.reset_counter()
             oxt.boolean_query(
                 shard.tset, shard.xset, ctx, stag, rows, sub.formula, sub.negate
             )
             assert ctx.exp_count == count * n_x
+
+
+class TestXtokenRows:
+    def test_rows_equal_per_cell_xtokens(self, keys, ctx):
+        x_terms = ("friend:2", "follow:7", "friend:9")
+        rows = oxt.xtoken_rows(keys, ctx, "friend:1", 4, x_terms)
+        assert rows == [
+            [crypto.xtoken_compute(keys, ctx, "friend:1", c, xl) for xl in x_terms]
+            for c in range(1, 5)
+        ]
+
+    def test_one_fixed_base_multiplication_per_cell(self, keys, ctx):
+        ctx.reset_counter()
+        oxt.xtoken_rows(keys, ctx, "friend:1", 5, ("friend:2", "friend:3"))
+        assert ctx.exp_count == 10
 
 
 class TestOrRewrite:

@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import off_curve_x
 from privgraph import crypto
+from privgraph import planner as planner_mod
 from privgraph import server as server_mod
 from privgraph.builder import PartitionConfig, build_edb, hash_to_shard
 from privgraph.cluster import LocalCluster
@@ -703,6 +705,28 @@ class TestHygiene:
             fe = cluster.front_end(KEYS, lengths=engine.lengths)
             with pytest.raises(IntegrityError):
                 fe.query(f"(term {term})")
+
+
+class TestMalformedXtokens:
+    def test_off_curve_xtoken_gets_error_and_server_keeps_serving(self, setup, monkeypatch):
+        index, engine, cluster, fe = setup
+        t = top_terms(index, 2)
+        text = f"(and {t[0]} {t[1]})"
+        honest = planner_mod.encode_xtoken_batch
+        monkeypatch.setattr(
+            planner_mod, "encode_xtoken_batch",
+            lambda rows: honest([[off_curve_x()] + row[1:] for row in rows]),
+        )
+        transcript = cluster.transcript
+        seen = len(transcript.entries)
+        with pytest.raises(QueryError, match="P-256"):
+            fe.query(text)
+        errors = [(party, f.payload) for party, d, f in transcript.entries[seen:]
+                  if d == "send" and f.name == "ERROR"]
+        assert errors and all(party.startswith("is") for party, _ in errors)
+        monkeypatch.undo()
+        want = {eid for _, eid in engine.query(parse_sexpr(text))}
+        assert set(fe.query(text)) == want
 
 
 class TestBenchmarkHooks:

@@ -254,29 +254,30 @@ class TestGlobalSort:
 # tree keeps 12 + 13 comparators of 31 + 31 + 4 ANDs, and its labels are 31
 # masked-score and 4 payload bits an entry. Under half-gates an AND costs 32
 # bytes, so CIRCUIT_BLOB = 12 + 32 · ANDs + ⌈outputs / 8⌉ (k = 5: 865 ANDs
-# and 5 · 34 outputs). Each session here is a pair's
-# first, so it sets up; OT_EXTEND carries the 20-byte header that names its
-# state and block range.
-_EVALUATOR_OT = [("OT_SETUP", 32), ("OT_SETUP", 4096)]
+# and 5 · 34 outputs). Each session here is a pair's first, so it sets up:
+# the evaluator sends the base OT's point A (33 bytes, compressed) and 128
+# ciphertext pairs, the garbler 128 points B. OT_EXTEND carries the 20-byte
+# header that names its state and block range.
+_EVALUATOR_OT = [("OT_SETUP", 33), ("OT_SETUP", 4096)]
 PINNED_FRAMES = [
     (  # local, k = 5
         [("SORT_INIT", 4), ("CIRCUIT_BLOB", 27714), ("GARBLER_LABELS", 2480 + 240),
-         ("OT_SETUP", 4096), ("OT_PAYLOAD", 4960)],
+         ("OT_SETUP", 4224), ("OT_PAYLOAD", 4960)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 2560)],
     ),
     (  # local, k = 3
         [("SORT_INIT", 4), ("CIRCUIT_BLOB", 9049), ("GARBLER_LABELS", 1488 + 96),
-         ("OT_SETUP", 4096), ("OT_PAYLOAD", 2976)],
+         ("OT_SETUP", 4224), ("OT_PAYLOAD", 2976)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 1536)],
     ),
     (  # local, k = 1
         [("SORT_INIT", 4), ("CIRCUIT_BLOB", 976), ("GARBLER_LABELS", 496 + 16),
-         ("OT_SETUP", 4096), ("OT_PAYLOAD", 992)],
+         ("OT_SETUP", 4224), ("OT_PAYLOAD", 992)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 512)],
     ),
     (  # merge of 9 entries from 3 shards
         [("SORT_INIT", 12), ("CIRCUIT_BLOB", 52817), ("GARBLER_LABELS", 4464 + 576),
-         ("OT_SETUP", 4096), ("OT_PAYLOAD", 8928)],
+         ("OT_SETUP", 4224), ("OT_PAYLOAD", 8928)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 4480)],
     ),
 ]
