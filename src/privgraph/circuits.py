@@ -24,6 +24,13 @@ previous bit's AND: one level per bit. Within a template each gate takes
 its own level, so in the local sort's first layer the comparator's carry
 chain runs in lockstep with the adders', a few levels behind, instead of
 waiting for their last sum bit (28 levels fewer in every sort of k >= 2).
+
+A circuit holds only the gates that some output reads: CircuitBuilder.build
+drops every other gate, so it is neither garbled, sent nor evaluated, and
+renumbers the wires and levels that remain. The merge outputs payloads
+only, so its last layer keeps no score swap; a sort that keeps its first t
+outputs keeps only their cone. The walk back goes a stage at a time, not a
+gate at a time, and is skipped when every gate's output is read.
 """
 
 from __future__ import annotations
@@ -240,11 +247,54 @@ class CircuitBuilder:
         self.outputs.extend(wires)
 
     def build(self) -> Circuit:
+        """The circuit of the gates that some output reads (_live), its
+        wires renumbered densely in their order, so that every wire is an
+        input or a gate's output, and the levels left with no gate closed
+        up."""
         gates = np.array(self._gates, dtype=np.int32).reshape(-1, 4)
-        levels = self._stages_of(gates[:, 3]) // 2 + 1
+        stages = self._stages_of(gates[:, 3])
+        levels = stages // 2 + 1
+        n_wires, inputs, outputs = len(self._stage), self.inputs, self.outputs
+        live = _live(gates, stages, n_wires, outputs)
+        if live is not None:
+            kept = np.ones(n_wires, dtype=bool)  # the inputs and the live gates' outputs
+            kept[gates[~live, 3]] = False
+            wire = np.cumsum(kept, dtype=np.int32) - 1  # old wire -> new wire
+            gates = np.column_stack([gates[live, 0], wire[gates[live, 1:]]])
+            n_wires = int(wire[-1]) + 1
+            inputs = {name: wire[ws].tolist() for name, ws in inputs.items()}
+            outputs = wire[np.asarray(outputs, dtype=np.int64)].tolist()
+            used = np.zeros(int(levels.max()) + 1, dtype=np.int32)
+            used[levels[live]] = 1
+            levels = np.cumsum(used, dtype=np.int32)[levels[live]]
         for arr in (gates, levels):
             arr.setflags(write=False)
-        return Circuit(len(self._stage), gates, self.inputs, self.outputs, levels)
+        return Circuit(n_wires, gates, inputs, outputs, levels)
+
+
+def _live(gates: np.ndarray, stages: np.ndarray, n_wires: int, outputs):
+    """Which gates lie in some output's cone, as a boolean mask, or None
+    when all do: when every gate's wire is read or named, no gate is dead.
+    Otherwise the walk goes back one stage at a time, from the last: no
+    gate reads its own stage, so a stage's gates are live exactly when a
+    live gate reads or an output names their wires."""
+    outputs = np.asarray(outputs, dtype=np.int64)
+    needed = np.zeros(n_wires, dtype=bool)
+    needed[gates[:, 1:3]] = True
+    needed[outputs] = True
+    if needed[gates[:, 3]].all():
+        return None
+    order = np.argsort(stages.astype(np.min_scalar_type(int(stages.max()))), kind="stable")
+    out, ins = gates[order, 3], gates[order, 1:3]
+    ends = np.cumsum(np.bincount(stages)).tolist()
+    needed[:] = False
+    needed[outputs] = True
+    live = np.empty(len(gates), dtype=bool)
+    for lo, hi in zip(([0] + ends)[-2::-1], ends[::-1]):
+        on = live[lo:hi] = needed[out[lo:hi]]
+        needed[ins[lo:hi][on]] = True
+    live[order] = live.copy()
+    return live
 
 
 def _template(n_inputs: int, body) -> Circuit:
@@ -341,22 +391,21 @@ def comparator_count(n: int) -> int:
 
 @dataclass
 class SortCircuit:
-    """A sort's circuit with the count it was looked up for. For the local
+    """A sort's circuit with the shape it was looked up for. For the local
     sort (build_sort_circuit): per-element score reconstruction from two
     additive-share bundles, then a bitonic descending sort carrying payload
-    bits, the padding lines being sentinels; outputs are the k entries."""
+    bits, the padding lines being sentinels; outputs are the first t of its
+    k entries."""
 
     circuit: Circuit
-    k: int  # real entries, each with a payload of k.bit_length() bits
+    k: int  # entries in
+    t: int  # entries out, the first t in descending order
+    payload_width: int
 
     @property
     def n(self) -> int:
         """The network's width: the padded power-of-two length."""
         return padded_size(self.k)
-
-    @property
-    def payload_width(self) -> int:
-        return self.k.bit_length()
 
     @property
     def and_count(self) -> int:
@@ -366,7 +415,7 @@ class SortCircuit:
         """Split a decoded output bit row into (masked scores, payloads)."""
         width = SCORE_BITS + self.payload_width
         scores, payloads = [], []
-        for e in range(self.k):
+        for e in range(self.t):
             chunk = bits[e * width : (e + 1) * width]
             scores.append(bits_to_int(chunk[:SCORE_BITS]))
             payloads.append(bits_to_int(chunk[SCORE_BITS:]))
@@ -386,16 +435,22 @@ def padded_size(k: int) -> int:
     return 1 << (k - 1).bit_length()
 
 
-def build_sort_circuit(k: int) -> SortCircuit:
+def build_sort_circuit(k: int, t: int | None = None) -> SortCircuit:
+    """The local sort of k entries, whose payloads are their indices,
+    keeping its first min(k, t) outputs (all k without t); the gates that
+    only the others read are not built (CircuitBuilder.build)."""
     n, pw = padded_size(k), k.bit_length()
+    t = k if t is None else min(k, t)
+    if t < 1:
+        raise ValueError("a sort keeps at least one output")
     b = CircuitBuilder()
     g_shares = np.reshape(b.input_bundle("garbler_shares", k * SCORE_BITS), (k, -1))
     e_shares = np.reshape(b.input_bundle("evaluator_shares", k * SCORE_BITS), (k, -1))
     payloads = np.reshape(b.input_bundle("payloads", k * pw), (k, -1))
     rows = list(np.concatenate([g_shares, e_shares, payloads], axis=1))
-    for elem in b.bitonic_sort(rows + [None] * (n - k), first=_entry_templates(pw)):
+    for elem in b.bitonic_sort(rows + [None] * (n - k), first=_entry_templates(pw))[:t]:
         b.mark_outputs(elem.tolist())
-    return SortCircuit(b.build(), k)
+    return SortCircuit(b.build(), k, t, pw)
 
 
 def int_to_bits(value: int, n_bits: int) -> list[int]:

@@ -44,7 +44,7 @@ __all__ = [
     "blinding_value",
     "term_key",
     "encrypt_id",
-    "decrypt_id",
+    "decrypt_ids",
     "hash_to_shard",
     "parse_term",
     "save_keystore",
@@ -310,14 +310,22 @@ def encrypt_id(key: bytes, entity_id: int, rng=os.urandom) -> bytes:
     return nonce + AESGCM(key).encrypt(nonce, struct.pack(">Q", entity_id), b"")
 
 
-def decrypt_id(key: bytes, ciphertext: bytes) -> int:
-    if len(ciphertext) != CIPHERTEXT_BYTES:
-        raise DecryptError("ciphertext has wrong length")
-    try:
-        plain = AESGCM(key).decrypt(ciphertext[:12], ciphertext[12:], b"")
-    except InvalidTag:
-        raise DecryptError("authentication failed (wrong key or tampered ciphertext)") from None
-    return struct.unpack(">Q", plain)[0]
+def decrypt_ids(key: bytes, ciphertexts) -> list[int]:
+    """The entity ids of ciphertexts under K_t, with one AES-GCM key
+    schedule for all of them."""
+    aead = AESGCM(key)
+    ids = []
+    for n, ciphertext in enumerate(ciphertexts):
+        if len(ciphertext) != CIPHERTEXT_BYTES:
+            raise DecryptError(f"ciphertext {n} has wrong length")
+        try:
+            plain = aead.decrypt(ciphertext[:12], ciphertext[12:], b"")
+        except InvalidTag:
+            raise DecryptError(
+                f"ciphertext {n}: authentication failed (wrong key or tampered ciphertext)"
+            ) from None
+        ids.append(struct.unpack(">Q", plain)[0])
+    return ids
 
 
 def hash_to_shard(entity_id: int, shard_count: int, hash_name: str = "sha256") -> int:

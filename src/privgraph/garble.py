@@ -409,6 +409,8 @@ def evaluate(circuit: Circuit, gc: GarbledCircuit, input_labels: dict) -> np.nda
     sched = level_schedule(circuit)
     if gc.tables.shape != (sched.n_and, 2, 16):
         raise GarbleError(f"circuit has {sched.n_and} AND gates, tables hold {len(gc.tables)}")
+    if len(gc.dec) != len(circuit.outputs):
+        raise GarbleError(f"circuit has {len(circuit.outputs)} outputs, {len(gc.dec)} decode bits")
     inputs = []
     for name, (read, slots) in sched.inputs.items():
         arr = input_labels.get(name)

@@ -4,14 +4,16 @@ The profile captures what an honest-but-curious server cluster may learn
 from a query workload: N (total stored pairs), per-query boolean formula
 shapes, the s-term repeat pattern, per-shard posting sizes (SP), x-term
 counts (XP), (s-term, x-term) result sets (RP), cross-query s-term
-intersections for equal x-term sets (IP), and the result ranks of sorted
-queries. The profile is a pure function of the plaintext database and
-the query list; it never touches keys.
+intersections for equal x-term sets (IP), and, for a sorted query, its t
+= top_k and the ranks of its first t results. The profile is a pure
+function of the plaintext database and the query list; it never touches
+keys.
 
 Of a sorted query's scores, cluster 1 learns the ranks within each shard
-only: each output position of a local sort is masked with its own fresh
-mask, so the masked scores in CONTRIB tell nothing of the true scores or
-their differences. Cluster 0 learns the masks and the global order.
+of its first min(k, t) entries only: each output position of a local sort
+is masked with its own fresh mask, so the masked scores in CONTRIB tell
+nothing of the true scores or their differences. Cluster 0 learns the
+masks and the global order of the first t entries.
 
 The audit classifies every recorded frame into the allowed alphabet and
 flags anything else; the consistency check verifies that each observable
@@ -37,6 +39,7 @@ from .server import (
     decode_result,
     decode_tuple_count,
     decode_xtoken_batch,
+    wire_top_k,
 )
 from .sexpr import SExpr, parse_sexpr
 from .shares import decode_mul_exchange
@@ -58,10 +61,15 @@ __all__ = [
 class QueryRecord:
     expr: SExpr
     sort: bool = False
+    top_k: int | None = None  # of a sorted query; None keeps every result
 
     @classmethod
-    def make(cls, query, sort: bool = False) -> "QueryRecord":
-        return cls(parse_sexpr(query) if isinstance(query, str) else query, sort)
+    def make(cls, query, sort: bool = False, top_k: int | None = None) -> "QueryRecord":
+        return cls(parse_sexpr(query) if isinstance(query, str) else query, sort, top_k)
+
+    @property
+    def t(self) -> int | None:
+        return wire_top_k(self.sort, self.top_k)
 
 
 @dataclass
@@ -76,7 +84,8 @@ class LeakageProfile:
     ip: dict  # (subquery idx, subquery idx) -> frozenset (same x-terms, different s)
     result_counts: list  # per query, per subquery: per-shard survivor counts
     survivor_scores: list  # per query, per shard: survivor scores in wire order
-    ranks: list  # per sorted query: descending global score list; None otherwise
+    ranks: list  # per sorted query: its first t descending global scores; None otherwise
+    tops: list  # per query: the t its QUERY_INIT names, or None
 
     def block_counts(self, block_size: int) -> list:
         """Clear block-counter metadata is derivable leakage: ceil(SP/B)."""
@@ -144,7 +153,7 @@ def compute_leakage(
         sp.append(q_sp)
         result_counts.append(q_counts)
         survivor_scores.append(per_shard_scores)
-        ranks.append(sorted(all_scores, reverse=True) if record.sort else None)
+        ranks.append(sorted(all_scores, reverse=True)[: record.t] if record.sort else None)
 
     ip: dict = {}
     for a in range(len(flat_subs)):
@@ -157,7 +166,7 @@ def compute_leakage(
 
     return LeakageProfile(
         n_total, n_shards, phi_shapes, s_bar, sp, xp, rp, ip,
-        result_counts, survivor_scores, ranks,
+        result_counts, survivor_scores, ranks, [record.t for record in queries],
     )
 
 
@@ -174,7 +183,7 @@ def _whole_labels(payload: bytes) -> None:
 # frames and the other OT frames carry no header and keep context-free size
 # rules (or none).
 _ALPHABET = {
-    "QUERY_INIT": ("stag + formula shape + x-term count (XP)", decode_query_init),
+    "QUERY_INIT": ("stag + formula shape + x-term count (XP) + top k", decode_query_init),
     "TUPLE_COUNT": ("tuple counts (SP)", decode_tuple_count),
     "XTOKEN_BATCH": ("xtokens", decode_xtoken_batch),
     "RESULT": ("encrypted tuples + survivor counts", decode_result),
@@ -185,7 +194,7 @@ _ALPHABET = {
     "OT_SETUP": ("oblivious-transfer setup", None),
     "OT_EXTEND": ("oblivious-transfer extension", decode_ot_extend),
     "OT_PAYLOAD": ("wire labels", None),
-    "CONTRIB": ("masked scores + ranks", _decode_contrib),
+    "CONTRIB": ("masked scores + ranks + result count", _decode_contrib),
     "MASKS": ("masks", _decode_masks),
     "MUL_EXCHANGE": ("blinded shares", decode_mul_exchange),
     "ERROR": ("error notice", None),
@@ -308,6 +317,10 @@ def check_transcript_consistency(
             verdict.violations.append(f"query {qi}: formula shapes differ from profile")
         if [s.n_xterms for s in spec.subqueries] != profile.xp[qi]:
             verdict.violations.append(f"query {qi}: x-term counts differ from XP")
+        if spec.top_k != profile.tops[qi]:
+            verdict.violations.append(
+                f"query {qi}: QUERY_INIT names t = {spec.top_k}, the profile {profile.tops[qi]}"
+            )
         # repeat pattern: equal s-terms <=> byte-identical stags
         flat_base = sum(len(x) for x in profile.s_bar[:qi])
         for si, sub in enumerate(spec.subqueries):
@@ -370,16 +383,24 @@ def check_transcript_consistency(
                     scores.append(profile.survivor_scores[qi][j][i])
                 if not ok or len(order) != len(profile.ranks[qi]):
                     verdict.violations.append(
-                        f"query {qi}: global ranking is not a permutation of the survivors"
+                        f"query {qi}: global ranking of {len(order)} distinct survivors, "
+                        f"not {len(profile.ranks[qi])}"
                     )
                 elif scores != profile.ranks[qi]:
                     verdict.violations.append(
                         f"query {qi}: ranking order disagrees with the leakage ranks"
                     )
-            for shard, _, entries in contribs:
+            for shard, _, entries, count in contribs:
                 leak = _contrib_leak(profile.survivor_scores[qi], shard, entries)
                 if leak:
                     verdict.violations.append(f"query {qi} shard {shard}: CONTRIB {leak}")
+                    continue
+                k = len(profile.survivor_scores[qi][shard])
+                if (count, len(entries)) != (k, min(k, profile.tops[qi] or k)):
+                    verdict.violations.append(
+                        f"query {qi} shard {shard}: CONTRIB of {len(entries)} entries "
+                        f"of {count}, not min(k, t) of k = {k}"
+                    )
         verdict.notes.append(
             f"query {qi}: {len(frames)} frames consistent with profile"
             if not verdict.violations

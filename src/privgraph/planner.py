@@ -4,7 +4,10 @@ The front-end holds the master keys. It compiles an s-expression into
 subqueries, derives stags and streams xtokens sized by each server's
 announced tuple count, collects encrypted results from cluster 0, and for
 sorted queries reads the global ranking from the cluster-0 coordinator.
-It decrypts result ids locally; servers never see keys or plaintext ids.
+A sorted query's top_k travels in QUERY_INIT as t, so the servers sort,
+merge and rank only the first t. The front-end decrypts locally only the
+result ids it returns, under one term key per subquery and shard; servers
+never see keys or plaintext ids.
 
 Results returned to callers are plaintext entity ids, ranked when a sort
 was requested. Multi-round traversals (apply) run the nested expression
@@ -18,7 +21,7 @@ import logging
 import secrets
 from dataclasses import dataclass, field
 
-from .crypto import DecryptError, GroupContext, MasterKeyBundle, decrypt_id, term_key
+from .crypto import DecryptError, GroupContext, MasterKeyBundle, decrypt_ids, term_key
 from .oxt import IntegrityError, Subquery, compile_query, stag_for, xtoken_rows
 from .server import (
     QuerySpec,
@@ -29,6 +32,7 @@ from .server import (
     encode_query_init,
     encode_xtoken_batch,
     server_name,
+    wire_top_k,
 )
 from .sexpr import SExpr, parse_sexpr
 from .transport import MSG, Frame, Transcript, TransportError
@@ -42,6 +46,11 @@ STEP_KINDS = ("IndexAccess", "SetOp", "Arithmetic", "Sorting")
 
 class QueryError(Exception):
     pass
+
+
+def _check_top(name: str, top: int | None) -> None:
+    if top is not None and top < 1:
+        raise QueryError(f"{name} must be at least 1, not {top}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,9 @@ class FrontEnd:
         top_k: int | None = None,
         score: str | None = None,
     ) -> list[int]:
-        """Run a query; returns plaintext ids, ranked when sort is set."""
+        """Run a query; returns plaintext ids, ranked when sort is set, the
+        first top_k of them if top_k is given."""
+        _check_top("top_k", top_k)
         expr = parse_sexpr(query) if isinstance(query, str) else query
         if expr.op == "apply":
             return self._apply(expr, sort, top_k, score)
@@ -123,6 +134,7 @@ class FrontEnd:
         return self._execute(subqueries, sort, top_k, score)
 
     def _apply(self, expr: SExpr, sort, top_k, score) -> list[int]:
+        _check_top("nested_top_k", self.nested_top_k)
         nested = self.query(expr.args[0], sort=True, top_k=self.nested_top_k)
         if not nested:
             return []
@@ -143,6 +155,7 @@ class FrontEnd:
             return []
         if score and not sort:
             raise QueryError("scoring requires a sorted query")
+        t = wire_top_k(sort, top_k)  # the servers keep the first t results only
         qid = secrets.randbits(64)  # server session maps key on it
         chans = self._connect(sort)
         try:
@@ -155,26 +168,30 @@ class FrontEnd:
                 ],
                 sort,
                 score,
+                t,
             )
             init = Frame(MSG["QUERY_INIT"], qid, encode_query_init(spec))
             for ch in chans.values():
                 ch.send(init)
             shard_counts, shard_eids = self._run_subqueries(chans, qid, subqueries)
-            if not sort:
-                out = []
-                for j in range(self.n_shards):
-                    for i, e_id in enumerate(shard_eids[j]):
-                        sub = self._sub_at(subqueries, shard_counts[j], i, j)
-                        out.append(self._decrypt(sub.s_term, e_id, j))
-                return out[:top_k] if top_k is not None else out
-            order = self._global_order(chans[(0, 0)])
-            out = []
-            for j, i in order:
+            if sort:
+                picked = self._global_order(chans[(0, 0)], t)
+            else:
+                picked = [(j, i) for j in range(self.n_shards) for i in range(len(shard_eids[j]))]
+            picked = picked[:top_k]
+            # the picked ids' ciphertexts, by shard and term
+            groups: dict = {}
+            for n, (j, i) in enumerate(picked):
                 if j >= self.n_shards or i >= len(shard_eids[j]):
                     raise QueryError(f"global ranking points outside shard {j}")
                 sub = self._sub_at(subqueries, shard_counts[j], i, j)
-                out.append(self._decrypt(sub.s_term, shard_eids[j][i], j))
-            return out[:top_k] if top_k is not None else out
+                groups.setdefault((j, sub.s_term), []).append(n)
+            out = [0] * len(picked)
+            for (j, s_term), at in groups.items():
+                ids = self._decrypt(s_term, [shard_eids[j][picked[n][1]] for n in at], j)
+                for n, eid in zip(at, ids):
+                    out[n] = eid
+            return out
         finally:
             for ch in chans.values():
                 ch.close()
@@ -253,9 +270,9 @@ class FrontEnd:
                 raise QueryError(f"clusters disagree on shard {j} survivor counts")
         return shard_counts, shard_eids
 
-    def _global_order(self, coord_chan) -> list[tuple[int, int]]:
+    def _global_order(self, coord_chan, t: int | None) -> list[tuple[int, int]]:
         frame = self._recv(coord_chan, "GLOBAL_RESULT")
-        return decode_global_result(frame.payload)
+        return decode_global_result(frame.payload, t)
 
     @staticmethod
     def _sub_at(subqueries, counts, index, shard) -> Subquery:
@@ -265,9 +282,10 @@ class FrontEnd:
             index -= count
         raise QueryError(f"result index outside shard {shard} survivor vector")
 
-    def _decrypt(self, s_term: str, e_id: bytes, shard: int) -> int:
+    def _decrypt(self, s_term: str, e_ids: list[bytes], shard: int) -> list[int]:
+        """The ids of one shard's result tuples of one term, under one key."""
         try:
-            return decrypt_id(term_key(self.keys, s_term), e_id)
+            return decrypt_ids(term_key(self.keys, s_term), e_ids)
         except DecryptError as exc:
             raise IntegrityError(
                 f"undecryptable result tuple from shard {shard}: {exc}"

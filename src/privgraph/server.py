@@ -75,10 +75,12 @@ __all__ = [
     "decode_global_result",
     "QuerySpec",
     "SubquerySpec",
+    "wire_top_k",
 ]
 
 FLAG_SORT = 0x01
 FLAG_SCORE = 0x02
+FLAG_TOP = 0x04  # a sorted query's t = top_k follows the header
 
 # MASKS/CONTRIB status codes
 STATUS_OK = 0
@@ -114,16 +116,36 @@ class SubquerySpec:
         self.formula = formula
 
 
+def wire_top_k(sort: bool, top_k: int | None) -> int | None:
+    """The t that a query's QUERY_INIT names: a sorted query's top_k, at
+    most MAX_SORT_K, since no shard sorts more."""
+    return min(top_k, MAX_SORT_K) if sort and top_k is not None else None
+
+
 class QuerySpec:
-    def __init__(self, subqueries: list[SubquerySpec], sort: bool, score: str | None):
+    """top_k: a sorted query's t (wire_top_k), the servers keeping its
+    first t results only; None to keep them all."""
+
+    def __init__(
+        self,
+        subqueries: list[SubquerySpec],
+        sort: bool,
+        score: str | None,
+        top_k: int | None = None,
+    ):
         self.subqueries = subqueries
         self.sort = sort
         self.score = score
+        self.top_k = top_k
 
 
 def encode_query_init(spec: QuerySpec) -> bytes:
     flags = (FLAG_SORT if spec.sort else 0) | (FLAG_SCORE if spec.score else 0)
     parts = [struct.pack(">BH", flags, len(spec.subqueries))]
+    if spec.top_k is not None:
+        if not spec.sort or not 1 <= spec.top_k <= MAX_SORT_K:
+            raise ValueError(f"top k {spec.top_k} of a query that sort={spec.sort}")
+        parts[0] = struct.pack(">BHH", flags | FLAG_TOP, len(spec.subqueries), spec.top_k)
     for sub in spec.subqueries:
         formula = sub.formula.to_bytes()
         parts.append(sub.stag)
@@ -135,17 +157,24 @@ def encode_query_init(spec: QuerySpec) -> bytes:
 
 
 def decode_query_init(payload: bytes) -> QuerySpec:
-    """Strict: canonical flag and negate bytes, each formula over exactly
-    its subquery's x-terms, a UTF-8 score and no trailing bytes."""
+    """Strict: canonical flag and negate bytes, a t in 1..MAX_SORT_K and
+    only for a sorted query, each formula over exactly its subquery's
+    x-terms, a UTF-8 score and no trailing bytes."""
     end = len(payload)
     if end < 5:
         raise TransportError("QUERY_INIT shorter than its header")
     flags, n_sub = struct.unpack_from(">BH", payload)
-    if flags & ~(FLAG_SORT | FLAG_SCORE):
+    if flags & ~(FLAG_SORT | FLAG_SCORE | FLAG_TOP):
         raise TransportError(f"QUERY_INIT has unknown flags {flags:#04x}")
-    if 5 + 21 * n_sub > end:
+    off, top_k = 3, None
+    if flags & FLAG_TOP:
+        if not flags & FLAG_SORT:
+            raise TransportError("QUERY_INIT names a top k for an unsorted query")
+        (top_k,), off = struct.unpack_from(">H", payload, off), off + 2
+        if not 1 <= top_k <= MAX_SORT_K:
+            raise TransportError(f"QUERY_INIT top k {top_k} outside 1..{MAX_SORT_K}")
+    if off + 2 + 21 * n_sub > end:
         raise TransportError(f"QUERY_INIT too short for {n_sub} subqueries")
-    off = 3
     subs = []
     for _ in range(n_sub):
         if off + 21 > end:
@@ -173,7 +202,7 @@ def decode_query_init(payload: bytes) -> QuerySpec:
         raise TransportError("QUERY_INIT score is not UTF-8") from None
     if bool(flags & FLAG_SCORE) != bool(score):
         raise TransportError("QUERY_INIT score flag disagrees with its score")
-    return QuerySpec(subs, bool(flags & FLAG_SORT), score or None)
+    return QuerySpec(subs, bool(flags & FLAG_SORT), score or None, top_k)
 
 
 def encode_tuple_count(count: int) -> bytes:
@@ -245,15 +274,20 @@ def encode_global_result(order: list[tuple[int, int]]) -> bytes:
     return b"".join(parts)
 
 
-def decode_global_result(payload: bytes) -> list[tuple[int, int]]:
+def decode_global_result(payload: bytes, t: int | None = None) -> list[tuple[int, int]]:
+    """The ranking, of at most t entries (MAX_SORT_K without t)."""
     if len(payload) < 4 or len(payload) != 4 + 6 * struct.unpack_from(">I", payload)[0]:
         raise TransportError("GLOBAL_RESULT size disagrees with its header")
+    limit = MAX_SORT_K if t is None else t
+    if (len(payload) - 4) // 6 > limit:
+        raise TransportError(f"GLOBAL_RESULT of {(len(payload) - 4) // 6} entries, over {limit}")
     return list(struct.iter_unpack(">HI", payload[4:]))
 
 
-# A shard's report to its coordinator, its entries in rank order: MASKS is
-# shard u16, status u8, then one u32 mask per entry; CONTRIB is shard,
-# status, a u32 count, then (masked score, local index) u32 pairs.
+# A shard's report to its coordinator, its first min(k, t) entries in rank
+# order, k its result count: MASKS is shard u16, status u8, then one u32
+# mask per entry; CONTRIB is shard, status, k as a u32, then (masked score,
+# local index) u32 pairs.
 def _check_report(frame: str, status: int, count: int) -> None:
     """A MASKS or CONTRIB header: a known status and at most MAX_SORT_K
     entries, checked before the entries are unpacked."""
@@ -285,20 +319,23 @@ def _decode_masks(payload: bytes):
     return shard, status, masks
 
 
-def _encode_contrib(shard: int, status: int, entries: list[tuple[int, int]]) -> bytes:
-    parts = [struct.pack(">HBI", shard, status, len(entries))]
+def _encode_contrib(shard: int, status: int, entries: list[tuple[int, int]], count: int) -> bytes:
+    parts = [struct.pack(">HBI", shard, status, count)]
     parts.extend(struct.pack(">II", m, p) for m, p in entries)
     return b"".join(parts)
 
 
 def _decode_contrib(payload: bytes):
-    if len(payload) < 7 or len(payload) != 7 + 8 * struct.unpack_from(">I", payload, 3)[0]:
-        raise TransportError("CONTRIB size disagrees with its header")
-    shard, status = struct.unpack_from(">HB", payload)
-    _check_report("CONTRIB", status, (len(payload) - 7) // 8)
+    """(shard, status, entries, the shard's result count)."""
+    if len(payload) < 7 or (len(payload) - 7) % 8:
+        raise TransportError(f"CONTRIB of {len(payload)} bytes is not whole entries")
+    shard, status, count = struct.unpack_from(">HBI", payload)
+    _check_report("CONTRIB", status, count)
+    if (len(payload) - 7) // 8 > count:
+        raise TransportError(f"CONTRIB of more entries than its count {count}")
     entries = list(struct.iter_unpack(">II", payload[7:]))
     _check_scores("CONTRIB", (masked for masked, _ in entries))
-    return shard, status, entries
+    return shard, status, entries, count
 
 
 def _discard(item) -> None:
@@ -489,7 +526,7 @@ class IndexServer:
             spec = decode_query_init(init.payload)
             survivors = self._select(chan, qid, spec)
             if spec.sort:
-                self._sort_phase(chan, qid, survivors, spec.score)
+                self._sort_phase(chan, qid, survivors, spec)
         except Exception as exc:
             log.exception("%s: query %d failed", self.name, qid)
             try:
@@ -499,7 +536,7 @@ class IndexServer:
             if spec is not None and spec.sort and survivors is None:
                 # the peers of a sorted query this server failed are
                 # released at once instead of waiting out their timeouts
-                self._sort_phase(chan, qid, None, spec.score)
+                self._sort_phase(chan, qid, None, spec)
         finally:
             chan.close()
 
@@ -540,18 +577,19 @@ class IndexServer:
         finally:
             chan.close()
 
-    def _sort_phase(self, chan: Channel, qid: int, survivors, score: str | None) -> None:
-        """The local sort with the counterpart, the report to the
-        coordinator and, on shard 0, the coordinator's duties. survivors is
-        None when this server failed the query: the counterpart session is
-        then released and the coordinator told at once."""
+    def _sort_phase(self, chan: Channel, qid: int, survivors, spec: QuerySpec) -> None:
+        """The local sort with the counterpart, the report of its first
+        spec.top_k entries to the coordinator and, on shard 0, the
+        coordinator's duties. survivors is None when this server failed the
+        query: the counterpart session is then released and the
+        coordinator told at once."""
         shares = None if survivors is None else [t.sortkey_share for t in survivors]
         if self.cluster == 0:
-            self._sort_phase_garbler(chan, qid, shares, score)
+            self._sort_phase_garbler(chan, qid, shares, spec.score, spec.top_k)
         else:
-            self._sort_phase_evaluator(qid, shares, score)
+            self._sort_phase_evaluator(qid, shares, spec.score, spec.top_k)
 
-    def _sort_phase_garbler(self, chan, qid, shares, score):
+    def _sort_phase_garbler(self, chan, qid, shares, score, top_k):
         status, masks = STATUS_OK, []
         if shares != []:
             try:
@@ -564,7 +602,7 @@ class IndexServer:
                         if score:
                             shares = self._score(cchan, qid, shares, score, party=0)
                         masks = local_sort_garbler(
-                            cchan, qid, shares, self._ot_pair(self.counterpart)
+                            cchan, qid, shares, self._ot_pair(self.counterpart), top_k
                         )
                 finally:
                     cchan.close()
@@ -575,9 +613,9 @@ class IndexServer:
                 status, masks = STATUS_FAILED, []
         self._report("MASKS", _encode_masks(self.shard, status, masks), qid)
         if self.is_coordinator:
-            self._coordinate_masks(chan, qid)
+            self._coordinate_masks(chan, qid, top_k)
 
-    def _sort_phase_evaluator(self, qid, shares, score):
+    def _sort_phase_evaluator(self, qid, shares, score, top_k):
         status, entries = STATUS_OK, []
         try:
             if shares is None:
@@ -588,7 +626,7 @@ class IndexServer:
                     if score:
                         shares = self._score(cchan, qid, shares, score, party=1)
                     masked, order = local_sort_evaluator(
-                        cchan, qid, shares, self._ot_pair(self.counterpart)
+                        cchan, qid, shares, self._ot_pair(self.counterpart), top_k
                     )
                 finally:
                     cchan.close()
@@ -599,13 +637,14 @@ class IndexServer:
         finally:
             # a garbler's session that is still to come is closed on arrival
             self._drop(("sort", qid))
-        self._report("CONTRIB", _encode_contrib(self.shard, status, entries), qid)
+        count = len(shares) if status == STATUS_OK else 0
+        self._report("CONTRIB", _encode_contrib(self.shard, status, entries, count), qid)
         if self.is_coordinator:
-            self._coordinate_contribs(qid)
+            self._coordinate_contribs(qid, top_k)
 
     # -- coordinator duties
 
-    def _coordinate_masks(self, chan: Channel, qid: int) -> None:
+    def _coordinate_masks(self, chan: Channel, qid: int, top_k: int | None) -> None:
         """Cluster-0 coordinator: gather every shard's masks, evaluate the
         global merge fed by the cluster-1 coordinator, answer the front-end.
         The cluster-1 coordinator opens the merge session of every sorted
@@ -649,7 +688,7 @@ class IndexServer:
             if not answered:
                 try:
                     order = global_sort_evaluator(
-                        gchan, qid, masks, self._ot_pair(server_name(1, 0))
+                        gchan, qid, masks, self._ot_pair(server_name(1, 0)), top_k
                     )
                 except ChannelClosed:
                     raise ServerError(
@@ -660,7 +699,7 @@ class IndexServer:
         finally:
             gchan.close()
 
-    def _coordinate_contribs(self, qid: int) -> None:
+    def _coordinate_contribs(self, qid: int, top_k: int | None) -> None:
         """Cluster-1 coordinator: gather every shard's masked vector, empty
         ones included, and garble the global merge for the cluster-0
         coordinator. The merge session is opened even when a shard failed,
@@ -671,10 +710,10 @@ class IndexServer:
         failed = False
         try:
             for _ in range(self.n_shards):
-                shard, status, entries = self._await(("contrib", qid), self.timeout)
+                shard, status, entries, count = self._await(("contrib", qid), self.timeout)
                 failed |= status != STATUS_OK
                 masked = [m for m, _ in entries]
-                contributions.append((shard, masked, [p for _, p in entries]))
+                contributions.append((shard, count, masked, [p for _, p in entries]))
         except TransportError:
             log.warning("%s: a contribution to query %d never came", self.name, qid)
             failed = True
@@ -683,9 +722,9 @@ class IndexServer:
         gchan = self._connect(server_name(0, 0))
         try:
             gchan.send(Frame(MSG["SORT_INIT"], qid, b""))  # session handshake
-            if not failed and any(masked for _, masked, _ in contributions):
+            if not failed and any(count for _, count, _, _ in contributions):
                 global_sort_garbler(
-                    gchan, qid, contributions, self._ot_pair(server_name(0, 0))
+                    gchan, qid, contributions, self._ot_pair(server_name(0, 0)), top_k
                 )
         finally:
             gchan.close()

@@ -23,6 +23,15 @@ only. The network's shape is a function of the per-shard counts only,
 which SORT_INIT already publishes, so the merge leaks nothing a full sort
 did not.
 
+A sorted query with a top_k sorts only its first t = top_k results, t
+being public (QUERY_INIT). Each local sort outputs its first min(k, t)
+entries, so a shard's MASKS and CONTRIB hold that many; the merge runs
+over those truncated runs, each tree node passes on its first t, and the
+merge outputs the first t payloads. Its payloads still number the
+entries densely over the shards' full counts, which its SORT_INIT
+carries. A sort keeps only the gates its kept outputs read
+(CircuitBuilder.build), so the cut costs no gate past it.
+
 Both sorts run one session, written once as _garble_session and
 _evaluate_session. Its SORT_INIT carries only the sort's per-shard counts,
 which both halves already hold, and each half works the sort's shape out
@@ -76,7 +85,8 @@ class SortError(Exception):
 
 # SORT_INIT: an empty payload opens a counterpart session; the garbler's
 # header then holds the sort's per-shard counts, one u32 each: [k] for a
-# local sort, every shard's count (zeros included) for the merge.
+# local sort, every shard's result count (zeros included) for the merge,
+# whose runs are the first min(k, t) of them.
 _MAX_SHARDS = 1 << 16  # shard numbers are u16 on the wire
 
 
@@ -91,25 +101,30 @@ def decode_sort_init(payload: bytes) -> list[int] | None:
     if len(payload) % 4 or len(payload) > 4 * _MAX_SHARDS:
         raise TransportError(f"SORT_INIT of {len(payload)} bytes")
     counts = list(struct.unpack(f">{len(payload) // 4}I", payload))
-    if not 1 <= sum(counts) <= MAX_SORT_K:
-        raise TransportError(f"SORT_INIT announces {sum(counts)} entries")
+    if not sum(counts) or max(counts) > MAX_SORT_K:
+        raise TransportError(f"SORT_INIT announces counts {counts[:8]}")
     return counts
 
 
 def _built_once(build):
-    """build, memoised over the last 32 shapes. Both halves of a sort look
-    its shape up at once, in one process; a lookup holds the lock while it
-    builds, so they get one circuit and so one level schedule
-    (garble.level_schedule). Shapes repeat as far as survivor counts do;
-    a build stamps templates a layer at a time, so a miss, build and
-    schedule, costs about one garbling and evaluation of its circuit."""
+    """build(counts, t), memoised over the last 32 shapes. Both halves of
+    a sort look its shape up at once, in one process; a lookup holds the
+    lock while it builds, so they get one circuit and so one level
+    schedule (garble.level_schedule). A t that keeps every entry becomes
+    None, so a full sort has one shape however its t was given. Shapes
+    repeat as far as survivor counts do; a build stamps templates a layer
+    at a time, so a miss, build and schedule, costs about one garbling and
+    evaluation of its circuit."""
     cached = functools.lru_cache(maxsize=32)(build)
     lock = threading.Lock()
 
     @functools.wraps(build)
-    def lookup(shape):
+    def lookup(counts, t=None):
+        counts = tuple(counts)
+        if t is not None and t >= sum(counts):
+            t = None
         with lock:
-            return cached(shape)
+            return cached(counts, t)
 
     lookup.cache_info = cached.cache_info
     lookup.cache_clear = cached.cache_clear
@@ -117,30 +132,36 @@ def _built_once(build):
 
 
 @_built_once
-def _sort_circuit(counts: tuple[int]) -> SortCircuit:
+def _sort_circuit(counts: tuple[int], t: int | None) -> SortCircuit:
     (k,) = counts
-    return build_sort_circuit(k)
+    return build_sort_circuit(k, t)
 
 
-def _merge_network(counts: tuple[int, ...]) -> SortCircuit:
-    """Global-sort circuit merging runs of these counts. Its inputs are the
-    entries in shard-major rank order, as CONTRIB and MASKS deliver them.
-    Per entry, unmask score = masked XOR mask (free). Runs are halved down
-    to single runs; a node lays its runs of a and b entries out in width m
-    = padded_size(a + b) as the left run, m - a - b sentinels, then the
-    right run reversed, a bitonic sequence that one merge stage sorts.
-    Outputs the payload bits of the merged entries. A single run is
-    already merged: its circuit reads no score and no mask."""
-    t = sum(counts)
-    pw = t.bit_length()
+def _merge_network(counts: tuple[int, ...], t: int | None = None) -> SortCircuit:
+    """Global-sort circuit merging the first min(count, t) entries of runs
+    of these counts, each run's its top ones, and keeping the first t
+    outputs (all without t). Its inputs are the entries in shard-major rank
+    order, as CONTRIB and MASKS deliver them. Per entry, unmask score =
+    masked XOR mask (free). Runs are halved down to single runs; a node
+    lays its runs of a and b entries out in width m = padded_size(a + b)
+    as the left run, m - a - b sentinels, then the right run reversed, a
+    bitonic sequence that one merge stage sorts, and passes on its first t.
+    Outputs the payload bits of the first t merged entries, numbered
+    densely over all the counts' entries. A single run is already merged:
+    its circuit reads no score and no mask."""
+    runs = [count if t is None else min(count, t) for count in counts]
+    total = sum(runs)
+    padded_size(total)  # rejects totals outside 1..MAX_SORT_K
+    t = total if t is None else min(t, total)
+    pw = sum(counts).bit_length()
     b = CircuitBuilder()
-    masked = b.input_bundle("masked_scores", t * SCORE_BITS)
-    masks = b.input_bundle("masks", t * SCORE_BITS)
-    payloads = np.reshape(b.input_bundle("payloads", t * pw), (t, -1))
-    if len(counts) == 1:
+    masked = b.input_bundle("masked_scores", total * SCORE_BITS)
+    masks = b.input_bundle("masks", total * SCORE_BITS)
+    payloads = np.reshape(b.input_bundle("payloads", total * pw), (total, -1))
+    if len(runs) == 1:
         b.mark_outputs(payloads.ravel().tolist())
-        return SortCircuit(b.build(), t)
-    scores = np.reshape([b.xor(x, r) for x, r in zip(masked, masks)], (t, -1))
+        return SortCircuit(b.build(), total, t, pw)
+    scores = np.reshape([b.xor(x, r) for x, r in zip(masked, masks)], (total, -1))
     entries = iter(np.concatenate([scores, payloads], axis=1))
 
     def merged(runs):
@@ -149,19 +170,19 @@ def _merge_network(counts: tuple[int, ...]) -> SortCircuit:
         h = (len(runs) + 1) // 2
         lo, hi = merged(runs[:h]), merged(runs[h:])
         pad = [None] * (padded_size(len(lo) + len(hi)) - len(lo) - len(hi))
-        return b.bitonic_sort(lo + pad + hi[::-1], merge=True)
+        return b.bitonic_sort(lo + pad + hi[::-1], merge=True)[:t]
 
-    for entry in merged(counts):
+    for entry in merged(runs):
         b.mark_outputs(entry[SCORE_BITS:].tolist())
-    return SortCircuit(b.build(), t)
+    return SortCircuit(b.build(), total, t, pw)
 
 
 @_built_once
-def build_merge_circuit(counts: tuple[int, ...]) -> SortCircuit:
+def build_merge_circuit(counts: tuple[int, ...], t: int | None) -> SortCircuit:
     """The global-sort circuit merging runs of these counts, the non-empty
-    shards' in shard order."""
-    padded_size(sum(counts))  # rejects totals outside 1..MAX_SORT_K
-    return _merge_network(counts)
+    shards' in shard order, keeping the first t entries of each and of the
+    merge (all without t)."""
+    return _merge_network(counts, t)
 
 
 # The garbler's input bundles of each sort, in the order its one
@@ -171,15 +192,16 @@ _LOCAL_LABELS = ("garbler_shares", "payloads")
 _MERGE_LABELS = ("masked_scores", "payloads")
 
 
-def _layout(build, counts: list[int]):
-    """The circuit and entries of a sort over per-shard counts, worked out
-    alike by both halves. entries[v] is the (shard, local index) that
-    carries payload v = offset[shard] + index, shard-major, so the payloads
-    run densely over 0..t-1 in t.bit_length() bits."""
+def _layout(build, counts: list[int], t: int | None):
+    """The circuit and entries of a sort over per-shard counts, keeping
+    the first t of each count and of the sort, worked out alike by both
+    halves. entries[v] is the (shard, local index) that carries payload v
+    = offset[shard] + index, shard-major, so the payloads run densely over
+    0..sum(counts)-1 in sum(counts).bit_length() bits."""
     entries = [(shard, idx) for shard, count in enumerate(counts) for idx in range(count)]
     if not entries:
         raise SortError("nothing to sort")
-    return build(tuple(count for count in counts if count)), entries
+    return build(tuple(count for count in counts if count), t), entries
 
 
 def _bits(values, width: int) -> list[int]:
@@ -209,14 +231,18 @@ def _garble_session(channel, session, counts, sc, bundles, bits, ot, flips=0) ->
         OTSender(ot, channel, session).send_messages(zero, zero ^ delta)
 
 
-def _evaluate_session(channel, session, counts, sc, bundles, own_bits, ot) -> np.ndarray:
-    """Evaluator half of a sort: checks the SORT_INIT counts against its
-    own, reads the circuit and the garbler's labels of the bundles the
-    circuit reads, takes the labels of own_bits by OT as extension receiver
-    on ot if the circuit reads them, evaluates and returns the decoded
-    output bits."""
-    if decode_sort_init(channel.expect("SORT_INIT").payload) != counts:
+def _evaluate_session(channel, session, agree, build, t, bundles, own_bits, ot):
+    """Evaluator half of a sort: reads the SORT_INIT counts, which
+    agree(counts) checks against this party's own, and works the sort's
+    layout out of them (_layout(build, counts, t)); reads the circuit and
+    the garbler's labels of the bundles the circuit reads, takes the
+    labels of own_bits by OT as extension receiver on ot if the circuit
+    reads them, evaluates and returns (circuit, entries, the decoded
+    output bits)."""
+    counts = decode_sort_init(channel.expect("SORT_INIT").payload)
+    if counts is None or not agree(counts):
         raise SortError("the garbler's SORT_INIT counts differ from this party's")
+    sc, entries = _layout(build, counts, t)
     gc = GarbledCircuit.from_bytes(channel.expect("CIRCUIT_BLOB").payload)
     sched, inputs = level_schedule(sc.circuit), sc.circuit.inputs
     (own,) = inputs.keys() - set(bundles)
@@ -231,7 +257,7 @@ def _evaluate_session(channel, session, counts, sc, bundles, own_bits, ot) -> np
     labels = dict(zip(bundles, np.split(rows, np.cumsum(sizes)[:-1], axis=1)))
     if sched.reads(own):
         labels[own] = OTReceiver(ot, channel, session).recv_messages(own_bits)[None]
-    return decode(gc, evaluate(sc.circuit, gc, labels))[0]
+    return sc, entries, decode(gc, evaluate(sc.circuit, gc, labels))[0]
 
 
 def local_sort_garbler(
@@ -239,11 +265,13 @@ def local_sort_garbler(
     session: int,
     shares: list[int],
     ot: OTPair,
+    t: int | None = None,
 ) -> list[int]:
-    """Garbler (cluster 0) side of a local sort. Returns the fresh masks
-    R_e of its output positions e < k."""
-    sc, _ = _layout(_sort_circuit, [len(shares)])
-    masks = [secrets.randbelow(SHARE_MODULUS) for _ in range(sc.k)]
+    """Garbler (cluster 0) side of a local sort that keeps its first t
+    outputs (all without t). Returns the fresh masks R_e of its output
+    positions e < min(k, t)."""
+    sc, _ = _layout(_sort_circuit, [len(shares)], t)
+    masks = [secrets.randbelow(SHARE_MODULUS) for _ in range(sc.t)]
     bits = {
         "garbler_shares": _bits(shares, SCORE_BITS),
         "payloads": _bits(range(sc.k), sc.payload_width),
@@ -259,36 +287,45 @@ def local_sort_evaluator(
     session: int,
     shares: list[int],
     ot: OTPair,
+    t: int | None = None,
 ) -> tuple[list[int], list[int]]:
     """Evaluator (cluster 1) side. Returns (masked scores, payload order)
-    of its k entries, descending by true score, payloads 0-based."""
-    sc, _ = _layout(_sort_circuit, [len(shares)])
-    own_bits = _bits(shares, SCORE_BITS)
-    bits = _evaluate_session(channel, session, [sc.k], sc, _LOCAL_LABELS, own_bits, ot)
+    of its first min(k, t) entries (all k without t), descending by true
+    score, payloads 0-based."""
+    sc, _, bits = _evaluate_session(
+        channel, session, lambda counts: counts == [len(shares)], _sort_circuit, t,
+        _LOCAL_LABELS, _bits(shares, SCORE_BITS), ot,
+    )
     return sc.decode_outputs(bits)
 
 
 def global_sort_garbler(
     channel: Channel,
     session: int,
-    contributions: list[tuple[int, list[int], list[int]]],
+    contributions: list[tuple[int, int, list[int], list[int]]],
     ot: OTPair,
+    t: int | None = None,
 ) -> None:
-    """Garbler (cluster-1 coordinator) side of the global sort. Each
-    shard, empty ones included and in any order, contributes (shard, masked
-    scores, local indices) in its CONTRIB (rank) order. Sends everything;
-    returns nothing."""
+    """Garbler (cluster-1 coordinator) side of the global sort that keeps
+    the first t entries (all without t). Each shard, empty ones included
+    and in any order, contributes (shard, its result count k, masked
+    scores, local indices) in its CONTRIB (rank) order: its first min(k, t)
+    entries. Sends everything; returns nothing."""
     contributions = sorted(contributions, key=lambda c: c[0])
-    if [shard for shard, _, _ in contributions] != list(range(len(contributions))):
+    if [c[0] for c in contributions] != list(range(len(contributions))):
         raise SortError("the contributions do not name each shard once")
-    counts = [len(masked) for _, masked, _ in contributions]
-    sc, _ = _layout(build_merge_circuit, counts)
-    masked, payloads = [], []
-    for shard, scores, indices in contributions:
-        if sorted(indices) != list(range(len(scores))):
-            raise SortError(f"shard {shard}'s indices are not a permutation")
-        payloads += [len(masked) + idx for idx in indices]  # the shard's offset + idx
+    counts = [count for _, count, _, _ in contributions]
+    masked, payloads, offset = [], [], 0
+    for shard, count, scores, indices in contributions:
+        kept = count if t is None else min(count, t)
+        if not len(scores) == len(indices) == len(set(indices)) == kept or any(
+            not 0 <= idx < count for idx in indices
+        ):
+            raise SortError(f"shard {shard}'s indices are not {kept} of its {count} entries")
+        payloads += [offset + idx for idx in indices]
         masked += scores
+        offset += count
+    sc, _ = _layout(build_merge_circuit, counts, t)
     bits = {
         "masked_scores": _bits(masked, SCORE_BITS),
         "payloads": _bits(payloads, sc.payload_width),
@@ -301,14 +338,27 @@ def global_sort_evaluator(
     session: int,
     masks: list[list[int]],
     ot: OTPair,
+    t: int | None = None,
 ) -> list[tuple[int, int]]:
-    """Evaluator (cluster-0 coordinator) side: masks holds each shard's
-    masks in rank order, by shard, as its MASKS brought them; their counts
-    are the shards' result counts. Feeds the masks in by OT and returns
-    the global descending order as (shard, local index)."""
-    counts = [len(shard_masks) for shard_masks in masks]
-    sc, entries = _layout(build_merge_circuit, counts)
+    """Evaluator (cluster-0 coordinator) side of the global sort that
+    keeps the first t entries (all without t): masks holds each shard's
+    masks in rank order, by shard, as its MASKS brought them, min(k, t) of
+    a shard of k results. The garbler's SORT_INIT gives each shard's k.
+    Feeds the masks in by OT and returns the global descending order as
+    (shard, local index)."""
+    runs = [len(shard_masks) for shard_masks in masks]
+
+    def agree(counts):
+        return runs == [count if t is None else min(count, t) for count in counts]
+
     own = _bits([mask for shard_masks in masks for mask in shard_masks], SCORE_BITS)
-    bits = _evaluate_session(channel, session, counts, sc, _MERGE_LABELS, own, ot)
-    width = sc.payload_width
-    return [entries[bits_to_int(bits[e : e + width])] for e in range(0, len(bits), width)]
+    sc, entries, bits = _evaluate_session(
+        channel, session, agree, build_merge_circuit, t, _MERGE_LABELS, own, ot
+    )
+    width, order = sc.payload_width, []
+    for e in range(0, len(bits), width):
+        payload = bits_to_int(bits[e : e + width])
+        if payload >= len(entries):
+            raise SortError(f"the merge outputs payload {payload} of {len(entries)} entries")
+        order.append(entries[payload])
+    return order

@@ -163,7 +163,7 @@ class TestBuildEdb:
                 stag = crypto.stag_derive(keys, term)
                 k_t = crypto.term_key(keys, term)
                 tuples = edb.clusters[0][j].tset.retrieve(stag)
-                ids = {crypto.decrypt_id(k_t, t.e_id) for t in tuples}
+                ids = set(crypto.decrypt_ids(k_t, [t.e_id for t in tuples]))
                 assert ids == plist.ids()
 
     def test_y_cross_check(self, edb_setup, keys, ctx):
@@ -174,7 +174,7 @@ class TestBuildEdb:
         for j in range(2):
             tuples = edb.clusters[0][j].tset.retrieve(stag)
             for c, tup in enumerate(tuples, start=1):
-                eid = crypto.decrypt_id(k_t, tup.e_id)
+                (eid,) = crypto.decrypt_ids(k_t, [tup.e_id])
                 for other in list(index)[:3]:
                     token = crypto.xtoken_compute(keys, ctx, term, c, other)
                     expected = crypto.xtag_compute(keys, ctx, other, eid)

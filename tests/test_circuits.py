@@ -35,9 +35,7 @@ class TestBuilder:
     def test_and_count(self):
         b = CircuitBuilder()
         x = b.input_bundle("x", 2)
-        b.and_(*x)
-        b.xor(*x)
-        b.and_(*x)
+        b.mark_outputs([b.and_(*x), b.xor(*x), b.and_(*x)])
         assert b.build().and_count == 2
 
 
@@ -64,7 +62,8 @@ class TestStamp:
         template.mark_outputs([template.and_(template.xor(x[0], x[0]), x[1])])
         b = CircuitBuilder()
         x = b.input_bundle("x", 4)
-        b.stamp(template.build(), [[x[0], x[1]], [x[2], b.and_(x[2], x[3])]])
+        copies = b.stamp(template.build(), [[x[0], x[1]], [x[2], b.and_(x[2], x[3])]])
+        b.mark_outputs(copies.ravel().tolist())
         assert b.build().levels.tolist() == [1, 1, 1, 2, 2]
 
     def test_rows_must_feed_every_input(self):
@@ -106,7 +105,7 @@ class TestAdder:
         b = CircuitBuilder()
         xa = b.input_bundle("a", SCORE_BITS)
         xb = b.input_bundle("b", SCORE_BITS)
-        b.add_mod(xa, xb)
+        b.mark_outputs(b.add_mod(xa, xb))
         assert b.build().and_count == SCORE_BITS - 1
 
 
@@ -126,7 +125,7 @@ class TestLessThan:
         b = CircuitBuilder()
         xa = b.input_bundle("a", SCORE_BITS)
         xb = b.input_bundle("b", SCORE_BITS)
-        b.less_than(xa, xb)
+        b.mark_outputs([b.less_than(xa, xb)])
         assert b.build().and_count == SCORE_BITS
 
 
@@ -278,15 +277,16 @@ class TestBitonicBuilder:
     # built since sentinels are wire crossings, not inputs, and an ascending
     # comparator is the one template with its operands exchanged, with the
     # INV-free carry chains of add_mod and less_than; a local sort's first
-    # layer stamps each pair's two adders and comparator as one template
+    # layer stamps each pair's two adders and comparator as one template; a
+    # merge keeps only its payload outputs' cone, its wires renumbered
     PINNED = {
         ("sort", 1): "6a711a61b6c3363032d25d6a13dfea2b835d3c51a101dbd73b7ec9b5eca6efb4",
         ("sort", 3): "7c0553fa0fdd7784531795d7439dc9aae34ec9b411f5ccf51e6e07ba2fae9d96",
         ("sort", 8): "d06915fec32b5f0c580417ec4f14b6c598540c7144edc3f276fbf08f9b1383b2",
         ("sort", 13): "9d535447584b3d5ac79d86239750675ee495e628da16cf9d7dfe93675d7ae5fd",
-        ("merge", 2): "42ff1ce58a189fcf8d00e47751634d6d71731749a8e284fac8416ac968c2f0aa",
-        ("merge", 5): "32ca27151b541088649c7d7561b85744e0835c67a4d60064dd8fbc3c67eec439",
-        ("merge", 12): "8c81b0cb11cdf35385c3da0c3d97d429da8344f091136f3574c6d544f55f50c6",
+        ("merge", 2): "95fd2bf8bab10fe9bd169d809effcf1378c5f2131bd1f5d6f20da16f7fbd2538",
+        ("merge", 5): "004df62facbd0cecd08a536cec2582682b05dd0108ea5d90db61f51fc8318963",
+        ("merge", 12): "412f42471d4399da1bcbc7d91cfec031eb6b77ae1c6d6043efd8aaaf359bc567",
     }
 
     @pytest.mark.parametrize("kind,k", sorted(PINNED))
@@ -305,3 +305,90 @@ class TestBitonicBuilder:
         h.update(np.asarray(circuit.outputs, dtype="<i4").tobytes())
         h.update(str(circuit.n_wires).encode())
         assert h.hexdigest() == self.PINNED[(kind, k)]
+
+
+def cone(circuit):
+    """The gates in some output's cone, by a gate-by-gate walk back."""
+    needed = set(circuit.outputs)
+    kept = set()
+    for g in range(len(circuit.gates) - 1, -1, -1):
+        _, a, b, out = circuit.gates[g].tolist()
+        if out in needed:
+            kept.add(g)
+            needed.update((a, b))
+    return kept
+
+
+class TestLiveness:
+    # CircuitBuilder.build keeps only the gates that some output reads
+    @staticmethod
+    def pruned():
+        from privgraph.sorting import build_merge_circuit
+
+        return [build_sort_circuit(13, 4).circuit, build_sort_circuit(9, 1).circuit,
+                build_merge_circuit((5, 3, 1), 3).circuit, build_merge_circuit((6, 6)).circuit]
+
+    def test_every_kept_gate_lies_in_an_output_cone(self):
+        for c in self.pruned():
+            assert cone(c) == set(range(len(c.gates)))
+            # wires renumbered densely: inputs, then one per gate
+            assert c.n_wires == len(c.gates) + sum(map(len, c.inputs.values()))
+            assert sorted(c.gates[:, 3].tolist() + sum(c.inputs.values(), [])) == list(
+                range(c.n_wires)
+            )
+            # a level with no gate left is compacted away
+            assert np.unique(c.levels).tolist() == list(range(1, int(c.levels.max()) + 1))
+
+    def test_dead_gates_are_dropped(self):
+        b = CircuitBuilder()
+        x = b.input_bundle("x", 3)
+        dead = b.and_(x[0], x[1])
+        b.xor(dead, x[2])  # reads only a dead gate: a sink
+        b.mark_outputs([b.and_(b.xor(x[0], x[2]), x[1])])
+        c = b.build()
+        assert c.gates.tolist() == [[0, 0, 2, 3], [1, 3, 1, 4]]
+        assert (c.outputs, c.n_wires, c.levels.tolist()) == ([4], 5, [1, 1])
+        for bits in range(8):
+            row = int_to_bits(bits, 3)
+            assert run_single(c, x=row)[0] == ((row[0] ^ row[2]) & row[1])
+
+    @pytest.mark.parametrize("k", [3, 5, 12, 17])
+    def test_sort_keeping_every_output_keeps_every_gate(self, k):
+        full = build_sort_circuit(k).circuit
+        for t in (k, k + 5):
+            c = build_sort_circuit(k, t).circuit
+            assert np.array_equal(c.gates, full.gates) and np.array_equal(c.levels, full.levels)
+            assert (c.outputs, c.n_wires) == (full.outputs, full.n_wires)
+
+    def test_kept_outputs_match_the_full_network(self):
+        # the first t outputs of a pruned sort are the full sort's, bit for
+        # bit, in plaintext and garbled
+        from privgraph.garble import decode, evaluate, garble, select_labels
+
+        rng = np.random.default_rng(21)
+        for k, t in ((13, 4), (9, 1), (6, 5)):
+            full, top = build_sort_circuit(k), build_sort_circuit(k, t)
+            assert len(top.circuit.gates) < len(full.circuit.gates)
+            inputs = {name: rng.integers(0, 2, size=(20, len(w)), dtype=np.uint8)
+                      for name, w in full.circuit.inputs.items()}
+            want = simulate(full.circuit, {n: v.astype(bool) for n, v in inputs.items()})
+            plain = simulate(top.circuit, {n: v.astype(bool) for n, v in inputs.items()})
+            assert np.array_equal(plain, want[:, : len(top.circuit.outputs)])
+            gc, label_map, delta = garble(top.circuit)
+            labels = {n: select_labels(label_map[n], delta, v) for n, v in inputs.items()}
+            got = decode(gc, evaluate(top.circuit, gc, labels))
+            assert np.array_equal(got.astype(bool), plain)
+
+    def test_a_template_that_loses_gates_stamps(self):
+        # stamp reads a template's input count as n_wires - len(gates)
+        template = CircuitBuilder()
+        x = template.input_bundle("x", 2)
+        template.and_(x[0], x[1])  # dead
+        template.mark_outputs([template.xor(x[0], x[1])])
+        template = template.build()
+        assert template.n_wires - len(template.gates) == 2
+        b = CircuitBuilder()
+        rows = np.reshape(b.input_bundle("x", 4), (2, 2))
+        b.mark_outputs(b.stamp(template, rows).ravel().tolist())
+        c = b.build()
+        assert run_single(c, x=[1, 0, 1, 1]).tolist() == [1, 0]

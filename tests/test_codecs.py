@@ -70,6 +70,10 @@ VALID = {
                 score="(mul key key)",
             )
         ),
+        encode_query_init(
+            QuerySpec([SubquerySpec(b"\x03" * 16, False, 1, BoolFormula.variable(0))],
+                      sort=True, score=None, top_k=10)
+        ),
     ],
     "TUPLE_COUNT": [encode_tuple_count(17)],
     "XTOKEN_BATCH": [
@@ -80,7 +84,7 @@ VALID = {
         encode_result([2, 1], [bytes([i]) * 36 for i in range(3)]),
         encode_result([2, 1], None),
     ],
-    "GLOBAL_RESULT": [encode_global_result([(0, 1), (1, 0)])],
+    "GLOBAL_RESULT": [encode_global_result([(0, 1), (1, 0)]), encode_global_result([])],
     "SORT_INIT": [
         b"",
         encode_sort_init([3]),
@@ -93,7 +97,7 @@ VALID = {
         ).to_bytes()
     ],
     "GARBLER_LABELS": [bytes(range(32))],
-    "CONTRIB": [_encode_contrib(1, 0, [(5, 0), (7, 1)])],
+    "CONTRIB": [_encode_contrib(1, 0, [(5, 0), (7, 1)], 2), _encode_contrib(0, 0, [(5, 8)], 9)],
     "MASKS": [_encode_masks(1, 0, [99, (1 << 31) - 1]), _encode_masks(0, 1, [])],
     "MUL_EXCHANGE": [encode_mul_exchange(np.array([1, 2]), np.array([3, 4]))],
     "OT_EXTEND": [
@@ -176,7 +180,7 @@ class TestStrictness:
 
     def test_contrib_trailing_bytes(self):
         with pytest.raises(TransportError):
-            _decode_contrib(_encode_contrib(0, 0, [(1, 2)]) + b"x")
+            _decode_contrib(_encode_contrib(0, 0, [(1, 2)], 1) + b"x")
 
     def test_query_init_trailing_bytes(self):
         with pytest.raises(TransportError):
@@ -219,11 +223,48 @@ class TestStrictness:
         with pytest.raises(TransportError, match="flag"):
             decode_query_init(body + b"\x00\x01k")
 
+    def test_top_k(self):
+        # t follows the header behind FLAG_TOP (0x04), only with FLAG_SORT
+        # (0x01): an unsorted QUERY_INIT is byte-identical to one without t
+        body = _query_init(BoolFormula.variable(0).to_bytes())
+        spec = decode_query_init(b"\x05" + body[1:3] + b"\x00\x07" + body[3:])
+        assert spec.sort and spec.top_k == 7
+        assert decode_query_init(body).top_k is None
+        for bad, why in (
+            (b"\x04" + body[1:3] + b"\x00\x07" + body[3:], "unsorted"),  # t without FLAG_SORT
+            # FLAG_TOP but no t bytes: t would take the bytes after it
+            (b"\x05" + body[1:], "top k 1799"),
+            (b"\x05\x00\x00\x00\x01", "too short"),  # no subquery, no score field
+            (b"\x05\x00\x00\x00", "header"),
+            (b"\x05" + body[1:3] + b"\x00\x00" + body[3:], "top k 0"),
+            (b"\x05" + body[1:3] + (MAX_SORT_K + 1).to_bytes(2, "big") + body[3:], "top k"),
+        ):
+            with pytest.raises(TransportError, match=why):
+                decode_query_init(bad)
+        spec = QuerySpec([], sort=False, score=None, top_k=3)
+        with pytest.raises(ValueError):
+            encode_query_init(spec)
+
+    def test_global_result_within_t(self):
+        three = encode_global_result([(0, 1), (1, 0), (0, 2)])
+        assert len(decode_global_result(three, 3)) == 3
+        with pytest.raises(TransportError, match="over 2"):
+            decode_global_result(three, 2)
+        with pytest.raises(TransportError, match="entries"):
+            decode_global_result(encode_global_result([(0, 0)] * (MAX_SORT_K + 1)))
+
+    def test_contrib_holds_at_most_its_count(self):
+        assert _decode_contrib(_encode_contrib(0, 0, [(5, 3)], 4))[2:] == ([(5, 3)], 4)
+        with pytest.raises(TransportError, match="count"):
+            _decode_contrib(_encode_contrib(0, 0, [(5, 0), (6, 1)], 1))
+        with pytest.raises(TransportError, match="entries"):
+            _decode_contrib(_encode_contrib(0, 0, [(5, 0)], MAX_SORT_K + 1))
+
     def test_status_byte(self):
         with pytest.raises(TransportError, match="status"):
             _decode_masks(_encode_masks(0, 2, []))
         with pytest.raises(TransportError, match="status"):
-            _decode_contrib(_encode_contrib(0, 7, []))
+            _decode_contrib(_encode_contrib(0, 7, [], 0))
 
     def test_scores_outside_the_ring_rejected(self):
         # the merge reads 31 bits of each: a 32-bit word would be merged as
@@ -231,13 +272,14 @@ class TestStrictness:
         with pytest.raises(TransportError, match="2\\^31"):
             _decode_masks(_encode_masks(0, 0, [5, 1 << 31]))
         with pytest.raises(TransportError, match="2\\^31"):
-            _decode_contrib(_encode_contrib(0, 0, [(5, 0), (1 << 31, 1)]))
+            _decode_contrib(_encode_contrib(0, 0, [(5, 0), (1 << 31, 1)], 2))
 
     def test_more_than_max_sort_k_entries_rejected(self):
         with pytest.raises(TransportError, match="entries"):
             _decode_masks(_encode_masks(0, 0, [0] * (MAX_SORT_K + 1)))
         with pytest.raises(TransportError, match="entries"):
-            _decode_contrib(_encode_contrib(0, 0, [(0, i) for i in range(MAX_SORT_K + 1)]))
+            entries = [(0, i) for i in range(MAX_SORT_K + 1)]
+            _decode_contrib(_encode_contrib(0, 0, entries, MAX_SORT_K + 1))
         assert len(_decode_masks(_encode_masks(0, 0, [0] * MAX_SORT_K))[2]) == MAX_SORT_K
 
     def test_declared_count_checked_before_allocation(self):

@@ -132,7 +132,7 @@ class TestXTagCrossCheck:
 class TestIdEncryption:
     def test_round_trip(self, keys):
         k = crypto.term_key(keys, "friend:1")
-        assert crypto.decrypt_id(k, crypto.encrypt_id(k, 42)) == 42
+        assert crypto.decrypt_ids(k, [crypto.encrypt_id(k, 42), crypto.encrypt_id(k, 7)]) == [42, 7]
 
     def test_randomised(self, keys):
         k = crypto.term_key(keys, "friend:1")
@@ -143,14 +143,14 @@ class TestIdEncryption:
         k2 = crypto.term_key(keys, "friend:2")
         ct = crypto.encrypt_id(k1, 42)
         with pytest.raises(crypto.DecryptError):
-            crypto.decrypt_id(k2, ct)
+            crypto.decrypt_ids(k2, [ct])
 
     def test_tampered(self, keys):
         k = crypto.term_key(keys, "friend:1")
         ct = bytearray(crypto.encrypt_id(k, 42))
         ct[-1] ^= 1
-        with pytest.raises(crypto.DecryptError):
-            crypto.decrypt_id(k, bytes(ct))
+        with pytest.raises(crypto.DecryptError, match="ciphertext 1"):
+            crypto.decrypt_ids(k, [crypto.encrypt_id(k, 41), bytes(ct)])
 
 
 class TestShardHash:

@@ -138,7 +138,7 @@ class TestAudit:
         _, transcript, _ = run
         report = audit_transcript(transcript, forbidden=tuple(KEYS.__dict__.values()))
         assert report.clean, report.violations
-        assert "stag + formula shape + x-term count (XP)" in report.class_counts
+        assert "stag + formula shape + x-term count (XP) + top k" in report.class_counts
         assert "tuple counts (SP)" in report.class_counts
         assert "ranks" in report.class_counts
 
@@ -188,12 +188,46 @@ class TestAudit:
         entries, rewritten = [], 0
         for party, direction, frame in transcript.entries:
             if frame.type == MSG["CONTRIB"] and direction == "send":
-                shard, status, contrib = _decode_contrib(frame.payload)
+                shard, status, contrib, count = _decode_contrib(frame.payload)
                 true = profile.survivor_scores[3][shard]
                 one_mask = [(true[i] ^ 0x5A5A5A5, i) for _, i in contrib]
-                frame = Frame(frame.type, frame.session, _encode_contrib(shard, status, one_mask))
+                frame = Frame(
+                    frame.type, frame.session, _encode_contrib(shard, status, one_mask, count)
+                )
                 rewritten += len(contrib) > 1
             entries.append((party, direction, frame))
         assert rewritten
         verdict = check_transcript_consistency(profile, Transcript(entries=entries))
         assert any("CONTRIB" in v for v in verdict.violations), verdict.violations
+
+
+class TestTopK:
+    def test_top_2_transcript_consistent_and_wrong_t_flagged(self):
+        # a top-2 sorted query: QUERY_INIT names t = 2, each CONTRIB holds
+        # min(k, 2) entries and GLOBAL_RESULT the 2 first ranks
+        graph = random_graph(30, 200, seed=78)
+        index = build_inverted_index(graph)
+        engine = PlaintextEngine(index)
+        edb = build_edb(
+            index, KEYS, crypto.GroupContext(),
+            PartitionConfig(shards_per_cluster=2, bloom_fpr=1e-7, seed=78),
+        )
+        t = terms_by_size(index, 2)
+        record = QueryRecord.make(f"(or {t[0]} {t[1]})", sort=True, top_k=2)
+        transcript = Transcript()
+        with LocalCluster(edb, transcript=transcript, timeout=30.0) as cluster:
+            fe = cluster.front_end(KEYS, lengths=engine.lengths, timeout=60.0)
+            assert len(fe.query(record.expr, sort=True, top_k=2)) == 2
+        assert audit_transcript(transcript, forbidden=tuple(KEYS.__dict__.values())).clean
+        profile = compute_leakage(index, [record], n_shards=2)
+        assert profile.tops == [2] and len(profile.ranks[0]) == 2
+        assert max(map(len, profile.survivor_scores[0])) > 2  # the shards truncate
+        verdict = check_transcript_consistency(profile, transcript)
+        assert verdict.consistent, verdict.violations
+        for wrong in (3, None):
+            bad = compute_leakage(
+                index, [QueryRecord.make(record.expr, sort=True, top_k=wrong)], n_shards=2
+            )
+            violations = check_transcript_consistency(bad, transcript).violations
+            assert any("t = 2" in v for v in violations), violations
+            assert any("CONTRIB" in v for v in violations), violations

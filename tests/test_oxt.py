@@ -41,7 +41,7 @@ def run_subquery(sub, keys, ctx, edb, cluster=0):
         survivors = oxt.boolean_query(
             shard.tset, shard.xset, ctx, stag, rows, sub.formula, sub.negate
         )
-        ids.extend(fe._decrypt(sub.s_term, t.e_id, j) for _, t in survivors)
+        ids.extend(fe._decrypt(sub.s_term, [t.e_id for _, t in survivors], j))
     return set(ids)
 
 
@@ -203,4 +203,4 @@ class TestDecrypt:
             tuples[0].y,
         )
         with pytest.raises(oxt.IntegrityError, match="shard 0"):
-            FrontEnd(keys, None, 1)._decrypt(term, bad.e_id, 0)
+            FrontEnd(keys, None, 1)._decrypt(term, [tuples[1].e_id, bad.e_id], 0)

@@ -16,6 +16,7 @@ from privgraph import crypto
 from privgraph import planner as planner_mod
 from privgraph import server as server_mod
 from privgraph.builder import PartitionConfig, build_edb, hash_to_shard
+from privgraph.circuits import MAX_SORT_K
 from privgraph.cluster import LocalCluster
 from privgraph.crypto import SHARE_MODULUS
 from privgraph.graph import PlaintextEngine, build_inverted_index, random_graph
@@ -177,6 +178,61 @@ class TestSorted:
     def test_empty_sorted(self, setup):
         _, _, _, fe = setup
         assert fe.query("(term friend:999)", sort=True) == []
+
+    def test_top_k_travels_to_the_servers(self, setup):
+        # QUERY_INIT carries t = top_k, clamped to MAX_SORT_K, and the
+        # servers rank only the first t
+        index, engine, _, fe = setup
+        t = top_terms(index, 3)
+        text = f"(or {t[0]} {t[1]} {t[2]})"
+        oracle = engine.query(parse_sexpr(text), sort=True)
+        assert len(oracle) > 4
+        kept, fe.transcript = fe.transcript, Transcript()
+        try:
+            got = fe.query(text, sort=True, top_k=2)
+            every = fe.query(text, sort=True, top_k=10**6)
+            seen = fe.transcript.entries
+        finally:
+            fe.transcript = kept
+        assert len(got) == 2 and len(every) == len(oracle)
+        assert_ranked(got, oracle)
+        assert_ranked(every, oracle)
+        tops = {decode_query_init(f.payload).top_k
+                for _, d, f in seen if d == "send" and f.name == "QUERY_INIT"}
+        assert tops == {2, MAX_SORT_K}
+        ranks = [decode_global_result(f.payload)
+                 for _, d, f in seen if d == "recv" and f.name == "GLOBAL_RESULT"]
+        assert [len(r) for r in ranks] == [2, len(oracle)]
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_rejected(self, setup, top_k):
+        # out[:-1] would quietly drop the last result
+        _, _, _, fe = setup
+        for sort in (False, True):
+            with pytest.raises(QueryError, match="top_k"):
+                fe.query("(term friend:1)", sort=sort, top_k=top_k)
+        fe.nested_top_k = top_k
+        try:
+            with pytest.raises(QueryError, match="nested_top_k"):
+                fe.query("(apply friend: (term friend:1))", sort=True)
+        finally:
+            fe.nested_top_k = 10
+
+    @pytest.mark.parametrize("sort", [False, True])
+    def test_only_returned_ids_are_decrypted(self, setup, monkeypatch, sort):
+        # one term key for each shard's ids of the one term, and only the
+        # ids returned
+        index, _, _, fe = setup
+        term = top_terms(index, 1)[0]
+        real, calls = planner_mod.decrypt_ids, []
+
+        def decrypt_ids(key, ciphertexts):
+            calls.append(len(ciphertexts))
+            return real(key, ciphertexts)
+
+        monkeypatch.setattr(planner_mod, "decrypt_ids", decrypt_ids)
+        got = fe.query(f"(term {term})", sort=sort, top_k=3)
+        assert len(got) == sum(calls) == 3 and len(calls) <= 2
 
     def test_scored_ranking(self, setup):
         # (add key key) doubles every score: ranking matches the plain sort
@@ -434,7 +490,7 @@ class TestFailFast:
         chan, peer = loopback_pair("fe")
         try:
             with pytest.raises(ServerError, match="shard 3"):
-                server._coordinate_masks(chan, qid)
+                server._coordinate_masks(chan, qid, None)
             assert ("gsort", qid) in server._dropped  # the merge is closed on arrival
         finally:
             chan.close()

@@ -23,7 +23,7 @@ from privgraph.sorting import (
     local_sort_evaluator,
     local_sort_garbler,
 )
-from privgraph.transport import Transcript, loopback_pair
+from privgraph.transport import Transcript, TransportError, loopback_pair
 
 
 def run_session(garbler_fn, evaluator_fn, transcript=None):
@@ -158,7 +158,7 @@ class TestGlobalSort:
                     lambda ch, e=e: local_sort_evaluator(ch, j, e, OTPair(GroupContext())),
                 )
             masks.append(shard_masks)
-            contributions.append((j, masked, order))
+            contributions.append((j, len(scores), masked, order))
         if shard_order is not None:
             contributions = [contributions[j] for j in shard_order]
         _, order, _ = run_session(
@@ -216,10 +216,10 @@ class TestGlobalSort:
     @pytest.mark.parametrize(
         "contributions",
         [
-            [(0, [5, 6], [0, 0]), (1, [7], [0])],  # a repeated index
-            [(0, [5, 6], [0, 2]), (1, [7], [0])],  # an index past k - 1
-            [(0, [5, 6], [1, 0]), (0, [7], [0])],  # a shard named twice
-            [(0, [5, 6], [1, 0]), (2, [7], [0])],  # shard 1 missing
+            [(0, 2, [5, 6], [0, 0]), (1, 1, [7], [0])],  # a repeated index
+            [(0, 2, [5, 6], [0, 2]), (1, 1, [7], [0])],  # an index past k - 1
+            [(0, 2, [5, 6], [1, 0]), (0, 1, [7], [0])],  # a shard named twice
+            [(0, 2, [5, 6], [1, 0]), (2, 1, [7], [0])],  # shard 1 missing
         ],
         ids=["repeated-index", "index-past-k", "shard-twice", "shard-missing"],
     )
@@ -235,7 +235,7 @@ class TestGlobalSort:
             b.close()
 
     def test_header_counts_must_match_masks(self):
-        contributions = [(0, [5, 6], [1, 0]), (1, [7], [0])]
+        contributions = [(0, 2, [5, 6], [1, 0]), (1, 1, [7], [0])]
         with pytest.raises(SortError, match="counts"):
             run_session(
                 lambda ch: global_sort_garbler(ch, 1, contributions, OTPair(GroupContext())),
@@ -251,8 +251,9 @@ class TestGlobalSort:
 # comparators no sentinel enters (k = 5: 11, k = 3: 3), each of 31 + 31 +
 # payload ANDs; its labels are 31 share and payload bits an entry. The
 # merge's payloads are numbered densely over its 9 entries (4 bits); its
-# tree keeps 12 + 13 comparators of 31 + 31 + 4 ANDs, and its labels are 31
-# masked-score and 4 payload bits an entry. Under half-gates an AND costs 32
+# tree keeps 12 + 13 comparators of 31 + 31 + 4 ANDs, less the 31 score-swap
+# ANDs of each of the root's last 4, whose scores no output reads, and its
+# labels are 31 masked-score and 4 payload bits an entry. Under half-gates an AND costs 32
 # bytes, so CIRCUIT_BLOB = 12 + 32 · ANDs + ⌈outputs / 8⌉ (k = 5: 865 ANDs
 # and 5 · 34 outputs). Each session here is a pair's first, so it sets up:
 # the evaluator sends the base OT's point A (33 bytes, compressed) and 128
@@ -276,7 +277,7 @@ PINNED_FRAMES = [
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 512)],
     ),
     (  # merge of 9 entries from 3 shards
-        [("SORT_INIT", 12), ("CIRCUIT_BLOB", 52817), ("GARBLER_LABELS", 4464 + 576),
+        [("SORT_INIT", 12), ("CIRCUIT_BLOB", 48849), ("GARBLER_LABELS", 4464 + 576),
          ("OT_SETUP", 4224), ("OT_PAYLOAD", 8928)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 4480)],
     ),
@@ -296,7 +297,7 @@ class TestWireSequence:
                 transcripts[shard],
             )
             masks.append(shard_masks)
-            contributions.append((shard, masked, order))
+            contributions.append((shard, k, masked, order))
         run_session(
             lambda ch: global_sort_garbler(ch, 9, contributions, OTPair(GroupContext())),
             lambda ch: global_sort_evaluator(ch, 9, masks, OTPair(GroupContext())),
@@ -318,7 +319,7 @@ class TestWireSequence:
         # still decodes the run's order
         transcript = Transcript()
         _, order, _ = run_session(
-            lambda ch: global_sort_garbler(ch, 9, [(0, [11, 5, 9], [2, 0, 1])],
+            lambda ch: global_sort_garbler(ch, 9, [(0, 3, [11, 5, 9], [2, 0, 1])],
                                            OTPair(GroupContext())),
             lambda ch: global_sort_evaluator(ch, 9, [[1, 2, 3]], OTPair(GroupContext())),
             transcript,
@@ -361,11 +362,11 @@ class TestCircuitCache:
         building, builds = threading.Event(), []
         build = getattr(sorting, builder)
 
-        def slow_build(shape):
+        def slow_build(*shape):
             builds.append(shape)
             building.set()
             time.sleep(0.5)
-            return build(shape)
+            return build(*shape)
 
         monkeypatch.setattr(sorting, builder, slow_build)
         got = []
@@ -394,25 +395,29 @@ def merge_ands(m: int, payload_width: int) -> int:
 
 
 class TestMergeCircuit:
+    # the merge outputs payloads only, so the comparators of its last layer
+    # keep no score swap: SCORE_BITS ANDs fewer each than merge_ands counts
     def test_comparator_count_in_ands(self):
         for n in (8, 16, 32):
             sc = build_merge_circuit((n - 3, 3))
             assert sc.n == n
-            assert sc.and_count == merge_ands(n, n.bit_length()), n
+            assert sc.and_count == merge_ands(n, n.bit_length()) - n // 2 * SCORE_BITS, n
 
     def test_tree_comparators_in_ands(self):
         # (5, 3) merge in width 8, then its 8 entries and shard 2's one in
-        # 16, where 7 sentinels prune the comparators they enter
+        # 16, where 7 sentinels prune the comparators they enter; the root's
+        # last layer keeps 4, the ninth entry's being a crossing
         sc = build_merge_circuit((5, 3, 1))
         kept = merge_tree_comparators((5, 3, 1))
         assert kept == 12 + 13
-        assert sc.and_count == kept * (2 * SCORE_BITS + 4)
+        assert sc.and_count == kept * (2 * SCORE_BITS + 4) - 4 * SCORE_BITS
         assert build_merge_circuit((7,)).and_count == 0  # one run: nothing to merge
 
     def test_tree_costs_no_more_than_a_full_sort(self):
+        # the root merges 9 and 7 entries in width 16: a last layer of 8
         counts = (3,) * 5 + (1,)
         sc = build_merge_circuit(counts)
-        assert sc.and_count == 68 * (2 * SCORE_BITS + 5)
+        assert sc.and_count == 68 * (2 * SCORE_BITS + 5) - 8 * SCORE_BITS
         assert 68 <= comparator_count(16)
         # the costliest layout a search over equal-length and random runs
         # found for the tree with every node padded
@@ -463,7 +468,7 @@ class TestMergeOracle:
             shard_masks = [int(m) for m in rng.integers(0, SHARE_MODULUS, size=len(scores))]
             order = sorted(range(len(scores)), key=lambda i: -scores[i])
             masked = [scores[i] ^ m for i, m in zip(order, shard_masks)]
-            contributions.append((shard, masked, order))
+            contributions.append((shard, len(scores), masked, order))
             masks.append(shard_masks)
         pair_g, pair_e = pairs
         _, order, _ = run_session(
@@ -517,3 +522,97 @@ class TestLocalSortOracle:
         assert sorted(order) == list(range(len(scores)))
         assert [scores[i] for i in order] == want
         assert unmask(masked, masks) == want
+
+
+class TestTopK:
+    """Sorts that keep only their first t entries: each shard contributes
+    its top min(k, t), and the merge of those returns the first t of the
+    descending sort of every score, ties included."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        return OTPair(GroupContext()), OTPair(GroupContext())
+
+    @seed(20261020)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        # scores from a small range, so that ties straddle the cut
+        vectors=st.lists(st.lists(st.integers(0, 5), max_size=9), min_size=1, max_size=4).filter(
+            lambda vs: any(vs)
+        ),
+        t=st.integers(1, 12),
+        salt=st.integers(0, 2**32 - 1),
+    )
+    def test_top_t_merge_matches_oracle(self, pairs, vectors, t, salt):
+        rng = np.random.default_rng(salt)
+        contributions, masks = [], []
+        for shard, scores in enumerate(vectors):
+            order = sorted(range(len(scores)), key=lambda i: -scores[i])[:t]
+            shard_masks = [int(m) for m in rng.integers(0, SHARE_MODULUS, size=len(order))]
+            masked = [scores[i] ^ m for i, m in zip(order, shard_masks)]
+            contributions.append((shard, len(scores), masked, order))
+            masks.append(shard_masks)
+        pair_g, pair_e = pairs
+        _, order, _ = run_session(
+            lambda ch: global_sort_garbler(ch, 7, contributions, pair_g, t),
+            lambda ch: global_sort_evaluator(ch, 7, masks, pair_e, t),
+        )
+        flat = sorted((s for v in vectors for s in v), reverse=True)
+        assert len(set(order)) == len(order) == min(t, len(flat))
+        assert all(i in c[3] for j, i in order for c in contributions if c[0] == j)
+        assert [vectors[j][i] for j, i in order] == flat[:t]
+
+    @pytest.mark.parametrize("scores,t", [([5, 9, 2, 9, 7], 2), ([4, 4, 4], 1), ([3, 8], 5)])
+    def test_local_sort_keeps_its_first_t(self, pairs, scores, t):
+        g, e = split_shares(scores, np.random.default_rng(len(scores)))
+        pair_g, pair_e = pairs
+        masks, (masked, order), _ = run_session(
+            lambda ch: local_sort_garbler(ch, 3, g, pair_g, t),
+            lambda ch: local_sort_evaluator(ch, 3, e, pair_e, t),
+        )
+        want = sorted(scores, reverse=True)[:t]
+        assert len(masks) == len(order) == len(set(order)) == min(t, len(scores))
+        assert [scores[i] for i in order] == want and unmask(masked, masks) == want
+
+    @pytest.mark.parametrize("t_g,t_e", [(2, 3), (3, 4)])
+    def test_halves_must_agree_on_t(self, t_g, t_e):
+        # the evaluator checks the circuit against its own t: t = 3 and 4
+        # of 4 entries differ in no AND gate, only in their decode bits
+        g, e = split_shares([5, 9, 2, 7], np.random.default_rng(2))
+        with pytest.raises(TransportError, match="circuit has"):
+            run_session(
+                lambda ch: local_sort_garbler(ch, 3, g, OTPair(GroupContext()), t_g),
+                lambda ch: local_sort_evaluator(ch, 3, e, OTPair(GroupContext()), t_e),
+            )
+
+    def test_merge_counts_must_truncate_to_the_masks(self):
+        # shard 0 holds 4 results; its MASKS must bring min(4, t = 2) masks
+        contributions = [(0, 4, [5, 6], [1, 0]), (1, 1, [7], [0])]
+        with pytest.raises(SortError, match="counts"):
+            run_session(
+                lambda ch: global_sort_garbler(ch, 1, contributions, OTPair(GroupContext()), 2),
+                lambda ch: global_sort_evaluator(
+                    ch, 1, [[0, 0, 0], [0]], OTPair(GroupContext()), 2
+                ),
+            )
+
+    def test_truncated_contribution_checked(self):
+        # with t = 2 a shard of 4 results contributes exactly 2 distinct
+        # indices below 4
+        a, b = loopback_pair("x")
+        try:
+            for entries in (([5], [3]), ([5, 6, 7], [3, 0, 1]), ([5, 6], [3, 4])):
+                with pytest.raises(SortError):
+                    global_sort_garbler(a, 1, [(0, 4, *entries)], OTPair(GroupContext()), 2)
+            assert a.bytes_sent == 0
+        finally:
+            a.close()
+            b.close()
+
+    def test_top_t_shares_the_full_circuit_when_it_keeps_everything(self):
+        assert _sort_circuit((5,), 5) is _sort_circuit((5,))
+        assert build_merge_circuit((3, 2), 9) is build_merge_circuit((3, 2))
+        assert build_merge_circuit((3, 2), 4).t == 4
+        # a merge of the first 2 of (5, 3, 1) keeps fewer gates than of all
+        top, full = build_merge_circuit((5, 3, 1), 2), build_merge_circuit((5, 3, 1))
+        assert top.and_count < full.and_count
