@@ -56,6 +56,8 @@ class BloomFilter:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BloomFilter":
+        if len(data) < 34:
+            raise ValueError("bloom filter blob shorter than its header")
         magic, version, fpr, count, n_bits, n_hashes = struct.unpack(">4sHdQQI", data[:34])
         if magic != b"PGBF":
             raise ValueError("not a bloom filter blob")

@@ -55,7 +55,6 @@ class PartitionConfig:
     shards_per_cluster: int = 1
     block_size: int = 100
     bloom_fpr: float = 1e-6
-    shard_hash: str = "sha256"
     seed: int = 0
 
     def __post_init__(self):
@@ -69,7 +68,7 @@ class PartitionConfig:
             "shards_per_cluster": self.shards_per_cluster,
             "block_size": self.block_size,
             "bloom_fpr": self.bloom_fpr,
-            "shard_hash": self.shard_hash,
+            "shard_hash": "sha256",  # the partition function, hash_to_shard's
             "share_modulus": SHARE_MODULUS,
         }
 
@@ -146,43 +145,45 @@ class TSetShard:
     def tuple_count(self) -> int:
         return sum(len(v) for v in self.blocks.values())
 
-    def to_bytes(self, zero_shares: bool = False) -> bytes:
+    def to_bytes(self) -> bytes:
         parts = [struct.pack(">4sHII", b"PGTS", 1, self.block_size, len(self.counters))]
         for stag in sorted(self.counters):
             parts.append(stag + struct.pack(">I", self.counters[stag]))
         for key in sorted(self.blocks):
             block = self.blocks[key]
             parts.append(key + struct.pack(">H", len(block)))
-            for tup in block:
-                if zero_shares:
-                    tup = EncryptedTuple(0, tup.e_id, tup.y)
-                parts.append(tup.pack())
+            parts.extend(tup.pack() for tup in block)
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TSetShard":
-        magic, version, block_size, n_stags = struct.unpack(">4sHII", data[:14])
-        if magic != b"PGTS" or version != 1:
-            raise ValueError("not a TSet blob")
-        shard = cls(block_size)
-        off = 14
-        for _ in range(n_stags):
-            stag = data[off : off + 16]
-            (count,) = struct.unpack(">I", data[off + 16 : off + 20])
-            shard.counters[stag] = count
-            off += 20
-        total_blocks = sum(shard.counters.values())
-        for _ in range(total_blocks):
-            key = data[off : off + 20]
-            (n,) = struct.unpack(">H", data[off + 20 : off + 22])
-            off += 22
-            block = []
-            for _ in range(n):
-                block.append(EncryptedTuple.unpack(data[off : off + TUPLE_BYTES]))
-                off += TUPLE_BYTES
-            shard.blocks[key] = block
-        if off != len(data):
-            raise ValueError("TSet blob has trailing bytes")
+        """Strict: a blob cut short, with trailing bytes or with blocks its
+        counters do not name raises ValueError."""
+        try:
+            magic, version, block_size, n_stags = struct.unpack_from(">4sHII", data)
+            if magic != b"PGTS" or version != 1:
+                raise ValueError("not a TSet blob")
+            shard = cls(block_size)
+            off = 14
+            for _ in range(n_stags):
+                stag, count = struct.unpack_from(">16sI", data, off)
+                shard.counters[stag] = count
+                off += 20
+            for _ in range(sum(shard.counters.values())):
+                key, n = struct.unpack_from(">20sH", data, off)
+                off += 22
+                block = []
+                for _ in range(n):
+                    block.append(EncryptedTuple.unpack(data[off : off + TUPLE_BYTES]))
+                    off += TUPLE_BYTES
+                shard.blocks[key] = block
+        except struct.error:
+            raise ValueError("TSet blob truncated") from None
+        if off != len(data):  # a tuple cut short, or bytes after the last
+            raise ValueError("TSet blob length disagrees with its counts")
+        counted = (cls.block_key(s, b) for s, c in shard.counters.items() for b in range(1, c + 1))
+        if set(shard.blocks) != set(counted):
+            raise ValueError("TSet blob's block keys disagree with its counters")
         return shard
 
 
@@ -214,7 +215,7 @@ def partition(index: dict[str, PostingList], config: PartitionConfig):
     shards = [dict() for _ in range(n)]
     for term, plist in index.items():
         for sort_key, eid in plist.entries:
-            j = hash_to_shard(eid, n, config.shard_hash)
+            j = hash_to_shard(eid, n)
             sub = shards[j].get(term)
             if sub is None:
                 sub = shards[j][term] = PostingList(term)
@@ -376,7 +377,6 @@ def load_edb(edb_dir) -> EncryptedDatabase:
                     shards_per_cluster=cfg["shards_per_cluster"],
                     block_size=cfg["block_size"],
                     bloom_fpr=cfg["bloom_fpr"],
-                    shard_hash=cfg["shard_hash"],
                 )
             j += 1
     if config is None:

@@ -41,14 +41,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .crypto import SCORE_BITS
+
 __all__ = [
-    "SCORE_BITS",
     "MAX_SORT_K",
     "Circuit",
     "CircuitBuilder",
     "SortCircuit",
     "bitonic_schedule",
-    "comparator_count",
     "padded_size",
     "build_sort_circuit",
     "simulate",
@@ -56,7 +56,6 @@ __all__ = [
     "bits_to_int",
 ]
 
-SCORE_BITS = 31
 MAX_SORT_K = 1024
 
 XOR, AND = 0, 1
@@ -382,11 +381,6 @@ def bitonic_schedule(n: int, merge: bool = False) -> list[tuple[int, int, bool]]
             j //= 2
         k *= 2
     return schedule
-
-
-def comparator_count(n: int) -> int:
-    m = n.bit_length() - 1
-    return n * m * (m + 1) // 4
 
 
 @dataclass

@@ -25,6 +25,7 @@ from cryptography.hazmat.primitives.cmac import CMAC
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 __all__ = [
+    "SCORE_BITS",
     "SHARE_MODULUS",
     "GroupContext",
     "element_bytes",
@@ -63,7 +64,8 @@ _ECDH = ec.ECDH()
 ELEMENT_BYTES = 32
 KEY_BYTES = 16
 # sort keys and every secret-shared value live in Z_{2^31}
-SHARE_MODULUS = 1 << 31
+SCORE_BITS = 31
+SHARE_MODULUS = 1 << SCORE_BITS
 
 
 # a 16-byte block (a wire label, an OT row) as its two little-endian u64
@@ -195,9 +197,6 @@ class GroupContext:
     def g_exp(self, e: int) -> bytes:
         return self.exp(None, e)
 
-    def inv_exponent(self, e: int) -> int:
-        return pow(e, -1, self.n)
-
     def reset_counter(self) -> None:
         self.exp_count = 0
 
@@ -292,7 +291,7 @@ def blinding_value(
 ) -> int:
     """The per-tuple blinding scalar y_c = F(k_i, id) * z_c^-1 mod n."""
     z_c = counter_exponent(keys, s_term, counter)
-    return _id_exponent(keys, entity_id) * ctx.inv_exponent(z_c) % ctx.n
+    return _id_exponent(keys, entity_id) * pow(z_c, -1, ctx.n) % ctx.n
 
 
 def term_key(keys: MasterKeyBundle, term: str) -> bytes:
@@ -328,20 +327,12 @@ def decrypt_ids(key: bytes, ciphertexts) -> list[int]:
     return ids
 
 
-def hash_to_shard(entity_id: int, shard_count: int, hash_name: str = "sha256") -> int:
-    """Stable id -> shard mapping, identical in both clusters.
-
-    ``hash_name='identity'`` is a test hook that makes partition examples
-    analytically checkable.
-    """
+def hash_to_shard(entity_id: int, shard_count: int) -> int:
+    """Stable id -> shard mapping by SHA-256, identical in both clusters."""
     if shard_count < 1:
         raise ValueError("shard_count must be >= 1")
-    if hash_name == "identity":
-        return entity_id % shard_count
-    if hash_name == "sha256":
-        digest = hashlib.sha256(struct.pack(">Q", entity_id)).digest()
-        return int.from_bytes(digest[:8], "big") % shard_count
-    raise ValueError(f"unknown shard hash {hash_name!r}")
+    digest = hashlib.sha256(struct.pack(">Q", entity_id)).digest()
+    return int.from_bytes(digest[:8], "big") % shard_count
 
 
 _KEYSTORE_MAGIC = b"PGKS"

@@ -23,7 +23,6 @@ __all__ = [
     "Graph",
     "load_edge_list",
     "build_inverted_index",
-    "random_graph",
     "select_s_term",
     "split_conjunctive",
     "ranked",
@@ -56,7 +55,6 @@ class PostingList:
 class Graph:
     def __init__(self, edges: list[Edge]):
         self.edges = edges
-        self.nodes = sorted({e.src for e in edges} | {e.dst for e in edges})
 
     def __len__(self):
         return len(self.edges)
@@ -118,25 +116,6 @@ def build_inverted_index(graph: Graph) -> dict[str, PostingList]:
             plist = index[term] = PostingList(term)
         plist.entries.append((edge.sort_key, edge.dst))
     return index
-
-
-def random_graph(
-    n_nodes: int, n_edges: int, edge_types=("friend",), seed: int = 0
-) -> Graph:
-    """A random simple directed graph with uniform sort keys, for tests."""
-    rng = random.Random(seed)
-    edges = []
-    seen = set()
-    attempts = 0
-    while len(edges) < n_edges and attempts < n_edges * 50:
-        attempts += 1
-        src, dst = rng.randrange(n_nodes), rng.randrange(n_nodes)
-        etype = rng.choice(edge_types)
-        if src == dst or (src, dst, etype) in seen:
-            continue
-        seen.add((src, dst, etype))
-        edges.append(Edge(src, dst, etype, rng.randint(SORT_KEY_MIN, SORT_KEY_MAX)))
-    return Graph(edges)
 
 
 def select_s_term(terms: list[str], lengths: dict[str, int] | None) -> int:

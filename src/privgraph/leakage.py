@@ -95,15 +95,10 @@ class LeakageProfile:
         ]
 
 
-def _shard_of(eid: int, n_shards: int, shard_hash: str) -> int:
-    return hash_to_shard(eid, n_shards, shard_hash)
-
-
 def compute_leakage(
     index: dict[str, PostingList],
     queries: list[QueryRecord],
     n_shards: int = 1,
-    shard_hash: str = "sha256",
 ) -> LeakageProfile:
     engine = PlaintextEngine(index)
     n_total = sum(len(p) for p in index.values())
@@ -127,7 +122,7 @@ def compute_leakage(
             posting = engine.posting(sub.s_term)
             counts = [0] * n_shards
             for _, eid in posting:
-                counts[_shard_of(eid, n_shards, shard_hash)] += 1
+                counts[hash_to_shard(eid, n_shards)] += 1
             q_sp.append(counts)
             for x in sub.x_terms:
                 key = (sub.s_term, x)
@@ -142,7 +137,7 @@ def compute_leakage(
             sub_counts = [0] * n_shards
             per_sub_shard = [[] for _ in range(n_shards)]
             for sk, eid in ranked(survivors):  # the EDB's stored order
-                j = _shard_of(eid, n_shards, shard_hash)
+                j = hash_to_shard(eid, n_shards)
                 sub_counts[j] += 1
                 per_sub_shard[j].append(sk)
             q_counts.append(sub_counts)
@@ -247,7 +242,6 @@ def audit_transcript(transcript: Transcript, forbidden: tuple = ()) -> AuditRepo
 @dataclass
 class Verdict:
     violations: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
     @property
     def consistent(self) -> bool:
@@ -401,9 +395,4 @@ def check_transcript_consistency(
                         f"query {qi} shard {shard}: CONTRIB of {len(entries)} entries "
                         f"of {count}, not min(k, t) of k = {k}"
                     )
-        verdict.notes.append(
-            f"query {qi}: {len(frames)} frames consistent with profile"
-            if not verdict.violations
-            else f"query {qi}: checked"
-        )
     return verdict

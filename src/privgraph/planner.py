@@ -1,9 +1,11 @@
 """The trusted front-end: query planning and protocol driving.
 
-The front-end holds the master keys. It compiles an s-expression into
-subqueries, derives stags and streams xtokens sized by each server's
-announced tuple count, collects encrypted results from cluster 0, and for
-sorted queries reads the global ranking from the cluster-0 coordinator.
+The front-end holds the master keys. Its plan is the one it runs:
+compile_query splits an s-expression into subqueries, and a scoring
+formula is parsed and checked before any server sees the query. It then
+derives stags and streams xtokens sized by each server's announced tuple
+count, collects encrypted results from cluster 0, and for sorted queries
+reads the global ranking from the cluster-0 coordinator.
 A sorted query's top_k travels in QUERY_INIT as t, so the servers sort,
 merge and rank only the first t. The front-end decrypts locally only the
 result ids it returns, under one term key per subquery and shard; servers
@@ -19,10 +21,10 @@ from __future__ import annotations
 
 import logging
 import secrets
-from dataclasses import dataclass, field
 
 from .crypto import DecryptError, GroupContext, MasterKeyBundle, decrypt_ids, term_key
 from .oxt import IntegrityError, Subquery, compile_query, stag_for, xtoken_rows
+from .scoring import ScoreError, check_score
 from .server import (
     QuerySpec,
     SubquerySpec,
@@ -39,9 +41,7 @@ from .transport import MSG, Frame, Transcript, TransportError
 
 log = logging.getLogger(__name__)
 
-__all__ = ["QueryError", "PlanStep", "QueryPlan", "plan", "FrontEnd"]
-
-STEP_KINDS = ("IndexAccess", "SetOp", "Arithmetic", "Sorting")
+__all__ = ["QueryError", "FrontEnd"]
 
 
 class QueryError(Exception):
@@ -51,47 +51,6 @@ class QueryError(Exception):
 def _check_top(name: str, top: int | None) -> None:
     if top is not None and top < 1:
         raise QueryError(f"{name} must be at least 1, not {top}")
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    kind: str
-    detail: str = ""
-
-    def __post_init__(self):
-        if self.kind not in STEP_KINDS:
-            raise ValueError(f"unknown plan step kind {self.kind!r}")
-
-
-@dataclass
-class QueryPlan:
-    steps: list = field(default_factory=list)
-
-    def kinds(self) -> list[str]:
-        return [s.kind for s in self.steps]
-
-
-def plan(expr, sort: bool = False, score: str | None = None, lengths=None) -> QueryPlan:
-    """Classify the work of a query into typed plan steps."""
-    if isinstance(expr, str):
-        expr = parse_sexpr(expr)
-    steps = []
-    if expr.op == "apply":
-        nested = plan(expr.args[0], sort=True, lengths=lengths)
-        steps.extend(nested.steps)
-        steps.append(PlanStep("IndexAccess", f"instantiate {expr.prefix}<id> terms"))
-        steps.append(PlanStep("SetOp", "disjunction rewrite over instantiated terms"))
-    else:
-        for sub in compile_query(expr, lengths):
-            steps.append(PlanStep("IndexAccess", sub.s_term))
-            if sub.n_xterms:
-                shape = sub.formula.shape()
-                steps.append(PlanStep("SetOp", f"{'not ' if sub.negate else ''}{shape}"))
-    if score:
-        steps.append(PlanStep("Arithmetic", score))
-    if sort:
-        steps.append(PlanStep("Sorting", "garbled local sorts + global merge"))
-    return QueryPlan(steps)
 
 
 class FrontEnd:
@@ -125,8 +84,14 @@ class FrontEnd:
         score: str | None = None,
     ) -> list[int]:
         """Run a query; returns plaintext ids, ranked when sort is set, the
-        first top_k of them if top_k is given."""
+        first top_k of them if top_k is given. A score formula is checked
+        before any server sees the query."""
         _check_top("top_k", top_k)
+        if score:
+            try:
+                check_score(score)
+            except ScoreError as exc:
+                raise QueryError(f"bad score formula {score!r}: {exc}") from None
         expr = parse_sexpr(query) if isinstance(query, str) else query
         if expr.op == "apply":
             return self._apply(expr, sort, top_k, score)

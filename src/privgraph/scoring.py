@@ -13,7 +13,10 @@ import numpy as np
 
 from .shares import SHARE_MODULUS, ShareMatrix, mul
 
-__all__ = ["ScoreError", "parse_score", "score_variables", "eval_score"]
+__all__ = ["ScoreError", "parse_score", "score_variables", "check_score", "eval_score"]
+
+# the one share vector a query's formula reads: its tuples' sort keys
+SCORE_VARIABLE = "key"
 
 
 class ScoreError(ValueError):
@@ -66,6 +69,17 @@ def score_variables(ast) -> set[str]:
     if kind == "const":
         return set()
     return score_variables(ast[1]) | score_variables(ast[2])
+
+
+def check_score(text: str) -> None:
+    """Parse a query's scoring formula, which may read SCORE_VARIABLE only."""
+    try:
+        ast = parse_score(text)
+        unknown = score_variables(ast) - {SCORE_VARIABLE}
+    except RecursionError:
+        raise ScoreError("scoring formula nested too deeply") from None
+    if unknown:
+        raise ScoreError(f"unknown score variable {min(unknown)!r}")
 
 
 def eval_score(

@@ -38,7 +38,7 @@ from .crypto import (
 )
 from .oxt import boolean_query
 from .ot import OTPair, OTReceiver, OTSender
-from .scoring import eval_score, parse_score
+from .scoring import SCORE_VARIABLE, ScoreError, check_score, eval_score, parse_score
 from .sexpr import BoolFormula
 from .shares import dealer_triple_gen, triple_gen_cot
 from .sorting import (
@@ -159,7 +159,7 @@ def encode_query_init(spec: QuerySpec) -> bytes:
 def decode_query_init(payload: bytes) -> QuerySpec:
     """Strict: canonical flag and negate bytes, a t in 1..MAX_SORT_K and
     only for a sorted query, each formula over exactly its subquery's
-    x-terms, a UTF-8 score and no trailing bytes."""
+    x-terms, a UTF-8 score that check_score accepts and no trailing bytes."""
     end = len(payload)
     if end < 5:
         raise TransportError("QUERY_INIT shorter than its header")
@@ -202,6 +202,11 @@ def decode_query_init(payload: bytes) -> QuerySpec:
         raise TransportError("QUERY_INIT score is not UTF-8") from None
     if bool(flags & FLAG_SCORE) != bool(score):
         raise TransportError("QUERY_INIT score flag disagrees with its score")
+    if score:
+        try:
+            check_score(score)
+        except ScoreError as exc:
+            raise TransportError(f"QUERY_INIT score refused: {exc}") from None
     return QuerySpec(subs, bool(flags & FLAG_SORT), score or None, top_k)
 
 
@@ -390,16 +395,13 @@ class IndexServer:
         self._lock = threading.Lock()
         self._listener = None
         self._running = False
-        self._threads: list[threading.Thread] = []
 
     # -- lifecycle
 
     def start(self) -> None:
         self._listener = self.topology.listen(self.name)
         self._running = True
-        t = threading.Thread(target=self._accept_loop, name=self.name, daemon=True)
-        t.start()
-        self._threads.append(t)
+        threading.Thread(target=self._accept_loop, name=self.name, daemon=True).start()
 
     def stop(self) -> None:
         self._running = False
@@ -733,7 +735,7 @@ class IndexServer:
 
     def _score(self, channel, qid, shares, formula_text, party):
         ast = parse_score(formula_text)
-        variables = {"key": np.asarray(shares, dtype=np.int64)}
+        variables = {SCORE_VARIABLE: np.asarray(shares, dtype=np.int64)}
         take_triple = self._triple_source(channel, qid, party)
         values = eval_score(ast, variables, party, channel, take_triple, qid)
         return [int(v) for v in values]

@@ -7,7 +7,8 @@ Queries arrive as text like ``(and friend:1 friend:2)``.  The grammar is
 
 where OP is one of term/and/or/difference/apply.  The front-end compiles
 the non-s-term part of a boolean query into a postfix program over
-variable indices (AND/OR/NOT opcodes) that servers evaluate per tuple.
+variable indices (AND/OR opcodes) that servers evaluate per tuple; a
+difference negates a whole subquery, never a variable.
 """
 
 from __future__ import annotations
@@ -49,16 +50,6 @@ class SExpr:
         for arg in self.args:
             out.extend(arg.terms())
         return out
-
-    def unparse(self) -> str:
-        if self.is_term():
-            return f"(term {self.term})"
-        if self.op == "apply":
-            return f"(apply {self.prefix} {self.args[0].unparse()})"
-        inner = " ".join(
-            a.term if a.is_term() else a.unparse() for a in self.args
-        )
-        return f"({self.op} {inner})"
 
 
 def _tokenize(text: str):
@@ -150,7 +141,6 @@ def _parse_expr(tokens, idx) -> tuple[SExpr, int]:
 _OP_VAR = 0x01
 _OP_AND = 0x02
 _OP_OR = 0x03
-_OP_NOT = 0x04
 
 
 @dataclass(frozen=True)
@@ -184,9 +174,6 @@ class BoolFormula:
     def or_(self, other: "BoolFormula") -> "BoolFormula":
         return self._combine(other, _OP_OR)
 
-    def not_(self) -> "BoolFormula":
-        return BoolFormula(self.program + ((_OP_NOT, 0),), self.n_vars)
-
     def evaluate(self, values) -> bool:
         """Evaluate against per-variable truth values; empty program is True."""
         if not self.program:
@@ -199,8 +186,6 @@ class BoolFormula:
                         f"formula references v{operand} but only {len(values)} values given"
                     )
                 stack.append(bool(values[operand]))
-            elif opcode == _OP_NOT:
-                stack.append(not stack.pop())
             else:
                 b, a = stack.pop(), stack.pop()
                 stack.append((a and b) if opcode == _OP_AND else (a or b))
@@ -210,7 +195,7 @@ class BoolFormula:
 
     def shape(self) -> str:
         """Canonical text of the program; this is the leaked formula shape."""
-        names = {_OP_VAR: "v", _OP_AND: "&", _OP_OR: "|", _OP_NOT: "!"}
+        names = {_OP_AND: "&", _OP_OR: "|"}
         return " ".join(
             f"v{operand}" if opcode == _OP_VAR else names[opcode]
             for opcode, operand in self.program
@@ -239,12 +224,11 @@ class BoolFormula:
                     raise TransportError(f"formula references v{operand} of {n_vars}")
                 depth += 1
                 continue
-            if opcode not in (_OP_AND, _OP_OR, _OP_NOT) or operand:
+            if opcode not in (_OP_AND, _OP_OR) or operand:
                 raise TransportError(f"bad boolean opcode {opcode:#x}/{operand}")
-            needed = 1 if opcode == _OP_NOT else 2
-            if depth < needed:
+            if depth < 2:
                 raise TransportError("boolean program pops an empty stack")
-            depth -= needed - 1
+            depth -= 1
         if program and depth != 1:
             raise TransportError("boolean program leaves no single result")
         return cls(program, n_vars)

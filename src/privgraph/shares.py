@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crypto import SHARE_MODULUS
+from .crypto import SCORE_BITS, SHARE_MODULUS
 from .ot import OTReceiver, OTSender
 from .transport import MSG, Channel, Frame, TransportError
 
@@ -177,20 +177,16 @@ def dealer_triple_gen(shape, seed: int) -> tuple[TripleShare, TripleShare]:
 def _cross_send(ot_sender: OTSender, scalars: list[int]) -> list[int]:
     """Sender side of a batch of Gilboa scalar products: supplies the
     per-bit correlations a*2^b and keeps the negated pad sums."""
-    deltas = [a * (1 << b) % SHARE_MODULUS for a in scalars for b in range(31)]
+    deltas = [a * (1 << b) % SHARE_MODULUS for a in scalars for b in range(SCORE_BITS)]
     vs = ot_sender.send_correlated(deltas)
-    return [
-        -sum(vs[i * 31 : (i + 1) * 31]) % SHARE_MODULUS for i in range(len(scalars))
-    ]
+    return [-sum(vs[i : i + SCORE_BITS]) % SHARE_MODULUS for i in range(0, len(vs), SCORE_BITS)]
 
 
 def _cross_recv(ot_receiver: OTReceiver, scalars: list[int]) -> list[int]:
     """Receiver side: choice bits are the bits of its own factors."""
-    bits = [(b_val >> b) & 1 for b_val in scalars for b in range(31)]
+    bits = [(b_val >> b) & 1 for b_val in scalars for b in range(SCORE_BITS)]
     ws = ot_receiver.recv_correlated(bits)
-    return [
-        sum(ws[i * 31 : (i + 1) * 31]) % SHARE_MODULUS for i in range(len(scalars))
-    ]
+    return [sum(ws[i : i + SCORE_BITS]) % SHARE_MODULUS for i in range(0, len(ws), SCORE_BITS)]
 
 
 def _uniform(shape) -> np.ndarray:

@@ -55,7 +55,6 @@ import numpy as np
 
 from .circuits import (
     MAX_SORT_K,
-    SCORE_BITS,
     CircuitBuilder,
     SortCircuit,
     bits_to_int,
@@ -63,7 +62,7 @@ from .circuits import (
     int_to_bits,
     padded_size,
 )
-from .crypto import SHARE_MODULUS
+from .crypto import SCORE_BITS, SHARE_MODULUS
 from .garble import GarbledCircuit, decode, evaluate, garble, level_schedule, select_labels
 from .ot import OTPair, OTReceiver, OTSender
 from .transport import MSG, Channel, Frame, TransportError

@@ -32,7 +32,6 @@ __all__ = [
     "Transcript",
     "save_transcript",
     "load_transcript",
-    "loopback_pair",
     "Listener",
     "Topology",
 ]
@@ -253,12 +252,6 @@ class Channel:
 def _family(addr) -> int:
     """A str address is an AF_UNIX path, a (host, port) pair a TCP endpoint."""
     return socket.AF_UNIX if isinstance(addr, str) else socket.AF_INET
-
-
-def loopback_pair(name: str = "") -> tuple[Channel, Channel]:
-    """The two ends of an in-process socket pair."""
-    a, b = socket.socketpair()
-    return Channel(a, f"{name}:a"), Channel(b, f"{name}:b")
 
 
 class Listener:

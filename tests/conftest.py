@@ -1,14 +1,20 @@
 """Shared test hooks and helpers: collect acceptance-criterion verdict
-lines and print them once, uncaptured, in the terminal summary; count the
-comparators a sorting network keeps once its sentinels are pruned; a
-scalar reference of the fixed-key hash that garbling and OT share; an
+lines and print them once, uncaptured, in the terminal summary; seeded
+random graphs and in-process channel pairs; count the comparators a
+sorting network has, and keeps once its sentinels are pruned; a scalar
+reference of the fixed-key hash that garbling and OT share; an
 x-coordinate that is no point of the group."""
+
+import random
+import socket
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from privgraph.circuits import bitonic_schedule, padded_size
 from privgraph.crypto import decode_element
+from privgraph.graph import SORT_KEY_MAX, SORT_KEY_MIN, Edge, Graph
+from privgraph.transport import Channel
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -22,6 +28,37 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.line(line)
+
+
+def random_graph(
+    n_nodes: int, n_edges: int, edge_types=("friend",), seed: int = 0
+) -> Graph:
+    """A random simple directed graph with uniform sort keys."""
+    rng = random.Random(seed)
+    edges = []
+    seen = set()
+    attempts = 0
+    while len(edges) < n_edges and attempts < n_edges * 50:
+        attempts += 1
+        src, dst = rng.randrange(n_nodes), rng.randrange(n_nodes)
+        etype = rng.choice(edge_types)
+        if src == dst or (src, dst, etype) in seen:
+            continue
+        seen.add((src, dst, etype))
+        edges.append(Edge(src, dst, etype, rng.randint(SORT_KEY_MIN, SORT_KEY_MAX)))
+    return Graph(edges)
+
+
+def loopback_pair(name: str = "") -> tuple[Channel, Channel]:
+    """The two ends of an in-process socket pair."""
+    a, b = socket.socketpair()
+    return Channel(a, f"{name}:a"), Channel(b, f"{name}:b")
+
+
+def comparator_count(n: int) -> int:
+    """Comparators of the full bitonic sorter of n = 2^m lines."""
+    m = n.bit_length() - 1
+    return n * m * (m + 1) // 4
 
 
 def track_sentinels(real, merge: bool):

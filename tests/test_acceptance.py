@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_acceptance
+from conftest import comparator_count, loopback_pair, random_graph, record_acceptance
 from privgraph import crypto
 from privgraph.builder import (
     EncryptedTuple,
@@ -26,17 +26,11 @@ from privgraph.builder import (
     emit_edb,
     partition,
 )
-from privgraph.circuits import build_sort_circuit, comparator_count, simulate
+from privgraph.circuits import build_sort_circuit, simulate
 from privgraph.cluster import LocalCluster
 from privgraph.crypto import GroupContext, hash_to_shard
 from privgraph.garble import decode, evaluate, garble, select_labels
-from privgraph.graph import (
-    Edge,
-    Graph,
-    PlaintextEngine,
-    build_inverted_index,
-    random_graph,
-)
+from privgraph.graph import Edge, Graph, PlaintextEngine, build_inverted_index
 from privgraph.leakage import (
     QueryRecord,
     audit_transcript,
@@ -56,7 +50,7 @@ from privgraph.shares import (
     triple_gen_cot,
 )
 from privgraph.sorting import local_sort_evaluator, local_sort_garbler
-from privgraph.transport import MSG, Frame, Transcript, loopback_pair
+from privgraph.transport import MSG, Frame, Transcript
 
 KEYS = crypto.MasterKeyBundle(*(bytes([i + 11]) * 16 for i in range(5)))
 

@@ -1,7 +1,9 @@
+import json
 import struct
 
 import pytest
 
+from conftest import random_graph
 from privgraph import crypto
 from privgraph.bloom import BloomFilter
 from privgraph.builder import (
@@ -16,7 +18,9 @@ from privgraph.builder import (
     partition,
     share_sortkeys,
 )
-from privgraph.graph import PostingList, build_inverted_index, random_graph
+from privgraph.cluster import LocalCluster
+from privgraph.graph import PlaintextEngine, PostingList, build_inverted_index
+from privgraph.sexpr import parse_sexpr
 
 
 @pytest.fixture
@@ -34,14 +38,6 @@ class TestPartition:
         index = {"friend:1": PostingList("friend:1", [(10, 2), (20, 3)])}
         shards = partition(index, PartitionConfig(shards_per_cluster=1))
         assert shards[0]["friend:1"].entries == index["friend:1"].entries
-
-    def test_modulo_identity_hash(self):
-        index = {"friend:1": PostingList("friend:1", [(10, 2), (20, 3), (30, 4)])}
-        shards = partition(
-            index, PartitionConfig(shards_per_cluster=2, shard_hash="identity")
-        )
-        assert {e for _, e in shards[0]["friend:1"].entries} == {2, 4}
-        assert {e for _, e in shards[1]["friend:1"].entries} == {3}
 
     def test_disjoint_union(self):
         graph = random_graph(60, 500, seed=9)
@@ -94,6 +90,27 @@ class TestTSetShard:
         assert clone.to_bytes() == shard.to_bytes()
         assert clone.counters == shard.counters
 
+    def test_cut_or_padded_blob_refused(self):
+        # every prefix (the header, a stag entry, a block header or a tuple
+        # cut short) and trailing bytes raise ValueError, not struct.error
+        shard = TSetShard(block_size=2)
+        shard.store(b"\x03" * 16, [EncryptedTuple(5, bytes(range(36)), 77)] * 3)
+        shard.store(b"\x04" * 16, [EncryptedTuple(6, bytes(36), 78)])
+        blob = shard.to_bytes()
+        for n in range(len(blob)):
+            with pytest.raises(ValueError, match="TSet blob"):
+                TSetShard.from_bytes(blob[:n])
+        with pytest.raises(ValueError, match="TSet blob"):
+            TSetShard.from_bytes(blob + b"\x00")
+
+    def test_counters_must_name_the_blocks(self):
+        shard = TSetShard(block_size=2)
+        shard.store(b"\x03" * 16, [EncryptedTuple(5, bytes(36), 7)] * 3)
+        blob = bytearray(shard.to_bytes())
+        blob[14:30] = b"\x09" * 16  # the counter's stag, not the blocks'
+        with pytest.raises(ValueError, match="block keys"):
+            TSetShard.from_bytes(bytes(blob))
+
 
 class TestBloom:
     def test_membership(self):
@@ -127,6 +144,12 @@ class TestBloom:
         for i in range(10_000):
             positions = list(bf._positions(struct.pack(">Q", i)))
             assert len(set(positions)) == k and all(0 <= p < m for p in positions)
+
+    def test_cut_blob_refused(self):
+        blob = BloomFilter(10, 1e-2).to_bytes()
+        for n in range(len(blob)):
+            with pytest.raises(ValueError, match="bloom filter blob"):
+                BloomFilter.from_bytes(blob[:n])
 
     def test_version_1_blob_rejected(self):
         blob = bytearray(BloomFilter(10, 1e-2).to_bytes())
@@ -182,10 +205,17 @@ class TestBuildEdb:
 
     def test_counterpart_bytes_identical_modulo_shares(self, edb_setup):
         _, _, edb, _ = edb_setup
+
+        def zero_shares(tset):
+            clone = TSetShard.from_bytes(tset.to_bytes())
+            for block in clone.blocks.values():
+                block[:] = [EncryptedTuple(0, tup.e_id, tup.y) for tup in block]
+            return clone.to_bytes()
+
         for j in range(2):
-            b0 = edb.clusters[0][j].tset.to_bytes(zero_shares=True)
-            b1 = edb.clusters[1][j].tset.to_bytes(zero_shares=True)
-            assert b0 == b1
+            t0, t1 = edb.clusters[0][j].tset, edb.clusters[1][j].tset
+            assert t0.to_bytes() != t1.to_bytes()
+            assert zero_shares(t0) == zero_shares(t1)
 
     def test_descending_stored_order(self, edb_setup, keys):
         graph, index, edb, config = edb_setup
@@ -213,6 +243,30 @@ class TestEmitEdb:
                     loaded.clusters[i][j].tset.to_bytes()
                     == edb.clusters[i][j].tset.to_bytes()
                 )
+
+    def test_manifest_of_earlier_builds_loads_and_answers(self, keys, ctx, tmp_path):
+        # the manifest names the shard hash as builds always have, though
+        # it is no longer a setting: an EDB emitted before still loads
+        graph = random_graph(15, 40, seed=6)
+        index = build_inverted_index(graph)
+        edb = build_edb(index, keys, ctx, PartitionConfig(shards_per_cluster=2, seed=3))
+        emit_edb(edb, tmp_path / "edb")
+        path = tmp_path / "edb" / "cluster1" / "shard1" / "manifest.json"
+        assert json.loads(path.read_text())["config"] == {
+            "shards_per_cluster": 2,
+            "block_size": 100,
+            "bloom_fpr": 1e-6,
+            "shard_hash": "sha256",
+            "share_modulus": 1 << 31,
+        }
+        engine = PlaintextEngine(index)
+        term = max(index, key=lambda t: len(index[t]))
+        with LocalCluster(load_edb(tmp_path / "edb")) as cluster:
+            fe = cluster.front_end(keys, lengths=engine.lengths)
+            got = fe.query(f"(term {term})", sort=True, top_k=3)
+        expected = engine.query(parse_sexpr(f"(term {term})"), sort=True)
+        score_of = {eid: sk for sk, eid in expected}
+        assert [score_of[eid] for eid in got] == [sk for sk, _ in expected[:3]]
 
     def test_manifest_counts(self, keys, ctx, tmp_path):
         graph = random_graph(15, 40, seed=6)

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import comparator_count
 from privgraph.circuits import (
     AND,
     SCORE_BITS,
@@ -10,7 +11,6 @@ from privgraph.circuits import (
     bitonic_schedule,
     bits_to_int,
     build_sort_circuit,
-    comparator_count,
     int_to_bits,
     simulate,
 )

@@ -126,6 +126,13 @@ class TestQuery:
         ]) == 1
         assert "keystore" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("score", ["(mul key", "(mul key foo)", "(pow key 2)"])
+    def test_bad_score_refused_by_the_front_end(self, workspace, capsys, score):
+        term = next(iter(json.loads((workspace / "frequencies.json").read_text())))
+        assert self._query(workspace, f"(term {term})", "--sort", "--score", score) == 1
+        err = capsys.readouterr().err
+        assert "bad score formula" in err and "server error" not in err
+
     def test_dealer_run_mode_refused(self, workspace):
         # a dealer's seed is known to every server: queries run secure only
         with pytest.raises(SystemExit) as exc:
@@ -272,6 +279,25 @@ class TestServe:
         (server,) = started
         assert server.run_mode == "secure"
         assert not server._running
+
+    @pytest.mark.parametrize("blob", ["tset", "xset"])
+    def test_cut_blob_refused(self, tmp_path, capsys, blob):
+        # a blob cut short under a manifest rewritten to match it
+        edges = tmp_path / "edges.txt"
+        edges.write_text("1 2 5\n2 3 7\n3 1 9\n")
+        assert main(["setup", "--edges", str(edges), "--out", str(tmp_path / "ws")]) == 0
+        shard = tmp_path / "ws" / "edb" / "cluster0" / "shard0"
+        data = (shard / f"{blob}.bin").read_bytes()[:20]
+        (shard / f"{blob}.bin").write_bytes(data)
+        manifest = json.loads((shard / "manifest.json").read_text())
+        manifest[f"{blob}_sha256"] = hashlib.sha256(data).hexdigest()
+        (shard / "manifest.json").write_text(json.dumps(manifest))
+        peers = tmp_path / "peers.json"
+        peers.write_text(json.dumps({"is00": "127.0.0.1:0"}))
+        capsys.readouterr()
+        assert main(["serve", "--edb", str(tmp_path / "ws" / "edb"), "--cluster", "0",
+                     "--shard", "0", "--peers", str(peers)]) == 1
+        assert "startup refused" in capsys.readouterr().err
 
     def test_unusable_address_refused(self, workspace, tmp_path, interrupted_serve):
         taken = socket.socket()

@@ -55,7 +55,7 @@ ENCODERS = {
     "OT_EXTEND": lambda v: encode_ot_extend(*v),
 }
 
-FORMULA = BoolFormula.variable(0).and_(BoolFormula.variable(1).not_())
+FORMULA = BoolFormula.variable(0).or_(BoolFormula.variable(1))
 
 # honest payloads of each frame, the seeds of the mutation fuzzing
 VALID = {
@@ -190,6 +190,22 @@ class TestStrictness:
         lone_and = BoolFormula(((0x02, 0),), 1).to_bytes()
         with pytest.raises(TransportError, match="empty stack"):
             decode_query_init(_query_init(lone_and))
+
+    def test_not_opcode_rejected_at_decode(self):
+        # NOT (0x04) was never sent: a difference negates a whole subquery
+        not_v0 = BoolFormula(((0x01, 0), (0x04, 0)), 1).to_bytes()
+        with pytest.raises(TransportError, match="opcode 0x4"):
+            decode_query_init(_query_init(not_v0))
+
+    @pytest.mark.parametrize(
+        "score",
+        ["(mul key", "(mul key foo)", "(pow key 2)", "(add " * 2000 + "key 1" + ")" * 2000],
+    )
+    def test_score_must_parse_over_the_sort_key(self, score):
+        sub = SubquerySpec(b"\x07" * 16, False, 0, BoolFormula.true())
+        payload = encode_query_init(QuerySpec([sub], sort=True, score=score, top_k=5))
+        with pytest.raises(TransportError, match="score refused"):
+            decode_query_init(payload)
 
     def test_two_results_rejected(self):
         two = BoolFormula(((0x01, 0), (0x01, 0)), 1).to_bytes()

@@ -6,10 +6,10 @@ from cryptography.hazmat.primitives.asymmetric import ec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import off_curve_x, scalar_hash
+from conftest import off_curve_x, random_graph, scalar_hash
 from privgraph import crypto
 from privgraph.builder import build_edb, PartitionConfig
-from privgraph.graph import build_inverted_index, random_graph
+from privgraph.graph import build_inverted_index
 
 TEST_KEY = bytes(range(16))
 
@@ -156,9 +156,6 @@ class TestIdEncryption:
 class TestShardHash:
     def test_single_shard(self):
         assert crypto.hash_to_shard(12345, 1) == 0
-
-    def test_identity_hook(self):
-        assert crypto.hash_to_shard(7, 2, "identity") == 1
 
     def test_zero_shards_rejected(self):
         with pytest.raises(ValueError):

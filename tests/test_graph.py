@@ -1,11 +1,11 @@
 import pytest
 
+from conftest import random_graph
 from privgraph.graph import (
     EdgeListError,
     PlaintextEngine,
     build_inverted_index,
     load_edge_list,
-    random_graph,
     select_s_term,
 )
 from privgraph.sexpr import parse_sexpr

@@ -1,10 +1,11 @@
 import pytest
 
+from conftest import random_graph
 from privgraph import crypto
 from privgraph.builder import PartitionConfig, build_edb
 from privgraph.cluster import LocalCluster
 from privgraph.crypto import hash_to_shard
-from privgraph.graph import PlaintextEngine, build_inverted_index, random_graph
+from privgraph.graph import PlaintextEngine, build_inverted_index
 from privgraph.leakage import (
     QueryRecord,
     audit_transcript,

@@ -8,7 +8,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import off_curve_x, scalar_hash
+from conftest import loopback_pair, off_curve_x, scalar_hash
 from privgraph import ot as ot_mod
 from privgraph.crypto import ORDER, GroupContext
 from privgraph.ot import (
@@ -20,7 +20,7 @@ from privgraph.ot import (
     decode_ot_extend,
     encode_ot_extend,
 )
-from privgraph.transport import MSG, Frame, Transcript, TransportError, loopback_pair
+from privgraph.transport import MSG, Frame, Transcript, TransportError
 
 
 def tamper(chan, msg_name, nth, edit):

@@ -1,8 +1,9 @@
 import pytest
 
+from conftest import random_graph
 from privgraph import crypto, oxt
 from privgraph.builder import PartitionConfig, build_edb
-from privgraph.graph import PlaintextEngine, build_inverted_index, random_graph
+from privgraph.graph import PlaintextEngine, build_inverted_index
 from privgraph.planner import FrontEnd
 from privgraph.sexpr import parse_sexpr
 

@@ -1,58 +1,94 @@
 import pytest
 
-from privgraph.planner import PlanStep, QueryError, plan
+from privgraph.oxt import compile_query
+from privgraph.planner import FrontEnd, QueryError
 from privgraph.sexpr import parse_sexpr
 
 
-class TestPlanSteps:
-    def test_term(self):
-        assert plan("(term friend:1)").kinds() == ["IndexAccess"]
+def recorded(monkeypatch, answer=(5,)):
+    """A front-end whose protocol sessions are recorded, not run: each
+    returns answer. Returns it and the list of (s-terms, sort, top_k,
+    score), one per session."""
+    fe = FrontEnd(None, topology=None, n_shards=1)
+    rounds = []
 
-    def test_term_sorted(self):
-        assert plan("(term friend:1)", sort=True).kinds() == [
-            "IndexAccess",
-            "Sorting",
-        ]
+    def execute(subqueries, sort, top_k, score):
+        rounds.append(([s.s_term for s in subqueries], sort, top_k, score))
+        return list(answer)
+
+    monkeypatch.setattr(fe, "_execute", execute)
+    return fe, rounds
+
+
+class TestPlanSteps:
+    """The one decomposition the front-end runs: compile_query's subqueries
+    (one index access each) and one protocol session per round."""
+
+    def test_term(self):
+        (sub,) = compile_query(parse_sexpr("(term friend:1)"))
+        assert (sub.s_term, sub.x_terms, sub.negate) == ("friend:1", (), False)
+
+    def test_term_sorted(self, monkeypatch):
+        fe, rounds = recorded(monkeypatch)
+        assert fe.query("(term friend:1)", sort=True) == [5]
+        assert rounds == [(["friend:1"], True, None, None)]
 
     def test_and(self):
-        p = plan("(and friend:1 friend:2)")
-        assert p.kinds() == ["IndexAccess", "SetOp"]
-        assert p.steps[0].detail == "friend:1"
+        (sub,) = compile_query(parse_sexpr("(and friend:1 friend:2)"))
+        assert (sub.s_term, sub.x_terms) == ("friend:1", ("friend:2",))
+        assert sub.formula.shape() == "v0" and not sub.negate
 
     def test_and_uses_frequency_metadata(self):
-        p = plan("(and friend:1 friend:2)", lengths={"friend:1": 9, "friend:2": 2})
-        assert p.steps[0].detail == "friend:2"
+        expr = parse_sexpr("(and friend:1 friend:2)")
+        (sub,) = compile_query(expr, {"friend:1": 9, "friend:2": 2})
+        assert (sub.s_term, sub.x_terms) == ("friend:2", ("friend:1",))
 
     def test_difference_negates(self):
-        p = plan("(difference friend:1 friend:2)")
-        assert p.kinds() == ["IndexAccess", "SetOp"]
-        assert p.steps[1].detail.startswith("not ")
+        (sub,) = compile_query(parse_sexpr("(difference friend:1 friend:2)"))
+        assert (sub.s_term, sub.x_terms, sub.negate) == ("friend:1", ("friend:2",), True)
 
     def test_or_one_access_per_term(self):
-        p = plan("(or friend:1 friend:2 friend:3)")
-        assert p.kinds() == [
-            "IndexAccess", "SetOp",
-            "IndexAccess", "SetOp",
-            "IndexAccess",
+        subs = compile_query(parse_sexpr("(or friend:1 friend:2 friend:3)"))
+        assert [s.s_term for s in subs] == ["friend:1", "friend:2", "friend:3"]
+        assert [s.n_xterms for s in subs] == [2, 1, 0]
+
+    def test_score_adds_arithmetic(self, monkeypatch):
+        fe, rounds = recorded(monkeypatch)
+        fe.query("(term friend:1)", sort=True, top_k=3, score="(mul key key)")
+        assert rounds == [(["friend:1"], True, 3, "(mul key key)")]
+
+    def test_apply_two_rounds(self, monkeypatch):
+        # the nested round is always ranked and cut to nested_top_k, then
+        # the instantiated outer round runs as asked
+        fe, rounds = recorded(monkeypatch, answer=(5, 7))
+        fe.query("(apply friend: (term friend:1))", sort=True, score="key")
+        assert rounds == [
+            (["friend:1"], True, fe.nested_top_k, None),
+            (["friend:5", "friend:7"], True, None, "key"),
         ]
 
-    def test_score_adds_arithmetic(self):
-        p = plan("(term friend:1)", sort=True, score="(mul key key)")
-        assert p.kinds() == ["IndexAccess", "Arithmetic", "Sorting"]
+    def test_accepts_parsed_expression(self, monkeypatch):
+        fe, rounds = recorded(monkeypatch)
+        fe.query(parse_sexpr("(and friend:1 friend:2)"))
+        assert rounds == [(["friend:1"], False, None, None)]
 
-    def test_apply_two_rounds(self):
-        p = plan("(apply friend: (term friend:1))", sort=True)
-        # nested round is always ranked, then the instantiated outer round
-        assert p.kinds() == [
-            "IndexAccess", "Sorting",
-            "IndexAccess", "SetOp",
-            "Sorting",
-        ]
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            PlanStep("Voodoo")
+class TestScoreCheck:
+    """A malformed score formula is refused before any session starts."""
 
-    def test_accepts_parsed_expression(self):
-        expr = parse_sexpr("(and friend:1 friend:2)")
-        assert plan(expr).kinds() == ["IndexAccess", "SetOp"]
+    @pytest.mark.parametrize(
+        "score, error",
+        [
+            ("(mul key", "unbalanced"),
+            ("(mul key foo)", "unknown score variable 'foo'"),
+            ("(pow key 2)", "unknown scoring operator 'pow'"),
+            ("(add " * 2000 + "key 1" + ")" * 2000, "nested too deeply"),
+        ],
+    )
+    def test_refused_before_any_session(self, monkeypatch, score, error):
+        fe, rounds = recorded(monkeypatch)
+        with pytest.raises(QueryError, match=error):
+            fe.query("(term friend:1)", sort=True, top_k=5, score=score)
+        with pytest.raises(QueryError, match=error):  # not even the nested round
+            fe.query("(apply friend: (term friend:1))", sort=True, score=score)
+        assert rounds == []

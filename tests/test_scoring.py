@@ -3,9 +3,9 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import loopback_pair
 from privgraph.scoring import ScoreError, eval_score, parse_score, score_variables
 from privgraph.shares import SHARE_MODULUS, dealer_triple_gen, shr
-from privgraph.transport import loopback_pair
 
 
 class TestParse:
@@ -56,10 +56,14 @@ def run_formula(text, plain_vars, seed=0):
             errors.append(exc)
 
     threads = [threading.Thread(target=party, args=(i, c)) for i, c in ((0, chan0), (1, chan1))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        chan0.close()
+        chan1.close()
     if errors:
         raise errors[0]
     return np.mod(out[0] + out[1], SHARE_MODULUS)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import off_curve_x
+from conftest import loopback_pair, off_curve_x, random_graph
 from privgraph import crypto
 from privgraph import planner as planner_mod
 from privgraph import server as server_mod
@@ -19,7 +19,7 @@ from privgraph.builder import PartitionConfig, build_edb, hash_to_shard
 from privgraph.circuits import MAX_SORT_K
 from privgraph.cluster import LocalCluster
 from privgraph.crypto import SHARE_MODULUS
-from privgraph.graph import PlaintextEngine, build_inverted_index, random_graph
+from privgraph.graph import PlaintextEngine, build_inverted_index
 from privgraph.oxt import IntegrityError
 from privgraph.planner import QueryError
 from privgraph.server import (
@@ -35,13 +35,7 @@ from privgraph.server import (
     encode_result,
 )
 from privgraph.sexpr import BoolFormula, parse_sexpr
-from privgraph.transport import (
-    ChannelClosed,
-    Topology,
-    Transcript,
-    TransportError,
-    loopback_pair,
-)
+from privgraph.transport import ChannelClosed, Topology, Transcript, TransportError
 
 
 KEYS = crypto.MasterKeyBundle(*(bytes([i + 3]) * 16 for i in range(5)))
@@ -250,6 +244,15 @@ class TestSorted:
         with pytest.raises(QueryError, match="sorted"):
             fe.query("(term friend:1)", score="(add key key)")
 
+    @pytest.mark.parametrize("score", ["(mul key", "(mul key foo)", "(pow key 2)"])
+    def test_bad_score_sends_no_frame(self, setup, score):
+        index, _, cluster, fe = setup
+        term = top_terms(index, 1)[0]
+        sent = len(cluster.transcript.entries)
+        with pytest.raises(QueryError, match="bad score formula"):
+            fe.query(f"(term {term})", sort=True, top_k=5, score=score)
+        assert len(cluster.transcript.entries) == sent
+
 
 class TestApply:
     def test_apply_matches_oracle(self, setup):
@@ -316,8 +319,9 @@ class TestStop:
         addr = ("127.0.0.1", 0) if form == "tcp" else str(tmp_path / "is00")
         topology = Topology({"is00": addr})
         server = IndexServer(0, 0, 1, cluster.server(0, 0).data, topology)
+        running = set(threading.enumerate())
         server.start()
-        (accept_thread,) = server._threads
+        (accept_thread,) = set(threading.enumerate()) - running
         topology.connect("is00").close()  # reachable while it runs
         server.stop()
         accept_thread.join(timeout=1)
@@ -416,7 +420,7 @@ def conjunction_on_both_shards(index):
     for a in terms:
         for b in terms:
             both = index[a].ids() & index[b].ids()
-            if a < b and {hash_to_shard(eid, 2, "sha256") for eid in both} == {0, 1}:
+            if a < b and {hash_to_shard(eid, 2) for eid in both} == {0, 1}:
                 return f"(and {a} {b})"
     raise AssertionError("no conjunction with results on both shards")
 
@@ -473,14 +477,18 @@ class TestFailFast:
         server = cluster.server(1, 0)
         key = ("sort", secrets.randbits(64))
         early_peer, early = loopback_pair("early")
-        server._deliver(key, early)  # delivered, then never consumed
-        server._drop(key)
         late_peer, late = loopback_pair("late")
-        server._deliver(key, late)
-        assert key not in server._sessions
-        for peer in (early_peer, late_peer):
-            with pytest.raises(ChannelClosed):
-                peer.recv(timeout=1)
+        try:
+            server._deliver(key, early)  # delivered, then never consumed
+            server._drop(key)
+            server._deliver(key, late)
+            assert key not in server._sessions
+            for peer in (early_peer, late_peer):
+                with pytest.raises(ChannelClosed):
+                    peer.recv(timeout=1)
+        finally:
+            for chan in (early_peer, early, late_peer, late):
+                chan.close()
 
     def test_masks_from_unknown_shard_refused(self, setup):
         _, _, cluster, _ = setup

@@ -1,6 +1,9 @@
+import struct
+
 import pytest
 
 from privgraph.sexpr import BoolFormula, ParseError, formula_from_sexpr, parse_sexpr
+from privgraph.transport import TransportError
 
 
 class TestParse:
@@ -46,19 +49,10 @@ class TestParse:
             parse_sexpr("(and friend:1 ))")
         assert exc.value.pos >= 0
 
-    def test_unparse_round_trip(self):
-        text = "(difference friend:3 (and friend:1 friend:2))"
-        assert parse_sexpr(parse_sexpr(text).unparse()) == parse_sexpr(text)
-
 
 class TestBoolFormula:
     def test_true_formula(self):
         assert BoolFormula.true().evaluate([]) is True
-
-    def test_and_or_not(self):
-        f = BoolFormula.variable(0).and_(BoolFormula.variable(1).not_())
-        assert f.evaluate([True, False]) is True
-        assert f.evaluate([True, True]) is False
 
     def test_wire_round_trip(self):
         f = BoolFormula.variable(0).or_(BoolFormula.variable(1)).and_(BoolFormula.variable(2))
@@ -67,6 +61,13 @@ class TestBoolFormula:
         for v in range(8):
             bits = [(v >> i) & 1 for i in range(3)]
             assert g.evaluate(bits) == f.evaluate(bits)
+
+    def test_not_opcode_refused(self):
+        # a difference negates a whole subquery; no formula carries NOT (0x04)
+        data = BoolFormula.variable(0).to_bytes()
+        not_v0 = struct.pack(">HH", 2, 1) + data[4:] + struct.pack(">BH", 0x04, 0)
+        with pytest.raises(TransportError, match="opcode 0x4"):
+            BoolFormula.from_bytes(not_v0)
 
     def test_arity_mismatch(self):
         f = BoolFormula.variable(2)

@@ -3,6 +3,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import loopback_pair
 from privgraph.crypto import GroupContext
 from privgraph.ot import OTPair, OTReceiver, OTSender
 from privgraph.shares import (
@@ -15,7 +16,6 @@ from privgraph.shares import (
     sub,
     triple_gen_cot,
 )
-from privgraph.transport import loopback_pair
 
 
 @pytest.fixture

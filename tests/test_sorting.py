@@ -9,8 +9,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import privgraph.sorting as sorting
-from conftest import merge_tree_comparators, track_sentinels
-from privgraph.circuits import MAX_SORT_K, SCORE_BITS, comparator_count, padded_size
+from conftest import comparator_count, loopback_pair, merge_tree_comparators, track_sentinels
+from privgraph.circuits import MAX_SORT_K, SCORE_BITS, padded_size
 from privgraph.crypto import GroupContext
 from privgraph.ot import OTPair
 from privgraph.sorting import (
@@ -23,7 +23,7 @@ from privgraph.sorting import (
     local_sort_evaluator,
     local_sort_garbler,
 )
-from privgraph.transport import Transcript, TransportError, loopback_pair
+from privgraph.transport import Transcript, TransportError
 
 
 def run_session(garbler_fn, evaluator_fn, transcript=None):

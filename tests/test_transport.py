@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from conftest import merge_tree_comparators
-from privgraph.circuits import MAX_SORT_K, SCORE_BITS, comparator_count
+from conftest import comparator_count, loopback_pair, merge_tree_comparators
+from privgraph.circuits import MAX_SORT_K, SCORE_BITS
 from privgraph.transport import (
     HEADER_LEN,
     MAX_FRAME_BYTES,
@@ -20,7 +20,6 @@ from privgraph.transport import (
     Transcript,
     TransportError,
     load_transcript,
-    loopback_pair,
     save_transcript,
 )
 
