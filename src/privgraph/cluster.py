@@ -51,21 +51,9 @@ class LocalCluster:
     def server(self, cluster: int, shard: int) -> IndexServer:
         return self.servers[server_name(cluster, shard)]
 
-    def stop_server(self, cluster: int, shard: int) -> None:
-        """Take one server offline (for degraded-mode behavior)."""
-        name = server_name(cluster, shard)
-        self.servers.pop(name).stop()
-
     def front_end(self, keys: MasterKeyBundle, **kwargs) -> FrontEnd:
         kwargs.setdefault("transcript", self.transcript)
         return FrontEnd(keys, self.topology, self.n_shards, **kwargs)
-
-    def reset_exp_counters(self) -> None:
-        for server in self.servers.values():
-            server.reset_exp_counter()
-
-    def exp_counts(self) -> dict[str, int]:
-        return {name: s.exp_count for name, s in self.servers.items()}
 
     def stop(self) -> None:
         for server in self.servers.values():

@@ -197,9 +197,6 @@ class GroupContext:
     def g_exp(self, e: int) -> bytes:
         return self.exp(None, e)
 
-    def reset_counter(self) -> None:
-        self.exp_count = 0
-
 
 @dataclass(frozen=True)
 class MasterKeyBundle:

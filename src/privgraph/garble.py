@@ -328,15 +328,21 @@ def _random_labels(token, n: int) -> np.ndarray:
     return np.frombuffer(token(16 * n), dtype=np.uint8).reshape(n, 16)
 
 
-def garble(circuit: Circuit, rng=None):
+def garble(circuit: Circuit, rng=None, zero=None):
     """Garble a circuit. Returns (GarbledCircuit, input label map, delta)
-    where the label map gives each input bundle's zero-labels. rng(n)
-    returns n random bytes: delta's, then each bundle's labels in turn."""
+    where the label map gives each input bundle's zero-labels. zero maps a
+    bundle to zero-labels that are given, such as the pads of a correlated
+    OT, rather than drawn. rng(n) returns n random bytes: delta's, then
+    each other bundle's labels in turn."""
     token = rng if rng is not None else secrets.token_bytes
+    zero = zero or {}
     sched = level_schedule(circuit)
     delta = np.frombuffer(token(16), dtype=np.uint8).copy()
     delta[15] |= 1  # permute bit of the offset
-    label_map = {name: _random_labels(token, len(w)) for name, w in circuit.inputs.items()}
+    label_map = {
+        name: zero[name] if name in zero else _random_labels(token, len(w))
+        for name, w in circuit.inputs.items()
+    }
 
     buf = np.empty((sched.n_slots + 1, 2), dtype=HALVES)
     buf[sched.zero] = 0

@@ -23,7 +23,6 @@ consecutive masked scores of a CONTRIB XOR to their true scores' XOR.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .crypto import hash_to_shard
@@ -86,13 +85,6 @@ class LeakageProfile:
     survivor_scores: list  # per query, per shard: survivor scores in wire order
     ranks: list  # per sorted query: its first t descending global scores; None otherwise
     tops: list  # per query: the t its QUERY_INIT names, or None
-
-    def block_counts(self, block_size: int) -> list:
-        """Clear block-counter metadata is derivable leakage: ceil(SP/B)."""
-        return [
-            [[math.ceil(c / block_size) for c in per_shard] for per_shard in q]
-            for q in self.sp
-        ]
 
 
 def compute_leakage(
@@ -188,7 +180,7 @@ _ALPHABET = {
     "GARBLER_LABELS": ("wire labels", _whole_labels),
     "OT_SETUP": ("oblivious-transfer setup", None),
     "OT_EXTEND": ("oblivious-transfer extension", decode_ot_extend),
-    "OT_PAYLOAD": ("wire labels", None),
+    "OT_PAYLOAD": ("OT corrections", None),
     "CONTRIB": ("masked scores + ranks + result count", _decode_contrib),
     "MASKS": ("masks", _decode_masks),
     "MUL_EXCHANGE": ("blinded shares", decode_mul_exchange),
@@ -200,10 +192,6 @@ _ALPHABET = {
 class AuditReport:
     class_counts: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
 
 
 def audit_transcript(transcript: Transcript, forbidden: tuple = ()) -> AuditReport:
@@ -242,10 +230,6 @@ def audit_transcript(transcript: Transcript, forbidden: tuple = ()) -> AuditRepo
 @dataclass
 class Verdict:
     violations: list = field(default_factory=list)
-
-    @property
-    def consistent(self) -> bool:
-        return not self.violations
 
 
 def _sessions_in_order(entries):

@@ -1,15 +1,21 @@
 """Oblivious transfer: a semi-honest base OT on P-256 (Chou and Orlandi,
 "The Simplest Protocol for Oblivious Transfer", LATINCRYPT 2015) plus an
-IKNP-style extension, with a correlated variant over Z_{2^31} used by
-offline triple generation and a message variant carrying 16-byte wire
-labels. The base OT's points travel compressed and are validated by
+IKNP-style extension, completed as correlated OT in one of two groups:
+over Z_{2^31}, for offline triple generation, and over 16-byte wire
+labels that differ by the garbler's delta (the C-OT of Asharov, Lindell,
+Schneider and Zohner, "More Efficient Oblivious Transfer and Extensions",
+CCS 2013). The base OT's points travel compressed and are validated by
 OpenSSL on receipt; point addition is affine arithmetic here, and every
 scalar multiplication an ECDH.
 
-The extension sender (who holds message pairs) plays base-OT receiver with
-its 128 secret selection bits; the extension receiver plays base-OT sender
-with 128 seed pairs. Per extension index i the parties derive 16-byte pads
-pad0/pad1 (sender) and pad_{b_i} (receiver).
+The extension sender (who holds the correlations) plays base-OT receiver
+with its 128 secret selection bits; the extension receiver plays base-OT
+sender with 128 seed pairs. Per extension index j the sender derives the
+rows q_j and q_j ^ s, the receiver t_j, equal to q_j or q_j ^ s by its
+choice bit. A label transfer's zero label is the pad H(q_j); the sender
+sends one 16-byte correction H(q_j) ^ H(q_j ^ s) ^ delta, and the
+receiver with bit b takes H(t_j) ^ b * correction, its label for b. A
+transfer over Z_{2^31} sends one 4-byte word the same way.
 
 The base OT runs once per party pair and extension role, not once per
 session (Beaver, "Precomputing Oblivious Transfer", CRYPTO 1995; Ishai,
@@ -360,14 +366,16 @@ def _base_recv(ctx: GroupContext, channel: Channel, session: int, bits, first: b
 
 
 class OTSender:
-    """Extension sender of one session: derives pad pairs for each
-    transfer, on a state of the pair that the counterpart set up in this
-    session or an earlier one."""
+    """Extension sender of one session, on a state of the pair that the
+    counterpart set up in this session or an earlier one: extend() reads an
+    extension and returns its zero pads; send_messages or send_correlated
+    completes it with one correction per transfer."""
 
     def __init__(self, pair: OTPair, channel: Channel, session: int = 0):
         self.pair = pair
         self.channel = channel
         self.session = session
+        self._ones: tuple[np.ndarray, int] | None = None  # rows q_j ^ s, first block
 
     def setup(self, first: bytes) -> None:
         """The base OT, as its receiver: sets up the state named by the
@@ -385,9 +393,10 @@ class OTSender:
         finally:
             self.pair._end(state_id, state)
 
-    def pads(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (m, 16) pad pairs of the next extension, after the set-up
-        when the counterpart opens with one."""
+    def extend(self, m: int) -> np.ndarray:
+        """Reads the counterpart's next extension, which must be of m
+        transfers, after the set-up when it opens with one; returns its
+        zero pads H(q_j) as an (m, 16) array."""
         frame = self.channel.recv()
         if frame.name == "OT_SETUP":
             self.setup(frame.payload)
@@ -401,38 +410,52 @@ class OTSender:
         u_mat = np.frombuffer(u, dtype=np.uint8).reshape(KAPPA, -1)
         q_mat = state.seeds.expand(_row_bytes(m), block) ^ (u_mat & state.s_mask)
         rows = _transpose(q_mat, m)
-        return _hash_rows(rows, block), _hash_rows(rows ^ state.s_bytes, block)
+        self._ones = rows ^ state.s_bytes, block
+        return _hash_rows(rows, block)
 
-    def send_messages(self, msgs0: np.ndarray, msgs1: np.ndarray) -> None:
-        """Transfer 16-byte message pairs (wire labels): row i of the (m,
-        16) uint8 arrays msgs0 and msgs1 is transfer i's pair."""
-        pads0, pads1 = self.pads(len(msgs0))
-        out = np.empty((len(msgs0), 2, 16), dtype=np.uint8)
-        np.bitwise_xor(msgs0, pads0, out=out[:, 0])
-        np.bitwise_xor(msgs1, pads1, out=out[:, 1])
-        self.channel.send(Frame(MSG["OT_PAYLOAD"], self.session, out.tobytes()))
+    def send_messages(self, zero: np.ndarray, delta: np.ndarray) -> None:
+        """Correlated label OT, completing the extension whose pads extend
+        returned as zero: transfer j's labels are zero[j] and zero[j] ^
+        delta. Sends one 16-byte correction per transfer, H(q_j ^ s) ^
+        zero[j] ^ delta, from which the receiver with bit b obtains
+        zero[j] ^ b * delta."""
+        corr = _hash_rows(*self._ones)
+        corr ^= zero
+        corr ^= delta
+        self.channel.send(Frame(MSG["OT_PAYLOAD"], self.session, corr.tobytes()))
 
     def send_correlated(self, deltas: list[int]) -> list[int]:
         """Correlated OT over Z_{2^31}: receiver with bit b learns
         v + b*delta; sender returns the v values. One correction word per
         instance is sent."""
-        pads0, pads1 = self.pads(len(deltas))
-        v = _low31(pads0)
-        corr = np.mod(np.array(deltas, dtype=np.int64) + v - _low31(pads1), SHARE_MODULUS)
+        v = _low31(self.extend(len(deltas)))
+        ones = _low31(_hash_rows(*self._ones))
+        corr = np.mod(np.array(deltas, dtype=np.int64) + v - ones, SHARE_MODULUS)
         self.channel.send(Frame(MSG["OT_PAYLOAD"], self.session, corr.astype(">u4").tobytes()))
         return v.tolist()
 
 
 class OTReceiver:
-    """Extension receiver of one session: obtains the pad selected by each
-    choice bit, on the pair's state, which the first extension without one
-    sets up."""
+    """Extension receiver of one session, on the pair's state, which the
+    first extension without one sets up: extend() sends an extension's
+    OT_EXTEND; recv_messages or recv_correlated reads the sender's
+    corrections and completes it. Any failure of an extension, or inside a
+    with block on the receiver, drops the state it ran on, so the pair's
+    next session sets up afresh."""
 
     def __init__(self, pair: OTPair, channel: Channel, session: int = 0):
         self.pair = pair
         self.channel = channel
         self.session = session
         self._state: _ReceiverState | None = None  # of this session's last extension
+        self._open: tuple[np.ndarray, int, np.ndarray] | None = None  # t, block, bits
+
+    def __enter__(self) -> "OTReceiver":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self.pair._drop(self._state)
 
     def setup(self) -> None:
         """The base OT, as its sender: a new state of 128 seed pairs for
@@ -444,43 +467,46 @@ class OTReceiver:
             first = _base_send(self.pair.ctx, self.channel, self.session, seed_pairs)
             self.pair._state = _ReceiverState(_state_id(first), seed_pairs)
 
-    def pads(self, bits: list[int]) -> np.ndarray:
-        """The (m, 16) pads of the next extension, whose OT_EXTEND this sends."""
+    def extend(self, bits: list[int]) -> None:
+        """Opens an extension whose transfer j chooses bits[j]: sends its
+        OT_EXTEND, after the set-up when the pair has no state."""
         m = len(bits)
         if m < 1:
             raise OTError("an extension needs at least one transfer")
-        with self.pair._lock:
-            if self.pair._state is None:
-                self.setup()
-            state = self._state = self.pair._state
-            block = state.allocate(m)
-        streams = state.seeds.expand(_row_bytes(m), block)
-        t_mat = streams[:KAPPA]
-        u = t_mat ^ streams[KAPPA:] ^ np.packbits(np.asarray(bits, dtype=np.uint8))
-        payload = encode_ot_extend(state.id, block, m, u.tobytes())
-        self.channel.send(Frame(MSG["OT_EXTEND"], self.session, payload))
-        return _hash_rows(_transpose(t_mat, m), block)
+        with self:
+            with self.pair._lock:
+                if self.pair._state is None:
+                    self.setup()
+                state = self._state = self.pair._state
+                block = state.allocate(m)
+            streams = state.seeds.expand(_row_bytes(m), block)
+            t_mat = streams[:KAPPA]
+            choices = np.asarray(bits, dtype=np.uint8)
+            u = t_mat ^ streams[KAPPA:] ^ np.packbits(choices)
+            payload = encode_ot_extend(state.id, block, m, u.tobytes())
+            self.channel.send(Frame(MSG["OT_EXTEND"], self.session, payload))
+        self._open = t_mat, block, choices
 
-    def _extend(self, bits: list[int], payload_bytes: int) -> tuple[np.ndarray, bytes]:
-        """One extension and the sender's OT_PAYLOAD. Any failure drops the
-        state it ran on, so the pair's next session sets up afresh."""
-        try:
-            pads = self.pads(bits)
-            return pads, _expect(self.channel, "OT_PAYLOAD", payload_bytes)
-        except Exception:
-            self.pair._drop(self._state)
-            raise
+    def _complete(self, word: int) -> tuple[np.ndarray, bytes, np.ndarray]:
+        """The open extension's pads H(t_j), the sender's OT_PAYLOAD of one
+        word-byte correction per transfer, and the choice bits."""
+        t_mat, block, choices = self._open
+        m = len(choices)
+        with self:
+            corr = _expect(self.channel, "OT_PAYLOAD", word * m)
+        return _hash_rows(_transpose(t_mat, m), block), corr, choices
 
-    def recv_messages(self, bits: list[int]) -> np.ndarray:
-        """The message each bit chooses, as the rows of an (m, 16) uint8
-        array."""
-        m = len(bits)
-        pads, cts = self._extend(bits, 2 * 16 * m)
-        pairs = np.frombuffer(cts, dtype=np.uint8).reshape(m, 2, 16)
-        return pairs[np.arange(m), np.asarray(bits, dtype=np.intp)] ^ pads
+    def recv_messages(self) -> np.ndarray:
+        """The label each choice bit of the open extension selects, as the
+        rows of an (m, 16) uint8 array: the pad, XORed with the correction
+        where the bit is 1."""
+        pads, corr, choices = self._complete(16)
+        pads ^= np.frombuffer(corr, dtype=np.uint8).reshape(-1, 16) * choices[:, None]
+        return pads
 
     def recv_correlated(self, bits: list[int]) -> list[int]:
-        pads, corr = self._extend(bits, 4 * len(bits))
+        self.extend(bits)
+        pads, corr, choices = self._complete(4)
         u = np.frombuffer(corr, dtype=">u4").astype(np.int64)
-        w = _low31(pads) + u * np.asarray(bits, dtype=np.int64)
+        w = _low31(pads) + u * choices.astype(np.int64)
         return np.mod(w, SHARE_MODULUS).tolist()

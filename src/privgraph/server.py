@@ -408,20 +408,6 @@ class IndexServer:
         if self._listener is not None:
             self._listener.close()
 
-    @property
-    def exp_count(self) -> int:
-        return self.ctx.exp_count
-
-    def reset_exp_counter(self) -> None:
-        self.ctx.reset_counter()
-
-    def store_fingerprint(self) -> str:
-        """Hash of the resident encrypted store; unchanged across queries."""
-        h = hashlib.sha256()
-        h.update(self.data.tset.to_bytes())
-        h.update(self.data.xset.to_bytes())
-        return h.hexdigest()
-
     @classmethod
     def from_edb_dir(cls, edb_dir, cluster: int, shard: int, topology, **kwargs):
         """Load this server's shard with checksum verification; a tampered

@@ -33,15 +33,21 @@ carries. A sort keeps only the gates its kept outputs read
 (CircuitBuilder.build), so the cut costs no gate past it.
 
 Both sorts run one session, written once as _garble_session and
-_evaluate_session. Its SORT_INIT carries only the sort's per-shard counts,
-which both halves already hold, and each half works the sort's shape out
-of them by one rule, _layout. The garbler sends the labels of its input
-bundles in one GARBLER_LABELS frame (_LOCAL_LABELS, _MERGE_LABELS); the
-evaluator takes its own labels by OT, the garbler as extension sender:
-each sort function's ot is the pair's OTPair, whose base OT an earlier
-session may already have run. A bundle that no gate reads and no output
-names, such as the scores and masks of a single run's merge, sends no
-labels either way.
+_evaluate_session. The garbler speaks first: its SORT_INIT carries only
+the sort's per-shard counts, which both halves already hold, and each half
+works the sort's shape out of them by one rule, _layout. The evaluator
+then takes its own labels by correlated OT, as extension receiver, and
+opens the extension at once: it knows its bits before any circuit
+exists, so it sends its OT_EXTEND (after the base OT's OT_SETUP on a
+pair's first session) before the garbler garbles. Each sort function's ot
+is the pair's OTPair, whose base OT an earlier session may already have
+run. The garbler reads the extension first; its pads are the zero-labels
+of the evaluator's bundle, which garble takes as given. It then answers
+in one flight: CIRCUIT_BLOB, the labels of its own input bundles in one
+GARBLER_LABELS frame (_LOCAL_LABELS, _MERGE_LABELS), and OT_PAYLOAD, one
+16-byte correction per transfer. A bundle that no gate reads and no
+output names, such as the scores and masks of a single run's merge, sends
+no labels either way.
 """
 
 from __future__ import annotations
@@ -212,50 +218,58 @@ def _bits(values, width: int) -> list[int]:
 
 
 def _garble_session(channel, session, counts, sc, bundles, bits, ot, flips=0) -> None:
-    """Garbler half of a sort: the SORT_INIT counts, the circuit with flips
-    XORed into its decode bits, the labels of the garbler's bits (bundle ->
-    bits) in bundles' order, the evaluator's bundle by OT as sender on ot;
-    each only if the circuit reads it."""
+    """Garbler half of a sort: the SORT_INIT counts; then, if the circuit
+    reads the evaluator's bundle, the evaluator's extension, as sender on
+    ot, whose pads are that bundle's zero-labels; then in one flight the
+    circuit with flips XORed into its decode bits, the labels of the
+    garbler's bits (bundle -> bits) of the bundles the circuit reads, in
+    bundles' order, and the OT's corrections."""
     channel.send(Frame(MSG["SORT_INIT"], session, encode_sort_init(counts)))
-    gc, label_map, delta = garble(sc.circuit)
+    sched, inputs = level_schedule(sc.circuit), sc.circuit.inputs
+    (own,) = inputs.keys() - bits.keys()  # the evaluator's bundle
+    sender, zero = OTSender(ot, channel, session), {}
+    if sched.reads(own):
+        zero[own] = sender.extend(len(inputs[own]))
+    gc, label_map, delta = garble(sc.circuit, zero=zero)
     gc.dec ^= np.asarray(flips, dtype=np.uint8)
     channel.send(Frame(MSG["CIRCUIT_BLOB"], session, gc.to_bytes()))
-    sched = level_schedule(sc.circuit)
     labels = [select_labels(label_map[b], delta, bits[b]).tobytes()
               for b in bundles if sched.reads(b)]
     channel.send(Frame(MSG["GARBLER_LABELS"], session, b"".join(labels)))
-    (own,) = label_map.keys() - bits.keys()  # the evaluator's bundle
-    if sched.reads(own):
-        zero = label_map[own]
-        OTSender(ot, channel, session).send_messages(zero, zero ^ delta)
+    if zero:
+        sender.send_messages(zero[own], delta)
 
 
 def _evaluate_session(channel, session, agree, build, t, bundles, own_bits, ot):
     """Evaluator half of a sort: reads the SORT_INIT counts, which
     agree(counts) checks against this party's own, and works the sort's
-    layout out of them (_layout(build, counts, t)); reads the circuit and
-    the garbler's labels of the bundles the circuit reads, takes the
-    labels of own_bits by OT as extension receiver on ot if the circuit
-    reads them, evaluates and returns (circuit, entries, the decoded
-    output bits)."""
+    layout out of them (_layout(build, counts, t)); if the circuit reads
+    own_bits, opens their extension as receiver on ot before the garbler
+    garbles; then reads the circuit, the garbler's labels of the bundles
+    the circuit reads and the OT's corrections, evaluates and returns
+    (circuit, entries, the decoded output bits). A failure after the
+    extension opened drops the pair's receiver state."""
     counts = decode_sort_init(channel.expect("SORT_INIT").payload)
     if counts is None or not agree(counts):
         raise SortError("the garbler's SORT_INIT counts differ from this party's")
     sc, entries = _layout(build, counts, t)
-    gc = GarbledCircuit.from_bytes(channel.expect("CIRCUIT_BLOB").payload)
     sched, inputs = level_schedule(sc.circuit), sc.circuit.inputs
     (own,) = inputs.keys() - set(bundles)
     bundles = [b for b in bundles if sched.reads(b)]
     sizes = [len(inputs[b]) for b in bundles]
-    payload = channel.expect("GARBLER_LABELS").payload
-    if len(payload) != 16 * sum(sizes):
-        raise TransportError(
-            f"GARBLER_LABELS: expected {sum(sizes)} labels, got {len(payload)} bytes"
-        )
-    rows = np.frombuffer(payload, dtype=np.uint8).reshape(1, -1, 16)
-    labels = dict(zip(bundles, np.split(rows, np.cumsum(sizes)[:-1], axis=1)))
-    if sched.reads(own):
-        labels[own] = OTReceiver(ot, channel, session).recv_messages(own_bits)[None]
+    with OTReceiver(ot, channel, session) as receiver:
+        if sched.reads(own):
+            receiver.extend(own_bits)
+        gc = GarbledCircuit.from_bytes(channel.expect("CIRCUIT_BLOB").payload)
+        payload = channel.expect("GARBLER_LABELS").payload
+        if len(payload) != 16 * sum(sizes):
+            raise TransportError(
+                f"GARBLER_LABELS: expected {sum(sizes)} labels, got {len(payload)} bytes"
+            )
+        rows = np.frombuffer(payload, dtype=np.uint8).reshape(1, -1, 16)
+        labels = dict(zip(bundles, np.split(rows, np.cumsum(sizes)[:-1], axis=1)))
+        if sched.reads(own):
+            labels[own] = receiver.recv_messages()[None]
     return sc, entries, decode(gc, evaluate(sc.circuit, gc, labels))[0]
 
 

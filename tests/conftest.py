@@ -3,8 +3,10 @@ lines and print them once, uncaptured, in the terminal summary; seeded
 random graphs and in-process channel pairs; count the comparators a
 sorting network has, and keeps once its sentinels are pruned; a scalar
 reference of the fixed-key hash that garbling and OT share; an
-x-coordinate that is no point of the group."""
+x-coordinate that is no point of the group; a LocalCluster's per-server
+exponentiation counts and a server's store fingerprint."""
 
+import hashlib
 import random
 import socket
 
@@ -119,3 +121,19 @@ def off_curve_x() -> bytes:
         except ValueError:
             return data
     raise AssertionError("every x below 100 is on the curve")
+
+
+def server_exps(cluster, run):
+    """run()'s result, and the group exponentiations each server of the
+    LocalCluster spent while it ran, by name."""
+    before = {name: s.ctx.exp_count for name, s in cluster.servers.items()}
+    result = run()
+    return result, {name: s.ctx.exp_count - before[name] for name, s in cluster.servers.items()}
+
+
+def store_fingerprint(server) -> str:
+    """A hash of a server's resident encrypted store."""
+    h = hashlib.sha256()
+    h.update(server.data.tset.to_bytes())
+    h.update(server.data.xset.to_bytes())
+    return h.hexdigest()

@@ -8,9 +8,10 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import loopback_pair, off_curve_x, scalar_hash
+from conftest import loopback_pair, off_curve_x, scalar_hash, xor
 from privgraph import ot as ot_mod
 from privgraph.crypto import ORDER, GroupContext
+from privgraph.garble import select_labels
 from privgraph.ot import (
     SHARE_MODULUS,
     OTError,
@@ -83,38 +84,66 @@ def run_pair(sender_fn, receiver_fn, tampered=None, pairs=None, transcript=None)
     return out["sender"], out["receiver"]
 
 
+def _delta(rng):
+    """A garbler's offset: 16 random bytes whose permute bit is 1."""
+    delta = rng.integers(0, 256, size=16, dtype=np.uint8)
+    delta[15] |= 1
+    return delta
+
+
+def _send_labels(s, m, delta):
+    """The garbler's half of a label transfer: the extension's pads are
+    the zero-labels, which it returns."""
+    zero = s.extend(m)
+    s.send_messages(zero, delta)
+    return zero
+
+
+def _recv_labels(r, bits):
+    r.extend(bits)
+    return r.recv_messages()
+
+
 class TestMessageOT:
-    def test_choice_selects_message(self):
-        n = 300
-        msgs0 = _rows([secrets.token_bytes(16) for _ in range(n)])
-        msgs1 = _rows([secrets.token_bytes(16) for _ in range(n)])
-        bits = [secrets.randbelow(2) for _ in range(n)]
-        _, got = run_pair(
-            lambda s: s.send_messages(msgs0, msgs1),
-            lambda r: r.recv_messages(bits),
+    """Correlated label OT through send_messages and recv_messages: the
+    evaluator's label of each transfer is the one the garbler's
+    select_labels gives for its bit, from one 16-byte correction a
+    transfer."""
+
+    @staticmethod
+    def _check(m, salt, bits=None):
+        rng = np.random.default_rng(salt)
+        delta = _delta(rng)
+        if bits is None:
+            bits = [int(b) for b in rng.integers(0, 2, size=m)]
+        transcript = Transcript()
+        zero, got = run_pair(
+            lambda s: _send_labels(s, m, delta),
+            lambda r: _recv_labels(r, bits),
+            transcript=transcript,
         )
-        assert got.shape == (n, 16)
-        for b, g, m0, m1 in zip(bits, got, msgs0, msgs1):
-            assert np.array_equal(g, m1 if b else m0)
-            assert not np.array_equal(g, m0 if b else m1)
+        assert zero.shape == got.shape == (m, 16)
+        assert np.array_equal(got, select_labels(zero, delta, bits)[0])
+        # never the label of the other bit
+        other = select_labels(zero, delta, [1 - b for b in bits])[0]
+        assert not np.any(np.all(got == other, axis=1))
+        (payload,) = _sent(transcript, "sender", "OT_PAYLOAD")
+        assert len(payload.payload) == 16 * m
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        m=st.one_of(st.just(1), st.integers(1, 40).map(lambda i: 8 * i), st.integers(2, 330)),
+        salt=st.integers(0, 2**32 - 1),
+    )
+    @example(m=256, salt=2)
+    def test_choice_selects_message(self, m, salt):
+        self._check(m, salt)
 
     def test_single_transfer(self):
-        _, got = run_pair(
-            lambda s: s.send_messages(_rows([b"A" * 16]), _rows([b"B" * 16])),
-            lambda r: r.recv_messages([1]),
-        )
-        assert got.tobytes() == b"B" * 16
+        self._check(1, 0, [1])
 
     def test_non_multiple_of_eight(self):
-        n = 13
-        msgs0 = _rows([bytes([i]) * 16 for i in range(n)])
-        msgs1 = _rows([bytes([100 + i]) * 16 for i in range(n)])
-        bits = [i % 2 for i in range(n)]
-        _, got = run_pair(
-            lambda s: s.send_messages(msgs0, msgs1),
-            lambda r: r.recv_messages(bits),
-        )
-        assert np.array_equal(got, np.where(np.arange(n)[:, None] % 2, msgs1, msgs0))
+        self._check(13, 1, [i % 2 for i in range(13)])
 
 
 class TestCorrelatedOT:
@@ -195,7 +224,7 @@ class TestErrors:
         chan_b.send(Frame(MSG["OT_EXTEND"], 0, encode_ot_extend(b"\0" * 8, 0, 4, bytes(128))))
         try:
             with pytest.raises(OTError, match="unknown"):
-                sender.pads(4)
+                sender.extend(4)
         finally:
             chan_a.close()
             chan_b.close()
@@ -204,13 +233,12 @@ class TestErrors:
         assert issubclass(OTError, TransportError)
 
 
-def _rows(msgs):
-    """16-byte messages as the rows of an (m, 16) uint8 array."""
-    return np.frombuffer(b"".join(msgs), dtype=np.uint8).reshape(-1, 16)
+def _labels4(s):
+    return _send_labels(s, 4, _delta(np.random.default_rng(4)))
 
 
-def _messages(s):
-    return s.send_messages(_rows([b"A" * 16] * 4), _rows([b"B" * 16] * 4))
+def _recv4(r):
+    return _recv_labels(r, [1] * 4)
 
 
 def _correlated(s):
@@ -225,23 +253,17 @@ class TestTruncatedFrames:
         "tampered,sender_fn,receiver_fn",
         [
             # the base-OT sender's point A: 33 bytes
-            (("receiver", "OT_SETUP", 0, lambda p: p[:-1]), _messages,
-             lambda r: r.recv_messages([1] * 4)),
+            (("receiver", "OT_SETUP", 0, lambda p: p[:-1]), _labels4, _recv4),
             # A that is no point encoding
-            (("receiver", "OT_SETUP", 0, lambda p: bytes(len(p))), _messages,
-             lambda r: r.recv_messages([1] * 4)),
+            (("receiver", "OT_SETUP", 0, lambda p: bytes(len(p))), _labels4, _recv4),
             # the base-OT receiver's reply: 128 points of 33 bytes
-            (("sender", "OT_SETUP", 0, lambda p: p[:-33]), _messages,
-             lambda r: r.recv_messages([1] * 4)),
+            (("sender", "OT_SETUP", 0, lambda p: p[:-33]), _labels4, _recv4),
             # the base-OT ciphertexts: 256 of 16 bytes
-            (("receiver", "OT_SETUP", 1, lambda p: p[:-16]), _messages,
-             lambda r: r.recv_messages([1] * 4)),
+            (("receiver", "OT_SETUP", 1, lambda p: p[:-16]), _labels4, _recv4),
             # the extension matrix: 128 rows of ceil(m / 8) bytes
-            (("receiver", "OT_EXTEND", 0, lambda p: p[:-1]), _messages,
-             lambda r: r.recv_messages([1] * 4)),
-            # message payload: 32 bytes per transfer
-            (("sender", "OT_PAYLOAD", 0, lambda p: p[:40]), _messages,
-             lambda r: r.recv_messages([1] * 4)),
+            (("receiver", "OT_EXTEND", 0, lambda p: p[:-1]), _labels4, _recv4),
+            # label corrections: 16 bytes per transfer
+            (("sender", "OT_PAYLOAD", 0, lambda p: p[:40]), _labels4, _recv4),
             # correlated payload: 4 bytes per transfer
             (("sender", "OT_PAYLOAD", 0, lambda p: p[:-1]), _correlated,
              lambda r: r.recv_correlated([1] * 4)),
@@ -282,7 +304,7 @@ class TestBaseOTPoints:
     )
     def test_off_curve_point_rejected(self, tampered):
         with pytest.raises(OTError, match="P-256"):
-            run_pair(_messages, lambda r: r.recv_messages([1] * 4), tampered)
+            run_pair(_labels4, _recv4, tampered)
 
     def test_b_equal_to_a_rejected(self):
         # B - A would be the point at infinity
@@ -293,7 +315,7 @@ class TestBaseOTPoints:
             return payload[:33] + big_a + payload[66:]
 
         with pytest.raises(OTError, match="infinity"):
-            run_pair(_messages, lambda r: r.recv_messages([1] * 4),
+            run_pair(_labels4, _recv4,
                      ("sender", "OT_SETUP", 0, b_is_a), transcript=transcript)
 
 
@@ -301,23 +323,18 @@ def _sent(transcript, party, name):
     return [f for p, d, f in transcript.entries if p == party and d == "send" and f.name == name]
 
 
-def _labels(n, seed):
+def _labels_session(pairs, n, seed, transcript=None, tampered=None):
+    """One label-OT session on pairs; asserts each label is the one the
+    garbler's select_labels gives for its bit."""
     rng = np.random.default_rng(seed)
-    msgs0 = _rows([rng.bytes(16) for _ in range(n)])
-    msgs1 = _rows([rng.bytes(16) for _ in range(n)])
+    delta = _delta(rng)
     bits = [int(b) for b in rng.integers(0, 2, size=n)]
-    return msgs0, msgs1, bits
-
-
-def _messages_session(pairs, n, seed, transcript=None, tampered=None):
-    """One message-OT session on pairs; asserts each transfer is right."""
-    msgs0, msgs1, bits = _labels(n, seed)
-    _, got = run_pair(
-        lambda s: s.send_messages(msgs0, msgs1),
-        lambda r: r.recv_messages(bits),
+    zero, got = run_pair(
+        lambda s: _send_labels(s, n, delta),
+        lambda r: _recv_labels(r, bits),
         tampered=tampered, pairs=pairs, transcript=transcript,
     )
-    assert np.array_equal(got, np.where(np.array(bits)[:, None], msgs1, msgs0))
+    assert np.array_equal(got, select_labels(zero, delta, bits)[0])
 
 
 def _rewrite_block(block):
@@ -338,10 +355,10 @@ class TestPairState:
     def test_later_sessions_only_extend(self):
         pairs = self._pairs()
         transcript = Transcript()
-        _messages_session(pairs, 40, 1, transcript)
+        _labels_session(pairs, 40, 1, transcript)
         exps = [pair.ctx.exp_count for pair in pairs]
         for i, n in enumerate((300, 13, 1)):
-            _messages_session(pairs, n, 2 + i, transcript)
+            _labels_session(pairs, n, 2 + i, transcript)
         assert [pair.ctx.exp_count for pair in pairs] == exps
         assert len(_sent(transcript, "receiver", "OT_SETUP")) == 2  # A, then the ciphertexts
         headers = [decode_ot_extend(f.payload) for f in _sent(transcript, "receiver", "OT_EXTEND")]
@@ -355,7 +372,7 @@ class TestPairState:
 
         def session(i):
             try:
-                _messages_session(pairs, 20 + 37 * i, 100 + i, transcript)
+                _labels_session(pairs, 20 + 37 * i, 100 + i, transcript)
             except Exception as exc:
                 errors.append(exc)
 
@@ -380,27 +397,27 @@ class TestPairState:
     @pytest.mark.parametrize("block", [0, 1], ids=["replayed", "blocks-overlap"])
     def test_used_range_rejected_and_state_rebuilt(self, block):
         pairs = self._pairs()
-        _messages_session(pairs, 200, 1)  # blocks 0 and 1
+        _labels_session(pairs, 200, 1)  # blocks 0 and 1
         with pytest.raises(OTError, match="already used"):
-            _messages_session(pairs, 200, 2, tampered=("receiver", "OT_EXTEND", 0,
+            _labels_session(pairs, 200, 2, tampered=("receiver", "OT_EXTEND", 0,
                                                         _rewrite_block(block)))
         assert pairs[1]._state is None  # the failed receiver dropped its state
         transcript = Transcript()
-        _messages_session(pairs, 40, 3, transcript)
+        _labels_session(pairs, 40, 3, transcript)
         assert len(_sent(transcript, "receiver", "OT_SETUP")) == 2
 
     def test_unknown_state_fails_once_then_rebuilds(self):
         # a restarted sender has lost every state its counterpart set up
         _, receiver_pair = pairs = self._pairs()
-        _messages_session(pairs, 16, 1)
+        _labels_session(pairs, 16, 1)
         restarted = (OTPair(GroupContext(), timeout=10.0), receiver_pair)
         with pytest.raises(OTError, match="unknown"):
-            _messages_session(restarted, 16, 2)
+            _labels_session(restarted, 16, 2)
         assert receiver_pair._state is None
         transcript = Transcript()
-        _messages_session(restarted, 16, 3, transcript)
+        _labels_session(restarted, 16, 3, transcript)
         assert len(_sent(transcript, "receiver", "OT_SETUP")) == 2
-        _messages_session(restarted, 16, 4)
+        _labels_session(restarted, 16, 4)
 
     def test_waits_for_a_set_up_in_flight(self):
         sender_pair = OTPair(GroupContext(), timeout=10.0)
@@ -458,11 +475,12 @@ class TestVectorised:
 
     def test_correlated_and_message_formulas(self, monkeypatch):
         rng = np.random.default_rng(8)
-        m = 257
-        pads0, pads1, pads = (rng.integers(0, 256, size=(m, 16), dtype=np.uint8) for _ in range(3))
+        m, block = 257, 3
+        pads0, rows1, pads = (rng.integers(0, 256, size=(m, 16), dtype=np.uint8) for _ in range(3))
+        pads1 = ot_mod._hash_rows(rows1, block)  # H(q_j ^ s)
         deltas = [int(d) for d in rng.integers(0, SHARE_MODULUS, size=m)]
         bits = [int(b) for b in rng.integers(0, 2, size=m)]
-        msgs0, msgs1, _ = _labels(m, 9)
+        delta = _delta(rng)
 
         class Sink:
             def __init__(self):
@@ -472,29 +490,32 @@ class TestVectorised:
                 self.payloads.append(frame.payload)
 
         sender = OTSender(OTPair(GroupContext()), Sink())
-        monkeypatch.setattr(sender, "pads", lambda n: (pads0, pads1))
+
+        def extend(n):
+            sender._ones = rows1, block
+            return pads0
+
+        monkeypatch.setattr(sender, "extend", extend)
         vs = sender.send_correlated(deltas)
-        sender.send_messages(msgs0, msgs1)
+        sender.send_messages(pads0, delta)
         corr, labels = sender.channel.payloads
 
         # the loops these replaced
         p0 = [p.tobytes() for p in pads0]
         p1 = [p.tobytes() for p in pads1]
         want_vs, want_corr = [], []
-        for delta, a, b in zip(deltas, p0, p1):
+        for d, a, b in zip(deltas, p0, p1):
             v = int.from_bytes(a, "big") % SHARE_MODULUS
             w1 = int.from_bytes(b, "big") % SHARE_MODULUS
-            want_corr.append(((delta + v - w1) % SHARE_MODULUS).to_bytes(4, "big"))
+            want_corr.append(((d + v - w1) % SHARE_MODULUS).to_bytes(4, "big"))
             want_vs.append(v)
         assert vs == want_vs and corr == b"".join(want_corr)
-        want_labels = b"".join(
-            bytes(x ^ y for x, y in zip(m0, a)) + bytes(x ^ y for x, y in zip(m1, b))
-            for m0, m1, a, b in zip(msgs0, msgs1, p0, p1)
-        )
-        assert labels == want_labels
+        assert labels == b"".join(xor(a, b, delta.tobytes()) for a, b in zip(p0, p1))
 
         receiver = OTReceiver(OTPair(GroupContext()), None)
-        monkeypatch.setattr(receiver, "_extend", lambda b, size: (pads, corr))
+        choices = np.array(bits, dtype=np.uint8)
+        monkeypatch.setattr(receiver, "extend", lambda b: None)
+        monkeypatch.setattr(receiver, "_complete", lambda word: (pads.copy(), corr, choices))
         got = receiver.recv_correlated(bits)
         want = []
         for i, (bit, pad) in enumerate(zip(bits, pads)):
@@ -503,10 +524,9 @@ class TestVectorised:
                 w = (w + int.from_bytes(corr[4 * i : 4 * i + 4], "big")) % SHARE_MODULUS
             want.append(w)
         assert got == want
-        monkeypatch.setattr(receiver, "_extend", lambda b, size: (pads, labels))
-        got = [row.tobytes() for row in receiver.recv_messages(bits)]
+        monkeypatch.setattr(receiver, "_complete", lambda word: (pads.copy(), labels, choices))
+        got = [row.tobytes() for row in receiver.recv_messages()]
         assert got == [
-            bytes(x ^ y for x, y in zip(labels[(2 * i + bit) * 16 : (2 * i + bit + 1) * 16],
-                                        pad.tobytes()))
+            xor(pad.tobytes(), labels[16 * i : 16 * i + 16]) if bit else pad.tobytes()
             for i, (bit, pad) in enumerate(zip(bits, pads))
         ]

@@ -138,7 +138,7 @@ class TestWorkIndependence:
             stag = oxt.stag_for(keys, sub)
             rows = points(oxt.xtoken_rows(keys, ctx, s_term, count, sub.x_terms))
             shard = edb.clusters[0][0]
-            ctx.reset_counter()
+            ctx.exp_count = 0
             oxt.boolean_query(
                 shard.tset, shard.xset, ctx, stag, rows, sub.formula, sub.negate
             )
@@ -155,7 +155,7 @@ class TestXtokenRows:
         ]
 
     def test_one_fixed_base_multiplication_per_cell(self, keys, ctx):
-        ctx.reset_counter()
+        ctx.exp_count = 0
         oxt.xtoken_rows(keys, ctx, "friend:1", 5, ("friend:2", "friend:3"))
         assert ctx.exp_count == 10
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import loopback_pair, off_curve_x, random_graph
+from conftest import loopback_pair, off_curve_x, random_graph, server_exps, store_fingerprint
 from privgraph import crypto
 from privgraph import planner as planner_mod
 from privgraph import server as server_mod
@@ -33,6 +33,7 @@ from privgraph.server import (
     encode_global_result,
     encode_query_init,
     encode_result,
+    server_name,
 )
 from privgraph.sexpr import BoolFormula, parse_sexpr
 from privgraph.transport import ChannelClosed, Topology, Transcript, TransportError
@@ -281,9 +282,8 @@ class TestWorkMetering:
         s_term = min(t, key=lambda x: len(index[x]))
         for n_x in (1, 2):
             text = "(and " + " ".join([s_term] + [x for x in t if x != s_term][:n_x]) + ")"
-            cluster.reset_exp_counters()
-            fe.query(text)
-            total = sum(cluster.exp_counts().values())
+            _, counts = server_exps(cluster, lambda: fe.query(text))
+            total = sum(counts.values())
             assert total == 2 * len(index[s_term]) * n_x
 
 
@@ -304,7 +304,7 @@ class TestDegraded:
         index, engine, cluster = small
         fe = cluster.front_end(KEYS, lengths=engine.lengths, timeout=20.0)
         term = top_terms(index, 1)[0]
-        cluster.stop_server(1, 1)
+        cluster.servers.pop(server_name(1, 1)).stop()
         # set operations still work off cluster 0
         assert set(fe.query(f"(term {term})")) == index[term].ids()
         # ranking needs both clusters
@@ -733,9 +733,9 @@ class TestHygiene:
     def test_store_fingerprint_stable_across_queries(self, setup):
         index, _, cluster, fe = setup
         server = cluster.server(0, 0)
-        before = server.store_fingerprint()
+        before = store_fingerprint(server)
         fe.query(f"(term {top_terms(index, 1)[0]})", sort=True)
-        assert server.store_fingerprint() == before
+        assert store_fingerprint(server) == before
 
     def test_query_ids_are_full_width(self, setup):
         # server session maps key on query ids, so they must not share a

@@ -12,7 +12,7 @@ import privgraph.sorting as sorting
 from conftest import comparator_count, loopback_pair, merge_tree_comparators, track_sentinels
 from privgraph.circuits import MAX_SORT_K, SCORE_BITS, padded_size
 from privgraph.crypto import GroupContext
-from privgraph.ot import OTPair
+from privgraph.ot import OTError, OTPair, encode_ot_extend
 from privgraph.sorting import (
     SHARE_MODULUS,
     SortError,
@@ -23,7 +23,7 @@ from privgraph.sorting import (
     local_sort_evaluator,
     local_sort_garbler,
 )
-from privgraph.transport import Transcript, TransportError
+from privgraph.transport import MSG, ChannelClosed, Frame, Transcript, TransportError
 
 
 def run_session(garbler_fn, evaluator_fn, transcript=None):
@@ -245,9 +245,12 @@ class TestGlobalSort:
 
 # (frame, payload bytes) each party sends in a k = 5, 3 and 1 local sort and
 # in the 3-shard merge of their results. SORT_INIT holds one u32 count per
-# shard and the garbler's labels travel in one GARBLER_LABELS frame. Padding
-# is no input: a sort of t entries takes t·31 transfers, so OT_PAYLOAD =
-# 31 · 32 · t bytes. A local sort runs k adders of 30 ANDs and the
+# shard. The evaluator opens its extension before the garbler garbles, so
+# the garbler answers the OT's set-up first, then sends the circuit, its
+# labels in one GARBLER_LABELS frame and the OT's corrections in one flight.
+# Padding is no input: a sort of t entries takes t·31 transfers, each a
+# correlated OT of one 16-byte correction, so OT_PAYLOAD = 31 · 16 · t
+# bytes. A local sort runs k adders of 30 ANDs and the
 # comparators no sentinel enters (k = 5: 11, k = 3: 3), each of 31 + 31 +
 # payload ANDs; its labels are 31 share and payload bits an entry. The
 # merge's payloads are numbered densely over its 9 entries (4 bits); its
@@ -262,23 +265,23 @@ class TestGlobalSort:
 _EVALUATOR_OT = [("OT_SETUP", 33), ("OT_SETUP", 4096)]
 PINNED_FRAMES = [
     (  # local, k = 5
-        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 27714), ("GARBLER_LABELS", 2480 + 240),
-         ("OT_SETUP", 4224), ("OT_PAYLOAD", 4960)],
+        [("SORT_INIT", 4), ("OT_SETUP", 4224), ("CIRCUIT_BLOB", 27714),
+         ("GARBLER_LABELS", 2480 + 240), ("OT_PAYLOAD", 2480)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 2560)],
     ),
     (  # local, k = 3
-        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 9049), ("GARBLER_LABELS", 1488 + 96),
-         ("OT_SETUP", 4224), ("OT_PAYLOAD", 2976)],
+        [("SORT_INIT", 4), ("OT_SETUP", 4224), ("CIRCUIT_BLOB", 9049),
+         ("GARBLER_LABELS", 1488 + 96), ("OT_PAYLOAD", 1488)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 1536)],
     ),
     (  # local, k = 1
-        [("SORT_INIT", 4), ("CIRCUIT_BLOB", 976), ("GARBLER_LABELS", 496 + 16),
-         ("OT_SETUP", 4224), ("OT_PAYLOAD", 992)],
+        [("SORT_INIT", 4), ("OT_SETUP", 4224), ("CIRCUIT_BLOB", 976),
+         ("GARBLER_LABELS", 496 + 16), ("OT_PAYLOAD", 496)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 512)],
     ),
     (  # merge of 9 entries from 3 shards
-        [("SORT_INIT", 12), ("CIRCUIT_BLOB", 48849), ("GARBLER_LABELS", 4464 + 576),
-         ("OT_SETUP", 4224), ("OT_PAYLOAD", 8928)],
+        [("SORT_INIT", 12), ("OT_SETUP", 4224), ("CIRCUIT_BLOB", 48849),
+         ("GARBLER_LABELS", 4464 + 576), ("OT_PAYLOAD", 4464)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 4480)],
     ),
 ]
@@ -335,6 +338,100 @@ class TestWireSequence:
             [("SORT_INIT", 4), ("CIRCUIT_BLOB", 12 + 1), ("GARBLER_LABELS", 16 * 3 * 2)],
             [],
         ]
+
+
+def _garbler_fails_at(name, edit=None):
+    """Make a garbler's channel fail at its first name frame: close the
+    channel there, or with edit send the frame's payload rewritten."""
+
+    def fail(chan):
+        real_send = chan.send
+
+        def send(frame):
+            if frame.name == name:
+                if edit is None:
+                    chan.close()
+                    raise ChannelClosed(f"the garbler gave up before {name}")
+                frame = Frame(frame.type, frame.session, edit(frame.payload))
+            real_send(frame)
+
+        chan.send = send
+        return chan
+
+    return fail
+
+
+class TestEarlyExtension:
+    """The evaluator sends its OT_EXTEND before the garbler garbles, and
+    the garbler answers in one flight."""
+
+    @pytest.mark.parametrize(
+        "fail",
+        [_garbler_fails_at("CIRCUIT_BLOB"), _garbler_fails_at("OT_PAYLOAD", lambda p: p[:-16])],
+        ids=["channel-closed", "short-payload"],
+    )
+    def test_failure_after_the_extension_drops_the_receiver_state(self, fail):
+        pair_g, pair_e = OTPair(GroupContext()), OTPair(GroupContext())
+        g, e = split_shares([5, 9, 2], np.random.default_rng(15))
+
+        def sort(transcript=None):
+            return run_session(
+                lambda ch: local_sort_garbler(ch, 1, g, pair_g),
+                lambda ch: local_sort_evaluator(ch, 1, e, pair_e),
+                transcript,
+            )
+
+        sort()
+        assert pair_e._state is not None
+        evaluator_errors = []
+
+        def evaluator(ch):
+            try:
+                return local_sort_evaluator(ch, 1, e, pair_e)
+            except Exception as exc:
+                evaluator_errors.append(exc)
+                raise
+
+        with pytest.raises(TransportError):
+            run_session(lambda ch: local_sort_garbler(fail(ch), 1, g, pair_g), evaluator)
+        assert len(evaluator_errors) == 1 and isinstance(evaluator_errors[0], TransportError)
+        assert pair_e._state is None  # dropped: the next session sets up afresh
+        transcript = Transcript()
+        masks, (masked, order), _ = sort(transcript)
+        assert order == [1, 0, 2] and unmask(masked, masks) == [9, 5, 2]
+        evaluator_setup = [f for p, d, f in transcript.entries
+                           if p == "e" and d == "send" and f.name == "OT_SETUP"]
+        assert len(evaluator_setup) == 2
+
+    def test_garbler_checks_the_transfer_count_before_it_garbles(self, monkeypatch):
+        # an evaluator that opens an extension of 8 transfers, where the
+        # circuit's evaluator bundle is 3 shares of 31 bits
+        garbled = []
+        monkeypatch.setattr(sorting, "garble", lambda *a, **k: garbled.append(a))
+
+        def evaluator(ch):
+            ch.expect("SORT_INIT")
+            ch.send(Frame(MSG["OT_EXTEND"], 1, encode_ot_extend(b"\0" * 8, 0, 8, bytes(128))))
+            ch.recv()  # the garbler closes the session
+
+        with pytest.raises(OTError, match="8 transfers, expected 93"):
+            run_session(
+                lambda ch: local_sort_garbler(ch, 1, [1, 2, 3], OTPair(GroupContext())),
+                evaluator,
+            )
+        assert garbled == []
+
+    def test_large_sort_over_a_socket_pair(self):
+        # k = 256: a ~124 KB OT_EXTEND, then an ~11 MB CIRCUIT_BLOB; each
+        # party sends only while its peer reads, so neither blocks
+        scores = [int(x) for x in np.random.default_rng(16).integers(0, 1000, size=256)]
+        g, e = split_shares(scores, np.random.default_rng(17))
+        masks, (masked, order), _ = run_session(
+            lambda ch: local_sort_garbler(ch, 1, g, OTPair(GroupContext())),
+            lambda ch: local_sort_evaluator(ch, 1, e, OTPair(GroupContext())),
+        )
+        assert unmask(masked, masks) == sorted(scores, reverse=True)
+        assert [scores[i] for i in order] == sorted(scores, reverse=True)
 
 
 class TestCircuitCache:

@@ -1,12 +1,14 @@
-"""No test-only surface in the package: each name in a module's __all__ is
+"""No test-only surface in the package: each name in a module's __all__,
+and each public method or property of a class the package defines, is
 reached from program code (the package and the benchmark), not only from
 tests, unless it is a reference or model API on the allowlist.
 
-A reference counts if it lies outside the name's own top-level definition
-and outside the definitions of names found unreached, so that a cluster of
+A reference counts if it lies outside the name's own definition and
+outside the definitions of names found unreached, so that a cluster of
 names that only use each other is found as a whole. A reference is an
 identifier, an attribute, an imported name or a string equal to the name
-(the benchmark's tracer wraps functions by name)."""
+(the benchmark's tracer wraps functions by name); a member is named by
+its attribute alone, whatever the class."""
 
 import ast
 from pathlib import Path
@@ -56,9 +58,18 @@ def _referenced(node):
     return None
 
 
+def _members(cls):
+    """The public methods and properties in a class body."""
+    return [
+        node for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
 def survey():
-    """Each module's exports; each top-level definition's line span by
-    (module, name); the (module, line) of each reference by name."""
+    """Each module's exports, its classes' members named Class.member
+    among them; each definition's line span by (module, name); the
+    (module, line) of each reference by name."""
     exports, spans, refs = {}, {}, {}
     for path in PROGRAM:
         module = path.stem if path.parent == PACKAGE else f"perfbench/{path.stem}"
@@ -68,6 +79,11 @@ def survey():
         for top in tree.body:
             for name in _defined(top):
                 spans[(module, name)] = range(top.lineno, top.end_lineno + 1)
+            if isinstance(top, ast.ClassDef) and path.parent == PACKAGE:
+                for node in _members(top):
+                    member = f"{top.name}.{node.name}"
+                    exports[module].append(member)
+                    spans[(module, member)] = range(node.lineno, node.end_lineno + 1)
             if "__all__" in _defined(top):
                 continue
             for node in ast.walk(top):
@@ -92,7 +108,8 @@ def unreached() -> set:
                 key = (module, name)
                 if key in dead or key in ALLOWED:
                     continue
-                if all(any(within(o, w) for o in (key, *dead)) for w in refs.get(name, [])):
+                ref_name = name.rpartition(".")[2]  # a member by its attribute
+                if all(any(within(o, w) for o in (key, *dead)) for w in refs.get(ref_name, [])):
                     dead.add(key)
                     changed = True
     return dead
