@@ -19,13 +19,11 @@ is the AND gate's index in gate order.
 
 Both parties work from a level schedule computed once per circuit: the
 gates sorted by their levels (Circuit.levels) and ops, with each group's
-inputs as index arrays and its outputs as a slice of slots where they are
-one run, else as an index array. Labels live in slots that are reused
-after each wire's last use, so memory follows the live wires, not the
-circuit size; the wires a level makes take a free run of slots where
-there is one, so nearly every write is a slice write. An input that no
-gate reads and no output names gets no slot, and its labels are never
-read.
+inputs as index arrays. Every wire has its own label slot, the inputs
+first and then each gate's output in schedule order, so the wires a level
+makes, its XOR outputs and then its AND outputs, are one run of slots
+each and every write is a slice write. A bundle whose wires no gate reads
+and no output names needs no labels.
 
 A level runs its XOR gates with one gather, one XOR and one write. Its
 AND gates take one gather, which brings the halves of their input labels
@@ -85,17 +83,6 @@ def _narrow(values: np.ndarray, top: int) -> np.ndarray:
     return values.astype(np.min_scalar_type(top))
 
 
-def _target(out: np.ndarray, lo: int, hi: int):
-    """Where the gates lo..hi of the schedule write their outputs: a slice
-    when their slots out[lo:hi], which ascend within a level, are one run,
-    else an index array; None for no gates."""
-    if hi == lo:
-        return None
-    if int(out[hi - 1]) - int(out[lo]) == hi - lo - 1:
-        return slice(int(out[lo]), int(out[hi - 1]) + 1)
-    return out[lo:hi].astype(np.intp)
-
-
 def _bytes(blocks: np.ndarray) -> memoryview:
     """The C-contiguous array blocks as a flat, writable memoryview of bytes."""
     return memoryview(blocks.view(np.uint8).reshape(-1))
@@ -110,22 +97,24 @@ def _unsigma(s: np.ndarray) -> np.ndarray:
 
 
 class LevelSchedule:
-    """The gates of one circuit sorted by (level, op), the label-slot map,
-    and each AND gate's table rows. Every array is read-only, so one
-    schedule serves any number of concurrent garble and evaluate calls.
+    """The gates of one circuit sorted by (level, op), and each AND gate's
+    table rows. Every array is read-only, so one schedule serves any number
+    of concurrent garble and evaluate calls.
 
-    Labels sit in a (n_slots + 1, 2) HALVES buffer whose last slot, zero,
-    holds 0. steps holds one (xor_in, xor_out, and_in, and_out, m, lo, hi)
-    per level. xor_in (2, k) holds the slots of its k XOR gates' a inputs,
-    then their b inputs. and_in (4, 2m, 2) holds positions in the buffer
-    seen flat: over the rows [a inputs; b inputs] of its m AND gates, the
-    halves (r, r), (l, l) and (r, 0) of each input label (l, r), the last
-    two XORing to σ of it, then [0; the a input] against the rows, so that
-    one gather brings the group's inputs as same-shape, contiguous arrays.
-    xor_out and and_out are the groups' output slots, a slice where they
-    are one run. The AND group's rows are rows lo..hi of each array that a
-    garble or evaluate call keeps by AND input; table_rows holds the table
-    row, 2gid + half, of each, which is also its hash tweak.
+    Each wire has its own label slot: the inputs first, bundle by bundle,
+    then every gate's output in schedule order. Labels sit in a (n_slots +
+    1, 2) HALVES buffer whose last slot, zero, holds 0. steps holds one
+    (xor_in, xor_out, and_in, and_out, m, lo, hi) per level. xor_in (2, k)
+    holds the slots of its k XOR gates' a inputs, then their b inputs.
+    and_in (4, 2m, 2) holds positions in the buffer seen flat: over the
+    rows [a inputs; b inputs] of its m AND gates, the halves (r, r), (l, l)
+    and (r, 0) of each input label (l, r), the last two XORing to σ of it,
+    then [0; the a input] against the rows, so that one gather brings the
+    group's inputs as same-shape, contiguous arrays. xor_out and and_out
+    are the slices of slots the groups write, which tile the slots past
+    the inputs in order. The AND group's rows are rows lo..hi of each array
+    that a garble or evaluate call keeps by AND input; table_rows holds the
+    table row, 2gid + half, of each, which is also its hash tweak.
     """
 
     def __init__(self, circuit: Circuit):
@@ -136,15 +125,22 @@ class LevelSchedule:
         perm = np.argsort(key, kind="stable")
         bounds = np.zeros(2 * self.n_levels + 1, dtype=np.int64)
         np.cumsum(np.bincount(key, minlength=2 * self.n_levels), out=bounds[1:])
-        defined = gates[perm, 3]
-        slot, self.n_slots = _assign_slots(circuit, level, defined, bounds)
-        self.out = _narrow(slot[defined], self.n_slots)  # each gate's output slot, in schedule order
+        # every wire is an input or a gate's output (CircuitBuilder.build)
+        inputs = np.array([w for ws in circuit.inputs.values() for w in ws], dtype=np.int64)
+        n_in = len(inputs)
+        self.n_slots = circuit.n_wires
         self.zero = self.n_slots  # the slot past the labels, which stays 0
-        self.inputs = {}  # bundle -> (positions of its read wires, their slots)
+        slot = np.empty(circuit.n_wires, dtype=np.int64)
+        slot[inputs] = np.arange(n_in)
+        slot[gates[perm, 3]] = np.arange(n_in, self.n_slots)
+        outputs = np.asarray(circuit.outputs, dtype=np.int64)
+        read = np.zeros(circuit.n_wires, dtype=bool)  # read by a gate or named as an output
+        read[gates[:, 1:3]] = read[outputs] = True
+        self.inputs, lo = {}, 0  # bundle -> (its slots, whether it is read)
         for name, wires in circuit.inputs.items():
-            read = np.flatnonzero(slot[wires] >= 0)
-            self.inputs[name] = (read, slot[np.asarray(wires)[read]].astype(np.intp))
-        self.output_slots = slot[np.asarray(circuit.outputs, dtype=np.int64)].astype(np.intp)
+            self.inputs[name] = (slice(lo, lo + len(wires)), bool(read[wires].any()))
+            lo += len(wires)
+        self.output_slots = slot[outputs].astype(np.intp)
 
         is_and = gates[perm, 0] == AND
         a, b = slot[gates[perm, 1]], slot[gates[perm, 2]]
@@ -182,27 +178,29 @@ class LevelSchedule:
                 xor_in[0], xor_in[1] = a[x_lo:a_lo], b[x_lo:a_lo]
             self.steps.append((
                 xor_in,
-                _target(self.out, x_lo, a_lo),
+                slice(n_in + x_lo, n_in + a_lo),
                 np.ascontiguousarray(parts[:, 2 * aj : 2 * (aj + am)]) if am else None,
-                _target(self.out, a_lo, end),
+                slice(n_in + a_lo, n_in + end),
                 am,
                 2 * aj,
                 2 * (aj + am),
             ))
-        arrays = [self.out, self.output_slots, self.table_rows]
+        arrays = [self.output_slots, self.table_rows]
         arrays += [x for step in self.steps for x in step if isinstance(x, np.ndarray)]
-        arrays += [x for pair in self.inputs.values() for x in pair if isinstance(x, np.ndarray)]
         for arr in arrays:
             arr.setflags(write=False)
 
     def tweaks(self) -> np.ndarray:
-        """Each AND input row's hash tweak, as (2 n_and, 2) HALVES blocks;
-        made per call, which costs little next to a garbling."""
-        return FixedKeyHash.tweaks(self.table_rows.astype(HALVES))
+        """Each AND input row's hash tweak, the block (its table row, 0), as
+        (2 n_and, 2) HALVES; made per call, which costs little next to a
+        garbling."""
+        tweak = np.zeros((len(self.table_rows), 2), dtype=HALVES)
+        tweak[:, 0] = self.table_rows
+        return tweak
 
     def reads(self, bundle: str) -> bool:
         """Whether any gate reads, or any output names, a wire of bundle."""
-        return len(self.inputs[bundle][0]) > 0
+        return self.inputs[bundle][1]
 
     def run(self, buf: np.ndarray, and_step) -> None:
         """Run every level over the label buffer buf: its XOR gates, then
@@ -215,61 +213,6 @@ class LevelSchedule:
                 buf[xor_out] = x[0] ^ x[1]
             if m:
                 and_step(flat.take(and_in), and_out, m, lo, hi)
-
-
-def _assign_slots(circuit: Circuit, level, defined, bounds):
-    """Give every wire that is read, or named as an output, a label slot,
-    and every gate output one; an input that is neither gets -1. A slot
-    is reused once the last level that reads its wire is done, so no level
-    reads a slot it also writes; output wires keep their slots to the end.
-    The wires a level makes, its XOR outputs then its AND outputs, take the
-    tightest free run of slots that holds them; failing one, the run at the
-    top grows, unless that would take more slots than a quarter over the
-    most wires ever live at once while enough slots are free, which then
-    go to the level scattered."""
-    gates = circuit.gates
-    n_levels = len(bounds) // 2
-    last = np.full(circuit.n_wires, -1, dtype=level.dtype)  # -1: never read
-    last[gates[:, 3]] = level  # a gate output that no gate reads dies at once
-    np.maximum.at(last, gates[:, 1], level)
-    np.maximum.at(last, gates[:, 2], level)
-    last[np.asarray(circuit.outputs, dtype=np.int64)] = n_levels + 1
-    inputs = np.array([w for ws in circuit.inputs.values() for w in ws], dtype=np.int64)
-    kept = np.flatnonzero(last >= 0)  # the wires that get a slot
-    release_of = _narrow(last[kept], n_levels + 1)
-    release = kept[np.argsort(release_of, kind="stable")]
-    gone = np.bincount(release_of, minlength=n_levels + 2)
-    release_at = np.concatenate([[0], np.cumsum(gone)])
-    # level 0 makes the read input wires
-    made = [inputs[last[inputs] >= 0]] + [
-        defined[bounds[2 * lv] : bounds[2 * lv + 2]] for lv in range(n_levels)
-    ]
-    gone_before = np.cumsum(gone)[: len(made)] - gone[: len(made)]
-    live = np.cumsum([len(wires) for wires in made]) - gone_before
-    budget = int(live.max()) * 5 // 4
-
-    slot = np.full(circuit.n_wires, -1, dtype=np.int32)
-    free = np.zeros(circuit.n_wires + 2, dtype=bool)  # slot s is free[s + 1]
-    top = 0
-    for lv, wires in enumerate(made):
-        g = len(wires)
-        if g:
-            # the free runs [start, end) below top; free[0] and free[top + 1] stay False
-            edges = np.flatnonzero(free[1 : top + 2] != free[: top + 1])
-            starts, size = edges[0::2], edges[1::2] - edges[0::2]
-            fits = np.flatnonzero(size >= g)
-            if len(fits):
-                first = int(starts[fits[size[fits].argmin()]])
-            else:  # the run at the top, grown
-                first = int(starts[-1]) if len(edges) and edges[-1] == top else top
-            if len(fits) or first + g <= budget or np.count_nonzero(free) < g:
-                slot[wires] = np.arange(first, first + g)
-                top = max(top, first + g)
-            else:
-                slot[wires] = np.flatnonzero(free)[:g] - 1
-            free[slot[wires] + 1] = False
-        free[slot[release[release_at[lv] : release_at[lv + 1]]] + 1] = True
-    return slot, top
 
 
 _schedules: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -346,8 +289,8 @@ def garble(circuit: Circuit, rng=None, zero=None):
 
     buf = np.empty((sched.n_slots + 1, 2), dtype=HALVES)
     buf[sched.zero] = 0
-    for name, (read, slots) in sched.inputs.items():
-        buf[slots] = label_map[name].view(HALVES)[read]
+    for name, (slots, _) in sched.inputs.items():
+        buf[slots] = label_map[name].view(HALVES)
     hash_ = FixedKeyHash(_HASH_KEY)
     d = delta.view(HALVES)
     sigma_d = hash_.sigma(d, np.empty(2, dtype=HALVES))
@@ -391,71 +334,60 @@ def garble(circuit: Circuit, rng=None, zero=None):
 
 
 def select_labels(zero_labels: np.ndarray, delta: np.ndarray, bits) -> np.ndarray:
-    """Pick the labels encoding the given bit values. Accepts a single bit
-    vector (n,) or a batch (batch, n); returns labels with a batch axis."""
-    bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
-    return zero_labels[None, :, :] ^ (bits[:, :, None] * delta[None, None, :])
+    """The labels (n, 16) that encode the bit vector bits (n,)."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    return zero_labels ^ (bits[:, None] * delta)
 
 
 def evaluate(circuit: Circuit, gc: GarbledCircuit, input_labels: dict) -> np.ndarray:
-    """Evaluate garbled gates over a batch of input label sets, one set at
-    a time.
+    """Evaluate garbled gates over one set of input labels.
 
-    input_labels maps bundle name -> (batch, n_bits, 16) uint8; a bundle
-    whose wires no gate reads and no output names may be left out. Returns
-    the output labels as (batch, n_outputs, 16). The evaluator sees exactly
-    one label per wire; labels are held in the schedule's reusable slots,
-    so memory is bounded by the live wires of a level, not the circuit
-    size.
+    input_labels maps bundle name -> (n_bits, 16) uint8; a bundle whose
+    wires no gate reads and no output names may be left out. Returns the
+    output labels as (n_outputs, 16). The evaluator sees exactly one label
+    per wire and holds one slot per wire; its hash scratch is sized to the
+    widest AND level, not the circuit.
     """
-    batches = {a.shape[0] for a in input_labels.values()}
-    if len(batches) != 1:
-        raise GarbleError("all label bundles need the same batch size")
-    (batch,) = batches
     sched = level_schedule(circuit)
     if gc.tables.shape != (sched.n_and, 2, 16):
         raise GarbleError(f"circuit has {sched.n_and} AND gates, tables hold {len(gc.tables)}")
     if len(gc.dec) != len(circuit.outputs):
         raise GarbleError(f"circuit has {len(circuit.outputs)} outputs, {len(gc.dec)} decode bits")
-    inputs = []
-    for name, (read, slots) in sched.inputs.items():
+    buf = np.empty((sched.n_slots + 1, 2), dtype=HALVES)
+    buf[sched.zero] = 0
+    for name, (slots, read) in sched.inputs.items():
         arr = input_labels.get(name)
-        if arr is None and not len(read):
+        if arr is None and not read:
             continue
-        if arr is None or arr.shape[1:] != (len(circuit.inputs[name]), 16):
+        if arr is None or arr.shape != (len(circuit.inputs[name]), 16):
             raise GarbleError(f"bundle {name!r} expects {len(circuit.inputs[name])} labels")
-        inputs.append((np.ascontiguousarray(arr, dtype=np.uint8).view(HALVES)[:, read], slots))
+        buf[slots] = np.ascontiguousarray(arr, dtype=np.uint8).view(HALVES)
 
     # [T_G; T_E] of each AND group, as its rows [a inputs; b inputs]
     rows = np.ascontiguousarray(gc.tables).view(HALVES).reshape(-1, 2)[sched.table_rows]
     tweak = sched.tweaks()
     hash_ = FixedKeyHash(_HASH_KEY)
-    buf = np.empty((sched.n_slots + 1, 2), dtype=HALVES)
-    buf[sched.zero] = 0
-    # the hash inputs and outputs of each AND group, a spare block for the AES call
-    s_all, h_all = np.empty((len(rows), 2), dtype=HALVES), np.empty((len(rows) + 1, 2), dtype=HALVES)
-    s_bytes, h_bytes = _bytes(s_all), _bytes(h_all)
+    # one AND group's hash inputs and outputs, a spare block for the AES call
+    s_level = np.empty((2 * sched.widest, 2), dtype=HALVES)
+    h_level = np.empty((2 * sched.widest + 1, 2), dtype=HALVES)
+    s_bytes, h_bytes = _bytes(s_level), _bytes(h_level)
 
     def and_step(g, out, m, lo, hi):
         sigma = g[1] ^ g[2]
-        np.bitwise_xor(sigma, tweak[lo:hi], out=s_all[lo:hi])
-        hash_.pi_into(s_bytes[16 * lo : 16 * hi], h_bytes[16 * lo :])
-        h = h_all[lo:hi]
+        np.bitwise_xor(sigma, tweak[lo:hi], out=s_level[: 2 * m])
+        hash_.pi_into(s_bytes[: 32 * m], h_bytes)
+        h = h_level[: 2 * m]
         h ^= sigma  # H(Wa), H(Wb)
         t = rows[lo:hi] ^ g[3]  # T_G, T_E ^ Wa
         t &= (g[0] << _UP) >> _DOWN
         h ^= t
         buf[out] = h[:m] ^ h[m:]
 
-    out = np.empty((batch, len(sched.output_slots), 2), dtype=HALVES)
-    for row in range(batch):
-        for labels, slots in inputs:
-            buf[slots] = labels[row]
-        sched.run(buf, and_step)
-        out[row] = buf[sched.output_slots]
-    return out.view(np.uint8)
+    sched.run(buf, and_step)
+    return buf[sched.output_slots].view(np.uint8)
 
 
 def decode(gc: GarbledCircuit, output_labels: np.ndarray) -> np.ndarray:
-    """Map output labels to plaintext bits via the decode table."""
-    return (output_labels[:, :, 15] & 1) ^ gc.dec[None, :]
+    """Map output labels (n_outputs, 16) to plaintext bits via the decode
+    table."""
+    return (output_labels[:, 15] & 1) ^ gc.dec

@@ -56,7 +56,6 @@ __all__ = [
     "OTSender",
     "OTReceiver",
     "OTError",
-    "SHARE_MODULUS",
     "encode_ot_extend",
     "decode_ot_extend",
 ]

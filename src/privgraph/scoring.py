@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .shares import SHARE_MODULUS, ShareMatrix, mul
+from .crypto import SHARE_MODULUS
+from .shares import ShareMatrix, add, mul
 
 __all__ = ["ScoreError", "parse_score", "score_variables", "check_score", "eval_score"]
 
@@ -114,7 +115,7 @@ def eval_score(
         if kind == "add":
             a = left[2] if l_const else left
             b = right[2] if r_const else right
-            return ShareMatrix(a.values + b.values, party)
+            return add(a, b)
         # mul: by a public constant -> local; otherwise Beaver
         if l_const and r_const:
             return ("const", left[1] * right[1], ShareMatrix(

@@ -20,7 +20,6 @@ from .ot import OTReceiver, OTSender
 from .transport import MSG, Channel, Frame, TransportError
 
 __all__ = [
-    "SHARE_MODULUS",
     "ShareMatrix",
     "TripleShare",
     "encode_mul_exchange",
@@ -28,7 +27,6 @@ __all__ = [
     "shr",
     "rec",
     "add",
-    "sub",
     "mul",
     "dealer_triple_gen",
     "triple_gen_cot",
@@ -81,14 +79,6 @@ def add(a: ShareMatrix, b: ShareMatrix) -> ShareMatrix:
     if a.party != b.party:
         raise ValueError("cannot add shares held by different parties")
     return ShareMatrix(a.values + b.values, a.party)
-
-
-def sub(a: ShareMatrix, b: ShareMatrix) -> ShareMatrix:
-    if a.shape != b.shape:
-        raise ValueError("share dimension mismatch")
-    if a.party != b.party:
-        raise ValueError("cannot subtract shares held by different parties")
-    return ShareMatrix(a.values - b.values, a.party)
 
 
 @dataclass

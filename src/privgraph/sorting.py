@@ -266,11 +266,11 @@ def _evaluate_session(channel, session, agree, build, t, bundles, own_bits, ot):
             raise TransportError(
                 f"GARBLER_LABELS: expected {sum(sizes)} labels, got {len(payload)} bytes"
             )
-        rows = np.frombuffer(payload, dtype=np.uint8).reshape(1, -1, 16)
-        labels = dict(zip(bundles, np.split(rows, np.cumsum(sizes)[:-1], axis=1)))
+        rows = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 16)
+        labels = dict(zip(bundles, np.split(rows, np.cumsum(sizes)[:-1])))
         if sched.reads(own):
-            labels[own] = receiver.recv_messages()[None]
-    return sc, entries, decode(gc, evaluate(sc.circuit, gc, labels))[0]
+            labels[own] = receiver.recv_messages()
+    return sc, entries, decode(gc, evaluate(sc.circuit, gc, labels))
 
 
 def local_sort_garbler(

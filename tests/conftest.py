@@ -2,7 +2,8 @@
 lines and print them once, uncaptured, in the terminal summary; seeded
 random graphs and in-process channel pairs; count the comparators a
 sorting network has, and keeps once its sentinels are pruned; a scalar
-reference of the fixed-key hash that garbling and OT share; an
+reference of the fixed-key hash that garbling and OT share; garbled
+evaluation over many input rows, a row at a time; an
 x-coordinate that is no point of the group; a LocalCluster's per-server
 exponentiation counts and a server's store fingerprint."""
 
@@ -15,6 +16,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from privgraph.circuits import bitonic_schedule, padded_size
 from privgraph.crypto import decode_element
+from privgraph.garble import decode, evaluate, select_labels
 from privgraph.graph import SORT_KEY_MAX, SORT_KEY_MIN, Edge, Graph
 from privgraph.transport import Channel
 
@@ -110,6 +112,20 @@ def scalar_hash(key: bytes, x: bytes, i: int) -> bytes:
     tweaked = (l ^ r ^ i).to_bytes(8, "little") + l.to_bytes(8, "little")
     pi = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(tweaked)
     return xor(pi, sigma)
+
+
+def evaluate_rows(circuit, gc, label_map, delta, inputs) -> np.ndarray:
+    """The decoded outputs (rows, n_outputs) of the garbled circuit gc for
+    each row of input bits, inputs mapping a bundle to (rows, n_bits):
+    labels selected, evaluated and decoded a row at a time."""
+    rows = len(next(iter(inputs.values())))
+    return np.array([
+        decode(gc, evaluate(circuit, gc, {
+            name: select_labels(label_map[name], delta, bits[row])
+            for name, bits in inputs.items()
+        }))
+        for row in range(rows)
+    ])
 
 
 def off_curve_x() -> bytes:

@@ -19,6 +19,7 @@ import pytest
 
 from conftest import (
     comparator_count,
+    evaluate_rows,
     loopback_pair,
     random_graph,
     record_acceptance,
@@ -35,7 +36,7 @@ from privgraph.builder import (
 from privgraph.circuits import build_sort_circuit, simulate
 from privgraph.cluster import LocalCluster
 from privgraph.crypto import GroupContext, hash_to_shard
-from privgraph.garble import decode, evaluate, garble, select_labels
+from privgraph.garble import garble
 from privgraph.graph import Edge, Graph, PlaintextEngine, build_inverted_index
 from privgraph.leakage import (
     QueryRecord,
@@ -417,11 +418,7 @@ def test_ac06b_garbled_matches_simulation():
             name: rng.integers(0, 2, size=(batch, len(wires)), dtype=np.uint8)
             for name, wires in circuit.inputs.items()
         }
-        labels = {
-            name: select_labels(label_map[name], delta, bits)
-            for name, bits in inputs.items()
-        }
-        got = decode(gc, evaluate(circuit, gc, labels))
+        got = evaluate_rows(circuit, gc, label_map, delta, inputs)
         plain = simulate(circuit, {n: b.astype(bool) for n, b in inputs.items()})
         assert np.array_equal(got.astype(bool), plain), k
     return f"{batch} random inputs per size, all sizes bit-exact"

@@ -22,19 +22,30 @@ from privgraph.garble import (
     select_labels,
 )
 from privgraph.sorting import _sort_circuit, build_merge_circuit
-from conftest import scalar_hash, xor
+from conftest import evaluate_rows, scalar_hash, xor
 
 GARBLE_KEY = b"privgraph-gc-key"
 
 
 def garbled_run(circuit, inputs):
-    """Garble, select labels for the given plaintext bits, evaluate, decode."""
+    """Garble, then select labels for each row of the given plaintext bits,
+    evaluate and decode."""
     gc, label_map, delta = garble(circuit)
-    labels = {
-        name: select_labels(label_map[name], delta, bits)
-        for name, bits in inputs.items()
-    }
-    return decode(gc, evaluate(circuit, gc, labels))
+    return evaluate_rows(circuit, gc, label_map, delta, inputs)
+
+
+def random_circuit(seed):
+    """300 random gates over two bundles, with irregular liveness: unused
+    wires, inputs as outputs, repeated outputs, gates reading one wire
+    twice."""
+    rng = np.random.default_rng(seed)
+    b = CircuitBuilder()
+    wires = b.input_bundle("x", 6) + b.input_bundle("y", 3)
+    for _ in range(300):
+        i, j = (int(w) for w in rng.choice(wires[-40:], size=2))
+        wires.append(b.xor(i, j) if rng.integers(0, 2) else b.and_(i, j))
+    b.mark_outputs([int(w) for w in rng.choice(wires, size=25)] + [wires[0], wires[-1]])
+    return b.build()
 
 
 class TestSingleGates:
@@ -85,16 +96,8 @@ class TestAgainstSimulator:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_circuits(self, seed):
-        # irregular liveness: unused wires, inputs as outputs, repeated
-        # outputs, gates reading one wire twice
+        c = random_circuit(seed)
         rng = np.random.default_rng(seed)
-        b = CircuitBuilder()
-        wires = b.input_bundle("x", 6) + b.input_bundle("y", 3)
-        for _ in range(300):
-            i, j = (int(w) for w in rng.choice(wires[-40:], size=2))
-            wires.append(b.xor(i, j) if rng.integers(0, 2) else b.and_(i, j))
-        b.mark_outputs([int(w) for w in rng.choice(wires, size=25)] + [wires[0], wires[-1]])
-        c = b.build()
         inputs = {
             name: rng.integers(0, 2, size=(7, len(w)), dtype=np.uint8)
             for name, w in c.inputs.items()
@@ -125,12 +128,8 @@ class TestBlob:
             name: rng.integers(0, 2, size=(3, len(w)), dtype=np.uint8)
             for name, w in sc.circuit.inputs.items()
         }
-        labels = {
-            name: select_labels(label_map[name], delta, bits)
-            for name, bits in inputs.items()
-        }
-        a = decode(gc, evaluate(sc.circuit, gc, labels))
-        b = decode(clone, evaluate(sc.circuit, clone, labels))
+        a = evaluate_rows(sc.circuit, gc, label_map, delta, inputs)
+        b = evaluate_rows(sc.circuit, clone, label_map, delta, inputs)
         assert np.array_equal(a, b)
 
     def test_bad_magic(self):
@@ -156,7 +155,7 @@ class TestBlob:
         reads_both = {"x": select_labels(label_map["x"], delta, permute ^ 1)}
         reads_none = {"x": select_labels(label_map["x"], delta, permute)}
         product = (permute[0] ^ 1) & (permute[1] ^ 1)
-        assert decode(gc, evaluate(c, gc, reads_both)).tolist() == [[product]]
+        assert decode(gc, evaluate(c, gc, reads_both)).tolist() == [product]
         good = [evaluate(c, gc, labels) for labels in (reads_both, reads_none)]
         for half in (0, 1):  # T_G, T_E
             bad = GarbledCircuit(gc.tables.copy(), gc.dec)
@@ -182,7 +181,7 @@ class TestBlob:
         for bit_a in (0, 1):
             for bit_b in (0, 1):
                 labels = {"x": select_labels(label_map["x"], delta, [bit_a, bit_b])}
-                out = evaluate(c, gc, labels)[0, 0].tobytes()
+                out = evaluate(c, gc, labels)[0].tobytes()
                 w_a = xor(zero_a, d) if bit_a else zero_a
                 w_b = xor(zero_b, d) if bit_b else zero_b
                 want = xor(
@@ -194,27 +193,13 @@ class TestBlob:
 
 
 class TestStructure:
-    def test_batch_mismatch_rejected(self):
-        b = CircuitBuilder()
-        x = b.input_bundle("x", 1)
-        y = b.input_bundle("y", 1)
-        b.mark_outputs([b.xor(x[0], y[0])])
-        c = b.build()
-        gc, label_map, delta = garble(c)
-        labels = {
-            "x": select_labels(label_map["x"], delta, np.zeros((2, 1), dtype=np.uint8)),
-            "y": select_labels(label_map["y"], delta, np.zeros((3, 1), dtype=np.uint8)),
-        }
-        with pytest.raises(GarbleError):
-            evaluate(c, gc, labels)
-
     def test_labels_differ_by_delta(self):
         b = CircuitBuilder()
         x = b.input_bundle("x", 1)
         b.mark_outputs(x)
         gc, label_map, delta = garble(b.build())
         zero = label_map["x"][0]
-        one = select_labels(label_map["x"], delta, np.array([[1]], dtype=np.uint8))[0, 0]
+        one = select_labels(label_map["x"], delta, [1])[0]
         assert np.array_equal(zero ^ one, delta)
         assert delta[15] & 1 == 1
 
@@ -275,23 +260,37 @@ class TestWireFormat:
 
 
 class TestSchedule:
-    def test_read_only_and_slots_bounded_by_live_wires(self):
-        circuit = build_sort_circuit(16).circuit
-        sched = level_schedule(circuit)
-        assert level_schedule(circuit) is sched
-        assert sched.n_and == circuit.and_count
-        assert sched.n_slots < circuit.n_wires // 10
-        with pytest.raises(ValueError):
-            sched.out[0] = 0
-        with pytest.raises(ValueError):
-            circuit.gates[0, 0] = 0
+    def test_one_slot_per_wire_in_schedule_order(self):
+        # the inputs' slots first; then each level's XOR outputs and AND
+        # outputs are one slice each, in order, up to the last wire
+        for circuit in (
+            build_sort_circuit(16).circuit,
+            build_merge_circuit((3, 2)).circuit,
+            random_circuit(0),
+        ):
+            sched = level_schedule(circuit)
+            assert level_schedule(circuit) is sched
+            assert sched.n_and == circuit.and_count
+            assert sched.n_slots == circuit.n_wires
+            end = sum(len(w) for w in circuit.inputs.values())
+            for step in sched.steps:
+                for out in (step[1], step[3]):
+                    assert isinstance(out, slice) and out.start == end
+                    end = out.stop
+            assert end == circuit.n_wires
+            arrays = [sched.output_slots, sched.table_rows]
+            arrays += [x for step in sched.steps for x in step if isinstance(x, np.ndarray)]
+            for arr in arrays:
+                with pytest.raises(ValueError):
+                    arr.flat[0] = 0
+            with pytest.raises(ValueError):
+                circuit.gates[0, 0] = 0
 
     def test_table_count_mismatch_rejected(self):
         sc = build_sort_circuit(2)
         gc, label_map, delta = garble(sc.circuit)
-        labels = {name: zero[None] for name, zero in label_map.items()}
         with pytest.raises(GarbleError):
-            evaluate(sc.circuit, GarbledCircuit(gc.tables[:-1], gc.dec), labels)
+            evaluate(sc.circuit, GarbledCircuit(gc.tables[:-1], gc.dec), label_map)
 
 
 class TestConcurrency:

@@ -123,9 +123,9 @@ class TestMessageOT:
             transcript=transcript,
         )
         assert zero.shape == got.shape == (m, 16)
-        assert np.array_equal(got, select_labels(zero, delta, bits)[0])
+        assert np.array_equal(got, select_labels(zero, delta, bits))
         # never the label of the other bit
-        other = select_labels(zero, delta, [1 - b for b in bits])[0]
+        other = select_labels(zero, delta, [1 - b for b in bits])
         assert not np.any(np.all(got == other, axis=1))
         (payload,) = _sent(transcript, "sender", "OT_PAYLOAD")
         assert len(payload.payload) == 16 * m
@@ -334,7 +334,7 @@ def _labels_session(pairs, n, seed, transcript=None, tampered=None):
         lambda r: _recv_labels(r, bits),
         tampered=tampered, pairs=pairs, transcript=transcript,
     )
-    assert np.array_equal(got, select_labels(zero, delta, bits)[0])
+    assert np.array_equal(got, select_labels(zero, delta, bits))
 
 
 def _rewrite_block(block):

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import loopback_pair
 from privgraph.scoring import ScoreError, eval_score, parse_score, score_variables
-from privgraph.shares import SHARE_MODULUS, dealer_triple_gen, shr
+from privgraph.crypto import SHARE_MODULUS
+from privgraph.shares import dealer_triple_gen, shr
 
 
 class TestParse:

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import loopback_pair
-from privgraph.crypto import GroupContext
+from privgraph.crypto import SHARE_MODULUS, GroupContext
 from privgraph.ot import OTPair, OTReceiver, OTSender
 from privgraph.shares import (
-    SHARE_MODULUS,
     add,
     dealer_triple_gen,
     mul,
     rec,
     shr,
-    sub,
     triple_gen_cot,
 )
 
@@ -74,11 +72,6 @@ class TestShareAlgebra:
         a0, a1 = shr(SHARE_MODULUS - 1, rng)
         b0, b1 = shr(1, rng)
         assert rec(add(a0, b0), add(a1, b1)) == 0
-
-    def test_sub(self, rng):
-        a0, a1 = shr(5, rng)
-        b0, b1 = shr(7, rng)
-        assert rec(sub(a0, b0), sub(a1, b1)) == (5 - 7) % SHARE_MODULUS
 
     def test_dimension_mismatch(self, rng):
         a0, _ = shr(np.zeros(3), rng)
