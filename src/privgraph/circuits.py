@@ -14,23 +14,26 @@ A network is stamped from small templates, a layer of copies at a time
 layer two share adders with their comparator, so building one costs numpy
 work per layer, not Python work per gate.
 
-Gate list is topologically ordered by construction. XOR is free under
-the garbling scheme; each AND gate costs a 32-byte half-gates table, and
-garbling and evaluation take one vectorised step per level and op. A
-level runs its XORs, then its ANDs, so an AND may share a level with an
-input made by an XOR. Both carry chains, the adder's and the comparator's,
-are written so that each bit's AND inputs are one XOR away from the
-previous bit's AND: one level per bit. Within a template each gate takes
-its own level, so in the local sort's first layer the comparator's carry
-chain runs in lockstep with the adders', a few levels behind, instead of
-waiting for their last sum bit (28 levels fewer in every sort of k >= 2).
+XOR is free under the garbling scheme; each AND gate costs a 32-byte
+half-gates table, and garbling and evaluation take one vectorised step
+per level and op. A level runs its XORs, then its ANDs, so an AND may
+share a level with an input made by an XOR. Both carry chains, the
+adder's and the comparator's, are written so that each bit's AND inputs
+are one XOR away from the previous bit's AND: one level per bit. Within a
+template each gate takes its own level, so in the local sort's first
+layer the comparator's carry chain runs in lockstep with the adders', a
+few levels behind, instead of waiting for their last sum bit (28 levels
+fewer in every sort of k >= 2).
 
-A circuit holds only the gates that some output reads: CircuitBuilder.build
-drops every other gate, so it is neither garbled, sent nor evaluated, and
-renumbers the wires and levels that remain. The merge outputs payloads
-only, so its last layer keeps no score swap; a sort that keeps its first t
-outputs keeps only their cone. The walk back goes a stage at a time, not a
-gate at a time, and is skipped when every gate's output is read.
+A built circuit has one order, the one both parties work in: its gates
+by level, a level's XORs before its ANDs, and its wires the inputs, then
+each gate's output in that order, so a wire's id is the row of its label
+in garbling. It holds only the gates that some output reads:
+CircuitBuilder.build drops every other gate, so it is neither garbled,
+sent nor evaluated. The merge outputs payloads only, so its last layer
+keeps no score swap; a sort that keeps its first t outputs keeps only
+their cone. The walk back goes a stage at a time, not a gate at a time,
+and is skipped when every gate's output is read.
 """
 
 from __future__ import annotations
@@ -120,9 +123,6 @@ class CircuitBuilder:
     def and_(self, a: int, b: int) -> int:
         return self._gate(AND, a, b)
 
-    def _stages_of(self, wires: np.ndarray) -> np.ndarray:
-        return np.frombuffer(self._stage, dtype=np.int32)[wires]
-
     def stamp(self, template: Circuit, wires) -> np.ndarray:
         """One copy of template per row of wires, the row feeding its
         inputs in order. A copy's gates are placed as if every input came
@@ -134,7 +134,8 @@ class CircuitBuilder:
             raise ValueError("each row must feed every template input")
         # the stages of a template whose inputs come at level l and phase p
         # are those of inputs at level 0 and phase p, 2 * l later
-        level, phase = np.divmod(self._stages_of(wires).max(axis=1, initial=-1) + 2, 2)
+        latest = np.frombuffer(self._stage, dtype=np.int32)[wires].max(axis=1, initial=-1)
+        level, phase = np.divmod(latest + 2, 2)
         stages = _template_stages(template)[phase] + 2 * level[:, None]
         own = len(self._stage) + np.arange(len(wires) * len(template.gates))
         wire_of = np.concatenate([wires, own.reshape(len(wires), -1)], axis=1)
@@ -246,53 +247,62 @@ class CircuitBuilder:
         self.outputs.extend(wires)
 
     def build(self) -> Circuit:
-        """The circuit of the gates that some output reads (_live), its
-        wires renumbered densely in their order, so that every wire is an
-        input or a gate's output, and the levels left with no gate closed
-        up."""
+        """The circuit of the gates that some output reads (_live), in the
+        one order that garbling and evaluation follow: stably sorted by
+        stage, so by level, a level's XORs before its ANDs, ties in the
+        order they were made. Its wires are numbered as garbling lays out
+        their labels: the inputs first, bundle by bundle, then each gate's
+        output in gate order, so gate i writes wire n_in + i. Levels left
+        with no gate are closed up."""
         gates = np.array(self._gates, dtype=np.int32).reshape(-1, 4)
-        stages = self._stages_of(gates[:, 3])
-        levels = stages // 2 + 1
-        n_wires, inputs, outputs = len(self._stage), self.inputs, self.outputs
-        live = _live(gates, stages, n_wires, outputs)
+        stage = np.frombuffer(self._stage, dtype=np.int32)
+        # the wires past stage -1 are the gates', in the order made; the
+        # narrowest type, where numpy's stable sort is a radix sort
+        stages = stage[stage >= 0].astype(np.min_scalar_type(int(stage.max(initial=0))))
+        order = np.argsort(stages, kind="stable")
+        gates, stages = gates.take(order, axis=0), stages[order]
+        live = _live(gates, stages, len(stage), self.outputs)
         if live is not None:
-            kept = np.ones(n_wires, dtype=bool)  # the inputs and the live gates' outputs
-            kept[gates[~live, 3]] = False
-            wire = np.cumsum(kept, dtype=np.int32) - 1  # old wire -> new wire
-            gates = np.column_stack([gates[live, 0], wire[gates[live, 1:]]])
-            n_wires = int(wire[-1]) + 1
-            inputs = {name: wire[ws].tolist() for name, ws in inputs.items()}
-            outputs = wire[np.asarray(outputs, dtype=np.int64)].tolist()
-            used = np.zeros(int(levels.max()) + 1, dtype=np.int32)
-            used[levels[live]] = 1
-            levels = np.cumsum(used, dtype=np.int32)[levels[live]]
+            gates, stages = gates[live], stages[live]
+        inputs = [w for ws in self.inputs.values() for w in ws]
+        n_in = len(inputs)
+        wire = np.empty(len(stage), dtype=np.int32)  # old wire -> new wire
+        wire[inputs] = np.arange(n_in)
+        wire[gates[:, 3]] = np.arange(n_in, n_in + len(gates))
+        gates[:, 1:] = wire.take(gates[:, 1:])
+        counts = np.bincount(stages // 2)  # gates a level, numbered from 0
+        levels = np.repeat(np.arange(1, np.count_nonzero(counts) + 1, dtype=np.int32),
+                           counts[counts > 0])
         for arr in (gates, levels):
             arr.setflags(write=False)
-        return Circuit(n_wires, gates, inputs, outputs, levels)
+        return Circuit(
+            n_in + len(gates),
+            gates,
+            {name: wire[ws].tolist() for name, ws in self.inputs.items()},
+            wire[np.asarray(self.outputs, dtype=np.int64)].tolist(),
+            levels,
+        )
 
 
 def _live(gates: np.ndarray, stages: np.ndarray, n_wires: int, outputs):
-    """Which gates lie in some output's cone, as a boolean mask, or None
-    when all do: when every gate's wire is read or named, no gate is dead.
-    Otherwise the walk goes back one stage at a time, from the last: no
-    gate reads its own stage, so a stage's gates are live exactly when a
-    live gate reads or an output names their wires."""
+    """Which gates, sorted by stage, lie in some output's cone, as a
+    boolean mask, or None when all do: when every gate's wire is read or
+    named, no gate is dead. Otherwise the walk goes back one stage at a
+    time, from the last: no gate reads its own stage, so a stage's gates
+    are live exactly when a live gate reads or an output names their
+    wires."""
     outputs = np.asarray(outputs, dtype=np.int64)
     needed = np.zeros(n_wires, dtype=bool)
-    needed[gates[:, 1:3]] = True
-    needed[outputs] = True
+    needed[gates[:, 1]] = needed[gates[:, 2]] = needed[outputs] = True
     if needed[gates[:, 3]].all():
         return None
-    order = np.argsort(stages.astype(np.min_scalar_type(int(stages.max()))), kind="stable")
-    out, ins = gates[order, 3], gates[order, 1:3]
     ends = np.cumsum(np.bincount(stages)).tolist()
     needed[:] = False
     needed[outputs] = True
     live = np.empty(len(gates), dtype=bool)
     for lo, hi in zip(([0] + ends)[-2::-1], ends[::-1]):
-        on = live[lo:hi] = needed[out[lo:hi]]
-        needed[ins[lo:hi][on]] = True
-    live[order] = live.copy()
+        on = live[lo:hi] = needed[gates[lo:hi, 3]]
+        needed[gates[lo:hi, 1:3][on]] = True
     return live
 
 

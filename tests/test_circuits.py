@@ -278,15 +278,17 @@ class TestBitonicBuilder:
     # comparator is the one template with its operands exchanged, with the
     # INV-free carry chains of add_mod and less_than; a local sort's first
     # layer stamps each pair's two adders and comparator as one template; a
-    # merge keeps only its payload outputs' cone, its wires renumbered
+    # merge keeps only its payload outputs' cone; the gates in schedule
+    # order, by level, a level's XORs before its ANDs, and the wires
+    # numbered inputs first, then each gate's output in that order
     PINNED = {
-        ("sort", 1): "6a711a61b6c3363032d25d6a13dfea2b835d3c51a101dbd73b7ec9b5eca6efb4",
-        ("sort", 3): "7c0553fa0fdd7784531795d7439dc9aae34ec9b411f5ccf51e6e07ba2fae9d96",
-        ("sort", 8): "d06915fec32b5f0c580417ec4f14b6c598540c7144edc3f276fbf08f9b1383b2",
-        ("sort", 13): "9d535447584b3d5ac79d86239750675ee495e628da16cf9d7dfe93675d7ae5fd",
-        ("merge", 2): "95fd2bf8bab10fe9bd169d809effcf1378c5f2131bd1f5d6f20da16f7fbd2538",
-        ("merge", 5): "004df62facbd0cecd08a536cec2582682b05dd0108ea5d90db61f51fc8318963",
-        ("merge", 12): "412f42471d4399da1bcbc7d91cfec031eb6b77ae1c6d6043efd8aaaf359bc567",
+        ("sort", 1): "242e87225e280255bd016529ac109c89278955f789f6a788a15574a7f5027924",
+        ("sort", 3): "fab301c776673787f64bebf3433fb5c5f77eadefa02abe0100a3c19e229c4c0a",
+        ("sort", 8): "a2554f30457303891177ce0eeefa8b7fa6c37c619a9cfec11a653dbec66cb372",
+        ("sort", 13): "b9d504b06558a30fda29fe45e5b4dbf27975d68fd7c5c385afc098f898726118",
+        ("merge", 2): "79b9f671020a93a541e40230c8d4ea99eaf3244cfb69e01fad9a0f630be46f06",
+        ("merge", 5): "8f8ac62093889e138d7124d6fca0f145578e1b7a1f60aad401d9bf1b7cbf3084",
+        ("merge", 12): "b8b3268fbe2da82e7adcedaaede3e16102eced01f794a06065ff8be63e020ae6",
     }
 
     @pytest.mark.parametrize("kind,k", sorted(PINNED))

@@ -92,7 +92,7 @@ VALID = {
     ],
     "CIRCUIT_BLOB": [
         GarbledCircuit(
-            np.arange(2 * 32, dtype=np.uint8).reshape(2, 2, 16),
+            np.arange(2 * 32, dtype=np.uint8).reshape(4, 16),
             np.array([1, 0, 1], dtype=np.uint8),
         ).to_bytes()
     ],
@@ -305,7 +305,7 @@ class TestStrictness:
         with pytest.raises(TransportError):
             _ALPHABET["XTOKEN_BATCH"][1](b"\xff\xff\xff\xff\xff\xff")
         with pytest.raises(TransportError):
-            _ALPHABET["CIRCUIT_BLOB"][1](b"PGHG\xff\xff\xff\xff\x00\x00\x00\x00")
+            _ALPHABET["CIRCUIT_BLOB"][1](b"PGHL\xff\xff\xff\xff\x00\x00\x00\x00")
 
     @pytest.mark.parametrize(
         "decode", [decode_xtoken_batch, _ALPHABET["XTOKEN_BATCH"][1]], ids=["server", "audit"]

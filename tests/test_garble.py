@@ -159,37 +159,52 @@ class TestBlob:
         good = [evaluate(c, gc, labels) for labels in (reads_both, reads_none)]
         for half in (0, 1):  # T_G, T_E
             bad = GarbledCircuit(gc.tables.copy(), gc.dec)
-            bad.tables[0, half] ^= 0xFF
+            bad.tables[half] ^= 0xFF
             assert not np.array_equal(evaluate(c, bad, reads_both), good[0])
             assert np.array_equal(evaluate(c, bad, reads_none), good[1])
 
     def test_tables_follow_the_half_gates_formulas(self):
-        # one AND gate's rows and output label against a scalar H built from
-        # one AES block call per hash, under the garbling key
+        # two ANDs in level 1 that feed a third in level 2: the rows, the
+        # decode bit and the evaluator's output labels against a scalar H
+        # built from one AES block call per hash, under the garbling key;
+        # per level, T_G of its ANDs, then their T_E, row r under tweak r
         b = CircuitBuilder()
-        x = b.input_bundle("x", 2)
-        b.mark_outputs([b.and_(*x)])
+        x = b.input_bundle("x", 4)
+        b.mark_outputs([b.and_(b.and_(x[0], x[1]), b.and_(x[2], x[3]))])
         c = b.build()
+        assert c.levels.tolist() == [1, 1, 2]
         gc, label_map, delta = garble(c)
-        zero_a, zero_b = (bytes(label) for label in label_map["x"])
-        d = bytes(delta)
-        pb = zero_b[15] & 1
+        d, none = bytes(delta), bytes(16)
         h = lambda label, i: scalar_hash(GARBLE_KEY, label, i)  # noqa: E731
-        t_g = xor(h(zero_a, 0), h(xor(zero_a, d), 0), d if pb else bytes(16))
-        t_e = xor(h(zero_b, 1), h(xor(zero_b, d), 1), zero_a)
-        assert gc.tables[0].tobytes() == t_g + t_e
-        for bit_a in (0, 1):
-            for bit_b in (0, 1):
-                labels = {"x": select_labels(label_map["x"], delta, [bit_a, bit_b])}
-                out = evaluate(c, gc, labels)[0].tobytes()
-                w_a = xor(zero_a, d) if bit_a else zero_a
-                w_b = xor(zero_b, d) if bit_b else zero_b
-                want = xor(
-                    h(w_a, 0), t_g if w_a[15] & 1 else bytes(16),
-                    h(w_b, 1), xor(t_e, w_a) if w_b[15] & 1 else bytes(16),
-                )
-                assert out == want
-                assert (out[15] & 1) ^ gc.dec[0] == bit_a & bit_b
+        pick = lambda bit, label: label if bit else none  # noqa: E731
+
+        def garble_and(zero_a, zero_b, g, e):
+            """T_G, T_E and the output zero-label, rows g and e."""
+            pa, pb = zero_a[15] & 1, zero_b[15] & 1
+            t_g = xor(h(zero_a, g), h(xor(zero_a, d), g), pick(pb, d))
+            t_e = xor(h(zero_b, e), h(xor(zero_b, d), e), zero_a)
+            out = xor(h(xor(zero_a, pick(pa, d)), g), pick(pa & pb, d),
+                      h(xor(zero_b, pick(pb, d)), e))
+            return t_g, t_e, out
+
+        def evaluate_and(w_a, w_b, g, e):
+            return xor(h(w_a, g), pick(w_a[15] & 1, tables[g]),
+                       h(w_b, e), pick(w_b[15] & 1, xor(tables[e], w_a)))
+
+        zero = [bytes(label) for label in label_map["x"]]
+        g_1, e_1, c_1 = garble_and(zero[0], zero[1], 0, 2)
+        g_2, e_2, c_2 = garble_and(zero[2], zero[3], 1, 3)
+        g_3, e_3, c_3 = garble_and(c_1, c_2, 4, 5)
+        tables = [row.tobytes() for row in gc.tables]
+        assert tables == [g_1, g_2, e_1, e_2, g_3, e_3]
+        assert gc.dec.tolist() == [c_3[15] & 1]
+        for bits in range(16):
+            row = int_to_bits(bits, 4)
+            labels = select_labels(label_map["x"], delta, row)
+            w = [bytes(label) for label in labels]
+            want = evaluate_and(evaluate_and(w[0], w[1], 0, 2), evaluate_and(w[2], w[3], 1, 3), 4, 5)
+            assert evaluate(c, gc, {"x": labels})[0].tobytes() == want
+            assert want == xor(c_3, pick(row[0] & row[1] & row[2] & row[3], d))
 
 
 class TestStructure:
@@ -225,12 +240,14 @@ class TestWireFormat:
     # stream: sorts and the merge (two runs of 3 and 2) under half-gates
     # (two 16-byte rows an AND), with INV-free carry chains, in the gate
     # order of a first layer stamped as adders and comparator at once; the
-    # merge without the score swaps that no output reads
+    # merge without the score swaps that no output reads; the tables laid
+    # out level by level, T_G of a level's ANDs then their T_E, row r
+    # hashed under tweak r (sort 1, one AND a level, kept its digest)
     PINNED = {
         ("sort", 1): "b1dcf24c84397da4ca62bba67e139114eb724b81a4a91134fc356bac5763da7a",
-        ("sort", 3): "6214f474cc95c37cce030c8e7d070bed33eedbc95d2beec2869db909326402a9",
-        ("sort", 8): "72d64537dd1e80e9e3f23a560f9d2f2ca105f427f5e9843e8118124e4c9d4266",
-        ("merge", 5): "aad2301c9975451dd196e23e0e908157210daa2bc47676af1d974c278992a3ff",
+        ("sort", 3): "b1045a17c13f823dc85226ee96ab308e42e1f9943c24a09d142ff3d6195c02b8",
+        ("sort", 8): "f8d952aaa9b8544da5ec80f4e09e5cf7837b385bc6f41864ad44536c49090a9b",
+        ("merge", 5): "994da34154ac80f4346c1f568e434c80ae157ea61c5af0eea889723788c0b02c",
     }
 
     @staticmethod
@@ -259,32 +276,57 @@ class TestWireFormat:
         assert len(gc.to_bytes()) == 12 + 32 * gc.and_count + -(-n_out // 8)
 
 
+def late_bundle_circuit():
+    """A circuit whose second input bundle is declared after a gate."""
+    b = CircuitBuilder()
+    x = b.input_bundle("x", 3)
+    u = b.and_(x[0], x[1])
+    y = b.input_bundle("y", 2)
+    b.mark_outputs([b.and_(b.xor(u, y[0]), y[1]), b.xor(x[2], y[1]), u])
+    return b.build()
+
+
 class TestSchedule:
-    def test_one_slot_per_wire_in_schedule_order(self):
-        # the inputs' slots first; then each level's XOR outputs and AND
-        # outputs are one slice each, in order, up to the last wire
+    def test_build_emits_the_schedule_order(self):
+        # gates by stage, 2 (level - 1) + op; the inputs are wires 0..n_in - 1,
+        # bundle by bundle, and gate i writes wire n_in + i
         for circuit in (
             build_sort_circuit(16).circuit,
+            build_sort_circuit(13, 4).circuit,
             build_merge_circuit((3, 2)).circuit,
             random_circuit(0),
+            late_bundle_circuit(),
         ):
+            stage = 2 * (circuit.levels.astype(np.int64) - 1) + circuit.gates[:, 0]
+            assert (np.diff(stage) >= 0).all()
+            n_in = circuit.n_wires - len(circuit.gates)
+            assert sum(circuit.inputs.values(), []) == list(range(n_in))
+            assert circuit.gates[:, 3].tolist() == list(range(n_in, circuit.n_wires))
+            wire_stage = np.concatenate([np.full(n_in, -1), stage])
+            assert (stage > wire_stage[circuit.gates[:, 1:3]].max(axis=1)).all()
             sched = level_schedule(circuit)
             assert level_schedule(circuit) is sched
             assert sched.n_and == circuit.and_count
-            assert sched.n_slots == circuit.n_wires
-            end = sum(len(w) for w in circuit.inputs.values())
+            end = n_in  # each level's XOR outputs, then its AND outputs, one slice each
             for step in sched.steps:
                 for out in (step[1], step[3]):
                     assert isinstance(out, slice) and out.start == end
                     end = out.stop
             assert end == circuit.n_wires
-            arrays = [sched.output_slots, sched.table_rows]
+            arrays = [circuit.gates, circuit.levels, sched.outputs, sched.a_rows, sched.b_rows]
             arrays += [x for step in sched.steps for x in step if isinstance(x, np.ndarray)]
             for arr in arrays:
                 with pytest.raises(ValueError):
                     arr.flat[0] = 0
-            with pytest.raises(ValueError):
-                circuit.gates[0, 0] = 0
+
+    def test_late_bundle_keeps_its_function(self):
+        c = late_bundle_circuit()
+        assert c.inputs == {"x": [0, 1, 2], "y": [3, 4]}
+        rows = np.array([int_to_bits(v, 5) for v in range(32)], dtype=np.uint8)
+        x, y = rows[:, :3], rows[:, 3:]
+        u = x[:, 0] & x[:, 1]
+        want = np.stack([(u ^ y[:, 0]) & y[:, 1], x[:, 2] ^ y[:, 1], u], axis=1)
+        assert np.array_equal(garbled_run(c, {"x": x, "y": y}), want)
 
     def test_table_count_mismatch_rejected(self):
         sc = build_sort_circuit(2)
