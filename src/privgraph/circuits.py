@@ -1,18 +1,18 @@
 """Boolean circuits for the sorting protocols: a gate-level builder, the
 31-bit modular adder used for additive-to-Yao conversion, the unsigned
-comparator, the data-oblivious bitonic network (the full sorter, or only
-its final merge stage, Batcher's bitonic merge, for inputs that are
-already bitonic), and a vectorised plaintext simulator that serves as the
-oracle for garbled evaluation.
+comparator, Batcher's comparator networks, and a vectorised plaintext
+simulator that serves as the oracle for garbled evaluation.
 
-A network of 2^m lines sorts any k <= 2^m elements: the other lines hold
-sentinels that sort below every element. Where a sentinel sits is a
-function of k alone, so a comparator it enters is a fixed wire crossing
-(the element to the max side) with no gates, and a sentinel is no input.
-A network is stamped from small templates, a layer of copies at a time
+A network is a schedule of comparators over its lines, a function of
+public counts alone, with no padding line: merge exchange (Knuth, TAOCP
+Vol. 3, §5.2.2, Algorithm M) sorts k lines for any k, and the odd-even
+merge (Batcher, "Sorting networks and their applications", 1968) merges
+two sorted runs of any lengths. The builder groups a schedule into
+layers, each comparator in the first layer after the last one on either
+of its lines, and stamps a layer's copies from small templates at once
 (CircuitBuilder.stamp): the comparator, and for the local sort's first
-layer two share adders with their comparator, so building one costs numpy
-work per layer, not Python work per gate.
+layer two share adders with their comparator, so building one costs
+numpy work per layer, not Python work per gate.
 
 XOR is free under the garbling scheme; each AND gate costs a 32-byte
 half-gates table, and garbling and evaluation take one vectorised step
@@ -41,6 +41,7 @@ from __future__ import annotations
 import weakref
 from array import array
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -51,8 +52,9 @@ __all__ = [
     "Circuit",
     "CircuitBuilder",
     "SortCircuit",
-    "bitonic_schedule",
-    "padded_size",
+    "merge_exchange",
+    "odd_even_merge",
+    "check_sort_size",
     "build_sort_circuit",
     "simulate",
     "int_to_bits",
@@ -187,51 +189,35 @@ class CircuitBuilder:
             lo.append(self.xor(b, d))
         return hi, lo
 
-    def bitonic_sort(self, elems: list, merge: bool = False, first=None) -> list:
-        """Descending bitonic sorting network over elements, each a row of
-        wires: SCORE_BITS score bits, then payload bits that move with the
-        score. An element may be None, a sentinel below every score: a
-        comparator it enters sends the other element to its max side and
-        builds no gates. Each layer's comparators are stamped at once, a
-        comparator above the latest wire of its two elements, not gate by
-        gate: an element that skipped a comparator is waited for rather
-        than run ahead, so a pruned sort has no AND level that its full
-        network lacks. With merge, the elements must already form a
-        bitonic sequence (say one descending run, then an ascending one),
-        and only the final merge stage is built. With first, a pair of
-        templates (make, make_and_compare), elems are rows of wires that
-        make turns into elements: the first layer stamps make_and_compare
-        over each comparator's two rows, so that the comparator runs in
-        lockstep with the making of its elements, and make alone over each
-        row that no comparator of the layer takes. Returns the real
-        elements in network output order, and raises unless every sentinel
-        ends after them."""
-        elems = list(elems)
-        schedule = bitonic_schedule(len(elems), merge)
-        step = max(len(elems) // 2, 1)  # comparators a layer
-        # a one-line network has no layer, yet still makes its element
-        for layer in range(0, len(schedule) or 1, step):
-            pairs = []
-            for i, l, descending_here in schedule[layer : layer + step]:
-                hi, lo = (i, l) if descending_here else (l, i)  # the larger to hi
-                if elems[hi] is None:  # the sentinel crosses to the min side
-                    elems[hi], elems[lo] = elems[lo], None
-                elif elems[lo] is not None:
-                    pairs.append((hi, lo))
-            if first is not None:
-                make, make_and_compare = first
-                paired = {line for pair in pairs for line in pair}
-                alone = [(line,) for line, row in enumerate(elems)
-                         if row is not None and line not in paired]
-                self._stamp_lines(elems, alone, make)
-                self._stamp_lines(elems, pairs, make_and_compare)
-                first = None
-            elif pairs:
-                self._stamp_lines(elems, pairs, _comparator(len(elems[pairs[0][0]])))
-        k = len(elems) - sum(e is None for e in elems)
-        if any(e is None for e in elems[:k]):
-            raise ValueError("a sentinel ends among the sorted elements")
-        return elems[:k]
+    def network(self, elems: list, schedule, first=None) -> list:
+        """A comparator network over elements, each a row of wires:
+        SCORE_BITS score bits, then payload bits that move with the score.
+        Each comparator (hi, lo) of the schedule sends the element with the
+        larger score to line hi; a tie stays put. Each comparator goes in
+        the first layer after the last one on either of its lines, and a
+        layer's are stamped at once, each above the latest wire of its two
+        elements, not gate by gate. With first, a pair of templates
+        (make, make_and_compare), elems are rows of wires that make turns
+        into elements: the first layer stamps make_and_compare over each
+        comparator's two rows, so that the comparator runs in lockstep
+        with the making of its elements, and make alone over each row that
+        no comparator of the layer takes. Returns the elements by line."""
+        elems, depth, layers = list(elems), [0] * len(elems), []
+        for hi, lo in schedule:  # in the first layer after its lines' last
+            d = depth[hi] = depth[lo] = max(depth[hi], depth[lo]) + 1
+            if d > len(layers):
+                layers.append([])
+            layers[d - 1].append((hi, lo))
+        if first is not None:
+            make, make_and_compare = first
+            pairs = layers.pop(0) if layers else []
+            paired = {line for pair in pairs for line in pair}
+            alone = [(line,) for line in range(len(elems)) if line not in paired]
+            self._stamp_lines(elems, alone, make)
+            self._stamp_lines(elems, pairs, make_and_compare)
+        for pairs in layers:
+            self._stamp_lines(elems, pairs, _comparator(len(elems[pairs[0][0]])))
+        return elems
 
     def _stamp_lines(self, elems: list, groups: list, template: Circuit) -> None:
         """One copy of template per group of lines, fed the wires of its
@@ -359,7 +345,7 @@ def _entry(b: CircuitBuilder, row: list) -> list:
 
 
 def _entry_templates(payload_width: int) -> tuple[Circuit, Circuit]:
-    """The local sort's first-layer templates (CircuitBuilder.bitonic_sort):
+    """The local sort's first-layer templates (CircuitBuilder.network):
     one entry made from its row, and two made and exchanged at once."""
     key = ("entries", payload_width)
     if key not in _templates:
@@ -371,45 +357,53 @@ def _entry_templates(payload_width: int) -> tuple[Circuit, Circuit]:
     return _templates[key]
 
 
-def bitonic_schedule(n: int, merge: bool = False) -> list[tuple[int, int, bool]]:
-    """Comparator schedule (i, l, descending_at_i) of the bitonic sorter
-    for n = 2^m elements, or with merge of its last stage only: the m
-    half-cleaner layers of n/2 comparators that sort a bitonic sequence.
-    Depends only on n, never on data."""
-    if n & (n - 1) or n < 1:
-        raise ValueError("bitonic network needs a power-of-two size")
-    schedule = []
-    k = n if merge else 2
-    while k <= n:
-        j = k // 2
-        while j > 0:
-            for i in range(n):
-                l = i ^ j
-                if l > i:
-                    # invert the classic direction flag for a descending sort
-                    schedule.append((i, l, (i & k) == 0))
-            j //= 2
-        k *= 2
+def merge_exchange(k: int) -> list[tuple[int, int]]:
+    """The comparators (hi, lo) of Batcher's merge exchange (Knuth, TAOCP
+    Vol. 3, §5.2.2, Algorithm M), which sorts lines 0..k-1 descending for
+    any k: each sends the larger element to line hi < lo. For k = 2^m
+    there are (m^2 - m + 4)·2^(m-2) - 1. Depends only on k, never on
+    data."""
+    t, schedule = (k - 1).bit_length(), []
+    for p in (1 << i for i in reversed(range(t))):
+        # d = p, then d = q - p for q = 2^(t-1), ..., 2p
+        for d, r in [(p, 0)] + [((1 << j) - p, p) for j in reversed(range(p.bit_length(), t))]:
+            schedule += [(i, i + d) for i in range(k - d) if i & p == r]
     return schedule
+
+
+def odd_even_merge(a: int, b: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """Batcher's odd-even merge of two descending runs of any lengths, on
+    lines 0..a-1 and a..a+b-1: its comparators (hi, lo), each sending the
+    larger element to line hi, and the lines in descending order after
+    them. The runs' entries at even places merge into v and those at odd
+    places into w; then v0, w0, v1, w1, ... is sorted but for one
+    comparator between each w_i and v_(i+1). Depends only on a and b,
+    never on data."""
+
+    def merge(x: list, y: list):
+        if not x or not y:
+            return [], x + y
+        if len(x) == len(y) == 1:
+            return [(x[0], y[0])], x + y
+        evens, v = merge(x[::2], y[::2])
+        odds, w = merge(x[1::2], y[1::2])
+        lines = [line for pair in zip_longest(v, w) for line in pair if line is not None]
+        return evens + odds + list(zip(lines[1::2], lines[2::2])), lines
+
+    return merge(list(range(a)), list(range(a, a + b)))
 
 
 @dataclass
 class SortCircuit:
     """A sort's circuit with the shape it was looked up for. For the local
     sort (build_sort_circuit): per-element score reconstruction from two
-    additive-share bundles, then a bitonic descending sort carrying payload
-    bits, the padding lines being sentinels; outputs are the first t of its
-    k entries."""
+    additive-share bundles, then a descending merge-exchange sort carrying
+    payload bits; outputs are the first t of its k entries."""
 
     circuit: Circuit
     k: int  # entries in
     t: int  # entries out, the first t in descending order
     payload_width: int
-
-    @property
-    def n(self) -> int:
-        """The network's width: the padded power-of-two length."""
-        return padded_size(self.k)
 
     @property
     def and_count(self) -> int:
@@ -426,24 +420,18 @@ class SortCircuit:
         return scores, payloads
 
 
-def padded_size(k: int) -> int:
-    """The sorting network's width for k inputs: the next power of two.
-    Rejects k outside 1..MAX_SORT_K."""
-    if k < 1:
-        raise ValueError("sort length must be >= 1")
-    if k > MAX_SORT_K:
-        raise ValueError(
-            f"sort length {k} exceeds the max {MAX_SORT_K}; truncate the "
-            "inputs before sorting"
-        )
-    return 1 << (k - 1).bit_length()
+def check_sort_size(k: int) -> None:
+    """Rejects a sort of k entries outside 1..MAX_SORT_K."""
+    if not 1 <= k <= MAX_SORT_K:
+        raise ValueError(f"sort length {k} is outside 1..{MAX_SORT_K}; truncate the inputs")
 
 
 def build_sort_circuit(k: int, t: int | None = None) -> SortCircuit:
     """The local sort of k entries, whose payloads are their indices,
     keeping its first min(k, t) outputs (all k without t); the gates that
     only the others read are not built (CircuitBuilder.build)."""
-    n, pw = padded_size(k), k.bit_length()
+    check_sort_size(k)
+    pw = k.bit_length()
     t = k if t is None else min(k, t)
     if t < 1:
         raise ValueError("a sort keeps at least one output")
@@ -452,7 +440,7 @@ def build_sort_circuit(k: int, t: int | None = None) -> SortCircuit:
     e_shares = np.reshape(b.input_bundle("evaluator_shares", k * SCORE_BITS), (k, -1))
     payloads = np.reshape(b.input_bundle("payloads", k * pw), (k, -1))
     rows = list(np.concatenate([g_shares, e_shares, payloads], axis=1))
-    for elem in b.bitonic_sort(rows + [None] * (n - k), first=_entry_templates(pw))[:t]:
+    for elem in b.network(rows, merge_exchange(k), first=_entry_templates(pw))[:t]:
         b.mark_outputs(elem.tolist())
     return SortCircuit(b.build(), k, t, pw)
 

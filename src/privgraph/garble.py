@@ -249,11 +249,11 @@ class GarbledCircuit:
                 f"{n_ands} tables and {n_out} decode bits"
             )
         off = 12 + _TABLE_BYTES * n_ands
-        tables = np.frombuffer(data[12:off], dtype=np.uint8).reshape(2 * n_ands, 16)
-        bits = np.unpackbits(np.frombuffer(data[off:], dtype=np.uint8))
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=off))
         if bits[n_out:].any():
             raise GarbleError("garbled-circuit blob has set padding bits")
-        return cls(tables.copy(), bits[:n_out].copy())
+        tables = np.frombuffer(data, dtype=np.uint8, count=_TABLE_BYTES * n_ands, offset=12)
+        return cls(tables.reshape(2 * n_ands, 16).copy(), bits[:n_out].copy())
 
 
 def _random_labels(token, n: int) -> np.ndarray:

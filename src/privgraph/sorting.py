@@ -10,18 +10,14 @@ Global sort (coordinators, roles switched): the cluster-1 coordinator
 garbles over all shards' masked vectors; the cluster-0 coordinator feeds
 the masks in by OT, evaluates, and decodes the global payload order
 without ever seeing a score. It merges rather than sorts: each shard's
-CONTRIB already arrives in descending order, so two runs laid out as one
-descending, then padding, then the other reversed form a bitonic sequence,
-which Batcher's bitonic merge sorts in log2 n layers of n/2 comparators
-instead of a full sort's log2 n (log2 n + 1) / 2. More runs merge pairwise
-in a tree, each node passing on its real entries. In both sorts the
-padding lines carry sentinels that sort below every score, a real score of
-0 included. Their places are public at every layer, so a comparator one
-enters is a fixed wire crossing with no gates (CircuitBuilder.bitonic_sort)
-and a sentinel is no circuit input: each sort's inputs are its entries
+CONTRIB already arrives in descending order, and Batcher's odd-even
+merge (circuits.odd_even_merge) merges runs of any lengths a and b in
+ceil(log2 max(a, b)) + 1 layers, where a full sort takes about
+(log2(a + b) + 1)/2 times as many. More runs merge pairwise in a tree,
+each node passing on its entries. Neither sort pads: each sort's inputs are its entries
 only. The network's shape is a function of the per-shard counts only,
-which SORT_INIT already publishes, so the merge leaks nothing a full sort
-did not.
+which SORT_INIT already publishes, so the merge leaks nothing a full
+sort did not.
 
 A sorted query with a top_k sorts only its first t = top_k results, t
 being public (QUERY_INIT). Each local sort outputs its first min(k, t)
@@ -65,8 +61,9 @@ from .circuits import (
     SortCircuit,
     bits_to_int,
     build_sort_circuit,
+    check_sort_size,
     int_to_bits,
-    padded_size,
+    odd_even_merge,
 )
 from .crypto import SCORE_BITS, SHARE_MODULUS
 from .garble import GarbledCircuit, decode, evaluate, garble, level_schedule, select_labels
@@ -148,15 +145,13 @@ def _merge_network(counts: tuple[int, ...], t: int | None = None) -> SortCircuit
     outputs (all without t). Its inputs are the entries in shard-major rank
     order, as CONTRIB and MASKS deliver them. Per entry, unmask score =
     masked XOR mask (free). Runs are halved down to single runs; a node
-    lays its runs of a and b entries out in width m = padded_size(a + b)
-    as the left run, m - a - b sentinels, then the right run reversed, a
-    bitonic sequence that one merge stage sorts, and passes on its first t.
+    merges its two runs by an odd-even merge and passes on its first t.
     Outputs the payload bits of the first t merged entries, numbered
     densely over all the counts' entries. A single run is already merged:
     its circuit reads no score and no mask."""
     runs = [count if t is None else min(count, t) for count in counts]
     total = sum(runs)
-    padded_size(total)  # rejects totals outside 1..MAX_SORT_K
+    check_sort_size(total)
     t = total if t is None else min(t, total)
     pw = sum(counts).bit_length()
     b = CircuitBuilder()
@@ -173,9 +168,10 @@ def _merge_network(counts: tuple[int, ...], t: int | None = None) -> SortCircuit
         if len(runs) == 1:
             return [next(entries) for _ in range(runs[0])]
         h = (len(runs) + 1) // 2
-        lo, hi = merged(runs[:h]), merged(runs[h:])
-        pad = [None] * (padded_size(len(lo) + len(hi)) - len(lo) - len(hi))
-        return b.bitonic_sort(lo + pad + hi[::-1], merge=True)[:t]
+        left, right = merged(runs[:h]), merged(runs[h:])
+        schedule, order = odd_even_merge(len(left), len(right))
+        lines = b.network(left + right, schedule)
+        return [lines[line] for line in order][:t]
 
     for entry in merged(runs):
         b.mark_outputs(entry[SCORE_BITS:].tolist())

@@ -39,11 +39,11 @@ __all__ = [
 HEADER_LEN = 14  # length(4) + type(2) + session(8)
 # The largest legitimate frames are the CIRCUIT_BLOBs at circuits.MAX_SORT_K,
 # whose payloads are 11 bits; a half-gates AND takes 32 bytes and a
-# comparator 31 + 31 + 11 ANDs. The local sort's 28,160 comparators and
-# 1,024 adders of 30 take ~66.8 MB. No comparator a sentinel enters is built,
-# so the costliest merge trees found are 1,024 runs of 1, a full sort of
-# 28,160 comparators (~65.8 MB), and 341 runs of 3 and one of 1 (26,801,
-# ~62.6 MB). A cap of 2^28 leaves them ~4x room to grow.
+# comparator 31 + 31 + 11 ANDs. The local sort's 24,063 merge-exchange
+# comparators and 1,024 adders of 30 take ~57.2 MB. The costliest merge
+# trees are 1,024 runs of 1, an odd-even merge sort of 24,063 comparators
+# (~56.2 MB), and the maximum over every split of 1,024 entries into
+# runs, 29,281 (~68.4 MB). A cap of 2^28 leaves them ~3.9x room to grow.
 MAX_FRAME_BYTES = 1 << 28
 RECV_CHUNK = 1 << 16
 CONNECT_TIMEOUT = 10.0

@@ -1,11 +1,11 @@
 """Shared test hooks and helpers: collect acceptance-criterion verdict
 lines and print them once, uncaptured, in the terminal summary; seeded
-random graphs and in-process channel pairs; count the comparators a
-sorting network has, and keeps once its sentinels are pruned; a scalar
-reference of the fixed-key hash that garbling and OT share; garbled
-evaluation over many input rows, a row at a time; an
-x-coordinate that is no point of the group; a LocalCluster's per-server
-exponentiation counts and a server's store fingerprint."""
+random graphs and in-process channel pairs; the merge tree's comparators
+over the entries' lines; a 0-1-principle check of a comparator schedule;
+integers as rows of bits; a scalar reference of the fixed-key hash that
+garbling and OT share; garbled evaluation over many input rows, a row at
+a time; an x-coordinate that is no point of the group; a LocalCluster's
+per-server exponentiation counts and a server's store fingerprint."""
 
 import hashlib
 import random
@@ -14,7 +14,7 @@ import socket
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from privgraph.circuits import bitonic_schedule, padded_size
+from privgraph.circuits import odd_even_merge
 from privgraph.crypto import decode_element
 from privgraph.garble import decode, evaluate, select_labels
 from privgraph.graph import SORT_KEY_MAX, SORT_KEY_MIN, Edge, Graph
@@ -59,41 +59,53 @@ def loopback_pair(name: str = "") -> tuple[Channel, Channel]:
     return Channel(a, f"{name}:a"), Channel(b, f"{name}:b")
 
 
-def comparator_count(n: int) -> int:
-    """Comparators of the full bitonic sorter of n = 2^m lines."""
-    m = n.bit_length() - 1
-    return n * m * (m + 1) // 4
+def merge_tree_schedule(counts) -> list:
+    """The comparators (hi, lo) of the merge tree over runs of these
+    counts, on the lines of their entries, shard-major: runs halved down
+    to single runs, each node an odd-even merge of its two runs' lines
+    (sorting._merge_network with every entry kept)."""
+    schedule = []
+
+    def merged(lines, counts):
+        if len(counts) == 1:
+            return lines
+        h = (len(counts) + 1) // 2
+        split = sum(counts[:h])
+        left, right = merged(lines[:split], counts[:h]), merged(lines[split:], counts[h:])
+        node, order = odd_even_merge(len(left), len(right))
+        both = left + right
+        schedule.extend((both[hi], both[lo]) for hi, lo in node)
+        return [both[line] for line in order]
+
+    merged(list(range(sum(counts))), list(counts))
+    return schedule
 
 
-def track_sentinels(real, merge: bool):
-    """Walk bitonic_schedule over layouts, rows of booleans that are True
-    for an entry and False for a sentinel. A comparator keeps its gates
-    only when both inputs are entries; otherwise the entry moves to its
-    max side. Returns (comparators kept per row, final layouts)."""
-    real = np.array(real, dtype=bool)
-    kept = np.zeros(real.shape[:-1], dtype=int)
-    for i, l, descending in bitonic_schedule(real.shape[-1], merge):
-        hi, lo = (i, l) if descending else (l, i)
-        both = real[..., i] & real[..., l]
-        real[..., hi] |= real[..., lo]
-        real[..., lo] = both
-        kept += both
-    return kept, real
+def last_comparators(schedule) -> int:
+    """How many comparators of a schedule no later comparator follows on
+    either line: a merge reads no score past them, so they swap none."""
+    later, last = set(), 0
+    for hi, lo in reversed(schedule):
+        last += hi not in later and lo not in later
+        later.update((hi, lo))
+    return last
 
 
-def merge_tree_comparators(counts) -> int:
-    """Comparators kept by the merge tree over runs of these counts: runs
-    halved down to single runs, each node merging its two runs' entries
-    laid out as the left run, sentinels up to a power of two, then the
-    right run. Asserts that each node's sentinels end last."""
-    if len(counts) == 1:
-        return 0
-    h = (len(counts) + 1) // 2
-    a, b = sum(counts[:h]), sum(counts[h:])
-    m = padded_size(a + b)
-    kept, real = track_sentinels([True] * a + [False] * (m - a - b) + [True] * b, merge=True)
-    assert real.tolist() == [True] * (a + b) + [False] * (m - a - b)
-    return int(kept) + merge_tree_comparators(counts[:h]) + merge_tree_comparators(counts[h:])
+def zero_one_sorted(schedule, order, rows) -> bool:
+    """Whether the schedule leaves every row of 0-1 inputs descending when
+    its lines are read in order (the 0-1 principle: a comparator network
+    that sorts every 0-1 input sorts every input)."""
+    rows = np.array(rows, dtype=bool)
+    for hi, lo in schedule:
+        rows[:, hi], rows[:, lo] = rows[:, hi] | rows[:, lo], rows[:, hi] & rows[:, lo]
+    return bool((np.diff(rows[:, order].astype(np.int8), axis=1) <= 0).all())
+
+
+def bit_rows(values, width: int) -> np.ndarray:
+    """Rows of integers as rows of their width little-endian bits, each
+    value's bits in turn."""
+    values = np.asarray(values, dtype=np.int64)
+    return ((values[..., None] >> np.arange(width)) & 1).reshape(len(values), -1).astype(bool)
 
 
 def xor(*blocks: bytes) -> bytes:

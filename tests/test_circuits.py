@@ -3,15 +3,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import comparator_count, evaluate_rows
+from conftest import bit_rows, evaluate_rows, zero_one_sorted
 from privgraph.circuits import (
     AND,
     SCORE_BITS,
     CircuitBuilder,
-    bitonic_schedule,
     bits_to_int,
     build_sort_circuit,
     int_to_bits,
+    merge_exchange,
+    odd_even_merge,
     simulate,
 )
 
@@ -144,18 +145,46 @@ class TestCondSwap:
         assert bits_to_int(out[:3]) == 2 and bits_to_int(out[3:]) == 5
 
 
+def batcher_law(k: int) -> int:
+    """Comparators of Batcher's merge exchange for k = 2^m lines."""
+    m = k.bit_length() - 1
+    return (m * m - m + 4) * 2 ** m // 4 - 1
+
+
 class TestSchedule:
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128])
     def test_comparator_count(self, n):
-        assert len(bitonic_schedule(n)) == comparator_count(n)
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            bitonic_schedule(6)
+        assert len(merge_exchange(n)) == batcher_law(n)
 
     def test_data_independence(self):
-        # the schedule is a pure function of n
-        assert bitonic_schedule(16) == bitonic_schedule(16)
+        # each schedule is a pure function of its counts
+        assert merge_exchange(13) == merge_exchange(13)
+        assert odd_even_merge(7, 5) == odd_even_merge(7, 5)
+
+    def test_merge_exchange_sorts_every_01_input(self):
+        # the 0-1 principle, exhaustively: every k <= 16, every input
+        for k in range(1, 17):
+            rows = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+            assert zero_one_sorted(merge_exchange(k), list(range(k)), rows), k
+
+    def test_odd_even_merge_merges_every_pair_of_runs(self):
+        # the 0-1 principle for merging: runs of 0..12 and 0..12 entries,
+        # each descending, so i ones then zeros, and j ones then zeros
+        for a in range(13):
+            for b in range(13):
+                schedule, order = odd_even_merge(a, b)
+                assert sorted(order) == list(range(a + b))
+                rows = [[1] * i + [0] * (a - i) + [1] * j + [0] * (b - j)
+                        for i in range(a + 1) for j in range(b + 1)]
+                assert zero_one_sorted(schedule, order, np.reshape(rows, (len(rows), a + b))), (a, b)
+
+    def test_counts_against_the_best_known_networks(self):
+        # merge exchange is optimal for k <= 8 and within 4 of the best
+        # known networks (25, 29, 35, 39, 45, 51, 56, 60) for k = 9..16
+        assert [len(merge_exchange(k)) for k in range(1, 17)] == [
+            0, 1, 3, 5, 9, 12, 16, 19, 26, 31, 37, 41, 48, 53, 59, 63]
+        assert [len(odd_even_merge(a, b)[0]) for a, b in ((10, 10), (7, 8), (6, 2), (12, 4))] == [
+            35, 24, 9, 25]
 
 
 class TestSortCircuit:
@@ -181,11 +210,11 @@ class TestSortCircuit:
 
     def test_sorts_descending(self):
         scores, payloads = self._run([5, 9, 2], [1, 2, 3])
-        assert scores == [9, 5, 2]  # the sentinel pad is no output
+        assert scores == [9, 5, 2]
         assert payloads == [2, 1, 3]
 
-    def test_score_zero_sorts_ahead_of_sentinels(self):
-        # a real 0 sorts above the sentinel, so all k outputs are entries
+    def test_score_zero_sorts_as_an_entry(self):
+        # a real 0 is a score like any other: all k outputs are entries
         scores, payloads = self._run([0, 0, 3], [1, 2, 3])
         assert scores == [3, 0, 0]
         assert payloads[0] == 3 and sorted(payloads[1:]) == [1, 2]
@@ -210,28 +239,47 @@ class TestSortCircuit:
             build_sort_circuit(2048)
 
     def test_comparator_law_in_and_count(self):
-        # total ANDs = adders n*(31-1) + comparators * (31 + 31 + payload)
-        # for a power of two, which has no sentinel to prune
-        sc = build_sort_circuit(8)
-        expected = 8 * 30 + comparator_count(8) * (31 + 31 + sc.payload_width)
-        assert sc.and_count == expected
+        # total ANDs = adders k*(31-1) + comparators * (31 + 31 + payload)
+        for k in (5, 8, 13):
+            sc = build_sort_circuit(k)
+            assert sc.and_count == k * 30 + len(merge_exchange(k)) * (31 + 31 + sc.payload_width)
+
+    def test_sorts_ties_under_simulate(self):
+        # scores from a set of three, so most inputs tie: the scores come
+        # out descending and the payloads are a permutation that carries
+        # each entry's own score
+        rng = np.random.default_rng(5)
+        for k in (2, 5, 9, 16):
+            sc = build_sort_circuit(k)
+            scores = rng.choice([0, 7, 1 << 30], size=(30, k))
+            g = rng.integers(0, 1 << 31, size=(30, k))
+            out = simulate(sc.circuit, {
+                "garbler_shares": bit_rows(g, SCORE_BITS),
+                "evaluator_shares": bit_rows((scores - g) % (1 << 31), SCORE_BITS),
+                "payloads": bit_rows(np.tile(np.arange(k), (30, 1)), sc.payload_width),
+            })
+            for row, want in zip(out, scores):
+                got, payloads = sc.decode_outputs(row)
+                assert got == sorted(want.tolist(), reverse=True)
+                assert sorted(payloads) == list(range(k))
+                assert [want[p] for p in payloads] == got
 
 
 class TestLevels:
     # garbling and evaluation take one vectorised step per level and op, so
-    # a network with sentinels should need no more AND levels than the full
-    # network of its width
+    # a network of fewer entries should need no more AND levels than that
+    # of the next power of two
     @staticmethod
     def and_levels(circuit):
         return len(set(circuit.levels[circuit.gates[:, 0] == AND].tolist()))
 
-    def test_sentinels_add_no_and_levels(self):
+    def test_fewer_entries_add_no_and_levels(self):
         from privgraph.sorting import build_merge_circuit
 
         full = self.and_levels(build_sort_circuit(8).circuit)
-        assert [self.and_levels(build_sort_circuit(k).circuit) for k in (5, 6, 7)] == [full] * 3
+        assert all(self.and_levels(build_sort_circuit(k).circuit) <= full for k in (5, 6, 7))
         full = self.and_levels(build_merge_circuit((8, 8)).circuit)
-        assert self.and_levels(build_merge_circuit((3, 7)).circuit) == full
+        assert self.and_levels(build_merge_circuit((3, 7)).circuit) <= full
 
     def test_each_gate_above_its_inputs(self):
         # a level runs its XORs, then its ANDs, so a gate must come after
@@ -261,11 +309,11 @@ class TestLevels:
 
 
 class TestAndCounts:
-    # build_sort_circuit(k).and_count for k = 1..20 before the first layer
-    # ran its comparators in lockstep with the share adders: that change
-    # moves gates between levels, never adds or removes one
-    PINNED = [30, 124, 282, 510, 865, 1155, 1380, 1824, 2712, 3072, 3366, 3924, 4152,
-              4644, 5070, 5840, 8081, 8513, 8878, 9578]
+    # build_sort_circuit(k).and_count for k = 1..20: k adders of 30 ANDs
+    # and merge exchange's 0, 1, 3, 5, 9, ... comparators of 31 + 31 +
+    # k.bit_length() ANDs
+    PINNED = [30, 124, 282, 445, 735, 960, 1250, 1494, 1986, 2346, 2772, 3066, 3558,
+              3918, 4344, 4701, 5468, 6034, 6667, 7099]
 
     def test_sort_and_counts_unchanged(self):
         assert [build_sort_circuit(k).and_count for k in range(1, 21)] == self.PINNED
@@ -274,21 +322,22 @@ class TestAndCounts:
 class TestBitonicBuilder:
     # SHA-256 of the gate rows, input wires, output wires and wire count:
     # sorts and merges (k entries in two runs of k - k // 2 and k // 2) as
-    # built since sentinels are wire crossings, not inputs, and an ascending
-    # comparator is the one template with its operands exchanged, with the
-    # INV-free carry chains of add_mod and less_than; a local sort's first
-    # layer stamps each pair's two adders and comparator as one template; a
-    # merge keeps only its payload outputs' cone; the gates in schedule
-    # order, by level, a level's XORs before its ANDs, and the wires
-    # numbered inputs first, then each gate's output in that order
+    # built from Batcher's merge exchange and odd-even merge, each
+    # comparator one template, with the INV-free carry chains of add_mod
+    # and less_than, a layer of comparators stamped at once; a local sort's
+    # first layer stamps each pair's two adders and comparator as one
+    # template; a merge keeps only its payload outputs' cone; the gates in
+    # schedule order, by level, a level's XORs before its ANDs, and the
+    # wires numbered inputs first, then each gate's output in that order
+    # (sort 1 and merge 2, one comparator or none, kept their digests)
     PINNED = {
         ("sort", 1): "242e87225e280255bd016529ac109c89278955f789f6a788a15574a7f5027924",
-        ("sort", 3): "fab301c776673787f64bebf3433fb5c5f77eadefa02abe0100a3c19e229c4c0a",
-        ("sort", 8): "a2554f30457303891177ce0eeefa8b7fa6c37c619a9cfec11a653dbec66cb372",
-        ("sort", 13): "b9d504b06558a30fda29fe45e5b4dbf27975d68fd7c5c385afc098f898726118",
+        ("sort", 3): "ca6918e81870abf4ced1745625660fe056ff647fb0fcb1b9744702e4239c8d6d",
+        ("sort", 8): "2a476338c3c9b2bd925749c943c4be02cd930d2221f0ec5df9aed0caead81292",
+        ("sort", 13): "c864c6e74a12cb63d0fff477329f7353c17e0f695aa5b51e18a115494cb7830a",
         ("merge", 2): "79b9f671020a93a541e40230c8d4ea99eaf3244cfb69e01fad9a0f630be46f06",
-        ("merge", 5): "8f8ac62093889e138d7124d6fca0f145578e1b7a1f60aad401d9bf1b7cbf3084",
-        ("merge", 12): "b8b3268fbe2da82e7adcedaaede3e16102eced01f794a06065ff8be63e020ae6",
+        ("merge", 5): "864655a57a4e52cbb1e6fed64a103ff2404a088895c34937f9bfdd26e81db50f",
+        ("merge", 12): "751d1df3443368ed0a745dd847f95f444537b2ac42ef817731cbb821ec9b5033",
     }
 
     @pytest.mark.parametrize("kind,k", sorted(PINNED))

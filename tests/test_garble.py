@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,19 @@ class TestBlob:
         b = evaluate_rows(sc.circuit, clone, label_map, delta, inputs)
         assert np.array_equal(a, b)
 
+    def test_decoding_copies_the_tables_once(self):
+        # a sort(300) blob of ~11.5 MB: decoding allocates one copy of its
+        # tables, not a slice of the blob and then a copy of that
+        blob = garble(build_sort_circuit(300).circuit)[0].to_bytes()
+        tracemalloc.start()
+        try:
+            gc = GarbledCircuit.from_bytes(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * len(blob)
+        assert gc.tables.flags.writeable and gc.to_bytes() == blob
+
     def test_bad_magic(self):
         with pytest.raises(GarbleError):
             GarbledCircuit.from_bytes(b"XXXX" + bytes(8))
@@ -240,14 +254,15 @@ class TestWireFormat:
     # stream: sorts and the merge (two runs of 3 and 2) under half-gates
     # (two 16-byte rows an AND), with INV-free carry chains, in the gate
     # order of a first layer stamped as adders and comparator at once; the
-    # merge without the score swaps that no output reads; the tables laid
-    # out level by level, T_G of a level's ANDs then their T_E, row r
-    # hashed under tweak r (sort 1, one AND a level, kept its digest)
+    # sorts by merge exchange and the merge by odd-even merge; the merge
+    # without the score swaps that no output reads; the tables laid out
+    # level by level, T_G of a level's ANDs then their T_E, row r hashed
+    # under tweak r (sort 1, no comparator, kept its digest)
     PINNED = {
         ("sort", 1): "b1dcf24c84397da4ca62bba67e139114eb724b81a4a91134fc356bac5763da7a",
-        ("sort", 3): "b1045a17c13f823dc85226ee96ab308e42e1f9943c24a09d142ff3d6195c02b8",
-        ("sort", 8): "f8d952aaa9b8544da5ec80f4e09e5cf7837b385bc6f41864ad44536c49090a9b",
-        ("merge", 5): "994da34154ac80f4346c1f568e434c80ae157ea61c5af0eea889723788c0b02c",
+        ("sort", 3): "fd88630defa1660e450d01394f8b4af5f5dcf5ffaf0cc6fde6c4aeb5c5e067e3",
+        ("sort", 8): "b7618dc1c2a66b159bc5364544b4e28918081e4ad23d5076a13042925272a109",
+        ("merge", 5): "bd4ae3e74210c20b7ccde44dcf92cc82cf2c6677550e6c7748430c7ab51ab94d",
     }
 
     @staticmethod

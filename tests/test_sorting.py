@@ -9,8 +9,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import privgraph.sorting as sorting
-from conftest import comparator_count, loopback_pair, merge_tree_comparators, track_sentinels
-from privgraph.circuits import MAX_SORT_K, SCORE_BITS, padded_size
+from conftest import bit_rows, last_comparators, loopback_pair, merge_tree_schedule
+from privgraph.circuits import SCORE_BITS, merge_exchange, simulate
 from privgraph.crypto import GroupContext
 from privgraph.ot import OTError, OTPair, encode_ot_extend
 from privgraph.sorting import (
@@ -248,24 +248,25 @@ class TestGlobalSort:
 # shard. The evaluator opens its extension before the garbler garbles, so
 # the garbler answers the OT's set-up first, then sends the circuit, its
 # labels in one GARBLER_LABELS frame and the OT's corrections in one flight.
-# Padding is no input: a sort of t entries takes t·31 transfers, each a
-# correlated OT of one 16-byte correction, so OT_PAYLOAD = 31 · 16 · t
-# bytes. A local sort runs k adders of 30 ANDs and the
-# comparators no sentinel enters (k = 5: 11, k = 3: 3), each of 31 + 31 +
-# payload ANDs; its labels are 31 share and payload bits an entry. The
-# merge's payloads are numbered densely over its 9 entries (4 bits); its
-# tree keeps 12 + 13 comparators of 31 + 31 + 4 ANDs, less the 31 score-swap
-# ANDs of each of the root's last 4, whose scores no output reads, and its
-# labels are 31 masked-score and 4 payload bits an entry. Under half-gates an AND costs 32
-# bytes, so CIRCUIT_BLOB = 12 + 32 · ANDs + ⌈outputs / 8⌉ (k = 5: 865 ANDs
-# and 5 · 34 outputs). Each session here is a pair's first, so it sets up:
-# the evaluator sends the base OT's point A (33 bytes, compressed) and 128
-# ciphertext pairs, the garbler 128 points B. OT_EXTEND carries the 20-byte
-# header that names its state and block range.
+# A sort of t entries takes t·31 transfers, each a correlated OT of one
+# 16-byte correction, so OT_PAYLOAD = 31 · 16 · t bytes. A local sort runs
+# k adders of 30 ANDs and merge exchange's comparators (k = 5: 9, k = 3:
+# 3), each of 31 + 31 + payload ANDs; its labels are 31 share and payload
+# bits an entry. The merge's payloads are numbered densely over its 9
+# entries (4 bits); its tree's odd-even merges keep 10 + 8 comparators of
+# 31 + 31 + 4 ANDs, less the 31 score-swap ANDs of each of the 4 that no
+# later comparator follows, whose scores no output reads, and its labels
+# are 31 masked-score and 4 payload bits an entry. Under half-gates an AND
+# costs 32 bytes, so CIRCUIT_BLOB = 12 + 32 · ANDs + ⌈outputs / 8⌉ (k = 5:
+# 735 ANDs and 5 · 34 outputs). Each session here is a pair's first, so
+# it sets up: the evaluator sends the base OT's point A (33 bytes,
+# compressed) and 128 ciphertext pairs, the garbler 128 points B.
+# OT_EXTEND carries the 20-byte header that names its state and block
+# range.
 _EVALUATOR_OT = [("OT_SETUP", 33), ("OT_SETUP", 4096)]
 PINNED_FRAMES = [
     (  # local, k = 5
-        [("SORT_INIT", 4), ("OT_SETUP", 4224), ("CIRCUIT_BLOB", 27714),
+        [("SORT_INIT", 4), ("OT_SETUP", 4224), ("CIRCUIT_BLOB", 23554),
          ("GARBLER_LABELS", 2480 + 240), ("OT_PAYLOAD", 2480)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 2560)],
     ),
@@ -280,7 +281,7 @@ PINNED_FRAMES = [
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 512)],
     ),
     (  # merge of 9 entries from 3 shards
-        [("SORT_INIT", 12), ("OT_SETUP", 4224), ("CIRCUIT_BLOB", 48849),
+        [("SORT_INIT", 12), ("OT_SETUP", 4224), ("CIRCUIT_BLOB", 34065),
          ("GARBLER_LABELS", 4464 + 576), ("OT_PAYLOAD", 4464)],
         _EVALUATOR_OT + [("OT_EXTEND", 20 + 4480)],
     ),
@@ -438,10 +439,8 @@ class TestCircuitCache:
     def test_one_circuit_per_shape(self):
         # a sort's shape is its count split: one circuit for each
         assert _sort_circuit((5,)) is _sort_circuit((5,))
-        # k = 5 and 7 share the padded width 8, not the circuit: their
-        # sentinels sit on different lines
         assert _sort_circuit((5,)).circuit is not _sort_circuit((7,)).circuit
-        assert (_sort_circuit((5,)).n, _sort_circuit((7,)).n) == (8, 8)
+        assert (_sort_circuit((5,)).k, _sort_circuit((7,)).k) == (5, 7)
         assert build_merge_circuit((3, 3)).circuit is not build_merge_circuit((4, 2)).circuit
         assert build_merge_circuit((3, 3)).k == 6
         assert build_merge_circuit((4, 4)).circuit is not _sort_circuit((8,)).circuit
@@ -484,42 +483,71 @@ class TestCircuitCache:
         assert len(got) == 8 and all(sc.circuit is got[0].circuit for sc in got)
 
 
-def merge_ands(m: int, payload_width: int) -> int:
-    """ANDs of one bitonic merge stage of width m with no sentinels:
-    (m/2)·log2 m comparators of a 31-bit score compare and swap, plus the
-    payload swap."""
-    return m // 2 * (m.bit_length() - 1) * (2 * SCORE_BITS + payload_width)
+def merge_ands(counts) -> int:
+    """ANDs of the merge tree over runs of these counts: its comparators'
+    31-bit score compare, score swap and payload swap, less the score
+    swap of each comparator that no later one follows, since the merge
+    outputs payloads only."""
+    schedule = merge_tree_schedule(counts)
+    pw = sum(counts).bit_length()
+    return len(schedule) * (2 * SCORE_BITS + pw) - last_comparators(schedule) * SCORE_BITS
 
 
 class TestMergeCircuit:
-    # the merge outputs payloads only, so the comparators of its last layer
-    # keep no score swap: SCORE_BITS ANDs fewer each than merge_ands counts
     def test_comparator_count_in_ands(self):
-        for n in (8, 16, 32):
+        # one odd-even merge of n - 3 and 3 entries: (5, 3), (13, 3) and
+        # (29, 3) take 10, 24 and 52 comparators, of which 3, 7 and 15 are
+        # last on both their lines
+        for n, comparators in ((8, 10), (16, 24), (32, 52)):
             sc = build_merge_circuit((n - 3, 3))
-            assert sc.n == n
-            assert sc.and_count == merge_ands(n, n.bit_length()) - n // 2 * SCORE_BITS, n
+            assert len(merge_tree_schedule((n - 3, 3))) == comparators
+            assert sc.and_count == merge_ands((n - 3, 3)), n
 
     def test_tree_comparators_in_ands(self):
-        # (5, 3) merge in width 8, then its 8 entries and shard 2's one in
-        # 16, where 7 sentinels prune the comparators they enter; the root's
-        # last layer keeps 4, the ninth entry's being a crossing
+        # (5, 3) merge in 10 comparators, then their 8 entries and shard
+        # 2's one in 8 more; the root's last 4 swap no score
         sc = build_merge_circuit((5, 3, 1))
-        kept = merge_tree_comparators((5, 3, 1))
-        assert kept == 12 + 13
-        assert sc.and_count == kept * (2 * SCORE_BITS + 4) - 4 * SCORE_BITS
+        schedule = merge_tree_schedule((5, 3, 1))
+        assert (len(schedule), last_comparators(schedule)) == (10 + 8, 4)
+        assert sc.and_count == 18 * (2 * SCORE_BITS + 4) - 4 * SCORE_BITS
         assert build_merge_circuit((7,)).and_count == 0  # one run: nothing to merge
 
     def test_tree_costs_no_more_than_a_full_sort(self):
-        # the root merges 9 and 7 entries in width 16: a last layer of 8
+        # the root merges 9 and 7 entries
         counts = (3,) * 5 + (1,)
         sc = build_merge_circuit(counts)
-        assert sc.and_count == 68 * (2 * SCORE_BITS + 5) - 8 * SCORE_BITS
-        assert 68 <= comparator_count(16)
-        # the costliest layout a search over equal-length and random runs
-        # found for the tree with every node padded
-        worst = (3,) * 341 + (1,)
-        assert merge_tree_comparators(worst) == 26801 <= comparator_count(MAX_SORT_K)
+        assert sc.and_count == 57 * (2 * SCORE_BITS + 5) - 7 * SCORE_BITS
+        assert 57 <= len(merge_exchange(16))
+        # the shards' layouts: two runs of any lengths, and equal runs; a
+        # tree of many unequal runs can cost more (test_transport's cap)
+        for a in range(1, 33):
+            for b in range(1, 33):
+                assert len(merge_tree_schedule((a, b))) <= len(merge_exchange(a + b)), (a, b)
+        for r in range(1, 9):
+            for n in range(2, 64 // r + 1):
+                assert len(merge_tree_schedule((r,) * n)) <= len(merge_exchange(r * n)), (r, n)
+
+    @pytest.mark.parametrize("counts", [(4, 4), (7, 2), (5, 3, 1), (1, 6, 2, 5)])
+    def test_merges_ties_under_simulate(self, counts):
+        # scores from a set of three, so most entries tie: each run comes
+        # in descending, and the payloads come out in an order that
+        # descends by score
+        rng = np.random.default_rng(sum(counts))
+        sc = build_merge_circuit(counts)
+        total, pw = sum(counts), sc.payload_width
+        scores = np.concatenate(
+            [-np.sort(-rng.choice([0, 5, 1 << 30], size=(30, c)), axis=1) for c in counts], axis=1
+        )
+        masks = rng.integers(0, 1 << 31, size=(30, total))
+        out = simulate(sc.circuit, {
+            "masked_scores": bit_rows(scores ^ masks, SCORE_BITS),
+            "masks": bit_rows(masks, SCORE_BITS),
+            "payloads": bit_rows(np.tile(np.arange(total), (30, 1)), pw),
+        })
+        orders = (out.reshape(30, total, pw).astype(int) << np.arange(pw)).sum(axis=2)
+        for row, order in zip(scores, orders):
+            assert sorted(order.tolist()) == list(range(total))
+            assert row[order].tolist() == sorted(row.tolist(), reverse=True)
 
     def test_oversize_rejected(self):
         with pytest.raises(ValueError):
@@ -527,19 +555,13 @@ class TestMergeCircuit:
 
 
 class TestLocalSortNetwork:
-    def test_sentinels_end_last_for_every_k(self):
-        for n in sorted({padded_size(k) for k in range(1, MAX_SORT_K + 1)}):
-            ks = range(n // 2 + 1, n + 1)
-            kept, real = track_sentinels([[e < k for e in range(n)] for k in ks], merge=False)
-            assert real.tolist() == [[e < k for e in range(n)] for k in ks], n
-            assert kept[-1] == comparator_count(n)
-
     @pytest.mark.parametrize("k", [3, 5, 12, 17])
     def test_pruned_comparators_in_ands(self, k):
-        # adders k·(31 - 1), kept comparators of 31 + 31 + payload ANDs
-        kept, _ = track_sentinels([e < k for e in range(padded_size(k))], merge=False)
+        # adders k·(31 - 1), merge exchange's comparators of 31 + 31 +
+        # payload ANDs each
         pw = k.bit_length()
-        assert _sort_circuit((k,)).and_count == k * (SCORE_BITS - 1) + kept * (2 * SCORE_BITS + pw)
+        assert _sort_circuit((k,)).and_count == k * (SCORE_BITS - 1) + len(merge_exchange(k)) * (
+            2 * SCORE_BITS + pw)
 
 
 # a score drawn from the edges of the 31-bit range, or anywhere in it
@@ -588,9 +610,8 @@ class TestMergeOracle:
         self._merge(pairs, vectors, np.random.default_rng(salt))
 
     def test_score_zero_entries_survive_the_tree(self, pairs):
-        # the (2, 3) node pads to 8 with 3 sentinels; they sort below the
-        # real zeros, so every zero is among the node's 5 entries that the
-        # root merges on
+        # real zeros tie within and across runs, and every zero is among
+        # the (2, 3) node's 5 entries that the root merges on
         self._merge(pairs, [[5, 0], [0, 0, 0], [7, 0, 0]], np.random.default_rng(13))
 
 

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from conftest import comparator_count, loopback_pair, merge_tree_comparators
-from privgraph.circuits import MAX_SORT_K, SCORE_BITS
+from conftest import loopback_pair, merge_tree_schedule
+from privgraph.circuits import MAX_SORT_K, SCORE_BITS, merge_exchange
 from privgraph.transport import (
     HEADER_LEN,
     MAX_FRAME_BYTES,
@@ -267,17 +267,21 @@ class TestTcp:
     def test_largest_circuit_blob_fits_under_cap(self):
         # closed-form AND counts (see test_comparator_law_in_and_count):
         # local sort = adders k*(31-1) + comparators*(31 + 31 + payload),
-        # merge = kept comparators*(31 + 31 + payload); 32 half-gates bytes
+        # merge <= comparators*(31 + 31 + payload); 32 half-gates bytes
         # per AND; both sorts number their payloads densely over 0..k-1 in
-        # k.bit_length() bits. MAX_SORT_K is a power of two, so the local
-        # sort has no sentinel; the costliest merge trees a search over
-        # equal-length, random and hill-climbed runs found are 1,024 runs
-        # of 1, a full sort, and 341 runs of 3 and one of 1
+        # k.bit_length() bits. The costliest merge trees are 1,024 runs of
+        # 1, a full odd-even merge sort, and the layout below, the maximum
+        # that a dynamic program over every split of 1,024 entries into
+        # every number of runs found for the tree's shape
         k = MAX_SORT_K
         pw = k.bit_length()
         per_comparator = 2 * SCORE_BITS + pw
-        local = k * (SCORE_BITS - 1) + comparator_count(k) * per_comparator
-        merges = [merge_tree_comparators((1,) * k), merge_tree_comparators((3,) * 341 + (1,))]
+        local = k * (SCORE_BITS - 1) + len(merge_exchange(k)) * per_comparator
+        middle = (14, 24, 8, 3, 5, 1, 2, 2, 3, 149, 320, 64, 21, 43, 8, 13, 16, 27, 9, 20,
+                  8, 3, 5, 1, 2, 2, 3)
+        costliest = (1,) * 137 + middle + (1,) * 26 + (2,) + (1,) * 83
+        merges = [len(merge_tree_schedule(counts)) for counts in ((1,) * k, costliest)]
+        assert (len(merge_exchange(k)), merges, sum(costliest)) == (24063, [24063, 29281], k)
         frames = [HEADER_LEN + 12 + 32 * local + -(-k * (SCORE_BITS + pw) // 8)]
         frames += [HEADER_LEN + 12 + 32 * c * per_comparator + -(-k * pw // 8) for c in merges]
         # a power-of-two cap with room for the circuits to grow: the cap
