@@ -29,7 +29,7 @@ from .crypto import (
     term_key,
     xtag_compute,
 )
-from .graph import PostingList, ranked
+from .graph import SORT_KEY_MAX, SORT_KEY_MIN, PostingList, ranked
 
 __all__ = [
     "PartitionConfig",
@@ -302,6 +302,14 @@ def build_edb(
     ctx: GroupContext,
     config: PartitionConfig,
 ) -> EncryptedDatabase:
+    """Both clusters' shards of the index. Its sort keys must lie in
+    SORT_KEY_MIN..SORT_KEY_MAX: a sort compares scores in the bits that
+    range needs (scoring.score_width)."""
+    for plist in index.values():
+        if any(not SORT_KEY_MIN <= sk <= SORT_KEY_MAX for sk, _ in plist.entries):
+            raise ValueError(
+                f"{plist.term}: a sort key outside {SORT_KEY_MIN}..{SORT_KEY_MAX}"
+            )
     rng = make_rng(config.seed)
     shards = partition(index, config)
     clusters = [[], []]

@@ -1,7 +1,12 @@
 """Boolean circuits for the sorting protocols: a gate-level builder, the
-31-bit modular adder used for additive-to-Yao conversion, the unsigned
+modular adder used for additive-to-Yao conversion, the unsigned
 comparator, Batcher's comparator networks, and a vectorised plaintext
 simulator that serves as the oracle for garbled evaluation.
+
+A sort compares scores of a public width w, 1..SCORE_BITS bits
+(scoring.score_width): its adders add the low w bits of the two shares,
+mod 2^w, and its comparators compare w bits, so a sort's levels and ANDs
+per comparator and adder grow with w, not with the share modulus.
 
 A network is a schedule of comparators over its lines, a function of
 public counts alone, with no padding line: merge exchange (Knuth, TAOCP
@@ -45,7 +50,6 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .crypto import SCORE_BITS
 
 __all__ = [
     "MAX_SORT_K",
@@ -189,9 +193,9 @@ class CircuitBuilder:
             lo.append(self.xor(b, d))
         return hi, lo
 
-    def network(self, elems: list, schedule, first=None) -> list:
-        """A comparator network over elements, each a row of wires:
-        SCORE_BITS score bits, then payload bits that move with the score.
+    def network(self, elems: list, schedule, width: int, first=None) -> list:
+        """A comparator network over elements, each a row of wires: width
+        score bits, then payload bits that move with the score.
         Each comparator (hi, lo) of the schedule sends the element with the
         larger score to line hi; a tie stays put. Each comparator goes in
         the first layer after the last one on either of its lines, and a
@@ -216,7 +220,7 @@ class CircuitBuilder:
             self._stamp_lines(elems, alone, make)
             self._stamp_lines(elems, pairs, make_and_compare)
         for pairs in layers:
-            self._stamp_lines(elems, pairs, _comparator(len(elems[pairs[0][0]])))
+            self._stamp_lines(elems, pairs, _comparator(width, len(elems[pairs[0][0]])))
         return elems
 
     def _stamp_lines(self, elems: list, groups: list, template: Circuit) -> None:
@@ -320,39 +324,42 @@ def _template_stages(template: Circuit) -> np.ndarray:
     return stages
 
 
-_templates: dict = {}  # by (kind, width); a racing miss stores an equal one
+_templates: dict = {}  # by (kind, widths); a racing miss stores an equal one
 
 
-def _exchange(b: CircuitBuilder, hi: list, lo: list) -> list:
-    """Two elements, score first; the one with the larger score out first.
-    Ties keep their order."""
-    hi, lo = b.cond_swap(b.less_than(hi[:SCORE_BITS], lo[:SCORE_BITS]), hi, lo)
+def _exchange(b: CircuitBuilder, hi: list, lo: list, width: int) -> list:
+    """Two elements, a width-bit score first; the one with the larger
+    score out first. Ties keep their order."""
+    hi, lo = b.cond_swap(b.less_than(hi[:width], lo[:width]), hi, lo)
     return hi + lo
 
 
-def _comparator(width: int) -> Circuit:
-    """Two elements of width bits in, exchanged (_exchange)."""
-    key = ("comparator", width)
+def _comparator(width: int, n: int) -> Circuit:
+    """Two elements of n bits in, a width-bit score first, exchanged
+    (_exchange)."""
+    key = ("comparator", width, n)
     if key not in _templates:
-        _templates[key] = _template(2 * width, lambda b, x: _exchange(b, x[:width], x[width:]))
+        _templates[key] = _template(2 * n, lambda b, x: _exchange(b, x[:n], x[n:], width))
     return _templates[key]
 
 
-def _entry(b: CircuitBuilder, row: list) -> list:
+def _entry(b: CircuitBuilder, row: list, width: int) -> list:
     """A local-sort element from its row (garbler share, evaluator share,
-    payload): the score is the sum of the two shares."""
-    return b.add_mod(row[:SCORE_BITS], row[SCORE_BITS : 2 * SCORE_BITS]) + row[2 * SCORE_BITS :]
+    payload), each share its low width bits: the score is their sum mod
+    2^width, the true score when that is below 2^width."""
+    return b.add_mod(row[:width], row[width : 2 * width]) + row[2 * width :]
 
 
-def _entry_templates(payload_width: int) -> tuple[Circuit, Circuit]:
+def _entry_templates(width: int, payload_width: int) -> tuple[Circuit, Circuit]:
     """The local sort's first-layer templates (CircuitBuilder.network):
     one entry made from its row, and two made and exchanged at once."""
-    key = ("entries", payload_width)
+    key = ("entries", width, payload_width)
     if key not in _templates:
-        n = 2 * SCORE_BITS + payload_width
+        n = 2 * width + payload_width
         _templates[key] = (
-            _template(n, _entry),
-            _template(2 * n, lambda b, x: _exchange(b, _entry(b, x[:n]), _entry(b, x[n:]))),
+            _template(n, lambda b, x: _entry(b, x, width)),
+            _template(2 * n, lambda b, x: _exchange(
+                b, _entry(b, x[:n], width), _entry(b, x[n:], width), width)),
         )
     return _templates[key]
 
@@ -404,6 +411,7 @@ class SortCircuit:
     k: int  # entries in
     t: int  # entries out, the first t in descending order
     payload_width: int
+    width: int  # score bits compared
 
     @property
     def and_count(self) -> int:
@@ -411,12 +419,12 @@ class SortCircuit:
 
     def decode_outputs(self, bits: np.ndarray):
         """Split a decoded output bit row into (masked scores, payloads)."""
-        width = SCORE_BITS + self.payload_width
+        n = self.width + self.payload_width
         scores, payloads = [], []
         for e in range(self.t):
-            chunk = bits[e * width : (e + 1) * width]
-            scores.append(bits_to_int(chunk[:SCORE_BITS]))
-            payloads.append(bits_to_int(chunk[SCORE_BITS:]))
+            chunk = bits[e * n : (e + 1) * n]
+            scores.append(bits_to_int(chunk[: self.width]))
+            payloads.append(bits_to_int(chunk[self.width :]))
         return scores, payloads
 
 
@@ -426,23 +434,24 @@ def check_sort_size(k: int) -> None:
         raise ValueError(f"sort length {k} is outside 1..{MAX_SORT_K}; truncate the inputs")
 
 
-def build_sort_circuit(k: int, t: int | None = None) -> SortCircuit:
-    """The local sort of k entries, whose payloads are their indices,
-    keeping its first min(k, t) outputs (all k without t); the gates that
-    only the others read are not built (CircuitBuilder.build)."""
+def build_sort_circuit(k: int, t: int | None = None, *, width: int) -> SortCircuit:
+    """The local sort of k entries, whose payloads are their indices, by
+    scores below 2^width (at most crypto.SCORE_BITS), keeping its first min(k, t)
+    outputs (all k without t); the gates that only the others read are
+    not built (CircuitBuilder.build)."""
     check_sort_size(k)
     pw = k.bit_length()
     t = k if t is None else min(k, t)
     if t < 1:
         raise ValueError("a sort keeps at least one output")
     b = CircuitBuilder()
-    g_shares = np.reshape(b.input_bundle("garbler_shares", k * SCORE_BITS), (k, -1))
-    e_shares = np.reshape(b.input_bundle("evaluator_shares", k * SCORE_BITS), (k, -1))
+    g_shares = np.reshape(b.input_bundle("garbler_shares", k * width), (k, -1))
+    e_shares = np.reshape(b.input_bundle("evaluator_shares", k * width), (k, -1))
     payloads = np.reshape(b.input_bundle("payloads", k * pw), (k, -1))
     rows = list(np.concatenate([g_shares, e_shares, payloads], axis=1))
-    for elem in b.network(rows, merge_exchange(k), first=_entry_templates(pw))[:t]:
+    for elem in b.network(rows, merge_exchange(k), width, first=_entry_templates(width, pw))[:t]:
         b.mark_outputs(elem.tolist())
-    return SortCircuit(b.build(), k, t, pw)
+    return SortCircuit(b.build(), k, t, pw, width)
 
 
 def int_to_bits(value: int, n_bits: int) -> list[int]:

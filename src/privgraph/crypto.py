@@ -63,7 +63,9 @@ _ECDH = ec.ECDH()
 # an element travels as its x-coordinate
 ELEMENT_BYTES = 32
 KEY_BYTES = 16
-# sort keys and every secret-shared value live in Z_{2^31}
+# sort keys and every secret-shared value live in Z_{2^31}; SCORE_BITS is
+# the share modulus' width and the widest a sort compares
+# (scoring.score_width)
 SCORE_BITS = 31
 SHARE_MODULUS = 1 << SCORE_BITS
 

@@ -13,23 +13,28 @@ Of a sorted query's scores, cluster 1 learns the ranks within each shard
 of its first min(k, t) entries only: each output position of a local sort
 is masked with its own fresh mask, so the masked scores in CONTRIB tell
 nothing of the true scores or their differences. Cluster 0 learns the
-masks and the global order of the first t entries.
+masks and the global order of the first t entries. Scores, masks and
+masked scores are w bits wide, w = scoring.score_width of the query's
+formula: a function of the formula, which QUERY_INIT carries, and of the
+schema's sort-key range, so public and in no frame of its own.
 
 The audit classifies every recorded frame into the allowed alphabet and
 flags anything else; the consistency check verifies that each observable
-quantity in a transcript is derivable from the profile, and that no two
-consecutive masked scores of a CONTRIB XOR to their true scores' XOR.
+quantity in a transcript is derivable from the profile, and that the
+masked scores of a sorted query's CONTRIBs do not show one mask shared
+across their entries (_contrib_leak).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .crypto import hash_to_shard
+from .crypto import SCORE_BITS, hash_to_shard
 from .garble import GarbledCircuit
 from .graph import PlaintextEngine, PostingList, ranked
 from .ot import decode_ot_extend
 from .oxt import Subquery, compile_query
+from .scoring import score_width
 from .server import (
     _decode_contrib,
     _decode_masks,
@@ -253,19 +258,26 @@ def _sessions_in_order(entries):
     return [(sid, sessions[sid]) for sid in order]
 
 
-def _contrib_leak(survivor_scores: list, shard: int, entries: list) -> str | None:
-    """What a shard's CONTRIB (masked score, local index) entries reveal
-    beyond the ranks, or None. Masks drawn fresh per position make two
-    masked scores XOR to their true scores' XOR with probability 2^-31; one
-    mask shared by the shard makes every pair do so."""
-    if shard >= len(survivor_scores) or any(
-        i >= len(survivor_scores[shard]) for _, i in entries
-    ):
-        return "names an entry outside the survivors"
-    true = survivor_scores[shard]
-    for (ma, ia), (mb, ib) in zip(entries, entries[1:]):
-        if ma ^ mb == true[ia] ^ true[ib]:
-            return f"masked scores of entries {ia} and {ib} reveal their true XOR"
+def _contrib_leak(runs: list, width: int) -> str | None:
+    """What a sorted query's CONTRIBs reveal beyond the ranks, or None.
+    runs holds, per CONTRIB, (its shard's true scores, its (masked score,
+    local index) entries); width is the query's score width w. Masks drawn
+    fresh per position make two consecutive masked scores XOR to their
+    true scores' XOR with probability 2^-w, which is 1/128 at w = 7; one
+    mask shared by a shard makes every pair of its CONTRIB do so. So a
+    CONTRIB, or the query's CONTRIBs together, are flagged when every
+    consecutive pair coincides and the pairs number at least
+    SCORE_BITS / w: fresh masks are then flagged with probability at most
+    2^-31 each, as one pair was at w = 31. Shorter runs of entries cannot
+    tell fresh masks from shared ones, and pass either way (at w = 7, up
+    to 4 pairs)."""
+    coincide = [
+        [ma ^ mb == true[ia] ^ true[ib] for (ma, ia), (mb, ib) in zip(entries, entries[1:])]
+        for true, entries in runs
+    ]
+    for pairs in coincide + [sum(coincide, [])]:
+        if pairs and all(pairs) and len(pairs) * width >= SCORE_BITS:
+            return f"masked scores of {len(pairs)} consecutive pairs all reveal their true XORs"
     return None
 
 
@@ -368,15 +380,24 @@ def check_transcript_consistency(
                     verdict.violations.append(
                         f"query {qi}: ranking order disagrees with the leakage ranks"
                     )
+            runs = []
             for shard, _, entries, count in contribs:
-                leak = _contrib_leak(profile.survivor_scores[qi], shard, entries)
-                if leak:
-                    verdict.violations.append(f"query {qi} shard {shard}: CONTRIB {leak}")
+                if shard >= profile.n_shards or any(
+                    i >= len(profile.survivor_scores[qi][shard]) for _, i in entries
+                ):
+                    verdict.violations.append(
+                        f"query {qi} shard {shard}: CONTRIB names an entry outside the survivors"
+                    )
                     continue
-                k = len(profile.survivor_scores[qi][shard])
+                true = profile.survivor_scores[qi][shard]
+                runs.append((true, entries))
+                k = len(true)
                 if (count, len(entries)) != (k, min(k, profile.tops[qi] or k)):
                     verdict.violations.append(
                         f"query {qi} shard {shard}: CONTRIB of {len(entries)} entries "
                         f"of {count}, not min(k, t) of k = {k}"
                     )
+            leak = _contrib_leak(runs, score_width(spec.score))
+            if leak:
+                verdict.violations.append(f"query {qi}: CONTRIB {leak}")
     return verdict

@@ -11,10 +11,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .crypto import SHARE_MODULUS
+from .crypto import SCORE_BITS, SHARE_MODULUS
+from .graph import SORT_KEY_MAX
 from .shares import ShareMatrix, add, mul
 
-__all__ = ["ScoreError", "parse_score", "score_variables", "check_score", "eval_score"]
+__all__ = [
+    "ScoreError",
+    "parse_score",
+    "score_variables",
+    "check_score",
+    "score_width",
+    "eval_score",
+]
 
 # the one share vector a query's formula reads: its tuples' sort keys
 SCORE_VARIABLE = "key"
@@ -81,6 +89,35 @@ def check_score(text: str) -> None:
         raise ScoreError("scoring formula nested too deeply") from None
     if unknown:
         raise ScoreError(f"unknown score variable {min(unknown)!r}")
+
+
+def score_width(score: str | None) -> int:
+    """The bits in which a sorted query's scores are compared: the bit
+    length of its formula's largest value over sort keys in
+    SORT_KEY_MIN..SORT_KEY_MAX, at least 1 (the sort key itself without a
+    formula). With no negative constant a formula is a polynomial in key
+    with coefficients of at least 0, so its largest value is at
+    SORT_KEY_MAX. A formula with a negative constant, or whose bound
+    reaches 2^SCORE_BITS, is compared in SCORE_BITS bits, mod the share
+    modulus. A function of public facts alone: the formula, which
+    QUERY_INIT carries, and the schema's key range."""
+    bound = SORT_KEY_MAX if score is None else _bound(parse_score(score))
+    return SCORE_BITS if bound is None else max(1, bound.bit_length())
+
+
+def _bound(ast) -> int | None:
+    """The formula's value at key = SORT_KEY_MAX, or None when it has a
+    negative constant or some node of it reaches SHARE_MODULUS."""
+    kind = ast[0]
+    if kind == "var":
+        return SORT_KEY_MAX
+    if kind == "const":
+        return ast[1] if 0 <= ast[1] < SHARE_MODULUS else None
+    left, right = _bound(ast[1]), _bound(ast[2])
+    if left is None or right is None:
+        return None
+    value = left + right if kind == "add" else left * right
+    return value if value < SHARE_MODULUS else None
 
 
 def eval_score(

@@ -32,13 +32,20 @@ from .circuits import MAX_SORT_K
 from .crypto import (
     CIPHERTEXT_BYTES,
     ELEMENT_BYTES,
-    SHARE_MODULUS,
+    SCORE_BITS,
     GroupContext,
     decode_element,
 )
 from .oxt import boolean_query
 from .ot import OTPair, OTReceiver, OTSender
-from .scoring import SCORE_VARIABLE, ScoreError, check_score, eval_score, parse_score
+from .scoring import (
+    SCORE_VARIABLE,
+    ScoreError,
+    check_score,
+    eval_score,
+    parse_score,
+    score_width,
+)
 from .sexpr import BoolFormula
 from .shares import dealer_triple_gen, triple_gen_cot
 from .sorting import (
@@ -302,11 +309,13 @@ def _check_report(frame: str, status: int, count: int) -> None:
         raise TransportError(f"{frame} of {count} entries, over {MAX_SORT_K}")
 
 
-def _check_scores(frame: str, scores) -> None:
-    """Masks and masked scores lie in Z_{2^31}: the merge reads 31 bits of
-    each, so a wider word would be merged as another score."""
-    if any(score >= SHARE_MODULUS for score in scores):
-        raise TransportError(f"{frame} score outside Z_{{2^31}}")
+def _check_scores(frame: str, scores, width: int = SCORE_BITS) -> None:
+    """Masks and masked scores lie below 2^width: the merge reads the low
+    width bits of each, so a wider word would be merged as another score.
+    The decoders check SCORE_BITS, the widest sort's width; a coordinator
+    checks its query's (scoring.score_width)."""
+    if any(score >> width for score in scores):
+        raise TransportError(f"{frame} score outside Z_{{2^{width}}}")
 
 
 def _encode_masks(shard: int, status: int, masks: list[int]) -> bytes:
@@ -572,12 +581,13 @@ class IndexServer:
         query: the counterpart session is then released and the
         coordinator told at once."""
         shares = None if survivors is None else [t.sortkey_share for t in survivors]
+        width = score_width(spec.score)
         if self.cluster == 0:
-            self._sort_phase_garbler(chan, qid, shares, spec.score, spec.top_k)
+            self._sort_phase_garbler(chan, qid, shares, spec.score, spec.top_k, width)
         else:
-            self._sort_phase_evaluator(qid, shares, spec.score, spec.top_k)
+            self._sort_phase_evaluator(qid, shares, spec.score, spec.top_k, width)
 
-    def _sort_phase_garbler(self, chan, qid, shares, score, top_k):
+    def _sort_phase_garbler(self, chan, qid, shares, score, top_k, width):
         status, masks = STATUS_OK, []
         if shares != []:
             try:
@@ -590,7 +600,8 @@ class IndexServer:
                         if score:
                             shares = self._score(cchan, qid, shares, score, party=0)
                         masks = local_sort_garbler(
-                            cchan, qid, shares, self._ot_pair(self.counterpart), top_k
+                            cchan, qid, shares, self._ot_pair(self.counterpart), top_k,
+                            width=width,
                         )
                 finally:
                     cchan.close()
@@ -601,9 +612,9 @@ class IndexServer:
                 status, masks = STATUS_FAILED, []
         self._report("MASKS", _encode_masks(self.shard, status, masks), qid)
         if self.is_coordinator:
-            self._coordinate_masks(chan, qid, top_k)
+            self._coordinate_masks(chan, qid, top_k, width)
 
-    def _sort_phase_evaluator(self, qid, shares, score, top_k):
+    def _sort_phase_evaluator(self, qid, shares, score, top_k, width):
         status, entries = STATUS_OK, []
         try:
             if shares is None:
@@ -614,7 +625,8 @@ class IndexServer:
                     if score:
                         shares = self._score(cchan, qid, shares, score, party=1)
                     masked, order = local_sort_evaluator(
-                        cchan, qid, shares, self._ot_pair(self.counterpart), top_k
+                        cchan, qid, shares, self._ot_pair(self.counterpart), top_k,
+                        width=width,
                     )
                 finally:
                     cchan.close()
@@ -628,16 +640,17 @@ class IndexServer:
         count = len(shares) if status == STATUS_OK else 0
         self._report("CONTRIB", _encode_contrib(self.shard, status, entries, count), qid)
         if self.is_coordinator:
-            self._coordinate_contribs(qid, top_k)
+            self._coordinate_contribs(qid, top_k, width)
 
     # -- coordinator duties
 
-    def _coordinate_masks(self, chan: Channel, qid: int, top_k: int | None) -> None:
-        """Cluster-0 coordinator: gather every shard's masks, evaluate the
-        global merge fed by the cluster-1 coordinator, answer the front-end.
-        The cluster-1 coordinator opens the merge session of every sorted
-        query, so it is always consumed here; when the answer is already
-        known (a failed shard, or nothing to sort) it is sent first."""
+    def _coordinate_masks(self, chan: Channel, qid: int, top_k: int | None, width: int) -> None:
+        """Cluster-0 coordinator: gather every shard's width-bit masks,
+        evaluate the global merge fed by the cluster-1 coordinator, answer
+        the front-end. The cluster-1 coordinator opens the merge session of
+        every sorted query, so it is always consumed here; when the answer
+        is already known (a failed shard, or nothing to sort) it is sent
+        first."""
         masks = [[] for _ in range(self.n_shards)]
         failed = None
         try:
@@ -645,6 +658,7 @@ class IndexServer:
                 shard, status, shard_masks = self._await(("masks", qid), self.timeout)
                 if shard >= self.n_shards:
                     raise ServerError(f"MASKS from shard {shard} of {self.n_shards}")
+                _check_scores("MASKS", shard_masks, width)
                 if status != STATUS_OK:
                     failed = shard
                 masks[shard] = shard_masks
@@ -676,7 +690,8 @@ class IndexServer:
             if not answered:
                 try:
                     order = global_sort_evaluator(
-                        gchan, qid, masks, self._ot_pair(server_name(1, 0)), top_k
+                        gchan, qid, masks, self._ot_pair(server_name(1, 0)), top_k,
+                        width=width,
                     )
                 except ChannelClosed:
                     raise ServerError(
@@ -687,13 +702,13 @@ class IndexServer:
         finally:
             gchan.close()
 
-    def _coordinate_contribs(self, qid: int, top_k: int | None) -> None:
+    def _coordinate_contribs(self, qid: int, top_k: int | None, width: int) -> None:
         """Cluster-1 coordinator: gather every shard's masked vector, empty
         ones included, and garble the global merge for the cluster-0
         coordinator. The merge session is opened even when a shard failed,
-        a contribution never came or nothing is to be merged, and then
-        closed at once, so the cluster-0 coordinator never waits out its
-        timeout for it."""
+        a contribution never came or was refused (_check_scores at width)
+        or nothing is to be merged, and then closed at once, so the
+        cluster-0 coordinator never waits out its timeout for it."""
         contributions = []
         failed = False
         try:
@@ -701,9 +716,10 @@ class IndexServer:
                 shard, status, entries, count = self._await(("contrib", qid), self.timeout)
                 failed |= status != STATUS_OK
                 masked = [m for m, _ in entries]
+                _check_scores("CONTRIB", masked, width)
                 contributions.append((shard, count, masked, [p for _, p in entries]))
-        except TransportError:
-            log.warning("%s: a contribution to query %d never came", self.name, qid)
+        except TransportError as exc:
+            log.warning("%s: query %d's contributions: %s", self.name, qid, exc)
             failed = True
         finally:
             self._drop(("contrib", qid))
@@ -712,7 +728,8 @@ class IndexServer:
             gchan.send(Frame(MSG["SORT_INIT"], qid, b""))  # session handshake
             if not failed and any(count for _, count, _, _ in contributions):
                 global_sort_garbler(
-                    gchan, qid, contributions, self._ot_pair(server_name(0, 0)), top_k
+                    gchan, qid, contributions, self._ot_pair(server_name(0, 0)), top_k,
+                    width=width,
                 )
         finally:
             gchan.close()

@@ -1,10 +1,17 @@
 """The two garbled-sort protocols between counterpart servers.
 
+Both sorts compare scores of w bits, w = scoring.score_width of the
+query's formula, which both halves read in QUERY_INIT: every score lies
+below 2^w, as the schema bounds the sort keys. So a sort's circuit, its
+garbler's labels and its OT all scale with w, and SORT_INIT carries no
+width. Each function takes width; each circuit is cached by its width too.
+
 Local sort (per shard): the cluster-0 server garbles, the cluster-1
-server evaluates. The circuit reconstructs each score from the two
-additive shares and sorts descending. The garbler masks output e's score
-with a fresh R_e by flipping its decode bits: the evaluator learns the
-ranks within its shard and s_e XOR R_e only, the garbler keeps the R_e.
+server evaluates. The circuit reconstructs each score as the sum of the
+low w bits of the two additive shares, mod 2^w, and sorts descending.
+The garbler masks output e's score with a fresh w-bit R_e by flipping
+its decode bits: the evaluator learns the ranks within its shard and
+s_e XOR R_e only, the garbler keeps the R_e.
 
 Global sort (coordinators, roles switched): the cluster-1 coordinator
 garbles over all shards' masked vectors; the cluster-0 coordinator feeds
@@ -65,7 +72,6 @@ from .circuits import (
     int_to_bits,
     odd_even_merge,
 )
-from .crypto import SCORE_BITS, SHARE_MODULUS
 from .garble import GarbledCircuit, decode, evaluate, garble, level_schedule, select_labels
 from .ot import OTPair, OTReceiver, OTSender
 from .transport import MSG, Channel, Frame, TransportError
@@ -109,7 +115,7 @@ def decode_sort_init(payload: bytes) -> list[int] | None:
 
 
 def _built_once(build):
-    """build(counts, t), memoised over the last 32 shapes. Both halves of
+    """build(counts, t, width), memoised over the last 32 shapes. Both halves of
     a sort look its shape up at once, in one process; a lookup holds the
     lock while it builds, so they get one circuit and so one level
     schedule (garble.level_schedule). A t that keeps every entry becomes
@@ -121,12 +127,12 @@ def _built_once(build):
     lock = threading.Lock()
 
     @functools.wraps(build)
-    def lookup(counts, t=None):
+    def lookup(counts, t=None, *, width):
         counts = tuple(counts)
         if t is not None and t >= sum(counts):
             t = None
         with lock:
-            return cached(counts, t)
+            return cached(counts, t, width)
 
     lookup.cache_info = cached.cache_info
     lookup.cache_clear = cached.cache_clear
@@ -134,17 +140,17 @@ def _built_once(build):
 
 
 @_built_once
-def _sort_circuit(counts: tuple[int], t: int | None) -> SortCircuit:
+def _sort_circuit(counts: tuple[int], t: int | None, width: int) -> SortCircuit:
     (k,) = counts
-    return build_sort_circuit(k, t)
+    return build_sort_circuit(k, t, width=width)
 
 
-def _merge_network(counts: tuple[int, ...], t: int | None = None) -> SortCircuit:
+def _merge_network(counts: tuple[int, ...], t: int | None, width: int) -> SortCircuit:
     """Global-sort circuit merging the first min(count, t) entries of runs
-    of these counts, each run's its top ones, and keeping the first t
-    outputs (all without t). Its inputs are the entries in shard-major rank
-    order, as CONTRIB and MASKS deliver them. Per entry, unmask score =
-    masked XOR mask (free). Runs are halved down to single runs; a node
+    of these counts, each run's its top ones, by width-bit scores, and
+    keeping the first t outputs (all without t). Its inputs are the
+    entries in shard-major rank order, as CONTRIB and MASKS deliver them.
+    Per entry, unmask score = masked XOR mask (free). Runs are halved down to single runs; a node
     merges its two runs by an odd-even merge and passes on its first t.
     Outputs the payload bits of the first t merged entries, numbered
     densely over all the counts' entries. A single run is already merged:
@@ -155,12 +161,12 @@ def _merge_network(counts: tuple[int, ...], t: int | None = None) -> SortCircuit
     t = total if t is None else min(t, total)
     pw = sum(counts).bit_length()
     b = CircuitBuilder()
-    masked = b.input_bundle("masked_scores", total * SCORE_BITS)
-    masks = b.input_bundle("masks", total * SCORE_BITS)
+    masked = b.input_bundle("masked_scores", total * width)
+    masks = b.input_bundle("masks", total * width)
     payloads = np.reshape(b.input_bundle("payloads", total * pw), (total, -1))
     if len(runs) == 1:
         b.mark_outputs(payloads.ravel().tolist())
-        return SortCircuit(b.build(), total, t, pw)
+        return SortCircuit(b.build(), total, t, pw, width)
     scores = np.reshape([b.xor(x, r) for x, r in zip(masked, masks)], (total, -1))
     entries = iter(np.concatenate([scores, payloads], axis=1))
 
@@ -170,20 +176,20 @@ def _merge_network(counts: tuple[int, ...], t: int | None = None) -> SortCircuit
         h = (len(runs) + 1) // 2
         left, right = merged(runs[:h]), merged(runs[h:])
         schedule, order = odd_even_merge(len(left), len(right))
-        lines = b.network(left + right, schedule)
+        lines = b.network(left + right, schedule, width)
         return [lines[line] for line in order][:t]
 
     for entry in merged(runs):
-        b.mark_outputs(entry[SCORE_BITS:].tolist())
-    return SortCircuit(b.build(), total, t, pw)
+        b.mark_outputs(entry[width:].tolist())
+    return SortCircuit(b.build(), total, t, pw, width)
 
 
 @_built_once
-def build_merge_circuit(counts: tuple[int, ...], t: int | None) -> SortCircuit:
+def build_merge_circuit(counts: tuple[int, ...], t: int | None, width: int) -> SortCircuit:
     """The global-sort circuit merging runs of these counts, the non-empty
-    shards' in shard order, keeping the first t entries of each and of the
-    merge (all without t)."""
-    return _merge_network(counts, t)
+    shards' in shard order, by width-bit scores, keeping the first t
+    entries of each and of the merge (all without t)."""
+    return _merge_network(counts, t, width)
 
 
 # The garbler's input bundles of each sort, in the order its one
@@ -193,16 +199,16 @@ _LOCAL_LABELS = ("garbler_shares", "payloads")
 _MERGE_LABELS = ("masked_scores", "payloads")
 
 
-def _layout(build, counts: list[int], t: int | None):
-    """The circuit and entries of a sort over per-shard counts, keeping
-    the first t of each count and of the sort, worked out alike by both
-    halves. entries[v] is the (shard, local index) that carries payload v
+def _layout(build, counts: list[int], t: int | None, width: int):
+    """The circuit and entries of a sort over per-shard counts by
+    width-bit scores, keeping the first t of each count and of the sort,
+    worked out alike by both halves. entries[v] is the (shard, local index) that carries payload v
     = offset[shard] + index, shard-major, so the payloads run densely over
     0..sum(counts)-1 in sum(counts).bit_length() bits."""
     entries = [(shard, idx) for shard, count in enumerate(counts) for idx in range(count)]
     if not entries:
         raise SortError("nothing to sort")
-    return build(tuple(count for count in counts if count), t), entries
+    return build(tuple(count for count in counts if count), t, width=width), entries
 
 
 def _bits(values, width: int) -> list[int]:
@@ -236,10 +242,10 @@ def _garble_session(channel, session, counts, sc, bundles, bits, ot, flips=0) ->
         sender.send_messages(zero[own], delta)
 
 
-def _evaluate_session(channel, session, agree, build, t, bundles, own_bits, ot):
+def _evaluate_session(channel, session, agree, build, t, width, bundles, own_bits, ot):
     """Evaluator half of a sort: reads the SORT_INIT counts, which
     agree(counts) checks against this party's own, and works the sort's
-    layout out of them (_layout(build, counts, t)); if the circuit reads
+    layout out of them (_layout(build, counts, t, width)); if the circuit reads
     own_bits, opens their extension as receiver on ot before the garbler
     garbles; then reads the circuit, the garbler's labels of the bundles
     the circuit reads and the OT's corrections, evaluates and returns
@@ -248,7 +254,7 @@ def _evaluate_session(channel, session, agree, build, t, bundles, own_bits, ot):
     counts = decode_sort_init(channel.expect("SORT_INIT").payload)
     if counts is None or not agree(counts):
         raise SortError("the garbler's SORT_INIT counts differ from this party's")
-    sc, entries = _layout(build, counts, t)
+    sc, entries = _layout(build, counts, t, width)
     sched, inputs = level_schedule(sc.circuit), sc.circuit.inputs
     (own,) = inputs.keys() - set(bundles)
     bundles = [b for b in bundles if sched.reads(b)]
@@ -275,18 +281,20 @@ def local_sort_garbler(
     shares: list[int],
     ot: OTPair,
     t: int | None = None,
+    *,
+    width: int,
 ) -> list[int]:
-    """Garbler (cluster 0) side of a local sort that keeps its first t
-    outputs (all without t). Returns the fresh masks R_e of its output
-    positions e < min(k, t)."""
-    sc, _ = _layout(_sort_circuit, [len(shares)], t)
-    masks = [secrets.randbelow(SHARE_MODULUS) for _ in range(sc.t)]
+    """Garbler (cluster 0) side of a local sort by scores below 2^width
+    that keeps its first t outputs (all without t). Returns the fresh
+    width-bit masks R_e of its output positions e < min(k, t)."""
+    sc, _ = _layout(_sort_circuit, [len(shares)], t, width)
+    masks = [secrets.randbelow(1 << width) for _ in range(sc.t)]
     bits = {
-        "garbler_shares": _bits(shares, SCORE_BITS),
+        "garbler_shares": _bits(shares, width),
         "payloads": _bits(range(sc.k), sc.payload_width),
     }
     # output e is its score's bits, then its payload's: mask the former
-    flips = _bits(masks, SCORE_BITS + sc.payload_width)
+    flips = _bits(masks, width + sc.payload_width)
     _garble_session(channel, session, [sc.k], sc, _LOCAL_LABELS, bits, ot, flips)
     return masks
 
@@ -297,13 +305,15 @@ def local_sort_evaluator(
     shares: list[int],
     ot: OTPair,
     t: int | None = None,
+    *,
+    width: int,
 ) -> tuple[list[int], list[int]]:
     """Evaluator (cluster 1) side. Returns (masked scores, payload order)
     of its first min(k, t) entries (all k without t), descending by true
     score, payloads 0-based."""
     sc, _, bits = _evaluate_session(
-        channel, session, lambda counts: counts == [len(shares)], _sort_circuit, t,
-        _LOCAL_LABELS, _bits(shares, SCORE_BITS), ot,
+        channel, session, lambda counts: counts == [len(shares)], _sort_circuit, t, width,
+        _LOCAL_LABELS, _bits(shares, width), ot,
     )
     return sc.decode_outputs(bits)
 
@@ -314,12 +324,15 @@ def global_sort_garbler(
     contributions: list[tuple[int, int, list[int], list[int]]],
     ot: OTPair,
     t: int | None = None,
+    *,
+    width: int,
 ) -> None:
-    """Garbler (cluster-1 coordinator) side of the global sort that keeps
-    the first t entries (all without t). Each shard, empty ones included
-    and in any order, contributes (shard, its result count k, masked
-    scores, local indices) in its CONTRIB (rank) order: its first min(k, t)
-    entries. Sends everything; returns nothing."""
+    """Garbler (cluster-1 coordinator) side of the global sort by
+    width-bit scores that keeps the first t entries (all without t). Each
+    shard, empty ones included and in any order, contributes (shard, its
+    result count k, masked scores below 2^width, local indices) in its
+    CONTRIB (rank) order: its first min(k, t) entries. Sends everything;
+    returns nothing."""
     contributions = sorted(contributions, key=lambda c: c[0])
     if [c[0] for c in contributions] != list(range(len(contributions))):
         raise SortError("the contributions do not name each shard once")
@@ -334,9 +347,9 @@ def global_sort_garbler(
         payloads += [offset + idx for idx in indices]
         masked += scores
         offset += count
-    sc, _ = _layout(build_merge_circuit, counts, t)
+    sc, _ = _layout(build_merge_circuit, counts, t, width)
     bits = {
-        "masked_scores": _bits(masked, SCORE_BITS),
+        "masked_scores": _bits(masked, width),
         "payloads": _bits(payloads, sc.payload_width),
     }
     _garble_session(channel, session, counts, sc, _MERGE_LABELS, bits, ot)
@@ -348,21 +361,23 @@ def global_sort_evaluator(
     masks: list[list[int]],
     ot: OTPair,
     t: int | None = None,
+    *,
+    width: int,
 ) -> list[tuple[int, int]]:
-    """Evaluator (cluster-0 coordinator) side of the global sort that
-    keeps the first t entries (all without t): masks holds each shard's
-    masks in rank order, by shard, as its MASKS brought them, min(k, t) of
-    a shard of k results. The garbler's SORT_INIT gives each shard's k.
-    Feeds the masks in by OT and returns the global descending order as
-    (shard, local index)."""
+    """Evaluator (cluster-0 coordinator) side of the global sort by
+    width-bit scores that keeps the first t entries (all without t): masks
+    holds each shard's masks, below 2^width, in rank order, by shard, as
+    its MASKS brought them, min(k, t) of a shard of k results. The
+    garbler's SORT_INIT gives each shard's k. Feeds the masks in by OT and
+    returns the global descending order as (shard, local index)."""
     runs = [len(shard_masks) for shard_masks in masks]
 
     def agree(counts):
         return runs == [count if t is None else min(count, t) for count in counts]
 
-    own = _bits([mask for shard_masks in masks for mask in shard_masks], SCORE_BITS)
+    own = _bits([mask for shard_masks in masks for mask in shard_masks], width)
     sc, entries, bits = _evaluate_session(
-        channel, session, agree, build_merge_circuit, t, _MERGE_LABELS, own, ot
+        channel, session, agree, build_merge_circuit, t, width, _MERGE_LABELS, own, ot
     )
     width, order = sc.payload_width, []
     for e in range(0, len(bits), width):

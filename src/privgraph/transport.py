@@ -38,7 +38,8 @@ __all__ = [
 
 HEADER_LEN = 14  # length(4) + type(2) + session(8)
 # The largest legitimate frames are the CIRCUIT_BLOBs at circuits.MAX_SORT_K,
-# whose payloads are 11 bits; a half-gates AND takes 32 bytes and a
+# whose payloads are 11 bits, at the widest score width, 31 bits, which a
+# scoring formula can still reach; a half-gates AND takes 32 bytes and a
 # comparator 31 + 31 + 11 ANDs. The local sort's 24,063 merge-exchange
 # comparators and 1,024 adders of 30 take ~57.2 MB. The costliest merge
 # trees are 1,024 runs of 1, an odd-even merge sort of 24,063 comparators

@@ -34,9 +34,16 @@ from privgraph.builder import (
 )
 from privgraph.circuits import build_sort_circuit, merge_exchange, simulate
 from privgraph.cluster import LocalCluster
-from privgraph.crypto import GroupContext, hash_to_shard
+from privgraph.crypto import SCORE_BITS, GroupContext, hash_to_shard
 from privgraph.garble import garble
-from privgraph.graph import Edge, Graph, PlaintextEngine, build_inverted_index
+from privgraph.graph import (
+    SORT_KEY_MAX,
+    SORT_KEY_MIN,
+    Edge,
+    Graph,
+    PlaintextEngine,
+    build_inverted_index,
+)
 from privgraph.leakage import (
     QueryRecord,
     audit_transcript,
@@ -45,6 +52,7 @@ from privgraph.leakage import (
 )
 from privgraph.ot import OTPair, OTReceiver, OTSender
 from privgraph.oxt import IntegrityError, compile_query
+from privgraph.scoring import score_width
 from privgraph.sexpr import parse_sexpr
 from privgraph.shares import (
     SHARE_MODULUS,
@@ -403,7 +411,8 @@ def test_ac06a_comparator_count():
         m = k.bit_length() - 1
         comparators = (m * m - m + 4) * 2 ** m // 4 - 1
         assert len(merge_exchange(k)) == comparators, k
-        assert build_sort_circuit(k).and_count == k * 30 + comparators * (62 + k.bit_length()), k
+        ands = build_sort_circuit(k, width=SCORE_BITS).and_count
+        assert ands == k * 30 + comparators * (62 + k.bit_length()), k
     return "k in {2,4,8,16,32,64,128}: 1, 5, 19, 63, 191, 543, 1471 comparators"
 
 
@@ -412,7 +421,7 @@ def test_ac06b_garbled_matches_simulation():
     rng = np.random.default_rng(66)
     batch = 100
     for k in SORT_SIZES:
-        sc = build_sort_circuit(k)
+        sc = build_sort_circuit(k, width=SCORE_BITS)
         circuit = sc.circuit
         gc, label_map, delta = garble(circuit)
         inputs = {
@@ -447,22 +456,25 @@ def test_ac06c_sharded_merge():
 
 @criterion("[AC6d]", "sorting cost report at k=128 (report-only)")
 def test_ac06d_cost_report():
-    k = 128
+    # the sort keys themselves, compared in their public width
+    k, width = 128, score_width(None)
     rng = np.random.default_rng(68)
-    scores = [int(v) for v in rng.integers(0, SHARE_MODULUS, size=k)]
+    scores = [int(v) for v in rng.integers(SORT_KEY_MIN, SORT_KEY_MAX + 1, size=k)]
     g = [int(v) for v in rng.integers(0, SHARE_MODULUS, size=k)]
     e = [(s - gs) % SHARE_MODULUS for s, gs in zip(scores, g)]
     pair_g, pair_e = OTPair(GroupContext()), OTPair(GroupContext())
     masks, (masked, order), chan = run_two_party(
-        lambda ch: local_sort_garbler(ch, 1, g, pair_g),
-        lambda ch: local_sort_evaluator(ch, 1, e, pair_e),
+        lambda ch: local_sort_garbler(ch, 1, g, pair_g, width=width),
+        lambda ch: local_sort_evaluator(ch, 1, e, pair_e, width=width),
         name="sort128",
     )
     assert [m ^ r for m, r in zip(masked, masks)] == sorted(scores, reverse=True)
     session_bytes = chan.bytes_sent + chan.bytes_received
-    ands = build_sort_circuit(k).and_count
+    ands = build_sort_circuit(k, width=width).and_count
+    widest = build_sort_circuit(k, width=SCORE_BITS).and_count
     return (
-        f"k=128 sort: {ands} AND gates, {session_bytes / 1e6:.2f} MB per session "
+        f"k=128 sort of {width}-bit sort keys: {ands} AND gates, "
+        f"{session_bytes / 1e6:.2f} MB per session; {widest} AND gates at {SCORE_BITS} bits "
         "(published references: 446336 gates, 9.80 MB; no pass/fail threshold)"
     )
 

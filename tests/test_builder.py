@@ -228,6 +228,14 @@ class TestBuildEdb:
             ]
             assert keys_recovered == sorted(keys_recovered, reverse=True)
 
+    @pytest.mark.parametrize("key", [0, 101])
+    def test_sort_key_outside_the_schema_refused(self, keys, ctx, key):
+        # a sort compares scores in the bits that keys 1..100 need
+        # (scoring.score_width), so a key outside them would sort wrongly
+        index = {"friend:1": PostingList("friend:1", [(50, 2), (key, 3)])}
+        with pytest.raises(ValueError, match=r"friend:1: a sort key outside 1\.\.100"):
+            build_edb(index, keys, ctx, PartitionConfig())
+
 
 class TestEmitEdb:
     def test_emit_and_reload(self, keys, ctx, tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from conftest import bit_rows, evaluate_rows, zero_one_sorted
 from privgraph.circuits import (
     AND,
-    SCORE_BITS,
     CircuitBuilder,
     bits_to_int,
     build_sort_circuit,
@@ -15,6 +14,7 @@ from privgraph.circuits import (
     odd_even_merge,
     simulate,
 )
+from privgraph.crypto import SCORE_BITS
 
 
 def run_single(circuit, **inputs):
@@ -189,7 +189,7 @@ class TestSchedule:
 
 class TestSortCircuit:
     def _run(self, scores, payloads, seed=3):
-        sc = build_sort_circuit(len(scores))
+        sc = build_sort_circuit(len(scores), width=SCORE_BITS)
         rng = np.random.default_rng(seed)
         g, e = [], []
         for s in scores:
@@ -236,12 +236,12 @@ class TestSortCircuit:
 
     def test_max_k_enforced(self):
         with pytest.raises(ValueError, match="truncate"):
-            build_sort_circuit(2048)
+            build_sort_circuit(2048, width=SCORE_BITS)
 
     def test_comparator_law_in_and_count(self):
         # total ANDs = adders k*(31-1) + comparators * (31 + 31 + payload)
         for k in (5, 8, 13):
-            sc = build_sort_circuit(k)
+            sc = build_sort_circuit(k, width=SCORE_BITS)
             assert sc.and_count == k * 30 + len(merge_exchange(k)) * (31 + 31 + sc.payload_width)
 
     def test_sorts_ties_under_simulate(self):
@@ -250,7 +250,7 @@ class TestSortCircuit:
         # each entry's own score
         rng = np.random.default_rng(5)
         for k in (2, 5, 9, 16):
-            sc = build_sort_circuit(k)
+            sc = build_sort_circuit(k, width=SCORE_BITS)
             scores = rng.choice([0, 7, 1 << 30], size=(30, k))
             g = rng.integers(0, 1 << 31, size=(30, k))
             out = simulate(sc.circuit, {
@@ -276,15 +276,16 @@ class TestLevels:
     def test_fewer_entries_add_no_and_levels(self):
         from privgraph.sorting import build_merge_circuit
 
-        full = self.and_levels(build_sort_circuit(8).circuit)
-        assert all(self.and_levels(build_sort_circuit(k).circuit) <= full for k in (5, 6, 7))
-        full = self.and_levels(build_merge_circuit((8, 8)).circuit)
-        assert self.and_levels(build_merge_circuit((3, 7)).circuit) <= full
+        full = self.and_levels(build_sort_circuit(8, width=SCORE_BITS).circuit)
+        assert all(self.and_levels(build_sort_circuit(k, width=SCORE_BITS).circuit) <= full
+                   for k in (5, 6, 7))
+        full = self.and_levels(build_merge_circuit((8, 8), width=SCORE_BITS).circuit)
+        assert self.and_levels(build_merge_circuit((3, 7), width=SCORE_BITS).circuit) <= full
 
     def test_each_gate_above_its_inputs(self):
         # a level runs its XORs, then its ANDs, so a gate must come after
         # each input in (level, op) order; inputs come first
-        for c in (build_sort_circuit(7).circuit, build_sort_circuit(13).circuit):
+        for c in (build_sort_circuit(k, width=SCORE_BITS).circuit for k in (7, 13)):
             wire_stage = np.full(c.n_wires, -1, dtype=np.int64)
             stage = (c.levels.astype(np.int64) - 1) * 2 + c.gates[:, 0]
             wire_stage[c.gates[:, 3]] = stage
@@ -304,7 +305,8 @@ class TestLevels:
         # share adders, 28 levels fewer than after them (sort 2: 64 -> 36)
         from privgraph.sorting import build_merge_circuit
 
-        c = (build_sort_circuit(shape) if kind == "sort" else build_merge_circuit(shape)).circuit
+        build = build_sort_circuit if kind == "sort" else build_merge_circuit
+        c = build(shape, width=SCORE_BITS).circuit
         assert (int(c.levels.max()), self.and_levels(c)) == (levels, and_levels)
 
 
@@ -316,7 +318,8 @@ class TestAndCounts:
               3918, 4344, 4701, 5468, 6034, 6667, 7099]
 
     def test_sort_and_counts_unchanged(self):
-        assert [build_sort_circuit(k).and_count for k in range(1, 21)] == self.PINNED
+        ands = [build_sort_circuit(k, width=SCORE_BITS).and_count for k in range(1, 21)]
+        assert ands == self.PINNED
 
 
 class TestBitonicBuilder:
@@ -345,9 +348,9 @@ class TestBitonicBuilder:
         from privgraph.sorting import build_merge_circuit
 
         if kind == "sort":
-            circuit = build_sort_circuit(k).circuit
+            circuit = build_sort_circuit(k, width=SCORE_BITS).circuit
         else:
-            circuit = build_merge_circuit((k - k // 2, k // 2)).circuit
+            circuit = build_merge_circuit((k - k // 2, k // 2), width=SCORE_BITS).circuit
         h = hashlib.sha256()
         h.update(np.asarray(circuit.gates, dtype="<i4").tobytes())
         for name, wires in circuit.inputs.items():
@@ -376,8 +379,10 @@ class TestLiveness:
     def pruned():
         from privgraph.sorting import build_merge_circuit
 
-        return [build_sort_circuit(13, 4).circuit, build_sort_circuit(9, 1).circuit,
-                build_merge_circuit((5, 3, 1), 3).circuit, build_merge_circuit((6, 6)).circuit]
+        return [build_sort_circuit(13, 4, width=SCORE_BITS).circuit,
+                build_sort_circuit(9, 1, width=SCORE_BITS).circuit,
+                build_merge_circuit((5, 3, 1), 3, width=SCORE_BITS).circuit,
+                build_merge_circuit((6, 6), width=SCORE_BITS).circuit]
 
     def test_every_kept_gate_lies_in_an_output_cone(self):
         for c in self.pruned():
@@ -405,9 +410,9 @@ class TestLiveness:
 
     @pytest.mark.parametrize("k", [3, 5, 12, 17])
     def test_sort_keeping_every_output_keeps_every_gate(self, k):
-        full = build_sort_circuit(k).circuit
+        full = build_sort_circuit(k, width=SCORE_BITS).circuit
         for t in (k, k + 5):
-            c = build_sort_circuit(k, t).circuit
+            c = build_sort_circuit(k, t, width=SCORE_BITS).circuit
             assert np.array_equal(c.gates, full.gates) and np.array_equal(c.levels, full.levels)
             assert (c.outputs, c.n_wires) == (full.outputs, full.n_wires)
 
@@ -418,7 +423,8 @@ class TestLiveness:
 
         rng = np.random.default_rng(21)
         for k, t in ((13, 4), (9, 1), (6, 5)):
-            full, top = build_sort_circuit(k), build_sort_circuit(k, t)
+            full = build_sort_circuit(k, width=SCORE_BITS)
+            top = build_sort_circuit(k, t, width=SCORE_BITS)
             assert len(top.circuit.gates) < len(full.circuit.gates)
             inputs = {name: rng.integers(0, 2, size=(20, len(w)), dtype=np.uint8)
                       for name, w in full.circuit.inputs.items()}

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from privgraph.circuits import (
-    SCORE_BITS,
     CircuitBuilder,
     build_sort_circuit,
     int_to_bits,
     simulate,
 )
+from privgraph.crypto import SCORE_BITS
 from privgraph.garble import (
     GarbledCircuit,
     GarbleError,
@@ -23,7 +23,7 @@ from privgraph.garble import (
     select_labels,
 )
 from privgraph.sorting import _sort_circuit, build_merge_circuit
-from conftest import evaluate_rows, scalar_hash, xor
+from conftest import bit_rows, evaluate_rows, scalar_hash, xor
 
 GARBLE_KEY = b"privgraph-gc-key"
 
@@ -85,7 +85,7 @@ class TestAgainstSimulator:
         assert np.array_equal(got.astype(bool), plain)
 
     def test_sort_circuit_8(self):
-        sc = build_sort_circuit(8)
+        sc = build_sort_circuit(8, width=SCORE_BITS)
         rng = np.random.default_rng(6)
         inputs = {
             name: rng.integers(0, 2, size=(10, len(wires)), dtype=np.uint8)
@@ -94,6 +94,46 @@ class TestAgainstSimulator:
         plain = simulate(sc.circuit, {k: v.astype(bool) for k, v in inputs.items()})
         got = garbled_run(sc.circuit, inputs)
         assert np.array_equal(got.astype(bool), plain)
+
+    @pytest.mark.parametrize("width", [1, 7, 14, SCORE_BITS])
+    def test_sorts_at_each_width(self, width):
+        # scores below 2^width from a set of three, so most tie: local
+        # sorts read the low width bits of 31-bit shares, merges width-bit
+        # masks and masked scores. The garbled outputs equal simulate's
+        # bit for bit, and simulate's order descends by score
+        rng = np.random.default_rng(width)
+        values = [0, (1 << width) - 1, int(rng.integers(0, 1 << width))]
+        for k, t in ((2, None), (5, None), (9, 4)):
+            sc = build_sort_circuit(k, t, width=width)
+            scores = rng.choice(values, size=(12, k))
+            g = rng.integers(0, 1 << SCORE_BITS, size=(12, k))
+            inputs = {
+                "garbler_shares": bit_rows(g, width),
+                "evaluator_shares": bit_rows((scores - g) % (1 << SCORE_BITS), width),
+                "payloads": bit_rows(np.tile(np.arange(k), (12, 1)), sc.payload_width),
+            }
+            plain = simulate(sc.circuit, inputs)
+            assert np.array_equal(garbled_run(sc.circuit, inputs).astype(bool), plain)
+            for row, want in zip(plain, scores):
+                got, payloads = sc.decode_outputs(row)
+                assert got == [int(want[p]) for p in payloads] == sorted(want, reverse=True)[:sc.t]
+        for counts in ((4, 3), (2, 2, 3)):
+            sc = build_merge_circuit(counts, width=width)
+            total = sum(counts)
+            scores = np.concatenate(
+                [-np.sort(-rng.choice(values, size=(12, c)), axis=1) for c in counts], axis=1
+            )
+            masks = rng.integers(0, 1 << width, size=(12, total))
+            inputs = {
+                "masked_scores": bit_rows(scores ^ masks, width),
+                "masks": bit_rows(masks, width),
+                "payloads": bit_rows(np.tile(np.arange(total), (12, 1)), sc.payload_width),
+            }
+            plain = simulate(sc.circuit, inputs)
+            assert np.array_equal(garbled_run(sc.circuit, inputs).astype(bool), plain)
+            orders = (plain.reshape(12, total, -1) << np.arange(sc.payload_width)).sum(axis=2)
+            for row, order in zip(scores, orders):
+                assert row[order].tolist() == sorted(row.tolist(), reverse=True)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_circuits(self, seed):
@@ -119,7 +159,7 @@ class TestAgainstSimulator:
 
 class TestBlob:
     def test_round_trip(self):
-        sc = build_sort_circuit(4)
+        sc = build_sort_circuit(4, width=SCORE_BITS)
         gc, label_map, delta = garble(sc.circuit)
         clone = GarbledCircuit.from_bytes(gc.to_bytes())
         assert np.array_equal(clone.tables, gc.tables)
@@ -136,7 +176,7 @@ class TestBlob:
     def test_decoding_copies_the_tables_once(self):
         # a sort(300) blob of ~11.5 MB: decoding allocates one copy of its
         # tables, not a slice of the blob and then a copy of that
-        blob = garble(build_sort_circuit(300).circuit)[0].to_bytes()
+        blob = garble(build_sort_circuit(300, width=SCORE_BITS).circuit)[0].to_bytes()
         tracemalloc.start()
         try:
             gc = GarbledCircuit.from_bytes(blob)
@@ -151,7 +191,7 @@ class TestBlob:
             GarbledCircuit.from_bytes(b"XXXX" + bytes(8))
 
     def test_length_mismatch_rejected(self):
-        blob = garble(build_sort_circuit(2).circuit)[0].to_bytes()
+        blob = garble(build_sort_circuit(2, width=SCORE_BITS).circuit)[0].to_bytes()
         for bad in (blob[:-1], blob + b"\0", blob[:8]):
             with pytest.raises(GarbleError):
                 GarbledCircuit.from_bytes(bad)
@@ -268,8 +308,8 @@ class TestWireFormat:
     @staticmethod
     def _circuit(kind, k):
         if kind == "sort":
-            return build_sort_circuit(k).circuit
-        return build_merge_circuit((k - k // 2, k // 2)).circuit
+            return build_sort_circuit(k, width=SCORE_BITS).circuit
+        return build_merge_circuit((k - k // 2, k // 2), width=SCORE_BITS).circuit
 
     @pytest.mark.parametrize("kind,k", sorted(PINNED))
     def test_garbling_is_byte_identical(self, kind, k):
@@ -306,9 +346,9 @@ class TestSchedule:
         # gates by stage, 2 (level - 1) + op; the inputs are wires 0..n_in - 1,
         # bundle by bundle, and gate i writes wire n_in + i
         for circuit in (
-            build_sort_circuit(16).circuit,
-            build_sort_circuit(13, 4).circuit,
-            build_merge_circuit((3, 2)).circuit,
+            build_sort_circuit(16, width=SCORE_BITS).circuit,
+            build_sort_circuit(13, 4, width=SCORE_BITS).circuit,
+            build_merge_circuit((3, 2), width=SCORE_BITS).circuit,
             random_circuit(0),
             late_bundle_circuit(),
         ):
@@ -344,7 +384,7 @@ class TestSchedule:
         assert np.array_equal(garbled_run(c, {"x": x, "y": y}), want)
 
     def test_table_count_mismatch_rejected(self):
-        sc = build_sort_circuit(2)
+        sc = build_sort_circuit(2, width=SCORE_BITS)
         gc, label_map, delta = garble(sc.circuit)
         with pytest.raises(GarbleError):
             evaluate(sc.circuit, GarbledCircuit(gc.tables[:-1], gc.dec), label_map)
@@ -353,7 +393,8 @@ class TestSchedule:
 class TestConcurrency:
     @pytest.mark.parametrize(
         "cached",
-        [lambda: _sort_circuit((6,)), lambda: build_merge_circuit((3, 2))],
+        [lambda: _sort_circuit((6,), width=SCORE_BITS),
+         lambda: build_merge_circuit((3, 2), width=SCORE_BITS)],
         ids=["sort", "merge"],
     )
     def test_two_threads_share_one_cached_circuit(self, cached):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from conftest import random_graph
@@ -8,6 +9,7 @@ from privgraph.crypto import hash_to_shard
 from privgraph.graph import PlaintextEngine, build_inverted_index
 from privgraph.leakage import (
     QueryRecord,
+    _contrib_leak,
     audit_transcript,
     check_transcript_consistency,
     compute_leakage,
@@ -232,3 +234,57 @@ class TestTopK:
             violations = check_transcript_consistency(bad, transcript).violations
             assert any("t = 2" in v for v in violations), violations
             assert any("CONTRIB" in v for v in violations), violations
+
+
+class TestContribLeak:
+    """_contrib_leak on synthetic CONTRIBs: true scores below 2^w, each
+    entry (masked score, local index) in rank order."""
+
+    @staticmethod
+    def runs(true, masks, sizes):
+        """One run per size, its entries masked by consecutive masks."""
+        out, used = [], 0
+        for size in sizes:
+            entries = [(true[i] ^ masks[used + i], i) for i in range(size)]
+            out.append((true, entries))
+            used += size
+        return out
+
+    @pytest.mark.parametrize("sizes", [[6], [3, 4], [2, 2, 2, 2, 2]])
+    def test_mask_shared_over_six_entries_at_7_bits_flagged(self, sizes):
+        # 5 or more pairs of 7 bits: at least 35 >= 31 bits of evidence
+        rng = np.random.default_rng(len(sizes))
+        true = rng.integers(1, 101, size=6).tolist()
+        one_mask = [int(rng.integers(0, 128))] * sum(sizes)
+        assert _contrib_leak(self.runs(true, one_mask, sizes), 7)
+
+    def test_shorter_runs_cannot_tell(self):
+        # 4 pairs of 7 bits coincide by chance once in 2^28: not flagged
+        true = [100, 99, 64, 3, 1]
+        assert _contrib_leak(self.runs(true, [77] * 5, [5]), 7) is None
+        assert _contrib_leak(self.runs(true, [77] * 5, [5]), 8)  # 32 bits
+        assert _contrib_leak(self.runs(true, [77] * 2, [2]), 31)
+
+    def test_fresh_masks_never_flagged(self):
+        # 10,000 queries of 7-bit scores, fresh masks per entry
+        rng = np.random.default_rng(27)
+        for _ in range(10_000):
+            sizes = rng.integers(0, 11, size=int(rng.integers(1, 4))).tolist()
+            true = rng.integers(1, 101, size=max(sizes)).tolist()
+            masks = rng.integers(0, 128, size=sum(sizes)).tolist()
+            assert _contrib_leak(self.runs(true, masks, sizes), 7) is None
+
+    def test_one_shard_sharing_a_mask_flagged(self):
+        # shard 1 shares one mask over 6 entries; shard 0's are fresh
+        rng = np.random.default_rng(3)
+        true = rng.integers(1, 101, size=6).tolist()
+        fresh = self.runs(true, rng.integers(0, 128, size=6).tolist(), [6])
+        shared = self.runs(true, [9] * 6, [6])
+        assert _contrib_leak(fresh, 7) is None
+        assert _contrib_leak(fresh + shared, 7)
+
+    def test_one_pair_that_coincides_is_not_a_leak(self):
+        # at w = 7 a fresh pair coincides once in 128: only a run counts
+        true = [90, 40, 7]
+        entries = [(true[0] ^ 5, 0), (true[1] ^ 5, 1), (true[2] ^ 6, 2)]
+        assert _contrib_leak([(true, entries)], 7) is None

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import loopback_pair
-from privgraph.scoring import ScoreError, eval_score, parse_score, score_variables
-from privgraph.crypto import SHARE_MODULUS
+from privgraph.scoring import ScoreError, eval_score, parse_score, score_variables, score_width
+from privgraph.crypto import SCORE_BITS, SHARE_MODULUS
 from privgraph.shares import dealer_triple_gen, shr
 
 
@@ -116,3 +116,25 @@ class TestEval:
     def test_no_variables(self):
         with pytest.raises(ScoreError):
             eval_score(parse_score("5"), {}, 0, None, None)
+
+
+class TestScoreWidth:
+    # the bit length of the formula's largest value over keys 1..100, at
+    # least 1; the share modulus' 31 bits with a negative constant or a
+    # bound of 2^31 or more
+    @pytest.mark.parametrize(
+        "score,width",
+        [
+            (None, 7),
+            ("key", 7),
+            ("(add key 1)", 7),
+            ("(mul key 3)", 9),
+            ("(mul key key)", 14),
+            ("(mul (mul key key) key)", 20),
+            ("(mul key 0)", 1),
+            ("(add key -1)", SCORE_BITS),
+            ("(mul key 30000000)", SCORE_BITS),
+        ],
+    )
+    def test_table(self, score, width):
+        assert score_width(score) == width

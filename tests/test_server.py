@@ -18,8 +18,8 @@ from privgraph import server as server_mod
 from privgraph.builder import PartitionConfig, build_edb, hash_to_shard
 from privgraph.circuits import MAX_SORT_K
 from privgraph.cluster import LocalCluster
-from privgraph.crypto import SHARE_MODULUS
-from privgraph.graph import PlaintextEngine, build_inverted_index
+from privgraph.crypto import SCORE_BITS, SHARE_MODULUS
+from privgraph.graph import Edge, Graph, PlaintextEngine, build_inverted_index
 from privgraph.oxt import IntegrityError
 from privgraph.planner import QueryError
 from privgraph.server import (
@@ -255,6 +255,45 @@ class TestSorted:
         assert len(cluster.transcript.entries) == sent
 
 
+class TestWidthBoundaries:
+    """Sorts compare scores in scoring.score_width bits: 7 for the sort key
+    (1..100) and 14 for (mul key key) (up to 10,000). Rankings at the top
+    of each range, with ties, across a merge of two shards."""
+
+    KEYS = [100, 99, 100, 1, 99, 64, 63, 100, 2, 1, 98, 65]
+
+    @pytest.fixture(scope="class")
+    def boundary(self):
+        edges = [Edge(1, 10 + i, "friend", key) for i, key in enumerate(self.KEYS)]
+        index = build_inverted_index(Graph(edges))
+        edb = build_edb(
+            index, KEYS, crypto.GroupContext(), PartitionConfig(shards_per_cluster=2, seed=5)
+        )
+        assert {hash_to_shard(10 + i, 2) for i in range(len(self.KEYS))} == {0, 1}
+        engine = PlaintextEngine(index)
+        with LocalCluster(edb, timeout=30.0) as cluster:
+            yield engine, cluster.front_end(KEYS, lengths=engine.lengths, timeout=60.0)
+
+    @pytest.mark.parametrize("top_k", [None, 4])
+    def test_unscored_keys_100_99_and_ties(self, boundary, top_k):
+        engine, fe = boundary
+        oracle = engine.query(parse_sexpr("(term friend:1)"), sort=True)
+        assert [sk for sk, _ in oracle[:5]] == [100, 100, 100, 99, 99]
+        got = fe.query("(term friend:1)", sort=True, top_k=top_k)
+        assert len(got) == (top_k or len(self.KEYS))
+        assert_ranked(got, oracle)
+
+    @pytest.mark.parametrize("top_k", [None, 4])
+    def test_squared_keys_10000_9801_and_ties(self, boundary, top_k):
+        engine, fe = boundary
+        oracle = [(sk * sk, eid)
+                  for sk, eid in engine.query(parse_sexpr("(term friend:1)"), sort=True)]
+        assert [sk for sk, _ in oracle[:5]] == [10_000] * 3 + [9_801] * 2
+        got = fe.query("(term friend:1)", sort=True, top_k=top_k, score="(mul key key)")
+        assert len(got) == (top_k or len(self.KEYS))
+        assert_ranked(got, oracle)
+
+
 class TestApply:
     def test_apply_matches_oracle(self, setup):
         index, engine, _, fe = setup
@@ -451,11 +490,11 @@ class TestFailFast:
         )
         real = getattr(server_mod, role)
 
-        def failing(channel, *args):
+        def failing(channel, *args, **width):
             if channel.party != party:
-                return real(channel, *args)
+                return real(channel, *args, **width)
             if after_call:
-                real(channel, *args)
+                real(channel, *args, **width)
             raise RuntimeError("injected local-sort failure")
 
         monkeypatch.setattr(server_mod, role, failing)
@@ -471,6 +510,38 @@ class TestFailFast:
             # the servers are still usable afterwards
             assert set(fe.query(f"(term {term})")) == index[term].ids()
             wait_sessions_drained(cluster)
+
+    @pytest.mark.parametrize(
+        "codec,match",
+        [("_encode_contrib", "closed the merge"), ("_encode_masks", r"outside Z_\{2\^7\}")],
+        ids=["contrib", "masks"],
+    )
+    def test_word_at_or_above_the_width_refused(self, setup, monkeypatch, codec, match):
+        # an unscored sort compares 7 bits: a shard that reports a masked
+        # score or mask of 128 would merge as another score, so its
+        # coordinator refuses the report and the query fails at once
+        index, engine, _, _ = setup
+        edb = build_edb(
+            index, KEYS, crypto.GroupContext(), PartitionConfig(shards_per_cluster=2, seed=21)
+        )
+        real = getattr(server_mod, codec)
+
+        def widened(shard, status, words, *count):
+            if shard == 1 and words:
+                words = [(128, words[0][1]) if count else 128] + words[1:]
+            return real(shard, status, words, *count)
+
+        monkeypatch.setattr(server_mod, codec, widened)
+        text = conjunction_on_both_shards(index)
+        with LocalCluster(edb) as cluster:  # the default 60 s server timeout
+            fe = cluster.front_end(KEYS, lengths=engine.lengths)
+            t0 = time.perf_counter()
+            with pytest.raises(QueryError, match=match):
+                fe.query(text, sort=True)
+            assert time.perf_counter() - t0 < 5
+            wait_sessions_drained(cluster)
+            monkeypatch.setattr(server_mod, codec, real)
+            assert_ranked(fe.query(text, sort=True), engine.query(parse_sexpr(text), sort=True))
 
     def test_late_session_closed_on_arrival(self, setup):
         _, _, cluster, _ = setup
@@ -498,7 +569,7 @@ class TestFailFast:
         chan, peer = loopback_pair("fe")
         try:
             with pytest.raises(ServerError, match="shard 3"):
-                server._coordinate_masks(chan, qid, None)
+                server._coordinate_masks(chan, qid, None, SCORE_BITS)
             assert ("gsort", qid) in server._dropped  # the merge is closed on arrival
         finally:
             chan.close()

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 import privgraph.sorting as sorting
 from conftest import bit_rows, last_comparators, loopback_pair, merge_tree_schedule
-from privgraph.circuits import SCORE_BITS, merge_exchange, simulate
-from privgraph.crypto import GroupContext
+from privgraph.circuits import merge_exchange, simulate
+from privgraph.crypto import SCORE_BITS, SHARE_MODULUS, GroupContext
 from privgraph.ot import OTError, OTPair, encode_ot_extend
 from privgraph.sorting import (
-    SHARE_MODULUS,
     SortError,
     _sort_circuit,
     build_merge_circuit,
@@ -76,8 +75,8 @@ class TestLocalSort:
     def _run(self, g, e):
         pair_g, pair_e = OTPair(GroupContext()), OTPair(GroupContext())
         masks, result, chan = run_session(
-            lambda ch: local_sort_garbler(ch, 1, g, pair_g),
-            lambda ch: local_sort_evaluator(ch, 1, e, pair_e),
+            lambda ch: local_sort_garbler(ch, 1, g, pair_g, width=SCORE_BITS),
+            lambda ch: local_sort_evaluator(ch, 1, e, pair_e, width=SCORE_BITS),
         )
         return masks, result, chan
 
@@ -127,15 +126,16 @@ class TestLocalSort:
         g, e = split_shares([1, 2, 3], rng)
         with pytest.raises(SortError):
             run_session(
-                lambda ch: local_sort_garbler(ch, 1, g, OTPair(GroupContext())),
-                lambda ch: local_sort_evaluator(ch, 1, e[:2], OTPair(GroupContext())),
+                lambda ch: local_sort_garbler(ch, 1, g, OTPair(GroupContext()), width=SCORE_BITS),
+                lambda ch: local_sort_evaluator(
+                    ch, 1, e[:2], OTPair(GroupContext()), width=SCORE_BITS),
             )
 
     def test_empty_rejected(self):
         a, b = loopback_pair("x")
         try:
             with pytest.raises(SortError):
-                local_sort_garbler(a, 1, [], OTPair(GroupContext()))
+                local_sort_garbler(a, 1, [], OTPair(GroupContext()), width=SCORE_BITS)
         finally:
             a.close()
             b.close()
@@ -154,16 +154,20 @@ class TestGlobalSort:
             if scores:
                 g, e = split_shares(scores, rng)
                 shard_masks, (masked, order), _ = run_session(
-                    lambda ch, g=g: local_sort_garbler(ch, j, g, OTPair(GroupContext())),
-                    lambda ch, e=e: local_sort_evaluator(ch, j, e, OTPair(GroupContext())),
+                    lambda ch, g=g: local_sort_garbler(
+                        ch, j, g, OTPair(GroupContext()), width=SCORE_BITS),
+                    lambda ch, e=e: local_sort_evaluator(
+                        ch, j, e, OTPair(GroupContext()), width=SCORE_BITS),
                 )
             masks.append(shard_masks)
             contributions.append((j, len(scores), masked, order))
         if shard_order is not None:
             contributions = [contributions[j] for j in shard_order]
         _, order, _ = run_session(
-            lambda ch: global_sort_garbler(ch, 99, contributions, OTPair(GroupContext())),
-            lambda ch: global_sort_evaluator(ch, 99, masks, OTPair(GroupContext())),
+            lambda ch: global_sort_garbler(
+                ch, 99, contributions, OTPair(GroupContext()), width=SCORE_BITS),
+            lambda ch: global_sort_evaluator(
+                ch, 99, masks, OTPair(GroupContext()), width=SCORE_BITS),
         )
         return order
 
@@ -208,7 +212,7 @@ class TestGlobalSort:
         a, b = loopback_pair("x")
         try:
             with pytest.raises(SortError):
-                global_sort_garbler(a, 1, [], OTPair(GroupContext()))
+                global_sort_garbler(a, 1, [], OTPair(GroupContext()), width=SCORE_BITS)
         finally:
             a.close()
             b.close()
@@ -228,7 +232,7 @@ class TestGlobalSort:
         a, b = loopback_pair("x")
         try:
             with pytest.raises(SortError):
-                global_sort_garbler(a, 1, contributions, OTPair(GroupContext()))
+                global_sort_garbler(a, 1, contributions, OTPair(GroupContext()), width=SCORE_BITS)
             assert a.bytes_sent == 0  # refused before the session opens
         finally:
             a.close()
@@ -238,8 +242,10 @@ class TestGlobalSort:
         contributions = [(0, 2, [5, 6], [1, 0]), (1, 1, [7], [0])]
         with pytest.raises(SortError, match="counts"):
             run_session(
-                lambda ch: global_sort_garbler(ch, 1, contributions, OTPair(GroupContext())),
-                lambda ch: global_sort_evaluator(ch, 1, [[0], [0, 0]], OTPair(GroupContext())),
+                lambda ch: global_sort_garbler(
+                    ch, 1, contributions, OTPair(GroupContext()), width=SCORE_BITS),
+                lambda ch: global_sort_evaluator(
+                    ch, 1, [[0], [0, 0]], OTPair(GroupContext()), width=SCORE_BITS),
             )
 
 
@@ -287,34 +293,74 @@ PINNED_FRAMES = [
     ),
 ]
 
+# The same sorts at the sort key's 7 bits (scoring.score_width(None)): an
+# adder has 6 ANDs and a comparator 7 + 7 + payload, so k = 5 takes 5·6 +
+# 9·17 = 183 ANDs and 5 · 10 outputs, k = 3 66 ANDs, k = 1 6, and the merge
+# 18·18 - 4·7 = 296. A transfer, a share's and a mask's labels and a
+# masked score's are 7 an entry; OT_EXTEND's matrix is 128 columns of
+# ⌈transfers / 8⌉ bytes.
+PINNED_FRAMES_7 = [
+    (  # local, k = 5
+        [("SORT_INIT", 4), ("OT_SETUP", 4224), ("CIRCUIT_BLOB", 12 + 32 * 183 + 7),
+         ("GARBLER_LABELS", 560 + 240), ("OT_PAYLOAD", 560)],
+        _EVALUATOR_OT + [("OT_EXTEND", 20 + 128 * 5)],
+    ),
+    (  # local, k = 3
+        [("SORT_INIT", 4), ("OT_SETUP", 4224), ("CIRCUIT_BLOB", 12 + 32 * 66 + 4),
+         ("GARBLER_LABELS", 336 + 96), ("OT_PAYLOAD", 336)],
+        _EVALUATOR_OT + [("OT_EXTEND", 20 + 128 * 3)],
+    ),
+    (  # local, k = 1
+        [("SORT_INIT", 4), ("OT_SETUP", 4224), ("CIRCUIT_BLOB", 12 + 32 * 6 + 1),
+         ("GARBLER_LABELS", 112 + 16), ("OT_PAYLOAD", 112)],
+        _EVALUATOR_OT + [("OT_EXTEND", 20 + 128 * 1)],
+    ),
+    (  # merge of 9 entries from 3 shards
+        [("SORT_INIT", 12), ("OT_SETUP", 4224), ("CIRCUIT_BLOB", 12 + 32 * 296 + 5),
+         ("GARBLER_LABELS", 1008 + 576), ("OT_PAYLOAD", 1008)],
+        _EVALUATOR_OT + [("OT_EXTEND", 20 + 128 * 8)],
+    ),
+]
+
+
+def wire_sequence(width: int) -> tuple:
+    """The (frame, payload bytes) each party sends in k = 5, 3 and 1 local
+    sorts at this score width and in the 3-shard merge of their results."""
+    rng = np.random.default_rng(12)
+    transcripts = [Transcript() for _ in range(4)]
+    masks, contributions = [], []
+    for shard, k in enumerate([5, 3, 1]):
+        g, e = split_shares([int(x) for x in rng.integers(1, 101, size=k)], rng)
+        shard_masks, (masked, order), _ = run_session(
+            lambda ch, g=g, j=shard: local_sort_garbler(
+                ch, j, g, OTPair(GroupContext()), width=width),
+            lambda ch, e=e, j=shard: local_sort_evaluator(
+                ch, j, e, OTPair(GroupContext()), width=width),
+            transcripts[shard],
+        )
+        masks.append(shard_masks)
+        contributions.append((shard, k, masked, order))
+    run_session(
+        lambda ch: global_sort_garbler(ch, 9, contributions, OTPair(GroupContext()), width=width),
+        lambda ch: global_sort_evaluator(ch, 9, masks, OTPair(GroupContext()), width=width),
+        transcripts[3],
+    )
+    return tuple(
+        tuple(
+            [(f.name, len(f.payload)) for p, d, f in transcript.entries
+             if d == "send" and p == party]
+            for party in ("g", "e")
+        )
+        for transcript in transcripts
+    )
+
 
 class TestWireSequence:
     def test_frames_pinned(self):
-        rng = np.random.default_rng(12)
-        transcripts = [Transcript() for _ in PINNED_FRAMES]
-        masks, contributions = [], []
-        for shard, k in enumerate([5, 3, 1]):
-            g, e = split_shares([int(x) for x in rng.integers(1, 1000, size=k)], rng)
-            shard_masks, (masked, order), _ = run_session(
-                lambda ch, g=g, j=shard: local_sort_garbler(ch, j, g, OTPair(GroupContext())),
-                lambda ch, e=e, j=shard: local_sort_evaluator(ch, j, e, OTPair(GroupContext())),
-                transcripts[shard],
-            )
-            masks.append(shard_masks)
-            contributions.append((shard, k, masked, order))
-        run_session(
-            lambda ch: global_sort_garbler(ch, 9, contributions, OTPair(GroupContext())),
-            lambda ch: global_sort_evaluator(ch, 9, masks, OTPair(GroupContext())),
-            transcripts[3],
-        )
-        for transcript, pinned in zip(transcripts, PINNED_FRAMES):
-            sent = [
-                [(f.name, len(f.payload)) for p, d, f in transcript.entries
-                 if d == "send" and p == party]
-                for party in ("g", "e")
-            ]
-            assert tuple(sent) == pinned
+        assert wire_sequence(SCORE_BITS) == tuple(PINNED_FRAMES)
 
+    def test_frames_pinned_at_7_bits(self):
+        assert wire_sequence(7) == tuple(PINNED_FRAMES_7)
 
     def test_single_run_merge_sends_no_score_or_mask_labels(self):
         # a merge of one shard's run compares nothing, so its circuit reads
@@ -324,8 +370,9 @@ class TestWireSequence:
         transcript = Transcript()
         _, order, _ = run_session(
             lambda ch: global_sort_garbler(ch, 9, [(0, 3, [11, 5, 9], [2, 0, 1])],
-                                           OTPair(GroupContext())),
-            lambda ch: global_sort_evaluator(ch, 9, [[1, 2, 3]], OTPair(GroupContext())),
+                                           OTPair(GroupContext()), width=SCORE_BITS),
+            lambda ch: global_sort_evaluator(
+                ch, 9, [[1, 2, 3]], OTPair(GroupContext()), width=SCORE_BITS),
             transcript,
         )
         assert order == [(0, 2), (0, 0), (0, 1)]
@@ -377,8 +424,8 @@ class TestEarlyExtension:
 
         def sort(transcript=None):
             return run_session(
-                lambda ch: local_sort_garbler(ch, 1, g, pair_g),
-                lambda ch: local_sort_evaluator(ch, 1, e, pair_e),
+                lambda ch: local_sort_garbler(ch, 1, g, pair_g, width=SCORE_BITS),
+                lambda ch: local_sort_evaluator(ch, 1, e, pair_e, width=SCORE_BITS),
                 transcript,
             )
 
@@ -388,13 +435,15 @@ class TestEarlyExtension:
 
         def evaluator(ch):
             try:
-                return local_sort_evaluator(ch, 1, e, pair_e)
+                return local_sort_evaluator(ch, 1, e, pair_e, width=SCORE_BITS)
             except Exception as exc:
                 evaluator_errors.append(exc)
                 raise
 
         with pytest.raises(TransportError):
-            run_session(lambda ch: local_sort_garbler(fail(ch), 1, g, pair_g), evaluator)
+            run_session(
+                lambda ch: local_sort_garbler(fail(ch), 1, g, pair_g, width=SCORE_BITS), evaluator
+            )
         assert len(evaluator_errors) == 1 and isinstance(evaluator_errors[0], TransportError)
         assert pair_e._state is None  # dropped: the next session sets up afresh
         transcript = Transcript()
@@ -417,7 +466,8 @@ class TestEarlyExtension:
 
         with pytest.raises(OTError, match="8 transfers, expected 93"):
             run_session(
-                lambda ch: local_sort_garbler(ch, 1, [1, 2, 3], OTPair(GroupContext())),
+                lambda ch: local_sort_garbler(
+                    ch, 1, [1, 2, 3], OTPair(GroupContext()), width=SCORE_BITS),
                 evaluator,
             )
         assert garbled == []
@@ -428,8 +478,8 @@ class TestEarlyExtension:
         scores = [int(x) for x in np.random.default_rng(16).integers(0, 1000, size=256)]
         g, e = split_shares(scores, np.random.default_rng(17))
         masks, (masked, order), _ = run_session(
-            lambda ch: local_sort_garbler(ch, 1, g, OTPair(GroupContext())),
-            lambda ch: local_sort_evaluator(ch, 1, e, OTPair(GroupContext())),
+            lambda ch: local_sort_garbler(ch, 1, g, OTPair(GroupContext()), width=SCORE_BITS),
+            lambda ch: local_sort_evaluator(ch, 1, e, OTPair(GroupContext()), width=SCORE_BITS),
         )
         assert unmask(masked, masks) == sorted(scores, reverse=True)
         assert [scores[i] for i in order] == sorted(scores, reverse=True)
@@ -437,13 +487,23 @@ class TestEarlyExtension:
 
 class TestCircuitCache:
     def test_one_circuit_per_shape(self):
-        # a sort's shape is its count split: one circuit for each
-        assert _sort_circuit((5,)) is _sort_circuit((5,))
-        assert _sort_circuit((5,)).circuit is not _sort_circuit((7,)).circuit
-        assert (_sort_circuit((5,)).k, _sort_circuit((7,)).k) == (5, 7)
-        assert build_merge_circuit((3, 3)).circuit is not build_merge_circuit((4, 2)).circuit
-        assert build_merge_circuit((3, 3)).k == 6
-        assert build_merge_circuit((4, 4)).circuit is not _sort_circuit((8,)).circuit
+        # a sort's shape is its count split and score width: one circuit
+        # for each
+        def sort(counts, width=SCORE_BITS):
+            return _sort_circuit(counts, width=width)
+
+        def merge(counts, width=SCORE_BITS):
+            return build_merge_circuit(counts, width=width)
+
+        assert sort((5,)) is sort((5,))
+        assert sort((5,)).circuit is not sort((7,)).circuit
+        assert (sort((5,)).k, sort((7,)).k) == (5, 7)
+        assert merge((3, 3)).circuit is not merge((4, 2)).circuit
+        assert merge((3, 3)).k == 6
+        assert merge((4, 4)).circuit is not sort((8,)).circuit
+        assert sort((5,), 7) is sort((5,), 7) and sort((5,), 7).circuit is not sort((5,)).circuit
+        assert merge((3, 3), 7).circuit is not merge((3, 3)).circuit
+        assert (sort((5,), 7).width, merge((3, 3), 7).width, sort((5,)).width) == (7, 7, SCORE_BITS)
 
     @pytest.mark.parametrize(
         "builder,lookup,counts",
@@ -458,15 +518,16 @@ class TestCircuitCache:
         building, builds = threading.Event(), []
         build = getattr(sorting, builder)
 
-        def slow_build(*shape):
+        def slow_build(*shape, **width):
             builds.append(shape)
             building.set()
             time.sleep(0.5)
-            return build(*shape)
+            return build(*shape, **width)
 
         monkeypatch.setattr(sorting, builder, slow_build)
         got = []
-        threads = [threading.Thread(target=lambda: got.append(lookup(counts))) for _ in range(8)]
+        threads = [threading.Thread(target=lambda: got.append(lookup(counts, width=SCORE_BITS)))
+                   for _ in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -499,23 +560,24 @@ class TestMergeCircuit:
         # (29, 3) take 10, 24 and 52 comparators, of which 3, 7 and 15 are
         # last on both their lines
         for n, comparators in ((8, 10), (16, 24), (32, 52)):
-            sc = build_merge_circuit((n - 3, 3))
+            sc = build_merge_circuit((n - 3, 3), width=SCORE_BITS)
             assert len(merge_tree_schedule((n - 3, 3))) == comparators
             assert sc.and_count == merge_ands((n - 3, 3)), n
 
     def test_tree_comparators_in_ands(self):
         # (5, 3) merge in 10 comparators, then their 8 entries and shard
         # 2's one in 8 more; the root's last 4 swap no score
-        sc = build_merge_circuit((5, 3, 1))
+        sc = build_merge_circuit((5, 3, 1), width=SCORE_BITS)
         schedule = merge_tree_schedule((5, 3, 1))
         assert (len(schedule), last_comparators(schedule)) == (10 + 8, 4)
         assert sc.and_count == 18 * (2 * SCORE_BITS + 4) - 4 * SCORE_BITS
-        assert build_merge_circuit((7,)).and_count == 0  # one run: nothing to merge
+        # one run: nothing to merge
+        assert build_merge_circuit((7,), width=SCORE_BITS).and_count == 0
 
     def test_tree_costs_no_more_than_a_full_sort(self):
         # the root merges 9 and 7 entries
         counts = (3,) * 5 + (1,)
-        sc = build_merge_circuit(counts)
+        sc = build_merge_circuit(counts, width=SCORE_BITS)
         assert sc.and_count == 57 * (2 * SCORE_BITS + 5) - 7 * SCORE_BITS
         assert 57 <= len(merge_exchange(16))
         # the shards' layouts: two runs of any lengths, and equal runs; a
@@ -533,7 +595,7 @@ class TestMergeCircuit:
         # in descending, and the payloads come out in an order that
         # descends by score
         rng = np.random.default_rng(sum(counts))
-        sc = build_merge_circuit(counts)
+        sc = build_merge_circuit(counts, width=SCORE_BITS)
         total, pw = sum(counts), sc.payload_width
         scores = np.concatenate(
             [-np.sort(-rng.choice([0, 5, 1 << 30], size=(30, c)), axis=1) for c in counts], axis=1
@@ -551,7 +613,7 @@ class TestMergeCircuit:
 
     def test_oversize_rejected(self):
         with pytest.raises(ValueError):
-            build_merge_circuit((5000,))
+            build_merge_circuit((5000,), width=SCORE_BITS)
 
 
 class TestLocalSortNetwork:
@@ -560,8 +622,8 @@ class TestLocalSortNetwork:
         # adders k·(31 - 1), merge exchange's comparators of 31 + 31 +
         # payload ANDs each
         pw = k.bit_length()
-        assert _sort_circuit((k,)).and_count == k * (SCORE_BITS - 1) + len(merge_exchange(k)) * (
-            2 * SCORE_BITS + pw)
+        ands = _sort_circuit((k,), width=SCORE_BITS).and_count
+        assert ands == k * (SCORE_BITS - 1) + len(merge_exchange(k)) * (2 * SCORE_BITS + pw)
 
 
 # a score drawn from the edges of the 31-bit range, or anywhere in it
@@ -591,8 +653,8 @@ class TestMergeOracle:
             masks.append(shard_masks)
         pair_g, pair_e = pairs
         _, order, _ = run_session(
-            lambda ch: global_sort_garbler(ch, 7, contributions, pair_g),
-            lambda ch: global_sort_evaluator(ch, 7, masks, pair_e),
+            lambda ch: global_sort_garbler(ch, 7, contributions, pair_g, width=SCORE_BITS),
+            lambda ch: global_sort_evaluator(ch, 7, masks, pair_e, width=SCORE_BITS),
         )
         assert sorted(order) == [(j, i) for j, v in enumerate(vectors) for i in range(len(v))]
         flat = sorted((s for v in vectors for s in v), reverse=True)
@@ -633,8 +695,8 @@ class TestLocalSortOracle:
         g, e = split_shares(scores, np.random.default_rng(salt))
         pair_g, pair_e = pairs
         masks, (masked, order), _ = run_session(
-            lambda ch: local_sort_garbler(ch, 3, g, pair_g),
-            lambda ch: local_sort_evaluator(ch, 3, e, pair_e),
+            lambda ch: local_sort_garbler(ch, 3, g, pair_g, width=SCORE_BITS),
+            lambda ch: local_sort_evaluator(ch, 3, e, pair_e, width=SCORE_BITS),
         )
         want = sorted(scores, reverse=True)
         assert sorted(order) == list(range(len(scores)))
@@ -672,8 +734,8 @@ class TestTopK:
             masks.append(shard_masks)
         pair_g, pair_e = pairs
         _, order, _ = run_session(
-            lambda ch: global_sort_garbler(ch, 7, contributions, pair_g, t),
-            lambda ch: global_sort_evaluator(ch, 7, masks, pair_e, t),
+            lambda ch: global_sort_garbler(ch, 7, contributions, pair_g, t, width=SCORE_BITS),
+            lambda ch: global_sort_evaluator(ch, 7, masks, pair_e, t, width=SCORE_BITS),
         )
         flat = sorted((s for v in vectors for s in v), reverse=True)
         assert len(set(order)) == len(order) == min(t, len(flat))
@@ -685,8 +747,8 @@ class TestTopK:
         g, e = split_shares(scores, np.random.default_rng(len(scores)))
         pair_g, pair_e = pairs
         masks, (masked, order), _ = run_session(
-            lambda ch: local_sort_garbler(ch, 3, g, pair_g, t),
-            lambda ch: local_sort_evaluator(ch, 3, e, pair_e, t),
+            lambda ch: local_sort_garbler(ch, 3, g, pair_g, t, width=SCORE_BITS),
+            lambda ch: local_sort_evaluator(ch, 3, e, pair_e, t, width=SCORE_BITS),
         )
         want = sorted(scores, reverse=True)[:t]
         assert len(masks) == len(order) == len(set(order)) == min(t, len(scores))
@@ -699,8 +761,10 @@ class TestTopK:
         g, e = split_shares([5, 9, 2, 7], np.random.default_rng(2))
         with pytest.raises(TransportError, match="circuit has"):
             run_session(
-                lambda ch: local_sort_garbler(ch, 3, g, OTPair(GroupContext()), t_g),
-                lambda ch: local_sort_evaluator(ch, 3, e, OTPair(GroupContext()), t_e),
+                lambda ch: local_sort_garbler(
+                    ch, 3, g, OTPair(GroupContext()), t_g, width=SCORE_BITS),
+                lambda ch: local_sort_evaluator(
+                    ch, 3, e, OTPair(GroupContext()), t_e, width=SCORE_BITS),
             )
 
     def test_merge_counts_must_truncate_to_the_masks(self):
@@ -708,9 +772,10 @@ class TestTopK:
         contributions = [(0, 4, [5, 6], [1, 0]), (1, 1, [7], [0])]
         with pytest.raises(SortError, match="counts"):
             run_session(
-                lambda ch: global_sort_garbler(ch, 1, contributions, OTPair(GroupContext()), 2),
+                lambda ch: global_sort_garbler(
+                    ch, 1, contributions, OTPair(GroupContext()), 2, width=SCORE_BITS),
                 lambda ch: global_sort_evaluator(
-                    ch, 1, [[0, 0, 0], [0]], OTPair(GroupContext()), 2
+                    ch, 1, [[0, 0, 0], [0]], OTPair(GroupContext()), 2, width=SCORE_BITS
                 ),
             )
 
@@ -721,16 +786,19 @@ class TestTopK:
         try:
             for entries in (([5], [3]), ([5, 6, 7], [3, 0, 1]), ([5, 6], [3, 4])):
                 with pytest.raises(SortError):
-                    global_sort_garbler(a, 1, [(0, 4, *entries)], OTPair(GroupContext()), 2)
+                    global_sort_garbler(
+                        a, 1, [(0, 4, *entries)], OTPair(GroupContext()), 2, width=SCORE_BITS)
             assert a.bytes_sent == 0
         finally:
             a.close()
             b.close()
 
     def test_top_t_shares_the_full_circuit_when_it_keeps_everything(self):
-        assert _sort_circuit((5,), 5) is _sort_circuit((5,))
-        assert build_merge_circuit((3, 2), 9) is build_merge_circuit((3, 2))
-        assert build_merge_circuit((3, 2), 4).t == 4
+        assert _sort_circuit((5,), 5, width=SCORE_BITS) is _sort_circuit((5,), width=SCORE_BITS)
+        assert build_merge_circuit((3, 2), 9, width=SCORE_BITS) is build_merge_circuit(
+            (3, 2), width=SCORE_BITS)
+        assert build_merge_circuit((3, 2), 4, width=SCORE_BITS).t == 4
         # a merge of the first 2 of (5, 3, 1) keeps fewer gates than of all
-        top, full = build_merge_circuit((5, 3, 1), 2), build_merge_circuit((5, 3, 1))
+        top = build_merge_circuit((5, 3, 1), 2, width=SCORE_BITS)
+        full = build_merge_circuit((5, 3, 1), width=SCORE_BITS)
         assert top.and_count < full.and_count

@@ -7,7 +7,8 @@ import time
 import pytest
 
 from conftest import loopback_pair, merge_tree_schedule
-from privgraph.circuits import MAX_SORT_K, SCORE_BITS, merge_exchange
+from privgraph.circuits import MAX_SORT_K, merge_exchange
+from privgraph.crypto import SCORE_BITS
 from privgraph.transport import (
     HEADER_LEN,
     MAX_FRAME_BYTES,
