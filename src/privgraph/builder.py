@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,7 +56,7 @@ class PartitionConfig:
     shards_per_cluster: int = 1
     block_size: int = 100
     bloom_fpr: float = 1e-6
-    seed: int = 0
+    seed: int | None = None  # of a reproducible test build; None draws from the OS
 
     def __post_init__(self):
         if self.shards_per_cluster < 1:
@@ -73,11 +74,12 @@ class PartitionConfig:
         }
 
 
-def make_rng(seed: int):
-    """Deterministic byte stream for reproducible EDB builds: SHA-256 in
-    counter mode over the seed."""
+def make_rng(seed: int, label: bytes = b""):
+    """Deterministic byte stream for reproducible test builds: SHA-256 in
+    counter mode over the label and the seed. Streams of one seed under
+    different labels are unrelated."""
     state = {"counter": 0, "buf": b""}
-    seed_bytes = struct.pack(">Q", seed & (1 << 64) - 1)
+    seed_bytes = label + struct.pack(">Q", seed & (1 << 64) - 1)
 
     def draw(n: int) -> bytes:
         while len(state["buf"]) < n:
@@ -304,13 +306,14 @@ def build_edb(
 ) -> EncryptedDatabase:
     """Both clusters' shards of the index. Its sort keys must lie in
     SORT_KEY_MIN..SORT_KEY_MAX: a sort compares scores in the bits that
-    range needs (scoring.score_width)."""
+    range needs (scoring.score_width). Shares and nonces come from the OS,
+    or from the seed's stream under a label of their own, never the keys'."""
     for plist in index.values():
         if any(not SORT_KEY_MIN <= sk <= SORT_KEY_MAX for sk, _ in plist.entries):
             raise ValueError(
                 f"{plist.term}: a sort key outside {SORT_KEY_MIN}..{SORT_KEY_MAX}"
             )
-    rng = make_rng(config.seed)
+    rng = os.urandom if config.seed is None else make_rng(config.seed, b"edb")
     shards = partition(index, config)
     clusters = [[], []]
     for j, sub_index in enumerate(shards):
@@ -325,9 +328,6 @@ def build_edb(
                 "tuple_count": n_entries,
                 "xset_count": xset.count,
                 "tuple_bytes": TUPLE_BYTES,
-                "seed_fingerprint": hashlib.sha256(
-                    struct.pack(">Q", config.seed)
-                ).hexdigest()[:16],
             }
             clusters[i].append(ShardData(tset, xset, manifest))
         # both clusters share one XSet object: identical bytes by construction

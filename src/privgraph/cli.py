@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 from pathlib import Path
@@ -50,7 +51,7 @@ def cmd_setup(args) -> int:
     index = build_inverted_index(graph)
     t_ingest = time.perf_counter() - t0
 
-    keys = MasterKeyBundle.generate(make_rng(args.seed))
+    keys = MasterKeyBundle.generate(os.urandom if args.seed is None else make_rng(args.seed))
     config = PartitionConfig(
         shards_per_cluster=args.shards,
         block_size=args.block_size,
@@ -232,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--block-size", type=int, default=100)
     p.add_argument("--bloom-fpr", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="draw keys, weights, shares and nonces "
+                   "from this seed, for reproducible test builds only")
     p.set_defaults(fn=cmd_setup)
 
     p = sub.add_parser("serve", help="run one index server over TCP")

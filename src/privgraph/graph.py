@@ -64,13 +64,13 @@ class EdgeListError(ValueError):
     pass
 
 
-def load_edge_list(path, edge_type: str, weight_policy="from_file", seed: int = 0) -> Graph:
+def load_edge_list(path, edge_type: str, weight_policy="from_file", seed: int | None = 0) -> Graph:
     """Load a text edge list, one ``src dst [weight]`` per line.
 
     weight_policy is either "from_file" (third column required) or
-    "uniform_random" (weights drawn in [1, 100] from the given seed, in
-    file order, so reloading reproduces the same graph).  Duplicate
-    (src, dst) edges keep the first occurrence.
+    "uniform_random" (weights drawn in [1, 100] in file order from the
+    given seed, so reloading reproduces the graph, or from the OS when
+    seed is None).  Duplicate (src, dst) edges keep the first occurrence.
     """
     rng = random.Random(seed)
     edges = []

@@ -5,9 +5,13 @@ from a query workload: N (total stored pairs), per-query boolean formula
 shapes, the s-term repeat pattern, per-shard posting sizes (SP), x-term
 counts (XP), (s-term, x-term) result sets (RP), cross-query s-term
 intersections for equal x-term sets (IP), and, for a sorted query, its t
-= top_k and the ranks of its first t results. The profile is a pure
-function of the plaintext database and the query list; it never touches
-keys.
+= top_k, its scoring formula and the ranks of its first t results. The
+profile is a pure function of the plaintext database and the query list;
+it never touches keys.
+
+A survivor's score is its query's formula's value at its sort key, mod
+2^31 (scoring.score_value), the sort key itself for a query without a
+formula: the values the sorts compare.
 
 Of a sorted query's scores, cluster 1 learns the ranks within each shard
 of its first min(k, t) entries only: each output position of a local sort
@@ -19,7 +23,8 @@ formula: a function of the formula, which QUERY_INIT carries, and of the
 schema's sort-key range, so public and in no frame of its own.
 
 The audit classifies every recorded frame into the allowed alphabet and
-flags anything else; the consistency check verifies that each observable
+flags anything else, as well as any frame holding WINDOW bytes in a row of
+a forbidden pattern; the consistency check verifies that each observable
 quantity in a transcript is derivable from the profile, and that the
 masked scores of a sorted query's CONTRIBs do not show one mask shared
 across their entries (_contrib_leak).
@@ -29,12 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .crypto import SCORE_BITS, hash_to_shard
+from .crypto import SCORE_BITS, SHARE_MODULUS, hash_to_shard
 from .garble import GarbledCircuit
 from .graph import PlaintextEngine, PostingList, ranked
 from .ot import decode_ot_extend
 from .oxt import Subquery, compile_query
-from .scoring import score_width
+from .scoring import parse_score, score_value, score_width
 from .server import (
     _decode_contrib,
     _decode_masks,
@@ -66,10 +71,12 @@ class QueryRecord:
     expr: SExpr
     sort: bool = False
     top_k: int | None = None  # of a sorted query; None keeps every result
+    score: str | None = None  # the scoring formula of a sorted query
 
     @classmethod
-    def make(cls, query, sort: bool = False, top_k: int | None = None) -> "QueryRecord":
-        return cls(parse_sexpr(query) if isinstance(query, str) else query, sort, top_k)
+    def make(cls, query, **fields) -> "QueryRecord":
+        """A record of a query given as text or parsed, its other fields by name."""
+        return cls(parse_sexpr(query) if isinstance(query, str) else query, **fields)
 
     @property
     def t(self) -> int | None:
@@ -90,6 +97,7 @@ class LeakageProfile:
     survivor_scores: list  # per query, per shard: survivor scores in wire order
     ranks: list  # per sorted query: its first t descending global scores; None otherwise
     tops: list  # per query: the t its QUERY_INIT names, or None
+    formulas: list  # per query: the scoring formula its QUERY_INIT names, or None
 
 
 def compute_leakage(
@@ -111,7 +119,7 @@ def compute_leakage(
         xp.append([s.n_xterms for s in subs])
         q_sbar, q_sp, q_counts = [], [], []
         per_shard_scores = [[] for _ in range(n_shards)]
-        all_scores = []
+        formula = parse_score(record.score or "key")
         for sub in subs:
             idx = seen_s.setdefault(sub.s_term, len(flat_subs))
             q_sbar.append(idx)
@@ -132,19 +140,16 @@ def compute_leakage(
                 sub.s_term, list(sub.x_terms), sub.formula, sub.negate
             )
             sub_counts = [0] * n_shards
-            per_sub_shard = [[] for _ in range(n_shards)]
             for sk, eid in ranked(survivors):  # the EDB's stored order
                 j = hash_to_shard(eid, n_shards)
                 sub_counts[j] += 1
-                per_sub_shard[j].append(sk)
+                per_shard_scores[j].append(score_value(formula, sk) % SHARE_MODULUS)
             q_counts.append(sub_counts)
-            for j in range(n_shards):
-                per_shard_scores[j].extend(per_sub_shard[j])
-            all_scores.extend(sk for sk, _ in survivors)
         s_bar.append(q_sbar)
         sp.append(q_sp)
         result_counts.append(q_counts)
         survivor_scores.append(per_shard_scores)
+        all_scores = sum(per_shard_scores, [])
         ranks.append(sorted(all_scores, reverse=True)[: record.t] if record.sort else None)
 
     ip: dict = {}
@@ -158,7 +163,7 @@ def compute_leakage(
 
     return LeakageProfile(
         n_total, n_shards, phi_shapes, s_bar, sp, xp, rp, ip,
-        result_counts, survivor_scores, ranks, [record.t for record in queries],
+        result_counts, survivor_scores, ranks, [r.t for r in queries], [r.score for r in queries],
     )
 
 
@@ -199,10 +204,22 @@ class AuditReport:
     violations: list = field(default_factory=list)
 
 
+# a frame holding this many bytes in a row of a forbidden pattern shows it:
+# key material cut across frames or nonces never appears whole
+WINDOW = 8
+
+
+def _shows(payload: bytes, pattern: bytes) -> bool:
+    """Whether payload holds WINDOW bytes in a row of pattern, or all of a shorter one."""
+    n = min(WINDOW, len(pattern))
+    return any(pattern[i : i + n] in payload for i in range(len(pattern) - n + 1))
+
+
 def audit_transcript(transcript: Transcript, forbidden: tuple = ()) -> AuditReport:
     """Classify every sent frame into the allowed alphabet; flag unknown
-    types, structurally invalid payloads, and any forbidden byte pattern
-    (key material, plaintext id markers) appearing on the wire."""
+    types, structurally invalid payloads, and any frame showing a forbidden
+    byte pattern (key material, plaintext id markers): WINDOW bytes of it
+    in a row, or all of a shorter one."""
     report = AuditReport()
     for party, direction, frame in transcript.entries:
         if direction != "send":
@@ -221,7 +238,7 @@ def audit_transcript(transcript: Transcript, forbidden: tuple = ()) -> AuditRepo
             except TransportError as exc:
                 report.violations.append(f"{party}: {name} payload malformed: {exc}")
         for pattern in forbidden:
-            if pattern and pattern in frame.payload:
+            if pattern and _shows(frame.payload, pattern):
                 report.violations.append(
                     f"{party}: forbidden byte pattern on the wire in {name}"
                 )
@@ -310,6 +327,11 @@ def check_transcript_consistency(
         if spec.top_k != profile.tops[qi]:
             verdict.violations.append(
                 f"query {qi}: QUERY_INIT names t = {spec.top_k}, the profile {profile.tops[qi]}"
+            )
+        if spec.score != profile.formulas[qi]:
+            verdict.violations.append(
+                f"query {qi}: QUERY_INIT names score {spec.score!r}, "
+                f"the profile {profile.formulas[qi]!r}"
             )
         # repeat pattern: equal s-terms <=> byte-identical stags
         flat_base = sum(len(x) for x in profile.s_bar[:qi])

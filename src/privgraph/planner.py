@@ -24,7 +24,7 @@ import secrets
 
 from .crypto import DecryptError, GroupContext, MasterKeyBundle, decrypt_ids, term_key
 from .oxt import IntegrityError, Subquery, compile_query, stag_for, xtoken_rows
-from .scoring import ScoreError, check_score
+from .scoring import ScoreError, parse_score
 from .server import (
     QuerySpec,
     SubquerySpec,
@@ -89,7 +89,7 @@ class FrontEnd:
         _check_top("top_k", top_k)
         if score:
             try:
-                check_score(score)
+                parse_score(score)
             except ScoreError as exc:
                 raise QueryError(f"bad score formula {score!r}: {exc}") from None
         expr = parse_sexpr(query) if isinstance(query, str) else query

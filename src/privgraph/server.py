@@ -25,8 +25,6 @@ import struct
 import threading
 from collections import OrderedDict
 
-import numpy as np
-
 from .builder import ShardData, load_edb
 from .circuits import MAX_SORT_K
 from .crypto import (
@@ -38,14 +36,7 @@ from .crypto import (
 )
 from .oxt import boolean_query
 from .ot import OTPair, OTReceiver, OTSender
-from .scoring import (
-    SCORE_VARIABLE,
-    ScoreError,
-    check_score,
-    eval_score,
-    parse_score,
-    score_width,
-)
+from .scoring import ScoreError, eval_score, parse_score, score_width
 from .sexpr import BoolFormula
 from .shares import dealer_triple_gen, triple_gen_cot
 from .sorting import (
@@ -166,7 +157,7 @@ def encode_query_init(spec: QuerySpec) -> bytes:
 def decode_query_init(payload: bytes) -> QuerySpec:
     """Strict: canonical flag and negate bytes, a t in 1..MAX_SORT_K and
     only for a sorted query, each formula over exactly its subquery's
-    x-terms, a UTF-8 score that check_score accepts and no trailing bytes."""
+    x-terms, a UTF-8 score that parse_score accepts and no trailing bytes."""
     end = len(payload)
     if end < 5:
         raise TransportError("QUERY_INIT shorter than its header")
@@ -211,7 +202,7 @@ def decode_query_init(payload: bytes) -> QuerySpec:
         raise TransportError("QUERY_INIT score flag disagrees with its score")
     if score:
         try:
-            check_score(score)
+            parse_score(score)
         except ScoreError as exc:
             raise TransportError(f"QUERY_INIT score refused: {exc}") from None
     return QuerySpec(subs, bool(flags & FLAG_SORT), score or None, top_k)
@@ -737,10 +728,8 @@ class IndexServer:
     # -- scoring
 
     def _score(self, channel, qid, shares, formula_text, party):
-        ast = parse_score(formula_text)
-        variables = {SCORE_VARIABLE: np.asarray(shares, dtype=np.int64)}
         take_triple = self._triple_source(channel, qid, party)
-        values = eval_score(ast, variables, party, channel, take_triple, qid)
+        values = eval_score(parse_score(formula_text), shares, party, channel, take_triple, qid)
         return [int(v) for v in values]
 
     def _triple_source(self, channel, qid, party):

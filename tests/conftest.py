@@ -5,7 +5,8 @@ over the entries' lines; a 0-1-principle check of a comparator schedule;
 integers as rows of bits; a scalar reference of the fixed-key hash that
 garbling and OT share; garbled evaluation over many input rows, a row at
 a time; an x-coordinate that is no point of the group; a LocalCluster's
-per-server exponentiation counts and a server's store fingerprint."""
+per-server exponentiation counts and a server's store fingerprint; what
+an encrypted store would show of a key bundle."""
 
 import hashlib
 import random
@@ -15,7 +16,7 @@ import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from privgraph.circuits import odd_even_merge
-from privgraph.crypto import decode_element
+from privgraph.crypto import SHARE_MODULUS, decode_element
 from privgraph.garble import decode, evaluate, select_labels
 from privgraph.graph import SORT_KEY_MAX, SORT_KEY_MIN, Edge, Graph
 from privgraph.transport import Channel
@@ -165,3 +166,15 @@ def store_fingerprint(server) -> str:
     h.update(server.data.tset.to_bytes())
     h.update(server.data.xset.to_bytes())
     return h.hexdigest()
+
+
+def key_leaks(keys, blobs, cluster0_shares) -> list:
+    """What the stored bytes show of the key bundle: every 8-byte window of
+    a key found in a blob, and every cluster-0 sort-key share that equals
+    a 4-byte word of a key mod 2^31."""
+    keys = list(vars(keys).values())
+    windows = {k[i : i + 8] for k in keys for i in range(len(k) - 7)}
+    words = {int.from_bytes(k[i : i + 4], "big") % SHARE_MODULUS for k in keys for i in range(0, len(k), 4)}
+    return [w for w in windows if any(w in blob for blob in blobs)] + sorted(
+        set(cluster0_shares) & words
+    )

@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from conftest import random_graph
+from conftest import key_leaks, random_graph
 from privgraph import crypto
 from privgraph.bloom import BloomFilter
 from privgraph.builder import (
@@ -235,6 +235,21 @@ class TestBuildEdb:
         index = {"friend:1": PostingList("friend:1", [(50, 2), (key, 3)])}
         with pytest.raises(ValueError, match=r"friend:1: a sort key outside 1\.\.100"):
             build_edb(index, keys, ctx, PartitionConfig())
+
+
+class TestKeyStream:
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_build_never_reads_the_key_stream(self, ctx, seed):
+        # keys drawn from make_rng(seed), then an EDB built with that seed:
+        # its shares and nonces come from a stream of their own
+        index = build_inverted_index(random_graph(15, 40, seed=6))
+        keys = crypto.MasterKeyBundle.generate(make_rng(seed))
+        edb = build_edb(index, keys, ctx, PartitionConfig(shards_per_cluster=2, seed=seed))
+        blobs = [s.tset.to_bytes() + s.xset.to_bytes() for c in edb.clusters for s in c]
+        shares = [t.sortkey_share for s in edb.clusters[0]
+                  for block in s.tset.blocks.values() for t in block]
+        assert len(shares) == sum(len(p) for p in index.values())
+        assert key_leaks(keys, blobs, shares) == []
 
 
 class TestEmitEdb:

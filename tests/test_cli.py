@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import key_leaks
+from privgraph.builder import TSetShard
 from privgraph.cli import main
+from privgraph.crypto import load_keystore
 from privgraph.graph import PlaintextEngine, build_inverted_index, load_edge_list
 
 
@@ -56,6 +59,29 @@ class TestSetup:
         ])
         assert rc == 0
         assert edb_digest(tmp_path / "again" / "edb") == edb_digest(workspace / "edb")
+
+    def test_no_key_material_in_the_edb(self, edge_file, workspace, tmp_path):
+        # seeded and unseeded alike, no 8-byte window of a key is stored
+        # and no cluster-0 share equals a key word
+        main(["setup", "--edges", str(edge_file), "--out", str(tmp_path), "--shards", "2"])
+        for out in (workspace, tmp_path):
+            keys = load_keystore(out / "keystore.bin")
+            blobs = [p.read_bytes() for p in (out / "edb").rglob("*") if p.is_file()]
+            shares = [
+                t.sortkey_share
+                for p in (out / "edb" / "cluster0").rglob("tset.bin")
+                for block in TSetShard.from_bytes(p.read_bytes()).blocks.values()
+                for t in block
+            ]
+            assert len(shares) == 250
+            assert key_leaks(keys, blobs, shares) == []
+
+    def test_unseeded_setups_differ(self, edge_file, tmp_path):
+        for name in ("a", "b"):
+            assert main(["setup", "--edges", str(edge_file), "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "a" / "keystore.bin").read_bytes() != (
+            tmp_path / "b" / "keystore.bin"
+        ).read_bytes()
 
     def test_storage_report(self, tmp_path, edge_file, capsys):
         main(["setup", "--edges", str(edge_file), "--out", str(tmp_path / "r"), "--seed", "9"])

@@ -5,7 +5,7 @@ from conftest import random_graph
 from privgraph import crypto
 from privgraph.builder import PartitionConfig, build_edb
 from privgraph.cluster import LocalCluster
-from privgraph.crypto import hash_to_shard
+from privgraph.crypto import SHARE_MODULUS, hash_to_shard
 from privgraph.graph import PlaintextEngine, build_inverted_index
 from privgraph.leakage import (
     QueryRecord,
@@ -15,6 +15,7 @@ from privgraph.leakage import (
     compute_leakage,
 )
 from privgraph.server import _decode_contrib, _encode_contrib
+from privgraph.sexpr import parse_sexpr
 from privgraph.transport import MSG, Frame, Transcript
 
 KEYS = crypto.MasterKeyBundle(*(bytes([i + 9]) * 16 for i in range(5)))
@@ -161,6 +162,19 @@ class TestAudit:
         assert report.violations
         assert any("forbidden" in v for v in report.violations)
 
+    def test_key_material_cut_across_frames_detected(self, run):
+        # 12 bytes from the middle of a key, as a nonce might carry them:
+        # the key never appears whole, 8 bytes of it in a row do
+        _, transcript, _ = run
+        key = KEYS.k_x
+        leaky = Transcript(entries=list(transcript.entries))
+        leaky.record("is00", "send", Frame(MSG["ERROR"], 1, b"nonce:" + key[2:14]))
+        report = audit_transcript(leaky, forbidden=(key,))
+        assert any("forbidden" in v for v in report.violations), report.violations
+        seven = Transcript(entries=list(transcript.entries))
+        seven.record("is00", "send", Frame(MSG["ERROR"], 1, key[:7] + b"." + key[8:15]))
+        assert not audit_transcript(seven, forbidden=(key,)).violations
+
     def test_injected_plaintext_result_detected(self, run):
         _, transcript, _ = run
         leaky = Transcript(entries=list(transcript.entries))
@@ -202,6 +216,80 @@ class TestAudit:
         assert rewritten
         verdict = check_transcript_consistency(profile, Transcript(entries=entries))
         assert any("CONTRIB" in v for v in verdict.violations), verdict.violations
+
+
+SCORES = ["(mul key key)", "(mul key -1)", "(add (mul key -1) 200)"]
+
+
+@pytest.fixture(scope="module")
+def scored_run():
+    """Three honest sorted sessions of one disjunction, one per formula."""
+    graph = random_graph(30, 200, seed=79)
+    index = build_inverted_index(graph)
+    engine = PlaintextEngine(index)
+    edb = build_edb(
+        index, KEYS, crypto.GroupContext(),
+        PartitionConfig(shards_per_cluster=2, bloom_fpr=1e-7, seed=79),
+    )
+    t = terms_by_size(index, 3)
+    text = f"(or {t[0]} {t[1]} {t[2]})"
+    queries = [QueryRecord.make(text, sort=True, score=score) for score in SCORES]
+    transcript = Transcript()
+    with LocalCluster(edb, transcript=transcript, timeout=30.0) as cluster:
+        fe = cluster.front_end(KEYS, lengths=engine.lengths, timeout=60.0)
+        for record in queries:
+            fe.query(record.expr, sort=True, score=record.score)
+    keys = [sk for sk, _ in engine.query(parse_sexpr(text), sort=True)]
+    return index, transcript, queries, keys
+
+
+class TestScoredQueries:
+    """A scored query's profile holds its formula's values, mod 2^31: the
+    scores its sorts compared."""
+
+    def test_honest_sessions_consistent(self, scored_run):
+        index, transcript, queries, keys = scored_run
+        assert not audit_transcript(transcript, forbidden=tuple(KEYS.__dict__.values())).violations
+        profile = compute_leakage(index, queries, n_shards=2)
+        assert profile.ranks == [
+            sorted((sk * sk for sk in keys), reverse=True),
+            sorted((SHARE_MODULUS - sk for sk in keys), reverse=True),
+            sorted((200 - sk for sk in keys), reverse=True),
+        ]
+        verdict = check_transcript_consistency(profile, transcript)
+        assert not verdict.violations, verdict.violations
+
+    def test_one_mask_per_shard_flagged(self, scored_run):
+        # (mul key key) compares 14 bits: one mask shared by 4 entries of a
+        # CONTRIB shows 3 true XORs of 14 bits each, 42 >= 31 bits
+        index, transcript, queries, _ = scored_run
+        profile = compute_leakage(index, queries, n_shards=2)
+        first = next(f.session for p, d, f in transcript.entries
+                     if p == "frontend" and f.type == MSG["QUERY_INIT"])
+        entries, longest = [], 0
+        for party, direction, frame in transcript.entries:
+            if frame.type == MSG["CONTRIB"] and direction == "send" and frame.session == first:
+                shard, status, contrib, count = _decode_contrib(frame.payload)
+                true = profile.survivor_scores[0][shard]
+                one_mask = [(true[i] ^ 0x2A5A, i) for _, i in contrib]
+                frame = Frame(
+                    frame.type, frame.session, _encode_contrib(shard, status, one_mask, count)
+                )
+                longest = max(longest, len(contrib))
+            entries.append((party, direction, frame))
+        assert longest >= 4
+        verdict = check_transcript_consistency(profile, Transcript(entries=entries))
+        assert any("query 0: CONTRIB" in v for v in verdict.violations), verdict.violations
+
+    def test_other_formula_flagged(self, scored_run):
+        index, transcript, queries, _ = scored_run
+        swapped = [QueryRecord.make(r.expr, sort=True, score=s)
+                   for r, s in zip(queries, [SCORES[1], SCORES[0], None])]
+        violations = check_transcript_consistency(
+            compute_leakage(index, swapped, n_shards=2), transcript
+        ).violations
+        for qi in range(3):
+            assert any(f"query {qi}: QUERY_INIT names score" in v for v in violations), violations
 
 
 class TestTopK:

@@ -6,6 +6,7 @@ import secrets
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -722,6 +723,44 @@ class TestSecureMode:
                     "OT_PAYLOAD"]
                 assert sent["is11"] == ["OT_EXTEND", "OT_PAYLOAD", "MUL_EXCHANGE"] * muls + [
                     "OT_EXTEND"]
+
+    def test_only_secret_products_spend_triples(self, setup):
+        # in steady state, a multiplication of two secret sub-formulas costs
+        # each of the two counterpart pairs one MUL_EXCHANGE each way; a
+        # sub-formula of constants alone is public, so (mul (add 2 3) key)
+        # sends what (mul key 5) sends, bar its longer QUERY_INIT
+        index, engine, _, _ = setup
+        edb = build_edb(
+            index, KEYS, crypto.GroupContext(), PartitionConfig(shards_per_cluster=2, seed=21)
+        )
+        t = top_terms(index, 3)
+        text = f"(or {t[0]} {t[1]} {t[2]})"
+        muls = {
+            "(mul key key)": 4,
+            "(mul (mul key key) key)": 8,
+            "(add (mul key 3) 7)": 0,
+            "(mul (add key 1) (add key 2))": 4,
+            "(mul (add 2 3) key)": 0,
+            "(mul key 5)": 0,
+        }
+        frames = {}
+        transcript = Transcript()
+        with LocalCluster(edb, transcript=transcript, timeout=60.0) as cluster:
+            fe = cluster.front_end(KEYS, lengths=engine.lengths, timeout=120.0)
+            fe.query(text, sort=True, score="(mul key key)")  # sets up every pair
+            for score in muls:
+                with transcript.lock:
+                    transcript.entries.clear()
+                assert fe.query(text, sort=True, score=score)
+                frames[score] = Counter(
+                    (f.name, len(f.payload)) for _, d, f in transcript.entries
+                    if d == "send" and f.name != "QUERY_INIT"
+                )
+        assert {
+            score: sum(n for (name, _), n in sent.items() if name == "MUL_EXCHANGE")
+            for score, sent in frames.items()
+        } == muls
+        assert frames["(mul (add 2 3) key)"] == frames["(mul key 5)"]
 
     def test_shares_come_from_the_csprng(self, setup, monkeypatch):
         index, engine, _, _ = setup
