@@ -7,6 +7,8 @@ extension share.
 Everything here is a pure function of its inputs once the master keys are
 fixed, so it is safe to call concurrently from any number of sessions; only
 a FixedKeyHash instance, which holds a cipher context, belongs to one thread.
+The one exception is OT extension's row hash: one instance that every
+session shares, called under a lock.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class FixedKeyHash:
     π is AES-128 under a fixed public key, one key per use, and σ(l, r) =
     (l ⊕ r, l) is a linear orthomorphism over the block's halves. One call
     hashes any number of blocks with one AES-ECB call. An instance holds
-    one cipher context: make one per thread."""
+    one cipher context: make one per thread, or share one under a lock."""
 
     def __init__(self, key: bytes):
         self._enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()

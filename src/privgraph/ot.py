@@ -28,11 +28,16 @@ OT_EXTEND names its state (a hash of the set-up's first frame) and a range
 of the seeds' AES-CTR blocks that the receiver allocated under the pair's
 lock; transfer j of an extension that starts at block b is hashed under the
 index 128 * b + j, so no two extensions on a state share PRG output or hash
-indices. The row hash is crypto.FixedKeyHash under this module's key, the
-tweakable correlation-robust hash that garbling uses under its own: one AES
-call hashes an extension's rows. The sender refuses an unknown state and a
-range that overlaps one already used. A receiver whose OT fails drops its
-state, and the pair's next session sets up a new one.
+indices. Each side reads its seeds' streams a window of WINDOW_BLOCKS
+blocks ahead, with one AES call per seed per window, and serves consecutive
+extensions from it; a range behind the window or wider than it is read
+directly. Either way the bytes are those of AES-CTR under the seed. The row
+hash is crypto.FixedKeyHash under this module's key, the tweakable
+correlation-robust hash that garbling uses under its own: one AES call
+hashes an extension's rows, on one instance that every session shares
+under a lock. The sender refuses an unknown state and a range that
+overlaps one already used. A receiver whose OT fails drops its state, and
+the pair's next session sets up a new one.
 """
 
 from __future__ import annotations
@@ -67,6 +72,9 @@ _HASH_KEY = b"privgraph-ot-key"  # the fixed AES key of the row hash
 # sender states kept per pair: the newest, and older ones that sessions
 # begun before their receiver dropped them may still extend
 STATES_KEPT = 4
+
+# AES-CTR blocks of each seed's stream read ahead at once: 1,024 transfers
+WINDOW_BLOCKS = 8
 
 # OT_EXTEND header: state id, first AES-CTR block, transfers
 _EXTEND = struct.Struct(">8sQI")
@@ -166,13 +174,20 @@ def _pad(index: int, big_a: bytes, big_b: bytes, shared: bytes) -> bytes:
     return hashlib.sha256(struct.pack(">I", index) + big_a + big_b + shared).digest()[:16]
 
 
+# the row hash's one cipher context, which every session's thread shares
+_ROW_HASH = FixedKeyHash(_HASH_KEY)
+_ROW_HASH_LOCK = threading.Lock()
+
+
 def _hash_rows(rows: np.ndarray, block: int) -> np.ndarray:
     """Hash each 16-byte row j of an extension that starts at block with
     the index 128 * block + j into a pad; the pads as an (m, 16) array."""
     index = np.uint64(KAPPA * block) + np.arange(len(rows), dtype=np.uint64)
     halves = np.ascontiguousarray(rows).view(HALVES)
     tweaks = FixedKeyHash.tweaks(index.view(np.int64))
-    return FixedKeyHash(_HASH_KEY)(halves, tweaks).view(np.uint8)
+    with _ROW_HASH_LOCK:
+        pads = _ROW_HASH(halves, tweaks)
+    return pads.view(np.uint8)
 
 
 def _transpose(mat: np.ndarray, m: int) -> np.ndarray:
@@ -188,22 +203,41 @@ def _low31(pads: np.ndarray) -> np.ndarray:
 
 
 class _Seeds:
-    """The AES key schedules of a state's seeds, built once: expand() reads
-    every seed's AES-CTR stream by encrypting the counter blocks under ECB,
-    the bytes a CTR cipher started at that block gives."""
+    """The AES key schedules of a state's seeds, built once, and a window
+    of WINDOW_BLOCKS blocks of every seed's AES-CTR stream read ahead.
+    expand() serves a range inside the window from it, refills the window
+    forward from a range past it, and reads a range behind the window or
+    wider than it directly; a read encrypts the counter blocks under ECB,
+    the bytes a CTR cipher started at that block gives. The window is
+    replaced, never written, so a view of it handed out never changes."""
 
     def __init__(self, seeds):
         self._encryptors = [
             Cipher(algorithms.AES(seed), modes.ECB()).encryptor() for seed in seeds
         ]
         self._lock = threading.Lock()  # concurrent sessions share the encryptors
+        self._start = 0  # the window's first block
+        self._window = self._read(0, 0)
+
+    def _read(self, block: int, blocks: int) -> np.ndarray:
+        """(seeds, 16 * blocks) read-only array of every seed's stream from
+        block on, one AES call per seed; the caller holds the lock."""
+        counters = b"".join((block + i).to_bytes(16, "big") for i in range(blocks))
+        stream = b"".join(enc.update(counters) for enc in self._encryptors)
+        return np.frombuffer(stream, dtype=np.uint8).reshape(len(self._encryptors), 16 * blocks)
 
     def expand(self, n: int, block: int) -> np.ndarray:
-        """(seeds, n) array: n bytes of each seed's stream from block on."""
-        counters = b"".join((block + i).to_bytes(16, "big") for i in range(-(-n // 16)))
+        """(seeds, n) read-only array: n bytes of each seed's stream from
+        block on."""
+        blocks = -(-n // 16)
         with self._lock:
-            stream = b"".join(enc.update(counters) for enc in self._encryptors)
-        return np.frombuffer(stream, dtype=np.uint8).reshape(len(self._encryptors), -1)[:, :n]
+            if blocks > WINDOW_BLOCKS or block < self._start:
+                return self._read(block, blocks)[:, :n]
+            offset = 16 * (block - self._start)
+            if offset + n > self._window.shape[1]:
+                self._start, offset = block, 0
+                self._window = self._read(block, WINDOW_BLOCKS)
+            return self._window[:, offset : offset + n]
 
 
 class _ReceiverState:

@@ -86,6 +86,10 @@ STATUS_FAILED = 1
 
 # ended sessions remembered so that a late frame for one is discarded
 DROPPED_KEPT = 4096
+# queues that frames made and no session has claimed yet, kept for the
+# sessions still to start; beyond this the oldest is discarded, so frames
+# for sessions this server never runs cannot pile up
+UNCLAIMED_KEPT = 1024
 
 # the seed of dealer-mode triples; every server knows it, which is why
 # dealer mode is for single-process runs only
@@ -349,6 +353,12 @@ def _discard(item) -> None:
         item.close()
 
 
+def _discard_queued(q: queue.Queue) -> None:
+    """Release every item left in a queue no session will read."""
+    while not q.empty():
+        _discard(q.get_nowait())
+
+
 # ---------------------------------------------------------------------------
 # The server
 
@@ -392,6 +402,7 @@ class IndexServer:
         self._ot_pairs: dict[str, OTPair] = {}  # by the other server's name
         self._sessions: dict = {}
         self._dropped: OrderedDict = OrderedDict()  # recently ended sessions
+        self._unclaimed: OrderedDict = OrderedDict()  # queues no session awaited yet
         self._lock = threading.Lock()
         self._listener = None
         self._running = False
@@ -478,14 +489,27 @@ class IndexServer:
         return q
 
     def _deliver(self, key, item) -> None:
+        """Queue item for the session key, unless it has ended. A queue
+        made here is unclaimed until the session awaits it, and the oldest
+        unclaimed queue beyond UNCLAIMED_KEPT is discarded."""
+        evicted = None
         with self._lock:
-            if key not in self._dropped:
+            late = key in self._dropped
+            if not late:
+                if key not in self._sessions:
+                    self._unclaimed[key] = None
                 self._queue(key).put(item)
-                return
-        _discard(item)  # a late arrival for a session already over
+                if len(self._unclaimed) > UNCLAIMED_KEPT:
+                    oldest, _ = self._unclaimed.popitem(last=False)
+                    evicted = self._sessions.pop(oldest)
+        if late:
+            _discard(item)  # a late arrival for a session already over
+        if evicted is not None:
+            _discard_queued(evicted)
 
     def _await(self, key, timeout: float):
         with self._lock:
+            self._unclaimed.pop(key, None)
             q = None if key in self._dropped else self._queue(key)
         if q is not None:
             try:
@@ -499,11 +523,12 @@ class IndexServer:
         arrives for it later is discarded on arrival."""
         with self._lock:
             q = self._sessions.pop(key, None)
+            self._unclaimed.pop(key, None)
             self._dropped[key] = None
             while len(self._dropped) > DROPPED_KEPT:
                 self._dropped.popitem(last=False)
-        while q is not None and not q.empty():
-            _discard(q.get_nowait())
+        if q is not None:
+            _discard_queued(q)
 
     # -- query sessions
 

@@ -461,6 +461,79 @@ class TestVectorised:
         near_wrap = (1 << 64) - 2  # the counter carries out of its low 64 bits
         assert cached.expand(64, near_wrap)[0].tobytes() == _ctr_stream(seeds[0], 64, near_wrap)
 
+    @pytest.mark.parametrize(
+        "reads",
+        [
+            [(16, b) for b in range(3 * ot_mod.WINDOW_BLOCKS + 1)],
+            [(16, 9), (40, 11), (16, 2), (16, 12)],  # block 2 lies behind the window
+            [(16 * ot_mod.WINDOW_BLOCKS + 1, 0), (700, 3), (16, 1)],
+            [(16, (1 << 64) - 3), (64, (1 << 64) - 2), (16, (1 << 64) + 5)],
+        ],
+        ids=["across-window-ends", "behind-window", "wider-than-window", "near-wrap"],
+    )
+    def test_windowed_reads_equal_ctr_stream(self, reads):
+        rng = np.random.default_rng(9)
+        seeds = [rng.bytes(16) for _ in range(3)]
+        cached = ot_mod._Seeds(seeds)
+        for n, block in reads:
+            got = cached.expand(n, block)
+            assert got.shape == (3, n) and not got.flags.writeable
+            for seed, row in zip(seeds, got):
+                assert row.tobytes() == _ctr_stream(seed, n, block)
+
+    def test_one_aes_call_per_window(self):
+        # consecutive one-block extensions read each seed's stream once a
+        # window, not once an extension
+        class Counting:
+            def __init__(self, enc):
+                self.enc, self.calls = enc, 0
+
+            def update(self, data):
+                self.calls += 1
+                return self.enc.update(data)
+
+        seeds = [bytes([i]) * 16 for i in range(4)]
+        cached = ot_mod._Seeds(seeds)
+        cached._encryptors = [Counting(enc) for enc in cached._encryptors]
+        n_ext = 50
+        views = [cached.expand(16, block) for block in range(n_ext)]
+        for block, view in enumerate(views):  # earlier views never change
+            assert view[0].tobytes() == _ctr_stream(seeds[0], 16, block)
+        bound = -(-n_ext // ot_mod.WINDOW_BLOCKS) + 1
+        assert all(enc.calls <= bound for enc in cached._encryptors)
+
+    def test_shared_row_hash_under_threads(self):
+        # every session's thread hashes on the module's one cipher context
+        rng = np.random.default_rng(10)
+        jobs = [
+            (rng.integers(0, 256, size=(64, 16), dtype=np.uint8), int(rng.integers(0, 1 << 40)))
+            for _ in range(8)
+        ]
+        barrier = threading.Barrier(len(jobs))
+        results: list = [None] * len(jobs)
+
+        def run(i):
+            rows, block = jobs[i]
+            barrier.wait(timeout=30)
+            results[i] = [ot_mod._hash_rows(rows, block) for _ in range(50)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for (rows, block), pads_list in zip(jobs, results):
+            want = [scalar_hash(b"privgraph-ot-key", row.tobytes(), 128 * block + j)
+                    for j, row in enumerate(rows)]
+            for pads in pads_list:
+                assert [pad.tobytes() for pad in pads] == want
+
     @pytest.mark.parametrize("block", [0, 5, ot_mod._MAX_BLOCK - 1])
     def test_row_pads_equal_the_scalar_hash(self, block):
         # row j of an extension from block b is hashed under 128 * b + j,

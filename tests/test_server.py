@@ -576,6 +576,35 @@ class TestFailFast:
             chan.close()
             peer.close()
 
+    def test_stray_frames_held_within_bound(self, setup):
+        # frames for sessions the server never runs, such as a dead
+        # front-end's: the oldest unclaimed queues are discarded, channels
+        # closed, and queries still run
+        index, engine, _, _ = setup
+        edb = build_edb(
+            index, KEYS, crypto.GroupContext(), PartitionConfig(shards_per_cluster=2, seed=21)
+        )
+        with LocalCluster(edb, timeout=10.0) as cluster:
+            server = cluster.server(0, 0)
+            channels = [loopback_pair("stray") for _ in range(3)]
+            try:
+                for peer, chan in channels:
+                    server._deliver(("gsort", secrets.randbits(64)), chan)
+                for _ in range(2000 - len(channels)):
+                    server._deliver(("masks", secrets.randbits(64)), (1, server_mod.STATUS_OK, [5]))
+                assert len(server._sessions) == server_mod.UNCLAIMED_KEPT
+                for peer, _ in channels:
+                    with pytest.raises(ChannelClosed):
+                        peer.recv(timeout=1)
+            finally:
+                for pair in channels:
+                    for chan in pair:
+                        chan.close()
+            fe = cluster.front_end(KEYS, lengths=engine.lengths)
+            text = conjunction_on_both_shards(index)
+            assert_ranked(fe.query(text, sort=True), engine.query(parse_sexpr(text), sort=True))
+            assert len(server._sessions) <= server_mod.UNCLAIMED_KEPT
+
     @pytest.mark.parametrize("party", ["is11", "is10", "is01", "is00"])
     def test_failed_query_releases_every_session(self, setup, monkeypatch, party):
         # the server fails before its RESULT, so its sort phase never starts
