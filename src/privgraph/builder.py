@@ -1,5 +1,5 @@
 """The setup pipeline: partition the inverted index by result id, encrypt
-posting lists into per-shard TSets, build per-shard XSet Bloom filters,
+posting lists into per-shard TSets, gather per-shard XSets of xtags,
 split sort-keys into additive shares, and emit per-server encrypted
 databases for both clusters.
 
@@ -16,7 +16,6 @@ import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bloom import BloomFilter
 from .crypto import (
     CIPHERTEXT_BYTES,
     ELEMENT_BYTES,
@@ -55,7 +54,6 @@ TUPLE_BYTES = 4 + CIPHERTEXT_BYTES + ELEMENT_BYTES  # share | e_id | y
 class PartitionConfig:
     shards_per_cluster: int = 1
     block_size: int = 100
-    bloom_fpr: float = 1e-6
     seed: int | None = None  # of a reproducible test build; None draws from the OS
 
     def __post_init__(self):
@@ -68,7 +66,6 @@ class PartitionConfig:
         return {
             "shards_per_cluster": self.shards_per_cluster,
             "block_size": self.block_size,
-            "bloom_fpr": self.bloom_fpr,
             "shard_hash": "sha256",  # the partition function, hash_to_shard's
             "share_modulus": SHARE_MODULUS,
         }
@@ -190,24 +187,40 @@ class TSetShard:
 
 
 class XSetFilter:
-    """Bloom-filter membership set over xtags, 32-byte x-coordinates."""
+    """The exact set of a shard's xtags, 32-byte x-coordinates. Its blob is
+    a magic, a count, then the xtags in ascending byte order: build order
+    groups them by term and would show which share a posting list."""
 
-    def __init__(self, bloom: BloomFilter):
-        self.bloom = bloom
+    MAGIC = b"PGXS"
+
+    def __init__(self, xtags):
+        self.xtags = frozenset(xtags)
 
     def contains(self, xtag: bytes) -> bool:
-        return xtag in self.bloom
+        return xtag in self.xtags
 
     @property
     def count(self):
-        return self.bloom.count
+        return len(self.xtags)
 
     def to_bytes(self) -> bytes:
-        return self.bloom.to_bytes()
+        header = self.MAGIC + struct.pack(">I", len(self.xtags))
+        return header + b"".join(sorted(self.xtags))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "XSetFilter":
-        return cls(BloomFilter.from_bytes(data))
+        """Strict: another magic (an XSet of earlier builds was a Bloom
+        filter), a length other than its count's, or xtags out of order or
+        repeated raise ValueError."""
+        if data[:4] != cls.MAGIC:
+            raise ValueError("not an XSet blob: rebuild the EDB with this version's setup")
+        count = int.from_bytes(data[4:8], "big")
+        if len(data) != 8 + ELEMENT_BYTES * count:
+            raise ValueError("XSet blob length disagrees with its count")
+        xtags = [data[off : off + ELEMENT_BYTES] for off in range(8, len(data), ELEMENT_BYTES)]
+        if any(a >= b for a, b in zip(xtags, xtags[1:])):
+            raise ValueError("XSet blob's xtags are out of order or repeated")
+        return cls(xtags)
 
 
 def partition(index: dict[str, PostingList], config: PartitionConfig):
@@ -271,14 +284,12 @@ def build_xset(
     sub_index: dict[str, PostingList],
     keys: MasterKeyBundle,
     ctx: GroupContext,
-    config: PartitionConfig,
 ) -> XSetFilter:
-    n_items = sum(len(p) for p in sub_index.values())
-    bloom = BloomFilter(n_items, config.bloom_fpr)
-    for term in sorted(sub_index):
-        for _, eid in sub_index[term].entries:
-            bloom.add(xtag_compute(keys, ctx, term, eid))
-    return XSetFilter(bloom)
+    return XSetFilter(
+        xtag_compute(keys, ctx, term, eid)
+        for term, plist in sub_index.items()
+        for _, eid in plist.entries
+    )
 
 
 @dataclass
@@ -318,7 +329,7 @@ def build_edb(
     clusters = [[], []]
     for j, sub_index in enumerate(shards):
         tset0, tset1 = build_tset_pair(sub_index, keys, ctx, config, rng)
-        xset = build_xset(sub_index, keys, ctx, config)
+        xset = build_xset(sub_index, keys, ctx)
         n_entries = sum(len(p) for p in sub_index.values())
         for i, tset in enumerate((tset0, tset1)):
             manifest = {
@@ -358,35 +369,40 @@ def emit_edb(edb: EncryptedDatabase, out_dir) -> None:
 
 
 def load_edb(edb_dir) -> EncryptedDatabase:
+    """Strict: each cluster must hold exactly the manifest's shard
+    directories, each manifest must name its own directory, and each blob
+    must match its checksum and decode, or ValueError is raised."""
     edb_dir = Path(edb_dir)
-    clusters = [[], []]
-    config = None
-    for i in (0, 1):
-        j = 0
-        while (edb_dir / f"cluster{i}" / f"shard{j}").is_dir():
-            d = edb_dir / f"cluster{i}" / f"shard{j}"
-            manifest = json.loads((d / "manifest.json").read_text())
-            tset_bytes = (d / "tset.bin").read_bytes()
-            xset_bytes = (d / "xset.bin").read_bytes()
-            if hashlib.sha256(tset_bytes).hexdigest() != manifest["tset_sha256"]:
-                raise ValueError(f"checksum mismatch for {d / 'tset.bin'}")
-            if hashlib.sha256(xset_bytes).hexdigest() != manifest["xset_sha256"]:
-                raise ValueError(f"checksum mismatch for {d / 'xset.bin'}")
-            clusters[i].append(
-                ShardData(
-                    TSetShard.from_bytes(tset_bytes),
-                    XSetFilter.from_bytes(xset_bytes),
-                    manifest,
-                )
-            )
-            if config is None:
-                cfg = manifest["config"]
-                config = PartitionConfig(
-                    shards_per_cluster=cfg["shards_per_cluster"],
-                    block_size=cfg["block_size"],
-                    bloom_fpr=cfg["bloom_fpr"],
-                )
-            j += 1
-    if config is None:
+    first = edb_dir / "cluster0" / "shard0" / "manifest.json"
+    if not first.is_file():
         raise ValueError(f"no EDB shards found under {edb_dir}")
+    cfg = json.loads(first.read_text())["config"]
+    config = PartitionConfig(
+        shards_per_cluster=cfg["shards_per_cluster"], block_size=cfg["block_size"]
+    )
+    n = config.shards_per_cluster
+    clusters = [[], []]
+    for i in (0, 1):
+        cluster_dir = edb_dir / f"cluster{i}"
+        found = sorted(p.name for p in cluster_dir.glob("shard*") if p.is_dir())
+        if found != sorted(f"shard{j}" for j in range(n)):
+            raise ValueError(f"{cluster_dir} holds {found}, its manifest names {n} shards")
+        for j in range(n):
+            clusters[i].append(_load_shard(cluster_dir / f"shard{j}", i, j))
     return EncryptedDatabase(config, clusters)
+
+
+def _load_shard(d: Path, cluster: int, shard: int) -> ShardData:
+    manifest = json.loads((d / "manifest.json").read_text())
+    named = (manifest.get("cluster"), manifest.get("shard"))
+    if named != (cluster, shard):
+        raise ValueError(f"{d / 'manifest.json'} names cluster {named[0]} shard {named[1]}")
+    tset_bytes = (d / "tset.bin").read_bytes()
+    xset_bytes = (d / "xset.bin").read_bytes()
+    if hashlib.sha256(tset_bytes).hexdigest() != manifest["tset_sha256"]:
+        raise ValueError(f"checksum mismatch for {d / 'tset.bin'}")
+    if hashlib.sha256(xset_bytes).hexdigest() != manifest["xset_sha256"]:
+        raise ValueError(f"checksum mismatch for {d / 'xset.bin'}")
+    return ShardData(
+        TSetShard.from_bytes(tset_bytes), XSetFilter.from_bytes(xset_bytes), manifest
+    )

@@ -55,7 +55,6 @@ def cmd_setup(args) -> int:
     config = PartitionConfig(
         shards_per_cluster=args.shards,
         block_size=args.block_size,
-        bloom_fpr=args.bloom_fpr,
         seed=args.seed,
     )
     t0 = time.perf_counter()
@@ -94,10 +93,16 @@ def cmd_setup(args) -> int:
 
 
 def _load_peers(path) -> dict:
+    """Party name -> (host, port), from a JSON object of "host:port"
+    strings; a file that is not one raises ValueError naming the entry."""
     raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: peers must be a JSON object of name: host:port")
     peers = {}
     for name, addr in raw.items():
-        host, port = addr.rsplit(":", 1)
+        host, _, port = str(addr).rpartition(":")
+        if not host or not port.isdigit() or int(port) > 65535:
+            raise ValueError(f"{path}: peer {name!r} is {addr!r}, not host:port")
         peers[name] = (host, int(port))
     return peers
 
@@ -146,22 +151,27 @@ def cmd_query(args) -> int:
 
     lengths = None
     freq = Path(args.frequencies) if args.frequencies else Path(args.keystore).parent / "frequencies.json"
-    if freq.is_file():
-        lengths = json.loads(freq.read_text())
+    try:
+        if freq.is_file():
+            lengths = json.loads(freq.read_text())
+        if args.local:
+            edb = load_edb(args.edb)
+        elif args.peers:
+            peers = _load_peers(args.peers)
+        else:
+            return _die("either --local or --peers is required", 2)
+    except (OSError, ValueError) as exc:
+        return _die(str(exc), 2)
 
     transcript = Transcript() if args.record else None
     try:
         if args.local:
-            edb = load_edb(args.edb)
             with LocalCluster(edb, transcript=transcript, timeout=args.timeout) as cluster:
                 fe = cluster.front_end(
                     keys, lengths=lengths, timeout=args.timeout * 2
                 )
                 ids = fe.query(expr, sort=args.sort, top_k=args.top_k, score=args.score)
         else:
-            if not args.peers:
-                return _die("either --local or --peers is required", 2)
-            peers = _load_peers(args.peers)
             n_shards = sum(1 for name in peers if name.startswith("is0"))
             fe = FrontEnd(
                 keys, Topology(peers), n_shards,
@@ -232,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--block-size", type=int, default=100)
-    p.add_argument("--bloom-fpr", type=float, default=1e-6)
     p.add_argument("--seed", type=int, help="draw keys, weights, shares and nonces "
                    "from this seed, for reproducible test builds only")
     p.set_defaults(fn=cmd_setup)

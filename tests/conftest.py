@@ -6,11 +6,13 @@ integers as rows of bits; a scalar reference of the fixed-key hash that
 garbling and OT share; garbled evaluation over many input rows, a row at
 a time; an x-coordinate that is no point of the group; a LocalCluster's
 per-server exponentiation counts and a server's store fingerprint; what
-an encrypted store would show of a key bundle."""
+an encrypted store would show of a key bundle; an XSet blob of earlier
+builds."""
 
 import hashlib
 import random
 import socket
+import struct
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -22,6 +24,10 @@ from privgraph.graph import SORT_KEY_MAX, SORT_KEY_MIN, Edge, Graph
 from privgraph.transport import Channel
 
 ACCEPTANCE_LINES: list[str] = []
+
+# an XSet in the Bloom-filter layout of earlier builds: magic, version,
+# false-positive rate, item count, bit count, hash count, then the bits
+BLOOM_XSET_BLOB = struct.pack(">4sHdQQI", b"PGBF", 2, 1e-6, 3, 87, 20) + bytes(11)
 
 
 def record_acceptance(line: str) -> None:

@@ -1,16 +1,17 @@
 import json
+import shutil
 import struct
 
 import pytest
 
-from conftest import key_leaks, random_graph
+from conftest import BLOOM_XSET_BLOB, key_leaks, random_graph
 from privgraph import crypto
-from privgraph.bloom import BloomFilter
 from privgraph.builder import (
     SHARE_MODULUS,
     EncryptedTuple,
     PartitionConfig,
     TSetShard,
+    XSetFilter,
     build_edb,
     emit_edb,
     load_edb,
@@ -112,50 +113,51 @@ class TestTSetShard:
             TSetShard.from_bytes(bytes(blob))
 
 
-class TestBloom:
-    def test_membership(self):
-        bf = BloomFilter(100, 1e-3)
-        for i in range(100):
-            bf.add(struct.pack(">Q", i))
-        for i in range(100):
-            assert struct.pack(">Q", i) in bf
-
-    def test_fpr_within_budget(self):
-        bf = BloomFilter(1000, 1e-3)
-        for i in range(1000):
-            bf.add(struct.pack(">Q", i))
-        false_hits = sum(struct.pack(">Q", i) in bf for i in range(10_000, 110_000))
-        assert false_hits / 100_000 <= 2e-3
-
-    def test_empty_filter(self):
-        bf = BloomFilter(0, 1e-3)
-        assert struct.pack(">Q", 1) not in bf
+class TestXSetFilter:
+    XTAGS = [bytes([i]) * 32 for i in (7, 3, 9)]
 
     def test_round_trip(self):
-        bf = BloomFilter(10, 1e-2)
-        bf.add(b"hello")
-        clone = BloomFilter.from_bytes(bf.to_bytes())
-        assert b"hello" in clone and b"world" not in clone
+        xset = XSetFilter(self.XTAGS)
+        clone = XSetFilter.from_bytes(xset.to_bytes())
+        assert clone.xtags == xset.xtags and clone.count == 3
+        assert clone.contains(bytes([3]) * 32) and not clone.contains(bytes([4]) * 32)
 
-    def test_positions_distinct_with_composite_size(self):
-        bf = BloomFilter(100, 1e-2)
-        m, k = bf.n_bits, bf.n_hashes
-        assert any(m % p == 0 for p in range(2, int(m**0.5) + 1))
-        for i in range(10_000):
-            positions = list(bf._positions(struct.pack(">Q", i)))
-            assert len(set(positions)) == k and all(0 <= p < m for p in positions)
+    def test_empty_set(self):
+        blob = XSetFilter([]).to_bytes()
+        assert blob == b"PGXS" + bytes(4)
+        assert XSetFilter.from_bytes(blob).count == 0
+
+    def test_blob_in_ascending_order_not_build_order(self):
+        blob = XSetFilter(self.XTAGS).to_bytes()
+        assert blob == b"PGXS" + struct.pack(">I", 3) + b"".join(sorted(self.XTAGS))
 
     def test_cut_blob_refused(self):
-        blob = BloomFilter(10, 1e-2).to_bytes()
+        # every prefix and one trailing byte
+        blob = XSetFilter(self.XTAGS).to_bytes()
         for n in range(len(blob)):
-            with pytest.raises(ValueError, match="bloom filter blob"):
-                BloomFilter.from_bytes(blob[:n])
+            with pytest.raises(ValueError, match="XSet blob"):
+                XSetFilter.from_bytes(blob[:n])
+        with pytest.raises(ValueError, match="length disagrees"):
+            XSetFilter.from_bytes(blob + b"\x00")
 
-    def test_version_1_blob_rejected(self):
-        blob = bytearray(BloomFilter(10, 1e-2).to_bytes())
-        blob[4:6] = struct.pack(">H", 1)
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_count_disagreeing_with_length_refused(self, count):
+        blob = bytearray(XSetFilter(self.XTAGS).to_bytes())
+        blob[4:8] = struct.pack(">I", count)
+        with pytest.raises(ValueError, match="length disagrees"):
+            XSetFilter.from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("order", [(1, 0, 2), (0, 0, 2)], ids=["swapped", "repeated"])
+    def test_unsorted_or_repeated_xtags_refused(self, order):
+        xtags = sorted(self.XTAGS)
+        blob = b"PGXS" + struct.pack(">I", 3) + b"".join(xtags[i] for i in order)
+        with pytest.raises(ValueError, match="out of order or repeated"):
+            XSetFilter.from_bytes(blob)
+
+    def test_bloom_blob_rejected(self):
+        # the Bloom-filter XSet of earlier builds
         with pytest.raises(ValueError, match="rebuild the EDB"):
-            BloomFilter.from_bytes(bytes(blob))
+            XSetFilter.from_bytes(BLOOM_XSET_BLOB)
 
 
 class TestBuildEdb:
@@ -163,7 +165,7 @@ class TestBuildEdb:
     def edb_setup(self, keys, ctx):
         graph = random_graph(20, 60, seed=4)
         index = build_inverted_index(graph)
-        config = PartitionConfig(shards_per_cluster=2, block_size=3, bloom_fpr=1e-3, seed=99)
+        config = PartitionConfig(shards_per_cluster=2, block_size=3, seed=99)
         return graph, index, build_edb(index, keys, ctx, config), config
 
     def test_share_reconstruction(self, edb_setup, keys, ctx):
@@ -256,7 +258,7 @@ class TestEmitEdb:
     def test_emit_and_reload(self, keys, ctx, tmp_path):
         graph = random_graph(15, 40, seed=6)
         index = build_inverted_index(graph)
-        config = PartitionConfig(shards_per_cluster=2, bloom_fpr=1e-3, seed=1)
+        config = PartitionConfig(shards_per_cluster=2, seed=1)
         edb = build_edb(index, keys, ctx, config)
         emit_edb(edb, tmp_path / "edb")
         loaded = load_edb(tmp_path / "edb")
@@ -278,7 +280,6 @@ class TestEmitEdb:
         assert json.loads(path.read_text())["config"] == {
             "shards_per_cluster": 2,
             "block_size": 100,
-            "bloom_fpr": 1e-6,
             "shard_hash": "sha256",
             "share_modulus": 1 << 31,
         }
@@ -294,7 +295,7 @@ class TestEmitEdb:
     def test_manifest_counts(self, keys, ctx, tmp_path):
         graph = random_graph(15, 40, seed=6)
         index = build_inverted_index(graph)
-        config = PartitionConfig(shards_per_cluster=1, bloom_fpr=1e-3)
+        config = PartitionConfig(shards_per_cluster=1)
         edb = build_edb(index, keys, ctx, config)
         emit_edb(edb, tmp_path / "edb")
         manifest = edb.clusters[0][0].manifest
@@ -303,7 +304,7 @@ class TestEmitEdb:
     def test_deterministic_rebuild(self, keys, ctx, tmp_path):
         graph = random_graph(15, 40, seed=6)
         index = build_inverted_index(graph)
-        config = PartitionConfig(shards_per_cluster=2, bloom_fpr=1e-3, seed=77)
+        config = PartitionConfig(shards_per_cluster=2, seed=77)
         a = build_edb(index, keys, ctx, config)
         b = build_edb(index, keys, ctx, config)
         for i in (0, 1):
@@ -314,7 +315,7 @@ class TestEmitEdb:
     def test_checksum_mismatch_detected(self, keys, ctx, tmp_path):
         graph = random_graph(10, 20, seed=2)
         index = build_inverted_index(graph)
-        edb = build_edb(index, keys, ctx, PartitionConfig(bloom_fpr=1e-3))
+        edb = build_edb(index, keys, ctx, PartitionConfig())
         emit_edb(edb, tmp_path / "edb")
         target = tmp_path / "edb" / "cluster0" / "shard0" / "tset.bin"
         data = bytearray(target.read_bytes())
@@ -323,6 +324,28 @@ class TestEmitEdb:
         with pytest.raises(ValueError, match="checksum"):
             load_edb(tmp_path / "edb")
 
+    @pytest.fixture
+    def emitted(self, keys, ctx, tmp_path):
+        index = build_inverted_index(random_graph(15, 40, seed=6))
+        emit_edb(build_edb(index, keys, ctx, PartitionConfig(shards_per_cluster=2, seed=1)),
+                 tmp_path / "edb")
+        return tmp_path / "edb"
+
+    def test_missing_shard_refused(self, emitted):
+        # it loaded as [2, 1] shards, and serving cluster 1 shard 1 failed
+        # with an IndexError
+        shutil.rmtree(emitted / "cluster1" / "shard1")
+        with pytest.raises(ValueError, match=r"cluster1 holds \['shard0'\], its manifest names 2"):
+            load_edb(emitted)
+
+    def test_manifest_of_another_shard_refused(self, emitted):
+        cluster = emitted / "cluster0"
+        (cluster / "shard0").rename(cluster / "moved")
+        (cluster / "shard1").rename(cluster / "shard0")
+        (cluster / "moved").rename(cluster / "shard1")
+        with pytest.raises(ValueError, match="names cluster 0 shard 1"):
+            load_edb(emitted)
+
     def test_no_plaintext_ids_in_edb_bytes(self, keys, ctx, tmp_path):
         # magic 64-bit id patterns must not leak into emitted bytes
         magic_ids = [0xDEADBEEF00000000 + i for i in range(5)]
@@ -330,7 +353,7 @@ class TestEmitEdb:
 
         edges = [Edge(magic_ids[0], m, "friend", 10 + i) for i, m in enumerate(magic_ids[1:])]
         index = build_inverted_index(Graph(edges))
-        edb = build_edb(index, keys, ctx, PartitionConfig(bloom_fpr=1e-3))
+        edb = build_edb(index, keys, ctx, PartitionConfig())
         emit_edb(edb, tmp_path / "edb")
         for path in (tmp_path / "edb").rglob("*.bin"):
             blob = path.read_bytes()

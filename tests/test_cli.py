@@ -1,13 +1,14 @@
 import hashlib
 import json
 import random
+import shutil
 import socket
 from pathlib import Path
 
 import pytest
 
-from conftest import key_leaks
-from privgraph.builder import TSetShard
+from conftest import BLOOM_XSET_BLOB, key_leaks
+from privgraph.builder import TSetShard, load_edb
 from privgraph.cli import main
 from privgraph.crypto import load_keystore
 from privgraph.graph import PlaintextEngine, build_inverted_index, load_edge_list
@@ -37,6 +38,14 @@ def workspace(edge_file, tmp_path_factory):
     ])
     assert rc == 0
     return out
+
+
+def replace_blob(shard: Path, blob: str, data: bytes) -> None:
+    """Write a shard's tset or xset blob under a manifest rewritten to match."""
+    (shard / f"{blob}.bin").write_bytes(data)
+    manifest = json.loads((shard / "manifest.json").read_text())
+    manifest[f"{blob}_sha256"] = hashlib.sha256(data).hexdigest()
+    (shard / "manifest.json").write_text(json.dumps(manifest))
 
 
 def edb_digest(edb_dir: Path) -> str:
@@ -159,6 +168,30 @@ class TestQuery:
         err = capsys.readouterr().err
         assert "bad score formula" in err and "server error" not in err
 
+    @pytest.mark.parametrize(
+        "bad", ["no peers file", "peer without port", "no tset", "bad frequencies"]
+    )
+    def test_bad_input_file_is_a_usage_error(self, workspace, tmp_path, capsys, bad):
+        peers, edb = tmp_path / "peers.json", tmp_path / "edb"
+        shutil.copytree(workspace / "edb", edb)
+        args = ["--edb", str(edb), "--local"]
+        if bad == "no peers file":
+            args, expected = ["--peers", str(peers)], str(peers)
+        elif bad == "peer without port":
+            peers.write_text(json.dumps({"is00": "127.0.0.1:7000", "is01": "127.0.0.1"}))
+            args, expected = ["--peers", str(peers)], "'is01' is '127.0.0.1', not host:port"
+        elif bad == "no tset":
+            (edb / "cluster1" / "shard0" / "tset.bin").unlink()
+            expected = "tset.bin"
+        else:
+            (tmp_path / "freq.json").write_text("{bad")
+            args += ["--frequencies", str(tmp_path / "freq.json")]
+            expected = "Expecting property name"
+        assert main(["query", "(term friend:1)", "--keystore",
+                     str(workspace / "keystore.bin"), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expected in err
+
     def test_dealer_run_mode_refused(self, workspace):
         # a dealer's seed is known to every server: queries run secure only
         with pytest.raises(SystemExit) as exc:
@@ -276,6 +309,14 @@ def interrupted_serve(monkeypatch):
     monkeypatch.setattr(cli.time, "sleep", interrupt)
 
 
+def serve(edb: Path, tmp_path: Path, cluster: int, shard: int) -> int:
+    """serve one shard of edb, on any free port."""
+    peers = tmp_path / "peers.json"
+    peers.write_text(json.dumps({f"is{cluster}{shard}": "127.0.0.1:0"}))
+    return main(["serve", "--edb", str(edb), "--cluster", str(cluster),
+                 "--shard", str(shard), "--peers", str(peers)])
+
+
 class TestServe:
     def test_dealer_run_mode_refused(self, workspace, tmp_path):
         peers = tmp_path / "peers.json"
@@ -313,17 +354,36 @@ class TestServe:
         edges.write_text("1 2 5\n2 3 7\n3 1 9\n")
         assert main(["setup", "--edges", str(edges), "--out", str(tmp_path / "ws")]) == 0
         shard = tmp_path / "ws" / "edb" / "cluster0" / "shard0"
-        data = (shard / f"{blob}.bin").read_bytes()[:20]
-        (shard / f"{blob}.bin").write_bytes(data)
-        manifest = json.loads((shard / "manifest.json").read_text())
-        manifest[f"{blob}_sha256"] = hashlib.sha256(data).hexdigest()
-        (shard / "manifest.json").write_text(json.dumps(manifest))
-        peers = tmp_path / "peers.json"
-        peers.write_text(json.dumps({"is00": "127.0.0.1:0"}))
+        replace_blob(shard, blob, (shard / f"{blob}.bin").read_bytes()[:20])
         capsys.readouterr()
-        assert main(["serve", "--edb", str(tmp_path / "ws" / "edb"), "--cluster", "0",
-                     "--shard", "0", "--peers", str(peers)]) == 1
+        assert serve(tmp_path / "ws" / "edb", tmp_path, 0, 0) == 1
         assert "startup refused" in capsys.readouterr().err
+
+    def test_bloom_xset_of_earlier_builds_refused(
+        self, workspace, tmp_path, capsys, interrupted_serve
+    ):
+        edb = tmp_path / "edb"
+        shutil.copytree(workspace / "edb", edb)
+        replace_blob(edb / "cluster0" / "shard1", "xset", BLOOM_XSET_BLOB)
+        with pytest.raises(ValueError, match="rebuild the EDB"):
+            load_edb(edb)
+        assert serve(edb, tmp_path, 0, 1) == 1
+        err = capsys.readouterr().err
+        assert "startup refused" in err and "rebuild the EDB" in err
+
+    def test_missing_shard_refused(self, workspace, tmp_path, capsys, interrupted_serve):
+        edb = tmp_path / "edb"
+        shutil.copytree(workspace / "edb", edb)
+        shutil.rmtree(edb / "cluster1" / "shard1")
+        assert serve(edb, tmp_path, 1, 1) == 1
+        assert "startup refused" in capsys.readouterr().err
+
+    def test_peer_without_port_refused(self, workspace, tmp_path, capsys, interrupted_serve):
+        peers = tmp_path / "peers.json"
+        peers.write_text(json.dumps({"is00": "localhost"}))
+        assert main(["serve", "--edb", str(workspace / "edb"), "--cluster", "0",
+                     "--shard", "0", "--peers", str(peers)]) == 1
+        assert "'is00' is 'localhost', not host:port" in capsys.readouterr().err
 
     def test_unusable_address_refused(self, workspace, tmp_path, interrupted_serve):
         taken = socket.socket()

@@ -104,24 +104,21 @@ class TestXTagCrossCheck:
     def test_xset_membership(self, keys, ctx):
         graph = random_graph(20, 60, seed=3)
         index = build_inverted_index(graph)
-        edb = build_edb(index, keys, ctx, PartitionConfig(shards_per_cluster=1, bloom_fpr=1e-3))
+        edb = build_edb(index, keys, ctx, PartitionConfig(shards_per_cluster=1))
         xset = edb.clusters[0][0].xset
         for edge in graph.edges:
             tag = crypto.xtag_compute(keys, ctx, f"{edge.edge_type}:{edge.src}", edge.dst)
             assert xset.contains(tag)
-        # non-edges are absent (up to the Bloom FPR, negligible at 100 probes)
+        # the XSet is exact: no non-edge of the graph is a member
         present = {(e.src, e.dst) for e in graph.edges}
-        import random
-
-        rng = random.Random(0)
-        misses = 0
-        for _ in range(100):
-            u, v = rng.randrange(20), rng.randrange(100, 200)
-            if (u, v) in present:
-                continue
-            tag = crypto.xtag_compute(keys, ctx, f"friend:{u}", v)
-            misses += xset.contains(tag)
-        assert misses == 0
+        false_members = [
+            (u, v)
+            for u in range(20)
+            for v in range(20)
+            if (u, v) not in present
+            and xset.contains(crypto.xtag_compute(keys, ctx, f"friend:{u}", v))
+        ]
+        assert false_members == []
 
     def test_counter_tokens_distinct(self, keys, ctx):
         t = crypto.xtoken_compute(keys, ctx, "friend:1", 1, "friend:2")

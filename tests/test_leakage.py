@@ -119,7 +119,7 @@ def run():
     engine = PlaintextEngine(index)
     edb = build_edb(
         index, KEYS, crypto.GroupContext(),
-        PartitionConfig(shards_per_cluster=2, bloom_fpr=1e-7, seed=77),
+        PartitionConfig(shards_per_cluster=2, seed=77),
     )
     transcript = Transcript()
     t = terms_by_size(index, 3)
@@ -229,7 +229,7 @@ def scored_run():
     engine = PlaintextEngine(index)
     edb = build_edb(
         index, KEYS, crypto.GroupContext(),
-        PartitionConfig(shards_per_cluster=2, bloom_fpr=1e-7, seed=79),
+        PartitionConfig(shards_per_cluster=2, seed=79),
     )
     t = terms_by_size(index, 3)
     text = f"(or {t[0]} {t[1]} {t[2]})"
@@ -301,7 +301,7 @@ class TestTopK:
         engine = PlaintextEngine(index)
         edb = build_edb(
             index, KEYS, crypto.GroupContext(),
-            PartitionConfig(shards_per_cluster=2, bloom_fpr=1e-7, seed=78),
+            PartitionConfig(shards_per_cluster=2, seed=78),
         )
         t = terms_by_size(index, 2)
         record = QueryRecord.make(f"(or {t[0]} {t[1]})", sort=True, top_k=2)

@@ -21,7 +21,7 @@ def ctx():
 def make_setup(keys, ctx, n_nodes=30, n_edges=200, shards=1, seed=0):
     graph = random_graph(n_nodes, n_edges, seed=seed)
     index = build_inverted_index(graph)
-    config = PartitionConfig(shards_per_cluster=shards, bloom_fpr=1e-6, seed=seed)
+    config = PartitionConfig(shards_per_cluster=shards, seed=seed)
     edb = build_edb(index, keys, ctx, config)
     return index, edb
 
@@ -73,7 +73,7 @@ class TestBooleanQuery:
         edges = [Edge(1, d, "friend", 10) for d in (2, 3, 4)]
         edges += [Edge(2, d, "friend", 20) for d in (3, 4, 5)]
         index = build_inverted_index(Graph(edges))
-        edb = build_edb(index, keys, ctx, PartitionConfig(bloom_fpr=1e-6))
+        edb = build_edb(index, keys, ctx, PartitionConfig())
         got = run_query("(and friend:1 friend:2)", keys, ctx, edb, index)
         assert got == {3, 4}
 
@@ -84,7 +84,7 @@ class TestBooleanQuery:
         edges += [Edge(2, d, "friend", 20) for d in (3, 4, 5)]
         edges += [Edge(3, d, "friend", 30) for d in (2, 3, 7)]
         index = build_inverted_index(Graph(edges))
-        edb = build_edb(index, keys, ctx, PartitionConfig(bloom_fpr=1e-6))
+        edb = build_edb(index, keys, ctx, PartitionConfig())
         got = run_query(
             "(difference friend:3 (and friend:1 friend:2))", keys, ctx, edb, index
         )

@@ -59,7 +59,7 @@ def setup():
     graph = random_graph(40, 260, seed=21)
     index = build_inverted_index(graph)
     ctx = crypto.GroupContext()
-    edb = build_edb(index, KEYS, ctx, PartitionConfig(shards_per_cluster=2, bloom_fpr=1e-7, seed=21))
+    edb = build_edb(index, KEYS, ctx, PartitionConfig(shards_per_cluster=2, seed=21))
     transcript = Transcript()
     cluster = LocalCluster(edb, transcript=transcript, timeout=30.0)
     engine = PlaintextEngine(index)
