@@ -376,11 +376,9 @@ def load_edb(edb_dir) -> EncryptedDatabase:
     first = edb_dir / "cluster0" / "shard0" / "manifest.json"
     if not first.is_file():
         raise ValueError(f"no EDB shards found under {edb_dir}")
-    cfg = json.loads(first.read_text())["config"]
-    config = PartitionConfig(
-        shards_per_cluster=cfg["shards_per_cluster"], block_size=cfg["block_size"]
-    )
-    n = config.shards_per_cluster
+    cfg = _field(first, json.loads(first.read_text()), "config")
+    n, block_size = (_field(first, cfg, k) for k in ("shards_per_cluster", "block_size"))
+    config = PartitionConfig(shards_per_cluster=n, block_size=block_size)
     clusters = [[], []]
     for i in (0, 1):
         cluster_dir = edb_dir / f"cluster{i}"
@@ -392,16 +390,24 @@ def load_edb(edb_dir) -> EncryptedDatabase:
     return EncryptedDatabase(config, clusters)
 
 
+def _field(path: Path, record, key: str):
+    """record[key] of the manifest at path, or a ValueError naming it."""
+    if not isinstance(record, dict) or key not in record:
+        raise ValueError(f"{path} has no {key!r}")
+    return record[key]
+
+
 def _load_shard(d: Path, cluster: int, shard: int) -> ShardData:
-    manifest = json.loads((d / "manifest.json").read_text())
-    named = (manifest.get("cluster"), manifest.get("shard"))
+    path = d / "manifest.json"
+    manifest = json.loads(path.read_text())
+    named = (_field(path, manifest, "cluster"), _field(path, manifest, "shard"))
     if named != (cluster, shard):
-        raise ValueError(f"{d / 'manifest.json'} names cluster {named[0]} shard {named[1]}")
+        raise ValueError(f"{path} names cluster {named[0]} shard {named[1]}")
     tset_bytes = (d / "tset.bin").read_bytes()
     xset_bytes = (d / "xset.bin").read_bytes()
-    if hashlib.sha256(tset_bytes).hexdigest() != manifest["tset_sha256"]:
+    if hashlib.sha256(tset_bytes).hexdigest() != _field(path, manifest, "tset_sha256"):
         raise ValueError(f"checksum mismatch for {d / 'tset.bin'}")
-    if hashlib.sha256(xset_bytes).hexdigest() != manifest["xset_sha256"]:
+    if hashlib.sha256(xset_bytes).hexdigest() != _field(path, manifest, "xset_sha256"):
         raise ValueError(f"checksum mismatch for {d / 'xset.bin'}")
     return ShardData(
         TSetShard.from_bytes(tset_bytes), XSetFilter.from_bytes(xset_bytes), manifest

@@ -119,7 +119,7 @@ def cmd_serve(args) -> int:
             run_mode="secure", timeout=args.timeout,
         )
         server.start()
-    except (OSError, ValueError, ServerError, KeyError) as exc:
+    except (OSError, ValueError, ServerError) as exc:
         return _die(f"startup refused: {exc}")
     print(f"serving {server.name} (cluster {args.cluster}, shard {args.shard}); "
           f"Ctrl-C to stop")
@@ -152,7 +152,7 @@ def cmd_query(args) -> int:
     lengths = None
     freq = Path(args.frequencies) if args.frequencies else Path(args.keystore).parent / "frequencies.json"
     try:
-        if freq.is_file():
+        if args.frequencies or freq.is_file():  # only the default may be absent
             lengths = json.loads(freq.read_text())
         if args.local:
             edb = load_edb(args.edb)

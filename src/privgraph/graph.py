@@ -13,7 +13,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 
-from .sexpr import SExpr, formula_from_sexpr, BoolFormula
+from .sexpr import NESTED_TOP_K, SExpr, formula_from_sexpr, BoolFormula
 
 log = logging.getLogger(__name__)
 
@@ -254,7 +254,7 @@ class PlaintextEngine:
         expr: SExpr,
         sort: bool = True,
         top_k: int | None = None,
-        nested_top_k: int | None = 10,
+        nested_top_k: int | None = NESTED_TOP_K,
     ):
         """Two-round apply: evaluate the nested expression, rank and truncate,
         then run the or-query over prefix-instantiated terms."""

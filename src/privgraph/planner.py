@@ -13,8 +13,8 @@ never see keys or plaintext ids.
 
 Results returned to callers are plaintext entity ids, ranked when a sort
 was requested. Multi-round traversals (apply) run the nested expression
-ranked and truncated, instantiate prefix terms from its ids, and run the
-resulting disjunction as the outer round.
+ranked and cut to its first NESTED_TOP_K, instantiate prefix terms from
+its ids, and run the resulting disjunction as the outer round.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .server import (
     server_name,
     wire_top_k,
 )
-from .sexpr import SExpr, parse_sexpr
+from .sexpr import NESTED_TOP_K, SExpr, parse_sexpr
 from .transport import MSG, Frame, Transcript, TransportError
 
 log = logging.getLogger(__name__)
@@ -48,13 +48,9 @@ class QueryError(Exception):
     pass
 
 
-def _check_top(name: str, top: int | None) -> None:
-    if top is not None and top < 1:
-        raise QueryError(f"{name} must be at least 1, not {top}")
-
-
 class FrontEnd:
-    """Drives query sessions against both clusters over a topology."""
+    """Drives query sessions against both clusters over a topology; timeout
+    bounds every send and receive on its channels to the servers."""
 
     def __init__(
         self,
@@ -63,7 +59,6 @@ class FrontEnd:
         n_shards: int,
         *,
         lengths: dict[str, int] | None = None,
-        nested_top_k: int = 10,
         timeout: float = 120.0,
         transcript: Transcript | None = None,
     ):
@@ -71,7 +66,6 @@ class FrontEnd:
         self.topology = topology
         self.n_shards = n_shards
         self.lengths = lengths
-        self.nested_top_k = nested_top_k
         self.timeout = timeout
         self.transcript = transcript
         self.ctx = GroupContext()
@@ -86,7 +80,8 @@ class FrontEnd:
         """Run a query; returns plaintext ids, ranked when sort is set, the
         first top_k of them if top_k is given. A score formula is checked
         before any server sees the query."""
-        _check_top("top_k", top_k)
+        if top_k is not None and top_k < 1:
+            raise QueryError(f"top_k must be at least 1, not {top_k}")
         if score:
             try:
                 parse_score(score)
@@ -99,8 +94,7 @@ class FrontEnd:
         return self._execute(subqueries, sort, top_k, score)
 
     def _apply(self, expr: SExpr, sort, top_k, score) -> list[int]:
-        _check_top("nested_top_k", self.nested_top_k)
-        nested = self.query(expr.args[0], sort=True, top_k=self.nested_top_k)
+        nested = self.query(expr.args[0], sort=True, top_k=NESTED_TOP_K)
         if not nested:
             return []
         terms = [SExpr(op="term", term=f"{expr.prefix}{eid}") for eid in nested]
@@ -169,7 +163,7 @@ class FrontEnd:
                 for j in range(self.n_shards):
                     name = server_name(cluster, j)
                     try:
-                        ch = self.topology.connect(name)
+                        ch = self.topology.connect(name, self.timeout)
                     except TransportError:
                         if cluster == 1:
                             missing.append(name)
@@ -192,7 +186,7 @@ class FrontEnd:
         return chans
 
     def _recv(self, chan, expected: str) -> Frame:
-        frame = chan.recv(self.timeout)
+        frame = chan.recv()
         if frame.type == MSG["ERROR"]:
             raise QueryError(f"server error: {frame.payload.decode(errors='replace')}")
         if frame.type != MSG[expected]:

@@ -367,7 +367,8 @@ class IndexServer:
     """One shard server. start() spawns the accept loop; every accepted
     connection is read once and routed by its first frame: new query
     sessions spawn a worker, sort/aggregation frames are delivered to the
-    waiting session by (kind, query id)."""
+    waiting session by (kind, query id). timeout bounds every send, receive
+    and rendezvous of the server's sessions."""
 
     def __init__(
         self,
@@ -410,7 +411,7 @@ class IndexServer:
     # -- lifecycle
 
     def start(self) -> None:
-        self._listener = self.topology.listen(self.name)
+        self._listener = self.topology.listen(self.name, self.timeout)
         self._running = True
         threading.Thread(target=self._accept_loop, name=self.name, daemon=True).start()
 
@@ -445,7 +446,7 @@ class IndexServer:
     def _accept_loop(self) -> None:
         while True:
             try:
-                chan = self._listener.accept(timeout=None)
+                chan = self._listener.accept()
             except TransportError:
                 break
             if not self._running:  # accepted as the server stopped
@@ -458,7 +459,7 @@ class IndexServer:
 
     def _dispatch(self, chan: Channel) -> None:
         try:
-            first = chan.recv(self.timeout)
+            first = chan.recv()
         except TransportError:
             chan.close()
             return
@@ -507,13 +508,13 @@ class IndexServer:
         if evicted is not None:
             _discard_queued(evicted)
 
-    def _await(self, key, timeout: float):
+    def _await(self, key):
         with self._lock:
             self._unclaimed.pop(key, None)
             q = None if key in self._dropped else self._queue(key)
         if q is not None:
             try:
-                return q.get(timeout=timeout)
+                return q.get(timeout=self.timeout)
             except queue.Empty:
                 pass
         raise TransportError(f"{self.name}: timed out waiting for {key[0]}")
@@ -561,7 +562,7 @@ class IndexServer:
             tuples = self.data.tset.retrieve(sub.stag)
             chan.send(Frame(MSG["TUPLE_COUNT"], qid, encode_tuple_count(len(tuples))))
             if sub.n_xterms:
-                batch = chan.expect("XTOKEN_BATCH", self.timeout)
+                batch = chan.expect("XTOKEN_BATCH")
                 rows = decode_xtoken_batch(batch.payload)
                 kept = boolean_query(
                     self.data.tset, self.data.xset, self.ctx,
@@ -577,7 +578,7 @@ class IndexServer:
 
     def _connect(self, name: str) -> Channel:
         """A channel to another server, recorded as this party's."""
-        chan = self.topology.connect(name)
+        chan = self.topology.connect(name, self.timeout)
         chan.transcript = self.transcript
         chan.party = self.name
         return chan
@@ -636,7 +637,7 @@ class IndexServer:
             if shares is None:
                 status = STATUS_FAILED
             elif shares:
-                cchan = self._await(("sort", qid), self.timeout)
+                cchan = self._await(("sort", qid))
                 try:
                     if score:
                         shares = self._score(cchan, qid, shares, score, party=1)
@@ -671,7 +672,7 @@ class IndexServer:
         failed = None
         try:
             for _ in range(self.n_shards):
-                shard, status, shard_masks = self._await(("masks", qid), self.timeout)
+                shard, status, shard_masks = self._await(("masks", qid))
                 if shard >= self.n_shards:
                     raise ServerError(f"MASKS from shard {shard} of {self.n_shards}")
                 _check_scores("MASKS", shard_masks, width)
@@ -694,7 +695,7 @@ class IndexServer:
         except TransportError:
             log.warning("%s: the front-end left query %d", self.name, qid)
         try:
-            gchan = self._await(("gsort", qid), self.timeout)
+            gchan = self._await(("gsort", qid))
         except TransportError:
             if not answered:
                 raise
@@ -729,7 +730,7 @@ class IndexServer:
         failed = False
         try:
             for _ in range(self.n_shards):
-                shard, status, entries, count = self._await(("contrib", qid), self.timeout)
+                shard, status, entries, count = self._await(("contrib", qid))
                 failed |= status != STATUS_OK
                 masked = [m for m, _ in entries]
                 _check_scores("CONTRIB", masked, width)

@@ -22,6 +22,8 @@ from .transport import TransportError
 __all__ = ["SExpr", "ParseError", "parse_sexpr", "BoolFormula"]
 
 OPERATORS = ("term", "and", "or", "difference", "apply")
+# an apply ranks its nested expression's results and keeps this many of them
+NESTED_TOP_K = 10
 
 
 class ParseError(ValueError):

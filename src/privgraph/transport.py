@@ -10,9 +10,10 @@ Frame layout (normative, bit-exact on every channel):
 
 One Channel class frames every stream, and one Listener and one Topology
 set every connection up: TCP between processes, AF_UNIX sockets when all
-parties share one process. Unit tests also use bare socket pairs. Channels
-expose byte counters for communication-overhead reporting and optional
-transcript recording.
+parties share one process. Unit tests also use bare socket pairs. A party's
+one timeout bounds each send and receive on the channels it accepts or
+connects; CONNECT_TIMEOUT bounds a connect. Channels expose byte counters
+for communication-overhead reporting and optional transcript recording.
 """
 
 from __future__ import annotations
@@ -166,11 +167,12 @@ class Channel:
     """Ordered reliable frame channel over a connected stream socket: a TCP
     or AF_UNIX connection, or one end of a socket pair. Frames announced
     above MAX_FRAME_BYTES are refused, a closed peer raises ChannelClosed on
-    send and on receive, and no send or receive waits longer than its
-    timeout. After a send or receive fails, the stream is out of step: the
-    channel is only good for close()."""
+    send and on receive, and no send or receive waits longer than the
+    timeout the channel is made with. After a send or receive fails, the
+    stream is out of step: the channel is only good for close()."""
 
-    def __init__(self, sock: socket.socket, name: str = ""):
+    def __init__(self, sock: socket.socket, name: str, timeout: float):
+        sock.settimeout(timeout)
         self._sock = sock
         self._buf, self._pos = b"", 0  # bytes received, not yet returned from _pos on
         self.name = name
@@ -179,14 +181,13 @@ class Channel:
         self.transcript: Transcript | None = None
         self.party: str = ""
 
-    def send(self, frame: Frame, timeout: float | None = 30.0) -> None:
+    def send(self, frame: Frame) -> None:
         data = frame.encode()
         # recorded before the peer can read it, so that a transcript read
         # once the peer has answered holds every frame of the exchange
         if self.transcript is not None:
             self.transcript.record(self.party, "send", frame)
         try:
-            self._sock.settimeout(timeout)
             self._sock.sendall(data)
         except socket.timeout:
             raise TransportError(f"send timeout on channel {self.name}") from None
@@ -194,11 +195,7 @@ class Channel:
             raise ChannelClosed(f"channel {self.name}: {exc}") from None
         self.bytes_sent += len(data)
 
-    def recv(self, timeout: float | None = 30.0) -> Frame:
-        try:
-            self._sock.settimeout(timeout)
-        except OSError as exc:
-            raise ChannelClosed(f"channel {self.name}: {exc}") from None
+    def recv(self) -> Frame:
         length, ftype, session = struct.unpack(">IHQ", self._read(HEADER_LEN))
         if length < HEADER_LEN:
             raise TransportError("frame too short")
@@ -214,8 +211,8 @@ class Channel:
             self.transcript.record(self.party, "recv", frame)
         return frame
 
-    def expect(self, msg_name: str, timeout: float | None = 30.0) -> Frame:
-        frame = self.recv(timeout)
+    def expect(self, msg_name: str) -> Frame:
+        frame = self.recv()
         if frame.type != MSG[msg_name]:
             raise TransportError(f"expected {msg_name}, got {frame.name}")
         return frame
@@ -260,7 +257,8 @@ class Listener:
     path. close() shuts the socket down before closing it, which wakes an
     accept blocked in another thread; every later connect is refused."""
 
-    def __init__(self, addr):
+    def __init__(self, addr, timeout: float):
+        self.timeout = timeout
         self._sock = socket.socket(_family(addr), socket.SOCK_STREAM)
         try:
             if self._sock.family == socket.AF_INET:
@@ -272,15 +270,12 @@ class Listener:
             raise
         self.addr = self._sock.getsockname()  # the bound port of a port-0 address
 
-    def accept(self, timeout: float | None = 30.0) -> Channel:
+    def accept(self) -> Channel:
         try:
-            self._sock.settimeout(timeout)
             conn, _ = self._sock.accept()
-        except socket.timeout:
-            raise TransportError(f"accept timeout on {self.addr}") from None
         except OSError:
             raise ChannelClosed(f"listener {self.addr} closed") from None
-        return Channel(conn, str(self.addr))
+        return Channel(conn, str(self.addr), self.timeout)
 
     def close(self) -> None:
         try:
@@ -298,20 +293,22 @@ class Topology:
     def __init__(self, addresses: dict):
         self.addresses = dict(addresses)
 
-    def listen(self, name: str) -> Listener:
-        listener = Listener(self.addresses[name])
+    def listen(self, name: str, timeout: float) -> Listener:
+        if name not in self.addresses:
+            raise ValueError(f"no address for {name}")
+        listener = Listener(self.addresses[name], timeout)
         self.addresses[name] = listener.addr
         return listener
 
-    def connect(self, name: str, timeout: float = CONNECT_TIMEOUT) -> Channel:
+    def connect(self, name: str, timeout: float) -> Channel:
         addr = self.addresses.get(name)
         if addr is None:
             raise TransportError(f"connection refused: no address for {name}")
         sock = socket.socket(_family(addr), socket.SOCK_STREAM)
         try:
-            sock.settimeout(timeout)
+            sock.settimeout(CONNECT_TIMEOUT)
             sock.connect(addr)
         except OSError as exc:
             sock.close()
             raise TransportError(f"connection refused: {name} at {addr}") from exc
-        return Channel(sock, name)
+        return Channel(sock, name, timeout)

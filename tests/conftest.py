@@ -60,10 +60,10 @@ def random_graph(
     return Graph(edges)
 
 
-def loopback_pair(name: str = "") -> tuple[Channel, Channel]:
-    """The two ends of an in-process socket pair."""
+def loopback_pair(name: str = "", timeout: float = 30.0) -> tuple[Channel, Channel]:
+    """The two ends of an in-process socket pair, each made with timeout."""
     a, b = socket.socketpair()
-    return Channel(a, f"{name}:a"), Channel(b, f"{name}:b")
+    return Channel(a, f"{name}:a", timeout), Channel(b, f"{name}:b", timeout)
 
 
 def merge_tree_schedule(counts) -> list:

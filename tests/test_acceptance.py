@@ -24,6 +24,7 @@ from conftest import (
     server_exps,
 )
 from privgraph import crypto
+from privgraph import planner as planner_mod
 from privgraph.builder import (
     EncryptedTuple,
     PartitionConfig,
@@ -186,9 +187,9 @@ def test_ac01_oracle_equivalence():
                 if expr.op == "apply":
                     # keep every nested result so truncation cannot straddle
                     # a tie group and legitimately diverge from the oracle
-                    fe.nested_top_k = 10**6
-                    got = fe.query(expr, sort=sort)
-                    fe.nested_top_k = 10
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(planner_mod, "NESTED_TOP_K", 10**6)
+                        got = fe.query(expr, sort=sort)
                     oracle = engine.apply_query(expr, sort=sort, nested_top_k=10**6)
                 else:
                     got = fe.query(expr, sort=sort)

@@ -346,6 +346,30 @@ class TestEmitEdb:
         with pytest.raises(ValueError, match="names cluster 0 shard 1"):
             load_edb(emitted)
 
+    @pytest.mark.parametrize(
+        "path",
+        [("config",), ("config", "shards_per_cluster"), ("config", "block_size"),
+         ("cluster",), ("shard",), ("tset_sha256",), ("xset_sha256",)],
+        ids=lambda path: ".".join(path),
+    )
+    def test_manifest_without_a_field_refused(self, emitted, path):
+        # a ValueError that names the manifest, not a bare KeyError
+        manifest = emitted / "cluster0" / "shard0" / "manifest.json"
+        fields = json.loads(manifest.read_text())
+        record = fields
+        for key in path[:-1]:
+            record = record[key]
+        del record[path[-1]]
+        manifest.write_text(json.dumps(fields))
+        with pytest.raises(ValueError, match=f"{manifest} has no '{path[-1]}'"):
+            load_edb(emitted)
+
+    def test_manifest_that_is_not_an_object_refused(self, emitted):
+        manifest = emitted / "cluster1" / "shard0" / "manifest.json"
+        manifest.write_text("[]")
+        with pytest.raises(ValueError, match=f"{manifest} has no 'cluster'"):
+            load_edb(emitted)
+
     def test_no_plaintext_ids_in_edb_bytes(self, keys, ctx, tmp_path):
         # magic 64-bit id patterns must not leak into emitted bytes
         magic_ids = [0xDEADBEEF00000000 + i for i in range(5)]

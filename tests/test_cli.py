@@ -169,7 +169,9 @@ class TestQuery:
         assert "bad score formula" in err and "server error" not in err
 
     @pytest.mark.parametrize(
-        "bad", ["no peers file", "peer without port", "no tset", "bad frequencies"]
+        "bad",
+        ["no peers file", "peer without port", "no tset", "manifest without checksum",
+         "bad frequencies", "missing frequencies"],
     )
     def test_bad_input_file_is_a_usage_error(self, workspace, tmp_path, capsys, bad):
         peers, edb = tmp_path / "peers.json", tmp_path / "edb"
@@ -183,6 +185,16 @@ class TestQuery:
         elif bad == "no tset":
             (edb / "cluster1" / "shard0" / "tset.bin").unlink()
             expected = "tset.bin"
+        elif bad == "manifest without checksum":
+            manifest = edb / "cluster0" / "shard1" / "manifest.json"
+            fields = json.loads(manifest.read_text())
+            del fields["xset_sha256"]
+            manifest.write_text(json.dumps(fields))
+            expected = f"{manifest} has no 'xset_sha256'"
+        elif bad == "missing frequencies":
+            # a file the user names must exist; only the default may not
+            args += ["--frequencies", str(tmp_path / "nowhere.json")]
+            expected = "nowhere.json"
         else:
             (tmp_path / "freq.json").write_text("{bad")
             args += ["--frequencies", str(tmp_path / "freq.json")]
@@ -191,6 +203,14 @@ class TestQuery:
                      str(workspace / "keystore.bin"), *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
+
+    def test_default_frequencies_may_be_absent(self, workspace, tmp_path, capsys):
+        keystore = tmp_path / "keystore.bin"  # no frequencies.json beside it
+        shutil.copy(workspace / "keystore.bin", keystore)
+        term = next(iter(json.loads((workspace / "frequencies.json").read_text())))
+        assert main(["query", f"(term {term})", "--edb", str(workspace / "edb"),
+                     "--keystore", str(keystore), "--local"]) == 0
+        assert capsys.readouterr().out.split()
 
     def test_dealer_run_mode_refused(self, workspace):
         # a dealer's seed is known to every server: queries run secure only

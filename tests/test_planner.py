@@ -2,7 +2,7 @@ import pytest
 
 from privgraph.oxt import compile_query
 from privgraph.planner import FrontEnd, QueryError
-from privgraph.sexpr import parse_sexpr
+from privgraph.sexpr import NESTED_TOP_K, parse_sexpr
 
 
 def recorded(monkeypatch, answer=(5,)):
@@ -63,7 +63,7 @@ class TestPlanSteps:
         fe, rounds = recorded(monkeypatch, answer=(5, 7))
         fe.query("(apply friend: (term friend:1))", sort=True, score="key")
         assert rounds == [
-            (["friend:1"], True, fe.nested_top_k, None),
+            (["friend:1"], True, NESTED_TOP_K, None),
             (["friend:5", "friend:7"], True, None, "key"),
         ]
 

@@ -207,12 +207,6 @@ class TestSorted:
         for sort in (False, True):
             with pytest.raises(QueryError, match="top_k"):
                 fe.query("(term friend:1)", sort=sort, top_k=top_k)
-        fe.nested_top_k = top_k
-        try:
-            with pytest.raises(QueryError, match="nested_top_k"):
-                fe.query("(apply friend: (term friend:1))", sort=True)
-        finally:
-            fe.nested_top_k = 10
 
     @pytest.mark.parametrize("sort", [False, True])
     def test_only_returned_ids_are_decrypted(self, setup, monkeypatch, sort):
@@ -296,17 +290,14 @@ class TestWidthBoundaries:
 
 
 class TestApply:
-    def test_apply_matches_oracle(self, setup):
+    def test_apply_matches_oracle(self, setup, monkeypatch):
         index, engine, _, fe = setup
         seed_term = top_terms(index, 1)[0]
         text = f"(apply friend: (term {seed_term}))"
         # avoid tie-truncation ambiguity: keep every nested result
         n = len(index[seed_term])
-        fe.nested_top_k = n
-        try:
-            got = fe.query(text, sort=True)
-        finally:
-            fe.nested_top_k = 10
+        monkeypatch.setattr(planner_mod, "NESTED_TOP_K", n)
+        got = fe.query(text, sort=True)
         oracle = engine.apply_query(parse_sexpr(text), nested_top_k=n)
         assert_ranked(got, oracle)
 
@@ -362,19 +353,19 @@ class TestStop:
         running = set(threading.enumerate())
         server.start()
         (accept_thread,) = set(threading.enumerate()) - running
-        topology.connect("is00").close()  # reachable while it runs
+        topology.connect("is00", 5.0).close()  # reachable while it runs
         server.stop()
         accept_thread.join(timeout=1)
         assert not accept_thread.is_alive()
         with pytest.raises(TransportError, match="refused"):
-            topology.connect("is00", timeout=1)
+            topology.connect("is00", 5.0)
 
     def test_connection_accepted_as_server_stops_is_closed(self, setup, monkeypatch):
         _, _, cluster, _ = setup
-        client, late = loopback_pair("late")
+        client, late = loopback_pair("late", timeout=1.0)
 
         class Listener:  # hands out one connection the stop raced with
-            def accept(self, timeout=None):
+            def accept(self):
                 return late
 
         server = IndexServer(0, 0, 1, cluster.server(0, 0).data, topology=None)
@@ -384,7 +375,7 @@ class TestStop:
         server._accept_loop()  # not running: the loop closes it and ends
         assert dispatched == []
         with pytest.raises(ChannelClosed):
-            client.recv(timeout=1)
+            client.recv()
         client.close()
 
     def test_local_cluster_leaves_no_socket_behind(self, setup):
@@ -512,6 +503,58 @@ class TestFailFast:
             assert set(fe.query(f"(term {term})")) == index[term].ids()
             wait_sessions_drained(cluster)
 
+    def test_stalled_garbler_releases_its_counterpart_within_the_timeout(
+        self, setup, monkeypatch
+    ):
+        # is01 opens its local sort and then sends nothing: the query fails
+        # on the coordinator's wait for its masks, and is11's evaluator gives
+        # the session up on the servers' 2 s timeout, not on a longer one
+        index, engine, _, _ = setup
+        edb = build_edb(
+            index, KEYS, crypto.GroupContext(), PartitionConfig(shards_per_cluster=2, seed=21)
+        )
+        release = threading.Event()
+        real_garbler = server_mod.local_sort_garbler
+        real_evaluator = server_mod.local_sort_evaluator
+        evaluated = {}
+
+        def stalled(channel, *args, **width):
+            if channel.party != "is01":
+                return real_garbler(channel, *args, **width)
+            release.wait(40)
+            raise RuntimeError("stalled garbler released")
+
+        def timed(channel, *args, **width):
+            if channel.party != "is11":
+                return real_evaluator(channel, *args, **width)
+            evaluated["called"] = time.perf_counter()
+            try:
+                return real_evaluator(channel, *args, **width)
+            except Exception as exc:
+                evaluated["raised"] = exc
+                raise
+            finally:
+                evaluated["ended"] = time.perf_counter()
+
+        monkeypatch.setattr(server_mod, "local_sort_garbler", stalled)
+        monkeypatch.setattr(server_mod, "local_sort_evaluator", timed)
+        term = top_terms(index, 1)[0]
+        with LocalCluster(edb, timeout=2.0) as cluster:
+            try:
+                fe = cluster.front_end(KEYS, lengths=engine.lengths)
+                t0 = time.perf_counter()
+                with pytest.raises(QueryError):
+                    fe.query(f"(term {term})", sort=True)
+                assert time.perf_counter() - t0 < 5
+                deadline = t0 + 10
+                while "ended" not in evaluated and time.perf_counter() < deadline:
+                    time.sleep(0.01)
+                assert isinstance(evaluated.get("raised"), TransportError)
+                assert evaluated["ended"] - evaluated["called"] < 5
+                wait_sessions_drained(cluster)
+            finally:
+                release.set()
+
     @pytest.mark.parametrize(
         "codec,match",
         [("_encode_contrib", "closed the merge"), ("_encode_masks", r"outside Z_\{2\^7\}")],
@@ -548,8 +591,8 @@ class TestFailFast:
         _, _, cluster, _ = setup
         server = cluster.server(1, 0)
         key = ("sort", secrets.randbits(64))
-        early_peer, early = loopback_pair("early")
-        late_peer, late = loopback_pair("late")
+        early_peer, early = loopback_pair("early", timeout=1.0)
+        late_peer, late = loopback_pair("late", timeout=1.0)
         try:
             server._deliver(key, early)  # delivered, then never consumed
             server._drop(key)
@@ -557,7 +600,7 @@ class TestFailFast:
             assert key not in server._sessions
             for peer in (early_peer, late_peer):
                 with pytest.raises(ChannelClosed):
-                    peer.recv(timeout=1)
+                    peer.recv()
         finally:
             for chan in (early_peer, early, late_peer, late):
                 chan.close()
@@ -586,7 +629,7 @@ class TestFailFast:
         )
         with LocalCluster(edb, timeout=10.0) as cluster:
             server = cluster.server(0, 0)
-            channels = [loopback_pair("stray") for _ in range(3)]
+            channels = [loopback_pair("stray", timeout=1.0) for _ in range(3)]
             try:
                 for peer, chan in channels:
                     server._deliver(("gsort", secrets.randbits(64)), chan)
@@ -595,7 +638,7 @@ class TestFailFast:
                 assert len(server._sessions) == server_mod.UNCLAIMED_KEPT
                 for peer, _ in channels:
                     with pytest.raises(ChannelClosed):
-                        peer.recv(timeout=1)
+                        peer.recv()
             finally:
                 for pair in channels:
                     for chan in pair:

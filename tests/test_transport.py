@@ -76,7 +76,7 @@ class TestLoopback:
         thread = threading.Thread(target=a.send, args=(Frame(MSG["CIRCUIT_BLOB"], 7, blob),))
         thread.start()
         try:
-            got = b.recv(timeout=10)
+            got = b.recv()
         finally:
             thread.join(timeout=10)
         assert not thread.is_alive()
@@ -95,10 +95,14 @@ class TestLoopback:
         assert a.bytes_sent == 19
         assert b.bytes_received == 19
 
-    def test_recv_timeout(self, pair):
-        a, b = pair
-        with pytest.raises(TransportError, match="timeout"):
-            b.recv(timeout=0.05)
+    def test_recv_timeout(self):
+        a, b = loopback_pair("t", timeout=0.05)
+        try:
+            with pytest.raises(TransportError, match="recv timeout"):
+                b.recv()
+        finally:
+            a.close()
+            b.close()
 
     def test_close_unblocks_peer(self, pair):
         a, b = pair
@@ -113,12 +117,16 @@ class TestLoopback:
             a.send(Frame(MSG["CIRCUIT_BLOB"], 0, bytes(1000)))
         assert a.bytes_sent == 0
 
-    def test_send_to_peer_that_never_reads(self, pair):
-        a, b = pair
+    def test_send_to_peer_that_never_reads(self):
+        a, b = loopback_pair("t", timeout=0.2)
         t0 = time.monotonic()
-        with pytest.raises(TransportError, match="send timeout"):
-            for _ in range(64):  # far beyond any socket buffer
-                a.send(Frame(MSG["CIRCUIT_BLOB"], 0, bytes(1 << 16)), timeout=0.2)
+        try:
+            with pytest.raises(TransportError, match="send timeout"):
+                for _ in range(64):  # far beyond any socket buffer
+                    a.send(Frame(MSG["CIRCUIT_BLOB"], 0, bytes(1 << 16)))
+        finally:
+            a.close()
+            b.close()
         assert time.monotonic() - t0 < 5
 
     def test_frames_buffered_together(self, pair):
@@ -127,7 +135,7 @@ class TestLoopback:
         sent = [Frame(MSG["RESULT"], i, bytes(i)) for i in range(20)]
         for frame in sent:
             a.send(frame)
-        assert [b.recv(timeout=5) for _ in sent] == sent
+        assert [b.recv() for _ in sent] == sent
         assert b.bytes_received == sum(len(f.encode()) for f in sent)
 
     def test_expect_wrong_type(self, pair):
@@ -143,9 +151,9 @@ class TestFabric:
     def test_connect_accept(self, tmp_path):
         for addr in address_forms(tmp_path):
             topology = Topology({"is00": addr})
-            listener = topology.listen("is00")
-            client = topology.connect("is00")
-            server = listener.accept(timeout=1)
+            listener = topology.listen("is00", 5.0)
+            client = topology.connect("is00", 5.0)
+            server = listener.accept()
             client.send(Frame(MSG["QUERY_INIT"], 1, b"q"))
             assert server.recv().payload == b"q"
             server.send(Frame(MSG["RESULT"], 1, b"r"))
@@ -156,17 +164,17 @@ class TestFabric:
 
     def test_connection_refused(self, tmp_path):
         with pytest.raises(TransportError, match="refused"):
-            Topology({}).connect("nobody")
+            Topology({}).connect("nobody", 5.0)
         with pytest.raises(TransportError, match="refused"):
-            Topology({"nobody": str(tmp_path / "nobody.sock")}).connect("nobody")
+            Topology({"nobody": str(tmp_path / "nobody.sock")}).connect("nobody", 5.0)
 
     def test_double_bind_rejected(self, tmp_path):
         for addr in address_forms(tmp_path):
             topology = Topology({"a": addr})
-            listener = topology.listen("a")
+            listener = topology.listen("a", 5.0)
             try:
                 with pytest.raises(OSError) as exc:
-                    topology.listen("a")
+                    topology.listen("a", 5.0)
                 assert exc.value.errno == errno.EADDRINUSE
             finally:
                 listener.close()
@@ -174,21 +182,21 @@ class TestFabric:
     def test_listener_close_refuses(self, tmp_path):
         for addr in address_forms(tmp_path):
             topology = Topology({"is00": addr})
-            listener = topology.listen("is00")
+            listener = topology.listen("is00", 5.0)
             listener.close()
             with pytest.raises(ChannelClosed):
-                listener.accept(timeout=1)
+                listener.accept()
             with pytest.raises(TransportError, match="refused"):
-                topology.connect("is00", timeout=1)
+                topology.connect("is00", 5.0)
 
     def test_close_wakes_blocked_accept(self, address):
         topology = Topology({"is00": address})
-        listener = topology.listen("is00")
+        listener = topology.listen("is00", 5.0)
         raised = []
 
         def accept():
             try:
-                listener.accept(timeout=None)
+                listener.accept()
             except ChannelClosed as exc:
                 raised.append(exc)
 
@@ -199,7 +207,26 @@ class TestFabric:
         thread.join(timeout=1)
         assert not thread.is_alive() and len(raised) == 1
         with pytest.raises(TransportError, match="refused"):
-            topology.connect("is00", timeout=1)
+            topology.connect("is00", 5.0)
+
+    def test_channels_take_their_owners_timeout(self, address):
+        # an accepted channel has its listener's timeout and a connected
+        # one the timeout it was connected with; no call takes its own
+        topology = Topology({"is00": address})
+        listener = topology.listen("is00", 0.05)
+        client = topology.connect("is00", 0.5)
+        server = listener.accept()
+        try:
+            waited = []
+            for chan in (server, client):
+                t0 = time.monotonic()
+                with pytest.raises(TransportError, match="recv timeout"):
+                    chan.recv()
+                waited.append(time.monotonic() - t0)
+            assert waited[0] < 0.4 <= waited[1] < 3
+        finally:
+            for closable in (client, server, listener):
+                closable.close()
 
     def test_transcript_recording(self, pair):
         a, b = pair
@@ -214,21 +241,21 @@ class TestFabric:
 class TestTcp:
     def test_round_trip(self):
         topology = Topology({"is00": ("127.0.0.1", 0)})
-        listener = topology.listen("is00")
+        listener = topology.listen("is00", 5.0)
         assert topology.addresses["is00"][1] != 0  # the bound port
         results = {}
 
         def serve():
-            chan = listener.accept(timeout=5)
-            results["frame"] = chan.recv(timeout=5)
+            chan = listener.accept()
+            results["frame"] = chan.recv()
             chan.send(Frame(MSG["RESULT"], 9, b"pong"))
             chan.close()
 
         thread = threading.Thread(target=serve)
         thread.start()
-        client = topology.connect("is00")
+        client = topology.connect("is00", 5.0)
         client.send(Frame(MSG["QUERY_INIT"], 9, b"ping"))
-        reply = client.recv(timeout=5)
+        reply = client.recv()
         thread.join(timeout=5)
         listener.close()
         client.close()
@@ -239,27 +266,27 @@ class TestTcp:
 
     def test_refused(self):
         with pytest.raises(TransportError, match="refused"):
-            Topology({"x": ("127.0.0.1", 1)}).connect("x", timeout=0.2)
+            Topology({"x": ("127.0.0.1", 1)}).connect("x", 5.0)
 
     def test_oversized_announcement_rejected(self):
         a, b = socket.socketpair()
-        chan = Channel(a, "pair")
+        chan = Channel(a, "pair", 5.0)
         try:
             b.sendall(struct.pack(">I", 0xFFFFFFF0) + bytes(64))
             with pytest.raises(TransportError, match="limit"):
-                chan.recv(timeout=5)
+                chan.recv()
         finally:
             chan.close()
             b.close()
 
     def test_frame_larger_than_one_read(self):
         a, b = socket.socketpair()
-        sender, receiver = Channel(a, "a"), Channel(b, "b")
+        sender, receiver = Channel(a, "a", 10.0), Channel(b, "b", 10.0)
         frame = Frame(MSG["CIRCUIT_BLOB"], 4, bytes(range(256)) * (3 * RECV_CHUNK // 256 + 1))
         thread = threading.Thread(target=sender.send, args=(frame,))
         thread.start()
         try:
-            assert receiver.recv(timeout=10) == frame
+            assert receiver.recv() == frame
         finally:
             thread.join(timeout=10)
             sender.close()
